@@ -412,7 +412,9 @@ class SimulatedCluster:
         broadcast the result.  On a gossip topology it is one decentralized
         mixing step instead (see :meth:`_gossip_mix`).  Returns the new
         synchronized flat parameter vector — the network average under
-        gossip, where workers legitimately end the round disagreeing.
+        gossip, where workers legitimately end the round disagreeing.  The
+        returned array *is* the cluster's snapshot and is read-only;
+        :attr:`synchronized_parameters` hands out the writable copy.
         """
         if self._mixing is not None:
             return self._gossip_mix()
@@ -447,7 +449,8 @@ class SimulatedCluster:
                     self._backend.broadcast_state(averaged)
                     if self.block_momentum is not None:
                         self._backend.reset_momentum()
-                    self._synchronized_params = averaged.copy()
+                    averaged.flags.writeable = False
+                    self._synchronized_params = averaged
             counter_inc("bytes_averaged_total", gathered_bytes)
 
             duration = self.runtime.sample_communication()
@@ -514,7 +517,8 @@ class SimulatedCluster:
                     )
                     self._backend.set_stacked_states(mixed)
                     averaged = mixed.mean(axis=0)
-                    self._synchronized_params = averaged.copy()
+                    averaged.flags.writeable = False
+                    self._synchronized_params = averaged
                 gauge_set(
                     "consensus_distance", consensus_distance(list(mixed))
                 )
@@ -601,7 +605,7 @@ class SimulatedCluster:
                         arrival=float(timing.arrival_times[worker]),
                     )
                 self._backend.set_stacked_states(states)
-                self._synchronized_params = server.copy()
+                self._synchronized_params = server
             counter_inc("async_applies_total", self.n_workers)
             counter_inc("bytes_averaged_total", states.nbytes)
             # The generation is over when the last update reaches the server.

@@ -153,12 +153,15 @@ class _ShardServer:
         if op == "local_period":
             return bank.local_period(*args)
         if op == "get_states":
-            return bank.get_stacked_states()
+            # The live slab, not a copy: every consumer copies it (pickling
+            # over the pipe, concatenation in the parent) or only reads it
+            # (the in-process mean fold), before the next command can step.
+            return bank.bank.slab
         if op == "sync_states":
             # shm gather: write this shard's rows into the shared plane and
             # ack with no payload — the parent reads its own mapping.
             lo, hi = self._bounds
-            self._plane.states[lo:hi] = bank.get_stacked_states()
+            self._plane.states[lo:hi] = bank.bank.slab
             return None
         if op == "broadcast":
             return bank.broadcast_state(*args)

@@ -18,11 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-try:  # networkx is an optional convenience for arbitrary graphs
-    import networkx as nx
-except ImportError:  # pragma: no cover - networkx is installed in this environment
-    nx = None
-
 __all__ = [
     "TOPOLOGIES",
     "complete_mixing_matrix",
@@ -40,6 +35,17 @@ __all__ = [
 #: Topology names accepted by :func:`mixing_matrix_for` (and hence by
 #: ``SimulatedCluster(topology=...)`` and ``ExperimentConfig.topology``).
 TOPOLOGIES = ("complete", "ring", "star", "mh")
+
+
+def _networkx(needed_by: str):
+    """Import networkx on first use: only the ``"mh"`` topology and arbitrary
+    graphs need it, and at ~180 ms it would otherwise be the largest share of
+    every CLI start, shard process and sweep-pool worker."""
+    try:
+        import networkx
+    except ImportError:  # pragma: no cover - networkx is installed in this environment
+        raise ImportError(f"networkx is required for {needed_by}") from None
+    return networkx
 
 
 def _validate_m(m: int) -> None:
@@ -96,8 +102,7 @@ def metropolis_hastings_weights(graph) -> np.ndarray:
     Uses the Metropolis-Hastings rule ``W_ij = 1 / (1 + max(d_i, d_j))`` for
     edges, with the remaining mass on the diagonal.
     """
-    if nx is None:  # pragma: no cover
-        raise ImportError("networkx is required for metropolis_hastings_weights")
+    nx = _networkx("metropolis_hastings_weights")
     if graph.number_of_nodes() == 0:
         raise ValueError("graph must be non-empty")
     if not nx.is_connected(graph):
@@ -124,8 +129,7 @@ def chordal_ring_graph(m: int):
     plain ring, sparse enough to stay decentralized.  Small clusters (m ≤ 4)
     fall back to the complete graph, where MH weighting is still well defined.
     """
-    if nx is None:  # pragma: no cover
-        raise ImportError("networkx is required for the 'mh' topology")
+    nx = _networkx("the 'mh' topology")
     _validate_m(m)
     if m <= 4:
         return nx.complete_graph(m)

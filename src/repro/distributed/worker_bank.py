@@ -200,6 +200,11 @@ class WorkerBank(WorkerBackend):
     def get_stacked_states(self) -> np.ndarray:
         return self.bank.get_stacked_flat()
 
+    def mean_state(self) -> "tuple[np.ndarray, int]":
+        # Reduce the parameter slab where it lies: the same (m, P) array
+        # shape and row-sequential reduction as gather-then-mean, no gather.
+        return self.bank.slab.mean(axis=0), self.bank.slab.nbytes
+
     def broadcast_state(self, flat: np.ndarray) -> None:
         self.bank.broadcast_flat(flat)
 

@@ -12,11 +12,6 @@ parameter vector: model averaging broadcasts parameters only, so each
 worker's statistics remain local — exactly the loop backend's (and common
 DDP) semantics.
 
-The per-worker flat layout matches :meth:`Module.get_flat_parameters`
-exactly, so bank states interoperate unchanged with the model-averaging
-collective, the loop backend, and everything else that speaks flat parameter
-vectors.
-
 :func:`attach_bank_streams` completes the equivalence story for stochastic
 layers: the template's RNG-consuming modules (dropout, data-free noise
 models) are handed the m per-worker generators that the loop backend's
@@ -117,6 +112,16 @@ def attach_stream_generators(
 class ParameterBank:
     """The params + buffers of m identical replicas, stacked per worker.
 
+    All parameters live in one C-contiguous ``(m, P)`` array, ``slab`` (row i
+    is worker i's flat vector in :meth:`Module.get_flat_parameters` layout),
+    all gradients in ``grad_slab``.  Every stacked parameter tensor is a
+    *view*, ``slab[:, lo:hi].reshape(m, *shape)``, its ``grad_buffer`` the
+    same window of ``grad_slab``, so the flat-vector methods below are one
+    slab read or write each.  Rows are P apart: ``bank_forward`` code may
+    reshape a parameter's axes *after* the worker axis but never merge the
+    worker axis into another — that silently copies, and an in-place write
+    to the copy is lost.
+
     Parameters
     ----------
     template:
@@ -126,10 +131,10 @@ class ParameterBank:
     n_workers:
         Number of replicas m stacked along the leading axis.
     dtype:
-        Storage dtype of the stacked parameters and buffers.  The default
-        ``float64`` matches the loop reference byte for byte; ``float32`` is
-        the opt-in reduced-precision mode (half the memory traffic, parity
-        within tolerance rather than byte-equality).
+        Storage dtype of the slabs and buffers.  The default ``float64``
+        matches the loop reference byte for byte; ``float32`` is the opt-in
+        reduced-precision mode (half the memory traffic, parity within
+        tolerance rather than byte-equality).
     """
 
     def __init__(self, template: Module, n_workers: int, dtype=np.float64):
@@ -137,15 +142,26 @@ class ParameterBank:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
         self.dtype = np.dtype(dtype)
-        self.params: "OrderedDict[str, Tensor]" = OrderedDict()
-        for name, p in template.named_parameters():
-            stacked = np.repeat(
-                p.data.astype(self.dtype, copy=False)[None, ...], self.n_workers, axis=0
-            )
-            self.params[name] = Tensor(stacked, requires_grad=True, name=name)
-        if not self.params:
+        flat = template.get_flat_parameters().astype(self.dtype, copy=False)
+        if flat.size == 0:
             raise ValueError("template model has no trainable parameters")
-        self.n_parameters = sum(t.data[0].size for t in self.params.values())
+        self.n_parameters = flat.size
+        self.slab = np.repeat(flat[None, :], self.n_workers, axis=0)
+        self.grad_slab = np.zeros_like(self.slab)
+        self.params: "OrderedDict[str, Tensor]" = OrderedDict()
+        #: ``[lo, hi)`` slab columns of each parameter, in ``params`` order.
+        self._segments: list[tuple[int, int]] = []
+        lo = 0
+        for name, p in template.named_parameters():
+            hi = lo + p.size
+            shape = (self.n_workers, *p.shape)
+            stacked = Tensor(self.slab[:, lo:hi].reshape(shape), requires_grad=True, name=name)
+            stacked.grad_buffer = self.grad_slab[:, lo:hi].reshape(shape)
+            assert np.shares_memory(stacked.data, self.slab), name
+            assert np.shares_memory(stacked.grad_buffer, self.grad_slab), name
+            self.params[name] = stacked
+            self._segments.append((lo, hi))
+            lo = hi
         #: Stacked ``(m, *shape)`` non-trainable buffers (e.g. batch-norm
         #: running stats), updated in place by ``bank_forward`` and excluded
         #: from the flat vectors — averaging leaves them worker-local.
@@ -154,76 +170,66 @@ class ParameterBank:
             self.buffers[name] = np.repeat(
                 b.astype(self.dtype, copy=False)[None, ...], self.n_workers, axis=0
             )
-
-    def tensors(self) -> list[Tensor]:
-        """The stacked parameter tensors, in flat-layout order."""
-        return list(self.params.values())
+        # Names are fixed and values only ever mutated in place: built once.
+        self._state: dict = {**self.params, **self.buffers}
 
     def state(self) -> dict:
-        """The mapping handed to ``bank_forward``: parameter tensors plus
-        buffer arrays, keyed by fully-qualified name.  Buffer entries are the
-        live stacked arrays — layers momentum-update them in place."""
-        merged: dict = dict(self.params)
-        merged.update(self.buffers)
-        return merged
+        """The mapping handed to ``bank_forward``: parameter tensors plus the
+        live buffer arrays (layers momentum-update them in place), keyed by
+        fully-qualified name.  One dict shared by every call: do not mutate."""
+        return self._state
 
     def zero_grad(self) -> None:
+        """Mark every gradient stale (the slab itself is kept and reused)."""
         for t in self.params.values():
             t.zero_grad()
+
+    def grad_ranges(self) -> list[tuple[int, int]]:
+        """``[lo, hi)`` column ranges of ``grad_slab`` that hold a gradient:
+        the segments of the parameters whose ``.grad`` is set, adjacent ones
+        merged — ``[(0, P)]`` when every parameter received one.  A ``.grad``
+        assigned from outside is copied into its segment first."""
+        ranges: list[tuple[int, int]] = []
+        for (lo, hi), p in zip(self._segments, self.params.values()):
+            if p.grad is None:
+                continue
+            if p.grad is not p.grad_buffer:
+                p.grad_buffer[...] = p.grad
+            if ranges and ranges[-1][1] == lo:
+                ranges[-1] = (ranges[-1][0], hi)
+            else:
+                ranges.append((lo, hi))
+        return ranges
 
     # -- flat-vector interop ------------------------------------------------
     def get_stacked_flat(self) -> np.ndarray:
         """All worker states as one ``(m, P)`` array (a copy); row i is the
         flat parameter vector of worker i in ``get_flat_parameters`` layout."""
-        return np.concatenate(
-            [t.data.reshape(self.n_workers, -1) for t in self.params.values()], axis=1
-        )
+        return self.slab.copy()
 
     def set_stacked_flat(self, flat: np.ndarray) -> None:
         """Load an ``(m, P)`` array produced by :meth:`get_stacked_flat`."""
-        flat = np.asarray(flat, dtype=self.dtype)
-        if flat.shape != (self.n_workers, self.n_parameters):
-            raise ValueError(
-                f"stacked flat has shape {flat.shape}, bank needs "
-                f"({self.n_workers}, {self.n_parameters})"
-            )
-        offset = 0
-        for t in self.params.values():
-            n = t.data[0].size
-            t.data[...] = flat[:, offset : offset + n].reshape(t.data.shape)
-            offset += n
+        self.slab[...] = self._checked(flat, self.slab.shape)
 
     def broadcast_flat(self, flat: np.ndarray) -> None:
         """Overwrite every worker slice with one flat ``(P,)`` vector."""
-        flat = np.asarray(flat, dtype=self.dtype)
-        if flat.shape != (self.n_parameters,):
-            raise ValueError(
-                f"flat vector has {flat.size} entries, bank needs {self.n_parameters}"
-            )
-        offset = 0
-        for t in self.params.values():
-            n = t.data[0].size
-            t.data[...] = flat[offset : offset + n].reshape(t.data.shape[1:])
-            offset += n
+        self.slab[...] = self._checked(flat, self.slab.shape[1:])
 
     def worker_flat(self, worker_id: int) -> np.ndarray:
         """Flat copy of one worker's parameter slice."""
         self._check_worker(worker_id)
-        return np.concatenate([t.data[worker_id].ravel() for t in self.params.values()])
+        return self.slab[worker_id].copy()
 
     def set_worker_flat(self, worker_id: int, flat: np.ndarray) -> None:
         """Overwrite one worker's slice with a flat vector."""
         self._check_worker(worker_id)
+        self.slab[worker_id] = self._checked(flat, self.slab.shape[1:])
+
+    def _checked(self, flat: np.ndarray, shape: tuple) -> np.ndarray:
         flat = np.asarray(flat, dtype=self.dtype)
-        if flat.shape != (self.n_parameters,):
-            raise ValueError(
-                f"flat vector has {flat.size} entries, bank needs {self.n_parameters}"
-            )
-        offset = 0
-        for t in self.params.values():
-            n = t.data[0].size
-            t.data[worker_id] = flat[offset : offset + n].reshape(t.data.shape[1:])
-            offset += n
+        if flat.shape != shape:
+            raise ValueError(f"flat state has shape {flat.shape}, bank needs {shape}")
+        return flat
 
     # -- buffer interop ------------------------------------------------------
     def worker_buffers(self, worker_id: int) -> "OrderedDict[str, np.ndarray]":

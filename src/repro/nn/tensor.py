@@ -65,9 +65,21 @@ class Tensor:
         payloads are preserved).
     requires_grad:
         If True, gradients are accumulated into ``.grad`` during ``backward``.
+
+    A leaf may carry a persistent ``grad_buffer`` (an array of the leaf's
+    shape and dtype; the parameter bank hands every stacked parameter a view
+    of its gradient slab).  ``backward`` then accumulates that leaf's
+    gradient *in place*: ``.grad`` is either ``None`` — stale, nothing
+    arrived since ``zero_grad()`` or an outside ``.grad = None`` — or the
+    buffer itself.  The first contribution after a stale mark overwrites the
+    buffer, later ones ``+=`` in arrival order, so a steady-state step
+    allocates no gradient array.  Leaves without a buffer keep the
+    allocate-and-add behaviour.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "name", "grad_buffer",
+    )
     __array_priority__ = 100  # ensure ndarray.__mul__ defers to Tensor.__rmul__
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
@@ -79,6 +91,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
@@ -174,31 +187,33 @@ class Tensor:
             if g is None:
                 continue
             if node._backward is None:
-                # Leaf: accumulate into .grad
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad = node.grad + g
+                node._accumulate_leaf(g)
                 continue
-            node._backward_accumulate(g, grads)
+            # The _backward closure returns per-parent gradients.
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                if parent.grad_buffer is not None and parent._backward is None:
+                    parent._accumulate_leaf(pg)
+                elif id(parent) in grads:
+                    grads[id(parent)] = grads[id(parent)] + pg
+                else:
+                    grads[id(parent)] = pg
 
-    def _backward_accumulate(self, g: np.ndarray, grads: dict[int, np.ndarray]) -> None:
-        # The _backward closure returns per-parent gradients.
-        parent_grads = self._backward(g)
-        for parent, pg in zip(self._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            if parent._backward is None and parent._parents == ():
-                # Leaf tensor: accumulate directly (may receive multiple contributions).
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
-            else:
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
+    def _accumulate_leaf(self, g: np.ndarray) -> None:
+        """Add one gradient contribution to this leaf's ``.grad``."""
+        buf = self.grad_buffer
+        if buf is None or (self.grad is not None and self.grad is not buf):
+            # No buffer, or ``.grad`` was assigned from outside: allocate.
+            self.grad = g.copy() if self.grad is None else self.grad + g
+        elif self.grad is None:
+            # Stale buffer: overwrite (a closure may already have written
+            # its result straight into it, see ``matmul``).
+            if g is not buf:
+                np.copyto(buf, g)
+            self.grad = buf
+        else:
+            buf += g
 
     # -- elementwise arithmetic --------------------------------------------------
     def __add__(self, other) -> "Tensor":
@@ -278,8 +293,21 @@ class Tensor:
             # Skip the GEMM for a parent that cannot use the gradient (e.g.
             # the input batch of a first layer) — the engine discards None.
             ga = _unbroadcast(g @ other.data.swapaxes(-1, -2), self.shape) if self.requires_grad else None
-            gb = _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.shape) if other.requires_grad else None
-            return (ga, gb)
+            if not other.requires_grad:
+                return (ga, None)
+            a_t = self.data.swapaxes(-1, -2)
+            buf = other.grad_buffer
+            if (
+                buf is not None
+                and other.grad is None
+                and buf.shape == g.shape[:-2] + (a_t.shape[-2], g.shape[-1])
+                and a_t.dtype == g.dtype == buf.dtype
+            ):
+                # Weight gradient of a stale in-place leaf: the same GEMM,
+                # written where the gradient lives instead of into a
+                # temporary the engine would then copy.
+                return (ga, np.matmul(a_t, g, out=buf))
+            return (ga, _unbroadcast(a_t @ g, other.shape))
 
         return self._make(out_data, (self, other), backward)
 

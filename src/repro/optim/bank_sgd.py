@@ -2,10 +2,10 @@
 
 ``BankSGD`` applies exactly the local update rule of :class:`repro.optim.sgd.SGD`
 (eq. 2 of the paper — momentum, weight decay, Nesterov) to parameters stacked
-along a leading worker axis ``(m, *shape)``.  Because the update is
-elementwise, one NumPy op per parameter updates every replica at once, and
-each worker slice follows the same trajectory it would under m independent
-``SGD`` instances.  ``reset_momentum`` clears the stacked velocity buffers at
+along a leading worker axis.  Because the update is elementwise, one NumPy op
+over the bank's ``(m, P)`` slab updates every parameter of every replica at
+once, and each worker slice follows the same trajectory it would under m
+independent ``SGD`` instances.  ``reset_momentum`` clears the velocity slab at
 averaging steps, as block momentum requires (Section 5.3.1).
 
 The optimizer touches the bank's *parameters* only: stacked model buffers
@@ -55,58 +55,51 @@ class BankSGD:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.nesterov = nesterov
-        # Velocity and update scratch are preallocated so every step —
-        # including the first — takes the same fused in-place code path.
-        self._velocity: dict[str, np.ndarray] = {
-            name: np.zeros_like(p.data) for name, p in bank.params.items()
-        }
-        self._update: dict[str, np.ndarray] = {
-            name: np.empty_like(p.data) for name, p in bank.params.items()
-        }
-        # Nesterov with weight decay needs a second scratch: the first holds
-        # the decayed gradient while the look-ahead term is formed.
-        self._lookahead: dict[str, np.ndarray] = (
-            {name: np.empty_like(p.data) for name, p in bank.params.items()}
-            if nesterov and weight_decay
-            else {}
-        )
+        # Velocity and update scratch are preallocated slabs in the bank's
+        # layout, so every step — including the first — takes the same fused
+        # in-place code path.  Nesterov with weight decay needs a second
+        # scratch: the first holds the decayed gradient meanwhile.
+        self._velocity = np.zeros_like(bank.slab) if momentum else None
+        self._update = np.empty_like(bank.slab)
+        self._lookahead = np.empty_like(bank.slab) if nesterov and weight_decay else None
         self.n_steps = 0
 
     def zero_grad(self) -> None:
         self.bank.zero_grad()
 
     def step(self) -> None:
-        """Apply one update to every worker slice from the stacked gradients.
+        """Apply one update to every worker slice from the gradient slab.
 
-        The update is fused onto preallocated buffers: no ``(m, *shape)``
-        temporary is created per parameter per step.  Every reordering below
-        (``wd·p + grad`` for ``grad + wd·p``, scaled-subtract for
-        ``p -= lr·grad``) commutes bitwise under IEEE-754, so the trajectory
-        stays byte-identical to the loop reference.
+        One fused pass, without temporaries, over the slab columns that
+        received a gradient — usually all; a parameter whose ``.grad`` is
+        ``None`` is skipped entirely (no weight or momentum decay), as under
+        per-worker ``SGD``.  Every reordering below (``wd·p + grad`` for
+        ``grad + wd·p``, scaled-subtract for ``p -= lr·grad``) commutes
+        bitwise under IEEE-754, so the trajectory stays byte-identical to
+        the loop reference.
         """
         lr = self.lr
         momentum = self.momentum
         wd = self.weight_decay
         with profiled("bank_sgd.step"):
-            for name, p in self.bank.params.items():
-                grad = p.grad
-                if grad is None:
-                    continue
-                buf = self._update[name]
+            for lo, hi in self.bank.grad_ranges():
+                p = self.bank.slab[:, lo:hi]
+                grad = self.bank.grad_slab[:, lo:hi]
+                buf = self._update[:, lo:hi]
                 in_scratch = False
                 if wd:
                     # buf ← wd·p + grad (addition commutes, bytes match grad + wd·p).
-                    np.multiply(p.data, wd, out=buf)
+                    np.multiply(p, wd, out=buf)
                     buf += grad
                     grad = buf
                     in_scratch = True
                 if momentum:
-                    velocity = self._velocity[name]
-                    # v ← momentum·v + grad, in place on the persistent buffer.
+                    velocity = self._velocity[:, lo:hi]
+                    # v ← momentum·v + grad, in place on the persistent slab.
                     velocity *= momentum
                     velocity += grad
                     if self.nesterov:
-                        out = self._lookahead[name] if in_scratch else buf
+                        out = self._lookahead[:, lo:hi] if in_scratch else buf
                         np.multiply(velocity, momentum, out=out)
                         out += grad
                         grad = out
@@ -118,10 +111,10 @@ class BankSGD:
                 # already lives in one) and subtract without a temporary.
                 if in_scratch:
                     np.multiply(grad, lr, out=grad)
-                    p.data -= grad
+                    p -= grad
                 else:
                     np.multiply(grad, lr, out=buf)
-                    p.data -= buf
+                    p -= buf
         self.n_steps += 1
 
     def set_lr(self, lr: float) -> None:
@@ -131,6 +124,6 @@ class BankSGD:
         self.lr = float(lr)
 
     def reset_momentum(self) -> None:
-        """Clear the stacked momentum buffers (block-momentum averaging step)."""
-        for velocity in self._velocity.values():
-            velocity.fill(0.0)
+        """Clear the velocity slab (block-momentum averaging step)."""
+        if self._velocity is not None:
+            self._velocity.fill(0.0)

@@ -453,7 +453,14 @@ class TestDivergenceRegressions:
         # few rounds; AdaComm used to die in math.ceil(nan * tau).  Now the
         # controller ignores non-finite observations and keeps its period.
         cfg = make_config("smoke", lr=1e6, wall_time_budget=40.0)
-        record = run_method(cfg, "adacomm")
+        # Diverging on purpose: the overflow / NaN warnings are this test's
+        # to assert — everywhere else a RuntimeWarning is an error
+        # (pyproject.toml), so a new NaN path fails loudly.
+        with pytest.warns(RuntimeWarning) as caught:
+            record = run_method(cfg, "adacomm")
+        messages = " | ".join(str(w.message) for w in caught)
+        assert "overflow encountered" in messages
+        assert "invalid value encountered" in messages
         assert len(record.points) >= 2
         assert not np.isfinite(record.points[-1].train_loss)
 

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,25 @@ def test_property_complete_mix_equals_exact_average(m, dim, seed):
     exact = average_states(states)
     for s in mixed:
         np.testing.assert_allclose(s, exact, atol=1e-12)
+
+
+def test_cli_import_does_not_load_networkx():
+    # Only the "mh" topology and arbitrary-graph MH weights need networkx; at
+    # ~180 ms it must not be billed to every CLI start, shard process and
+    # sweep-pool worker.  Fresh interpreter: this module imports it itself.
+    code = (
+        "import sys, repro.experiments.cli, repro.sweep.runner, repro.distributed.sharded_bank\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported at CLI start'\n"
+        "from repro.distributed.topology import mixing_matrix_for\n"
+        "mixing_matrix_for('ring', 6)\n"
+        "assert 'networkx' not in sys.modules, 'ring topology pulled networkx'\n"
+        "assert mixing_matrix_for('mh', 6).shape == (6, 6)\n"
+        "assert 'networkx' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCLI:
