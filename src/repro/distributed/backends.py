@@ -6,10 +6,12 @@ learning-rate and momentum control, model materialization for evaluation —
 to a backend implementing :class:`WorkerBackend`.  Three backends exist:
 
 * :class:`LoopWorkers` (this module) — one :class:`Worker` object per
-  replica, stepped in a Python loop.  This is the seed behaviour, kept as
-  the *reference implementation*: the equivalence suite checks the banks
-  against it byte for byte, and third-party models without a ``bank_loss``
-  still run here.
+  replica, stepped in a Python loop: m banks of one worker.  Layers have a
+  single stacked definition, which ``Module.forward`` / ``Module.loss``
+  apply at m = 1, so the loop shares the banks' kernels; its own *driver*
+  (``Worker``, per-parameter ``SGD``, ``BatchLoader``) is the reference the
+  equivalence suite checks the banks against byte for byte, and third-party
+  models that only write ``forward`` / ``loss`` still run here.
 * :class:`~repro.distributed.worker_bank.WorkerBank` — all replicas stacked
   along a leading worker axis and stepped with single NumPy ops (the
   vectorized path; see ``repro.nn.bank``).  Covers every built-in model:

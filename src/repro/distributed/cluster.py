@@ -251,7 +251,7 @@ class SimulatedCluster:
             self.backend_name, self._backend = backend.acquire(**build_kwargs)
         else:
             self._owns_backend = True
-            self.backend_name, self._backend = self._resolve_backend(
+            self.backend_name, self._backend = resolve_backend(
                 backend,
                 n_shards=n_shards,
                 auto_shard_threshold=auto_shard_threshold,
@@ -275,29 +275,6 @@ class SimulatedCluster:
         self.communication_rounds = 0
         self.current_lr = lr
         gauge_set("workers", n_workers)
-
-    @staticmethod
-    def _resolve_backend(
-        spec: str,
-        *,
-        n_shards: int = 2,
-        auto_shard_threshold: "int | None" = None,
-        shard_transport: str = "auto",
-        **kwargs,
-    ) -> tuple[str, WorkerBackend]:
-        """Build the execution backend; ``"auto"`` escalates and falls back.
-
-        Delegates to :func:`repro.distributed.reuse.resolve_backend` (the
-        single home of the escalation/fallback chain, shared with
-        :class:`~repro.distributed.reuse.BackendHandle`).
-        """
-        return resolve_backend(
-            spec,
-            n_shards=n_shards,
-            auto_shard_threshold=auto_shard_threshold,
-            shard_transport=shard_transport,
-            **kwargs,
-        )
 
     @property
     def workers(self):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Module, ReLU, Sequential
-from repro.nn.losses import bank_cross_entropy, cross_entropy
+from repro.nn.losses import bank_cross_entropy
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import SeedSequence, check_random_state
 
@@ -66,21 +66,11 @@ class SmallCNN(Module):
         self.image_size = image_size
         self.n_classes = n_classes
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim == 2:
-            # Accept flat inputs and reshape to NCHW for convenience.
-            n = x.shape[0]
-            x = x.reshape(n, self.in_channels, self.image_size, self.image_size)
-        return self.classifier(self.features(x))
-
-    def loss(self, x, y: np.ndarray) -> Tensor:
-        return cross_entropy(self(x), y)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         if x.ndim == 3:
-            # Stacked flat inputs (m, B, F) -> stacked NCHW, mirroring forward.
+            # Accept stacked flat inputs (m, B, F) and view them as NCHW.
             m, b = x.shape[0], x.shape[1]
             x = x.reshape(m, b, self.in_channels, self.image_size, self.image_size)
         elif x.ndim != 5:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import Linear, Module
-from repro.nn.losses import bank_cross_entropy, bank_mse_loss, cross_entropy, mse_loss
+from repro.nn.losses import bank_cross_entropy, bank_mse_loss
 from repro.nn.tensor import Tensor
 
 __all__ = ["SoftmaxRegression", "LinearRegressionModel"]
@@ -24,15 +24,6 @@ class SoftmaxRegression(Module):
         self.n_features = n_features
         self.n_classes = n_classes
         self.fc = Linear(n_features, n_classes, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        return self.fc(x)
-
-    def loss(self, x, y: np.ndarray) -> Tensor:
-        """Cross-entropy loss of a batch (the trainer's standard interface)."""
-        return cross_entropy(self(x), y)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         x = self._as_bank_input(x)
@@ -50,18 +41,6 @@ class LinearRegressionModel(Module):
         self.n_features = n_features
         self.n_outputs = n_outputs
         self.fc = Linear(n_features, n_outputs, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        return self.fc(x)
-
-    def loss(self, x, y) -> Tensor:
-        pred = self(x)
-        target = np.asarray(y, dtype=float)
-        if target.ndim == 1:
-            target = target.reshape(-1, 1)
-        return mse_loss(pred, target)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         x = self._as_bank_input(x)

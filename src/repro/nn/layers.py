@@ -8,6 +8,7 @@ across workers, eq. 3 of the paper).
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 from typing import Iterator
 
@@ -43,6 +44,13 @@ class Module:
     Subclasses register :class:`Tensor` parameters as attributes; the base
     class discovers them (recursively through sub-modules) for optimization,
     averaging, and serialization.
+
+    Writing a layer: implement :meth:`bank_forward` only.  Take ``x`` with a
+    leading worker axis ``(m, B, ...)``, read parameters and buffers from
+    ``params[f"{prefix}<name>"]`` (stacked ``(m, *shape)``), and keep every op
+    independent across that axis.  A model adds :meth:`bank_loss` returning
+    the ``(m,)`` per-worker losses.  :meth:`forward` and :meth:`loss` are
+    inherited: the same definition on a bank of one worker.
     """
 
     def __init__(self) -> None:
@@ -59,7 +67,7 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         elif name in self.__dict__.get("_buffers", {}):
             # Re-assignment to a registered buffer keeps it registered
-            # (BatchNorm rebinds its running stats every training step).
+            # (``set_buffer`` rebinds the array; see ``_bank_of_one``).
             value = np.asarray(value, dtype=float)
             self.__dict__["_buffers"][name] = value
         object.__setattr__(self, name, value)
@@ -180,14 +188,62 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {p.shape}")
             p.data[...] = value
 
-    # -- forward ---------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
+    # -- one replica: the stacked definition on a bank of one worker ------------
+    def forward(self, x: Tensor) -> Tensor:
+        """One replica's forward pass: :meth:`bank_forward` at m = 1."""
+        out = self.bank_forward(x.reshape(1, *x.shape), self._bank_of_one())
+        return out.reshape(out.shape[1:])
+
+    def loss(self, x=None, y=None) -> Tensor:
+        """One replica's scalar batch loss: :meth:`bank_loss` at m = 1.
+
+        Data-free objectives take no batch (``x`` and ``y`` stay ``None``).
+        """
+        if x is not None:
+            x = x.reshape(1, *x.shape) if isinstance(x, Tensor) else np.asarray(x)[None]
+            y = np.asarray(y)[None]
+        return self.bank_loss(x, y, self._bank_of_one()).reshape(())
 
     def __call__(self, x: Tensor) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return self.forward(x)
+
+    def _bank_of_one(self) -> dict:
+        """This module's own parameters and buffers as a bank of one worker.
+
+        ``ParameterBank.state()`` layout.  A parameter is a ``(1, *shape)``
+        reshape node over the parameter itself, so gradients land on the
+        replica's own tensors; a buffer is a ``buf[None]`` view, so in-place
+        updates (batch-norm running stats) write through.  Built once, and
+        again only after a parameter or buffer was rebound (``set_buffer``).
+        """
+        sources = [*self.parameters(), *self.buffers()]
+        cached = self.__dict__.get("_bank1")
+        if (
+            cached is None
+            or len(cached[0]) != len(sources)
+            or not all(map(operator.is_, cached[0], sources))
+        ):
+            state: dict = {}
+            for name, p in self.named_parameters():
+                # Built by hand, not with ``p.reshape``: the node must stay
+                # differentiable even when first needed under ``no_grad``.
+                view = Tensor(p.data.reshape(1, *p.shape), requires_grad=True, name=name)
+                view._parents = (p,)
+                view._backward = lambda g, shape=p.shape: (g.reshape(shape),)
+                state[name] = view
+            for name, b in self.named_buffers():
+                state[name] = b[None]
+            cached = self.__dict__["_bank1"] = (sources, state)
+        return cached[1]
+
+    def __getstate__(self) -> dict:
+        # The bank-of-one views alias this module's arrays; a pickled or
+        # deep-copied module must rebuild them over its own.
+        state = self.__dict__.copy()
+        state.pop("_bank1", None)
+        return state
 
     # -- param-bank forward (vectorized worker-bank backend) -------------------
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
@@ -196,9 +252,9 @@ class Module:
         ``x`` carries a leading worker axis — ``(m, B, ...)`` — and ``params``
         maps fully-qualified parameter names (as in :meth:`named_parameters`)
         to tensors stacked along the same axis, ``(m, *shape)``.  ``prefix``
-        is this module's name prefix inside ``params``.  Layers that support
-        the stacked path override this; the base implementation marks the
-        module as loop-only (see :meth:`supports_bank`).
+        is this module's name prefix inside ``params``.  This is a layer's one
+        definition; the base implementation marks a module that only wrote
+        ``forward`` as loop-only (see :meth:`supports_bank`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the param-bank forward path"
@@ -207,11 +263,10 @@ class Module:
     def bank_loss(self, x, y, params) -> Tensor:
         """Per-worker losses ``(m,)`` of stacked batches under stacked params.
 
-        Each entry must equal ``self.loss(x[i], y[i])`` evaluated with worker
-        i's parameter slice, so that ``bank_loss(...).sum().backward()``
-        deposits every worker's own batch gradient into its slice of the
-        parameter bank.  Models that support the vectorized backend override
-        this alongside :meth:`bank_forward`.
+        Entry i must depend on worker i's batch and parameter slice only, so
+        that ``bank_loss(...).sum().backward()`` deposits every worker's own
+        batch gradient into its slice of the parameter bank.  This is a
+        model's one loss definition, written alongside :meth:`bank_forward`.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement a param-bank loss"
@@ -243,6 +298,20 @@ class Module:
         """Whether *this* module draws from an RNG during a training forward."""
         return False
 
+    def _worker_streams(self, m: int, what: str = "RNG") -> list:
+        """A stream module's m per-worker generators (``_bank_rngs``); a lone
+        replica (m = 1, nothing attached) draws from its own ``_rng``."""
+        rngs = self._bank_rngs
+        if rngs is not None and len(rngs) == m:
+            return rngs
+        if m == 1:
+            return [self._rng]
+        raise RuntimeError(
+            f"{type(self).__name__} needs one {what} stream per worker; the "
+            f"worker-bank backend attaches them at construction (see "
+            f"repro.nn.bank.attach_bank_streams)"
+        )
+
     @staticmethod
     def _as_bank_input(x) -> Tensor:
         """Coerce a stacked batch to a ``(m, B, F)`` tensor (models' prelude)."""
@@ -269,12 +338,6 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         # (m, B, in) @ (m, in, out) — matmul broadcasts over the worker axis,
         # so one call runs every replica's affine map.
@@ -287,34 +350,22 @@ class Linear(Module):
 
 
 class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.relu()
 
 
 class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.tanh()
 
 
 class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.sigmoid()
 
 
 class Flatten(Module):
     """Flatten all but the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.reshape(x.shape[0], x.shape[1], -1)
@@ -334,22 +385,10 @@ class Dropout(Module):
         #: ``repro.nn.bank.attach_bank_streams`` at backend construction).
         self._bank_rngs: "list | None" = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        rngs = self._bank_rngs
-        if rngs is None or len(rngs) != x.shape[0]:
-            raise RuntimeError(
-                "Dropout bank_forward needs one RNG stream per worker; the "
-                "worker-bank backend attaches them at construction (see "
-                "repro.nn.bank.attach_bank_streams)"
-            )
+        rngs = self._worker_streams(x.shape[0])
         # One draw of shape (B, ...) per worker stream — each generator is
         # consumed exactly as its loop replica's would be, so a seeded run
         # produces byte-identical masks (and stream positions) on either
@@ -366,31 +405,37 @@ class Dropout(Module):
         return self.p > 0.0
 
 
+def _bank_apply(mod: Module, x: Tensor, params, prefix: str) -> Tensor:
+    """``mod.bank_forward`` for a child handed to a built-in container.
+
+    A third-party child that only wrote ``forward`` still runs on a bank of
+    one worker — every loop-backend replica — through that ``forward`` on
+    the lone slice; ``supports_bank`` keeps such a tree off the banks.
+    """
+    if x.shape[0] == 1 and type(mod).bank_forward is Module.bank_forward:
+        out = mod.forward(x.reshape(x.shape[1:]))
+        return out.reshape(1, *out.shape)
+    return mod.bank_forward(x, params, prefix)
+
+
 class Sequential(Module):
     """Chain of sub-modules applied in order."""
 
     def __init__(self, *modules: Module):
         super().__init__()
-        self._seq: list[Module] = []
         for i, mod in enumerate(modules):
             setattr(self, f"layer{i}", mod)
-            self._seq.append(mod)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for mod in self._seq:
-            x = mod(x)
-        return x
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         for name, mod in self._modules.items():
-            x = mod.bank_forward(x, params, f"{prefix}{name}.")
+            x = _bank_apply(mod, x, params, f"{prefix}{name}.")
         return x
 
     def __len__(self) -> int:
-        return len(self._seq)
+        return len(self._modules)
 
     def __getitem__(self, idx: int) -> Module:
-        return self._seq[idx]
+        return list(self._modules.values())[idx]
 
 
 class _ConvPlan:
@@ -499,9 +544,9 @@ class _ConvPlan:
 
 
 #: Conv gather/scatter plans keyed by ``(c, h, w, kh, kw, stride)`` and pool
-#: backward index maps keyed by ``(n, c, h, w, k, s)``.  Bounded FIFO caches:
-#: a handful of geometries per model, but eval batch sizes vary, so evict the
-#: oldest entry past the cap instead of growing without bound.
+#: backward index maps keyed by ``(n, c, h, w, out_h, out_w, s)``.  Bounded
+#: FIFO caches: a handful of geometries per model, but eval batch sizes vary,
+#: so evict the oldest entry past the cap instead of growing without bound.
 _CONV_PLANS: dict[tuple, _ConvPlan] = {}
 _POOL_PLANS: dict[tuple, np.ndarray] = {}
 _PLAN_CACHE_CAP = 128
@@ -628,51 +673,6 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"Conv2d expects NCHW input, got shape {x.shape}")
-        if self.padding:
-            x = x.pad2d(self.padding)
-
-        kh = kw = self.kernel_size
-        stride = self.stride
-        x_data = x.data
-        n, c, h, w = x_data.shape
-        with profiled("conv2d.forward"):
-            cols, out_h, out_w = _im2col(x_data, kh, kw, stride)
-            w_mat = self.weight.data.reshape(self.out_channels, -1).T  # (c*kh*kw, out_c)
-            out_cols = cols @ w_mat
-            # Materialize a C-contiguous output: the transpose view would leak
-            # its layout through every downstream ufunc (bias add, ReLU, pooling).
-            out_data = np.ascontiguousarray(
-                out_cols.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-            )
-            if self.bias is not None:
-                out_data += self.bias.data.reshape(1, -1, 1, 1)
-
-        weight = self.weight
-        bias = self.bias
-        x_shape = x_data.shape
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(g):
-            # g: (n, out_c, out_h, out_w)
-            with profiled("conv2d.backward"):
-                g_cols = g.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-                dw = (cols.T @ g_cols).T.reshape(weight.shape)
-                if x.requires_grad:
-                    dx = _col2im(g_cols @ w_mat.T, x_shape, kh, kw, stride)
-                else:
-                    # First-layer input: the scatter (and its GEMM) would be
-                    # discarded by the engine, so don't compute it.
-                    dx = None
-                if bias is None:
-                    return (dx, dw)
-                db = g.sum(axis=(0, 2, 3))
-                return (dx, dw, db)
-
-        return x._make(out_data, parents, backward)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         """All m workers' convolutions in one batched matmul.
 
@@ -704,8 +704,9 @@ class Conv2d(Module):
             cols3 = cols.reshape(m, b * out_h * out_w, c * kh * kw)
             w_mat = weight.data.reshape(m, self.out_channels, -1).transpose(0, 2, 1)
             out_cols = cols3 @ w_mat  # (m, B·oh·ow, out_c)
-            # Materialize a C-contiguous output (see forward): downstream ufuncs
-            # inherit the layout, and the pooling fast path needs C order.
+            # Materialize a C-contiguous output: the transpose view would leak
+            # its layout through every downstream ufunc (bias add, ReLU), and
+            # the pooling fast path needs C order.
             out_data = np.ascontiguousarray(
                 out_cols.reshape(m, b, out_h, out_w, self.out_channels).transpose(0, 1, 4, 2, 3)
             )
@@ -749,16 +750,6 @@ class _Pool2d(Module):
     def _forward_arrays(self, x_data: np.ndarray):  # pragma: no cover - abstract
         """Array-level pool: return ``(out_data, backward)`` for NCHW input."""
         raise NotImplementedError
-
-    def forward(self, x: Tensor) -> Tensor:
-        with profiled("pool.forward"):
-            out_data, array_backward = self._forward_arrays(x.data)
-
-        def backward(g):
-            with profiled("pool.backward"):
-                return (array_backward(g),)
-
-        return x._make(out_data, (x,), backward)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         # Pooling has no parameters, so the worker axis simply folds into the
@@ -901,24 +892,6 @@ class BatchNorm1d(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError("BatchNorm1d expects (N, F) input")
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=0, keepdims=True)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean.data.ravel()
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var.data.ravel()
-            )
-            x_hat = centered / (var + self.eps).sqrt()
-        else:
-            x_hat = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + self.eps))
-        return x_hat * self.weight + self.bias
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         """Normalize all m workers' batches under per-worker γ/β and stats.
 
@@ -967,8 +940,5 @@ class Residual(Module):
         super().__init__()
         self.inner = inner
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x + self.inner(x)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
-        return x + self.inner.bank_forward(x, params, f"{prefix}inner.")
+        return x + _bank_apply(self.inner, x, params, f"{prefix}inner.")

@@ -45,8 +45,10 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer class ``targets`` given raw ``logits``."""
-    return nll_loss(log_softmax(logits), targets)
+    """Mean cross-entropy of integer class ``targets`` given raw ``(B, C)``
+    ``logits``: :func:`bank_cross_entropy` on a bank of one worker."""
+    stacked = bank_cross_entropy(logits.reshape(1, *logits.shape), np.asarray(targets)[None])
+    return stacked.reshape(())
 
 
 def bank_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -74,21 +76,22 @@ def bank_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def bank_mse_loss(pred: Tensor, target) -> Tensor:
-    """Per-worker mean squared error of stacked ``(m, B, O)`` predictions."""
+    """Per-worker mean squared error of stacked ``(m, B, ...)`` predictions."""
     if not isinstance(target, Tensor):
         target = Tensor(target)
-    if pred.ndim != 3:
-        raise ValueError("bank_mse_loss expects (m, B, O) predictions")
+    if pred.ndim < 2:
+        raise ValueError("bank_mse_loss expects (m, B, ...) predictions")
     diff = pred - target
-    return (diff * diff).mean(axis=(1, 2))
+    return (diff * diff).mean(axis=tuple(range(1, diff.ndim)))
 
 
 def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error ``mean((pred - target)^2)``."""
+    """Mean squared error ``mean((pred - target)^2)``: :func:`bank_mse_loss`
+    on a bank of one worker."""
     if not isinstance(target, Tensor):
         target = Tensor(target)
-    diff = pred - target
-    return (diff * diff).mean()
+    stacked = bank_mse_loss(pred.reshape(1, *pred.shape), target.reshape(1, *target.shape))
+    return stacked.reshape(())
 
 
 def accuracy(logits: Tensor | np.ndarray, targets: np.ndarray) -> float:

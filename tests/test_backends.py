@@ -95,6 +95,37 @@ class TestBankCompatibility:
         assert not bank_compatible(Sequential(Linear(4, 2, rng=0)))  # no bank_loss
 
 
+def test_one_definition_per_equivalence_layer():
+    """Guard against the fork returning: ``forward`` / ``loss`` are inherited.
+
+    Every class the equivalence matrix declares has exactly one definition,
+    ``bank_forward`` (and ``bank_loss`` for models); a per-replica ``forward``
+    or ``loss`` of its own would be a second one that no backend compares.
+    """
+    import repro.models.cnn
+    import repro.models.linear
+    import repro.models.mlp
+    import repro.models.quadratic
+    import repro.nn.layers
+    from tests.conftest import BANK_EQUIVALENCE_LAYERS
+
+    modules = (repro.nn.layers, repro.models.cnn, repro.models.linear,
+               repro.models.mlp, repro.models.quadratic)
+    classes = {
+        name: obj for module in modules for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, Module)
+    }
+    assert BANK_EQUIVALENCE_LAYERS <= set(classes)
+    forked = sorted(
+        f"{name}.{method}"
+        for name in BANK_EQUIVALENCE_LAYERS
+        for method in ("forward", "loss")
+        if method in vars(classes[name])
+    )
+    assert not forked, f"second per-replica definitions: {forked}"
+    assert "bank_forward" in vars(classes["Linear"])  # the definition that stays
+
+
 class TestParameterBank:
     def test_stacking_and_layout(self):
         model = _mlp()
@@ -469,6 +500,60 @@ class TestAutoBackendSelection:
             _make_cluster("vectorized", model_fn=NoBankModel)
         fallback = _make_cluster("auto", model_fn=NoBankModel)
         assert fallback.backend_name == "loop"
+
+    def test_forward_only_layer_inside_builtin_containers(self):
+        # A third-party layer that only writes ``forward``, nested in the
+        # built-in Sequential / Residual: the containers are stacked
+        # definitions now, yet on a bank of one they must still reach it.
+        from repro.nn.layers import Dropout, Residual
+        from repro.nn.losses import cross_entropy
+        from repro.nn.tensor import Tensor
+
+        class Gain(Module):
+            def __init__(self, width):
+                super().__init__()
+                self.gain = Tensor(np.full(width, 1.5), requires_grad=True)
+
+            def forward(self, x):
+                return x * self.gain
+
+        class ThirdPartyNet(Module):
+            def __init__(self, rng):
+                super().__init__()
+                self.net = Sequential(
+                    Linear(F, 6, rng=0), Gain(6), Residual(Gain(6)),
+                    Dropout(0.3, rng=rng), Linear(6, C, rng=1),
+                )
+
+            def forward(self, x):
+                return self.net(x)
+
+            def loss(self, x, y):
+                return cross_entropy(self(x), y)
+
+        def factory():
+            seeds = SeedSequence(5)  # stateful: every call advances it
+            return lambda: ThirdPartyNet(seeds.generator())
+
+        assert not ThirdPartyNet(0).supports_bank()
+        with pytest.raises(BackendUnsupported):
+            _make_cluster("vectorized", model_fn=factory())
+
+        loop = _make_cluster("loop", model_fn=factory())
+        start = loop.synchronized_parameters.copy()
+        loop.run_round(3)
+        assert np.all(np.isfinite(loop.synchronized_parameters))
+        gains = [p for name, p in loop.workers[0].model.named_parameters() if "gain" in name]
+        assert len(gains) == 2 and all(not np.array_equal(g.data, 1.5) for g in gains)
+        assert not np.array_equal(loop.synchronized_parameters, start)
+
+        # "auto" probes, falls back, and lands where a direct loop run does:
+        # no data, dropout or factory stream was consumed on the way.
+        auto = _make_cluster("auto", model_fn=factory())
+        assert auto.backend_name == "loop"
+        auto.run_round(3)
+        np.testing.assert_array_equal(auto.synchronized_parameters, loop.synchronized_parameters)
+        assert auto.backend.rng_fingerprint() == loop.backend.rng_fingerprint()
 
     def test_unknown_backend_name_raises(self):
         with pytest.raises(ValueError, match="unknown execution backend"):

@@ -12,6 +12,7 @@ unnoticed.  Intentional changes regenerate with
 from __future__ import annotations
 
 import difflib
+import json
 
 import pytest
 
@@ -33,12 +34,40 @@ def test_every_fixture_is_committed():
     )
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_trajectory_matches_committed_bytes(name):
+def _payload_on(backend: str, name: str, expected: str) -> dict:
+    """The fixture workload run on ``backend``, carrying the fixture's backend labels.
+
+    The fixtures were generated on ``backend="auto"``.  A run on another
+    backend differs from them in the two places that *name* the backend (the
+    experiment config and each run's resolved ``config.backend``); those
+    labels are copied from the committed fixture, so every trajectory byte
+    is still compared.
+    """
+    if backend == "auto":
+        return golden_payload(CONFIGS[name])
+    payload = golden_payload(CONFIGS[name].with_overrides(backend=backend))
+    committed = json.loads(expected)
+    payload["config"]["backend"] = committed["config"]["backend"]
+    for run, ref in zip(payload["runs"]["runs"], committed["runs"]["runs"]):
+        assert run["config"]["backend"] == backend
+        run["config"]["backend"] = ref["config"]["backend"]
+    return payload
+
+
+# "loop" pins the reference driver to the historical bytes themselves, not
+# just to the banks: both run the same kernels, so agreeing with each other
+# (the equivalence matrix) no longer says either kept its trajectory.
+@pytest.mark.parametrize(
+    ("name", "backend"),
+    # The "auto" cells keep their historical ids (the fixture name alone).
+    [pytest.param(name, "auto", id=name) for name in sorted(CONFIGS)]
+    + [pytest.param(name, "loop", id=f"{name}-loop") for name in sorted(CONFIGS)],
+)
+def test_trajectory_matches_committed_bytes(name, backend):
     path = GOLDEN_DIR / f"{name}.json"
     assert path.is_file(), f"missing fixture {path}; run `python -m tests.regen_golden`"
     expected = path.read_text()
-    actual = render_golden(golden_payload(CONFIGS[name]))
+    actual = render_golden(_payload_on(backend, name, expected))
     if actual != expected:
         diff = "\n".join(
             difflib.unified_diff(
@@ -47,7 +76,7 @@ def test_trajectory_matches_committed_bytes(name):
             )
         )
         pytest.fail(
-            f"golden trajectory {name!r} diverged from the committed bytes.\n"
+            f"golden trajectory {name!r} (backend={backend}) diverged from the committed bytes.\n"
             f"If this change is intentional, run `python -m tests.regen_golden` "
             f"and commit the updated fixture.\nFirst differences:\n"
             + "\n".join(diff.splitlines()[:40])

@@ -75,6 +75,69 @@ class TestModuleBasics:
         assert net.weight.grad is None
 
 
+class TestBankOfOneView:
+    """``forward`` / ``loss`` run ``bank_*`` on a cached one-worker view of the module."""
+
+    def _bn_mlp(self):
+        from repro.models.mlp import MLP
+
+        return MLP(5, 3, hidden_sizes=(4,), batch_norm=True, rng=0)
+
+    def test_view_is_built_once_and_aliases_the_module(self):
+        model = self._bn_mlp()
+        view = model._bank_of_one()
+        assert model._bank_of_one() is view
+        for name, p in model.named_parameters():
+            assert view[name].shape == (1, *p.shape)
+            assert np.shares_memory(view[name].data, p.data)
+        for name, b in model.named_buffers():
+            assert np.shares_memory(view[name], b)
+
+    def test_view_first_built_under_no_grad_still_trains(self):
+        from repro.nn.tensor import no_grad
+
+        model = self._bn_mlp()
+        X, y = np.random.default_rng(0).normal(size=(6, 5)), np.arange(6) % 3
+        with no_grad():
+            assert not model.loss(X, y).requires_grad
+        model.loss(X, y).backward()
+        assert all(p.grad is not None and np.any(p.grad) for p in model.parameters())
+
+    def test_train_mode_batchnorm_writes_running_stats_through(self):
+        model = self._bn_mlp()
+        before = model.net.layer1.running_mean.copy()
+        model(np.random.default_rng(1).normal(size=(8, 5)) + 3.0)
+        assert not np.array_equal(model.net.layer1.running_mean, before)
+
+    def test_rebound_buffer_and_parameter_are_seen(self):
+        model = self._bn_mlp().eval()
+        X = np.random.default_rng(2).normal(size=(4, 5))
+        first = model(X).data
+        model.set_buffer("net.layer1.running_mean", np.full(4, 2.0))
+        shifted = model(X).data
+        assert not np.array_equal(shifted, first)
+        fresh = self._bn_mlp().eval()  # never called before: no cached view
+        fresh.set_buffer("net.layer1.running_mean", np.full(4, 2.0))
+        np.testing.assert_array_equal(shifted, fresh(X).data)
+
+        lin = Linear(3, 2, rng=0)
+        lin(np.ones((1, 3)))
+        lin.weight = Tensor(np.zeros((3, 2)), requires_grad=True)
+        np.testing.assert_array_equal(lin(np.ones((1, 3))).data, lin.bias.data[None])
+
+    def test_pickled_and_deep_copied_modules_view_their_own_arrays(self):
+        import copy
+        import pickle
+
+        model = self._bn_mlp().eval()
+        X = np.random.default_rng(3).normal(size=(4, 5))
+        original = model(X).data.copy()
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            clone.set_flat_parameters(np.zeros(clone.num_parameters()))
+            np.testing.assert_array_equal(clone(X).data, np.zeros((4, 3)))
+            np.testing.assert_array_equal(model(X).data, original)
+
+
 class TestLinear:
     def test_forward_shape_and_value(self):
         layer = Linear(4, 3, rng=0)
@@ -203,6 +266,34 @@ class TestPooling:
         np.testing.assert_allclose(out.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
         out.sum().backward()
         np.testing.assert_allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
+
+    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize(("k", "s"), [(2, 2), (3, 2), (3, 1), (2, 3)])
+    def test_matches_naive_pooling(self, pool_cls, k, s):
+        # Naive window loops, forward and backward; stride < kernel overlaps
+        # windows, stride > kernel skips input, 7 is not a multiple of either.
+        gen = np.random.default_rng(11)
+        x_data = gen.normal(size=(2, 3, 7, 7))
+        out_hw = (7 - k) // s + 1
+        upstream = gen.normal(size=(2, 3, out_hw, out_hw))
+        expected = np.zeros_like(upstream)
+        expected_dx = np.zeros_like(x_data)
+        for idx in np.ndindex(upstream.shape):
+            n, c, i, j = idx
+            window = x_data[n, c, i * s : i * s + k, j * s : j * s + k]
+            if pool_cls is MaxPool2d:
+                expected[idx] = window.max()
+                di, dj = np.unravel_index(window.argmax(), window.shape)
+                expected_dx[n, c, i * s + di, j * s + dj] += upstream[idx]
+            else:
+                expected[idx] = window.sum() / (k * k)
+                expected_dx[n, c, i * s : i * s + k, j * s : j * s + k] += upstream[idx] / (k * k)
+
+        x = Tensor(x_data.copy(), requires_grad=True)
+        out = pool_cls(k, s)(x)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        (out * Tensor(upstream)).sum().backward()
+        np.testing.assert_allclose(x.grad, expected_dx, atol=1e-12)
 
 
 class TestBatchNormAndResidual:
