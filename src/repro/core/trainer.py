@@ -32,7 +32,6 @@ from repro.core.schedules import CommunicationSchedule
 from repro.distributed.cluster import SimulatedCluster
 from repro.nn.layers import Module
 from repro.nn.losses import accuracy as accuracy_metric
-from repro.nn.tensor import no_grad
 from repro.obs.metrics import counter_inc
 from repro.obs.tracer import span
 from repro.optim.lr_schedules import ConstantLR, LRSchedule
@@ -151,34 +150,17 @@ class PASGDTrainer:
         if self.train_eval_data is None:
             return fallback_loss
         X, y = self._subsample(*self.train_eval_data)
-
-        def metric(model: Module, Xe: np.ndarray, ye: np.ndarray) -> float:
-            was_training = model.training
-            model.eval()
-            try:
-                # Evaluation never calls backward(); skip graph construction.
-                with no_grad():
-                    return float(model.loss(Xe, ye).item())
-            finally:
-                model.train(was_training)
-
-        return self.cluster.evaluate_synchronized(X, y, metric)
+        return self.cluster.evaluate_synchronized(
+            X, y, lambda model, Xe, ye: float(model.loss(Xe, ye).item())
+        )
 
     def _eval_test_accuracy(self) -> float:
         if self.test_eval_data is None:
             return float("nan")
         X, y = self._subsample(*self.test_eval_data)
-
-        def metric(model: Module, Xe: np.ndarray, ye: np.ndarray) -> float:
-            was_training = model.training
-            model.eval()
-            try:
-                with no_grad():
-                    return accuracy_metric(model(Xe), ye)
-            finally:
-                model.train(was_training)
-
-        return self.cluster.evaluate_synchronized(X, y, metric)
+        return self.cluster.evaluate_synchronized(
+            X, y, lambda model, Xe, ye: accuracy_metric(model(Xe), ye)
+        )
 
     def _current_epoch(self) -> float:
         epochs = self.cluster.epochs_completed()

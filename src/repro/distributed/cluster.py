@@ -36,7 +36,8 @@ from repro.distributed.topology import (
     mix_states,
     mixing_matrix_for,
 )
-from repro.nn.layers import Module
+from repro.nn.layers import Module, evaluating
+from repro.nn.tensor import Workspace
 from repro.obs.metrics import counter_inc, gauge_set, observe, observe_many
 from repro.obs.tracer import instant, span
 from repro.optim.block_momentum import BlockMomentum
@@ -271,6 +272,7 @@ class SimulatedCluster:
             self._average_weights = sizes
 
         self._synchronized_params = self._backend.initial_state()
+        self._eval_workspace = Workspace()  # see evaluate_synchronized
         self.total_local_iterations = 0
         self.communication_rounds = 0
         self.current_lr = lr
@@ -294,7 +296,9 @@ class SimulatedCluster:
         does so on exit.  A backend acquired through a
         :class:`~repro.distributed.reuse.BackendHandle` is owned by the
         handle — it stays alive here so the next run can reuse its pool.
+        The evaluation workspace's buffers are dropped either way.
         """
+        self._eval_workspace = Workspace()
         if self._owns_backend:
             self._backend.close()
 
@@ -640,10 +644,18 @@ class SimulatedCluster:
     def evaluate_synchronized(
         self, X: np.ndarray, y: np.ndarray, metric: Callable[[Module, np.ndarray, np.ndarray], float]
     ) -> float:
-        """Evaluate a metric of the synchronized model, leaving workers unchanged."""
-        return self._backend.evaluate_with_state(
-            self._synchronized_params, lambda model: metric(model, X, y)
-        )
+        """Evaluate a metric of the synchronized model, leaving workers unchanged.
+
+        ``metric`` runs in eval mode with gradients off as one forward under
+        the cluster's :class:`~repro.nn.tensor.Workspace` (every backend): the
+        next evaluation reuses its arrays, so return a number, not a tensor.
+        """
+
+        def run(model: Module) -> float:
+            with evaluating(model, self._eval_workspace):
+                return metric(model, X, y)
+
+        return self._backend.evaluate_with_state(self._synchronized_params, run)
 
     def model_discrepancy(self) -> float:
         """Mean L2 distance of local models from their average.

@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.data.loader import BatchLoader
 from repro.data.synthetic import Dataset
-from repro.nn.layers import Module
-from repro.nn.tensor import no_grad
+from repro.nn.layers import Module, evaluating
 from repro.optim.sgd import SGD
 from repro.utils.seeding import check_random_state
 
@@ -99,14 +98,8 @@ class Worker:
             if self.loader is None:
                 raise ValueError("no data available for evaluation")
             X, y = self.loader.full_data()
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            with no_grad():
-                loss = self.model.loss(X, y)
-            return float(loss.item())
-        finally:
-            self.model.train(was_training)
+        with evaluating(self.model):
+            return float(self.model.loss(X, y).item())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,6 +8,7 @@ across workers, eq. 3 of the paper).
 
 from __future__ import annotations
 
+import contextlib
 import operator
 from collections import OrderedDict
 from typing import Iterator
@@ -15,12 +16,13 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import init as init_mod
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, Workspace, no_grad
 from repro.utils.seeding import check_random_state
 from repro.utils.timer import profiled
 
 __all__ = [
     "Module",
+    "evaluating",
     "Linear",
     "ReLU",
     "Tanh",
@@ -51,6 +53,9 @@ class Module:
     independent across that axis.  A model adds :meth:`bank_loss` returning
     the ``(m,)`` per-worker losses.  :meth:`forward` and :meth:`loss` are
     inherited: the same definition on a bank of one worker.
+
+    Evaluate inside :func:`evaluating`; given a ``Workspace``, don't keep a
+    tensor from a workspace forward across the next one.
     """
 
     def __init__(self) -> None:
@@ -322,6 +327,18 @@ class Module:
         return x
 
 
+@contextlib.contextmanager
+def evaluating(model: Module, workspace: "Workspace | None" = None):
+    """Eval mode and ``no_grad(workspace)`` for the block; restores the training flag."""
+    was_training = model.training
+    model.eval()
+    try:
+        with no_grad(workspace=workspace):
+            yield
+    finally:
+        model.train(was_training)
+
+
 class Linear(Module):
     """Fully connected layer ``y = x W + b`` with weight of shape (in, out)."""
 
@@ -342,11 +359,10 @@ class Linear(Module):
         # (m, B, in) @ (m, in, out) — matmul broadcasts over the worker axis,
         # so one call runs every replica's affine map.
         weight = params[f"{prefix}weight"]
-        out = x @ weight
-        if self.bias is not None:
-            bias = params[f"{prefix}bias"]  # (m, out)
-            out = out + bias.reshape(bias.shape[0], 1, bias.shape[1])
-        return out
+        if self.bias is None:
+            return x @ weight
+        bias = params[f"{prefix}bias"]  # (m, out)
+        return x.affine(weight, bias.reshape(bias.shape[0], 1, bias.shape[1]))
 
 
 class ReLU(Module):

@@ -102,6 +102,24 @@ class TestLayerGradients:
 
 
 @pytest.mark.parametrize("m", WORKERS)
+def test_affine_primitive(m):
+    """The fused ``x @ W + b`` node: input, weight and broadcast bias."""
+    gen = np.random.default_rng(5)
+    x = Tensor(gen.normal(size=(m, 4, 5)), requires_grad=True)
+    weight = Tensor(gen.normal(size=(m, 5, 3)), requires_grad=True)
+    bias = Tensor(gen.normal(size=(m, 1, 3)), requires_grad=True)
+    upstream = Tensor(gen.normal(size=(m, 4, 3)))
+
+    def functional() -> Tensor:
+        return (x.affine(weight, bias) * upstream).sum()
+
+    functional().backward()
+    for name, leaf in {"input": x, "weight": weight, "bias": bias}.items():
+        numeric = numerical_grad(lambda _: functional().item(), leaf.data)
+        np.testing.assert_allclose(leaf.grad, numeric, atol=ATOL, err_msg=f"{name} at m={m}")
+
+
+@pytest.mark.parametrize("m", WORKERS)
 class TestLossGradients:
     def _check(self, loss_of, pred_shape, m):
         gen = np.random.default_rng(1)

@@ -86,6 +86,22 @@ class TestBasicOps:
         x.relu().sum().backward()
         np.testing.assert_allclose(x.grad, [0.0, 0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_relu_never_returns_negative_zero(self, dtype):
+        # ``x * (x > 0)`` gave -0.0 for every negative input: visible through
+        # signbit, 1 / x and printed tables.
+        x = Tensor(np.array([-3.0, -1e-30, -0.0, 0.0, 2.0], dtype=dtype), requires_grad=True)
+        out = x.relu()
+        assert out.dtype == dtype
+        assert not np.signbit(out.data).any()
+        np.testing.assert_array_equal(out.data, np.array([0, 0, 0, 0, 2], dtype=dtype))
+        out.sum().backward()
+        # The mask is x > 0: the gradient at exactly (+-)0 stays 0.
+        np.testing.assert_array_equal(x.grad, np.array([0, 0, 0, 0, 1], dtype=dtype))
+
+    def test_relu_backward_matches_numeric_away_from_the_kink(self, rng):
+        check_gradient(lambda t: t.relu() * t, (6,), rng)
+
     def test_clip_backward(self, rng):
         x = Tensor(np.array([-2.0, 0.0, 0.5, 3.0]), requires_grad=True)
         x.clip(-1.0, 1.0).sum().backward()
@@ -252,6 +268,16 @@ class TestDtypeAndConstruction:
 
     def test_item_scalar(self):
         assert Tensor(np.array(3.5)).item() == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_of_any_size_one_tensor(self, shape):
+        # float(ndarray) raises TypeError on NumPy >= 2.x unless the array is 0-d.
+        value = Tensor(np.full(shape, 3.5)).item()
+        assert type(value) is float and value == 3.5
+
+    def test_item_of_a_larger_tensor_raises(self):
+        with pytest.raises(ValueError):
+            Tensor(np.zeros(2)).item()
 
     def test_len_and_size(self):
         t = Tensor(np.zeros((4, 2)))
