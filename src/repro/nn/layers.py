@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import init as init_mod
-from repro.nn.tensor import Tensor, Workspace, no_grad
+from repro.nn.tensor import Tensor, Workspace, is_grad_enabled, no_grad
 from repro.utils.seeding import check_random_state
 from repro.utils.timer import profiled
 
@@ -455,168 +455,150 @@ class Sequential(Module):
 
 
 class _ConvPlan:
-    """Precomputed im2col/col2im index maps for one ``(c, h, w, kh, kw, stride)``.
+    """Cached flat index maps for one ``(c, h, w, kh, kw, stride, pad)``.
 
-    The historical implementation rebuilt an ``as_strided`` view plus a
-    transpose/reshape copy on *every* forward, and ran a Python loop of
-    strided slice-adds on every backward.  The geometry never changes between
-    steps, so the gather and scatter index maps are computed once and reused
-    — one ``take`` per forward, ``kh·kw`` indexed adds per backward.
+    ``h`` and ``w`` are the *unpadded* input size.  Both maps index within one
+    sample, so a plan serves every batch size and every sample block.  Zero
+    padding is folded into them through a sentinel: a position that falls in
+    the border reads one extra slot that holds ``+0.0``.
 
     Byte-compatibility contract (load-bearing for the golden fixtures and the
     loop↔vectorized↔sharded equivalence matrix):
 
     * ``gather`` reproduces exactly the historical patch layout
-      ``(oh, ow, c, kh, kw)``, so the GEMM inputs — hence outputs — are
-      bit-identical to the stride-trick path.
-    * ``col2im`` replays the historical accumulation order: one pass per
-      kernel offset ``(i, j)`` in ascending order.  Within a pass every
-      destination is unique (windows at a fixed offset never collide), so
-      the per-element add order matches the old slice-add loop, keeping
-      IEEE-754 sums bit-identical even for overlapping windows
-      (stride < kernel).  The two scatter strategies below differ only in
-      memory layout of the *source*, never in add order or operands.
+      ``(oh, ow, c, kh, kw)`` of the zero-padded input, so the GEMM inputs —
+      hence outputs — are bit-identical to padding first.
+    * ``col2im`` is the historical scatter read from the destination's side:
+      an element of the unpadded input receives at most one contribution per
+      kernel offset ``(i, j)``, and they are added in ascending ``(i, j)``
+      order onto ``+0.0`` — the add order of the slice-add loop this
+      replaced.  Offsets with no contribution add the ``+0.0`` sentinel,
+      which cannot change a sum that started at ``+0.0`` (it is never
+      ``-0.0``); contributions to the padded border are never read.
     """
 
-    __slots__ = (
-        "c", "h", "w", "kh", "kw", "stride", "out_h", "out_w", "gather",
-        "scatter_dst", "scatter_src",
-    )
+    __slots__ = ("c", "h", "w", "kh", "kw", "stride", "pad", "out_h", "out_w", "gather", "_back")
 
-    #: cols.size bounds choosing the scatter strategy: below the first the
-    #: strided-view passes stay cache-resident, between them the cached
-    #: fancy-index scatter wins, above the second the bulk transpose copy
-    #: pays for itself.  All three are bit-identical (same pass order).
-    _COL2IM_FANCY_MIN = 16384
-    _COL2IM_TRANSPOSE_MIN = 131072
-
-    def __init__(self, c: int, h: int, w: int, kh: int, kw: int, stride: int):
-        out_h = (h - kh) // stride + 1
-        out_w = (w - kw) // stride + 1
+    def __init__(self, c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int):
         self.c, self.h, self.w = c, h, w
-        self.kh, self.kw, self.stride = kh, kw, stride
-        self.out_h, self.out_w = out_h, out_w
+        self.kh, self.kw, self.stride, self.pad = kh, kw, stride, pad
+        self.out_h = (h + 2 * pad - kh) // stride + 1
+        self.out_w = (w + 2 * pad - kw) // stride + 1
 
-        ci = np.arange(c, dtype=np.intp)
-        rows = np.arange(out_h, dtype=np.intp)[:, None] * stride + np.arange(kh, dtype=np.intp)
-        cols = np.arange(out_w, dtype=np.intp)[:, None] * stride + np.arange(kw, dtype=np.intp)
-        # gather[(oi, oj), (ci, i, j)] -> flat position in a (c·h·w) sample.
-        self.gather = (
-            ci[None, None, :, None, None] * (h * w)
-            + rows[:, None, None, :, None] * w
-            + cols[None, :, None, None, :]
-        ).reshape(out_h * out_w * c * kh * kw)
+        ci = np.arange(c, dtype=np.intp)[None, None, :, None, None]
+        rows = np.arange(self.out_h, dtype=np.intp)[:, None] * stride + np.arange(kh, dtype=np.intp) - pad
+        cols = np.arange(self.out_w, dtype=np.intp)[:, None] * stride + np.arange(kw, dtype=np.intp) - pad
+        rows, cols = rows[:, None, None, :, None], cols[None, :, None, None, :]
+        inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+        #: gather[(oi, oj), (ci, i, j)] -> flat position in a (c·h·w + 1)
+        #: sample whose last slot is the sentinel.
+        self.gather = np.where(inside, ci * (h * w) + rows * w + cols, c * h * w).reshape(-1)
+        self._back = None
 
-        # Per-offset flat scatter maps for the mid-size col2im strategy:
-        # destination positions in a (c·h·w) sample, source positions in a
-        # (oh·ow·c·kh·kw) column row, both in (ci, oi, oj) order.
-        ci3, oi3, oj3 = ci[:, None, None], np.arange(out_h, dtype=np.intp)[None, :, None], np.arange(out_w, dtype=np.intp)[None, None, :]
-        self.scatter_dst = np.empty((kh * kw, c * out_h * out_w), dtype=np.intp)
-        self.scatter_src = np.empty_like(self.scatter_dst)
-        for q in range(kh * kw):
-            i, j = divmod(q, kw)
-            self.scatter_dst[q] = (ci3 * (h * w) + (i + stride * oi3) * w + (j + stride * oj3)).ravel()
-            self.scatter_src[q] = ((oi3 * out_w + oj3) * (c * kh * kw) + ci3 * (kh * kw) + i * kw + j).ravel()
+    @property
+    def back(self) -> np.ndarray:
+        """``back[(i, j), (ci, y, x)]`` -> flat position of that offset's
+        contribution in a sample's ``(oh·ow, c·kh·kw + 1)`` column gradients
+        (last column: the sentinel).  Built on first use: a plan that only
+        ever evaluates never needs it."""
+        if self._back is None:
+            c, h, w, kh, kw, s = self.c, self.h, self.w, self.kh, self.kw, self.stride
+            ci = np.arange(c, dtype=np.intp)[:, None, None]
+            y = np.arange(h, dtype=np.intp)[None, :, None] + self.pad
+            x = np.arange(w, dtype=np.intp)[None, None, :] + self.pad
+            row = c * kh * kw + 1
+            back = np.empty((kh * kw, c * h * w), dtype=np.intp)
+            for q in range(kh * kw):
+                i, j = divmod(q, kw)
+                oi, oj = (y - i) // s, (x - j) // s
+                hit = ((y - i) % s == 0) & (oi >= 0) & (oi < self.out_h) \
+                    & ((x - j) % s == 0) & (oj >= 0) & (oj < self.out_w)
+                src = (oi * self.out_w + oj) * row + ci * (kh * kw) + q
+                back[q] = np.where(hit, src, row - 1).ravel()
+            self._back = back
+        return self._back
 
     def im2col(self, x: np.ndarray) -> np.ndarray:
-        """Gather NCHW input patches to ``(n·oh·ow, c·kh·kw)`` columns."""
-        n = x.shape[0]
-        flat = x.reshape(n, self.c * self.h * self.w)
-        return flat.take(self.gather, axis=1).reshape(-1, self.c * self.kh * self.kw)
+        """Gather ``(..., c·h·w)`` samples to ``(..., oh·ow·c·kh·kw)`` patches."""
+        if self.pad:
+            src = np.empty((*x.shape[:-1], x.shape[-1] + 1), dtype=x.dtype)
+            src[..., :-1] = x
+            src[..., -1] = 0.0
+            x = src
+        return x.take(self.gather, axis=-1)
 
-    def col2im(self, cols: np.ndarray, n: int) -> np.ndarray:
-        """Scatter column gradients back to ``(n, c, h, w)`` (inverse of im2col)."""
-        c, h, w, kh, kw, s = self.c, self.h, self.w, self.kh, self.kw, self.stride
-        out_h, out_w = self.out_h, self.out_w
-        if cols.size >= self._COL2IM_TRANSPOSE_MIN and out_h * out_w >= 64:
-            # Large-spatial scatter: one bulk transpose copy up front so every
-            # pass reads a contiguous (n, c, oh, ow) block instead of striding
-            # through the whole column matrix kh·kw times.  Small spatial maps
-            # make those per-pass blocks tiny, where the indexed add below
-            # wins despite its gather cost.
-            dx = np.zeros((n, c, h, w), dtype=cols.dtype)
-            p = np.ascontiguousarray(cols.reshape(n, out_h * out_w, c, kh * kw).transpose(0, 3, 2, 1))
-            p = p.reshape(n, kh * kw, c, out_h, out_w)
-            for k in range(kh * kw):
-                i, j = divmod(k, kw)
-                dx[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += p[:, k]
-            return dx
-        if cols.size >= self._COL2IM_FANCY_MIN:
-            # Mid-size scatter: precomputed flat index maps; per pass the
-            # destinations are unique, so the buffered fancy add is exact.
-            colsf = cols.reshape(n, -1)
-            dxf = np.zeros((n, c * h * w), dtype=cols.dtype)
-            for dst, src in zip(self.scatter_dst, self.scatter_src):
-                dxf[:, dst] += colsf[:, src]
-            return dxf.reshape(n, c, h, w)
-        # Small scatter: strided pass sources stay cache-resident; skip the
-        # transpose copy and the index arithmetic.
-        dx = np.zeros((n, c, h, w), dtype=cols.dtype)
-        patches = cols.reshape(n, out_h, out_w, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i : i + s * out_h : s, j : j + s * out_w : s] += patches[:, :, i, j]
+    def col2im(self, dcols: np.ndarray) -> np.ndarray:
+        """Sum ``(n, oh·ow·(c·kh·kw + 1))`` column gradients, sentinel column
+        ``+0.0``, back to ``(n, c·h·w)`` input gradients."""
+        back = self.back
+        dx = dcols.take(back[0], axis=1)
+        dx += 0.0  # the sum starts at +0.0: a lone -0.0 contribution becomes +0.0
+        part = np.empty_like(dx)
+        for q in range(1, len(back)):
+            # mode="clip" only skips take's defensive copy of ``out``.
+            np.take(dcols, back[q], axis=1, out=part, mode="clip")
+            dx += part
         return dx
 
 
-#: Conv gather/scatter plans keyed by ``(c, h, w, kh, kw, stride)`` and pool
-#: backward index maps keyed by ``(n, c, h, w, out_h, out_w, s)``.  Bounded
-#: FIFO caches: a handful of geometries per model, but eval batch sizes vary,
-#: so evict the oldest entry past the cap instead of growing without bound.
+#: Conv plans keyed by ``(c, h, w, kh, kw, stride, pad)`` and pool plans keyed
+#: by ``(c, h, w, k, stride)`` — per sample, so batch size never enters a key.
+#: Bounded FIFO caches: a handful of geometries per model; evict the oldest
+#: entry past the cap instead of growing without bound.
 _CONV_PLANS: dict[tuple, _ConvPlan] = {}
-_POOL_PLANS: dict[tuple, np.ndarray] = {}
+_POOL_PLANS: dict[tuple, tuple] = {}
 _PLAN_CACHE_CAP = 128
 _plan_cache_hits = 0
 _plan_cache_misses = 0
 
+#: Bytes of im2col columns a grad-free convolution gathers per GEMM: half of
+#: a 4 MiB L2.  Interleaved medians of a 2400-row ``vgg_lite_cnn`` loss:
+#: 128 KiB 66 ms, 512 KiB 56, 1 MiB 54, 2 and 4 MiB 50, 8 MiB 52, one block 85.
+_CONV_BLOCK_BYTES = 2 << 20
 
-def _conv_plan(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> _ConvPlan:
+
+def _cached_plan(cache: dict, key: tuple, build):
     global _plan_cache_hits, _plan_cache_misses
-    key = (c, h, w, kh, kw, stride)
-    plan = _CONV_PLANS.get(key)
+    plan = cache.get(key)
     if plan is None:
         _plan_cache_misses += 1
-        if len(_CONV_PLANS) >= _PLAN_CACHE_CAP:
-            _CONV_PLANS.pop(next(iter(_CONV_PLANS)))
-        plan = _CONV_PLANS[key] = _ConvPlan(c, h, w, kh, kw, stride)
+        if len(cache) >= _PLAN_CACHE_CAP:
+            cache.pop(next(iter(cache)))
+        plan = cache[key] = build(*key)
     else:
         _plan_cache_hits += 1
     return plan
 
 
-def _pool_base(n: int, c: int, h: int, w: int, out_h: int, out_w: int, s: int) -> np.ndarray:
-    """Cached flat indices of each pooling window's origin, shape (n, c, oh, ow)."""
-    global _plan_cache_hits, _plan_cache_misses
-    key = (n, c, h, w, out_h, out_w, s)
-    base = _POOL_PLANS.get(key)
-    if base is None:
-        _plan_cache_misses += 1
-        if len(_POOL_PLANS) >= _PLAN_CACHE_CAP:
-            _POOL_PLANS.pop(next(iter(_POOL_PLANS)))
-        ni = np.arange(n, dtype=np.intp)[:, None, None, None]
-        ci = np.arange(c, dtype=np.intp)[None, :, None, None]
-        oi = np.arange(out_h, dtype=np.intp)[None, None, :, None]
-        oj = np.arange(out_w, dtype=np.intp)[None, None, None, :]
-        base = ((ni * c + ci) * h + s * oi) * w + s * oj
-        _POOL_PLANS[key] = base
-    else:
-        _plan_cache_hits += 1
-    return base
+def _conv_plan(c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> _ConvPlan:
+    return _cached_plan(_CONV_PLANS, (c, h, w, kh, kw, stride, pad), _ConvPlan)
 
 
-#: ``(k, w) -> (k²,)`` flat offsets of each in-window position; tiny and
-#: geometry-stable, so cached without a cap alongside the pool bases.
-_POOL_OFFSETS: dict[tuple[int, int], np.ndarray] = {}
+def _build_pool_plan(c: int, h: int, w: int, k: int, s: int) -> tuple:
+    out_h, out_w = (h - k) // s + 1, (w - k) // s + 1
+    ci = np.arange(c, dtype=np.intp)[:, None, None]
+    oi = np.arange(out_h, dtype=np.intp)[None, :, None]
+    oj = np.arange(out_w, dtype=np.intp)[None, None, :]
+    origin = ((ci * h + s * oi) * w + s * oj).ravel()
+    t = np.arange(k * k, dtype=np.intp)
+    windows = origin + ((t // k) * w + t % k)[:, None]
+    inverse = None
+    if s == k and h == out_h * k and w == out_w * k:
+        # Exactly tiling windows visit every input element once.
+        inverse = np.empty(c * h * w, dtype=np.intp)
+        inverse[windows.ravel()] = np.arange(windows.size, dtype=np.intp)
+    return windows, inverse
 
 
-def _pool_offsets(k: int, w: int) -> np.ndarray:
-    """Cached flat offset of window position ``t`` (row-major): ``(t//k)*w + t%k``."""
-    key = (k, w)
-    offsets = _POOL_OFFSETS.get(key)
-    if offsets is None:
-        t = np.arange(k * k, dtype=np.intp)
-        offsets = _POOL_OFFSETS[key] = (t // k) * w + t % k
-    return offsets
+def _pool_plan(c: int, h: int, w: int, k: int, s: int) -> tuple:
+    """Cached ``(windows, inverse)`` of one pooling geometry, per sample.
+
+    ``windows[t, (ci, oi, oj)]`` is the flat position of window element ``t``
+    (row-major in the window) in a ``(c·h·w)`` sample.  For exactly tiling
+    windows ``inverse`` is the permutation back — ``inverse[windows[t, l]]``
+    is ``t·L + l`` — else ``None``.
+    """
+    return _cached_plan(_POOL_PLANS, (c, h, w, k, s), _build_pool_plan)
 
 
 def clear_kernel_plan_cache() -> None:
@@ -624,7 +606,6 @@ def clear_kernel_plan_cache() -> None:
     global _plan_cache_hits, _plan_cache_misses
     _CONV_PLANS.clear()
     _POOL_PLANS.clear()
-    _POOL_OFFSETS.clear()
     _plan_cache_hits = 0
     _plan_cache_misses = 0
 
@@ -637,21 +618,6 @@ def kernel_plan_cache_stats() -> dict[str, int]:
         "hits": _plan_cache_hits,
         "misses": _plan_cache_misses,
     }
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Convert NCHW input patches to columns for convolution as matmul."""
-    n, c, h, w = x.shape
-    plan = _conv_plan(c, h, w, kh, kw, stride)
-    with profiled("im2col"):
-        return plan.im2col(x), plan.out_h, plan.out_w
-
-
-def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int, stride: int) -> np.ndarray:
-    """Scatter column gradients back to the NCHW input shape (inverse of im2col)."""
-    n, c, h, w = x_shape
-    with profiled("col2im"):
-        return _conv_plan(c, h, w, kh, kw, stride).col2im(cols, n)
 
 
 class Conv2d(Module):
@@ -693,58 +659,68 @@ class Conv2d(Module):
         """All m workers' convolutions in one batched matmul.
 
         The worker axis is folded into the batch axis for the im2col patch
-        extraction — one strided view over ``(m·B, c, h, w)`` — and only the
-        weights stay per-worker: ``(m, B·oh·ow, c·kh·kw) @ (m, c·kh·kw,
-        out_c)``.  NumPy's stacked matmul runs the identical per-slice GEMM a
-        loop replica would, so the outputs (and gradients) are byte-identical
-        to m single-replica convolutions.
+        extraction — one gather over ``(m·B, c·h·w)`` — and only the weights
+        stay per-worker: ``(m, B·oh·ow, c·kh·kw) @ (m, c·kh·kw, out_c)``.
+        NumPy's stacked matmul runs the identical per-slice GEMM a loop
+        replica would, so the outputs (and gradients) are byte-identical to m
+        single-replica convolutions.
+
+        With no tape to record, gather → GEMM → NCHW write runs in sample
+        blocks of ``_CONV_BLOCK_BYTES`` of columns, so an evaluation never
+        holds a whole dataset's column matrix.  A GEMM row is a function of
+        its own row of columns alone, so the blocks' outputs are the bytes of
+        the one big GEMM.  The backward needs every column at once (the
+        weight gradient sums over rows): a recorded forward is one block.
         """
         if x.ndim != 5:
             raise ValueError(f"Conv2d bank_forward expects (m, B, C, H, W) input, got shape {x.shape}")
         weight = params[f"{prefix}weight"]
         bias = params[f"{prefix}bias"] if self.bias is not None else None
-
-        kh = kw = self.kernel_size
-        stride, pad = self.stride, self.padding
-        x_data = x.data
-        with profiled("conv2d.bank_forward"):
-            if pad:
-                # Zero-fill + interior assign: same bytes as np.pad without its
-                # per-call Python machinery (this runs once per conv per step).
-                mm, bb, cc, hh, ww = x_data.shape
-                padded = np.zeros((mm, bb, cc, hh + 2 * pad, ww + 2 * pad), dtype=x_data.dtype)
-                padded[:, :, :, pad:-pad, pad:-pad] = x_data
-                x_data = padded
-            m, b, c, h, w = x_data.shape
-            cols, out_h, out_w = _im2col(x_data.reshape(m * b, c, h, w), kh, kw, stride)
-            cols3 = cols.reshape(m, b * out_h * out_w, c * kh * kw)
-            w_mat = weight.data.reshape(m, self.out_channels, -1).transpose(0, 2, 1)
-            out_cols = cols3 @ w_mat  # (m, B·oh·ow, out_c)
-            # Materialize a C-contiguous output: the transpose view would leak
-            # its layout through every downstream ufunc (bias add, ReLU), and
-            # the pooling fast path needs C order.
-            out_data = np.ascontiguousarray(
-                out_cols.reshape(m, b, out_h, out_w, self.out_channels).transpose(0, 1, 4, 2, 3)
-            )
-            if bias is not None:
-                out_data += bias.data.reshape(m, 1, -1, 1, 1)
-
-        padded_shape = (m * b, c, h, w)
         parents = (x, weight) if bias is None else (x, weight, bias)
 
-        def backward(g):
-            # g: (m, B, out_c, oh, ow)
-            with profiled("conv2d.bank_backward"):
-                g_cols = g.transpose(0, 1, 3, 4, 2).reshape(m, b * out_h * out_w, self.out_channels)
-                dw = (cols3.transpose(0, 2, 1) @ g_cols).transpose(0, 2, 1).reshape(weight.shape)
-                if x.requires_grad:
-                    dcols = g_cols @ w_mat.transpose(0, 2, 1)
-                    dx = _col2im(dcols.reshape(-1, c * kh * kw), padded_shape, kh, kw, stride)
-                    dx = dx.reshape(m, b, c, h, w)
-                    if pad:
-                        dx = dx[:, :, :, pad:-pad, pad:-pad]
+        kh = kw = self.kernel_size
+        out_c = self.out_channels
+        x_data = x.data
+        m, b, c, h, w = x_data.shape
+        with profiled("conv2d.bank_forward"):
+            plan = _conv_plan(c, h, w, kh, kw, self.stride, self.padding)
+            out_h, out_w, row = plan.out_h, plan.out_w, c * kh * kw
+            w_mat = weight.data.reshape(m, out_c, row).transpose(0, 2, 1)
+            out_data = np.empty((m, b, out_c, out_h, out_w), dtype=np.result_type(x_data.dtype, w_mat.dtype))
+            step = b
+            if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
+                step = max(1, _CONV_BLOCK_BYTES // (m * out_h * out_w * row * x_data.itemsize))
+            x_flat = x_data.reshape(m, b, c * h * w)
+            gathering = profiled("im2col")  # one activation, however many blocks
+            for start in range(0, b, step):
+                with gathering:
+                    cols = plan.im2col(x_flat[:, start : start + step])
+                cols3 = cols.reshape(m, -1, row)
+                out_cols = (cols3 @ w_mat).reshape(m, -1, out_h, out_w, out_c)
+                # Written C-contiguous NCHW: a transposed view would leak its
+                # layout through every downstream ufunc (ReLU, pooling).
+                block = out_data[:, start : start + step]
+                if bias is None:
+                    block[...] = out_cols.transpose(0, 1, 4, 2, 3)
                 else:
-                    # First-layer input: the scatter (and its GEMM) would be
+                    np.add(out_cols.transpose(0, 1, 4, 2, 3), bias.data.reshape(m, 1, -1, 1, 1), out=block)
+
+        def backward(g):
+            # g: (m, B, out_c, oh, ow); ``cols3`` is the single recorded block.
+            with profiled("conv2d.bank_backward"):
+                g_cols = g.transpose(0, 1, 3, 4, 2).reshape(m, b * out_h * out_w, out_c)
+                # A transposed view of the fresh GEMM result: the engine's one
+                # copy puts it where the gradient lives.
+                dw = (cols3.transpose(0, 2, 1) @ g_cols).reshape(m, c, kh, kw, out_c).transpose(0, 4, 1, 2, 3)
+                if x.requires_grad:
+                    # The GEMM writes beside a zero column: col2im's sentinel.
+                    dcols = np.empty((m, b * out_h * out_w, row + 1), dtype=np.result_type(g_cols.dtype, w_mat.dtype))
+                    dcols[:, :, row] = 0.0
+                    np.matmul(g_cols, w_mat.transpose(0, 2, 1), out=dcols[:, :, :row])
+                    with profiled("col2im"):
+                        dx = plan.col2im(dcols.reshape(m * b, -1)).reshape(x_data.shape)
+                else:
+                    # First-layer input: the gather (and its GEMM) would be
                     # discarded by the engine, so don't compute it.
                     dx = None
                 if bias is None:
@@ -797,13 +773,14 @@ class MaxPool2d(_Pool2d):
         n, c, h, w = x_data.shape
         out_h = (h - k) // s + 1
         out_w = (w - k) // s + 1
-        # Exactly-tiling non-overlapping windows on a C-contiguous input
-        # reduce over a plain reshape view — much faster than the strided
-        # window view, and the same element set per window either way.
-        tiled = s == k and h == out_h * k and w == out_w * k and x_data.flags.c_contiguous
+        windows, inverse = _pool_plan(c, h, w, k, s)
+        tiled = inverse is not None
         if tiled:
-            blocks = x_data.reshape(n, c, out_h, k, out_w, k)
-            views = [blocks[:, :, :, i, :, j] for i in range(k) for j in range(k)]
+            # Exactly tiling windows, gathered once to a planar (n, k², L)
+            # array: every pass below runs over long contiguous slices — the
+            # same element set per window as the strided view.
+            planar = x_data.reshape(n, c * h * w).take(windows.ravel(), axis=1).reshape(n, k * k, -1)
+            views = [planar[:, t] for t in range(k * k)]
         else:
             shape = (n, c, out_h, out_w, k, k)
             strides = (
@@ -814,33 +791,54 @@ class MaxPool2d(_Pool2d):
                 x_data.strides[2],
                 x_data.strides[3],
             )
-            windows = np.lib.stride_tricks.as_strided(x_data, shape=shape, strides=strides)
-            views = [windows[:, :, :, :, i, j] for i in range(k) for j in range(k)]
+            strided = np.lib.stride_tricks.as_strided(x_data, shape=shape, strides=strides)
+            views = [strided[:, :, :, :, i, j] for i in range(k) for j in range(k)]
         # Sequential pairwise maximum over the k² window offsets, ascending
         # (i, j) — max is associativity-free, so this equals the multi-axis
         # reduce bit-for-bit while running one contiguous-output ufunc per
         # offset instead of a strided multi-axis reduction.
         if len(views) == 1:
-            out_data = views[0].copy()
+            peak = views[0].copy()
         else:
-            out_data = np.maximum(views[0], views[1])
+            peak = np.maximum(views[0], views[1])
             for v in views[2:]:
-                np.maximum(out_data, v, out=out_data)
+                np.maximum(peak, v, out=peak)
 
-        def backward(g):
-            if tiled:
-                flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, out_h, out_w, k * k)
-            else:
-                flat = windows.reshape(n, c, out_h, out_w, k * k)
-            argmax = flat.argmax(axis=4)
-            # Cached window-origin indices turn the scatter into one flat
-            # indexed write instead of a 4-array tuple scatter per step; the
-            # cached in-window offset table maps argmax straight to a flat
-            # offset (one gather) instead of divmod arithmetic per call.
+        def backward_tiled(g):
+            # The gradient goes to each window's first maximum in row-major
+            # order — ``argmax``'s tie rule, and in a window holding NaN (whose
+            # max is NaN and equals nothing) its "first NaN".  Routed planar,
+            # then one inverse-permutation gather back to NCHW.
+            g = g.reshape(n, -1).astype(x_data.dtype, copy=False)
+            firsts = np.empty(planar.shape, dtype=bool)
+            nan_peak = np.isnan(peak)
+            if not nan_peak.any():
+                nan_peak = None
+            for t, v in enumerate(views):
+                first = np.equal(v, peak, out=firsts[:, t])
+                if nan_peak is not None:
+                    first |= nan_peak & np.isnan(v)
+                if t == 0:
+                    claimed = first.copy()
+                else:
+                    np.greater(first, claimed, out=first)  # ... and not yet claimed
+                    claimed |= first
+            # ``where(firsts, g, +0.0)`` on the bit patterns: times one keeps
+            # every bit of g, times zero is +0.0, and no branch on a mask the
+            # data decides (np.where mispredicts its way to 4x this).
+            bits = g.view(f"i{g.itemsize}")[:, None, :]
+            routed = np.multiply(firsts, bits).view(g.dtype)
+            return routed.reshape(n, -1).take(inverse, axis=1).reshape(n, c, h, w)
+
+        def backward_strided(g):
+            argmax = strided.reshape(n, c, out_h, out_w, k * k).argmax(axis=4).reshape(n, -1)
+            # Flat destination of every window's argmax: the sample's offset
+            # plus the plan's per-sample position of that window element.
             # Scatter into an explicitly flat buffer: the pooling input is
             # often a non-C-contiguous view, where reshaping zeros_like(...)
             # would silently copy and drop the scattered writes.
-            idx = _pool_base(n, c, h, w, out_h, out_w, s) + _pool_offsets(k, w)[argmax]
+            idx = windows[argmax, np.arange(windows.shape[1])]
+            idx += np.arange(n, dtype=np.intp)[:, None] * (c * h * w)
             dxr = np.zeros(n * c * h * w, dtype=x_data.dtype)
             if s >= k:
                 # Non-overlapping windows: one argmax per window, destinations
@@ -854,7 +852,7 @@ class MaxPool2d(_Pool2d):
                 np.add.at(dxr, idx.reshape(-1), g.reshape(-1))
             return dxr.reshape(n, c, h, w)
 
-        return out_data, backward
+        return peak.reshape(n, c, out_h, out_w), backward_tiled if tiled else backward_strided
 
 
 class AvgPool2d(_Pool2d):

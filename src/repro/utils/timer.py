@@ -59,13 +59,18 @@ class Stopwatch:
 
 
 class _Scope:
-    """One ``with profiled(op):`` activation; records into its profiler."""
+    """One ``with profiled(op):`` activation; records into its profiler.
 
-    __slots__ = ("_profiler", "_op", "_t0")
+    Entering the same scope object again continues that activation: the time
+    adds up and the call is counted once (a kernel that works in blocks).
+    """
+
+    __slots__ = ("_profiler", "_op", "_t0", "_calls")
 
     def __init__(self, profiler: "Profiler", op: str):
         self._profiler = profiler
         self._op = op
+        self._calls = 1
 
     def __enter__(self) -> "_Scope":
         stack = self._profiler._stack
@@ -80,10 +85,11 @@ class _Scope:
             stats = self._profiler._stats
             entry = stats.get(path)
             if entry is None:
-                stats[path] = [1, dt]
+                stats[path] = [self._calls, dt]
             else:
-                entry[0] += 1
+                entry[0] += self._calls
                 entry[1] += dt
+        self._calls = 0
 
 
 class Profiler:

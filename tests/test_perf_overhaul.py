@@ -24,8 +24,7 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed import BackendHandle, SimulatedCluster
 from repro.models.mlp import MLP
 from repro.nn.layers import (
-    _col2im,
-    _im2col,
+    _conv_plan,
     clear_kernel_plan_cache,
     kernel_plan_cache_stats,
 )
@@ -45,6 +44,24 @@ GEOMETRIES = [
     ((3, 1, 7, 5), 3, 2),
     ((4, 4, 6, 6), 2, 1),
 ]
+
+
+def _im2col(x, kh, kw, stride, pad=0):
+    """NCHW input -> ``(n·oh·ow, c·kh·kw)`` columns through the cached plan."""
+    n, c, h, w = x.shape
+    plan = _conv_plan(c, h, w, kh, kw, stride, pad)
+    cols = plan.im2col(x.reshape(n, c * h * w))
+    return cols.reshape(-1, c * kh * kw), plan.out_h, plan.out_w
+
+
+def _col2im(cols, x_shape, kh, kw, stride, pad=0):
+    """Column gradients -> NCHW input gradients through the cached plan
+    (which reads them beside a ``+0.0`` sentinel column)."""
+    n, c, h, w = x_shape
+    plan = _conv_plan(c, h, w, kh, kw, stride, pad)
+    rows = cols.reshape(n, plan.out_h * plan.out_w, c * kh * kw)
+    dcols = np.concatenate([rows, np.zeros_like(rows[:, :, :1])], axis=2)
+    return plan.col2im(dcols.reshape(n, -1)).reshape(x_shape)
 
 
 def _cluster(backend, model_fn, n_workers, **kwargs):
