@@ -54,6 +54,27 @@ def golden_configs() -> dict[str, ExperimentConfig]:
             "smoke", **base, wall_time_budget=15.0, methods=("pasgd-tau2",),
             model_kwargs={"batch_norm": True, "dropout": 0.2},
         ),
+        # The §6 method family: gossip (shorthand and 2-round MH), damped
+        # async folds, and elastic dropout with a deadline that bites (14
+        # dropped worker-rounds against 8 from p=0.3 alone).  m = 6 is the
+        # smallest cluster where the MH chordal ring is not complete.
+        "smoke_method_family": make_config(
+            "smoke", **base, n_workers=6, wall_time_budget=25.0,
+            methods=(
+                "gossip-ring-tau4",
+                "gossip:topology=mh,tau=2,rounds=2",
+                "async:tau=2,damping=0.5",
+                "elastic:p=0.3,tau=4,deadline=4.3",
+            ),
+        ),
+        # Block momentum is lineup-wide, so it cannot share a config with
+        # gossip.  160 samples over m = 3 shard as 54/53/53, so the
+        # shard-size weights differ from uniform.
+        "smoke_block_momentum_elastic": make_config(
+            "smoke", **base, n_workers=3, wall_time_budget=25.0, lr=0.05,
+            block_momentum_beta=0.3, weighting="shard_size",
+            methods=("pasgd-tau4", "elastic:p=0.2,tau=4"),
+        ),
     }
 
 
