@@ -20,7 +20,6 @@ import numpy as np
 from repro import (
     AdaCommConfig,
     AdaCommSchedule,
-    BlockMomentum,
     NetworkModel,
     PASGDTrainer,
     RuntimeSimulator,
@@ -29,6 +28,7 @@ from repro import (
 )
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import make_synth_cifar10
+from repro.distributed import Exact
 from repro.models.mlp import MLP
 from repro.runtime.distributions import ShiftedExponentialDelay
 
@@ -65,7 +65,7 @@ def build_and_train(
         batch_size=8,
         lr=lr,
         momentum=0.9 if use_block_momentum else 0.0,
-        block_momentum=BlockMomentum(0.3) if use_block_momentum else None,
+        collective=Exact(block_momentum=0.3 if use_block_momentum else 0.0),
         seed=seed,
     )
     schedule = AdaCommSchedule(AdaCommConfig(initial_tau=20, interval_length=100.0))

@@ -14,8 +14,9 @@ Training loop per round:
    where the "decay τ to 1 before decaying η" gating happens) and push it to
    all workers;
 3. run τ local steps on every worker (clock advances by the slowest worker);
-4. average the models (clock advances by the communication delay), applying
-   block momentum if configured;
+4. run the cluster's collective — by default, average the models (clock
+   advances by the communication delay), applying block momentum if
+   configured;
 5. evaluate the synchronized model if an evaluation is due and log a point;
 6. report (wall time, loss, lr) back to the schedule so AdaComm can adapt.
 """
@@ -39,7 +40,7 @@ from repro.utils.logging import get_logger
 from repro.utils.results import MetricPoint, RunRecord
 from repro.utils.seeding import check_random_state
 
-__all__ = ["TrainerConfig", "PASGDTrainer", "AsyncPASGDTrainer"]
+__all__ = ["TrainerConfig", "PASGDTrainer"]
 
 logger = get_logger("core.trainer")
 
@@ -172,11 +173,9 @@ class PASGDTrainer:
     def _execute_round(self, tau: int, lr: float, round_index: int) -> tuple[float, dict]:
         """One communication round; returns (period loss, extra point fields).
 
-        The synchronous implementation is the paper's PASGD round — τ local
-        steps at every worker, then the averaging collective (which the
-        cluster routes through gossip mixing on a non-complete topology).
-        :class:`AsyncPASGDTrainer` overrides this with the barrier-free
-        parameter-server generation.
+        τ local steps at every worker, then the cluster's collective — the
+        exact mean, a gossip mix or an arrival-ordered server fold; the
+        round is the same for all three.
         """
         # The span's virtual duration is the round's simulated cost.
         with span("round", clock=self.cluster.clock, round=round_index, tau=tau, lr=lr):
@@ -294,34 +293,6 @@ class PASGDTrainer:
         return record
 
 
-class AsyncPASGDTrainer(PASGDTrainer):
-    """Asynchronous local SGD under a parameter server with staleness.
-
-    Identical to :class:`PASGDTrainer` except for how a round executes:
-    instead of the barrier-synchronized PASGD round, each generation runs
-    :meth:`SimulatedCluster.run_async_round` — workers push their τ-step
-    updates as they finish (per-worker virtual clocks, arrival-ordered
-    server folds, per-update staleness tracking) and the optional
-    ``staleness_damping`` shrinks the server step for staler updates,
-    ``w = 1 / (m · (1 + damping · s))``.  Schedules, evaluation cadence,
-    budgets, and the logged trajectory work exactly as in the synchronous
-    trainer; the "synchronized" model evaluated is the server's state.
-    """
-
-    def __init__(self, *args, staleness_damping: float = 0.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        if staleness_damping < 0:
-            raise ValueError(
-                f"staleness_damping must be non-negative, got {staleness_damping}"
-            )
-        self.staleness_damping = float(staleness_damping)
-
-    def _execute_round(self, tau: int, lr: float, round_index: int) -> tuple[float, dict]:
-        with span("round", clock=self.cluster.clock, round=round_index, tau=tau, lr=lr):
-            period_loss = self.cluster.run_async_round(
-                tau, staleness_damping=self.staleness_damping
-            )
-            extra: dict[str, float] = {}
-            if self.config.record_discrepancy:
-                extra["model_discrepancy"] = self.cluster.model_discrepancy()
-        return period_loss, extra
+# benchmarks/e2e (frozen for this PR) resolves this name in LAYER_TARGETS; the
+# benchmark PR that drops it there deletes the alias.
+AsyncPASGDTrainer = PASGDTrainer

@@ -17,7 +17,8 @@ from repro.distributed.backends import BackendUnsupported, LoopWorkers, WorkerBa
 from repro.distributed.worker_bank import BankWorkerView, WorkerBank
 from repro.distributed.transport import ShmStatePlane, resolve_transport, shm_available
 from repro.distributed.sharded_bank import ShardedBank, ShardWorkerView, shard_slices
-from repro.distributed.reuse import BackendHandle, resolve_backend
+from repro.distributed.reuse import BackendHandle
+from repro.distributed.collectives import AsyncFold, Exact, Gossip
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.events import CommunicationEvent, LocalPeriodEvent, EventLog
 from repro.distributed.topology import (
@@ -47,7 +48,9 @@ __all__ = [
     "ShardWorkerView",
     "shard_slices",
     "BackendHandle",
-    "resolve_backend",
+    "Exact",
+    "Gossip",
+    "AsyncFold",
     "SimulatedCluster",
     "CommunicationEvent",
     "LocalPeriodEvent",

@@ -16,8 +16,8 @@ byte-identical to a fresh-pool run and only the spawn is skipped.
 
 Ownership is explicit: a :class:`~repro.distributed.cluster.SimulatedCluster`
 given a handle never closes the backend it received — the handle owns the
-pool and releases it in :meth:`BackendHandle.close` (the harness does this
-in a ``finally``, mirroring the old per-run close).
+pool and releases it in :meth:`BackendHandle.close` (the harness holds it in
+a ``with`` block around the run or the lineup).
 """
 
 from __future__ import annotations
@@ -26,53 +26,7 @@ from repro.api.registries import BACKENDS
 from repro.distributed.backends import BackendUnsupported, WorkerBackend
 from repro.distributed.sharded_bank import ShardedBank, shard_slices
 
-__all__ = ["BackendHandle", "resolve_backend"]
-
-
-def resolve_backend(
-    spec: str,
-    *,
-    n_shards: int = 2,
-    auto_shard_threshold: "int | None" = None,
-    shard_transport: str = "auto",
-    handle: "BackendHandle | None" = None,
-    **kwargs,
-) -> tuple[str, WorkerBackend]:
-    """Build the execution backend; ``"auto"`` escalates and falls back.
-
-    ``"auto"`` picks the sharded pool at or above ``auto_shard_threshold``
-    workers, the vectorized bank otherwise, and the loop for models without
-    a bank path.  Both bank backends raise :class:`BackendUnsupported`
-    before consuming any RNG stream, and the probe replica built to decide
-    compatibility is reused down the fallback chain, so every resolution
-    consumes ``model_fn`` and the RNG streams exactly as a direct run of the
-    chosen backend would.  When a ``handle`` is given, sharded resolutions
-    route through it so a live pool of the right size is rebuilt in place
-    instead of respawned.
-    """
-
-    def sharded(**kw) -> ShardedBank:
-        if handle is not None:
-            return handle._sharded(n_shards=n_shards, transport=shard_transport, **kw)
-        return BACKENDS.build("sharded", n_shards=n_shards, transport=shard_transport, **kw)
-
-    if spec == "sharded":
-        return "sharded", sharded(**kwargs)
-    if spec == "auto":
-        template = kwargs["model_fn"]()
-        if (
-            auto_shard_threshold is not None
-            and len(kwargs["shards"]) >= auto_shard_threshold
-        ):
-            try:
-                return "sharded", sharded(template=template, **kwargs)
-            except BackendUnsupported:
-                pass
-        try:
-            return "vectorized", BACKENDS.build("vectorized", template=template, **kwargs)
-        except BackendUnsupported:
-            return "loop", BACKENDS.build("loop", first_model=template, **kwargs)
-    return spec, BACKENDS.build(spec, **kwargs)
+__all__ = ["BackendHandle"]
 
 
 class BackendHandle:
@@ -106,31 +60,53 @@ class BackendHandle:
         self.shard_transport = shard_transport
         self._pool: "ShardedBank | None" = None
 
+    @property
+    def layout(self) -> tuple:
+        """The process layout this slot resolves to (equal layouts can share a pool)."""
+        return (self.spec, self.n_shards, self.auto_shard_threshold, self.shard_transport)
+
     def acquire(self, **kwargs) -> tuple[str, WorkerBackend]:
         """Resolve one run's backend, reusing the held pool when possible.
 
         ``kwargs`` are the per-run construction arguments (``model_fn``,
         ``shards``, ``batch_size``, ``lr``, ``momentum``, ``weight_decay``,
-        ``rngs``, ``bank_dtype``).  Returns ``(backend_name, backend)``
-        exactly like a direct resolution would.
-        """
-        return resolve_backend(
-            self.spec,
-            n_shards=self.n_shards,
-            auto_shard_threshold=self.auto_shard_threshold,
-            shard_transport=self.shard_transport,
-            handle=self,
-            **kwargs,
-        )
+        ``rngs``, ``bank_dtype``).  Returns ``(backend_name, backend)``.
 
-    def _sharded(self, *, n_shards: int, **kwargs) -> ShardedBank:
+        ``"auto"`` picks the sharded pool at or above ``auto_shard_threshold``
+        workers, the vectorized bank otherwise, and the loop for models
+        without a bank path.  Both bank backends raise
+        :class:`BackendUnsupported` before consuming any RNG stream, and the
+        probe replica built to decide compatibility is reused down the
+        fallback chain, so every resolution consumes ``model_fn`` and the RNG
+        streams exactly as a direct build of the chosen backend would.
+        """
+        if self.spec == "sharded":
+            return "sharded", self._sharded(**kwargs)
+        if self.spec == "auto":
+            template = kwargs["model_fn"]()
+            if (
+                self.auto_shard_threshold is not None
+                and len(kwargs["shards"]) >= self.auto_shard_threshold
+            ):
+                try:
+                    return "sharded", self._sharded(template=template, **kwargs)
+                except BackendUnsupported:
+                    pass
+            try:
+                return "vectorized", BACKENDS.build("vectorized", template=template, **kwargs)
+            except BackendUnsupported:
+                return "loop", BACKENDS.build("loop", first_model=template, **kwargs)
+        return self.spec, BACKENDS.build(self.spec, **kwargs)
+
+    def _sharded(self, **kwargs) -> ShardedBank:
         """Rebuild the held pool in place, or retire it and build a fresh one."""
+        kwargs.update(n_shards=self.n_shards, transport=self.shard_transport)
         pool = self._pool
         if pool is not None and not pool._closed:
             shards = kwargs["shards"]
-            if shards and len(shard_slices(len(shards), n_shards)) == pool.pool_size:
+            if shards and len(shard_slices(len(shards), self.n_shards)) == pool.pool_size:
                 try:
-                    return pool.rebuild(n_shards=n_shards, **kwargs)
+                    return pool.rebuild(**kwargs)
                 except (RuntimeError, OSError):
                     # A dead or desynchronized pool (e.g. a shard process
                     # killed by a previous failed run) is not worth saving —
@@ -142,7 +118,7 @@ class BackendHandle:
             # a pool cannot grow, shrink, or heal, so release it.
             pool.close()
             self._pool = None
-        self._pool = BACKENDS.build("sharded", n_shards=n_shards, **kwargs)
+        self._pool = BACKENDS.build("sharded", **kwargs)
         return self._pool
 
     def close(self) -> None:

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Topology names accepted by :func:`mixing_matrix_for` (and hence by
-#: ``SimulatedCluster(topology=...)`` and ``ExperimentConfig.topology``).
+#: ``Gossip(topology=...)`` and ``ExperimentConfig.topology``).
 TOPOLOGIES = ("complete", "ring", "star", "mh")
 
 

@@ -79,6 +79,47 @@ def _config_arg(value: str) -> str:
     )
 
 
+# Flags that override one config field each: (flag, config field, argparse
+# options).  The parser, ``_load_config`` and ``--sweep``'s refusal of
+# single-run flags are all driven from this table.
+_CONFIG_FLAGS: list[tuple[str, str, dict]] = [
+    ("--model", "model", dict(
+        metavar="NAME",
+        help="override the model by registry name (see --list models)")),
+    ("--backend", "backend", dict(
+        metavar="NAME",
+        help="worker-execution backend: auto, loop, vectorized, or sharded "
+             "(see --list backends; auto picks vectorized when supported and "
+             "escalates to sharded at large n_workers)")),
+    ("--bank-dtype", "bank_dtype", dict(
+        choices=["float64", "float32"],
+        help="bank storage dtype: float64 (byte-identical default) or "
+             "float32 (reduced precision, parity within tolerance)")),
+    ("--shard-transport", "shard_transport", dict(
+        choices=["auto", "shm", "pipe"],
+        help="sharded-pool data plane: auto (shared-memory state plane "
+             "where available, the default), shm, or pipe — a process-"
+             "layout knob, never changes the trajectory")),
+    ("--topology", "topology", dict(
+        choices=["complete", "ring", "star", "mh"],
+        help="communication graph for the averaging step: complete "
+             "(exact all-node average, the default) or a decentralized "
+             "gossip topology (ring, star, mh = Metropolis-Hastings); "
+             "gossip rounds per step via --set gossip_rounds=N")),
+    ("--staleness", "staleness_damping", dict(
+        type=float, metavar="DAMPING",
+        help="staleness damping for async method specs (fold-in weight "
+             "1/(m*(1+damping*staleness))); only read by methods like "
+             "'async-tau8'")),
+    ("--seed", "seed", dict(type=int, help="override the config seed")),
+]
+
+
+def _flag_dest(flag: str) -> str:
+    """The ``argparse.Namespace`` attribute a ``--some-flag`` lands in."""
+    return flag.lstrip("-").replace("-", "_")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -91,29 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME|PATH.json",
         help="named experiment configuration (see --list configs) or a JSON config file",
     )
-    parser.add_argument("--model", default=None, metavar="NAME",
-                        help="override the model by registry name (see --list models)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="worker-execution backend: auto, loop, vectorized, or sharded "
-                             "(see --list backends; auto picks vectorized when supported and "
-                             "escalates to sharded at large n_workers)")
-    parser.add_argument("--bank-dtype", default=None, choices=["float64", "float32"],
-                        help="bank storage dtype: float64 (byte-identical default) or "
-                             "float32 (reduced precision, parity within tolerance)")
-    parser.add_argument("--shard-transport", default=None, choices=["auto", "shm", "pipe"],
-                        help="sharded-pool data plane: auto (shared-memory state plane "
-                             "where available, the default), shm, or pipe — a process-"
-                             "layout knob, never changes the trajectory")
-    parser.add_argument("--topology", default=None,
-                        choices=["complete", "ring", "star", "mh"],
-                        help="communication graph for the averaging step: complete "
-                             "(exact all-node average, the default) or a decentralized "
-                             "gossip topology (ring, star, mh = Metropolis-Hastings); "
-                             "gossip rounds per step via --set gossip_rounds=N")
-    parser.add_argument("--staleness", type=float, default=None, metavar="DAMPING",
-                        help="staleness damping for async method specs (fold-in weight "
-                             "1/(m*(1+damping*staleness))); only read by methods like "
-                             "'async-tau8'")
+    for flag, _, options in _CONFIG_FLAGS:
+        parser.add_argument(flag, default=None, **options)
     parser.add_argument("--profile", action="store_true",
                         help="profile per-op time (im2col, GEMM, optimizer, averaging, "
                              "shard RPC, ...) and print the table after the run")
@@ -142,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the registered names of one component kind and exit")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="multiply the wall-clock budget (e.g. 0.25 for a quick run)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--target-loss", type=float, default=None,
                         help="training-loss target used for the speed-up table")
     parser.add_argument("--save", type=str, default=None,
@@ -166,20 +185,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         config = make_config(args.config, scale=args.scale)
 
     overrides = dict(args.overrides)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.model is not None:
-        overrides["model"] = args.model
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.bank_dtype is not None:
-        overrides["bank_dtype"] = args.bank_dtype
-    if args.shard_transport is not None:
-        overrides["shard_transport"] = args.shard_transport
-    if args.topology is not None:
-        overrides["topology"] = args.topology
-    if args.staleness is not None:
-        overrides["staleness_damping"] = args.staleness
+    for flag, field, _ in _CONFIG_FLAGS:
+        value = getattr(args, _flag_dest(flag))
+        if value is not None:
+            overrides[field] = value
     if overrides:
         try:
             config = config.with_overrides(**overrides)
@@ -199,16 +208,15 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
     # single-run composition flags here would silently do nothing (and the
     # content-addressed store would then serve the unintended results as
     # cache hits forever), so reject them loudly instead.
+    single_run = [
+        ("--config", "config"),
+        *((flag, _flag_dest(flag)) for flag, _, _ in _CONFIG_FLAGS),
+        ("--profile", "profile"), ("--set", "overrides"), ("--scale", "scale"),
+        ("--save", "save"),
+    ]
     ignored = [
         flag
-        for flag, attr in [
-            ("--config", "config"), ("--model", "model"), ("--backend", "backend"),
-            ("--bank-dtype", "bank_dtype"), ("--shard-transport", "shard_transport"),
-            ("--topology", "topology"), ("--staleness", "staleness"),
-            ("--profile", "profile"),
-            ("--set", "overrides"), ("--scale", "scale"), ("--seed", "seed"),
-            ("--save", "save"),
-        ]
+        for flag, attr in single_run
         if getattr(args, attr) != getattr(parser_defaults, attr)
     ]
     if ignored:

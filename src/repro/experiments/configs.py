@@ -37,7 +37,8 @@ from repro.api.registries import (
 )
 from repro.api.registry import filter_kwargs
 from repro.data.synthetic import Dataset
-from repro.distributed.topology import TOPOLOGIES
+from repro.distributed.collectives import AsyncFold, Exact, Gossip
+from repro.distributed.reuse import BackendHandle
 
 __all__ = ["ExperimentConfig", "make_config", "available_configs", "config_spec"]
 
@@ -176,6 +177,51 @@ class ExperimentConfig:
         )
         return fn(**filter_kwargs(fn, kwargs))
 
+    def collective(self) -> "Exact | Gossip":
+        """The lineup-wide communication collective, as one value.
+
+        The single place the flat method-family fields are read (they stay
+        flat so ``to_dict()`` and every sweep-cell address are unchanged):
+        ``topology="complete"`` is the paper's :class:`Exact` collective, any
+        other topology a :class:`Gossip` one.  Building the values runs their
+        range checks — ``gossip_rounds`` and ``staleness_damping`` (read only
+        by ``async-*`` method specs) included, whichever one is returned.
+        """
+        exact = Exact(
+            weighting=self.weighting,
+            block_momentum=self.block_momentum_beta,
+            dropout_prob=self.elastic_dropout_prob,
+            dropout_deadline=self.elastic_deadline,
+        )
+        gossip = Gossip(self.topology, self.gossip_rounds)
+        AsyncFold(self.staleness_damping)
+        if self.topology == "complete":
+            return exact
+        if exact.block_momentum > 0:
+            raise ValueError(
+                "block momentum post-processes a single global average and is "
+                "incompatible with decentralized gossip topologies"
+            )
+        if exact.elastic:
+            raise ValueError(
+                "elastic dropout assumes the exact collective; use "
+                "topology='complete' with elastic_dropout_prob/elastic_deadline"
+            )
+        return gossip
+
+    def backend_handle(self) -> BackendHandle:
+        """A fresh reuse slot for this config's process layout.
+
+        The single place the four layout fields are read: a lineup, a serial
+        sweep and a lone ``run_method`` all resolve their backend through it.
+        """
+        return BackendHandle(
+            self.backend,
+            n_shards=self.backend_shards,
+            auto_shard_threshold=self.auto_shard_threshold,
+            shard_transport=self.shard_transport,
+        )
+
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
@@ -252,28 +298,7 @@ class ExperimentConfig:
                 f"unknown shard_transport {self.shard_transport!r}; "
                 f"choose 'auto', 'shm', or 'pipe'"
             )
-        if self.weighting not in ("uniform", "shard_size"):
-            raise ValueError(
-                f"unknown weighting {self.weighting!r}; choose 'uniform' or 'shard_size'"
-            )
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; choose from {list(TOPOLOGIES)}"
-            )
-        if self.gossip_rounds < 1:
-            raise ValueError(f"gossip_rounds must be >= 1, got {self.gossip_rounds}")
-        if self.staleness_damping < 0:
-            raise ValueError(
-                f"staleness_damping must be non-negative, got {self.staleness_damping}"
-            )
-        if not 0.0 <= self.elastic_dropout_prob < 1.0:
-            raise ValueError(
-                f"elastic_dropout_prob must be in [0, 1), got {self.elastic_dropout_prob}"
-            )
-        if self.elastic_deadline is not None and self.elastic_deadline <= 0:
-            raise ValueError(
-                f"elastic_deadline must be positive or None, got {self.elastic_deadline}"
-            )
+        self.collective()  # the method-family fields: range checks and conflicts
         return self
 
 

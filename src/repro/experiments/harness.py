@@ -23,7 +23,8 @@ models without a bank path.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,13 +32,13 @@ import numpy as np
 from repro.api.registries import COMM_SCHEDULES, DELAYS, LR_SCHEDULES, MODELS
 from repro.api.registry import filter_kwargs
 from repro.core.schedules import CommunicationSchedule
-from repro.core.trainer import AsyncPASGDTrainer, PASGDTrainer, TrainerConfig
+from repro.core.trainer import PASGDTrainer, TrainerConfig
 from repro.data.synthetic import Dataset
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.collectives import AsyncFold, Collective, Gossip
 from repro.distributed.reuse import BackendHandle
 from repro.experiments.configs import ExperimentConfig
 from repro.obs.tracer import span
-from repro.optim.block_momentum import BlockMomentum
 from repro.optim.lr_schedules import LRSchedule
 from repro.runtime.distributions import DelayDistribution
 from repro.runtime.network import NetworkModel
@@ -59,21 +60,18 @@ logger = get_logger("experiments.harness")
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One method to run: a label plus a factory for its communication schedule.
+    """One method to run: a label, a schedule factory, and a collective.
 
-    ``overrides`` are :class:`ExperimentConfig` fields the method imposes on
-    top of the experiment's config (e.g. a gossip spec sets ``topology``);
-    :func:`run_method` applies them before building the cluster, so one
-    lineup can mix synchronous, gossip, async, and elastic methods on the
-    same workload.  ``mode`` selects the execution loop: ``"sync"`` (the
-    paper's barriered periodic averaging) or ``"async"`` (arrival-ordered
-    parameter-server folds via :class:`AsyncPASGDTrainer`).
+    The schedule decides *when* the workers communicate, the ``collective``
+    (``Exact | Gossip | AsyncFold``, see :mod:`repro.distributed.collectives`)
+    what a communication does — so one lineup can mix synchronous, gossip,
+    async, and elastic methods on the same workload.  A hand-built spec may
+    leave it ``None`` to get the experiment config's own collective.
     """
 
     label: str
     schedule_fn: Callable[[], CommunicationSchedule]
-    overrides: dict = field(default_factory=dict)
-    mode: str = "sync"
+    collective: "Collective | None" = None
 
 
 def _split_top_level(argstr: str) -> list[str]:
@@ -111,6 +109,31 @@ def _parse_spec_kwargs(argstr: str) -> dict:
     return kwargs
 
 
+#: Method families with a ``<family>[-<body>]-tau<N>`` shorthand, and an
+#: example of each for the error message.
+_TAU_SHORTHANDS = {"pasgd": "pasgd-tau8", "async": "async-tau8", "gossip": "gossip-ring-tau4"}
+
+
+def _split_tau_shorthand(name: str, spec: str) -> "tuple[str, str, int | None]":
+    """``(family, body, tau)`` of a shorthand name; other names pass through.
+
+    ``"pasgd-tau8"`` → ``("pasgd", "", 8)``, ``"gossip-ring-tau4"`` →
+    ``("gossip", "ring", 4)``, ``"adacomm"`` → ``("adacomm", "", None)``.
+    """
+    family, dash, rest = name.partition("-")
+    if not dash or family not in _TAU_SHORTHANDS:
+        return name, "", None
+    body, sep, tau = f"-{rest}".rpartition("-tau")
+    try:
+        if not sep or bool(body) != (family == "gossip"):  # only gossip names a topology
+            raise ValueError
+        return family, body[1:], int(tau)
+    except ValueError:
+        raise ValueError(
+            f"method spec {spec!r} has a malformed tau; e.g. {_TAU_SHORTHANDS[family]!r}"
+        ) from None
+
+
 def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> MethodSpec:
     """Resolve a method spec string into a :class:`MethodSpec`.
 
@@ -127,24 +150,25 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
       with seeded per-round worker dropout;
     * ``"<name>"`` or ``"<name>:key=value,..."`` — any schedule registered in
       ``COMM_SCHEDULES`` (e.g. ``"fixed:tau=4"``, ``"adacomm:initial_tau=50"``).
+
+    The collective is resolved here, fully, against ``config``: a classic
+    spec gets the config's own, ``elastic:`` adds its dropout to it, and
+    ``gossip-*`` / ``async-*`` replace it — so a method that conflicts with
+    the lineup-wide settings fails at parse time, where the spec is known.
     """
     if isinstance(spec, MethodSpec):
-        return spec
+        if spec.collective is not None:
+            return spec
+        return replace(spec, collective=config.collective())
     name, _, argstr = spec.partition(":")
     kwargs = _parse_spec_kwargs(argstr)
-    overrides: dict = {}
-    mode = "sync"
+    name, body, tau = _split_tau_shorthand(name, spec)
+    if tau is not None:
+        kwargs.setdefault("tau", tau)
+    collective = config.collective()
     label: "str | None" = None
     if name == "sync-sgd":
         kwargs.setdefault("tau", 1)
-        name = "fixed"
-    elif name.startswith("pasgd-tau"):
-        try:
-            kwargs.setdefault("tau", int(name[len("pasgd-tau"):]))
-        except ValueError:
-            raise ValueError(
-                f"method spec {spec!r} has a malformed tau; e.g. 'pasgd-tau8'"
-            ) from None
         name = "fixed"
     elif name == "pasgd":
         name = "fixed"
@@ -152,48 +176,40 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
         kwargs.setdefault("initial_tau", config.adacomm_initial_tau)
         kwargs.setdefault("interval_length", config.adacomm_interval)
         kwargs.setdefault("couple_lr", True)
-    elif name == "gossip" or name.startswith("gossip-"):
+    elif name == "gossip":
         topology = kwargs.pop("topology", None)
         rounds = int(kwargs.pop("rounds", kwargs.pop("gossip_rounds", config.gossip_rounds)))
-        if name != "gossip":
-            body, sep, tau_part = name[len("gossip-"):].rpartition("-tau")
-            if not sep or not body:
-                raise ValueError(
-                    f"method spec {spec!r} is malformed; e.g. 'gossip-ring-tau4'"
-                )
-            topology = body
-            try:
-                kwargs.setdefault("tau", int(tau_part))
-            except ValueError:
-                raise ValueError(
-                    f"method spec {spec!r} has a malformed tau; e.g. 'gossip-ring-tau4'"
-                ) from None
+        topology = body or topology
         if topology is None:
             raise ValueError(
                 f"method spec {spec!r} needs a topology; e.g. 'gossip-ring-tau4' "
                 f"or 'gossip:topology=ring,tau=4'"
             )
         kwargs.setdefault("tau", 1)
-        overrides = {"topology": str(topology), "gossip_rounds": rounds}
+        # Through the config, so a block-momentum or elastic lineup refuses it.
+        collective = config.with_overrides(
+            topology=str(topology), gossip_rounds=rounds
+        ).collective()
         label = f"gossip-{topology}-tau{kwargs['tau']}"
         if rounds != 1:
             label += f"-r{rounds}"
         name = "fixed"
-    elif name == "async" or name.startswith("async-tau"):
+    elif name == "async":
         damping = float(
             kwargs.pop("damping", kwargs.pop("staleness_damping", config.staleness_damping))
         )
-        if name != "async":
-            try:
-                kwargs.setdefault("tau", int(name[len("async-tau"):]))
-            except ValueError:
-                raise ValueError(
-                    f"method spec {spec!r} has a malformed tau; e.g. 'async-tau8'"
-                ) from None
         kwargs.setdefault("tau", 1)
-        mode = "async"
-        if damping > 0.0:
-            overrides = {"staleness_damping": damping}
+        if isinstance(collective, Gossip):
+            raise ValueError(
+                "async execution uses a central parameter server; it cannot be "
+                f"combined with topology={collective.topology!r}"
+            )
+        if collective.elastic:
+            raise ValueError(
+                "async execution has no barrier to drop stragglers at; it cannot be "
+                "combined with elastic_dropout_prob / elastic_deadline"
+            )
+        collective = AsyncFold(damping)
         label = f"async-tau{kwargs['tau']}"
         if damping > 0.0:
             label += f"-d{damping:g}"
@@ -210,7 +226,10 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
                 f"e.g. 'elastic:p=0.1,tau=4'"
             )
         kwargs.setdefault("tau", 1)
-        overrides = {"elastic_dropout_prob": prob, "elastic_deadline": deadline}
+        # Through the config, so a gossip lineup refuses it.
+        collective = config.with_overrides(
+            elastic_dropout_prob=prob, elastic_deadline=deadline
+        ).collective()
         label = f"elastic-tau{kwargs['tau']}"
         if prob > 0.0:
             label += f"-p{prob:g}"
@@ -237,8 +256,7 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
     return MethodSpec(
         label=label if label is not None else schedule_label,
         schedule_fn=schedule_fn,
-        overrides=overrides,
-        mode=mode,
+        collective=collective,
     )
 
 
@@ -376,17 +394,6 @@ def run_method(
     the per-run ``cluster.close()`` here leaves it alive.
     """
     method = parse_method_spec(method, config)
-    if method.overrides:
-        # Method-imposed config fields (topology, dropout, damping).  Applied
-        # *after* the dataset split below uses the original seed stream, so a
-        # gossip/async/elastic method shares the exact split of its
-        # synchronous siblings in the same lineup.
-        config = config.with_overrides(**method.overrides).validate()
-    if method.mode == "async" and config.topology != "complete":
-        raise ValueError(
-            "async execution uses a central parameter server; it cannot be "
-            f"combined with topology={config.topology!r}"
-        )
     seeds = SeedSequence(config.seed)
     if train_set is None or test_set is None:
         train_set, test_set = _split_dataset(config, seeds.generator())
@@ -401,33 +408,28 @@ def run_method(
         config, model_seed=seeds.spawn(), n_features=train_set.n_features
     )
 
-    block = BlockMomentum(config.block_momentum_beta) if config.block_momentum_beta > 0 else None
-    cluster = SimulatedCluster(
-        model_fn=model_fn,
-        dataset=train_set,
-        runtime=runtime,
-        n_workers=config.n_workers,
-        batch_size=config.batch_size,
-        lr=config.lr,
-        momentum=config.momentum,
-        weight_decay=config.weight_decay,
-        block_momentum=block,
-        seed=seeds.spawn(),
-        backend=config.backend if backend_handle is None else backend_handle,
-        weighting=config.weighting,
-        n_shards=config.backend_shards,
-        auto_shard_threshold=config.auto_shard_threshold,
-        bank_dtype=config.bank_dtype,
-        shard_transport=config.shard_transport,
-        topology=config.topology,
-        gossip_rounds=config.gossip_rounds,
-        dropout_prob=config.elastic_dropout_prob,
-        dropout_deadline=config.elastic_deadline,
-    )
-
-    try:
+    with ExitStack() as stack:
+        if backend_handle is None:
+            backend_handle = stack.enter_context(config.backend_handle())
+        # Closed on exit: shuts an owned process pool down, no-op elsewhere.
+        cluster = stack.enter_context(
+            SimulatedCluster(
+                model_fn=model_fn,
+                dataset=train_set,
+                runtime=runtime,
+                n_workers=config.n_workers,
+                batch_size=config.batch_size,
+                lr=config.lr,
+                momentum=config.momentum,
+                weight_decay=config.weight_decay,
+                collective=method.collective,
+                seed=seeds.spawn(),
+                backend=backend_handle,
+                bank_dtype=config.bank_dtype,
+            )
+        )
         iters_per_epoch = max(1, len(train_set) // (config.batch_size * config.n_workers))
-        trainer_kwargs = dict(
+        trainer = PASGDTrainer(
             cluster=cluster,
             schedule=method.schedule_fn(),
             lr_schedule=_build_lr_schedule(config),
@@ -442,12 +444,6 @@ def run_method(
             name=method.label,
             rng=seeds.generator(),
         )
-        if method.mode == "async":
-            trainer = AsyncPASGDTrainer(
-                staleness_damping=config.staleness_damping, **trainer_kwargs
-            )
-        else:
-            trainer = PASGDTrainer(**trainer_kwargs)
         with span(
             "method",
             clock=cluster.clock,
@@ -470,20 +466,9 @@ def run_method(
         )
         # Method-family fields ride along only when non-default, so records
         # from classic sync methods keep their exact golden-fixture bytes.
-        if config.topology != "complete":
-            record.config["topology"] = config.topology
-            record.config["gossip_rounds"] = config.gossip_rounds
-        if method.mode != "sync":
-            record.config["mode"] = method.mode
-            record.config["staleness_damping"] = config.staleness_damping
-        if config.elastic_dropout_prob > 0.0 or config.elastic_deadline is not None:
-            record.config["elastic_dropout_prob"] = config.elastic_dropout_prob
-            record.config["elastic_deadline"] = config.elastic_deadline
+        record.config.update(method.collective.record_fields())
         record.config["event_breakdown"] = cluster.events.breakdown()
         return record
-    finally:
-        # Shut the sharded backend's process pool down (no-op elsewhere).
-        cluster.close()
 
 
 def run_experiment(
@@ -511,7 +496,9 @@ def run_experiment(
         else default_methods(config)
     )
 
-    def _run_lineup(handle: BackendHandle) -> None:
+    with span("experiment", experiment=config.name, n_methods=len(resolved)), ExitStack() as stack:
+        if backend_handle is None:
+            backend_handle = stack.enter_context(config.backend_handle())
         for method in resolved:
             logger.info("running %s on %s", method.label, config.name)
             record = run_method(
@@ -520,19 +507,7 @@ def run_experiment(
                 train_set=train_set,
                 test_set=test_set,
                 record_discrepancy=record_discrepancy,
-                backend_handle=handle,
+                backend_handle=backend_handle,
             )
             store.add(record)
-
-    with span("experiment", experiment=config.name, n_methods=len(resolved)):
-        if backend_handle is not None:
-            _run_lineup(backend_handle)
-        else:
-            with BackendHandle(
-                config.backend,
-                n_shards=config.backend_shards,
-                auto_shard_threshold=config.auto_shard_threshold,
-                shard_transport=config.shard_transport,
-            ) as handle:
-                _run_lineup(handle)
     return store

@@ -262,24 +262,8 @@ class SweepRunner:
             # each subsequent one (byte-identical results either way; see
             # repro.distributed.reuse).  Mixed-backend campaigns fall back
             # to the per-lineup handle run_experiment creates itself.
-            from repro.distributed.reuse import BackendHandle
-
-            base = pending[0].config
-            layout = (base.backend, base.backend_shards, base.auto_shard_threshold)
-            shared = all(
-                (c.config.backend, c.config.backend_shards, c.config.auto_shard_threshold)
-                == layout
-                for c in pending
-            )
-            handle = (
-                BackendHandle(
-                    base.backend,
-                    n_shards=base.backend_shards,
-                    auto_shard_threshold=base.auto_shard_threshold,
-                )
-                if shared
-                else None
-            )
+            layouts = {cell.config.backend_handle().layout for cell in pending}
+            handle = pending[0].config.backend_handle() if len(layouts) == 1 else None
             try:
                 for payload in payloads:
                     yield _execute_cell(payload, backend_handle=handle)

@@ -252,7 +252,7 @@ def build_equivalence_cluster(
     knobs are identical across backends by construction.  ``backend`` may be
     a pseudo-backend from :data:`BACKEND_TRANSPORTS` (e.g. "sharded-shm"),
     which resolves to the real backend name plus a pinned shard transport.
-    Extra ``cluster_kwargs`` (``topology``, ``dropout_prob``, ...) pass
+    Extra ``cluster_kwargs`` (``collective=Gossip("ring")``, ...) pass
     through to :class:`SimulatedCluster` so the method-family tests reuse
     the same seeded workloads.
     """

@@ -19,6 +19,7 @@ from repro.data.partition import partition_dataset
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.backends import BackendUnsupported, LoopWorkers
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.collectives import Exact
 from repro.distributed.worker_bank import BankWorkerView, WorkerBank
 from repro.experiments.configs import make_config
 from repro.experiments.harness import run_method
@@ -349,7 +350,7 @@ def _make_cluster(backend, n_workers=4, momentum=0.0, block_momentum=None,
         lr=0.2,
         momentum=momentum,
         weight_decay=1e-4,
-        block_momentum=block_momentum,
+        collective=Exact(block_momentum=block_momentum.beta if block_momentum else 0.0),
         seed=seed,
         backend=backend,
     )

@@ -11,6 +11,7 @@ from repro.data.partition import partition_dataset
 from repro.distributed.averaging import average_states, weighted_average_states
 from repro.distributed.backends import LoopWorkers
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.collectives import Exact
 from repro.distributed.events import CommunicationEvent, EventLog, LocalPeriodEvent
 from repro.distributed.worker import Worker
 from repro.distributed.worker_bank import WorkerBank
@@ -135,7 +136,7 @@ def _make_cluster(tiny_dataset, tiny_model_fn, n_workers=4, block_momentum=None,
         n_workers=n_workers,
         batch_size=8,
         lr=0.2,
-        block_momentum=block_momentum,
+        collective=Exact(block_momentum=block_momentum.beta if block_momentum else 0.0),
         seed=0,
         **kwargs,
     )
@@ -369,7 +370,7 @@ class TestShardWeightedAveraging:
             lr=0.2,
             seed=0,
             backend=backend,
-            weighting=weighting,
+            collective=Exact(weighting=weighting),
         )
 
     @pytest.mark.parametrize("backend", ["loop", "vectorized"])
@@ -402,7 +403,7 @@ class TestShardWeightedAveraging:
             cluster = SimulatedCluster(
                 model_fn=tiny_model_fn, dataset=tiny_dataset, runtime=runtime,
                 n_workers=4, batch_size=8, lr=0.2, seed=0,
-                backend=backend, weighting="shard_size",
+                backend=backend, collective=Exact(weighting="shard_size"),
             )
             cluster.run_round(4)
             results[backend] = cluster.synchronized_parameters
@@ -430,7 +431,7 @@ class TestShardWeightedAveraging:
                 runtime=runtime,
                 n_workers=2,
                 seed=0,
-                weighting="shard_size",
+                collective=Exact(weighting="shard_size"),
             )
 
     def test_unknown_weighting_rejected(self, tiny_dataset, tiny_model_fn):
@@ -440,7 +441,7 @@ class TestShardWeightedAveraging:
         with pytest.raises(ValueError, match="weighting"):
             SimulatedCluster(
                 model_fn=tiny_model_fn, dataset=tiny_dataset, runtime=runtime,
-                n_workers=2, seed=0, weighting="fedavg",
+                n_workers=2, seed=0, collective=Exact(weighting="fedavg"),
             )
 
     def test_config_field_flows_through_harness(self):

@@ -20,6 +20,7 @@ import pytest
 
 from tests.conftest import build_equivalence_cluster, equivalence_cases
 from repro.distributed.averaging import weighted_average_states
+from repro.distributed.collectives import AsyncFold, Exact, Gossip
 from repro.distributed.topology import consensus_distance, mixing_matrix_for
 from repro.experiments.configs import ExperimentConfig, make_config
 from repro.experiments.harness import parse_method_spec, run_method
@@ -33,10 +34,16 @@ _CASES = {case.id: case for case in equivalence_cases()}
 _MLP = _CASES["mlp"]
 
 
-def _async_fingerprint(cluster, rounds=3, tau=2, damping=0.0):
+def _async_cluster(backend="vectorized", damping=0.0, n_workers=4):
+    return build_equivalence_cluster(
+        _MLP, backend, n_workers=n_workers, collective=AsyncFold(damping)
+    )
+
+
+def _async_fingerprint(cluster, rounds=3, tau=2):
     out = {"losses": [], "synced": []}
     for _ in range(rounds):
-        out["losses"].append(cluster.run_async_round(tau, staleness_damping=damping))
+        out["losses"].append(cluster.run_round(tau))
         out["synced"].append(cluster.synchronized_parameters)
     return out
 
@@ -48,10 +55,10 @@ class TestGossipCluster:
     @pytest.mark.parametrize("topology", ["ring", "star", "mh"])
     def test_loop_and_vectorized_are_byte_identical(self, topology):
         ref = build_equivalence_cluster(
-            _MLP, "loop", n_workers=GOSSIP_WORKERS, topology=topology
+            _MLP, "loop", n_workers=GOSSIP_WORKERS, collective=Gossip(topology)
         )
         cand = build_equivalence_cluster(
-            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, topology=topology
+            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, collective=Gossip(topology)
         )
         for _ in range(2):
             assert cand.run_local_period(3) == ref.run_local_period(3)
@@ -62,8 +69,10 @@ class TestGossipCluster:
 
     def test_complete_topology_is_byte_identical_to_default(self):
         default = build_equivalence_cluster(_MLP, "vectorized", n_workers=4)
+        collective = make_config("smoke", topology="complete").collective()
+        assert collective == Exact()
         complete = build_equivalence_cluster(
-            _MLP, "vectorized", n_workers=4, topology="complete"
+            _MLP, "vectorized", n_workers=4, collective=collective
         )
         for _ in range(2):
             assert complete.run_local_period(3) == default.run_local_period(3)
@@ -73,7 +82,7 @@ class TestGossipCluster:
 
     def test_gossip_matches_explicit_mixing_matrix(self):
         cluster = build_equivalence_cluster(
-            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, topology="ring"
+            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, collective=Gossip("ring")
         )
         cluster.run_local_period(2)
         before = cluster.backend.get_stacked_states().copy()
@@ -85,14 +94,13 @@ class TestGossipCluster:
 
     def test_gossip_rounds_compound_and_contract(self):
         one = build_equivalence_cluster(
-            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, topology="ring"
+            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, collective=Gossip("ring")
         )
         three = build_equivalence_cluster(
             _MLP,
             "vectorized",
             n_workers=GOSSIP_WORKERS,
-            topology="ring",
-            gossip_rounds=3,
+            collective=Gossip("ring", rounds=3),
         )
         one.run_local_period(2)
         three.run_local_period(2)
@@ -107,7 +115,7 @@ class TestGossipCluster:
         # After a sparse gossip mix, workers must NOT share one model (that
         # would be exact averaging); they only agree in the mean.
         cluster = build_equivalence_cluster(
-            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, topology="ring"
+            _MLP, "vectorized", n_workers=GOSSIP_WORKERS, collective=Gossip("ring")
         )
         cluster.run_local_period(2)
         cluster.average_models()
@@ -118,7 +126,7 @@ class TestGossipCluster:
         assert {"gossip_mix", "async_apply", "worker_dropout"} <= EVENT_NAMES
         with Tracer() as tracer, MetricsRegistry() as registry:
             cluster = build_equivalence_cluster(
-                _MLP, "vectorized", n_workers=GOSSIP_WORKERS, topology="mh"
+                _MLP, "vectorized", n_workers=GOSSIP_WORKERS, collective=Gossip("mh")
             )
             cluster.run_local_period(2)
             cluster.average_models()
@@ -129,16 +137,11 @@ class TestGossipCluster:
         assert snapshot["gauges"]["consensus_distance"] > 0.0
 
     def test_gossip_rejects_block_momentum(self):
-        from repro.optim.block_momentum import BlockMomentum
-
+        # Unwritable on the value, refused (parent's message) on the flat config.
+        with pytest.raises(TypeError):
+            Gossip("ring", block_momentum=0.3)
         with pytest.raises(ValueError, match="block momentum"):
-            build_equivalence_cluster(
-                _MLP,
-                "vectorized",
-                n_workers=GOSSIP_WORKERS,
-                topology="ring",
-                block_momentum=BlockMomentum(0.3),
-            )
+            make_config("smoke", topology="ring", block_momentum_beta=0.3).validate()
 
 
 # -- async parameter server ---------------------------------------------------
@@ -146,26 +149,22 @@ class TestGossipCluster:
 
 class TestAsyncCluster:
     def test_loop_and_vectorized_are_byte_identical(self):
-        ref = build_equivalence_cluster(_MLP, "loop", n_workers=4)
-        cand = build_equivalence_cluster(_MLP, "vectorized", n_workers=4)
-        fp_ref = _async_fingerprint(ref)
-        fp_cand = _async_fingerprint(cand)
+        fp_ref = _async_fingerprint(_async_cluster("loop"))
+        fp_cand = _async_fingerprint(_async_cluster("vectorized"))
         assert fp_cand["losses"] == fp_ref["losses"]
         for a, b in zip(fp_cand["synced"], fp_ref["synced"]):
             np.testing.assert_array_equal(a, b)
 
     def test_same_seed_is_deterministic(self):
-        a = _async_fingerprint(build_equivalence_cluster(_MLP, "vectorized"))
-        b = _async_fingerprint(build_equivalence_cluster(_MLP, "vectorized"))
+        a = _async_fingerprint(_async_cluster())
+        b = _async_fingerprint(_async_cluster())
         assert a["losses"] == b["losses"]
         for x, y in zip(a["synced"], b["synced"]):
             np.testing.assert_array_equal(x, y)
 
     def test_staleness_damping_changes_trajectory(self):
-        plain = _async_fingerprint(build_equivalence_cluster(_MLP, "vectorized"))
-        damped = _async_fingerprint(
-            build_equivalence_cluster(_MLP, "vectorized"), damping=0.5
-        )
+        plain = _async_fingerprint(_async_cluster())
+        damped = _async_fingerprint(_async_cluster(damping=0.5))
         assert any(
             not np.array_equal(a, b)
             for a, b in zip(plain["synced"], damped["synced"])
@@ -174,8 +173,8 @@ class TestAsyncCluster:
     def test_staleness_histogram_and_events(self):
         m = 4
         with Tracer() as tracer, MetricsRegistry() as registry:
-            cluster = build_equivalence_cluster(_MLP, "vectorized", n_workers=m)
-            cluster.run_async_round(2)
+            cluster = _async_cluster(n_workers=m)
+            cluster.run_round(2)
         events = [e for e in tracer.finish() if e["name"] == "async_apply"]
         assert len(events) == m
         # One generation folds m arrivals: the k-th applied update has seen
@@ -188,23 +187,25 @@ class TestAsyncCluster:
         assert snapshot["counters"]["async_applies_total"] == float(m)
 
     def test_worker_clocks_advance_independently(self):
-        cluster = build_equivalence_cluster(_MLP, "vectorized", n_workers=4)
+        cluster = _async_cluster()
         runtime = cluster.runtime
         assert np.all(runtime.worker_clocks == 0.0)
-        cluster.run_async_round(2)
+        cluster.run_round(2)
         first = runtime.worker_clocks.copy()
         assert np.all(first > 0.0)
-        cluster.run_async_round(2)
+        cluster.run_round(2)
         assert np.all(runtime.worker_clocks > first)
         # The cluster clock tracks the latest arrival, not a barrier sum.
         assert cluster.clock.now == pytest.approx(float(runtime.worker_clocks.max()))
 
     def test_rejects_bad_arguments(self):
-        cluster = build_equivalence_cluster(_MLP, "vectorized")
+        cluster = _async_cluster()
         with pytest.raises(ValueError):
-            cluster.run_async_round(0)
+            cluster.run_round(0)
         with pytest.raises(ValueError):
-            cluster.run_async_round(2, staleness_damping=-0.1)
+            AsyncFold(damping=-0.1)
+        with pytest.raises(RuntimeError, match="run_local_period"):
+            cluster.average_models()  # nothing in flight to fold
 
 
 # -- elastic stragglers -------------------------------------------------------
@@ -222,17 +223,17 @@ class TestElasticCluster:
             return trace
 
         a = survivors_trace(
-            build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.5)
+            build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.5))
         )
         b = survivors_trace(
-            build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.5)
+            build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.5))
         )
         assert a == b
         assert any(s is not None and len(s) < 4 for s in a)
 
     def test_loop_and_vectorized_are_byte_identical(self):
-        ref = build_equivalence_cluster(_MLP, "loop", dropout_prob=0.4)
-        cand = build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.4)
+        ref = build_equivalence_cluster(_MLP, "loop", collective=Exact(dropout_prob=0.4))
+        cand = build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.4))
         for _ in range(3):
             assert cand.run_local_period(2) == ref.run_local_period(2)
             np.testing.assert_array_equal(cand.average_models(), ref.average_models())
@@ -242,11 +243,11 @@ class TestElasticCluster:
         # the feature is on), so the first period's losses — drawn before any
         # averaging — must match the non-elastic cluster exactly.
         plain = build_equivalence_cluster(_MLP, "vectorized")
-        elastic = build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.5)
+        elastic = build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.5))
         assert elastic.run_local_period(3) == plain.run_local_period(3)
 
     def test_survivor_average_folds_only_survivors(self):
-        cluster = build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.5)
+        cluster = build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.5))
         found = False
         for _ in range(6):
             cluster.run_local_period(2)
@@ -266,7 +267,7 @@ class TestElasticCluster:
         # A deadline below every per-worker compute time drops everyone; the
         # fastest worker must be resurrected so the round still averages.
         cluster = build_equivalence_cluster(
-            _MLP, "vectorized", dropout_deadline=1e-6
+            _MLP, "vectorized", collective=Exact(dropout_deadline=1e-6)
         )
         cluster.run_local_period(2)
         survivors = cluster._last_survivors
@@ -274,7 +275,7 @@ class TestElasticCluster:
         cluster.average_models()  # completes without raising
 
     def test_broadcast_rejoins_dropped_workers(self):
-        cluster = build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.6)
+        cluster = build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.6))
         for _ in range(3):
             cluster.run_local_period(2)
             averaged = cluster.average_models()
@@ -284,7 +285,7 @@ class TestElasticCluster:
 
     def test_dropout_emits_events_and_metrics(self):
         with Tracer() as tracer, MetricsRegistry() as registry:
-            cluster = build_equivalence_cluster(_MLP, "vectorized", dropout_prob=0.5)
+            cluster = build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=0.5))
             dropped = 0
             for _ in range(5):
                 cluster.run_local_period(2)
@@ -298,13 +299,13 @@ class TestElasticCluster:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_equivalence_cluster(_MLP, "vectorized", dropout_prob=1.0)
+            build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_prob=1.0))
         with pytest.raises(ValueError):
-            build_equivalence_cluster(_MLP, "vectorized", dropout_deadline=0.0)
+            build_equivalence_cluster(_MLP, "vectorized", collective=Exact(dropout_deadline=0.0))
         with pytest.raises(ValueError):
-            build_equivalence_cluster(_MLP, "vectorized", gossip_rounds=0)
+            build_equivalence_cluster(_MLP, "vectorized", collective=Gossip("ring", rounds=0))
         with pytest.raises(ValueError):
-            build_equivalence_cluster(_MLP, "vectorized", topology="hypercube")
+            build_equivalence_cluster(_MLP, "vectorized", collective=Gossip("hypercube"))
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -341,7 +342,9 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             make_config("smoke", topology="mesh").validate()
         with pytest.raises(ValueError):
-            make_config("smoke", gossip_rounds=0).validate()
+            make_config("smoke", gossip_rounds=0).validate()  # even on "complete"
+        with pytest.raises(ValueError):
+            make_config("smoke", topology="ring", gossip_rounds=0).validate()
         with pytest.raises(ValueError):
             make_config("smoke", elastic_dropout_prob=1.0).validate()
         with pytest.raises(ValueError):
@@ -373,10 +376,24 @@ class TestMethodSpecs:
         ],
     )
     def test_parse_forms(self, cfg, spec, label, mode, overrides):
+        # ``mode`` / ``overrides`` are the retired MethodSpec fields; the
+        # collective must be what they used to expand to.
         method = parse_method_spec(spec, cfg)
         assert method.label == label
-        assert method.mode == mode
-        assert method.overrides == overrides
+        assert isinstance(method.collective, AsyncFold) == (mode == "async")
+        imposed = cfg.with_overrides(**overrides)
+        if mode == "async":
+            assert method.collective == AsyncFold(imposed.staleness_damping)
+        else:
+            assert method.collective == imposed.collective()
+
+    def test_collectives_are_comparable_values(self, cfg):
+        assert parse_method_spec("gossip-ring-tau4", cfg).collective == Gossip("ring", 1)
+        assert parse_method_spec("async:tau=4,damping=0.5", cfg).collective == AsyncFold(0.5)
+        assert parse_method_spec("elastic:p=0.1,tau=4,deadline=3", cfg).collective == Exact(
+            dropout_prob=0.1, dropout_deadline=3.0
+        )
+        assert len({Gossip("ring"), Gossip("ring", 1), AsyncFold(), Exact()}) == 3
 
     def test_parse_rejects_malformed_specs(self, cfg):
         for bad in ("gossip-tau4", "gossip", "gossip-ring-tauX",
@@ -386,7 +403,7 @@ class TestMethodSpecs:
 
     def test_classic_specs_are_unchanged(self, cfg):
         method = parse_method_spec("pasgd-tau8", cfg)
-        assert method.overrides == {} and method.mode == "sync"
+        assert method.collective == cfg.collective() == Exact()
         assert method.label == "pasgd-tau8"
 
     def test_async_refuses_gossip_topology(self, cfg):
@@ -410,6 +427,123 @@ class TestMethodSpecs:
         assert asyn.config["mode"] == "async"
         elastic = run_method(cfg, "elastic:p=0.2,tau=4")
         assert elastic.config["elastic_dropout_prob"] == 0.2
+
+
+    @pytest.mark.parametrize(
+        "fields, spec, match",
+        [
+            # lineup-wide conflicts: refused by validate() itself
+            ({"topology": "ring", "block_momentum_beta": 0.3}, None, "block momentum"),
+            ({"topology": "ring", "elastic_dropout_prob": 0.2}, None, "elastic dropout"),
+            # method-vs-lineup conflicts: refused when the spec is parsed
+            ({"topology": "ring"}, "async-tau4", "parameter server"),
+            ({"topology": "ring"}, "elastic:p=0.2,tau=4", "elastic dropout"),
+            ({"block_momentum_beta": 0.3}, "gossip-ring-tau4", "block momentum"),
+            # used to run with the dropout silently ignored (and recorded)
+            ({"elastic_dropout_prob": 0.2}, "async-tau4", "no barrier"),
+            ({"elastic_deadline": 5.0}, "async-tau4", "no barrier"),
+        ],
+    )
+    def test_conflicts_surface_before_any_cluster_is_built(
+        self, cfg, fields, spec, match, monkeypatch
+    ):
+        from repro.distributed.cluster import SimulatedCluster
+
+        monkeypatch.setattr(SimulatedCluster, "__init__", None)  # must not be reached
+        conflicted = cfg.with_overrides(**fields)
+        with pytest.raises(ValueError, match=match):
+            if spec is None:
+                conflicted.validate()
+            else:
+                run_method(conflicted, spec)
+
+    def test_async_discrepancy_is_measured_before_the_fold(self, cfg, monkeypatch):
+        # TrainerConfig.record_discrepancy documents the *pre-averaging*
+        # discrepancy; the async trainer used to log it after the fold.
+        from repro.distributed.cluster import SimulatedCluster
+
+        pre, post = [], []
+        fold = SimulatedCluster.average_models
+
+        def spy(self):
+            pre.append(self.model_discrepancy())
+            out = fold(self)
+            post.append(self.model_discrepancy())
+            return out
+
+        monkeypatch.setattr(SimulatedCluster, "average_models", spy)
+        record = run_method(cfg, "async-tau4", record_discrepancy=True)
+        logged = [p.extra["model_discrepancy"] for p in record.points[1:]]
+        assert len(logged) >= 2 and logged == pre[: len(logged)]
+        assert logged != post[: len(logged)]
+
+
+class TestOneDefinition:
+    """Fork guards: the collapse to one round / one trainer / one value holds."""
+
+    def test_cluster_signature_has_one_collective_argument(self):
+        import inspect
+
+        from repro.distributed.cluster import SimulatedCluster
+
+        params = list(inspect.signature(SimulatedCluster.__init__).parameters)[1:]
+        assert "collective" in params and len(params) <= 16
+        assert not {
+            "block_momentum", "weighting", "topology", "gossip_rounds",
+            "dropout_prob", "dropout_deadline",
+        } & set(params)
+        assert SimulatedCluster.run_async_round is SimulatedCluster.run_round
+
+    def test_one_trainer_one_round_one_method_value(self):
+        import dataclasses
+        import inspect
+
+        from repro.core import trainer
+        from repro.experiments import harness
+
+        assert trainer.AsyncPASGDTrainer is trainer.PASGDTrainer
+        assert "_execute_round" in vars(trainer.PASGDTrainer)
+        assert not trainer.PASGDTrainer.__subclasses__()
+        assert [f.name for f in dataclasses.fields(harness.MethodSpec)] == [
+            "label", "schedule_fn", "collective",
+        ]
+        body = inspect.getsource(harness.run_method)
+        for name in ("topology", "gossip_rounds", "elastic_", "staleness_damping"):
+            assert name not in body
+
+    def test_each_range_check_is_written_once(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        sources = {
+            path: path.read_text() for path in Path(repro.__file__).parent.rglob("*.py")
+        }
+        for check in (
+            r'not in \("uniform", "shard_size"\)', r"not in TOPOLOGIES",
+            r"\b(?:gossip_)?rounds < 1",
+            r"dropout_prob < 1\.0", r"deadline <= 0", r"damping < 0",
+        ):
+            hits = [p.name for p, text in sources.items() for _ in re.findall(check, text)]
+            assert hits == ["collectives.py"], (check, hits)
+
+    def test_float32_gossip_counts_bytes_of_the_gathered_slab(self):
+        # W @ slab is float64 whatever the bank stores; counting the mixed
+        # array's bytes would double the figure under --bank-dtype float32.
+        m, rounds = 4, 2
+        with MetricsRegistry() as registry:
+            cluster = build_equivalence_cluster(
+                _MLP, "vectorized", n_workers=m, bank_dtype="float32",
+                collective=Gossip("star", rounds=rounds),
+            )
+            cluster.run_local_period(2)
+            cluster.average_models()
+        n_params = cluster.backend.get_stacked_states().shape[1]
+        edges = np.count_nonzero(mixing_matrix_for("star", m)) - m
+        assert registry.snapshot()["counters"]["bytes_averaged_total"] == float(
+            n_params * 4 * edges * rounds
+        )
 
 
 class TestMethodFamilyFrontier:

@@ -17,6 +17,7 @@ from repro.api.registries import BACKENDS
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.backends import BackendUnsupported
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.collectives import Exact
 from repro.distributed.sharded_bank import ShardedBank, ShardWorkerView, shard_slices
 from repro.experiments.configs import make_config
 from repro.experiments.harness import run_method
@@ -199,7 +200,7 @@ class TestShardedBackendSurface:
 
     def test_shard_sizes_and_weighting(self):
         cluster = _cluster(
-            "sharded", _registry_model_fn("mlp"), 4, weighting="shard_size"
+            "sharded", _registry_model_fn("mlp"), 4, collective=Exact(weighting="shard_size")
         )
         try:
             sizes = cluster.backend.shard_sizes()

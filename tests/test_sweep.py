@@ -580,6 +580,28 @@ class TestHashExcludesProcessLayout:
         assert second.executed == [] and len(second.cached) == 4
 
 
+    def test_serial_sweep_honours_shard_transport(self, tmp_path, monkeypatch):
+        # The campaign-wide BackendHandle used to be built from three of the
+        # four layout fields, so a serial sweep of pipe cells ran on shm.
+        from repro.distributed.cluster import SimulatedCluster
+
+        seen = []
+        init = SimulatedCluster.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen.append((self.backend_name, self.backend.transport))
+
+        monkeypatch.setattr(SimulatedCluster, "__init__", spy)
+        base = make_config(
+            "smoke", n_train=120, n_test=40, wall_time_budget=6.0,
+            backend="sharded", shard_transport="pipe", methods=("pasgd-tau4",),
+        )
+        report = run_sweep(SweepSpec("pipes", base, grid(seed=[7, 8])), tmp_path / "store")
+        assert len(report.executed) == 2 and not report.failed
+        assert seen == [("sharded", "pipe")] * 2
+
+
 class TestStoreQuery:
     def _populated(self, tmp_path):
         store_dir = tmp_path / "store"
