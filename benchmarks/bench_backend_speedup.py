@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 # Allow running without PYTHONPATH=src.
@@ -41,6 +42,7 @@ import numpy as np
 
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.reuse import BackendHandle
 from repro.models.cnn import SmallCNN
 from repro.models.mlp import MLP
 from repro.runtime.distributions import ConstantDelay
@@ -104,6 +106,7 @@ TRANSPORT_FAMILIES = {
 }
 
 
+@contextmanager
 def build_cluster(
     backend: str,
     family: str,
@@ -111,7 +114,8 @@ def build_cluster(
     n_shards: int = 2,
     shard_transport: str = "auto",
     families: dict = FAMILIES,
-) -> SimulatedCluster:
+):
+    """A seeded cluster on the given process layout; pool and cluster close on exit."""
     spec = families[family]
     dataset = make_gaussian_blobs(
         n_samples=max(50 * n_workers, 800),
@@ -123,7 +127,9 @@ def build_cluster(
     runtime = RuntimeSimulator(
         ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=n_workers, rng=0
     )
-    return SimulatedCluster(
+    with BackendHandle(
+        backend, n_shards=n_shards, shard_transport=shard_transport
+    ) as handle, SimulatedCluster(
         model_fn=spec["model_fn"],
         dataset=dataset,
         runtime=runtime,
@@ -133,10 +139,9 @@ def build_cluster(
         momentum=MOMENTUM,
         weight_decay=1e-4,
         seed=SEED,
-        backend=backend,
-        n_shards=n_shards,
-        shard_transport=shard_transport,
-    )
+        backend=handle,
+    ) as cluster:
+        yield cluster
 
 
 def time_backend(backend: str, family: str, n_workers: int, rounds: int, tau: int,
@@ -154,17 +159,14 @@ def time_backend(backend: str, family: str, n_workers: int, rounds: int, tau: in
     samples: list[float] = []
     final_loss = float("nan")
     for attempt in range(repeats + 1):  # attempt 0 is the untimed warm-up
-        cluster = build_cluster(
+        with build_cluster(
             backend, family, n_workers, n_shards=n_shards,
             shard_transport=shard_transport, families=families,
-        )
-        try:
+        ) as cluster:
             start = time.perf_counter()
             for _ in range(rounds):
                 final_loss = cluster.run_round(tau)
             elapsed = time.perf_counter() - start
-        finally:
-            cluster.close()
         if attempt > 0:
             samples.append(elapsed)
     return float(np.median(samples)), final_loss
@@ -182,17 +184,13 @@ def round_transfer_bytes(family: str, n_workers: int, tau: int, n_shards: int,
     """
     from repro.obs.metrics import MetricsRegistry
 
-    cluster = build_cluster(
+    with build_cluster(
         "sharded", family, n_workers, n_shards=n_shards,
         shard_transport=shard_transport, families=TRANSPORT_FAMILIES,
-    )
-    try:
-        with MetricsRegistry() as metrics:
-            cluster.run_round(tau)
-        counters = metrics.snapshot()["counters"]
-        return int(counters["bytes_over_pipe"]), int(counters["bytes_via_shm"])
-    finally:
-        cluster.close()
+    ) as cluster, MetricsRegistry() as metrics:
+        cluster.run_round(tau)
+    counters = metrics.snapshot()["counters"]
+    return int(counters["bytes_over_pipe"]), int(counters["bytes_via_shm"])
 
 
 def bench_transports(families: list[str], worker_counts: list[int], rounds: int,
@@ -286,7 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     # the loop is only the reference implementation now).
     auto_backend = {}
     for family in families:
-        auto_backend[family] = build_cluster("auto", family, worker_counts[0]).backend_name
+        with build_cluster("auto", family, worker_counts[0]) as cluster:
+            auto_backend[family] = cluster.backend_name
         if auto_backend[family] != "vectorized":
             raise SystemExit(
                 f"model family {family!r} resolved auto -> {auto_backend[family]!r}; "

@@ -81,35 +81,22 @@ class SimulatedCluster:
         Worker-execution backend name: ``"loop"`` (one ``Worker`` per
         replica, the reference implementation), ``"vectorized"`` (stacked
         worker bank), ``"sharded"`` (the bank split over a persistent pool
-        of worker processes), or ``"auto"`` (sharded at or above
-        ``auto_shard_threshold`` workers, else vectorized whenever the model
+        of worker processes), or ``"auto"`` (vectorized whenever the model
         supports it — all built-in models do — else loop).  All backends
         consume the same RNG streams, so seeded runs produce byte-identical
-        trajectories on any of them.  Alternatively a
-        :class:`~repro.distributed.reuse.BackendHandle`, which resolves the
-        backend through a reusable slot so a sharded pool survives across
-        cluster lifetimes (the handle then owns the pool — ``close()`` here
-        leaves it alive).
-    n_shards:
-        Process count for the sharded backend (clamped to ``n_workers``);
-        ignored by the in-process backends.
-    auto_shard_threshold:
-        Cluster size at which ``backend="auto"`` escalates from the
-        single-process bank to the sharded pool; ``None`` disables the
-        escalation.  Because the backends are byte-identical, the threshold
-        changes the process layout, never the trajectory.
+        trajectories on any of them.  A name runs on the default process
+        layout; any other layout (shard count, shard transport, the
+        ``"auto"`` escalation to the sharded pool) travels whole as a
+        :class:`~repro.distributed.reuse.BackendHandle`, which also lets a
+        sharded pool survive across cluster lifetimes.  Whoever builds a
+        handle closes it: ``close()`` here releases only the backend of a
+        handle the cluster built from a name.
     bank_dtype:
         Storage dtype of the bank backends (``"float64"``, the
         byte-identical default, or ``"float32"``, the opt-in
         reduced-precision mode — half the memory traffic, parity within
         tolerance rather than byte-equality).  The loop backend is the
         float64 reference and ignores this knob.
-    shard_transport:
-        Data plane of the sharded backend's pool: ``"auto"`` (the zero-copy
-        shared-memory state plane where the platform supports it, else
-        pipes), ``"shm"``, or ``"pipe"``.  Like the other process-layout
-        knobs this can never change a trajectory; in-process backends
-        ignore it.
     """
 
     def __init__(
@@ -126,10 +113,7 @@ class SimulatedCluster:
         partition_strategy: str = "iid",
         seed: int = 0,
         backend: "str | BackendHandle" = "loop",
-        n_shards: int = 2,
-        auto_shard_threshold: "int | None" = None,
         bank_dtype: str = "float64",
-        shard_transport: str = "auto",
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -178,12 +162,7 @@ class SimulatedCluster:
         # runs) and closes it; cluster.close() must not.
         self._owns_backend = not isinstance(backend, BackendHandle)
         if self._owns_backend:
-            backend = BackendHandle(
-                backend,
-                n_shards=n_shards,
-                auto_shard_threshold=auto_shard_threshold,
-                shard_transport=shard_transport,
-            )
+            backend = BackendHandle(backend)
         self.backend_name, self._backend = backend.acquire(**build_kwargs)
 
         # Per-run state of the collective; the value itself stays pure.

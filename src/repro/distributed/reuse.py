@@ -1,4 +1,4 @@
-"""Backend reuse: keep a sharded process pool alive across runs.
+"""The process layout as one value, and the slot that reuses its pool across runs.
 
 Spawning the sharded backend's pool is the dominant fixed cost of a short
 run: each shard process is a fresh interpreter that must import NumPy and
@@ -6,7 +6,9 @@ the ``repro`` package before it can serve a single command.  A method
 lineup (``run_experiment`` over four methods) or a serial sweep pays that
 cost once per run even though every run wants an identically-shaped pool.
 
-:class:`BackendHandle` turns the pool into a reusable resource.  A run
+:class:`BackendHandle` is how a process layout — backend name, shard count,
+``"auto"`` escalation point, shard transport — reaches a cluster: whole, as
+one argument.  It also turns the pool into a reusable resource.  A run
 resolves its execution backend *through* a handle instead of building one
 directly; whenever two consecutive runs resolve to sharded pools with the
 same process count, the second run reuses the first's live processes via
@@ -14,10 +16,11 @@ same process count, the second run reuses the first's live processes via
 swaps in a bank built from a fresh payload, so the trajectory is
 byte-identical to a fresh-pool run and only the spawn is skipped.
 
-Ownership is explicit: a :class:`~repro.distributed.cluster.SimulatedCluster`
-given a handle never closes the backend it received — the handle owns the
-pool and releases it in :meth:`BackendHandle.close` (the harness holds it in
-a ``with`` block around the run or the lineup).
+Ownership is explicit — whoever builds a handle closes it: a
+:class:`~repro.distributed.cluster.SimulatedCluster` given a handle never
+closes the backend it received, the handle releases its pool in
+:meth:`BackendHandle.close` (the harness holds it in a ``with`` block around
+the run or the lineup).
 """
 
 from __future__ import annotations
@@ -32,14 +35,16 @@ __all__ = ["BackendHandle"]
 class BackendHandle:
     """A slot that carries a live sharded pool from one run to the next.
 
-    Parameters mirror the cluster's backend selection: ``spec`` is the
-    backend name (``"loop"``, ``"vectorized"``, ``"sharded"``, ``"auto"``),
-    ``n_shards`` the pool size for sharded resolutions,
-    ``auto_shard_threshold`` the ``"auto"`` escalation point, and
-    ``shard_transport`` the pool's data plane (shared-memory state plane or
-    pipes — a rebuild reallocates the plane, so the transport can differ
-    between consecutive runs of one pool).  The handle is also a context
-    manager; exiting closes whatever pool it still holds.
+    ``spec`` is the backend name (``"loop"``, ``"vectorized"``,
+    ``"sharded"``, ``"auto"``), ``n_shards`` the pool size for sharded
+    resolutions (clamped to the worker count), ``auto_shard_threshold`` the
+    cluster size at which ``"auto"`` escalates from the single-process bank
+    to the sharded pool (``None``: never), and ``shard_transport`` the
+    pool's data plane (shared-memory state plane or pipes — a rebuild
+    reallocates the plane, so the transport can differ between consecutive
+    runs of one pool).  The backends are byte-identical, so none of the four
+    can change a trajectory.  The handle is also a context manager; exiting
+    closes whatever pool it still holds.
 
     In-process backends (loop, vectorized) hold no pooled resources, so the
     handle simply builds them fresh each time — reuse only changes process

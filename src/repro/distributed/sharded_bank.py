@@ -10,7 +10,7 @@ and hence to the loop reference implementation.
 
 Spawn safety follows the sweep runner's pattern: the child entry point is a
 module-level function, every import it needs happens lazily inside the child
-(registries repopulate in-process), and the per-shard payload it receives is
+(registries repopulate in-process), and the per-shard payload it is sent is
 pure *state* — the template module, the shard datasets, and the per-worker
 generators, all picklable under the ``spawn`` start method (the default, and
 the only one available everywhere).  Nothing in the payload is a closure:
@@ -28,38 +28,54 @@ averaging collective runs in the parent on the identical ``(m, P)`` array —
 so parameters, buffers, losses, and RNG stream positions are byte-identical
 across all three backends (``tests/test_sharded_bank.py`` pins this down).
 
-Data plane: a pooled backend moves the ``(m, P)`` state bank over one of two
-transports.  The default (``transport="auto"`` → ``"shm"`` where available)
-is the zero-copy shared-memory state plane from
-:mod:`repro.distributed.transport`: children write their state rows in place
-and read broadcasts from the same mapping, so the Pipes carry only tiny
-control tuples.  ``"pipe"`` keeps the original pickle-over-Pipe path; both
-produce byte-identical trajectories, and segment-allocation failures fall
-back to Pipes silently (check :attr:`ShardedBank.transport` for the plane
-actually in use).  In-process backends (``pooled=False``) have no
-serialization boundary at all; since PR 9 they drive their shard servers
-through a persistent thread pool (NumPy kernels release the GIL), gathered
-in shard index order so reply ordering — and hence bytes — never changes.
+One protocol, three carriers: every shard sits behind ``send((op, args))`` /
+``recv() -> (status, result)`` and runs the same :meth:`_ShardServer.serve`
+loop, so the parent has one request path (:meth:`ShardedBank._replies`)
+whatever carries the bytes.  A spawned child answers over a
+``multiprocessing`` Pipe; where children are forbidden (a *daemonic* parent,
+e.g. a sweep-pool worker executing a ``backend="sharded"`` cell under
+``--jobs N``) an :class:`_InprocConn` runs the loop on one thread per shard —
+identical partition, arithmetic and stored bytes, whether a cell ran serially
+or inside the pool.  The third carrier is the data plane of a process pool:
+with ``transport="auto"`` / ``"shm"`` the ``(m, P)`` state bank lives in the
+shared-memory plane of :mod:`repro.distributed.transport`, a shard that holds
+a plane attachment answers a gather by writing its rows in place and replying
+``None``, and the Pipes carry only tiny control tuples; ``"pipe"`` — also the
+silent fallback when segment allocation fails — pickles the rows into the
+reply instead (check :attr:`ShardedBank.transport` for the plane in use).
+Replies are consumed in shard index order on every carrier, so bytes never
+depend on which one ran.
 
-Lifecycle: the pool is created at construction and lives until
-:meth:`close` (idempotent; also invoked by ``SimulatedCluster.close()``, the
-experiment harness' ``finally``, and a ``weakref.finalize`` safety net).
+Lifecycle: there is one construction path.  The pool opens *empty* — servers
+with no bank, so ``Process.start()`` has no payload to write and the children
+boot their interpreters side by side — and a ``rebuild`` command then ships
+every shard its payload; :meth:`ShardedBank.rebuild` sends the same command
+to a live pool, so a fresh and a reused pool are equal by construction.
+Children are spawned with their BLAS pool capped to ``cores // shards``
+threads (see :func:`_blas_cap`): n children × a cores-wide pool each is 3×
+slower than the vectorized bank on the same machine.  The pool lives until
+:meth:`ShardedBank.close` (idempotent; whoever built the backend — a
+:class:`~repro.distributed.reuse.BackendHandle`, or the cluster that built
+one from a bare name — calls it, with a ``weakref.finalize`` safety net).
 Shared-memory segments are created and unlinked exactly once, by the parent;
-children only close their mappings.  Children are daemonic, so an abandoned
-backend can never outlive its parent.  One consequence: a *daemonic* parent
-— e.g. a sweep-pool worker executing a cell with ``backend="sharded"`` under
-``--jobs N`` — is itself forbidden from spawning children, so there the same
-shard servers run in-process (``pooled=False``): identical partition,
-arithmetic, and stored bytes, whether a cell ran serially or inside the pool.
+children only close their mappings.  Children and shard threads are
+daemonic, so an abandoned backend can never outlive its parent.  A shard that
+*errors* keeps serving and the failure surfaces as one ``RuntimeError`` after
+every reply of the round is drained; a shard whose connection is *lost* (the
+child died) raises at once, names the shard and the op, and leaves a pool
+that can only be closed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
+import queue
+import threading
 import traceback
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -68,7 +84,7 @@ from repro.api.registries import BACKENDS
 from repro.data.bank_loader import common_effective_batch
 from repro.data.synthetic import Dataset
 from repro.distributed.backends import BackendUnsupported, WorkerBackend
-from repro.distributed.transport import ShmStatePlane, buffer_spec, resolve_transport
+from repro.distributed.transport import ShmStatePlane, resolve_transport
 from repro.nn.bank import attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
 from repro.obs.metrics import counter_inc, observed
@@ -78,12 +94,15 @@ from repro.utils.timer import profiled
 
 __all__ = ["ShardedBank", "ShardWorkerView", "shard_slices"]
 
-#: Commands whose ``("ok", None)`` acks the parent never inspects.  They are
-#: sent fire-and-forget: the ack stays queued in the pipe and the *next*
-#: command drains it, saving one blocking round-trip per training round
-#: (broadcast ends every averaging step; its ack overlaps the next
-#: ``local_period`` instead of stalling the parent).
+#: Commands whose ``("ok", None)`` acks the parent never inspects.  On a
+#: process pool they are sent fire-and-forget: the ack stays queued in the
+#: pipe and the *next* command drains it, saving one blocking round-trip per
+#: training round (broadcast ends every averaging step; its ack overlaps the
+#: next ``local_period`` instead of stalling the parent).
 _DEFERRED_ACK_OPS = frozenset({"broadcast", "broadcast_shm", "set_lr", "reset_momentum"})
+
+#: What sizes a BLAS thread pool when NumPy loads; see :func:`_blas_cap`.
+_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
@@ -106,41 +125,58 @@ def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
     return slices
 
 
+@contextmanager
+def _blas_cap(n_shards: int) -> Iterator[None]:
+    """Cap the BLAS pool of children started inside this block to cores // shards.
+
+    A BLAS library sizes its thread pool when NumPy loads, which in a spawned
+    child is before any of our code runs, so the cap has to sit in the
+    environment the child inherits: set around ``Process.start()``, restored
+    after.  A value the user exported wins, and the parent's own (already
+    loaded) pool is untouched.
+    """
+    cap = str(max(1, (os.cpu_count() or 1) // n_shards))
+    ours = [name for name in _BLAS_ENV if name not in os.environ]
+    os.environ.update(dict.fromkeys(ours, cap))
+    try:
+        yield
+    finally:
+        for name in ours:
+            del os.environ[name]
+
+
 class _ShardServer:
     """Executes shard commands against one shard-local ``WorkerBank``.
 
-    The single implementation behind both transports: a pooled shard process
-    wraps one in ``_shard_main``'s command loop, and a :class:`ShardedBank`
-    constructed where child processes are forbidden (inside a daemonic
-    sweep-pool worker) holds them directly and executes in-process — same
-    partition, same arithmetic, same bytes.
+    The single implementation behind every carrier: :func:`_shard_main` runs
+    :meth:`serve` over a Pipe in a spawned child, :class:`_InprocConn` runs
+    it on a thread.  A server starts empty; the ``rebuild`` command gives it
+    a bank (and swaps in a fresh one for each later run of a reused pool).
     """
 
-    def __init__(self, payload: dict):
-        from repro.distributed.worker_bank import WorkerBank
+    bank = None
+    _plane: "ShmStatePlane | None" = None
+    _bounds: "tuple[int, int] | None" = None
 
-        # The parent ships stream_rngs whenever the template has stream
-        # modules, so WorkerBank never falls back to calling model_fn here.
-        self.bank = WorkerBank(
-            model_fn=None,
-            shards=payload["shards"],
-            batch_size=payload["batch_size"],
-            lr=payload["lr"],
-            momentum=payload["momentum"],
-            weight_decay=payload["weight_decay"],
-            rngs=payload["loader_rngs"],
-            template=payload["template"],
-            stream_rngs=payload["stream_rngs"],
-            bank_dtype=payload.get("bank_dtype", "float64"),
-        )
-        # Shared-memory state plane (pooled shm transport only): this shard
-        # owns plane rows [lo, hi) and attaches from the picklable spec the
-        # parent put in the payload.  Attach-only: the parent is the sole
-        # owner/unlinker of the segments.
-        self._plane = (
-            ShmStatePlane.attach(payload["plane"]) if payload.get("plane") else None
-        )
-        self._bounds = payload.get("plane_bounds")
+    def serve(self, recv: Callable[[], tuple], send: Callable[[tuple], None]) -> None:
+        """Answer ``(op, args)`` commands with ``(status, result)`` until ``close``."""
+        try:
+            while True:
+                try:
+                    op, args = recv()
+                except (EOFError, KeyboardInterrupt):
+                    return
+                if op == "close":
+                    send(("ok", None))
+                    return
+                try:
+                    send(("ok", self.execute(op, args)))
+                except Exception:  # noqa: BLE001 - errors travel back, the server survives
+                    send(("error", traceback.format_exc()))
+        finally:
+            # Unmap (never unlink) the shm plane on any exit path, so the
+            # parent's unlink is the last reference going away.
+            self.close_plane()
 
     def close_plane(self) -> None:
         """Unmap this shard's plane attachment (never unlinks; idempotent)."""
@@ -148,16 +184,33 @@ class _ShardServer:
             self._plane.close()
             self._plane = None
 
+    def _rebuild(self, payload: dict, plane_spec: "dict | None", bounds: tuple) -> None:
+        """Swap in a bank built from ``payload``; own plane rows ``bounds``."""
+        from repro.distributed.worker_bank import WorkerBank
+
+        # The parent destroyed (and possibly resized) the previous run's
+        # plane, so drop the stale attachment first.  Attach-only: the
+        # parent is the sole owner/unlinker of the segments.
+        self.close_plane()
+        # The parent ships stream_rngs whenever the template has stream
+        # modules, so WorkerBank never falls back to calling model_fn here.
+        self.bank = WorkerBank(model_fn=None, **payload)
+        if plane_spec is not None:
+            self._plane, self._bounds = ShmStatePlane.attach(plane_spec), bounds
+
     def execute(self, op: str, args: tuple):
         bank = self.bank
         if op == "local_period":
             return bank.local_period(*args)
-        if op == "get_states":
-            # The live slab, not a copy: every consumer copies it (pickling
-            # over the pipe, concatenation in the parent) or only reads it
-            # (the in-process mean fold), before the next command can step.
-            return bank.bank.slab
-        if op == "sync_states":
+        if op in ("get_states", "sync_states"):
+            # The parent names the op after the plane it allocated; what
+            # comes back depends on the plane this shard holds.
+            if self._plane is None:
+                # The live slab, not a copy: every consumer copies it
+                # (pickling over the pipe, concatenation in the parent) or
+                # only reads it (the in-process mean fold) before the next
+                # command can step.
+                return bank.bank.slab
             # shm gather: write this shard's rows into the shared plane and
             # ack with no payload — the parent reads its own mapping.
             lo, hi = self._bounds
@@ -176,14 +229,6 @@ class _ShardServer:
             return bank.bank.set_worker_flat(*args)
         if op == "get_worker_buffers":
             return bank.bank.worker_buffers(*args)
-        if op == "put_worker_buffers":
-            # shm buffer fetch: pack the worker's running statistics into
-            # its plane row; the parent unpacks from its own mapping.
-            local_id = args[0]
-            self._plane.write_worker_buffers(
-                self._bounds[0] + local_id, bank.bank.worker_buffers(local_id)
-            )
-            return None
         if op == "set_lr":
             return bank.set_lr(*args)
         if op == "reset_momentum":
@@ -191,18 +236,12 @@ class _ShardServer:
         if op == "rng_fingerprint":
             return bank.rng_fingerprint()
         if op == "rebuild":
-            # Replace the shard-local bank with one built from a fresh
-            # payload — the pool (this process) stays alive across methods.
-            # The parent destroyed (and possibly resized) the plane, so drop
-            # the stale attachment before re-attaching via the new payload.
-            self.close_plane()
-            self.__init__(args[0])
-            return None
+            return self._rebuild(*args)
         raise ValueError(f"unknown shard command {op!r}")
 
 
-def _shard_main(conn, payload: dict) -> None:
-    """Child entry point: build one shard-local ``WorkerBank``, serve commands.
+def _shard_main(conn) -> None:
+    """Child entry point: serve an (initially empty) shard over ``conn``.
 
     Module-level (picklable by reference) so it works under every
     multiprocessing start method; the ``WorkerBank`` import inside
@@ -210,30 +249,42 @@ def _shard_main(conn, payload: dict) -> None:
     and the component registries repopulate inside the child, mirroring the
     sweep runner's workers.
     """
-    try:
-        server = _ShardServer(payload)
-        conn.send(("ready", None))
-    except Exception:  # noqa: BLE001 - construction failures travel to the parent
-        conn.send(("error", traceback.format_exc()))
-        return
+    _ShardServer().serve(conn.recv, conn.send)
 
-    try:
-        while True:
-            try:
-                op, args = conn.recv()
-            except (EOFError, KeyboardInterrupt):
-                return
-            if op == "close":
-                conn.send(("ok", None))
-                return
-            try:
-                conn.send(("ok", server.execute(op, args)))
-            except Exception:  # noqa: BLE001 - errors travel back, the child survives
-                conn.send(("error", traceback.format_exc()))
-    finally:
-        # Unmap (never unlink) the shm plane on any exit path, so the
-        # parent's unlink is the last reference going away.
-        server.close_plane()
+
+class _InprocConn:
+    """The parent's end of a shard served on a thread of this process.
+
+    Stands in for a Pipe where child processes are forbidden: the same
+    ``send((op, args))`` / ``recv()`` surface in front of the same
+    :meth:`_ShardServer.serve` loop.  One thread per shard, not one pool of
+    n: commands sent to one shard run in order even when two are sent before
+    a ``recv``, while different shards overlap (the bank kernels are NumPy
+    calls that release the GIL).  Nothing is serialized except a ``rebuild``
+    payload, which takes the pickle round-trip a process boundary would
+    apply — each shard must own an isolated template and generators.
+    """
+
+    def __init__(self, index: int):
+        self._requests: queue.SimpleQueue = queue.SimpleQueue()
+        self._results: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=_ShardServer().serve, args=(self._requests.get, self._results.put),
+            name=f"repro-shard-{index}", daemon=True,
+        )
+        self._thread.start()
+
+    def send(self, command: tuple) -> None:
+        if command[0] == "rebuild":
+            command = pickle.loads(pickle.dumps(command))
+        self._requests.put(command)
+
+    def recv(self) -> tuple:
+        return self._results.get()
+
+    def close(self) -> None:
+        """Wait for the served ``close`` command to end the thread."""
+        self._thread.join(timeout=2.0)
 
 
 class ShardWorkerView:
@@ -270,7 +321,7 @@ class ShardedBank(WorkerBackend):
 
     Parameters
     ----------
-    model_fn, shards, batch_size, lr, momentum, weight_decay, rngs, template:
+    model_fn, shards, batch_size, lr, momentum, weight_decay, rngs, template, bank_dtype:
         As for :class:`~repro.distributed.worker_bank.WorkerBank`; the
         parent consumes ``model_fn`` and the RNG streams exactly as the
         single-process bank would, so ``"sharded"`` and ``"vectorized"``
@@ -295,35 +346,15 @@ class ShardedBank(WorkerBackend):
         model_fn: Callable[[], Module],
         shards: Sequence[Dataset | None],
         *,
-        batch_size: int = 32,
-        lr: float = 0.1,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        rngs: Sequence | None = None,
-        template: Module | None = None,
         n_shards: int = 2,
         mp_context: str = "spawn",
-        bank_dtype: str = "float64",
         transport: str = "auto",
+        **run,
     ):
         resolved = resolve_transport(transport)  # validate before any work
-        payloads = self._prepare(
-            model_fn,
-            shards,
-            batch_size=batch_size,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            rngs=rngs,
-            template=template,
-            n_shards=n_shards,
-            bank_dtype=bank_dtype,
-        )
-
         self._conns, self._procs = [], []
-        self._servers: "list[_ShardServer] | None" = None
-        self._executor: "ThreadPoolExecutor | None" = None
         self._plane: "ShmStatePlane | None" = None
+        self._finalizer: "weakref.finalize | None" = None
         self._closed = False
         #: Fire-and-forget commands whose acks are still queued in the pipes
         #: (one per connection each), drained by the next synchronizing
@@ -331,64 +362,70 @@ class ShardedBank(WorkerBackend):
         self._deferred: list[str] = []
         #: Whether the shards run on a real process pool.  Daemonic parents
         #: (e.g. the sweep runner's multiprocessing.Pool workers) may not
-        #: spawn children, so there the same shard servers run in-process —
+        #: spawn children, so there the same shard servers run on threads —
         #: identical partition and arithmetic, so a cell's stored bytes do
         #: not depend on whether the sweep ran serially or on a pool.
         self.pooled = not multiprocessing.current_process().daemon
-        if not self.pooled:
-            # Each server must own an isolated template + generators — the
-            # pickle round-trip mirrors exactly what crossing a process
-            # boundary does for the pooled path (shard banks attach their
-            # stream slices to *their* template, never to a shared one).
-            self._servers = [
-                _ShardServer(pickle.loads(pickle.dumps(payload))) for payload in payloads
-            ]
-            #: In-process shards compute on a persistent thread pool — the
-            #: bank kernels are NumPy calls that release the GIL, so sweep-
-            #: pool cells get real shard parallelism.  Results are always
-            #: gathered in shard index order (see ``_inproc_results``), so
-            #: reply ordering — and hence every stored byte — matches the
-            #: serial execution this replaces.
-            if len(self._servers) > 1:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=len(self._servers), thread_name_prefix="repro-shard"
-                )
-            self.transport = "inproc"
-            return
-
-        self.transport = self._create_plane(payloads, resolved)
-        ctx = multiprocessing.get_context(mp_context)
+        # Validation and RNG consumption come first: BackendUnsupported is
+        # raised before any process spawns.
+        payloads = self._prepare(model_fn, shards, n_shards=n_shards, **run)
         try:
-            for payload in payloads:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_main, args=(child_conn, payload), daemon=True
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-            for index, conn in enumerate(self._conns):
-                status, detail = conn.recv()
-                if status != "ready":
-                    raise RuntimeError(
-                        f"shard process {index} failed to construct its bank:\n{detail}"
-                    )
+            self._open_pool(mp_context)
+            self._ship(payloads, resolved)
         except BaseException:
             self.close()
             raise
 
+    def _open_pool(self, mp_context: str) -> None:
+        """Start one empty shard server per slice (the single spawn site).
+
+        ``_shard_main`` takes no payload, so ``Process.start()`` — which
+        under ``spawn`` blocks until the child has read its pickled
+        ``Process`` object — returns in milliseconds and the children boot
+        their interpreters side by side instead of one after the other.
+        """
+        if not self.pooled:
+            self._conns = [_InprocConn(index) for index in range(self.n_shards)]
+            return
+        ctx = multiprocessing.get_context(mp_context)
+        with _blas_cap(self.n_shards):
+            for _ in range(self.n_shards):
+                parent_conn, child_conn = ctx.Pipe()
+                proc = ctx.Process(target=_shard_main, args=(child_conn,), daemon=True)
+                proc.start()
+                child_conn.close()
+                self._conns.append(parent_conn)
+                self._procs.append(proc)
+
+    def _ship(self, payloads: list, resolved: str) -> None:
+        """Give every (fresh or reused) shard server this run's bank.
+
+        (Re)allocates the shm plane for the run's ``(m, P)`` geometry — the
+        transport may switch between runs of one pool — re-arms the
+        finalizer, which captures the plane, and sends each shard the
+        ``rebuild`` command with its payload and its plane rows.
+        """
+        if self._plane is not None:
+            # Children drop their stale attachment inside the rebuild below;
+            # POSIX keeps unlinked segments mapped until then.
+            self._plane.destroy()
+            self._plane = None
+        self.transport = self._create_plane(resolved) if self.pooled else "inproc"
+        if self._finalizer is not None:
+            self._finalizer.detach()
         self._finalizer = weakref.finalize(
             self, _shutdown_pool, list(self._conns), list(self._procs), self._plane
         )
+        spec = None if self._plane is None else self._plane.spec()
+        each = [(payload, spec, bounds) for payload, bounds in zip(payloads, self.shard_slices)]
+        for _ in self._replies("rebuild", each=each):
+            pass
 
-    def _create_plane(self, payloads: list, resolved: str) -> str:
-        """Allocate the shm state plane and annotate the payloads with it.
+    def _create_plane(self, resolved: str) -> str:
+        """Allocate the shm state plane; return the transport actually secured.
 
-        Returns the transport actually secured: allocation failure (a full
-        ``/dev/shm``, say) downgrades to ``"pipe"`` rather than failing the
-        run.  Called before any child spawns, so the attach recipe rides
-        inside the spawn payloads and stays SPAWN001-clean.
+        Allocation failure (a full ``/dev/shm``, say) downgrades to
+        ``"pipe"`` rather than failing the run.
         """
         if resolved != "shm":
             return "pipe"
@@ -397,14 +434,9 @@ class ShardedBank(WorkerBackend):
                 n_workers=len(self.workers),
                 n_params=self._initial_flat.size,
                 state_dtype=self._bank_dtype,
-                buffer_spec=buffer_spec(self.model) if self._has_buffers else (),
             )
-        except (OSError, ValueError, RuntimeError):  # pragma: no cover - platform-dependent
+        except (OSError, ValueError, RuntimeError):
             return "pipe"
-        spec = self._plane.spec()
-        for payload, bounds in zip(payloads, self.shard_slices):
-            payload["plane"] = spec
-            payload["plane_bounds"] = bounds
         return "shm"
 
     def _prepare(
@@ -412,22 +444,22 @@ class ShardedBank(WorkerBackend):
         model_fn: Callable[[], Module],
         shards: Sequence[Dataset | None],
         *,
-        batch_size: int,
-        lr: float,
-        momentum: float,
-        weight_decay: float,
-        rngs: Sequence | None,
-        template: Module | None,
         n_shards: int,
-        bank_dtype: str,
+        batch_size: int = 32,
+        lr: float = 0.1,
+        momentum: float = 0.0,
+        weight_decay: float = 0.0,
+        rngs: Sequence | None = None,
+        template: Module | None = None,
+        bank_dtype: str = "float64",
     ) -> list[dict]:
         """Validate the setup, set all backend state, return shard payloads.
 
         Shared by construction and :meth:`rebuild`: everything except the
         pool itself — validation, RNG/stream consumption, the shard
-        partition, per-shard payload dicts, and this object's bookkeeping —
-        happens here, so a rebuilt backend is state-identical to a freshly
-        constructed one.
+        partition, per-shard payloads (``WorkerBank`` keyword arguments) and
+        this object's bookkeeping — happens here, so a rebuilt backend is
+        state-identical to a freshly constructed one.
         """
         if not shards:
             raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
@@ -500,7 +532,7 @@ class ShardedBank(WorkerBackend):
                 "lr": lr,
                 "momentum": momentum,
                 "weight_decay": weight_decay,
-                "loader_rngs": None if loader_rngs is None else loader_rngs[lo:hi],
+                "rngs": None if loader_rngs is None else loader_rngs[lo:hi],
                 "stream_rngs": (
                     [[mod._bank_rngs[i] for i in range(lo, hi)] for mod in stream_mods]
                     if stream_mods
@@ -517,29 +549,18 @@ class ShardedBank(WorkerBackend):
         model_fn: Callable[[], Module],
         shards: Sequence[Dataset | None],
         *,
-        batch_size: int = 32,
-        lr: float = 0.1,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        rngs: Sequence | None = None,
-        template: Module | None = None,
         n_shards: int = 2,
-        bank_dtype: str = "float64",
         transport: str = "auto",
+        **run,
     ) -> "ShardedBank":
         """Reuse the live pool for a fresh run instead of respawning it.
 
-        Re-runs the full construction-time preparation (validation, RNG and
-        stream consumption, the shard partition, payloads) and ships each
-        live shard a ``rebuild`` command that swaps in a bank built from its
-        new payload.  The resulting backend is state-identical to a freshly
-        constructed one — process spawn is the only thing skipped — so
-        trajectories stay byte-identical to fresh-pool runs.  The worker
-        count may change between runs; the shard *count* must match the live
-        pool (a pool cannot grow or shrink processes).  The shm state plane
-        is reallocated for the new ``(m, P)`` geometry (and the transport
-        may switch between runs): the parent destroys the old segments, the
-        ``rebuild`` command makes each child drop its stale attachment.
+        Takes the arguments of the constructor (minus ``mp_context``) and
+        the constructor's path minus the spawn — :meth:`_prepare`, then
+        :meth:`_ship` — so trajectories are byte-identical to fresh-pool
+        runs by construction.  The worker count may change between runs;
+        the shard *count* must match the live pool (a pool cannot grow or
+        shrink processes).
         """
         self._ensure_open()
         if not shards:
@@ -552,59 +573,14 @@ class ShardedBank(WorkerBackend):
                 f"cannot rebuild a {live}-process pool into {requested} shard(s); "
                 f"construct a fresh ShardedBank instead"
             )
-        payloads = self._prepare(
-            model_fn,
-            shards,
-            batch_size=batch_size,
-            lr=lr,
-            momentum=momentum,
-            weight_decay=weight_decay,
-            rngs=rngs,
-            template=template,
-            n_shards=n_shards,
-            bank_dtype=bank_dtype,
-        )
-        if self._servers is not None:
-            # In-process transport: same pickle round-trip a real process
-            # boundary would apply, same isolation guarantees.  The thread
-            # pool is sized by shard count, which cannot change — keep it.
-            self._servers = [
-                _ShardServer(pickle.loads(pickle.dumps(payload))) for payload in payloads
-            ]
-            return self
-        # Geometry (and possibly the transport choice) changed: drop the old
-        # plane — children close their stale attachments inside the rebuild
-        # command below, and POSIX keeps unlinked segments mapped until then.
-        if self._plane is not None:
-            self._plane.destroy()
-            self._plane = None
-        self.transport = self._create_plane(payloads, resolved)
-        # The finalizer captured the previous plane; re-arm it with the new one.
-        self._finalizer.detach()
-        self._finalizer = weakref.finalize(
-            self, _shutdown_pool, list(self._conns), list(self._procs), self._plane
-        )
-        # Pipelined like _request_all: every shard starts rebuilding before
-        # any reply is awaited, and every reply is drained even on failure
-        # (including any deferred acks still queued from the previous run).
-        for conn, payload in zip(self._conns, payloads):
-            conn.send(("rebuild", (payload,)))
-        errors = self._drain_deferred_acks()
-        replies = [conn.recv() for conn in self._conns]
-        errors += [
-            f"shard process {index} failed to rebuild its bank:\n{detail}"
-            for index, (status, detail) in enumerate(replies)
-            if status != "ok"
-        ]
-        if errors:
-            raise RuntimeError("\n".join(errors))
+        self._ship(self._prepare(model_fn, shards, n_shards=n_shards, **run), resolved)
         return self
 
     # -- pool plumbing -------------------------------------------------------
     @property
     def pool_size(self) -> int:
-        """Number of live shard servers (pool processes, or in-process servers)."""
-        return len(self._servers) if self._servers is not None else len(self._conns)
+        """Number of live shard servers (pool processes, or shard threads)."""
+        return len(self._conns)
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -624,7 +600,10 @@ class ShardedBank(WorkerBackend):
         errors: list[str] = []
         for index, conn in enumerate(self._conns):
             for past_op in deferred:
-                status, detail = conn.recv()
+                try:
+                    status, detail = conn.recv()
+                except (EOFError, OSError) as err:
+                    raise _lost(index, past_op, err) from err
                 if status != "ok":
                     errors.append(
                         f"shard process {index} failed during deferred "
@@ -633,82 +612,74 @@ class ShardedBank(WorkerBackend):
                 instant("shard_rpc", op=past_op, shard=index, phase="drain_ack")
         return errors
 
-    def _inproc_results(self, op: str, args: tuple) -> Iterator:
-        """Yield each in-process server's result, in shard index order.
+    def _replies(self, op: str, *args, only: "int | None" = None, each=None) -> Iterator:
+        """The one request path: send ``op``, yield ``(shard, result)`` in shard order.
 
-        With more than one server the executions run concurrently on the
-        persistent thread pool (the bank kernels release the GIL); gathering
-        ``Future.result()`` in submission order keeps reply ordering — and
-        first-error propagation — identical to the serial loop it replaces.
+        Every addressed shard (all of them, or ``only`` one) receives the
+        command — with the shared ``args``, or its own tuple from ``each`` —
+        before any reply is awaited, so compute-bound commands genuinely
+        overlap across the pool, and replies are yielded as they land so a
+        consumer can work on shard i while shard i+1 is still busy.
+        Commands whose replies carry no payload (:data:`_DEFERRED_ACK_OPS`)
+        do not even wait on a process pool: nothing is yielded and the
+        *next* command drains the queued acks after sending itself, so the
+        shards run the deferred command and its successor back-to-back
+        without an intervening parent wake-up.  Shard threads never defer —
+        a thread must not read ``args`` while the parent moves on.  Every
+        reply is drained even when some shard errors — a partially-read
+        round would leave stale replies queued and silently desynchronize
+        the protocol — and the errors (a deferred failure included,
+        attributed to the op that failed) are raised once, after the last
+        reply.  A *lost* connection raises at once, see :func:`_lost`.
         """
-        if self._executor is None:
-            for server in self._servers:
-                yield server.execute(op, args)
+        shards = range(len(self._conns)) if only is None else (only,)
+        for index in shards:
+            try:
+                self._conns[index].send((op, args if each is None else each[index]))
+            except (EOFError, OSError) as err:
+                raise _lost(index, op, err) from err
+        if self.pooled and op in _DEFERRED_ACK_OPS:
+            self._deferred.append(op)
             return
-        futures = [
-            self._executor.submit(server.execute, op, args) for server in self._servers
-        ]
-        for future in futures:
-            yield future.result()
+        errors = self._drain_deferred_acks()
+        for index in shards:
+            try:
+                status, result = self._conns[index].recv()
+            except (EOFError, OSError) as err:
+                raise _lost(index, op, err) from err
+            if status == "ok":
+                yield index, result
+            else:
+                errors.append(f"shard process {index} failed:\n{result}")
+        if errors:
+            raise RuntimeError("\n".join(errors))
+
+    @contextmanager
+    def _rpc_scope(self, op: str, shard: "int | str" = "all") -> Iterator[None]:
+        """Span, latency histogram and profile row of one parent-side RPC.
+
+        Shard servers never report into the parent's tracer or profiler;
+        this scope measures the full round-trip (serialize, compute,
+        deserialize) as the parent observes it.  Deferred ops only pay
+        serialization here; their wait lands in the next synchronizing op's
+        scope.  ``deferred`` is a function of the op alone — a shard thread
+        never actually defers, but its spans say what a process pool's say:
+        the field is part of every sharded trace's bytes.
+        """
+        self._ensure_open()
+        with span("shard_rpc", op=op, shard=shard, pooled=self.pooled,
+                  deferred=op in _DEFERRED_ACK_OPS, transport=self.transport), \
+                observed("shard_rpc_seconds"), profiled(f"shard_rpc.{op}"):
+            yield
 
     def _request_all(self, op: str, *args) -> list:
-        """Send one command to every shard, then gather the replies in order.
-
-        All shards receive the command before any reply is awaited, so
-        compute-bound commands (``local_period``) genuinely overlap across
-        the pool.  Commands whose replies carry no payload (``broadcast``,
-        ``set_lr``, ``reset_momentum``) do not even wait for their acks: the
-        parent returns immediately and the *next* command drains the queued
-        acks after sending itself, so the shards run the deferred command and
-        its successor back-to-back without an intervening parent wake-up —
-        one fewer blocking round-trip per training round.  Every reply is
-        drained even when some shard errors — a partially-read round would
-        leave stale replies queued in the pipes and silently desynchronize
-        the request/reply protocol; a deferred failure therefore surfaces on
-        the next synchronizing command, attributed to the op that failed.
-        """
-        self._ensure_open()
-        # Shard processes never report into the parent's profiler; this scope
-        # measures the full round-trip (serialize, compute, deserialize) as
-        # the parent observes it.  Deferred ops only pay serialization here;
-        # their wait lands in the next synchronizing op's scope.
-        deferred = op in _DEFERRED_ACK_OPS
-        with span("shard_rpc", op=op, shard="all", pooled=self.pooled,
-                  deferred=deferred, transport=self.transport), \
-                observed("shard_rpc_seconds"), profiled(f"shard_rpc.{op}"):
-            if self._servers is not None:
-                return list(self._inproc_results(op, args))
-            for conn in self._conns:
-                conn.send((op, args))
-            if deferred:
-                self._deferred.append(op)
-                return [None] * len(self._conns)
-            errors = self._drain_deferred_acks()
-            replies = [conn.recv() for conn in self._conns]
-            errors += [
-                f"shard process {index} failed:\n{detail}"
-                for index, (status, detail) in enumerate(replies)
-                if status != "ok"
-            ]
-            if errors:
-                raise RuntimeError("\n".join(errors))
-            return [result for _, result in replies]
+        """One command to every shard; the results in shard order."""
+        with self._rpc_scope(op):
+            return [result for _, result in self._replies(op, *args)]
 
     def _request_shard(self, shard_index: int, op: str, *args):
-        self._ensure_open()
-        with span("shard_rpc", op=op, shard=shard_index, pooled=self.pooled,
-                  deferred=False, transport=self.transport), \
-                observed("shard_rpc_seconds"), profiled(f"shard_rpc.{op}"):
-            if self._servers is not None:
-                return self._servers[shard_index].execute(op, args)
-            conn = self._conns[shard_index]
-            conn.send((op, args))
-            errors = self._drain_deferred_acks()
-            status, result = conn.recv()
-            if status != "ok":
-                errors.append(f"shard process {shard_index} failed:\n{result}")
-            if errors:
-                raise RuntimeError("\n".join(errors))
+        with self._rpc_scope(op, shard_index):
+            ((_, result),) = self._replies(op, *args, only=shard_index)
             return result
 
     def _locate(self, worker_id: int) -> tuple[int, int]:
@@ -722,26 +693,26 @@ class ShardedBank(WorkerBackend):
         shard_index, local_id = self._locate(worker_id)
         return self._request_shard(shard_index, op, local_id, *args)
 
-    def close(self) -> None:
-        """Shut the process pool down; safe to call more than once.
+    def _count_moved(self, nbytes: int) -> None:
+        """Charge state bytes to the carrier that moved them (shard threads move none)."""
+        if self._plane is not None:
+            counter_inc("bytes_via_shm", nbytes)
+        elif self.pooled:
+            counter_inc("bytes_over_pipe", nbytes)
 
-        In-process shard servers (daemonic parents) have no pool; closing
-        drops them, stops their thread pool, and marks the backend unusable.
+    def close(self) -> None:
+        """Shut the pool down; safe to call more than once.
+
         The shm state plane is destroyed (closed *and* unlinked) here — the
         parent is its sole owner, so this is the exactly-once unlink site
         (with the ``weakref.finalize`` safety net covering abandonment).
         """
-        if getattr(self, "_closed", True):
+        if self._closed:
             return
         self._closed = True
-        self._servers = None
-        executor = getattr(self, "_executor", None)
-        if executor is not None:
-            executor.shutdown(wait=True)
-            self._executor = None
-        if hasattr(self, "_finalizer"):
+        if self._finalizer is not None:
             self._finalizer.detach()
-        _shutdown_pool(self._conns, self._procs, getattr(self, "_plane", None))
+        _shutdown_pool(self._conns, self._procs, self._plane)
         self._plane = None
 
     # -- WorkerBackend protocol ----------------------------------------------
@@ -763,21 +734,26 @@ class ShardedBank(WorkerBackend):
         self.last_losses = losses
         return losses
 
+    @property
+    def _gather_op(self) -> str:
+        # The op *name* follows the plane the parent allocated (it is a span
+        # field and a profile path of every sharded trace); whether the rows
+        # ride in the reply or in the plane is the reply's to say.
+        return "get_states" if self._plane is None else "sync_states"
+
     def get_stacked_states(self) -> np.ndarray:
         # Shards are contiguous worker ranges, so concatenation in shard
         # order *is* worker order — the (m, P) array the averaging collective
         # reduces is byte-identical to the single-process bank's.  Over the
-        # shm plane the children write their rows in place and the parent
-        # copies out of its own mapping; the pipes carry only empty acks.
+        # shm plane the children wrote their rows in place and the parent
+        # copies out of its own mapping; the pipes carried only empty acks.
         with observed("shard_gather_seconds"):
-            if self._plane is not None:
-                self._request_all("sync_states")
+            blocks = self._request_all(self._gather_op)
+            if self._plane is None:
+                states = np.concatenate(blocks, axis=0)
+            else:
                 states = self._plane.states.copy()
-                counter_inc("bytes_via_shm", states.nbytes)
-                return states
-            states = np.concatenate(self._request_all("get_states"), axis=0)
-        if self.pooled:
-            counter_inc("bytes_over_pipe", states.nbytes)
+        self._count_moved(states.nbytes)
         return states
 
     def mean_state(self) -> "tuple[np.ndarray, int]":
@@ -792,46 +768,15 @@ class ShardedBank(WorkerBackend):
         ``get_stacked_states().mean(axis=0)``; per-shard partial sums would
         reassociate the additions and are deliberately avoided.
         """
-        self._ensure_open()
         acc: "np.ndarray | None" = None
         nbytes = 0
-        with span("shard_rpc", op="mean_state", shard="all", pooled=self.pooled,
-                  deferred=False, transport=self.transport), \
-                observed("shard_rpc_seconds"), observed("shard_gather_seconds"), \
-                profiled("shard_rpc.mean_state"):
-            if self._servers is not None:
-                for block in self._inproc_results("get_states", ()):
-                    acc = _fold_rows(acc, block)
-                    nbytes += block.nbytes
-            elif self._plane is not None:
-                for conn in self._conns:
-                    conn.send(("sync_states", ()))
-                errors = self._drain_deferred_acks()
-                for index, conn in enumerate(self._conns):
-                    status, detail = conn.recv()
-                    if status != "ok":
-                        errors.append(f"shard process {index} failed:\n{detail}")
-                        continue
-                    lo, hi = self.shard_slices[index]
-                    acc = _fold_rows(acc, self._plane.states[lo:hi])
-                if errors:
-                    raise RuntimeError("\n".join(errors))
-                nbytes = self._plane.states.nbytes
-                counter_inc("bytes_via_shm", nbytes)
-            else:
-                for conn in self._conns:
-                    conn.send(("get_states", ()))
-                errors = self._drain_deferred_acks()
-                for index, conn in enumerate(self._conns):
-                    status, block = conn.recv()
-                    if status != "ok":
-                        errors.append(f"shard process {index} failed:\n{block}")
-                        continue
-                    acc = _fold_rows(acc, block)
-                    nbytes += block.nbytes
-                if errors:
-                    raise RuntimeError("\n".join(errors))
-                counter_inc("bytes_over_pipe", nbytes)
+        with self._rpc_scope("mean_state"), observed("shard_gather_seconds"):
+            for shard, reply in self._replies(self._gather_op):
+                lo, hi = self.shard_slices[shard]
+                block = self._plane.states[lo:hi] if reply is None else reply
+                acc = _fold_rows(acc, block)
+                nbytes += block.nbytes
+        self._count_moved(nbytes)
         acc /= acc.dtype.type(len(self.workers))
         return acc, nbytes
 
@@ -839,21 +784,19 @@ class ShardedBank(WorkerBackend):
         flat = np.asarray(flat, dtype=float)
         if self._plane is None:
             self._request_all("broadcast", flat)
-            if self.pooled:
-                counter_inc("bytes_over_pipe", flat.nbytes)
-            return
-        # Back-to-back broadcasts with no synchronizing command between them
-        # would overwrite the plane while a shard may not have read it yet;
-        # drain the pending acks first (an ack proves the read happened).
-        # The normal round structure (broadcast → local_period → gather)
-        # never takes this branch.
-        if "broadcast_shm" in self._deferred:
-            errors = self._drain_deferred_acks()
-            if errors:
-                raise RuntimeError("\n".join(errors))
-        self._plane.bcast[:] = flat
-        self._request_all("broadcast_shm")
-        counter_inc("bytes_via_shm", flat.nbytes)
+        else:
+            # Back-to-back broadcasts with no synchronizing command between
+            # them would overwrite the plane while a shard may not have read
+            # it yet; drain the pending acks first (an ack proves the read
+            # happened).  The normal round structure (broadcast →
+            # local_period → gather) never takes this branch.
+            if "broadcast_shm" in self._deferred:
+                errors = self._drain_deferred_acks()
+                if errors:
+                    raise RuntimeError("\n".join(errors))
+            self._plane.bcast[:] = flat
+            self._request_all("broadcast_shm")
+        self._count_moved(flat.nbytes)
 
     def set_lr(self, lr: float) -> None:
         self._request_all("set_lr", lr)
@@ -862,27 +805,16 @@ class ShardedBank(WorkerBackend):
         self._request_all("reset_momentum")
 
     def worker_buffers(self, worker_id: int) -> dict:
-        """Copies of one worker's buffer slices (fetched from its shard).
-
-        Over the shm plane the shard packs the row in place and acks empty;
-        the parent unpacks from its own mapping (same names, shapes, dtype,
-        and bytes as the pickled dict the Pipe transport returns).
-        """
-        if self._plane is not None and self._has_buffers:
-            self._worker_request(worker_id, "put_worker_buffers")
-            buffers = self._plane.read_worker_buffers(worker_id)
-            counter_inc("bytes_via_shm", self._plane.buffers[worker_id].nbytes)
-            return buffers
+        """Copies of one worker's buffer slices (fetched from its shard)."""
         return self._worker_request(worker_id, "get_worker_buffers")
 
     def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:
         self.model.set_flat_parameters(flat)
         if self._has_buffers:
-            # Running statistics live in the shard processes; fetch the
+            # Running statistics live in the shard servers; fetch the
             # requested worker's slices so eval sees the stats its loop/bank
             # counterpart would.
-            buffers = self._worker_request(worker_id, "get_worker_buffers")
-            for name, value in buffers.items():
+            for name, value in self.worker_buffers(worker_id).items():
                 self.model.set_buffer(name, value)
         return self.model
 
@@ -903,6 +835,17 @@ class ShardedBank(WorkerBackend):
             f"ShardedBank(n_workers={len(self.workers)}, n_shards={self.n_shards}, "
             f"pooled={self.pooled}, transport={self.transport}, closed={self._closed})"
         )
+
+
+def _lost(shard: int, op: str, err: Exception) -> RuntimeError:
+    """The error for a connection that died under ``op`` (a killed child, say).
+
+    Unlike a shard *error*, it is raised without waiting for the other
+    shards' replies: the pool cannot be used again, only closed.
+    """
+    return RuntimeError(
+        f"shard process {shard} failed:\nconnection lost during {op!r} ({err!r})"
+    )
 
 
 def _fold_rows(acc: "np.ndarray | None", block: np.ndarray) -> np.ndarray:

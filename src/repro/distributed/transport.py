@@ -5,16 +5,17 @@ The Pipe transport that shipped with ``backend="sharded"`` pickles the full
 round (gather + broadcast), so transport — not arithmetic — dominated the
 sharded column of BENCH_backend.json.  This module provides the replacement:
 one :class:`multiprocessing.shared_memory.SharedMemory` segment holds the
-stacked worker states, a second holds the broadcast vector, and an optional
-third holds per-worker buffer rows (BatchNorm running statistics).  Shard
+stacked worker states and a second holds the broadcast vector.  Shard
 children write their ``[lo, hi)`` state rows in place and read broadcasts
 from the same mapping, so the Pipes carry only tiny ``(op, args)`` control
 tuples and the per-round pickled payload drops from O(m·P) to O(1).
+(Per-worker buffers — BatchNorm running statistics, fetched once per
+evaluation — stay on the pipe.)
 
 Ownership is asymmetric by design: the parent *creates* the segments and is
 the only side that ever ``unlink``\\ s them (exactly once, from ``close()``
 or its ``weakref.finalize`` safety net); children *attach* via the picklable
-:meth:`ShmStatePlane.spec` recipe carried inside the spawn payload and only
+:meth:`ShmStatePlane.spec` recipe carried by the ``rebuild`` command and only
 ``close()`` their mapping.  POSIX keeps an unlinked segment alive until the
 last mapping closes, so teardown order can never corrupt a reader.
 
@@ -37,7 +38,6 @@ except ImportError:  # pragma: no cover - minimal builds without _posixshmem
 __all__ = [
     "ShmStatePlane",
     "TRANSPORTS",
-    "buffer_spec",
     "resolve_transport",
     "shm_available",
 ]
@@ -69,30 +69,14 @@ def resolve_transport(requested: str) -> str:
     return "shm" if shm_available() else "pipe"
 
 
-def buffer_spec(template) -> tuple:
-    """``(name, shape, size)`` per template buffer, in bank storage order.
-
-    The plane packs every worker's buffers into one flat row; this spec is
-    the shared pack/unpack recipe, derived once in the parent and shipped
-    to the children inside :meth:`ShmStatePlane.spec` (it is pure data, so
-    the payload stays spawn-picklable).
-    """
-    return tuple(
-        (name, tuple(int(dim) for dim in np.shape(value)), int(np.size(value)))
-        for name, value in template.named_buffers()
-    )
-
-
 class ShmStatePlane:
-    """One sharded run's shared-memory segments: states, broadcast, buffers.
+    """One sharded run's two shared-memory segments: states and broadcast.
 
     ``states`` is the ``(m, P)`` stacked worker bank in the bank dtype —
     each shard child owns rows ``[lo, hi)`` and writes them in place on a
     ``sync_states`` command, so the parent's gather is a read of its own
     mapping.  ``bcast`` is the ``(P,)`` float64 averaged model the parent
     writes before the (fire-and-forget) ``broadcast_shm`` command.
-    ``buffers`` (present only when the template has buffers) holds one
-    packed row of running statistics per worker.
 
     NumPy views over the mappings are created lazily and dropped in
     :meth:`close` before the segments unmap — ``mmap`` refuses to close
@@ -105,7 +89,6 @@ class ShmStatePlane:
         n_workers: int,
         n_params: int,
         state_dtype,
-        buffer_spec: tuple = (),
         segments: "dict[str, str] | None" = None,
     ):
         if _shared_memory is None:
@@ -113,8 +96,6 @@ class ShmStatePlane:
         self.n_workers = int(n_workers)
         self.n_params = int(n_params)
         self.state_dtype = np.dtype(state_dtype)
-        self.buffer_spec = tuple(tuple(entry) for entry in buffer_spec)
-        self._buffer_size = sum(size for _, _, size in self.buffer_spec)
         #: Creator side: the only side allowed to :meth:`unlink`.
         self.owner = segments is None
         self._views: dict = {}
@@ -134,26 +115,18 @@ class ShmStatePlane:
             raise
 
     def _shapes(self) -> dict:
-        shapes = {
+        return {
             "states": ((self.n_workers, self.n_params), self.state_dtype),
             # Broadcasts arrive as float64 regardless of the bank dtype
             # (ShardedBank.broadcast_state casts, exactly like the Pipe
             # transport); children downcast on apply, so bytes match.
             "bcast": ((self.n_params,), np.dtype(np.float64)),
         }
-        if self._buffer_size:
-            shapes["buffers"] = ((self.n_workers, self._buffer_size), self.state_dtype)
-        return shapes
 
     @classmethod
-    def create(cls, *, n_workers, n_params, state_dtype, buffer_spec=()) -> "ShmStatePlane":
+    def create(cls, *, n_workers, n_params, state_dtype) -> "ShmStatePlane":
         """Allocate fresh segments (parent side; the owner)."""
-        return cls(
-            n_workers=n_workers,
-            n_params=n_params,
-            state_dtype=state_dtype,
-            buffer_spec=buffer_spec,
-        )
+        return cls(n_workers=n_workers, n_params=n_params, state_dtype=state_dtype)
 
     @classmethod
     def attach(cls, spec: dict) -> "ShmStatePlane":
@@ -162,18 +135,16 @@ class ShmStatePlane:
             n_workers=spec["n_workers"],
             n_params=spec["n_params"],
             state_dtype=spec["state_dtype"],
-            buffer_spec=spec["buffer_spec"],
             segments=spec["segments"],
         )
 
     def spec(self) -> dict:
-        """Picklable attach recipe shipped inside the shard spawn payloads."""
+        """Picklable attach recipe shipped with each shard's ``rebuild`` command."""
         return {
             "segments": {key: segment.name for key, segment in self._segments.items()},
             "n_workers": self.n_workers,
             "n_params": self.n_params,
             "state_dtype": self.state_dtype.str,
-            "buffer_spec": self.buffer_spec,
         }
 
     # -- mapped views --------------------------------------------------------
@@ -194,28 +165,6 @@ class ShmStatePlane:
     def bcast(self) -> np.ndarray:
         """The ``(P,)`` float64 broadcast vector."""
         return self._view("bcast")
-
-    @property
-    def buffers(self) -> "np.ndarray | None":
-        """The ``(m, total_buffer_size)`` packed buffer rows, or ``None``."""
-        return self._view("buffers") if self._buffer_size else None
-
-    def write_worker_buffers(self, worker_id: int, buffers: dict) -> None:
-        """Pack one worker's buffer dict into its plane row (child side)."""
-        row, offset = self.buffers[worker_id], 0
-        for name, _, size in self.buffer_spec:
-            row[offset:offset + size] = np.asarray(
-                buffers[name], dtype=self.state_dtype
-            ).ravel()
-            offset += size
-
-    def read_worker_buffers(self, worker_id: int) -> dict:
-        """Unpack one worker's plane row back into a buffer dict (parent side)."""
-        row, offset, out = self.buffers[worker_id], 0, {}
-        for name, shape, size in self.buffer_spec:
-            out[name] = row[offset:offset + size].reshape(shape).copy()
-            offset += size
-        return out
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
@@ -244,6 +193,5 @@ class ShmStatePlane:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShmStatePlane(m={self.n_workers}, P={self.n_params}, "
-            f"dtype={self.state_dtype.name}, buffers={self._buffer_size}, "
-            f"owner={self.owner})"
+            f"dtype={self.state_dtype.name}, owner={self.owner})"
         )

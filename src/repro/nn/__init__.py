@@ -29,7 +29,6 @@ from repro.nn.layers import (
 from repro.nn.losses import (
     cross_entropy,
     mse_loss,
-    nll_loss,
     softmax,
     log_softmax,
     accuracy,
@@ -57,7 +56,6 @@ __all__ = [
     "Residual",
     "cross_entropy",
     "mse_loss",
-    "nll_loss",
     "softmax",
     "log_softmax",
     "accuracy",

@@ -9,7 +9,6 @@ from repro.nn.tensor import Tensor
 __all__ = [
     "softmax",
     "log_softmax",
-    "nll_loss",
     "cross_entropy",
     "mse_loss",
     "accuracy",
@@ -29,19 +28,6 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = logits - logits.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Negative log-likelihood of integer ``targets`` given row log-probabilities."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if log_probs.ndim != 2:
-        raise ValueError("nll_loss expects (N, C) log-probabilities")
-    if targets.shape != (log_probs.shape[0],):
-        raise ValueError(
-            f"targets shape {targets.shape} does not match batch size {log_probs.shape[0]}"
-        )
-    picked = log_probs.gather_rows(targets)
-    return -picked.mean()
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -522,34 +522,6 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     # -- shaping / selection --------------------------------------------------------
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two dims of an NCHW tensor by ``pad`` on each side."""
-        if pad == 0:
-            return self
-        if self.ndim != 4:
-            raise ValueError("pad2d expects an NCHW tensor")
-        out_data = np.pad(self.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-        def backward(g):
-            return (g[:, :, pad:-pad, pad:-pad],)
-
-        return self._make(out_data, (self,), backward)
-
-    def gather_rows(self, indices: np.ndarray) -> "Tensor":
-        """Select ``out[i] = self[i, indices[i]]`` for a 2-D tensor (NLL loss helper)."""
-        if self.ndim != 2:
-            raise ValueError("gather_rows expects a 2-D tensor")
-        idx = np.asarray(indices, dtype=np.int64)
-        rows = np.arange(self.shape[0])
-        out_data = self.data[rows, idx]
-
-        def backward(g):
-            full = np.zeros_like(self.data)
-            full[rows, idx] = g
-            return (full,)
-
-        return self._make(out_data, (self,), backward)
-
     def __getitem__(self, key) -> "Tensor":
         out_data = self.data[key]
 

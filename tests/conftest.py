@@ -12,6 +12,10 @@ name here instead of copying assertions across test files.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
+from repro.distributed import BackendHandle, SimulatedCluster
 from repro.models.mlp import MLP
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid, Tanh
 from repro.nn.losses import bank_cross_entropy, cross_entropy
@@ -71,6 +76,125 @@ def stochastic_runtime():
         n_workers=4,
         rng=1,
     )
+
+
+# -- process-layout plumbing shared by the pool tests -------------------------
+
+
+class LeakDetector:
+    """What a pool must not leave behind: ``/dev/shm/psm_*`` segments and children.
+
+    Both are counted relative to construction time, so leftovers of an
+    earlier (failed) test are not billed to this one.
+    """
+
+    def __init__(self):
+        self._segments = self._shm_segments()
+        self._children = set(multiprocessing.active_children())
+
+    @staticmethod
+    def _shm_segments() -> set:
+        try:
+            return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+        except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
+            return set()
+
+    def segments(self) -> set:
+        """Python-allocated shared-memory segments created since and still alive."""
+        return self._shm_segments() - self._segments
+
+    def children(self, grace: float = 3.0) -> set:
+        """Child processes started since and still alive after ``grace`` seconds."""
+        deadline = time.monotonic() + grace
+        while True:
+            alive = set(multiprocessing.active_children()) - self._children
+            if not alive or time.monotonic() > deadline:
+                return alive
+            time.sleep(0.02)
+
+    def assert_clean(self) -> None:
+        assert not self.segments(), f"leaked /dev/shm segments: {sorted(self.segments())}"
+        assert not self.children(), "child processes survived"
+
+
+@pytest.fixture
+def leaks():
+    """A :class:`LeakDetector` armed before the test and asserted clean after it."""
+    detector = LeakDetector()
+    yield detector
+    detector.assert_clean()
+
+
+@contextmanager
+def daemonic_parent():
+    """Present the main process as a sweep-pool worker: no children allowed.
+
+    Backends built inside the block get in-process shard servers; legal
+    because the main process has no ``_popen``.
+    """
+    process = multiprocessing.current_process()
+    process.daemon = True
+    try:
+        yield
+    finally:
+        process.daemon = False
+
+
+def seeded_backend_kwargs(n_workers: int = 4) -> dict:
+    """Backend construction arguments, identically seeded on every call."""
+    return dict(
+        model_fn=_registry_model_fn("mlp"),
+        shards=[
+            make_gaussian_blobs(
+                n_samples=30, n_features=EQUIVALENCE_FEATURES, n_classes=_EQ_CLASSES, rng=s
+            )
+            for s in range(n_workers)
+        ],
+        batch_size=8, lr=0.05, momentum=0.9, rngs=list(range(100, 100 + n_workers)),
+    )
+
+
+class _ClusterOwningItsHandle(SimulatedCluster):
+    """``close()`` also releases the :class:`BackendHandle` built for this cluster."""
+
+    handle: BackendHandle
+
+    def close(self) -> None:
+        super().close()
+        self.handle.close()
+
+
+def cluster_on(
+    backend,
+    *,
+    n_shards: int = 2,
+    auto_shard_threshold: "int | None" = None,
+    shard_transport: str = "auto",
+    **cluster_kwargs,
+) -> SimulatedCluster:
+    """A :class:`SimulatedCluster` on a process layout picked per call.
+
+    The cluster takes its layout whole, as a :class:`BackendHandle`, and
+    whoever builds a handle closes it.  The test helpers that pick a layout
+    per case build the handle here and get a cluster whose ``close()``
+    releases it too, so ``cluster.close()`` (or ``with``) still tears the
+    pool down.  A caller's own handle passes through and stays theirs.
+    """
+    if isinstance(backend, BackendHandle):
+        return SimulatedCluster(backend=backend, **cluster_kwargs)
+    handle = BackendHandle(
+        backend,
+        n_shards=n_shards,
+        auto_shard_threshold=auto_shard_threshold,
+        shard_transport=shard_transport,
+    )
+    try:
+        cluster = _ClusterOwningItsHandle(backend=handle, **cluster_kwargs)
+    except BaseException:
+        handle.close()
+        raise
+    cluster.handle = handle
+    return cluster
 
 
 # -- backend-equivalence matrix ---------------------------------------------
@@ -256,8 +380,6 @@ def build_equivalence_cluster(
     through to :class:`SimulatedCluster` so the method-family tests reuse
     the same seeded workloads.
     """
-    from repro.distributed.cluster import SimulatedCluster
-
     backend, shard_transport = BACKEND_TRANSPORTS.get(backend, (backend, "auto"))
 
     dataset = (
@@ -277,7 +399,10 @@ def build_equivalence_cluster(
         n_workers=n_workers,
         rng=0,
     )
-    return SimulatedCluster(
+    return cluster_on(
+        backend,
+        n_shards=2,
+        shard_transport=shard_transport,
         model_fn=case.model_fn,
         dataset=dataset,
         runtime=runtime,
@@ -287,9 +412,6 @@ def build_equivalence_cluster(
         momentum=case.momentum,
         weight_decay=1e-4,
         seed=17,
-        backend=backend,
-        n_shards=2,
-        shard_transport=shard_transport,
         **cluster_kwargs,
     )
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.losses import accuracy, cross_entropy, log_softmax, mse_loss, nll_loss, softmax
+from repro.nn.losses import accuracy, cross_entropy, log_softmax, mse_loss, softmax
 from repro.nn.tensor import Tensor
 
 
@@ -70,9 +70,9 @@ class TestCrossEntropy:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            nll_loss(Tensor(np.zeros((3, 2))), np.zeros(4, dtype=int))
+            cross_entropy(Tensor(np.zeros((3, 2))), np.zeros(4, dtype=int))
         with pytest.raises(ValueError):
-            nll_loss(Tensor(np.zeros(3)), np.zeros(3, dtype=int))
+            cross_entropy(Tensor(np.zeros(3)), np.zeros(3, dtype=int))
 
 
 class TestMSE:

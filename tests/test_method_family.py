@@ -487,10 +487,12 @@ class TestOneDefinition:
         from repro.distributed.cluster import SimulatedCluster
 
         params = list(inspect.signature(SimulatedCluster.__init__).parameters)[1:]
-        assert "collective" in params and len(params) <= 16
+        assert "collective" in params and len(params) <= 13
         assert not {
             "block_momentum", "weighting", "topology", "gossip_rounds",
             "dropout_prob", "dropout_deadline",
+            # the process layout travels whole, as the BackendHandle
+            "n_shards", "auto_shard_threshold", "shard_transport",
         } & set(params)
         assert SimulatedCluster.run_async_round is SimulatedCluster.run_round
 

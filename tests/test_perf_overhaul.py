@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
-from repro.distributed import BackendHandle, SimulatedCluster
+from repro.distributed import BackendHandle
 from repro.models.mlp import MLP
 from repro.nn.layers import (
     _conv_plan,
@@ -32,9 +32,12 @@ from repro.runtime.distributions import ConstantDelay
 from repro.runtime.network import NetworkModel
 from repro.runtime.simulator import RuntimeSimulator
 
-from tests.conftest import EQUIVALENCE_FEATURES, _registry_model_fn
+from tests.conftest import EQUIVALENCE_FEATURES, _registry_model_fn, cluster_on
 
 F, C = EQUIVALENCE_FEATURES, 4
+
+#: No test here may leave a /dev/shm segment or a child process behind.
+pytestmark = pytest.mark.usefixtures("leaks")
 
 #: Mixed conv geometries: (input shape, kernel, stride) spanning odd sizes,
 #: stride > 1, and single-channel inputs — all sharing one plan cache.
@@ -71,7 +74,9 @@ def _cluster(backend, model_fn, n_workers, **kwargs):
     runtime = RuntimeSimulator(
         ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=n_workers, rng=0
     )
-    return SimulatedCluster(
+    return cluster_on(
+        backend,
+        n_shards=2,
         model_fn=model_fn,
         dataset=ds,
         runtime=runtime,
@@ -81,8 +86,6 @@ def _cluster(backend, model_fn, n_workers, **kwargs):
         momentum=0.9,
         weight_decay=1e-4,
         seed=17,
-        backend=backend,
-        n_shards=2,
         **kwargs,
     )
 

@@ -16,7 +16,6 @@ import pytest
 from repro.api.registries import BACKENDS
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.backends import BackendUnsupported
-from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import Exact
 from repro.distributed.sharded_bank import ShardedBank, ShardWorkerView, shard_slices
 from repro.experiments.configs import make_config
@@ -27,7 +26,15 @@ from repro.runtime.distributions import ConstantDelay
 from repro.runtime.network import NetworkModel
 from repro.runtime.simulator import RuntimeSimulator
 
-from tests.conftest import EQUIVALENCE_FEATURES, _registry_model_fn
+from tests.conftest import (
+    EQUIVALENCE_FEATURES,
+    _registry_model_fn,
+    cluster_on,
+    daemonic_parent,
+)
+
+#: No test here may leave a /dev/shm segment or a child process behind.
+pytestmark = pytest.mark.usefixtures("leaks")
 
 #: ≥ 3 registry models, spanning dense, residual-dense, and conv paths.
 MODELS_UNDER_TEST = ("mlp", "resnet_lite_mlp", "vgg_lite_cnn")
@@ -45,7 +52,9 @@ def _cluster(backend, model_fn, n_workers, n_shards=2, dataset=True, **kwargs):
     runtime = RuntimeSimulator(
         ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=n_workers, rng=0
     )
-    return SimulatedCluster(
+    return cluster_on(
+        backend,
+        n_shards=n_shards,
         model_fn=model_fn,
         dataset=ds,
         runtime=runtime,
@@ -55,8 +64,6 @@ def _cluster(backend, model_fn, n_workers, n_shards=2, dataset=True, **kwargs):
         momentum=0.9,
         weight_decay=1e-4,
         seed=17,
-        backend=backend,
-        n_shards=n_shards,
         **kwargs,
     )
 
@@ -362,21 +369,15 @@ class TestShardedInsideSweepPool:
 
     def test_inprocess_mode_matches_vectorized_for_stream_models(self):
         # Force the daemonic-parent fallback in-process: the main process is
-        # temporarily marked daemonic (legal: it has no _popen), which is how
-        # a sweep-pool worker presents itself.  Uneven shards (m=5 over 2)
-        # plus dropout+batch norm exercise per-shard stream isolation.
-        import multiprocessing
-
+        # temporarily marked daemonic, which is how a sweep-pool worker
+        # presents itself.  Uneven shards (m=5 over 2) plus dropout+batch
+        # norm exercise per-shard stream isolation.
         def model_fn():
             return MLP(F, C, hidden_sizes=(8,), batch_norm=True, dropout=0.3, rng=1)
 
         vectorized = _cluster("vectorized", model_fn, 5)
-        process = multiprocessing.current_process()
-        process.daemon = True
-        try:
+        with daemonic_parent():
             sharded = _cluster("sharded", model_fn, 5, n_shards=2)
-        finally:
-            process.daemon = False
         try:
             assert not sharded.backend.pooled
             assert sharded.backend._procs == []

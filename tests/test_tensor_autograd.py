@@ -143,16 +143,6 @@ class TestMatmulAndShape:
         expected[1:4] = 1.0
         np.testing.assert_allclose(x.grad, expected)
 
-    def test_gather_rows(self):
-        x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
-        idx = np.array([0, 2, 1, 0])
-        out = x.gather_rows(idx)
-        np.testing.assert_allclose(out.data, [0.0, 5.0, 7.0, 9.0])
-        out.sum().backward()
-        expected = np.zeros((4, 3))
-        expected[np.arange(4), idx] = 1.0
-        np.testing.assert_allclose(x.grad, expected)
-
 
 class TestReductions:
     def test_sum_all(self, rng):

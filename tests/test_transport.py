@@ -4,46 +4,43 @@ The PR contract: ``shard_transport="shm"`` moves the ``(m, P)`` state bank
 onto a POSIX shared-memory plane so the shard pipes carry only O(1) control
 tuples, while every byte of the trajectory stays identical to the Pipe
 transport (and hence to vectorized/loop — see the equivalence matrix).
-This file pins the plane's own lifecycle (create/attach/spec, pack/unpack,
-close-then-unlink, zero ``/dev/shm`` orphans even after a child dies), the
-overlapped ``mean_state`` reduction's bit-equality, the byte-traffic
-counters that prove the pipes went quiet, the threaded in-process fallback,
-and the config/CLI/builder wiring of the transport knob.
+This file pins the plane's own lifecycle (create/attach/spec,
+close-then-unlink, zero ``/dev/shm`` orphans even after a child dies — every
+test here runs under the shared ``leaks`` detector), the pipe fallback when
+allocation fails, the overlapped ``mean_state`` reduction's bit-equality,
+the byte-traffic counters that prove the pipes went quiet, the threaded
+in-process fallback, and the config/CLI/builder wiring of the transport knob.
 """
 
 from __future__ import annotations
 
-import os
+import gc
 
 import numpy as np
 import pytest
 
-from repro.distributed.sharded_bank import ShardedBank
-from repro.distributed.transport import (
-    ShmStatePlane,
-    buffer_spec,
-    resolve_transport,
-    shm_available,
-)
+from repro.distributed.sharded_bank import ShardedBank, _InprocConn
+from repro.distributed.transport import ShmStatePlane, resolve_transport, shm_available
 from repro.models.mlp import MLP
 from repro.obs.metrics import MetricsRegistry
 
-from tests.conftest import EQUIVALENCE_FEATURES, _registry_model_fn
+from tests.conftest import (
+    EQUIVALENCE_FEATURES,
+    _registry_model_fn,
+    daemonic_parent,
+    seeded_backend_kwargs,
+)
 from tests.test_sharded_bank import _cluster
 
 F, C = EQUIVALENCE_FEATURES, 4
 
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="interpreter lacks multiprocessing.shared_memory"
-)
 
-
-def _shm_segment_count() -> int:
-    """Python-allocated segments currently alive in /dev/shm."""
-    try:
-        return sum(1 for name in os.listdir("/dev/shm") if name.startswith("psm_"))
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return 0
+pytestmark = [
+    pytest.mark.skipif(
+        not shm_available(), reason="interpreter lacks multiprocessing.shared_memory"
+    ),
+    pytest.mark.usefixtures("leaks"),
+]
 
 
 # -- transport resolution ----------------------------------------------------
@@ -86,51 +83,25 @@ class TestShmStatePlane:
         finally:
             owner.destroy()
 
-    def test_buffer_rows_pack_and_unpack(self):
-        model = MLP(F, C, hidden_sizes=(6,), batch_norm=True, rng=0)
-        spec = buffer_spec(model)
-        assert spec and all(len(entry) == 3 for entry in spec)
-        plane = ShmStatePlane.create(
-            n_workers=2, n_params=4, state_dtype=np.float64, buffer_spec=spec
-        )
-        try:
-            buffers = {name: rng_like for name, rng_like in model.named_buffers()}
-            plane.write_worker_buffers(1, buffers)
-            out = plane.read_worker_buffers(1)
-            assert set(out) == set(buffers)
-            for name, value in buffers.items():
-                np.testing.assert_array_equal(out[name], np.asarray(value))
-                assert out[name].shape == np.shape(value)
-        finally:
-            plane.destroy()
-
-    def test_no_buffer_segment_without_buffers(self):
-        plane = ShmStatePlane.create(n_workers=2, n_params=4, state_dtype=np.float64)
-        try:
-            assert plane.buffers is None
-        finally:
-            plane.destroy()
-
-    def test_destroy_unlinks_and_is_idempotent(self):
-        before = _shm_segment_count()
+    def test_destroy_unlinks_and_is_idempotent(self, leaks):
         plane = ShmStatePlane.create(n_workers=2, n_params=8, state_dtype=np.float32)
         spec = plane.spec()
-        assert _shm_segment_count() == before + 2  # states + bcast
+        assert len(leaks.segments()) == 2  # states + bcast
         plane.destroy()
         plane.destroy()  # idempotent
-        assert _shm_segment_count() == before
+        assert not leaks.segments()
         with pytest.raises(FileNotFoundError):
             ShmStatePlane.attach(spec)
 
-    def test_attach_failure_does_not_leak_partial_segments(self):
+    def test_attach_failure_does_not_leak_partial_segments(self, leaks):
         plane = ShmStatePlane.create(n_workers=2, n_params=8, state_dtype=np.float64)
         try:
-            before = _shm_segment_count()
+            before = leaks.segments()
             bad = dict(plane.spec())
             bad["segments"] = {**bad["segments"], "bcast": "psm_does_not_exist"}
             with pytest.raises(FileNotFoundError):
                 ShmStatePlane.attach(bad)
-            assert _shm_segment_count() == before  # the good attach was closed
+            assert leaks.segments() == before  # the good attach was closed
         finally:
             plane.destroy()
 
@@ -188,8 +159,7 @@ class TestBackendOverShm:
         zero_pipe, shm_bytes = traffic["shm"]
         assert zero_pipe == 0 and shm_bytes > 0
 
-    def test_full_lifecycle_leaves_no_segments(self):
-        before = _shm_segment_count()
+    def test_full_lifecycle_leaves_no_segments(self, leaks):
         cluster = _cluster(
             "sharded",
             lambda: MLP(F, C, hidden_sizes=(8,), batch_norm=True, rng=1),
@@ -197,19 +167,18 @@ class TestBackendOverShm:
             shard_transport="shm",
         )
         try:
-            assert _shm_segment_count() > before  # the plane is really live
+            assert len(leaks.segments()) == 2  # the plane is really live
             cluster.backend.local_period(2)
             cluster.average_models()
-            cluster.backend.worker_buffers(2)  # buffer rows ride the plane too
+            cluster.backend.worker_buffers(2)  # buffers ride the pipe, not a segment
         finally:
             cluster.close()
-        assert _shm_segment_count() == before
+        assert not leaks.segments()
 
-    def test_killed_child_still_tears_down_cleanly(self):
+    def test_killed_child_still_tears_down_cleanly(self, leaks):
         # Regression: _shutdown_pool must survive EOFError/BrokenPipeError on
         # a dead child's pipe, close() must stay idempotent, and the parent —
         # sole owner of the segments — must still unlink them all.
-        before = _shm_segment_count()
         cluster = _cluster(
             "sharded", _registry_model_fn("mlp"), 4, shard_transport="shm"
         )
@@ -221,10 +190,9 @@ class TestBackendOverShm:
         cluster.close()
         cluster.close()  # double close after the crash: must be a no-op
         assert backend._closed
-        assert _shm_segment_count() == before
+        assert not leaks.segments()
 
-    def test_rebuild_reallocates_plane_and_can_switch_transport(self):
-        before = _shm_segment_count()
+    def test_rebuild_reallocates_plane_and_can_switch_transport(self, leaks):
         model_fn = _registry_model_fn("mlp")
         shards = _cluster("sharded", model_fn, 4, shard_transport="shm")
         backend = shards.backend
@@ -243,7 +211,53 @@ class TestBackendOverShm:
             assert len(backend.get_stacked_states()) == 6
         finally:
             shards.close()
-        assert _shm_segment_count() == before
+        assert not leaks.segments()
+
+    def test_allocation_failure_falls_back_to_pipes_and_recovers(self, monkeypatch):
+        # A full /dev/shm (ENOSPC) at construction and again at rebuild: the
+        # run goes on over the pipes with the vectorized bank's bytes, and a
+        # later rebuild with allocation working again returns to the plane.
+        from repro.distributed.worker_bank import WorkerBank
+
+        def full(**kwargs):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ShmStatePlane, "create", full)
+            sharded = ShardedBank(**seeded_backend_kwargs(), n_shards=2, transport="shm")
+        try:
+            for rebuilt in (False, True):
+                if rebuilt:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ShmStatePlane, "create", full)
+                        sharded.rebuild(**seeded_backend_kwargs(), n_shards=2, transport="shm")
+                assert sharded.transport == "pipe" and sharded._plane is None
+                vectorized = WorkerBank(**seeded_backend_kwargs())
+                with MetricsRegistry() as metrics:
+                    np.testing.assert_array_equal(
+                        vectorized.local_period(3), sharded.local_period(3)
+                    )
+                    averaged, _ = sharded.mean_state()
+                np.testing.assert_array_equal(averaged, vectorized.mean_state()[0])
+                counters = metrics.snapshot()["counters"]
+                assert counters["bytes_over_pipe"] > 0 and counters["bytes_via_shm"] == 0
+            sharded.rebuild(**seeded_backend_kwargs(), n_shards=2, transport="shm")
+            assert sharded.transport == "shm" and sharded._plane is not None
+            assert len(sharded.get_stacked_states()) == 4
+        finally:
+            sharded.close()
+
+    def test_finalizer_of_an_abandoned_pool_unlinks_the_current_plane(self, leaks):
+        # The finalizer captures the plane, so it has to be re-armed whenever
+        # the plane changes: abandon a pool *after* a rebuild and the
+        # segments that must go are the rebuilt ones.
+        pool = ShardedBank(**seeded_backend_kwargs(), n_shards=2, transport="shm")
+        first = leaks.segments()
+        pool.rebuild(**seeded_backend_kwargs(), n_shards=2, transport="shm")
+        assert len(leaks.segments()) == 2 and not leaks.segments() & first
+        del pool
+        gc.collect()  # the worker views point back at the backend: a cycle
+        assert not leaks.segments() and not leaks.children()
 
 
 # -- threaded in-process fallback ---------------------------------------------
@@ -251,22 +265,16 @@ class TestBackendOverShm:
 
 class TestThreadedInprocessShards:
     def test_daemonic_parent_gets_thread_pool_and_identical_bytes(self):
-        import multiprocessing
-
         def model_fn():
             return MLP(F, C, hidden_sizes=(8,), dropout=0.2, rng=1)
 
         vectorized = _cluster("vectorized", model_fn, 4)
-        process = multiprocessing.current_process()
-        process.daemon = True
-        try:
+        with daemonic_parent():
             sharded = _cluster("sharded", model_fn, 4, n_shards=2)
-        finally:
-            process.daemon = False
         try:
             backend = sharded.backend
             assert not backend.pooled and backend.transport == "inproc"
-            assert backend._executor is not None  # 2 servers → real thread pool
+            assert backend.pool_size == 2 and backend._procs == []  # 2 shard threads
             np.testing.assert_array_equal(
                 vectorized.backend.local_period(3), backend.local_period(3)
             )
@@ -278,25 +286,62 @@ class TestThreadedInprocessShards:
             np.testing.assert_array_equal(
                 averaged, backend.get_stacked_states().mean(axis=0)
             )
+            # Spans say deferred=True for a broadcast on every carrier, but
+            # a shard thread never actually defers: it would read the
+            # parent's array while the parent moves on.
+            assert backend._deferred == []
         finally:
             sharded.close()
+            sharded.close()  # second close of stopped shard threads: silent
             vectorized.close()
-        assert backend._executor is None  # close() stops the pool
+        assert backend._closed  # close() stops the shard threads
+        assert not any(conn._thread.is_alive() for conn in backend._conns)
 
-    def test_single_shard_skips_the_thread_pool(self):
-        import multiprocessing
-
-        process = multiprocessing.current_process()
-        process.daemon = True
-        try:
+    def test_single_shard_inprocess_pool_serves_commands(self):
+        with daemonic_parent():
             sharded = _cluster("sharded", _registry_model_fn("mlp"), 3, n_shards=1)
-        finally:
-            process.daemon = False
         try:
-            assert sharded.backend._executor is None
+            assert sharded.backend.pool_size == 1 and sharded.backend._procs == []
             assert len(sharded.backend.local_period(2)) == 3
         finally:
             sharded.close()
+
+
+    def test_shard_thread_answers_in_order_and_reports_errors_as_replies(self):
+        # One thread per shard: two commands sent before a recv run (and
+        # answer) in order, never side by side.
+        conn = _InprocConn(0)
+        try:
+            conn.send(("first", ()))
+            conn.send(("second", ()))
+            (status_1, detail_1), (status_2, detail_2) = conn.recv(), conn.recv()
+            assert status_1 == status_2 == "error"
+            assert "'first'" in detail_1 and "'second'" in detail_2
+        finally:
+            conn.send(("close", ()))
+            conn.close()
+        assert not conn._thread.is_alive()
+
+    def test_shard_thread_error_reaches_the_caller_like_a_process_error(self):
+        with daemonic_parent():
+            pool = ShardedBank(**seeded_backend_kwargs(), n_shards=2)
+        try:
+            with pytest.raises(RuntimeError, match=r"shard process 0 failed:\n(?s:.*)shard process 1"):
+                pool.broadcast_state(np.zeros(3))  # wrong length, on both shards
+            assert len(pool.get_stacked_states()) == 4  # every reply was drained
+        finally:
+            pool.close()
+
+    def test_finalizer_of_an_abandoned_inprocess_pool_stops_its_threads(self):
+        with daemonic_parent():
+            pool = ShardedBank(**seeded_backend_kwargs(), n_shards=2)
+        threads = [conn._thread for conn in pool._conns]
+        assert all(thread.is_alive() for thread in threads)
+        del pool
+        gc.collect()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
 
 
 # -- config / CLI / builder wiring --------------------------------------------
