@@ -28,8 +28,17 @@ from pathlib import Path
 
 from repro.experiments.configs import ExperimentConfig, make_config
 from repro.experiments.harness import run_experiment
+from repro.obs import MetricsRegistry, Tracer, strip_wall_fields, trace_lines
 
-__all__ = ["GOLDEN_DIR", "golden_configs", "golden_payload", "render_golden", "main"]
+__all__ = [
+    "GOLDEN_DIR",
+    "golden_configs",
+    "golden_payload",
+    "render_golden",
+    "trace_configs",
+    "render_trace_projection",
+    "main",
+]
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -88,14 +97,74 @@ def render_golden(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def trace_configs() -> dict[str, ExperimentConfig]:
+    """Telemetry fixtures: what a fully instrumented run *says*, not what it computes.
+
+    (a) one method of every collective on the bank backend — every event
+    type but ``shard_rpc`` / ``sweep_cell``; (b) a conv net on the loop
+    backend, whose ``profile_op`` rows are the kernel scopes.  Sharded runs
+    stay out: ``transport`` is a span field and host-dependent.
+    """
+    return {
+        "trace_smoke_method_lineup": make_config(
+            "smoke",
+            methods=(
+                "sync-sgd", "gossip-ring-tau4", "async-tau4",
+                "elastic:p=0.3,tau=4", "adacomm",
+            ),
+        ),
+        "trace_smoke_cnn_loop": make_config(
+            "smoke", model="vgg_lite_cnn", backend="loop", n_workers=2,
+            wall_time_budget=40.0,
+        ),
+    }
+
+
+#: Histograms of real seconds: only how many samples they took is deterministic.
+_WALL_HISTOGRAMS = ("shard_rpc_seconds", "shard_gather_seconds")
+
+
+def render_trace_projection(config: ExperimentConfig) -> str:
+    """The deterministic projection of one run under tracer + profiler + registry.
+
+    Line 1 is the metrics snapshot — counters, gauges, virtual-time
+    histograms, and the sample *counts* of the wall-time ones; the
+    ``plan_cache_*`` gauges are left out (process-wide cache state, not run
+    state).  Every further line is one trace event with its wall fields
+    stripped, ``profile_op`` rows (op path, calls) included — the form
+    ``python -m repro.obs diff`` compares.
+    """
+    with Tracer(profile=True) as tracer, MetricsRegistry() as registry:
+        run_experiment(config)
+    snapshot = registry.snapshot()
+    metrics = {
+        "counters": snapshot["counters"],
+        "gauges": {
+            k: v for k, v in snapshot["gauges"].items() if not k.startswith("plan_cache_")
+        },
+        "histograms": {
+            k: {"count": v["count"]} if k in _WALL_HISTOGRAMS else v
+            for k, v in snapshot["histograms"].items()
+        },
+    }
+    return (
+        json.dumps({"metrics": metrics}, sort_keys=True) + "\n"
+        + trace_lines(strip_wall_fields(tracer.finish()))
+    )
+
+
+def _write(path: Path, content: str) -> None:
+    changed = not path.exists() or path.read_text() != content
+    path.write_text(content)
+    print(f"[golden] {'wrote  ' if changed else 'kept   '} {path}")
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, config in golden_configs().items():
-        path = GOLDEN_DIR / f"{name}.json"
-        content = render_golden(golden_payload(config))
-        changed = not path.exists() or path.read_text() != content
-        path.write_text(content)
-        print(f"[golden] {'wrote  ' if changed else 'kept   '} {path}")
+        _write(GOLDEN_DIR / f"{name}.json", render_golden(golden_payload(config)))
+    for name, config in trace_configs().items():
+        _write(GOLDEN_DIR / f"{name}.jsonl", render_trace_projection(config))
     return 0
 
 

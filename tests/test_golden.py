@@ -7,6 +7,11 @@ refactor that silently changes a trajectory — one float, one RNG draw, one
 config default — fails here with a diffable fixture name instead of passing
 unnoticed.  Intentional changes regenerate with
 ``python -m tests.regen_golden`` and commit the diff.
+
+The two ``trace_*.jsonl`` fixtures pin the other output of a run: the
+deterministic projection of its telemetry (trace events without wall fields,
+profile rows, metrics), so a change to ``repro.obs`` or to an emission site
+is diffed against the committed bytes instead of by hand.
 """
 
 from __future__ import annotations
@@ -21,9 +26,12 @@ from tests.regen_golden import (
     golden_configs,
     golden_payload,
     render_golden,
+    render_trace_projection,
+    trace_configs,
 )
 
 CONFIGS = golden_configs()
+TRACE_CONFIGS = trace_configs()
 
 
 def test_every_fixture_is_committed():
@@ -32,6 +40,7 @@ def test_every_fixture_is_committed():
         "tests/golden/ out of sync with golden_configs(); run "
         "`python -m tests.regen_golden` and commit the result"
     )
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.jsonl")) == sorted(TRACE_CONFIGS)
 
 
 def _payload_on(backend: str, name: str, expected: str) -> dict:
@@ -80,6 +89,23 @@ def test_trajectory_matches_committed_bytes(name, backend):
             f"If this change is intentional, run `python -m tests.regen_golden` "
             f"and commit the updated fixture.\nFirst differences:\n"
             + "\n".join(diff.splitlines()[:40])
+        )
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CONFIGS))
+def test_telemetry_matches_committed_projection(name):
+    """What an instrumented run emits — events, profile rows, metrics — is pinned too."""
+    expected = (GOLDEN_DIR / f"{name}.jsonl").read_text().splitlines()
+    actual = render_trace_projection(TRACE_CONFIGS[name]).splitlines()
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected, actual, fromfile=f"golden/{name}.jsonl", tofile="current run",
+            lineterm="", n=0,
+        )
+        pytest.fail(
+            f"telemetry of {name!r} diverged from the committed projection "
+            f"({len(expected)} lines committed, {len(actual)} now):\n"
+            + "\n".join(line[:240] for line in list(diff)[:30])
         )
 
 
