@@ -1,16 +1,17 @@
-"""OBS001: trace event names must come from the frozen registry.
+"""OBS001: event names must come from the schema.
 
-The tracer validates event names at emit time, but a misspelled name in a
-rarely exercised branch (an error path, a backend only covered by slow
-tests) would only surface as a runtime ``ValueError`` mid-run.  This rule
-closes that gap statically, the same way BANK001 keeps the bank-equivalence
-matrix honest: every literal first argument of a ``span(...)`` /
-``instant(...)`` call in the scanned tree is cross-checked against the
-``EVENT_NAMES`` declaration in ``obs/events.py``.  Call sites through names
-imported from :mod:`repro.obs` must also pass a *literal* name — a computed
-event name cannot be checked here and would silently bypass the schema.
+``span`` / ``instant`` validate event names at emit time, but a misspelled
+name in a rarely exercised branch (an error path, a backend only covered by
+slow tests) would only surface as a runtime ``ValueError`` mid-run.  This
+rule closes that gap statically, the same way BANK001 keeps the
+bank-equivalence matrix honest: every literal first argument of a
+``span(...)`` / ``instant(...)`` call in the scanned tree — kernel scopes
+included — is cross-checked against the keys of the ``EVENTS`` declaration
+in ``obs/events.py``.  Call sites through names imported from
+:mod:`repro.obs` must also pass a *literal* name — a computed event name
+cannot be checked here and would silently bypass the schema.
 
-The ``obs/`` package itself is exempt: it is the implementation (the tracer
+The ``obs/`` package itself is exempt: it is the implementation (``emit``
 forwards an arbitrary ``name`` parameter by design).
 """
 
@@ -24,8 +25,8 @@ from repro.analysis.findings import Finding
 
 __all__ = ["ObsEventNameRule"]
 
-#: Name of the frozen-set assignment this rule looks for in obs/events.py.
-DECLARATION_NAME = "EVENT_NAMES"
+#: Name of the dict assignment this rule looks for in obs/events.py.
+DECLARATION_NAME = "EVENTS"
 
 #: Package-relative path of the module declaring the event-name registry.
 DECLARATION_RELPATH = "obs/events.py"
@@ -127,27 +128,22 @@ class ObsEventNameRule(Rule):
 
     @staticmethod
     def _parse_declaration(ctx: AnalysisContext) -> "set[str] | None":
-        """The string members of ``EVENT_NAMES`` in obs/events.py, or None."""
+        """The string keys of the ``EVENTS`` dict in obs/events.py, or None."""
         for module in ctx.modules:
             if module.relpath != DECLARATION_RELPATH:
                 continue
             for node in module.tree.body:
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not any(
-                    isinstance(t, ast.Name) and t.id == DECLARATION_NAME
-                    for t in node.targets
+                # ``EVENTS: dict[str, Event] = {...}``
+                if (
+                    isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id == DECLARATION_NAME
+                    and isinstance(node.value, ast.Dict)
                 ):
-                    continue
-                value = node.value
-                if isinstance(value, ast.Call) and value.args:
-                    # frozenset({...}) / frozenset([...])
-                    value = value.args[0]
-                if isinstance(value, (ast.Set, ast.List, ast.Tuple)):
                     return {
-                        elt.value
-                        for elt in value.elts
-                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                        key.value
+                        for key in node.value.keys
+                        if isinstance(key, ast.Constant) and isinstance(key.value, str)
                     }
         return None
 

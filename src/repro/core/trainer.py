@@ -33,8 +33,7 @@ from repro.core.schedules import CommunicationSchedule
 from repro.distributed.cluster import SimulatedCluster
 from repro.nn.layers import Module
 from repro.nn.losses import accuracy as accuracy_metric
-from repro.obs.metrics import counter_inc
-from repro.obs.tracer import span
+from repro.obs.emit import span
 from repro.optim.lr_schedules import ConstantLR, LRSchedule
 from repro.utils.logging import get_logger
 from repro.utils.results import MetricPoint, RunRecord
@@ -207,7 +206,6 @@ class PASGDTrainer:
         with span("eval", clock=self.cluster.clock, round=0):
             initial_loss = self._eval_train_loss(fallback_loss=float("nan"))
             initial_acc = self._eval_test_accuracy()
-        counter_inc("evals_total")
         record.log(
             MetricPoint(
                 iteration=0,
@@ -234,7 +232,6 @@ class PASGDTrainer:
 
             period_loss, extra = self._execute_round(tau, lr, rounds + 1)
             rounds += 1
-            counter_inc("rounds_total")
 
             if rounds % cfg.eval_every_rounds == 0:
                 # Evaluation is free on the virtual clock, so the span's
@@ -243,7 +240,6 @@ class PASGDTrainer:
                 with span("eval", clock=self.cluster.clock, round=rounds):
                     train_loss = self._eval_train_loss(fallback_loss=period_loss)
                     test_acc = self._eval_test_accuracy()
-                counter_inc("evals_total")
             else:
                 train_loss = period_loss
                 test_acc = float("nan")
@@ -271,7 +267,6 @@ class PASGDTrainer:
             with span("eval", clock=self.cluster.clock, round=rounds):
                 final_loss = self._eval_train_loss(fallback_loss=period_loss)
                 final_acc = self._eval_test_accuracy()
-            counter_inc("evals_total")
             record.log(
                 MetricPoint(
                     iteration=self.cluster.total_local_iterations,

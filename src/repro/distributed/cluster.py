@@ -38,12 +38,11 @@ from repro.distributed.reuse import BackendHandle
 from repro.distributed.topology import consensus_distance, mixing_matrix_for
 from repro.nn.layers import Module, evaluating
 from repro.nn.tensor import Workspace
-from repro.obs.metrics import counter_inc, gauge_set, observe, observe_many
-from repro.obs.tracer import instant, span
+from repro.obs.emit import count, gauge, instant, observe, observe_many, span
 from repro.optim.block_momentum import BlockMomentum
 from repro.runtime.simulator import AsyncRoundTiming, RuntimeSimulator
 from repro.utils.seeding import SeedSequence
-from repro.utils.timer import VirtualClock, profiled
+from repro.utils.timer import VirtualClock
 
 __all__ = ["SimulatedCluster"]
 
@@ -203,7 +202,7 @@ class SimulatedCluster:
         self.total_local_iterations = 0
         self.communication_rounds = 0
         self.current_lr = lr
-        gauge_set("workers", n_workers)
+        gauge("workers", n_workers)
 
     @property
     def workers(self):
@@ -252,7 +251,7 @@ class SimulatedCluster:
         # The span closes after the clock advance so its virtual duration is
         # the sampled straggler-bound compute time of the period.
         with span("local_steps", clock=self.clock, tau=tau, backend=self.backend_name):
-            with profiled("cluster.local_period"):
+            with span("cluster.local_period"):
                 losses = self._backend.local_period(tau)
             if isinstance(self.collective, AsyncFold):
                 self._async_timing = self.runtime.sample_async_period(tau)
@@ -272,7 +271,7 @@ class SimulatedCluster:
                     "straggler_wait_virtual_seconds",
                     np.maximum(duration - timing.per_worker_compute, 0.0),
                 )
-        counter_inc("local_steps_total", tau)
+        count("local_steps_total", tau)
         self.total_local_iterations += tau
         mean_loss = float(np.mean(losses))
         self.events.append(
@@ -330,7 +329,7 @@ class SimulatedCluster:
             synchronized, bytes_moved = self._COMBINE[type(self.collective)](self)
             synchronized.flags.writeable = False
             self._synchronized_params = synchronized
-            counter_inc("bytes_averaged_total", bytes_moved)
+            count("bytes_averaged_total", bytes_moved)
             timing, self._async_timing = self._async_timing, None
             if timing is None:
                 # A barrier collective pays one sampled all-node delay per
@@ -342,7 +341,6 @@ class SimulatedCluster:
                 # The generation is over when the last update reaches the server.
                 duration = float(timing.per_worker_push.mean())
                 self.clock.advance(float(timing.arrival_times.max()) - start)
-        counter_inc("comm_rounds_total")
         self.communication_rounds += 1
         self.events.append(
             CommunicationEvent(start_time=start, duration=duration, round_index=self.communication_rounds)
@@ -358,7 +356,7 @@ class SimulatedCluster:
         """
         survivors, self._last_survivors = self._last_survivors, None
         partial = survivors is not None and len(survivors) < self.n_workers
-        with span("average", clock=self.clock, n_workers=self.n_workers), profiled("cluster.average"):
+        with span("average", clock=self.clock, n_workers=self.n_workers):
             if not partial and self._average_weights is None:
                 # Uniform averaging goes through the backend's mean_state
                 # hook, which is bit-identical to mean(axis=0) over the
@@ -378,7 +376,7 @@ class SimulatedCluster:
                 gathered_bytes = states.nbytes // self.n_workers * len(rows)
             if partial:
                 dropped = self.n_workers - len(survivors)
-                counter_inc("worker_dropouts_total", dropped)
+                count("worker_dropouts_total", dropped)
                 instant(
                     "worker_dropout",
                     clock=self.clock,
@@ -405,14 +403,13 @@ class SimulatedCluster:
         """
         gossip, W = self.collective, self._mixing
         with span("gossip_mix", clock=self.clock, topology=gossip.topology, rounds=gossip.rounds):
-            with profiled("cluster.average"):
-                states = mixed = self._backend.get_stacked_states()
-                for _ in range(gossip.rounds):
-                    mixed = W @ mixed
-                self._backend.set_stacked_states(mixed)
-                averaged = mixed.mean(axis=0)
-            gauge_set("consensus_distance", consensus_distance(list(mixed)))
-        counter_inc("gossip_rounds_total", gossip.rounds)
+            states = mixed = self._backend.get_stacked_states()
+            for _ in range(gossip.rounds):
+                mixed = W @ mixed
+            self._backend.set_stacked_states(mixed)
+            averaged = mixed.mean(axis=0)
+        gauge("consensus_distance", lambda: consensus_distance(list(mixed)))
+        count("gossip_rounds_total", gossip.rounds)
         # Each gossip round ships one state row per directed edge of the graph
         # (off-diagonal nonzeros of W).  Bytes come from the gathered slab:
         # ``W @ slab`` is float64 whatever the bank stores.
@@ -432,7 +429,7 @@ class SimulatedCluster:
         timing, damping = self._async_timing, self.collective.damping
         if timing is None:
             raise RuntimeError("nothing to fold: run_local_period() must precede an async fold")
-        with profiled("cluster.average"):
+        with span("cluster.average"):
             states = self._backend.get_stacked_states()
             server = self._synchronized_params.copy()
             # Stable sort: simultaneous arrivals fold in worker order,
@@ -455,7 +452,6 @@ class SimulatedCluster:
                     arrival=float(timing.arrival_times[worker]),
                 )
             self._backend.set_stacked_states(states)
-        counter_inc("async_applies_total", self.n_workers)
         return server, states.nbytes
 
     # What each collective does to the states: () -> (synchronized, bytes moved).

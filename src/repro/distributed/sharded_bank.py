@@ -87,10 +87,8 @@ from repro.distributed.backends import BackendUnsupported, WorkerBackend
 from repro.distributed.transport import ShmStatePlane, resolve_transport
 from repro.nn.bank import attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
-from repro.obs.metrics import counter_inc, observed
-from repro.obs.tracer import instant, span
+from repro.obs.emit import count, instant, span
 from repro.utils.seeding import check_random_state
-from repro.utils.timer import profiled
 
 __all__ = ["ShardedBank", "ShardWorkerView", "shard_slices"]
 
@@ -654,9 +652,9 @@ class ShardedBank(WorkerBackend):
         if errors:
             raise RuntimeError("\n".join(errors))
 
-    @contextmanager
-    def _rpc_scope(self, op: str, shard: "int | str" = "all") -> Iterator[None]:
-        """Span, latency histogram and profile row of one parent-side RPC.
+    def _rpc_scope(self, op: str, shard: "int | str" = "all"):
+        """The span of one parent-side RPC (its event also declares the
+        latency histogram and the ``shard_rpc.<op>`` profile row).
 
         Shard servers never report into the parent's tracer or profiler;
         this scope measures the full round-trip (serialize, compute,
@@ -667,10 +665,8 @@ class ShardedBank(WorkerBackend):
         the field is part of every sharded trace's bytes.
         """
         self._ensure_open()
-        with span("shard_rpc", op=op, shard=shard, pooled=self.pooled,
-                  deferred=op in _DEFERRED_ACK_OPS, transport=self.transport), \
-                observed("shard_rpc_seconds"), profiled(f"shard_rpc.{op}"):
-            yield
+        return span("shard_rpc", op=op, shard=shard, pooled=self.pooled,
+                    deferred=op in _DEFERRED_ACK_OPS, transport=self.transport)
 
     def _request_all(self, op: str, *args) -> list:
         """One command to every shard; the results in shard order."""
@@ -696,9 +692,9 @@ class ShardedBank(WorkerBackend):
     def _count_moved(self, nbytes: int) -> None:
         """Charge state bytes to the carrier that moved them (shard threads move none)."""
         if self._plane is not None:
-            counter_inc("bytes_via_shm", nbytes)
+            count("bytes_via_shm", nbytes)
         elif self.pooled:
-            counter_inc("bytes_over_pipe", nbytes)
+            count("bytes_over_pipe", nbytes)
 
     def close(self) -> None:
         """Shut the pool down; safe to call more than once.
@@ -747,7 +743,7 @@ class ShardedBank(WorkerBackend):
         # reduces is byte-identical to the single-process bank's.  Over the
         # shm plane the children wrote their rows in place and the parent
         # copies out of its own mapping; the pipes carried only empty acks.
-        with observed("shard_gather_seconds"):
+        with span("shard_gather"):
             blocks = self._request_all(self._gather_op)
             if self._plane is None:
                 states = np.concatenate(blocks, axis=0)
@@ -770,7 +766,7 @@ class ShardedBank(WorkerBackend):
         """
         acc: "np.ndarray | None" = None
         nbytes = 0
-        with self._rpc_scope("mean_state"), observed("shard_gather_seconds"):
+        with self._rpc_scope("mean_state"), span("shard_gather"):
             for shard, reply in self._replies(self._gather_op):
                 lo, hi = self.shard_slices[shard]
                 block = self._plane.states[lo:hi] if reply is None else reply

@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
             tracer = stack.enter_context(Tracer(profile=args.profile))
             profiler = tracer.profiler
         elif args.profile:
-            from repro.utils.timer import Profiler
+            from repro.obs.profile import Profiler
 
             profiler = stack.enter_context(Profiler())
         if args.metrics:

@@ -38,7 +38,7 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import AsyncFold, Collective, Gossip
 from repro.distributed.reuse import BackendHandle
 from repro.experiments.configs import ExperimentConfig
-from repro.obs.tracer import span
+from repro.obs.emit import span
 from repro.optim.lr_schedules import LRSchedule
 from repro.runtime.distributions import DelayDistribution
 from repro.runtime.network import NetworkModel

@@ -17,8 +17,8 @@ import numpy as np
 
 from repro.nn import init as init_mod
 from repro.nn.tensor import Tensor, Workspace, is_grad_enabled, no_grad
+from repro.obs.emit import span
 from repro.utils.seeding import check_random_state
-from repro.utils.timer import profiled
 
 __all__ = [
     "Module",
@@ -682,7 +682,7 @@ class Conv2d(Module):
         out_c = self.out_channels
         x_data = x.data
         m, b, c, h, w = x_data.shape
-        with profiled("conv2d.bank_forward"):
+        with span("conv2d.bank_forward"):
             plan = _conv_plan(c, h, w, kh, kw, self.stride, self.padding)
             out_h, out_w, row = plan.out_h, plan.out_w, c * kh * kw
             w_mat = weight.data.reshape(m, out_c, row).transpose(0, 2, 1)
@@ -691,7 +691,7 @@ class Conv2d(Module):
             if not (is_grad_enabled() and any(p.requires_grad for p in parents)):
                 step = max(1, _CONV_BLOCK_BYTES // (m * out_h * out_w * row * x_data.itemsize))
             x_flat = x_data.reshape(m, b, c * h * w)
-            gathering = profiled("im2col")  # one activation, however many blocks
+            gathering = span("im2col")  # one activation, however many blocks
             for start in range(0, b, step):
                 with gathering:
                     cols = plan.im2col(x_flat[:, start : start + step])
@@ -707,7 +707,7 @@ class Conv2d(Module):
 
         def backward(g):
             # g: (m, B, out_c, oh, ow); ``cols3`` is the single recorded block.
-            with profiled("conv2d.bank_backward"):
+            with span("conv2d.bank_backward"):
                 g_cols = g.transpose(0, 1, 3, 4, 2).reshape(m, b * out_h * out_w, out_c)
                 # A transposed view of the fresh GEMM result: the engine's one
                 # copy puts it where the gradient lives.
@@ -717,7 +717,7 @@ class Conv2d(Module):
                     dcols = np.empty((m, b * out_h * out_w, row + 1), dtype=np.result_type(g_cols.dtype, w_mat.dtype))
                     dcols[:, :, row] = 0.0
                     np.matmul(g_cols, w_mat.transpose(0, 2, 1), out=dcols[:, :, :row])
-                    with profiled("col2im"):
+                    with span("col2im"):
                         dx = plan.col2im(dcols.reshape(m * b, -1)).reshape(x_data.shape)
                 else:
                     # First-layer input: the gather (and its GEMM) would be
@@ -753,12 +753,12 @@ class _Pool2d(Module):
             raise ValueError(f"pooling bank_forward expects (m, B, C, H, W) input, got shape {x.shape}")
         x_data = x.data
         m, b = x_data.shape[0], x_data.shape[1]
-        with profiled("pool.bank_forward"):
+        with span("pool.bank_forward"):
             out4, array_backward = self._forward_arrays(x_data.reshape(m * b, *x_data.shape[2:]))
         out_data = out4.reshape(m, b, *out4.shape[1:])
 
         def backward(g):
-            with profiled("pool.bank_backward"):
+            with span("pool.bank_backward"):
                 dx4 = array_backward(g.reshape(m * b, *g.shape[2:]))
                 return (dx4.reshape(x_data.shape),)
 

@@ -3,12 +3,10 @@
 Where the tracer answers *what happened when*, the metrics registry answers
 *how much in total*: rounds run, bytes moved by the averaging collective,
 how shard-RPC latencies distribute, how long workers wait for stragglers.
-Emission sites use the module-level helpers (:func:`counter_inc`,
-:func:`gauge_set`, :func:`observe`, :func:`observed`), which cost one
-attribute read when no registry is active — the same zero-overhead-when-
-disabled pattern as :func:`repro.utils.timer.profiled` and
-:func:`repro.obs.tracer.span` — so the instrumentation stays in the
-execution stack unconditionally.
+The registry is one of three sinks of :mod:`repro.obs.emit`: sites call
+``count`` / ``gauge`` / ``observe`` there, and a ``span`` / ``instant``
+whose event declares a ``counter`` or ``histogram`` in
+:mod:`repro.obs.events` feeds that metric with no second call at the site.
 
 :meth:`MetricsRegistry.snapshot` returns one JSON-compatible dict (sorted
 keys all the way down) that :class:`~repro.utils.results.RunStore` and
@@ -26,28 +24,19 @@ one snapshot answers "did the im2col plans actually get reused?".
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
-from contextlib import nullcontext
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "counter_inc",
-    "gauge_set",
-    "observe",
-    "observe_many",
-    "observed",
-]
+from repro.obs.emit import Sink
+
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "STANDARD_METRICS"]
 
 #: Default histogram bucket upper bounds, in seconds: spans 10 µs to 100 s,
 #: one decade per bucket, plus the implicit +inf overflow bucket.
 DEFAULT_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
 #: Metrics the execution stack emits, pre-registered so every snapshot has
-#: the same schema whether or not a given run exercised the metric.
+#: the same schema whether or not a given run exercised the metric (every
+#: counter and histogram an ``Event`` names must be listed here).
 STANDARD_METRICS = (
     ("counter", "rounds_total"),
     ("counter", "comm_rounds_total"),
@@ -161,45 +150,24 @@ class Histogram:
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
-class MetricsRegistry:
+class MetricsRegistry(Sink):
     """Named counters/gauges/histograms with one snapshot API.
 
-    One registry is active per process at a time (``enable()`` / ``with
-    MetricsRegistry() as m:``); emission sites use the module-level helpers
-    so a disabled registry costs one attribute read.  The standard metric
-    set (:data:`STANDARD_METRICS`) is pre-registered so snapshots have a
-    stable schema; helpers auto-register unseen names with the kind the
-    helper implies, so third-party components can emit without ceremony.
+    One registry receives emissions at a time (``enable()`` / ``with
+    MetricsRegistry() as m:``; a per-cell registry nested inside an outer
+    run registry gives the slot back on exit).  The standard metric set
+    (:data:`STANDARD_METRICS`) is pre-registered so snapshots have a stable
+    schema; emissions auto-register unseen names with the kind the helper
+    implies, so third-party components can emit without ceremony.
     """
 
-    #: The process-wide active registry, or ``None`` (metrics disabled).
-    _active: "MetricsRegistry | None" = None
+    _slot = 1
 
     def __init__(self):
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
         self._kinds: dict[str, str] = {}
-        self._prev: "MetricsRegistry | None" = None
         for kind, name in STANDARD_METRICS:
             self._register(name, kind)
-
-    # -- activation ---------------------------------------------------------
-    def enable(self) -> "MetricsRegistry":
-        self._prev = MetricsRegistry._active
-        MetricsRegistry._active = self
-        return self
-
-    def disable(self) -> "MetricsRegistry":
-        # Restore whatever was active before enable(), so nested scopes
-        # (a per-cell registry inside an outer run registry) unwind cleanly.
-        if MetricsRegistry._active is self:
-            MetricsRegistry._active = self._prev
-        return self
-
-    def __enter__(self) -> "MetricsRegistry":
-        return self.enable()
-
-    def __exit__(self, *exc) -> None:
-        self.disable()
 
     # -- registration and access --------------------------------------------
     def _register(self, name: str, kind: str):
@@ -254,79 +222,4 @@ class MetricsRegistry:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MetricsRegistry(metrics={len(self._metrics)}, "
-            f"active={MetricsRegistry._active is self})"
-        )
-
-
-# -- module-level emission helpers (no-ops while no registry is active) -------
-
-def counter_inc(name: str, amount: float = 1.0) -> None:
-    """Increment counter ``name`` on the active registry, or do nothing."""
-    registry = MetricsRegistry._active
-    if registry is not None:
-        registry.counter(name).inc(amount)
-
-
-def gauge_set(name: str, value: float) -> None:
-    """Set gauge ``name`` on the active registry, or do nothing."""
-    registry = MetricsRegistry._active
-    if registry is not None:
-        registry.gauge(name).set(value)
-
-
-def observe(name: str, value: float) -> None:
-    """Record ``value`` into histogram ``name`` on the active registry."""
-    registry = MetricsRegistry._active
-    if registry is not None:
-        registry.histogram(name).observe(value)
-
-
-def observe_many(name: str, values) -> None:
-    """Record every value of an iterable into histogram ``name``.
-
-    The iteration only happens when a registry is active, so hot paths can
-    pass per-worker arrays without paying for them while metrics are off.
-    """
-    registry = MetricsRegistry._active
-    if registry is not None:
-        histogram = registry.histogram(name)
-        for value in values:
-            histogram.observe(value)
-
-
-class _ObservedScope:
-    """Times a block on the wall clock and observes it into a histogram.
-
-    The wall-clock read happens *here*, inside ``repro.obs`` — emission
-    sites in DET002-scoped simulation paths (the sharded backend) never
-    touch a clock themselves.
-    """
-
-    __slots__ = ("_name", "_t0")
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __enter__(self) -> "_ObservedScope":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        registry = MetricsRegistry._active
-        if registry is not None:
-            registry.histogram(self._name).observe(time.perf_counter() - self._t0)
-
-
-#: Shared disabled-path scope, same singleton pattern as ``profiled``.
-_NULL_OBSERVED = nullcontext()
-
-
-def observed(name: str):
-    """Context manager observing the block's wall time into histogram ``name``.
-
-    Returns a shared null scope while no registry is active, so wrapping hot
-    paths costs one attribute read when metrics are off.
-    """
-    return _NULL_OBSERVED if MetricsRegistry._active is None else _ObservedScope(name)
+        return f"MetricsRegistry(metrics={len(self._metrics)})"

@@ -8,38 +8,34 @@ costs to run).  Where the two diverge — an averaging step that is cheap in
 virtual time but slow in wall time, a shard RPC that blocks the parent — is
 exactly what the tooling in :mod:`repro.obs.tooling` exists to surface.
 
+The tracer is one of three sinks of :mod:`repro.obs.emit`: sites call
+``span`` / ``instant`` there, and every emission whose event is declared
+``timeline`` in :mod:`repro.obs.events` lands here through :meth:`Tracer.record`.
+
 Determinism contract: apart from the two wall-time fields (``wall_start``,
 ``wall_dur``), every byte of a flushed trace is a pure function of the
-seeded run.  Event names come from the frozen registry in
-:mod:`repro.obs.events` (checked at emit time, and statically by the OBS001
-analysis rule); virtual timestamps come from the virtual clock; ``seq`` is
-the in-process emission order; field values are run state (τ, round index,
-labels, content addresses).  Two seeded runs therefore produce byte-identical
+seeded run.  Event names come from the schema in :mod:`repro.obs.events`
+(checked at emit time, and statically by the OBS001 analysis rule); virtual
+timestamps come from the virtual clock; ``seq`` is the in-process emission
+order; field values are run state (τ, round index, labels, content
+addresses).  Two seeded runs therefore produce byte-identical
 ``trace.jsonl`` files modulo the wall fields — the property the
 ``python -m repro.obs diff`` triage tool and the test suite rely on.
-
-Zero overhead when disabled: :func:`span` returns one shared ``nullcontext``
-singleton and :func:`instant` is a single attribute read and return — the
-same pattern as :func:`repro.utils.timer.profiled` — so emission sites stay
-in place unconditionally, including in per-round hot paths.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import nullcontext
 from pathlib import Path
 
-from repro.obs.events import EVENT_NAMES, PROFILE_OP
-from repro.utils.timer import Profiler, VirtualClock
+from repro.obs.emit import Sink
+from repro.obs.profile import Profiler
 
 __all__ = [
     "Tracer",
     "WALL_FIELDS",
-    "instant",
     "read_trace",
-    "span",
     "strip_wall_fields",
     "trace_lines",
 ]
@@ -50,51 +46,18 @@ __all__ = [
 WALL_FIELDS = ("wall_start", "wall_dur")
 
 
-class _TraceSpan:
-    """One ``with span(...):`` activation; records into its tracer on exit."""
-
-    __slots__ = ("_tracer", "_name", "_clock", "_fields", "_v0", "_w0")
-
-    def __init__(self, tracer: "Tracer", name: str, clock: "VirtualClock | None", fields: dict):
-        self._tracer = tracer
-        self._name = name
-        self._clock = clock
-        self._fields = fields
-
-    def __enter__(self) -> "_TraceSpan":
-        self._v0 = None if self._clock is None else self._clock.now
-        self._w0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        w1 = time.perf_counter()
-        tracer = self._tracer
-        v0 = self._v0
-        tracer._emit(
-            name=self._name,
-            kind="span",
-            v_start=v0,
-            v_dur=None if v0 is None else self._clock.now - v0,
-            wall_start=self._w0 - tracer._wall0,
-            wall_dur=w1 - self._w0,
-            fields=self._fields,
-        )
-
-
-class Tracer:
+class Tracer(Sink):
     """Buffers typed span/instant events; flushes deterministic JSONL.
 
-    One tracer is active per process at a time (``enable()`` / ``with
-    Tracer() as t:``), and emission sites use the module-level :func:`span` /
-    :func:`instant` helpers so a disabled tracer costs nothing.  Events are
-    buffered in memory and written by :meth:`flush` as one sorted-keys JSON
-    object per line — byte-stable across seeded runs apart from the
-    ``wall_*`` fields (see :data:`WALL_FIELDS`).
+    One tracer receives events at a time (``enable()`` / ``with Tracer() as
+    t:``).  Events are buffered in memory and written by :meth:`flush` as one
+    sorted-keys JSON object per line — byte-stable across seeded runs apart
+    from the ``wall_*`` fields (see :data:`WALL_FIELDS`).
 
     Parameters
     ----------
     profile:
-        Also run a :class:`~repro.utils.timer.Profiler` while this tracer is
+        Also run a :class:`~repro.obs.profile.Profiler` while this tracer is
         enabled, and bridge its aggregated per-op rows into the trace as
         ``profile_op`` instant events at :meth:`finish`/:meth:`flush` time —
         so one ``--trace`` run yields both the event timeline and the
@@ -102,88 +65,47 @@ class Tracer:
         parent's profiler; their cost appears as ``shard_rpc`` spans instead.
     """
 
-    #: The process-wide active tracer, or ``None`` (tracing disabled).
-    _active: "Tracer | None" = None
+    _slot = 0
 
     def __init__(self, profile: bool = False):
         self._events: list[dict] = []
-        self._seq = 0
         self._wall0 = time.perf_counter()
         self._profiler = Profiler() if profile else None
         self._profile_bridged = False
-        self._prev: "Tracer | None" = None
 
     # -- activation ---------------------------------------------------------
     def enable(self) -> "Tracer":
-        """Make this the active tracer; returns self."""
-        self._prev = Tracer._active
-        Tracer._active = self
         if self._profiler is not None:
             self._profiler.enable()
-        return self
+        return super().enable()
 
     def disable(self) -> "Tracer":
-        """Stop recording, restoring whichever tracer was active before."""
-        if Tracer._active is self:
-            Tracer._active = self._prev
         if self._profiler is not None:
             self._profiler.disable()
-        return self
-
-    def __enter__(self) -> "Tracer":
-        return self.enable()
-
-    def __exit__(self, *exc) -> None:
-        self.disable()
+        return super().disable()
 
     # -- emission -----------------------------------------------------------
-    def _emit(
+    def record(
         self,
         name: str,
         kind: str,
         v_start: "float | None",
         v_dur: "float | None",
-        wall_start: "float | None",
+        wall_at: "float | None",
         wall_dur: "float | None",
         fields: dict,
     ) -> None:
-        if name not in EVENT_NAMES:
-            raise ValueError(
-                f"unknown trace event name {name!r}; registered names: "
-                f"{sorted(EVENT_NAMES)} (add new event types to repro.obs.events)"
-            )
+        """Append one event; ``wall_at`` is a raw ``perf_counter`` reading."""
         self._events.append({
             "name": name,
             "kind": kind,
-            "seq": self._seq,
+            "seq": len(self._events),
             "v_start": v_start,
             "v_dur": v_dur,
-            "wall_start": wall_start,
+            "wall_start": None if wall_at is None else wall_at - self._wall0,
             "wall_dur": wall_dur,
             "fields": fields,
         })
-        self._seq += 1
-
-    def span(self, name: str, clock: "VirtualClock | None" = None, **fields) -> _TraceSpan:
-        """Context manager recording a span event when the block exits.
-
-        ``clock`` opts into virtual timestamps: ``v_start`` is the clock at
-        entry and ``v_dur`` whatever the block advanced it by (0.0 for work
-        that is free in simulated time, e.g. evaluation).
-        """
-        return _TraceSpan(self, name, clock, fields)
-
-    def instant(self, name: str, clock: "VirtualClock | None" = None, **fields) -> None:
-        """Record a zero-duration event at the current position."""
-        self._emit(
-            name=name,
-            kind="instant",
-            v_start=None if clock is None else clock.now,
-            v_dur=None,
-            wall_start=time.perf_counter() - self._wall0,
-            wall_dur=None,
-            fields=fields,
-        )
 
     # -- output -------------------------------------------------------------
     def finish(self) -> list[dict]:
@@ -200,14 +122,9 @@ class Tracer:
             rows = self._profiler.to_dict()
             for op in sorted(rows):
                 entry = rows[op]
-                self._emit(
-                    name=PROFILE_OP,
-                    kind="instant",
-                    v_start=None,
-                    v_dur=None,
-                    wall_start=None,
-                    wall_dur=entry["total_seconds"],
-                    fields={"op": op, "calls": entry["calls"]},
+                self.record(
+                    "profile_op", "instant", None, None, None,
+                    entry["total_seconds"], {"op": op, "calls": entry["calls"]},
                 )
         return self._events
 
@@ -223,7 +140,7 @@ class Tracer:
 
     def to_jsonl(self) -> str:
         """The trace as JSONL: one sorted-keys JSON object per line."""
-        return "".join(json.dumps(e, sort_keys=True) + "\n" for e in self.finish())
+        return trace_lines(self.finish())
 
     def flush(self, path: "str | Path") -> Path:
         """Write the trace to ``path`` (atomically; parents created)."""
@@ -237,26 +154,7 @@ class Tracer:
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tracer(events={len(self._events)}, active={Tracer._active is self})"
-
-
-#: Shared disabled-path context manager — ``span`` must cost next to nothing
-#: when no tracer is active, so it returns this singleton instead of
-#: constructing anything (same pattern as ``repro.utils.timer.profiled``).
-_NULL_SPAN = nullcontext()
-
-
-def span(name: str, clock: "VirtualClock | None" = None, **fields):
-    """Scope a span event under the active tracer, or do nothing."""
-    tracer = Tracer._active
-    return _NULL_SPAN if tracer is None else tracer.span(name, clock=clock, **fields)
-
-
-def instant(name: str, clock: "VirtualClock | None" = None, **fields) -> None:
-    """Record an instant event under the active tracer, or do nothing."""
-    tracer = Tracer._active
-    if tracer is not None:
-        tracer.instant(name, clock=clock, **fields)
+        return f"Tracer(events={len(self._events)})"
 
 
 # -- reading traces back -----------------------------------------------------

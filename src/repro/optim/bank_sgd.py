@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.bank import ParameterBank
-from repro.utils.timer import profiled
+from repro.obs.emit import span
 
 __all__ = ["BankSGD"]
 
@@ -81,7 +81,7 @@ class BankSGD:
         lr = self.lr
         momentum = self.momentum
         wd = self.weight_decay
-        with profiled("bank_sgd.step"):
+        with span("bank_sgd.step"):
             for lo, hi in self.bank.grad_ranges():
                 p = self.bank.slab[:, lo:hi]
                 grad = self.bank.grad_slab[:, lo:hi]

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.metrics import counter_inc
-from repro.obs.tracer import instant
+from repro.obs.emit import count, instant, span
 from repro.sweep.spec import SweepCell, SweepSpec
 from repro.sweep.store import ResultStore
 from repro.utils.logging import get_logger
@@ -95,7 +94,6 @@ def _execute_cell(
     from repro.experiments.configs import ExperimentConfig
     from repro.experiments.harness import run_experiment
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.tracer import span
 
     address = payload["address"]
     try:
@@ -217,7 +215,7 @@ class SweepRunner:
         for cell in unique.values():
             if cell.address in self.store:
                 report.cached.append(cell.address)
-                counter_inc("sweep_cells_cached_total")
+                count("sweep_cells_cached_total")
                 instant("sweep_cell", address=cell.address, status="cached")
                 self._emit(f"[sweep] cached   {cell.address}  {cell.label}")
             else:
@@ -229,22 +227,32 @@ class SweepRunner:
                 f"with jobs={min(self.jobs, len(pending))}"
             )
         by_address = {cell.address: cell for cell in pending}
+        # Results are stored and reported as they complete, but a trace must
+        # be a pure function of the seeded run, not of pool scheduling: the
+        # outcome instant of pending cell k waits for those of the cells
+        # before it (serial arrivals are already in order).
+        outcome: dict[str, str] = {}
+        announced = 0
         for address, result_payload, error, metrics in self._execute(pending):
             cell = by_address[address]
             if error is not None:
                 report.failed[address] = error
-                counter_inc("sweep_cells_failed_total")
-                instant("sweep_cell", address=address, status="failed")
+                count("sweep_cells_failed_total")
+                outcome[address] = "failed"
                 self._emit(f"[sweep] FAILED   {address}  {cell.label}")
                 logger.error("cell %s failed:\n%s", address, error)
-                continue
-            self.store.put(address, _cell_meta(cell), result_payload)
-            if metrics is not None:
-                self.store.put_metrics(address, metrics)
-            report.executed.append(address)
-            counter_inc("sweep_cells_executed_total")
-            instant("sweep_cell", address=address, status="executed")
-            self._emit(f"[sweep] executed {address}  {cell.label}")
+            else:
+                self.store.put(address, _cell_meta(cell), result_payload)
+                if metrics is not None:
+                    self.store.put_metrics(address, metrics)
+                report.executed.append(address)
+                count("sweep_cells_executed_total")
+                outcome[address] = "executed"
+                self._emit(f"[sweep] executed {address}  {cell.label}")
+            while announced < len(pending) and pending[announced].address in outcome:
+                head = pending[announced].address
+                instant("sweep_cell", address=head, status=outcome[head])
+                announced += 1
 
         self._emit(report.summary())
         return report

@@ -1,9 +1,9 @@
-"""Shared utilities: seeding, structured results, logging, and timing."""
+"""Shared utilities: seeding, structured results, logging, and virtual time."""
 
 from repro.utils.seeding import SeedSequence, check_random_state, set_global_seed
 from repro.utils.results import MetricPoint, RunRecord, RunStore
-from repro.utils.timer import Stopwatch, VirtualClock
-from repro.utils.logging import configure_logging, get_logger, log_context
+from repro.utils.timer import VirtualClock
+from repro.utils.logging import configure_logging, get_logger
 
 __all__ = [
     "SeedSequence",
@@ -12,9 +12,7 @@ __all__ = [
     "MetricPoint",
     "RunRecord",
     "RunStore",
-    "Stopwatch",
     "VirtualClock",
     "configure_logging",
     "get_logger",
-    "log_context",
 ]

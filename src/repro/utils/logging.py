@@ -1,90 +1,35 @@
-"""Thin logging wrapper so all library components share one configuration.
-
-Two output modes share one installed handler: the human-readable default,
-and a structured JSON mode (``configure_logging(json_mode=True)``) that
-emits one JSON object per line — ``{"logger", "level", "message", "fields"}``
-— for log shippers and the test suite.  ``fields`` carries the ambient
-key/values bound with :func:`log_context`, a contextvar-based scope so
-nested contexts stack and concurrent tasks do not leak fields into each
-other::
-
-    with log_context(cell="a1b2c3", backend="sharded"):
-        logger.info("executing")   # fields: {"cell": ..., "backend": ...}
-"""
+"""Thin logging wrapper so all library components share one configuration."""
 
 from __future__ import annotations
 
-import contextvars
-import json
 import logging
 import sys
-from contextlib import contextmanager
 
-__all__ = ["get_logger", "configure_logging", "log_context"]
+__all__ = ["get_logger", "configure_logging"]
 
 _ROOT_NAME = "repro"
 _handler: "logging.Handler | None" = None
 
-#: Ambient structured-log fields, bound with :func:`log_context`.
-_log_fields: contextvars.ContextVar[dict] = contextvars.ContextVar(
-    "repro_log_fields", default={}
-)
-
 _TEXT_FORMAT = ("[%(asctime)s] %(name)s %(levelname)s: %(message)s", "%H:%M:%S")
 
 
-class _JsonFormatter(logging.Formatter):
-    """One sorted-keys JSON object per record, ambient fields included."""
-
-    def format(self, record: logging.LogRecord) -> str:
-        return json.dumps(
-            {
-                "logger": record.name,
-                "level": record.levelname,
-                "message": record.getMessage(),
-                "fields": _log_fields.get(),
-            },
-            sort_keys=True,
-            default=str,
-        )
-
-
-def configure_logging(
-    level: int = logging.INFO, stream=None, json_mode: bool = False
-) -> None:
+def configure_logging(level: int = logging.INFO, stream=None) -> None:
     """Install a single stream handler on the library's root logger.
 
     Safe to call multiple times: exactly one handler is ever installed, and
-    repeat calls re-apply ``level`` (to the logger *and* the handler) and
-    ``json_mode`` to it, so later calls genuinely reconfigure rather than
-    being ignored.  ``stream`` only takes effect on the first call (the
-    handler keeps the stream it was created with).
+    repeat calls re-apply ``level`` (to the logger *and* the handler), so
+    later calls genuinely reconfigure rather than being ignored.  ``stream``
+    only takes effect on the first call (the handler keeps the stream it was
+    created with).
     """
     global _handler
     logger = logging.getLogger(_ROOT_NAME)
     logger.setLevel(level)
     if _handler is None:
         _handler = logging.StreamHandler(stream or sys.stderr)
+        _handler.setFormatter(logging.Formatter(*_TEXT_FORMAT))
         logger.addHandler(_handler)
     _handler.setLevel(level)
-    _handler.setFormatter(
-        _JsonFormatter() if json_mode else logging.Formatter(*_TEXT_FORMAT)
-    )
-
-
-@contextmanager
-def log_context(**fields):
-    """Bind structured fields to every log record emitted in this scope.
-
-    Fields appear in JSON-mode output under ``"fields"``; nested contexts
-    merge (inner keys win) and unwind on exit.  Contextvar-backed, so
-    concurrently running tasks each see only their own bindings.
-    """
-    token = _log_fields.set({**_log_fields.get(), **fields})
-    try:
-        yield
-    finally:
-        _log_fields.reset(token)
 
 
 def get_logger(name: str) -> logging.Logger:

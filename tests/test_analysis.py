@@ -143,7 +143,7 @@ def test_det002_scope_excludes_presentation_code(tmp_path):
 
 
 def test_det002_covers_utils_with_suppression_escape(tmp_path):
-    """utils/ is in scope (the profiler lives there); suppressions still work."""
+    """utils/ is in scope (virtual time lives there); suppressions still work."""
     flagged = "import time\nstart = time.perf_counter()\n"
     sanctioned = (
         "import time\n"
@@ -444,7 +444,13 @@ def test_bank001_catches_layer_dropped_from_real_matrix(tmp_path):
 
 # -- OBS001 ------------------------------------------------------------------
 
-_OBS_EVENTS = 'EVENT_NAMES = frozenset({\n    "round",\n    "eval",\n})\n'
+_OBS_EVENTS = (
+    'EVENTS: dict[str, Event] = {\n'
+    '    "round": Event(counter="rounds_total"),\n'
+    '    "eval": Event(),\n'
+    '    "im2col": _kernel("im2col"),\n'
+    '}\n'
+)
 
 
 def test_obs001_clean_when_names_are_registered(tmp_path):
@@ -453,9 +459,9 @@ def test_obs001_clean_when_names_are_registered(tmp_path):
         {
             "repro/obs/events.py": _OBS_EVENTS,
             "repro/core/t.py": (
-                "from repro.obs.tracer import span, instant\n"
+                "from repro.obs.emit import span, instant\n"
                 "def f(clock):\n"
-                "    with span('round', clock=clock, round=1):\n"
+                "    with span('round', clock=clock, round=1), span('im2col'):\n"
                 "        instant('eval')\n"
             ),
         },
@@ -470,7 +476,7 @@ def test_obs001_flags_unregistered_literal_name(tmp_path):
         {
             "repro/obs/events.py": _OBS_EVENTS,
             "repro/core/t.py": (
-                "from repro.obs.tracer import instant\n"
+                "from repro.obs.emit import instant\n"
                 "instant('bogus_event')\n"
             ),
         },
@@ -486,7 +492,7 @@ def test_obs001_flags_computed_name_through_imported_helper(tmp_path):
         {
             "repro/obs/events.py": _OBS_EVENTS,
             "repro/core/t.py": (
-                "from repro.obs.tracer import span as sp\n"
+                "from repro.obs.emit import span as sp\n"
                 "def f(name):\n"
                 "    return sp(name)\n"
             ),
@@ -519,7 +525,7 @@ def test_obs001_exempts_the_obs_package_itself(tmp_path):
         tmp_path,
         {
             "repro/obs/events.py": _OBS_EVENTS,
-            "repro/obs/tracer.py": (
+            "repro/obs/emit.py": (
                 "def span(name):\n"
                 "    return name\n"
                 "def forward(self, name):\n"
@@ -536,14 +542,14 @@ def test_obs001_flags_missing_registry_declaration(tmp_path):
         tmp_path,
         {
             "repro/core/t.py": (
-                "from repro.obs.tracer import instant\n"
+                "from repro.obs.emit import instant\n"
                 "instant('round')\n"
             ),
         },
         select=["OBS001"],
     )
     (finding,) = report.findings
-    assert "EVENT_NAMES" in finding.message
+    assert "EVENTS" in finding.message
 
 
 def test_obs001_catches_name_dropped_from_real_registry(tmp_path):
@@ -551,7 +557,7 @@ def test_obs001_catches_name_dropped_from_real_registry(tmp_path):
     emission sites (copied verbatim into a fixture tree — the analysis is
     purely syntactic, so their imports never run)."""
     events_py = (SRC_ROOT / "repro" / "obs" / "events.py").read_text()
-    pruned = events_py.replace('    "round",\n', "")
+    pruned = events_py.replace('    "round": Event(counter="rounds_total"),\n', "")
     assert pruned != events_py
     report = _run(
         tmp_path,

@@ -22,7 +22,7 @@ from repro.nn import layers
 from repro.nn.bank import ParameterBank
 from repro.nn.layers import Conv2d, MaxPool2d, clear_kernel_plan_cache, evaluating, kernel_plan_cache_stats
 from repro.nn.tensor import Tensor
-from repro.utils.timer import Profiler
+from repro.obs.profile import Profiler
 
 from tests.test_perf_overhaul import GEOMETRIES, _col2im
 

@@ -1,4 +1,4 @@
-"""repro.obs: tracer, metrics registry, tooling, CLI, and the wiring.
+"""repro.obs: the emission surface, its three sinks, tooling, CLI, and the wiring.
 
 The load-bearing properties, in test order:
 
@@ -6,9 +6,12 @@ The load-bearing properties, in test order:
   ``wall_*`` fields are stripped (the contract ``python -m repro.obs diff``
   and every downstream tool relies on), and the sharded backend's trace
   tells the same virtual-time story as the vectorized one.
-* Zero overhead when disabled — the module-level ``span``/``instant``/
-  ``observed`` helpers return shared null singletons while no tracer or
-  registry is active, so instrumentation can live in per-round hot paths.
+* Zero overhead when disabled — ``span`` returns one shared null singleton
+  and the other helpers return at once while no sink is enabled, so
+  instrumentation can live in per-round hot paths.
+* One surface, three consumers — a span takes one clock pair that the
+  tracer, the registry and the profiler share; each sink owns one slot of
+  the one switch and gives exactly that slot back.
 * Telemetry never contaminates results — ``RunStore`` payloads only carry a
   metrics snapshot when one was attached, and sweep metrics live in a
   sidecar file outside the byte-identity contract.
@@ -19,6 +22,9 @@ from __future__ import annotations
 import io
 import json
 import logging
+import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -27,11 +33,18 @@ from repro.experiments.configs import make_config
 from repro.experiments.harness import run_experiment, run_method
 from repro.obs import (
     EVENT_NAMES,
+    EVENTS,
     MetricsRegistry,
+    Profiler,
     Tracer,
     WALL_FIELDS,
+    count,
     diff_traces,
+    emit,
+    gauge,
     instant,
+    observe,
+    observe_many,
     read_trace,
     span,
     strip_wall_fields,
@@ -42,19 +55,10 @@ from repro.obs import (
     validate_event_name,
 )
 from repro.obs.cli import main as obs_main
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    counter_inc,
-    gauge_set,
-    observe,
-    observe_many,
-    observed,
-)
-from repro.obs.tracer import _NULL_SPAN
+from repro.obs.emit import _NULL_SPAN
+from repro.obs.metrics import STANDARD_METRICS, Counter, Gauge, Histogram
 from repro.utils.results import RunStore
-from repro.utils.timer import VirtualClock, profiled
+from repro.utils.timer import VirtualClock
 
 
 def _tiny_config(**overrides):
@@ -108,7 +112,7 @@ class TestTracer:
         assert validate_event_name("round") == "round"
 
     def test_disabled_helpers_are_shared_null_singletons(self):
-        assert Tracer._active is None
+        assert emit._active is None
         assert span("round") is _NULL_SPAN
         assert span("eval", round=3) is span("communicate")
         assert instant("round") is None  # no tracer: pure no-op
@@ -122,9 +126,9 @@ class TestTracer:
             instant("round", round=1)
             with inner:
                 instant("eval", round=1)
-            assert Tracer._active is outer
+            assert emit._active == (outer, None, None)
             instant("round", round=2)
-        assert Tracer._active is None
+        assert emit._active is None
         assert [e["name"] for e in outer.events] == ["round", "round"]
         assert [e["name"] for e in inner.events] == ["eval"]
 
@@ -162,9 +166,9 @@ class TestTracer:
     def test_profiler_rows_bridge_once_into_wall_dur(self):
         tracer = Tracer(profile=True)
         with tracer:
-            with profiled("bank/gemm"):
+            with span("im2col"):
                 pass
-            with profiled("bank/gemm"):
+            with span("im2col"):
                 pass
         events = tracer.finish()
         tracer.finish()  # idempotent: the bridge runs once
@@ -172,7 +176,7 @@ class TestTracer:
         assert len(profile_rows) == 1
         (row,) = profile_rows
         assert row["kind"] == "instant"
-        assert row["fields"] == {"op": "bank/gemm", "calls": 2}
+        assert row["fields"] == {"op": "im2col", "calls": 2}
         # the nondeterministic total lives in a strippable wall field
         assert row["wall_dur"] > 0.0
         assert strip_wall_fields([row])[0]["fields"] == row["fields"]
@@ -210,11 +214,11 @@ class TestMetrics:
             registry.gauge("rounds_total")
 
     def test_helpers_are_noops_while_disabled(self):
-        assert MetricsRegistry._active is None
-        counter_inc("rounds_total")
-        gauge_set("workers", 4)
+        assert emit._active is None
+        count("rounds_total")
+        gauge("workers", 4)
         observe("shard_rpc_seconds", 0.1)
-        assert observed("shard_rpc_seconds") is observed("shard_rpc_seconds")
+        assert span("shard_gather") is span("shard_gather")
 
         class Exploding:
             def __iter__(self):
@@ -222,28 +226,37 @@ class TestMetrics:
 
         observe_many("shard_rpc_seconds", Exploding())  # must not iterate
 
+        def exploding():
+            raise AssertionError("gauge reading taken while metrics disabled")
+
+        gauge("consensus_distance", exploding)  # must not call
+        with Tracer():  # something is on, but no registry: still not called
+            gauge("consensus_distance", exploding)
+
     def test_helpers_record_while_enabled(self):
         with MetricsRegistry() as registry:
-            counter_inc("rounds_total", 3)
-            gauge_set("workers", 8)
+            count("rounds_total", 3)
+            gauge("workers", 8)
+            gauge("consensus_distance", lambda: 0.25)
             observe_many("straggler_wait_virtual_seconds", [0.1, 0.2])
-            with observed("shard_rpc_seconds"):
+            with span("shard_rpc", op="mean_state"):
                 pass
         snapshot = registry.snapshot()
         assert snapshot["counters"]["rounds_total"] == 3
         assert snapshot["gauges"]["workers"] == 8.0
+        assert snapshot["gauges"]["consensus_distance"] == 0.25
         assert snapshot["histograms"]["straggler_wait_virtual_seconds"]["count"] == 2
         assert snapshot["histograms"]["shard_rpc_seconds"]["count"] == 1
 
     def test_nested_registries_restore_the_outer_one(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
         with outer:
-            counter_inc("rounds_total")
+            count("rounds_total")
             with inner:
-                counter_inc("rounds_total")
-            assert MetricsRegistry._active is outer
-            counter_inc("rounds_total")
-        assert MetricsRegistry._active is None
+                count("rounds_total")
+            assert emit._active == (None, outer, None)
+            count("rounds_total")
+        assert emit._active is None
         assert outer.snapshot()["counters"]["rounds_total"] == 2
         assert inner.snapshot()["counters"]["rounds_total"] == 1
 
@@ -258,6 +271,150 @@ class TestMetrics:
             assert key in snapshot["gauges"]
         # JSON-compatible with sorted keys all the way down
         assert json.loads(json.dumps(snapshot, sort_keys=True)) == snapshot
+
+
+# -- one surface, one switch, three sinks --------------------------------------
+
+
+class TestOneSurface:
+    def test_one_span_reads_the_clock_twice_and_every_consumer_gets_that_duration(
+        self, monkeypatch
+    ):
+        tracer, registry = Tracer(profile=True), MetricsRegistry()  # origin read here
+        reads = []
+
+        def fake_clock():
+            reads.append(100.0 + 0.375 * len(reads))
+            return reads[-1]
+
+        with tracer, registry, monkeypatch.context() as patch:
+            patch.setattr(time, "perf_counter", fake_clock)
+            with span("shard_rpc", op="mean_state", shard="all"):
+                pass
+        assert reads == [100.0, 100.375]
+        (event,) = tracer.events
+        assert event["wall_dur"] == 0.375
+        assert registry.snapshot()["histograms"]["shard_rpc_seconds"]["sum"] == 0.375
+        assert tracer.profiler.to_dict() == {
+            "shard_rpc.mean_state": {
+                "calls": 1, "total_seconds": 0.375, "mean_seconds": 0.375,
+            }
+        }
+
+    def test_only_events_declaring_a_row_enter_the_profile_path(self):
+        # A bare timeline span must not push: rows would gain a
+        # ``round/...`` prefix and every profile_op row would change.
+        with Tracer(profile=True) as tracer:
+            with span("round", round=1), span("average", n_workers=2), span("im2col"):
+                pass
+        assert sorted(tracer.profiler.to_dict()) == ["cluster.average", "cluster.average/im2col"]
+        assert [e["name"] for e in tracer.events] == ["average", "round"]  # im2col: no record
+
+    def test_a_reentered_scope_counts_one_call_and_a_raising_body_still_pops(self):
+        with Profiler() as profiler:
+            gathering = span("im2col")
+            for _ in range(3):
+                with gathering:
+                    pass
+            with pytest.raises(RuntimeError, match="boom"):
+                with span("conv2d.bank_forward"), span("col2im"):
+                    raise RuntimeError("boom")
+            with span("bank_sgd.step"):  # top-level again: the path was unwound
+                pass
+        assert {op: row["calls"] for op, row in profiler.to_dict().items()} == {
+            "im2col": 1, "conv2d.bank_forward": 1, "conv2d.bank_forward/col2im": 1,
+            "bank_sgd.step": 1,
+        }
+
+    def test_profile_paths_are_per_thread_and_rows_are_shared(self):
+        # In-process shard threads run kernel scopes while the parent sits
+        # inside its own: their rows stay top-level, in the one table.
+        def shard():
+            with span("bank_sgd.step"):
+                pass
+
+        with Profiler() as profiler, span("cluster.local_period"):
+            threads = [threading.Thread(target=shard) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            shard()
+        assert {op: row["calls"] for op, row in profiler.to_dict().items()} == {
+            "cluster.local_period": 1, "bank_sgd.step": 2,
+            "cluster.local_period/bank_sgd.step": 1,
+        }
+
+    def test_an_instant_feeds_timeline_and_counter_only(self):
+        # The drain-ack instant shares its name with the shard_rpc span.
+        with Tracer(profile=True) as tracer, MetricsRegistry() as registry:
+            instant("shard_rpc", op="broadcast", shard=0, phase="drain_ack")
+        assert [e["kind"] for e in tracer.events] == ["instant"]
+        assert registry.snapshot()["histograms"]["shard_rpc_seconds"]["count"] == 0
+        assert tracer.profiler.to_dict() == {}
+
+    def test_a_span_counter_counts_a_body_that_raised(self):
+        with MetricsRegistry() as registry:
+            with pytest.raises(RuntimeError):
+                with span("eval", round=1):
+                    raise RuntimeError("diverged")
+            instant("eval", round=2)  # instants feed the counter too
+        assert registry.snapshot()["counters"]["evals_total"] == 2
+
+    def test_a_scope_binds_its_consumers_when_created(self):
+        with Tracer() as tracer:
+            scope = span("shard_rpc", op="ping")
+            with MetricsRegistry() as late:
+                with scope:
+                    pass
+        assert len(tracer.events) == 1
+        assert late.snapshot()["histograms"]["shard_rpc_seconds"]["count"] == 0
+
+    def test_nested_profiler_restores_the_outer_one(self):
+        with Profiler() as outer:
+            with span("im2col"):
+                pass
+            with Tracer(profile=True) as inner:
+                with span("im2col"):
+                    pass
+            with span("im2col"):  # the inner tracer's profiler gave the slot back
+                pass
+        assert emit._active is None
+        assert outer.to_dict()["im2col"]["calls"] == 2
+        assert inner.profiler.to_dict()["im2col"]["calls"] == 1
+
+    def test_sinks_disable_in_any_order_each_returning_its_own_slot(self):
+        tracer, registry, profiler = Tracer().enable(), MetricsRegistry().enable(), Profiler().enable()
+        tracer.disable()  # not LIFO: the registry and the profiler stay on
+        assert emit._active == (None, registry, profiler)
+        with span("shard_rpc", op="ping"):
+            pass
+        profiler.disable()
+        tracer.disable()  # a second disable is a no-op
+        assert emit._active == (None, registry, None)
+        registry.disable()
+        assert emit._active is None
+        assert tracer.events == []
+        assert registry.snapshot()["histograms"]["shard_rpc_seconds"]["count"] == 1
+        assert profiler.to_dict()["shard_rpc.ping"]["calls"] == 1
+
+    def test_every_metric_an_event_names_is_preregistered(self):
+        # Else a snapshot's schema would depend on which events fired.
+        declared = {("counter", e.counter) for e in EVENTS.values() if e.counter}
+        declared |= {("histogram", e.histogram) for e in EVENTS.values() if e.histogram}
+        assert declared and declared <= set(STANDARD_METRICS)
+
+    def test_the_wall_clock_is_read_in_two_modules_only(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        readers = sorted(
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            if re.search(r"perf_counter(_ns)?\(\)", path.read_text())
+        )
+        assert readers == ["obs/emit.py", "obs/tracer.py"]
 
 
 # -- determinism and backend parity (integration) -----------------------------
@@ -504,6 +661,33 @@ class TestPersistence:
             )
 
 
+    def test_outcome_instants_follow_pending_order_not_completion_order(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sweep import SweepSpec, grid
+        from repro.sweep.runner import SweepRunner
+
+        spec = SweepSpec("obs-order", _tiny_config(wall_time_budget=4.0), grid(tau=[1, 2, 4]))
+
+        def outcomes(store):
+            with Tracer() as tracer:
+                report = SweepRunner(store).run(spec)
+            assert report.ok
+            instants = [e for e in strip_wall_fields(tracer.events) if e["kind"] == "instant"]
+            assert {e["name"] for e in instants} == {"sweep_cell"}
+            return [e["fields"] for e in instants], report.executed
+
+        serial, serial_order = outcomes(tmp_path / "serial")
+        execute = SweepRunner._execute
+        # What a pool may do: every cell completes in the opposite order.
+        monkeypatch.setattr(
+            SweepRunner, "_execute", lambda self, pending: reversed(list(execute(self, pending)))
+        )
+        shuffled, completion_order = outcomes(tmp_path / "shuffled")
+        assert completion_order == serial_order[::-1]  # stored and reported as they land
+        assert shuffled == serial and len(serial) == 3  # but traced in pending order
+
+
 # -- experiment API and CLI wiring --------------------------------------------
 
 
@@ -521,7 +705,7 @@ class TestEntryPoints:
         events = read_trace(path)
         names = {e["name"] for e in events}
         assert {"experiment", "method", "round", "profile_op"} <= names
-        assert Tracer._active is None  # run() cleaned up after itself
+        assert emit._active is None  # run() cleaned up after itself
 
     def test_cli_trace_and_metrics_flags(self, tmp_path, capsys):
         from repro.experiments.cli import main
@@ -552,7 +736,7 @@ class TestEntryPoints:
         assert RunStore.load(save).metrics == payload["metrics"]
 
 
-# -- structured logging satellite ---------------------------------------------
+# -- logging ------------------------------------------------------------------
 
 
 @pytest.fixture()
@@ -575,26 +759,6 @@ def fresh_logging(monkeypatch):
 
 
 class TestLogging:
-    def test_json_mode_emits_sorted_records_with_context_fields(self, fresh_logging):
-        stream = io.StringIO()
-        fresh_logging.configure_logging(stream=stream, json_mode=True)
-        logger = fresh_logging.get_logger("obs.test")
-        with fresh_logging.log_context(cell="a1b2", backend="sharded"):
-            with fresh_logging.log_context(backend="vectorized"):
-                logger.info("inner")
-            logger.info("outer")
-        logger.info("bare")
-        inner, outer, bare = [
-            json.loads(line) for line in stream.getvalue().splitlines()
-        ]
-        assert inner["logger"] == "repro.obs.test"
-        assert inner["message"] == "inner"
-        assert inner["fields"] == {"cell": "a1b2", "backend": "vectorized"}
-        assert outer["fields"] == {"cell": "a1b2", "backend": "sharded"}
-        assert bare["fields"] == {}
-        # sorted keys: byte-stable record layout
-        assert stream.getvalue().splitlines()[0] == json.dumps(inner, sort_keys=True)
-
     def test_repeat_configure_reapplies_level_and_keeps_one_handler(self, fresh_logging):
         stream = io.StringIO()
         fresh_logging.configure_logging(level=logging.DEBUG, stream=stream)
@@ -606,16 +770,3 @@ class TestLogging:
         output = stream.getvalue()
         assert "visible" in output and "filtered" not in output and "loud" in output
         assert len(logging.getLogger("repro").handlers) == 1
-
-    def test_json_mode_toggles_on_reconfigure(self, fresh_logging):
-        stream = io.StringIO()
-        fresh_logging.configure_logging(stream=stream, json_mode=True)
-        logger = fresh_logging.get_logger("obs.toggle")
-        logger.info("as json")
-        fresh_logging.configure_logging(json_mode=False)
-        logger.info("as text")
-        json_line, text_line = stream.getvalue().splitlines()
-        assert json.loads(json_line)["message"] == "as json"
-        with pytest.raises(json.JSONDecodeError):
-            json.loads(text_line)
-        assert "as text" in text_line

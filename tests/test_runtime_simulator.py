@@ -8,7 +8,7 @@ import pytest
 from repro.runtime.distributions import ConstantDelay, ExponentialDelay
 from repro.runtime.network import NetworkModel
 from repro.runtime.simulator import RuntimeSimulator
-from repro.utils.timer import Stopwatch, VirtualClock
+from repro.utils.timer import VirtualClock
 
 
 class TestVirtualClock:
@@ -33,22 +33,6 @@ class TestVirtualClock:
         clock.advance(3.0)
         clock.reset()
         assert clock.now == 0.0 and clock.n_advances == 0
-
-
-class TestStopwatch:
-    def test_measures_positive_time(self):
-        with Stopwatch() as sw:
-            sum(range(10000))
-        assert sw.elapsed > 0
-
-    def test_double_start_raises(self):
-        sw = Stopwatch().start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
 
 
 class TestRuntimeSimulator:
