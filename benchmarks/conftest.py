@@ -6,7 +6,7 @@ payload exactly once through ``benchmark.pedantic(..., rounds=1)`` — the
 timing that pytest-benchmark reports is the real cost of regenerating that
 artifact — and writes the regenerated table / data series both to stdout and
 to ``benchmarks/output/<name>.txt`` so the numbers can be inspected after the
-run and compared against EXPERIMENTS.md.
+run and compared against the paper (README, "Mapping configs to the paper").
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ TOPOLOGIES = ("complete", "ring", "star", "mh")
 
 
 def _networkx(needed_by: str):
-    """Import networkx on first use: only the ``"mh"`` topology and arbitrary
-    graphs need it, and at ~180 ms it would otherwise be the largest share of
-    every CLI start, shard process and sweep-pool worker."""
+    """Import networkx on first use: only :func:`chordal_ring_graph` needs it
+    (every named topology, ``"mh"`` included, is built in NumPy), and at
+    ~180 ms it would otherwise be the largest share of every CLI start, shard
+    process and sweep-pool worker."""
     try:
         import networkx
     except ImportError:  # pragma: no cover - networkx is installed in this environment
@@ -102,20 +103,26 @@ def metropolis_hastings_weights(graph) -> np.ndarray:
     Uses the Metropolis-Hastings rule ``W_ij = 1 / (1 + max(d_i, d_j))`` for
     edges, with the remaining mass on the diagonal.
     """
-    nx = _networkx("metropolis_hastings_weights")
-    if graph.number_of_nodes() == 0:
-        raise ValueError("graph must be non-empty")
-    if not nx.is_connected(graph):
-        raise ValueError("graph must be connected for gossip averaging to reach consensus")
-    nodes = sorted(graph.nodes())
-    index = {n: i for i, n in enumerate(nodes)}
-    m = len(nodes)
-    W = np.zeros((m, m))
-    degrees = dict(graph.degree())
+    index = {n: i for i, n in enumerate(sorted(graph.nodes()))}
+    adjacent = np.zeros((len(index), len(index)), dtype=bool)
     for u, v in graph.edges():
-        w = 1.0 / (1.0 + max(degrees[u], degrees[v]))
-        W[index[u], index[v]] = w
-        W[index[v], index[u]] = w
+        adjacent[index[u], index[v]] = adjacent[index[v], index[u]] = True
+    return _mh_weights(adjacent)
+
+
+def _mh_weights(adjacent: np.ndarray) -> np.ndarray:
+    """The Metropolis-Hastings rule on a symmetric boolean adjacency matrix."""
+    m = len(adjacent)
+    if m == 0:
+        raise ValueError("graph must be non-empty")
+    seen, frontier = {0}, [0]
+    while frontier:  # breadth-first search from node 0
+        frontier = [j for j in np.flatnonzero(adjacent[frontier].any(axis=0)).tolist() if j not in seen]
+        seen.update(frontier)
+    if len(seen) != m:
+        raise ValueError("graph must be connected for gossip averaging to reach consensus")
+    degrees = adjacent.sum(axis=1)
+    W = np.where(adjacent, 1.0 / (1.0 + np.maximum(degrees[:, None], degrees[None, :])), 0.0)
     for i in range(m):
         W[i, i] = 1.0 - W[i].sum()
     return W
@@ -138,13 +145,23 @@ def chordal_ring_graph(m: int):
     return graph
 
 
+def _chordal_ring_adjacency(m: int) -> np.ndarray:
+    """:func:`chordal_ring_graph` as a boolean adjacency matrix, without NetworkX."""
+    _validate_m(m)
+    nodes = np.arange(m)
+    adjacent = np.zeros((m, m), dtype=bool)
+    for step in (1, 2) if m > 4 else range(1, m):
+        adjacent[nodes, (nodes + step) % m] = adjacent[(nodes + step) % m, nodes] = True
+    return adjacent
+
+
 def mixing_matrix_for(topology: str, m: int) -> np.ndarray:
     """Resolve a topology name to its doubly-stochastic mixing matrix.
 
     ``"complete"`` is PASGD's exact collective (one gossip round averages
     exactly); ``"ring"`` and ``"star"`` use the closed-form matrices above;
-    ``"mh"`` builds Metropolis-Hastings weights over the deterministic
-    chordal-ring graph.
+    ``"mh"`` is the Metropolis-Hastings weighting of the deterministic
+    chordal-ring graph (:func:`chordal_ring_graph`), built without NetworkX.
     """
     if topology == "complete":
         return complete_mixing_matrix(m)
@@ -153,7 +170,7 @@ def mixing_matrix_for(topology: str, m: int) -> np.ndarray:
     if topology == "star":
         return star_mixing_matrix(m)
     if topology == "mh":
-        return metropolis_hastings_weights(chordal_ring_graph(m))
+        return _mh_weights(_chordal_ring_adjacency(m))
     raise ValueError(f"unknown topology {topology!r}; choose one of {TOPOLOGIES}")
 
 

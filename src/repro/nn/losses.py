@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _out
 
 __all__ = [
     "softmax",
@@ -54,11 +54,26 @@ def bank_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(
             f"targets shape {targets.shape} does not match stacked batch ({m}, {batch})"
         )
-    log_probs = log_softmax(logits, axis=-1)
-    workers = np.arange(m)[:, None]
-    rows = np.arange(batch)[None, :]
-    picked = log_probs[workers, rows, targets]  # (m, B)
-    return -picked.mean(axis=1)
+    # One node for max-shift, exp, row sum, log, pick, mean and negate: the
+    # NumPy calls of ``-log_softmax(logits)[picked].mean(axis=1)`` in its order.
+    x = logits.data
+    shifted = np.subtract(x, x.max(axis=-1, keepdims=True), out=_out(x))
+    exp = np.exp(shifted, out=_out(shifted))
+    row_sum = exp.sum(axis=-1, keepdims=True)
+    log_probs = np.subtract(shifted, np.log(row_sum), out=_out(shifted))
+    key = (np.arange(m)[:, None], np.arange(batch)[None, :], targets)
+    scale = np.asarray(1.0 / batch)
+    out_data = np.negative(log_probs[key].sum(axis=1) * scale)
+
+    def backward(g):
+        picked = (-g * scale).reshape(m, 1)
+        full = np.zeros(x.shape, x.dtype)
+        # ``np.add.at``'s result on unique (worker, row, target) indices.
+        full[key] += picked
+        to_exp = (-full).sum(axis=(2,), keepdims=True) / row_sum * exp
+        return (np.add(full, to_exp, out=full),)
+
+    return logits._make(out_data, (logits,), backward)
 
 
 def bank_mse_loss(pred: Tensor, target) -> Tensor:

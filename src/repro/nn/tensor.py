@@ -1,9 +1,12 @@
 """Reverse-mode automatic differentiation on NumPy arrays.
 
 ``Tensor`` wraps a ``numpy.ndarray`` and records the operations applied to it
-in a dynamically built computation graph.  Calling ``backward()`` on a scalar
-result walks the graph in reverse topological order and accumulates
-gradients into every tensor created with ``requires_grad=True``.
+in a dynamically built computation graph.  Every tensor is stamped with a
+creation index, and a node is made after its parents, so creation order is a
+topological order: ``backward()`` pops the nodes reachable from the result
+newest-first off a heap of stamps and accumulates gradients into every tensor
+created with ``requires_grad=True``, each contribution added on arrival — in
+descending creation index of its consumer (``docs/engine.md``).
 
 The operator set is the minimum needed by the layer library: elementwise
 arithmetic, matmul, reductions, reshape/transpose, exp/log/tanh/relu/sigmoid,
@@ -15,13 +18,19 @@ operand's shape.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable
+import itertools
+import math
+from heapq import heappop, heappush
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["Tensor", "Workspace", "no_grad", "is_grad_enabled"]
 
 _grad_enabled = True
+#: The next creation stamp (one C call: shard threads build graphs side by
+#: side).  Only a count lives here; the tape is the nodes' own parent links.
+_stamp = itertools.count(1).__next__
 _workspace: "Workspace | None" = None
 #: Ops on operands smaller than this never use a workspace: below glibc's mmap
 #: threshold (128 KiB) malloc recycles a block from its free lists in ~50 ns,
@@ -142,7 +151,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
     # Sum over axes that were 1 in the original shape.
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    axes = tuple([i for i, n in enumerate(grad.shape) if n != 1 and shape[i] == 1])
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
@@ -172,6 +181,7 @@ class Tensor:
 
     __slots__ = (
         "data", "grad", "requires_grad", "_backward", "_parents", "name", "grad_buffer",
+        "_index", "_pending",
     )
     __array_priority__ = 100  # ensure ndarray.__mul__ defers to Tensor.__rmul__
 
@@ -185,8 +195,10 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.grad_buffer: np.ndarray | None = None
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], tuple] | None = None
         self._parents: tuple[Tensor, ...] = ()
+        self._index = _stamp()
+        self._pending: np.ndarray | None = None  # set only inside ``backward``
         self.name = name
 
     # -- basic protocol ------------------------------------------------------
@@ -233,14 +245,21 @@ class Tensor:
         return len(self.data)
 
     # -- graph construction ----------------------------------------------------
-    def _make(self, data: np.ndarray, parents: Iterable["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        parents = tuple(parents)
-        requires = _grad_enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = parents
-            out._backward = backward
+    def _make(self, data: np.ndarray, parents: "tuple[Tensor, ...]",
+              backward: Callable[[np.ndarray], tuple]) -> "Tensor":
+        """The result of an op on float tensors: a graph node when gradients
+        are on and a parent requires them, a plain tensor otherwise."""
+        if type(data) is not np.ndarray:
+            data = np.asarray(data)  # scalar picks and 1-D dot products yield NumPy scalars
+        out = Tensor.__new__(Tensor)
+        out.data = data
+        out.grad = out.grad_buffer = out.name = out._pending = out._backward = None
+        out.requires_grad, out._parents, out._index = False, (), _stamp()
+        if _grad_enabled:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad, out._parents, out._backward = True, parents, backward
+                    break
         return out
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -253,45 +272,35 @@ class Tensor:
         if grad is None:
             if self.data.size != 1:
                 raise RuntimeError("grad must be provided for non-scalar backward()")
-            grad = np.ones_like(self.data)
+            grad = np.ones(self.data.shape, self.data.dtype)
         else:
             grad = np.asarray(grad, dtype=self.data.dtype)
+        if self._backward is None:
+            self._accumulate_leaf(grad)
+            return
 
-        # Build reverse topological order of the graph rooted at self.
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
-
-        grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
-                node._accumulate_leaf(g)
-                continue
-            # The _backward closure returns per-parent gradients.
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                if parent.grad_buffer is not None and parent._backward is None:
-                    parent._accumulate_leaf(pg)
-                elif id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
+        # Newest first: every consumer of a node carries a larger stamp, so a
+        # popped node has already received all of its contributions.
+        self._pending = grad
+        heap = [(-self._index, self)]
+        try:
+            while heap:
+                node = heappop(heap)[1]
+                g, node._pending = node._pending, None
+                # The _backward closure returns per-parent gradients.
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    if parent._backward is None:
+                        parent._accumulate_leaf(pg)
+                    elif parent._pending is None:
+                        parent._pending = pg
+                        heappush(heap, (-parent._index, parent))
+                    else:
+                        parent._pending = parent._pending + pg
+        finally:
+            for _, node in heap:  # non-empty only when a closure raised
+                node._pending = None
 
     def _accumulate_leaf(self, g: np.ndarray) -> None:
         """Add one gradient contribution to this leaf's ``.grad``."""
@@ -314,7 +323,11 @@ class Tensor:
         out_data = np.add(self.data, other.data, out=_out(self.data, other.data))
 
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            # As in ``_matmul_vjp``: None for a parent that cannot use it.
+            return (
+                _unbroadcast(g, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(g, other.data.shape) if other.requires_grad else None,
+            )
 
         return self._make(out_data, (self, other), backward)
 
@@ -332,7 +345,10 @@ class Tensor:
         out_data = np.subtract(self.data, other.data, out=_out(self.data, other.data))
 
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
+            return (
+                _unbroadcast(g, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(-g, other.data.shape) if other.requires_grad else None,
+            )
 
         return self._make(out_data, (self, other), backward)
 
@@ -345,8 +361,8 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
+                _unbroadcast(g * other.data, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(g * self.data, other.data.shape) if other.requires_grad else None,
             )
 
         return self._make(out_data, (self, other), backward)
@@ -359,8 +375,8 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g / other.data, self.shape),
-                _unbroadcast(-g * self.data / (other.data**2), other.shape),
+                _unbroadcast(g / other.data, self.data.shape) if self.requires_grad else None,
+                _unbroadcast(-g * self.data / (other.data**2), other.data.shape) if other.requires_grad else None,
             )
 
         return self._make(out_data, (self, other), backward)
@@ -426,42 +442,34 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        in_shape = self.shape
+        kept = self.data.sum(axis=axis, keepdims=True)
+        in_shape = self.data.shape
 
         def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, in_shape).copy(),)
-            g_expanded = g
-            if not keepdims:
-                g_expanded = np.expand_dims(g, axis=axis)
-            return (np.broadcast_to(g_expanded, in_shape).copy(),)
+            # The bytes of ``np.broadcast_to(g, in_shape).copy()``.
+            full = np.empty(in_shape, g.dtype)
+            np.copyto(full, g.reshape(kept.shape))
+            return (full,)
 
-        return self._make(out_data, (self,), backward)
+        return self._make(kept if keepdims else kept.squeeze(axis), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
             n = self.size
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
-            n = int(np.prod([self.shape[a] for a in axes]))
+            n = math.prod([self.data.shape[a] for a in axes])
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        kept = self.data.max(axis=axis, keepdims=True)
 
         def backward(g):
-            if axis is None:
-                mask = (self.data == self.data.max()).astype(self.data.dtype)
-                mask /= mask.sum()
-                return (mask * g,)
-            g_expanded = g if keepdims else np.expand_dims(g, axis=axis)
-            out_expanded = out_data if keepdims else np.expand_dims(out_data, axis=axis)
-            mask = (self.data == out_expanded).astype(self.data.dtype)
+            mask = (self.data == kept).astype(self.data.dtype)
             mask /= mask.sum(axis=axis, keepdims=True)
-            return (mask * g_expanded,)
+            return (mask * g.reshape(kept.shape),)
 
-        return self._make(out_data, (self,), backward)
+        return self._make(kept if keepdims else kept.squeeze(axis), (self,), backward)
 
     # -- elementwise functions ------------------------------------------------------
     def exp(self) -> "Tensor":

@@ -26,7 +26,7 @@ from repro.nn.layers import (
     Sequential,
     Tanh,
 )
-from repro.nn.losses import bank_cross_entropy, bank_mse_loss
+from repro.nn.losses import bank_cross_entropy, bank_mse_loss, log_softmax
 from repro.nn.tensor import Tensor
 from tests.test_tensor_autograd import numerical_grad
 
@@ -140,6 +140,32 @@ class TestLossGradients:
     def test_bank_mse_loss(self, m):
         target = np.random.default_rng(3).normal(size=(m, 6, 2))
         self._check(lambda pred: bank_mse_loss(pred, target), (6, 2), m)
+
+
+def composed_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """``bank_cross_entropy`` as the chain of public ops it was before it became one node."""
+    m, batch, _ = logits.shape
+    picked = log_softmax(logits, axis=-1)[np.arange(m)[:, None], np.arange(batch)[None, :], targets]
+    return -picked.mean(axis=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(1, 1, 2), (6, 16, 10), (3, 7, 5)])
+def test_fused_cross_entropy_is_the_composed_chain_to_the_byte(shape, dtype):
+    m, batch, classes = shape
+    gen = np.random.default_rng(6)
+    logits = (3.0 * gen.normal(size=shape)).astype(dtype)
+    targets = gen.integers(0, classes, size=(m, batch))
+    targets[:, batch // 2:] = targets[:, :1]  # duplicate targets within a worker
+    upstream = gen.normal(size=m)
+    upstream[:2] = (-0.0, 0.0)[:m]  # signed zeros reach the pick as +0.0 and -0.0
+    results = []
+    for loss_fn in (bank_cross_entropy, composed_cross_entropy):
+        leaf = Tensor(logits.copy(), requires_grad=True)
+        loss = loss_fn(leaf, targets)
+        loss.backward(upstream)
+        results.append((loss.dtype, loss.data.tobytes(), leaf.grad.dtype, leaf.grad.tobytes()))
+    assert results[0] == results[1]
 
 
 def test_inherited_loss_differentiates_the_replicas_own_tensors():

@@ -18,6 +18,7 @@ import networkx as nx
 from repro.distributed.averaging import average_states
 from repro.distributed.topology import (
     TOPOLOGIES,
+    chordal_ring_graph,
     complete_mixing_matrix,
     consensus_distance,
     metropolis_hastings_weights,
@@ -153,6 +154,30 @@ def test_property_every_topology_builds_doubly_stochastic_matrix(topology, m):
     assert 0.0 <= gap <= 1.0 + 1e-9
 
 
+def reference_mh_weights(graph) -> np.ndarray:
+    """``metropolis_hastings_weights`` as it walked the NetworkX graph itself,
+    before the rule moved onto a NumPy adjacency: the byte reference."""
+    nodes = sorted(graph.nodes())
+    index = {n: i for i, n in enumerate(nodes)}
+    W = np.zeros((len(nodes), len(nodes)))
+    degrees = dict(graph.degree())
+    for u, v in graph.edges():
+        W[index[u], index[v]] = W[index[v], index[u]] = 1.0 / (1.0 + max(degrees[u], degrees[v]))
+    for i in range(len(nodes)):
+        W[i, i] = 1.0 - W[i].sum()
+    return W
+
+
+def test_mh_topology_without_networkx_is_the_graph_walk_to_the_byte():
+    for m in range(1, 65):
+        graph = chordal_ring_graph(m)
+        expected = reference_mh_weights(graph)
+        assert mixing_matrix_for("mh", m).tobytes() == expected.tobytes(), m
+        assert metropolis_hastings_weights(graph).tobytes() == expected.tobytes(), m
+    with pytest.raises(ValueError, match="non-empty"):
+        metropolis_hastings_weights(nx.Graph())
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=12),
@@ -164,6 +189,7 @@ def test_property_metropolis_hastings_on_random_connected_graphs(n, p, seed):
     graph = nx.erdos_renyi_graph(n, p, seed=seed)
     graph.add_edges_from((i, i + 1) for i in range(n - 1))  # force connectivity
     W = metropolis_hastings_weights(graph)
+    assert W.tobytes() == reference_mh_weights(graph).tobytes()
     np.testing.assert_allclose(W, W.T, atol=1e-12)
     np.testing.assert_allclose(W.sum(axis=1), np.ones(n), atol=1e-9)
     assert np.all(W >= -1e-12)
@@ -219,7 +245,7 @@ def test_cli_import_does_not_load_networkx():
         "mixing_matrix_for('ring', 6)\n"
         "assert 'networkx' not in sys.modules, 'ring topology pulled networkx'\n"
         "assert mixing_matrix_for('mh', 6).shape == (6, 6)\n"
-        "assert 'networkx' in sys.modules\n"
+        "assert 'networkx' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
