@@ -55,7 +55,7 @@ from repro.core import (
     error_runtime_bound,
     optimal_communication_period,
 )
-from repro.distributed import SimulatedCluster, Worker
+from repro.distributed import SimulatedCluster
 from repro.experiments import (
     ExperimentConfig,
     available_configs,
@@ -98,7 +98,6 @@ __all__ = [
     "error_runtime_bound",
     "optimal_communication_period",
     "SimulatedCluster",
-    "Worker",
     "ExperimentConfig",
     "available_configs",
     "config_spec",

@@ -11,9 +11,8 @@ registry                  registered by                           example names
 ``NETWORK_SCALINGS``      ``repro.runtime.network``               ``ring_allreduce``
 ``COMM_SCHEDULES``        ``repro.core.schedules``                ``adacomm``
 ``LR_SCHEDULES``          ``repro.optim.lr_schedules``            ``tau_gated``
-``BACKENDS``              ``repro.distributed.backends`` /        ``loop``, ``vectorized``,
-                          ``repro.distributed.worker_bank`` /     ``sharded``
-                          ``repro.distributed.sharded_bank``
+``BACKENDS``              ``repro.distributed.worker_bank`` /     ``loop``, ``vectorized``,
+                          ``repro.distributed.sharded_bank``      ``sharded``
 ``SWEEPS``                ``repro.sweep.campaigns``               ``tau_error_runtime``
 ========================  ======================================  =========================
 
@@ -60,7 +59,6 @@ LR_SCHEDULES = Registry("LR schedule", populate=_importer("repro.optim.lr_schedu
 BACKENDS = Registry(
     "execution backend",
     populate=_importer(
-        "repro.distributed.backends",
         "repro.distributed.worker_bank",
         "repro.distributed.sharded_bank",
     ),

@@ -19,13 +19,12 @@ __all__ = ["BatchLoader"]
 class BatchLoader:
     """Cyclic shuffled mini-batch iterator over a dataset shard."""
 
-    def __init__(self, dataset: Dataset, batch_size: int, rng=None, drop_last: bool = False):
+    def __init__(self, dataset: Dataset, batch_size: int, rng=None):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.dataset = dataset
         self.batch_size = min(batch_size, len(dataset))
         self.requested_batch_size = batch_size
-        self.drop_last = drop_last
         self._rng = check_random_state(rng)
         self._order = self._rng.permutation(len(dataset))
         self._cursor = 0
@@ -45,7 +44,7 @@ class BatchLoader:
             self._order = self._rng.permutation(n)
             self._cursor = 0
             self.epochs_completed += 1
-            if len(remaining) > 0 and not self.drop_last:
+            if len(remaining) > 0:
                 needed = self.batch_size - len(remaining)
                 idx = np.concatenate([remaining, self._order[:needed]])
                 self._cursor = needed

@@ -1,58 +1,79 @@
-"""Worker-execution backends: the worker-collection protocol + loop backend.
+"""Worker-execution backends: the worker-collection protocol and the per-worker view.
 
 :class:`~repro.distributed.cluster.SimulatedCluster` delegates everything
 that touches *all m replicas* — local SGD periods, state gather/broadcast,
 learning-rate and momentum control, model materialization for evaluation —
-to a backend implementing :class:`WorkerBackend`.  Three backends exist:
+to a backend implementing :class:`WorkerBackend`.  There is one local step,
+:meth:`repro.distributed.worker_bank.WorkerBank.local_step`; the three
+backends differ only in what they compose around it (``docs/backends.md``):
 
-* :class:`LoopWorkers` (this module) — one :class:`Worker` object per
-  replica, stepped in a Python loop: m banks of one worker.  Layers have a
-  single stacked definition, which ``Module.forward`` / ``Module.loss``
-  apply at m = 1, so the loop shares the banks' kernels; its own *driver*
-  (``Worker``, per-parameter ``SGD``, ``BatchLoader``) is the reference the
-  equivalence suite checks the banks against byte for byte, and third-party
-  models that only write ``forward`` / ``loss`` still run here.
-* :class:`~repro.distributed.worker_bank.WorkerBank` — all replicas stacked
-  along a leading worker axis and stepped with single NumPy ops (the
-  vectorized path; see ``repro.nn.bank``).  Covers every built-in model:
-  dense nets, CNNs, batch-norm nets, live dropout, and data-free objectives.
-* :class:`~repro.distributed.sharded_bank.ShardedBank` — the stacked bank
-  partitioned into contiguous worker shards, one vectorized bank per shard
-  on a persistent pool of worker processes (larger-than-memory banks,
-  multi-core throughput).
+* :class:`~repro.distributed.worker_bank.WorkerBank` (``"vectorized"``) —
+  one bank of m: all replicas stacked along a leading worker axis, one
+  graph per step.  Covers every built-in model.
+* :class:`~repro.distributed.worker_bank.LoopWorkers` (``"loop"``) — m banks
+  of one, stepped in a Python loop.  The independent check of the worker
+  axis (m graphs of one replica against one graph of m), and where ragged
+  shards and third-party models that only write ``forward`` / ``loss`` run.
+* :class:`~repro.distributed.sharded_bank.ShardedBank` (``"sharded"``) — the
+  bank partitioned into contiguous worker shards, one vectorized bank per
+  shard on a persistent pool of worker processes.
 
 Backends register by name in :data:`repro.api.registries.BACKENDS` and share
 one constructor signature, so ``SimulatedCluster(..., backend="vectorized")``
 and the CLI's ``--backend`` flag switch them declaratively; ``"auto"`` picks
-the vectorized bank whenever the model supports it — which every model in
-the ``MODELS`` registry does — and escalates to the sharded pool at large
-cluster sizes.  All backends consume the per-worker RNG streams identically
+the vectorized bank whenever the model and shards support it, escalates to
+the sharded pool at large cluster sizes, and falls back to the loop
+otherwise.  All backends consume the per-worker RNG streams identically
 (data sampling, dropout masks, gradient noise), so a seeded run's trajectory
 is byte-identical on any backend.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.api.registries import BACKENDS
-from repro.data.synthetic import Dataset
-from repro.distributed.worker import Worker
 from repro.nn.layers import Module
 
 __all__ = [
     "BackendUnsupported",
     "WorkerBackend",
-    "LoopWorkers",
+    "WorkerView",
     "generator_state",
-    "module_stream_states",
+    "merge_fingerprints",
 ]
 
 
 class BackendUnsupported(RuntimeError):
     """Raised when a backend cannot execute the requested model/data setup."""
+
+
+class WorkerView:
+    """Per-worker handle into a backend: what ``cluster.workers`` iterates.
+
+    ``worker_id`` is cluster-wide on every backend.  Parameters are read and
+    written through the backend's two per-worker hooks; ``model``
+    materializes this worker's parameters and buffers into backend scratch —
+    treat it as read-only, the backend's slab holds the ground truth.
+    """
+
+    def __init__(self, backend: "WorkerBackend", worker_id: int):
+        self.worker_id = worker_id
+        self._backend = backend
+
+    def get_parameters(self) -> np.ndarray:
+        return self._backend.worker_state(self.worker_id)
+
+    def set_parameters(self, flat: np.ndarray) -> None:
+        self._backend.set_worker_state(self.worker_id, flat)
+
+    @property
+    def model(self) -> Module:
+        return self._backend.materialize(self.get_parameters(), self.worker_id)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"WorkerView(id={self.worker_id}, backend={self._backend.name!r})"
 
 
 class WorkerBackend:
@@ -65,8 +86,8 @@ class WorkerBackend:
     """
 
     name: str = "abstract"
-    #: Per-worker handles (``Worker`` objects or bank views) for introspection.
-    workers: Sequence
+    #: One :class:`WorkerView` per worker, in worker order.
+    workers: Sequence[WorkerView]
 
     @property
     def n_workers(self) -> int:
@@ -87,10 +108,18 @@ class WorkerBackend:
 
     def initial_state(self) -> np.ndarray:
         """Flat copy of the common initial parameter vector."""
-        raise NotImplementedError
+        return self.worker_state(0)
 
     def local_period(self, tau: int) -> np.ndarray:
         """Run τ local SGD steps on every worker; per-worker mean losses ``(m,)``."""
+        raise NotImplementedError
+
+    def worker_state(self, worker_id: int) -> np.ndarray:
+        """Flat copy of one worker's parameters (the views' read hook)."""
+        raise NotImplementedError
+
+    def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
+        """Overwrite one worker's parameters (the views' write hook)."""
         raise NotImplementedError
 
     def get_stacked_states(self) -> np.ndarray:
@@ -107,16 +136,15 @@ class WorkerBackend:
         The inverse of :meth:`get_stacked_states`, used by the decentralized
         paths (gossip mixing, async server pulls) where workers end a round
         with *different* states instead of one broadcast vector.  The default
-        loops over the per-worker handles — every backend's views expose
-        ``set_parameters`` — so only backends with a faster bulk write need
-        to override.
+        writes row by row through :meth:`set_worker_state`, so only backends
+        with a faster bulk write need to override.
         """
         if states.shape[0] != self.n_workers:
             raise ValueError(
                 f"expected {self.n_workers} state rows, got {states.shape[0]}"
             )
-        for worker, flat in zip(self.workers, states):
-            worker.set_parameters(flat)
+        for worker_id, flat in enumerate(states):
+            self.set_worker_state(worker_id, flat)
 
     def mean_state(self) -> "tuple[np.ndarray, int]":
         """Uniform mean of all worker states and the gathered byte count.
@@ -140,13 +168,17 @@ class WorkerBackend:
     def reset_momentum(self) -> None:
         raise NotImplementedError
 
-    def materialize(self, flat: np.ndarray) -> Module:
-        """A module loaded with ``flat`` (treat as read-only scratch)."""
+    def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:
+        """A scratch module holding ``flat`` and ``worker_id``'s buffers.
+
+        Never worker state: the slabs are the ground truth on every backend,
+        so loading the module (or a caller writing to it) changes no worker.
+        """
         raise NotImplementedError
 
     def evaluate_with_state(self, flat: np.ndarray, fn: Callable[[Module], float]):
         """Run ``fn`` on a module holding ``flat``, leaving workers unchanged."""
-        raise NotImplementedError
+        return fn(self.materialize(flat))
 
     def rng_fingerprint(self) -> dict:
         """Positions of every per-worker RNG stream, in one comparable dict.
@@ -172,116 +204,10 @@ def generator_state(gen) -> dict:
     return gen.bit_generator.state
 
 
-def module_stream_states(model: Module) -> list:
-    """Positions of every stream module's private generator, in tree order."""
-    return [generator_state(mod._rng) for mod in model.stream_modules()]
-
-
-class LoopWorkers(WorkerBackend):
-    """The reference backend: one :class:`Worker` per replica, stepped in a loop."""
-
-    name = "loop"
-
-    def __init__(
-        self,
-        model_fn: Callable[[], Module],
-        shards: Sequence[Dataset | None],
-        *,
-        batch_size: int = 32,
-        lr: float = 0.1,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        rngs: Sequence | None = None,
-        first_model: Module | None = None,
-        bank_dtype: str = "float64",
-    ):
-        # The loop backend is the float64 reference implementation; the
-        # reduced-precision knob only changes bank storage, so it is accepted
-        # (every backend shares one construction signature) and ignored.
-        del bank_dtype
-        if not shards:
-            raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
-        if rngs is None:
-            rngs = [None] * len(shards)
-        if len(rngs) != len(shards):
-            raise ValueError(f"{len(shards)} shards but {len(rngs)} RNG streams")
-        self.workers: list[Worker] = []
-        reference: np.ndarray | None = None
-        for i, (shard, rng) in enumerate(zip(shards, rngs)):
-            # ``first_model`` is the probe replica an "auto" fallback already
-            # built; reusing it keeps model_fn consumption identical to a
-            # direct loop-backend run even for stateful factories.
-            worker = Worker(
-                worker_id=i,
-                model=first_model if (i == 0 and first_model is not None) else model_fn(),
-                shard=shard,
-                batch_size=batch_size,
-                lr=lr,
-                momentum=momentum,
-                weight_decay=weight_decay,
-                rng=rng,
-            )
-            # Force identical initial parameters across replicas (same x1).
-            if reference is None:
-                reference = worker.get_parameters()
-            else:
-                worker.set_parameters(reference)
-            self.workers.append(worker)
-
-    @property
-    def batch_size(self) -> int:
-        loader = self.workers[0].loader
-        return loader.batch_size if loader is not None else 0
-
-    def shard_sizes(self) -> "list[int] | None":
-        if any(w.shard is None for w in self.workers):
-            return None
-        return [len(w.shard) for w in self.workers]
-
-    def initial_state(self) -> np.ndarray:
-        return self.workers[0].get_parameters()
-
-    def local_period(self, tau: int) -> np.ndarray:
-        return np.array([w.local_period(tau) for w in self.workers])
-
-    def get_stacked_states(self) -> np.ndarray:
-        return np.stack([w.get_parameters() for w in self.workers])
-
-    def broadcast_state(self, flat: np.ndarray) -> None:
-        for w in self.workers:
-            w.set_parameters(flat)
-
-    def set_lr(self, lr: float) -> None:
-        for w in self.workers:
-            w.set_lr(lr)
-
-    def reset_momentum(self) -> None:
-        for w in self.workers:
-            w.reset_momentum()
-
-    def materialize(self, flat: np.ndarray) -> Module:
-        worker0 = self.workers[0]
-        if not np.array_equal(worker0.get_parameters(), flat):
-            worker0.model.set_flat_parameters(flat)
-        return worker0.model
-
-    def evaluate_with_state(self, flat: np.ndarray, fn: Callable[[Module], float]):
-        worker0 = self.workers[0]
-        saved = worker0.get_parameters()
-        try:
-            worker0.set_parameters(flat)
-            return fn(worker0.model)
-        finally:
-            worker0.set_parameters(saved)
-
-    def rng_fingerprint(self) -> dict:
-        return {
-            "loaders": [
-                None if w.loader is None else generator_state(w.loader._rng)
-                for w in self.workers
-            ],
-            "streams": [module_stream_states(w.model) for w in self.workers],
-        }
-
-
-BACKENDS.register("loop", LoopWorkers)
+def merge_fingerprints(parts: Iterable[dict]) -> dict:
+    """Concatenate the :meth:`~WorkerBackend.rng_fingerprint` of consecutive worker ranges."""
+    merged: dict = {"loaders": [], "streams": []}
+    for part in parts:
+        merged["loaders"].extend(part["loaders"])
+        merged["streams"].extend(part["streams"])
+    return merged

@@ -14,9 +14,9 @@ phases, :meth:`~SimulatedCluster.run_local_period` then
 The cluster is deliberately policy-free: *when* to average and with what τ
 and learning rate is decided by the trainer / communication schedule in
 ``repro.core``.  *How* the m replicas are executed is equally pluggable: a
-worker-execution backend (see ``repro.distributed.backends``) either steps m
-:class:`Worker` objects in a Python loop (``"loop"``) or runs all replicas
-as stacked NumPy ops (``"vectorized"``, the worker bank).  ``"auto"`` picks
+worker-execution backend (see ``repro.distributed.backends``) runs the one
+local step either on m banks of one worker in a Python loop (``"loop"``) or
+on one bank of m as stacked NumPy ops (``"vectorized"``).  ``"auto"`` picks
 the vectorized bank whenever the model and data support it.  The collective
 is the same arithmetic either way — an operation on the stacked ``(m, P)``
 states — and the straggler clock advance is backend-independent.
@@ -77,14 +77,14 @@ class SimulatedCluster:
         pure; the state it implies (momentum buffer, dropout RNG stream,
         mixing matrix, server version counters) lives here.
     backend:
-        Worker-execution backend name: ``"loop"`` (one ``Worker`` per
-        replica, the reference implementation), ``"vectorized"`` (stacked
-        worker bank), ``"sharded"`` (the bank split over a persistent pool
-        of worker processes), or ``"auto"`` (vectorized whenever the model
-        supports it — all built-in models do — else loop).  All backends
-        consume the same RNG streams, so seeded runs produce byte-identical
-        trajectories on any of them.  A name runs on the default process
-        layout; any other layout (shard count, shard transport, the
+        Worker-execution backend name: ``"loop"`` (m banks of one worker,
+        the independent check of the worker axis), ``"vectorized"`` (one
+        stacked bank of m), ``"sharded"`` (the bank split over a persistent
+        pool of worker processes), or ``"auto"`` (vectorized whenever the
+        model and shards support it — all built-in models do — else loop).
+        All backends consume the same RNG streams, so seeded runs produce
+        byte-identical trajectories on any of them.  A name runs on the
+        default process layout; any other (shard count, shard transport, the
         ``"auto"`` escalation to the sharded pool) travels whole as a
         :class:`~repro.distributed.reuse.BackendHandle`, which also lets a
         sharded pool survive across cluster lifetimes.  Whoever builds a
@@ -95,7 +95,7 @@ class SimulatedCluster:
         byte-identical default, or ``"float32"``, the opt-in
         reduced-precision mode — half the memory traffic, parity within
         tolerance rather than byte-equality).  The loop backend is the
-        float64 reference and ignores this knob.
+        float64 check and ignores this knob.
     """
 
     def __init__(
@@ -206,7 +206,7 @@ class SimulatedCluster:
 
     @property
     def workers(self):
-        """Per-worker handles: ``Worker`` objects (loop) or bank views (vectorized)."""
+        """One :class:`~repro.distributed.backends.WorkerView` per worker, on every backend."""
         return self._backend.workers
 
     @property
@@ -484,10 +484,9 @@ class SimulatedCluster:
     def synchronized_model(self) -> Module:
         """A model loaded with the synchronized parameters.
 
-        The returned module aliases backend scratch state (worker 0's model
-        on the loop backend, the bank's template on the vectorized backend);
-        callers should treat it as read-only and must not take local steps
-        while holding it.
+        The returned module is backend scratch (a bank's template) on every
+        backend: loading it changes no worker, and the next materialization
+        or forward-only local step overwrites it — treat it as read-only.
         """
         return self._backend.materialize(self._synchronized_params)
 

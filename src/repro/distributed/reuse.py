@@ -78,8 +78,9 @@ class BackendHandle:
         ``rngs``, ``bank_dtype``).  Returns ``(backend_name, backend)``.
 
         ``"auto"`` picks the sharded pool at or above ``auto_shard_threshold``
-        workers, the vectorized bank otherwise, and the loop for models
-        without a bank path.  Both bank backends raise
+        workers, the vectorized bank otherwise, and the loop for what one
+        stacked graph cannot run (a model without a stacked definition,
+        shards that clip the batch size differently).  Both bank backends raise
         :class:`BackendUnsupported` before consuming any RNG stream, and the
         probe replica built to decide compatibility is reused down the
         fallback chain, so every resolution consumes ``model_fn`` and the RNG
@@ -100,7 +101,7 @@ class BackendHandle:
             try:
                 return "vectorized", BACKENDS.build("vectorized", template=template, **kwargs)
             except BackendUnsupported:
-                return "loop", BACKENDS.build("loop", first_model=template, **kwargs)
+                return "loop", BACKENDS.build("loop", template=template, **kwargs)
         return self.spec, BACKENDS.build(self.spec, **kwargs)
 
     def _sharded(self, **kwargs) -> ShardedBank:

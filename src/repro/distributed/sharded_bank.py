@@ -6,7 +6,7 @@ into contiguous shards and runs one vectorized
 persistent pool of worker *processes*, so banks larger than one process'
 memory (or one core's arithmetic throughput) split across the machine while
 every byte of the trajectory stays identical to the single-process bank —
-and hence to the loop reference implementation.
+and hence to the loop's m banks of one.
 
 Spawn safety follows the sweep runner's pattern: the child entry point is a
 module-level function, every import it needs happens lazily inside the child
@@ -83,14 +83,19 @@ import numpy as np
 from repro.api.registries import BACKENDS
 from repro.data.bank_loader import common_effective_batch
 from repro.data.synthetic import Dataset
-from repro.distributed.backends import BackendUnsupported, WorkerBackend
+from repro.distributed.backends import (
+    BackendUnsupported,
+    WorkerBackend,
+    WorkerView,
+    merge_fingerprints,
+)
 from repro.distributed.transport import ShmStatePlane, resolve_transport
 from repro.nn.bank import attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
 from repro.obs.emit import count, instant, span
 from repro.utils.seeding import check_random_state
 
-__all__ = ["ShardedBank", "ShardWorkerView", "shard_slices"]
+__all__ = ["ShardedBank", "shard_slices"]
 
 #: Commands whose ``("ok", None)`` acks the parent never inspects.  On a
 #: process pool they are sent fire-and-forget: the ack stays queued in the
@@ -285,35 +290,6 @@ class _InprocConn:
         self._thread.join(timeout=2.0)
 
 
-class ShardWorkerView:
-    """Per-worker handle into a :class:`ShardedBank` (Worker-like surface)."""
-
-    def __init__(self, backend: "ShardedBank", worker_id: int):
-        self.worker_id = worker_id
-        self._backend = backend
-
-    def get_parameters(self) -> np.ndarray:
-        return self._backend._worker_request(self.worker_id, "get_worker_flat")
-
-    def set_parameters(self, flat: np.ndarray) -> None:
-        self._backend._worker_request(self.worker_id, "set_worker_flat", np.asarray(flat, dtype=float))
-
-    @property
-    def model(self) -> Module:
-        return self._backend.materialize(self.get_parameters(), self.worker_id)
-
-    @property
-    def last_loss(self) -> float:
-        return float(self._backend.last_losses[self.worker_id])
-
-    @property
-    def local_steps_taken(self) -> int:
-        return self._backend.local_steps_taken
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShardWorkerView(id={self.worker_id}, steps={self.local_steps_taken})"
-
-
 class ShardedBank(WorkerBackend):
     """m replicas as ``n_shards`` vectorized banks on a persistent process pool.
 
@@ -506,14 +482,12 @@ class ShardedBank(WorkerBackend):
         self._has_buffers = any(True for _ in template.named_buffers())
         self._shard_sizes = None if data_free else [len(shard) for shard in shards]
         self._batch_size = 0 if data_free else effective_batch
-        self.local_steps_taken = 0
-        self.last_losses = np.full(m, np.nan)
         self.shard_slices = shard_slices(m, n_shards)
         self.n_shards = len(self.shard_slices)
 
         # Consume model_fn / streams exactly as the vectorized bank would:
-        # stochastic modules get the m per-worker generators the loop
-        # replicas would own; each shard then receives its contiguous slice.
+        # stochastic modules get the m per-worker generators m replicas
+        # would own; each shard then receives its contiguous slice.
         stream_mods = list(template.stream_modules())
         if stream_mods:
             attach_bank_streams(template, [model_fn() for _ in range(m - 1)])
@@ -539,7 +513,7 @@ class ShardedBank(WorkerBackend):
                 "bank_dtype": bank_dtype,
             })
 
-        self.workers = tuple(ShardWorkerView(self, i) for i in range(m))
+        self.workers = tuple(WorkerView(self, i) for i in range(m))
         return payloads
 
     def rebuild(
@@ -722,13 +696,16 @@ class ShardedBank(WorkerBackend):
     def initial_state(self) -> np.ndarray:
         return self._initial_flat.copy()
 
+    def worker_state(self, worker_id: int) -> np.ndarray:
+        return self._worker_request(worker_id, "get_worker_flat")
+
+    def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
+        self._worker_request(worker_id, "set_worker_flat", np.asarray(flat, dtype=float))
+
     def local_period(self, tau: int) -> np.ndarray:
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
-        losses = np.concatenate(self._request_all("local_period", tau))
-        self.local_steps_taken += tau
-        self.last_losses = losses
-        return losses
+        return np.concatenate(self._request_all("local_period", tau))
 
     @property
     def _gather_op(self) -> str:
@@ -808,23 +785,15 @@ class ShardedBank(WorkerBackend):
         self.model.set_flat_parameters(flat)
         if self._has_buffers:
             # Running statistics live in the shard servers; fetch the
-            # requested worker's slices so eval sees the stats its loop/bank
-            # counterpart would.
+            # requested worker's slices so eval sees that worker's stats.
+            # The parent template is scratch — the shard banks hold the
+            # ground truth — so nothing is saved or restored.
             for name, value in self.worker_buffers(worker_id).items():
                 self.model.set_buffer(name, value)
         return self.model
 
-    def evaluate_with_state(self, flat: np.ndarray, fn: Callable[[Module], float]):
-        # The parent template is scratch space — the shard banks hold the
-        # ground truth — so no save/restore is needed.
-        return fn(self.materialize(flat))
-
     def rng_fingerprint(self) -> dict:
-        merged = {"loaders": [], "streams": []}
-        for fingerprint in self._request_all("rng_fingerprint"):
-            merged["loaders"].extend(fingerprint["loaders"])
-            merged["streams"].extend(fingerprint["streams"])
-        return merged
+        return merge_fingerprints(self._request_all("rng_fingerprint"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

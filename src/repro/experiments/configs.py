@@ -83,7 +83,7 @@ class ExperimentConfig:
     hidden_sizes: tuple[int, ...] = ()
     n_classes: int = 10
     # Cluster.  ``backend`` selects the worker-execution engine: "loop" steps
-    # one Worker object per replica (the reference implementation),
+    # m banks of one worker (the independent check of the worker axis),
     # "vectorized" runs all replicas as stacked NumPy ops, "sharded" splits
     # the stacked bank over ``backend_shards`` worker processes, and "auto"
     # (default) picks sharded at or above ``auto_shard_threshold`` workers,

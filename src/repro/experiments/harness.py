@@ -16,8 +16,8 @@ backend comes from ``BACKENDS``: the default ``backend="auto"`` runs the
 vectorized worker bank for every registered model (CNNs, batch-norm nets,
 dropout, and data-free objectives included), escalating to the sharded
 multi-process bank at large cluster sizes (``auto_shard_threshold``); the
-per-worker loop remains as the reference implementation for third-party
-models without a bank path.
+per-worker loop (m banks of one) serves third-party models without a
+stacked definition and shards too ragged to stack.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """SGD over a stacked parameter bank: one update step for all m workers.
 
 ``BankSGD`` applies exactly the local update rule of :class:`repro.optim.sgd.SGD`
-(eq. 2 of the paper — momentum, weight decay, Nesterov) to parameters stacked
+(eq. 2 of the paper — momentum, weight decay) to parameters stacked
 along a leading worker axis.  Because the update is elementwise, one NumPy op
 over the bank's ``(m, P)`` slab updates every parameter of every replica at
 once, and each worker slice follows the same trajectory it would under m
@@ -11,8 +11,7 @@ averaging steps, as block momentum requires (Section 5.3.1).
 The optimizer touches the bank's *parameters* only: stacked model buffers
 (batch-norm running stats) are forward-pass state, updated in place by
 ``bank_forward`` and deliberately left alone both here and by the averaging
-collective — each worker's statistics stay local, exactly as the loop
-backend's per-replica modules keep theirs.
+collective — each worker's statistics stay local.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class BankSGD:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -47,21 +45,16 @@ class BankSGD:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
 
         self.bank = bank
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.nesterov = nesterov
         # Velocity and update scratch are preallocated slabs in the bank's
         # layout, so every step — including the first — takes the same fused
-        # in-place code path.  Nesterov with weight decay needs a second
-        # scratch: the first holds the decayed gradient meanwhile.
+        # in-place code path.
         self._velocity = np.zeros_like(bank.slab) if momentum else None
         self._update = np.empty_like(bank.slab)
-        self._lookahead = np.empty_like(bank.slab) if nesterov and weight_decay else None
         self.n_steps = 0
 
     def zero_grad(self) -> None:
@@ -76,7 +69,7 @@ class BankSGD:
         per-worker ``SGD``.  Every reordering below (``wd·p + grad`` for
         ``grad + wd·p``, scaled-subtract for ``p -= lr·grad``) commutes
         bitwise under IEEE-754, so the trajectory stays byte-identical to
-        the loop reference.
+        per-parameter ``SGD``.
         """
         lr = self.lr
         momentum = self.momentum
@@ -98,15 +91,8 @@ class BankSGD:
                     # v ← momentum·v + grad, in place on the persistent slab.
                     velocity *= momentum
                     velocity += grad
-                    if self.nesterov:
-                        out = self._lookahead[:, lo:hi] if in_scratch else buf
-                        np.multiply(velocity, momentum, out=out)
-                        out += grad
-                        grad = out
-                        in_scratch = True
-                    else:
-                        grad = velocity
-                        in_scratch = False
+                    grad = velocity
+                    in_scratch = False
                 # p ← p − lr·grad: scale into scratch (in place when the update
                 # already lives in one) and subtract without a temporary.
                 if in_scratch:

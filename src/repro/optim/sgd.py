@@ -1,9 +1,12 @@
 """Stochastic gradient descent with optional momentum and weight decay.
 
-This is the local optimizer each worker applies to its own replica (eq. 2 of
-the paper).  When used inside PASGD with block momentum, the local momentum
-buffers are cleared at every averaging step (``reset_momentum``), as
-described in Section 5.3.1 and done by CNTK's block-momentum implementation.
+The textbook local update of eq. 2, one parameter at a time: the public
+single-model optimizer, and the reference the execution backends' fused
+:class:`~repro.optim.bank_sgd.BankSGD` step is compared against byte for
+byte (``test_fused_step_equals_per_parameter_sgd``) — no backend steps with
+it.  Under block momentum the local momentum buffers are cleared at every
+averaging step (``reset_momentum``), as described in Section 5.3.1 and done
+by CNTK's block-momentum implementation.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ class SGD:
         Classical (heavy-ball) momentum factor in [0, 1).
     weight_decay:
         L2 penalty coefficient added to every gradient.
-    nesterov:
-        Use Nesterov momentum instead of heavy-ball.
     """
 
     def __init__(
@@ -39,7 +40,6 @@ class SGD:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ):
         if isinstance(params, Module):
             params = list(params.parameters())
@@ -53,14 +53,11 @@ class SGD:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
 
         self.params: list[Tensor] = params
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.nesterov = nesterov
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
         self.n_steps = 0
 
@@ -80,10 +77,7 @@ class SGD:
                 if self._velocity[i] is None:
                     self._velocity[i] = np.zeros_like(p.data)
                 self._velocity[i] = self.momentum * self._velocity[i] + grad
-                if self.nesterov:
-                    grad = grad + self.momentum * self._velocity[i]
-                else:
-                    grad = self._velocity[i]
+                grad = self._velocity[i]
             p.data -= self.lr * grad
         self.n_steps += 1
 

@@ -17,10 +17,10 @@ from repro.data.bank_loader import BankLoader
 from repro.data.loader import BatchLoader
 from repro.data.partition import partition_dataset
 from repro.data.synthetic import make_gaussian_blobs
-from repro.distributed.backends import BackendUnsupported, LoopWorkers
+from repro.distributed.backends import BackendUnsupported, WorkerView
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import Exact
-from repro.distributed.worker_bank import BankWorkerView, WorkerBank
+from repro.distributed.worker_bank import LoopWorkers, WorkerBank
 from repro.experiments.configs import make_config
 from repro.experiments.harness import run_method
 from repro.models.linear import LinearRegressionModel, SoftmaxRegression
@@ -229,9 +229,8 @@ class TestBankSGD:
             dict(lr=0.1),
             dict(lr=0.1, weight_decay=1e-3),
             dict(lr=0.05, momentum=0.9),
-            dict(lr=0.05, momentum=0.9, weight_decay=1e-3, nesterov=True),
         ],
-        ids=["plain", "weight_decay", "momentum", "nesterov"],
+        ids=["plain", "weight_decay", "momentum"],
     )
     def test_matches_per_worker_sgd(self, kwargs):
         rng = np.random.default_rng(9)
@@ -282,8 +281,6 @@ class TestBankSGD:
             BankSGD(bank, lr=0.1, momentum=1.0)
         with pytest.raises(ValueError):
             BankSGD(bank, lr=0.1, weight_decay=-1)
-        with pytest.raises(ValueError):
-            BankSGD(bank, lr=0.1, nesterov=True)
         with pytest.raises(ValueError):
             BankSGD(bank, lr=0.1).set_lr(-0.1)
 
@@ -366,7 +363,7 @@ class TestWorkerBankBackend:
         cluster = _make_cluster("vectorized")
         assert cluster.backend_name == "vectorized"
         assert isinstance(cluster.backend, WorkerBank)
-        assert all(isinstance(w, BankWorkerView) for w in cluster.workers)
+        assert all(isinstance(w, WorkerView) for w in cluster.workers)
         cluster.run_local_period(5)
         assert cluster.clock.now == pytest.approx(5.0)
         assert cluster.model_discrepancy() > 0

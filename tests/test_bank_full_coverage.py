@@ -147,10 +147,10 @@ class TestByteIdenticalTrajectories:
             bank.run_round(2)
         # Mini-batch sampling streams: one BatchLoader per worker on both
         # backends, positioned identically after the same number of draws.
-        for worker, stacked_loader in zip(loop.workers, bank.backend.loader.loaders):
-            assert _generator_state(worker.loader._rng) == _generator_state(
-                stacked_loader._rng
-            )
+        assert loop.backend.rng_fingerprint() == bank.backend.rng_fingerprint()
+        assert loop.backend.rng_fingerprint()["loaders"] == [
+            _generator_state(loader._rng) for loader in bank.backend.loader.loaders
+        ]
         # Dropout mask streams: the bank template's per-worker streams sit
         # exactly where each loop replica's private generator does.
         loop_streams = [list(w.model.stream_modules()) for w in loop.workers]

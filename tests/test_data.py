@@ -175,7 +175,7 @@ class TestBatchLoader:
 
     def test_all_samples_seen_within_one_cycle(self):
         ds = make_gaussian_blobs(24, 2, 2, rng=0)
-        loader = BatchLoader(ds, batch_size=6, rng=0, drop_last=True)
+        loader = BatchLoader(ds, batch_size=6, rng=0)
         seen = set()
         for _ in range(4):
             X, _ = loader.next_batch()

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from repro.data.partition import partition_dataset
 from repro.distributed.averaging import average_states, weighted_average_states
-from repro.distributed.backends import LoopWorkers
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import Exact
 from repro.distributed.events import CommunicationEvent, EventLog, LocalPeriodEvent
-from repro.distributed.worker import Worker
-from repro.distributed.worker_bank import WorkerBank
+from repro.distributed.worker_bank import LoopWorkers, WorkerBank
 from repro.models.mlp import MLP
+from repro.nn.layers import evaluating
 from repro.optim.block_momentum import BlockMomentum
 from repro.runtime.distributions import ConstantDelay
 from repro.runtime.network import NetworkModel
@@ -57,16 +56,28 @@ class TestAveraging:
 
 
 class TestWorker:
-    def _make_worker(self, tiny_dataset, worker_id=0, **kwargs):
-        model = MLP(n_features=8, n_classes=3, hidden_sizes=(12,), rng=0)
-        return Worker(worker_id, model, tiny_dataset, batch_size=16, lr=0.2, rng=0, **kwargs)
+    """One worker is a :class:`WorkerBank` of one: the step every backend runs."""
+
+    def _make_worker(self, tiny_dataset, **kwargs):
+        return WorkerBank(
+            lambda: MLP(n_features=8, n_classes=3, hidden_sizes=(12,), rng=0),
+            [tiny_dataset], batch_size=16, lr=0.2, rngs=[0], **kwargs,
+        )
+
+    @staticmethod
+    def _shard_loss(worker, dataset) -> float:
+        def loss(model):
+            with evaluating(model):
+                return float(model.loss(dataset.X, dataset.y).item())
+
+        return worker.evaluate_with_state(worker.worker_state(0), loss)
 
     def test_local_step_changes_parameters_and_returns_loss(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
-        before = worker.get_parameters()
-        loss = worker.local_step()
+        before = worker.worker_state(0)
+        (loss,) = worker.local_step()
         assert np.isfinite(loss)
-        assert not np.allclose(before, worker.get_parameters())
+        assert not np.allclose(before, worker.worker_state(0))
         assert worker.local_steps_taken == 1
 
     def test_local_period_runs_tau_steps(self, tiny_dataset):
@@ -76,27 +87,34 @@ class TestWorker:
 
     def test_parameter_roundtrip(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
+        (view,) = worker.workers
         target = np.arange(worker.model.num_parameters(), dtype=float)
-        worker.set_parameters(target)
-        np.testing.assert_allclose(worker.get_parameters(), target)
+        view.set_parameters(target)
+        np.testing.assert_allclose(view.get_parameters(), target)
+        np.testing.assert_allclose(view.model.get_flat_parameters(), target)
 
     def test_evaluate_loss_on_shard(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
-        assert np.isfinite(worker.evaluate_loss())
+        before = worker.worker_state(0)
+        assert np.isfinite(self._shard_loss(worker, tiny_dataset))
+        np.testing.assert_array_equal(worker.worker_state(0), before)
 
     def test_training_reduces_loss(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
-        before = worker.evaluate_loss()
+        before = self._shard_loss(worker, tiny_dataset)
         worker.local_period(60)
-        assert worker.evaluate_loss() < before
+        assert self._shard_loss(worker, tiny_dataset) < before
 
     def test_invalid_tau(self, tiny_dataset):
         with pytest.raises(ValueError):
             self._make_worker(tiny_dataset).local_period(0)
 
     def test_negative_worker_id(self, tiny_dataset):
-        with pytest.raises(ValueError):
-            self._make_worker(tiny_dataset, worker_id=-1)
+        worker = self._make_worker(tiny_dataset)
+        with pytest.raises(IndexError):
+            worker.worker_state(-1)
+        with pytest.raises(IndexError):
+            worker.materialize(worker.worker_state(0), worker_id=-1)
 
 
 class TestEventLog:
@@ -188,7 +206,8 @@ class TestSimulatedCluster:
     def test_set_lr_propagates(self, tiny_dataset, tiny_model_fn):
         cluster = _make_cluster(tiny_dataset, tiny_model_fn)
         cluster.set_lr(0.01)
-        assert all(w.optimizer.lr == 0.01 for w in cluster.workers)
+        assert cluster.current_lr == 0.01
+        assert [bank.optimizer.lr for bank in cluster.backend.banks] == [0.01] * 4
         with pytest.raises(ValueError):
             cluster.set_lr(0.0)
 

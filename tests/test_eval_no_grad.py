@@ -3,9 +3,9 @@
 Evaluation never calls ``backward()``, so graph construction there is pure
 overhead.  These tests plant a probe module that records whether gradient
 tracking was enabled during each forward pass, and assert that every
-evaluation surface — ``Worker.evaluate_loss``, the trainer's train-loss and
-test-accuracy metrics — runs with gradients disabled while training steps
-keep them enabled.
+evaluation surface — a worker's loss under ``evaluating`` (a ``WorkerBank``
+of one), the trainer's train-loss and test-accuracy metrics — runs with
+gradients disabled while training steps keep them enabled.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from repro.core.schedules import FixedCommunicationSchedule
 from repro.core.trainer import PASGDTrainer, TrainerConfig
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.worker import Worker
-from repro.nn.layers import Linear, Module
+from repro.distributed.worker_bank import WorkerBank
+from repro.nn.layers import Linear, Module, evaluating
 from repro.nn.losses import bank_cross_entropy, cross_entropy
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 from repro.runtime.distributions import ConstantDelay
@@ -81,22 +81,32 @@ def test_no_grad_context_disables_graph_construction():
     assert out2.requires_grad
 
 
+def _evaluate_loss(worker: WorkerBank, dataset) -> float:
+    """Loss of one worker's current state on ``dataset``, the way the cluster evaluates."""
+
+    def loss(model):
+        with evaluating(model):
+            return float(model.loss(dataset.X, dataset.y).item())
+
+    return worker.evaluate_with_state(worker.worker_state(0), loss)
+
+
 def test_worker_evaluate_loss_builds_no_graph():
-    model = ProbedModel()
-    worker = Worker(0, model, _dataset(), batch_size=16, lr=0.1, rng=0)
-    worker.evaluate_loss()
-    assert model.probe.calls == [False]
-    model.probe.calls.clear()
+    dataset = _dataset()
+    worker = WorkerBank(ProbedModel, [dataset], batch_size=16, lr=0.1, rngs=[0])
+    probe = worker.model.probe
+    _evaluate_loss(worker, dataset)
+    assert probe.calls == [False]
+    probe.calls.clear()
     worker.local_step()  # training still tracks gradients
-    assert model.probe.calls == [True]
+    assert probe.calls == [True]
 
 
 def test_worker_evaluate_loss_value_unchanged_by_no_grad():
     dataset = _dataset()
-    model = ProbedModel()
-    worker = Worker(0, model, dataset, batch_size=16, lr=0.1, rng=0)
-    expected = float(model.loss(dataset.X, dataset.y).item())
-    assert worker.evaluate_loss(dataset.X, dataset.y) == expected
+    worker = WorkerBank(ProbedModel, [dataset], batch_size=16, lr=0.1, rngs=[0])
+    expected = float(ProbedModel().loss(dataset.X, dataset.y).item())
+    assert _evaluate_loss(worker, dataset) == expected
 
 
 def _trainer(backend):

@@ -62,18 +62,6 @@ class TestSGD:
         # Without the reset the second update would be 1.9; with it, exactly 1.0 more.
         np.testing.assert_allclose(layer.weight.data, [[-2.0]])
 
-    def test_nesterov_differs_from_heavy_ball(self):
-        def run(nesterov):
-            layer = Linear(1, 1, bias=False, rng=0)
-            layer.weight.data[...] = 0.0
-            opt = SGD(layer, lr=0.1, momentum=0.9, nesterov=nesterov)
-            for _ in range(3):
-                layer.weight.grad = np.array([[1.0]])
-                opt.step()
-            return layer.weight.data.copy()
-
-        assert not np.allclose(run(True), run(False))
-
     def test_set_lr(self):
         opt = SGD(Linear(1, 1, rng=0), lr=0.1)
         opt.set_lr(0.01)
@@ -93,8 +81,6 @@ class TestSGD:
             SGD(layer, lr=0.0)
         with pytest.raises(ValueError):
             SGD(layer, lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD(layer, lr=0.1, nesterov=True)
         with pytest.raises(ValueError):
             SGD([], lr=0.1)
 

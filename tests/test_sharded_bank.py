@@ -15,9 +15,9 @@ import pytest
 
 from repro.api.registries import BACKENDS
 from repro.data.synthetic import make_gaussian_blobs
-from repro.distributed.backends import BackendUnsupported
+from repro.distributed.backends import BackendUnsupported, WorkerView
 from repro.distributed.collectives import Exact
-from repro.distributed.sharded_bank import ShardedBank, ShardWorkerView, shard_slices
+from repro.distributed.sharded_bank import ShardedBank, shard_slices
 from repro.experiments.configs import make_config
 from repro.experiments.harness import run_method
 from repro.models.mlp import MLP
@@ -196,7 +196,7 @@ class TestShardedBackendSurface:
     def test_worker_views_roundtrip_parameters(self):
         cluster = _cluster("sharded", _registry_model_fn("mlp"), 4)
         try:
-            assert all(isinstance(w, ShardWorkerView) for w in cluster.workers)
+            assert all(isinstance(w, WorkerView) for w in cluster.workers)
             view = cluster.workers[3]  # second shard
             target = np.arange(len(cluster.workers[0].get_parameters()), dtype=float)
             view.set_parameters(target)
