@@ -2,12 +2,15 @@
 
 The repo's headline guarantee — loop, vectorized, and sharded backends
 producing byte-identical trajectories, with content-addressed stores that
-are pure cache hits across runs — rests on a handful of invariants that
-used to live only in reviewers' heads and after-the-fact equivalence
-tests: seeded ``Generator`` streams everywhere, pickle-safe spawn
-payloads, hash-stable canonical JSON, every bank-capable layer pinned by
-the equivalence matrix.  This package turns those rules into
-machine-checked ones.
+are pure cache hits across runs — rests on invariants that the
+equivalence matrix, the goldens and the ``leaks`` fixture check at run
+time.  This package checks the ones whose violation would pass every
+test (a slow path, a code path no test executes, a dtype change that
+keeps the bytes): seeded ``Generator`` streams and virtual time only
+(DET001 / DET002), hash-stable canonical JSON (HASH001), event names from
+the trace schema (OBS001), and no float64 coercion on the bank hot path
+(PERF001).  Conventional Python lint (mutable defaults, bare ``except``)
+is ruff's job, not this package's.
 
 Architecture
 ------------

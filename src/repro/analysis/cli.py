@@ -58,12 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--conftest",
-        metavar="PATH",
-        help="tests/conftest.py holding the bank-equivalence declaration "
-        "(default: auto-discovered near the scanned paths)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -80,12 +74,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 0
 
     try:
-        report = run_analysis(
-            args.paths,
-            select=args.select,
-            ignore=args.ignore,
-            conftest=args.conftest,
-        )
+        report = run_analysis(args.paths, select=args.select, ignore=args.ignore)
     except (FileNotFoundError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

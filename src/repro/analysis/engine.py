@@ -3,9 +3,8 @@
 A :class:`Rule` sees each parsed module once (:meth:`Rule.check`) and may
 accumulate state in the shared :class:`AnalysisContext` for a cross-file
 :meth:`Rule.finalize` pass after every file has been visited — that is how
-BANK001 compares the layers defining ``bank_forward`` against the
-equivalence-matrix declaration in ``tests/conftest.py``, and how API001
-detects duplicate registry names across modules.
+OBS001 checks every emission site against the ``EVENTS`` schema declared
+in ``obs/events.py``.
 
 Rules self-register into :data:`RULES` (the same lazy
 :class:`~repro.api.registry.Registry` machinery behind the component
@@ -43,14 +42,10 @@ __all__ = [
 
 def _populate_rules() -> None:
     """Import the rule modules, which register themselves into RULES."""
-    import repro.analysis.rules_bank  # noqa: F401  (registration side effect)
-    import repro.analysis.rules_determinism  # noqa: F401
+    import repro.analysis.rules_determinism  # noqa: F401  (registration side effect)
     import repro.analysis.rules_hash  # noqa: F401
     import repro.analysis.rules_obs  # noqa: F401
     import repro.analysis.rules_perf  # noqa: F401
-    import repro.analysis.rules_shm  # noqa: F401
-    import repro.analysis.rules_spawn  # noqa: F401
-    import repro.analysis.rules_style  # noqa: F401
 
 
 #: id → :class:`Rule` instance for the whole battery.
@@ -83,7 +78,6 @@ class Rule:
 
     id: str = ""
     summary: str = ""
-    default_on: bool = True
     #: Package-relative path prefixes this rule is limited to; empty = all.
     scope: tuple[str, ...] = ()
 
@@ -110,9 +104,6 @@ class AnalysisContext:
 
     #: Per-rule scratch space for cross-file rules (``ctx.state[rule_id]``).
     state: dict = field(default_factory=dict)
-    #: Path of ``tests/conftest.py`` (the equivalence-matrix declaration),
-    #: or ``None`` when none was found near the scanned paths.
-    conftest_path: "Path | None" = None
     modules: list[ModuleInfo] = field(default_factory=list)
 
     def rule_state(self, rule_id: str, factory=dict):
@@ -193,20 +184,6 @@ def _package_relpath(file_path: Path, root: Path) -> str:
         return file_path.name
 
 
-def _discover_conftest(roots: list[Path]) -> "Path | None":
-    """Locate ``tests/conftest.py`` near the scanned paths (or the CWD)."""
-    candidates: list[Path] = []
-    for root in roots:
-        base = root if root.is_dir() else root.parent
-        for ancestor in (base, *base.resolve().parents):
-            candidates.append(ancestor / "tests" / "conftest.py")
-    candidates.append(Path("tests") / "conftest.py")
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    return None
-
-
 def _selected_rules(
     select: "Iterable[str] | None", ignore: "Iterable[str] | None"
 ) -> list[Rule]:
@@ -216,7 +193,7 @@ def _selected_rules(
             raise ValueError(
                 f"unknown analysis rule {requested!r}; available: {sorted(known)}"
             )
-    chosen = set(select) if select else {r.id for r in all_rules() if r.default_on}
+    chosen = set(select) if select else known
     chosen -= set(ignore or ())
     return [rule for rule in all_rules() if rule.id in chosen]
 
@@ -225,14 +202,12 @@ def run_analysis(
     paths: Iterable[str | Path],
     select: "Iterable[str] | None" = None,
     ignore: "Iterable[str] | None" = None,
-    conftest: "str | Path | None" = None,
 ) -> AnalysisReport:
     """Run the selected rule battery over ``paths`` and return the report.
 
-    ``select`` keeps only the named rules (default: every ``default_on``
-    rule); ``ignore`` drops rules from that set.  ``conftest`` overrides
-    the auto-discovered ``tests/conftest.py`` used by cross-file rules.
-    Suppressed findings are filtered out and counted in the report.
+    ``select`` keeps only the named rules (default: every rule); ``ignore``
+    drops rules from that set.  Suppressed findings are filtered out and
+    counted in the report.
     """
     roots = [Path(p) for p in paths]
     for root in roots:
@@ -241,8 +216,6 @@ def run_analysis(
     rules = _selected_rules(select, ignore)
 
     ctx = AnalysisContext()
-    ctx.conftest_path = Path(conftest) if conftest is not None else _discover_conftest(roots)
-
     findings: list[Finding] = []
     suppression_indexes: dict[str, SuppressionIndex] = {}
     files_scanned = 0
@@ -284,16 +257,7 @@ def run_analysis(
     kept: list[Finding] = []
     suppressed = 0
     for finding in findings:
-        index = suppression_indexes.get(finding.file)
-        if index is None:
-            # Findings can land in files outside the scanned roots (the
-            # conftest declaration); honor their suppressions too.
-            try:
-                index = SuppressionIndex.from_source(Path(finding.file).read_text())
-            except OSError:
-                index = SuppressionIndex()
-            suppression_indexes[finding.file] = index
-        if index.suppresses(finding):
+        if suppression_indexes[finding.file].suppresses(finding):
             suppressed += 1
         else:
             kept.append(finding)

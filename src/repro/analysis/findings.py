@@ -11,7 +11,7 @@ A violation is silenced by a trailing comment on the *flagged line*::
 
     value = np.random.default_rng()  # repro: ignore[DET001] entropy fallback
 
-The bracket list may name several rules (``ignore[DET001, PY001]``); a
+The bracket list may name several rules (``ignore[DET001, DET002]``); a
 bare ``# repro: ignore`` (no brackets) suppresses every rule on the line.
 Anything after the closing bracket is free-form justification — the audit
 convention in this repo is that every suppression carries one.

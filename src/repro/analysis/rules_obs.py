@@ -3,8 +3,7 @@
 ``span`` / ``instant`` validate event names at emit time, but a misspelled
 name in a rarely exercised branch (an error path, a backend only covered by
 slow tests) would only surface as a runtime ``ValueError`` mid-run.  This
-rule closes that gap statically, the same way BANK001 keeps the
-bank-equivalence matrix honest: every literal first argument of a
+rule closes that gap statically: every literal first argument of a
 ``span(...)`` / ``instant(...)`` call in the scanned tree — kernel scopes
 included — is cross-checked against the keys of the ``EVENTS`` declaration
 in ``obs/events.py``.  Call sites through names imported from

@@ -12,8 +12,11 @@ name here instead of copying assertions across test files.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import multiprocessing
 import os
+import pkgutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -217,37 +220,33 @@ BACKEND_TRANSPORTS = {
     "sharded-shm": ("sharded", "shm"),
 }
 
-#: Every class in ``src/`` overriding ``bank_forward`` with a concrete
-#: implementation.  Pinned in two directions: the ``BANK001`` analysis rule
-#: statically cross-checks this set against the classes actually defining
-#: ``bank_forward`` (so a new bank-capable layer cannot ship undeclared), and
-#: ``tests/test_analysis.py`` asserts at runtime that the models built by
-#: ``equivalence_cases()`` instantiate exactly these layers (so a declared
-#: layer cannot silently drop out of the matrix).  Adding a layer means
-#: adding it here AND giving it a workload below.
-BANK_EQUIVALENCE_LAYERS = frozenset(
-    {
-        # repro.nn.layers
-        "BatchNorm1d",
-        "Conv2d",
-        "Dropout",
-        "Flatten",
-        "Linear",
-        "ReLU",
-        "Residual",
-        "Sequential",
-        "Sigmoid",
-        "Tanh",
-        "_Pool2d",  # MaxPool2d / AvgPool2d share its implementation
-        # repro.models.*
-        "LinearRegressionModel",
-        "MLP",
-        "NoisyQuadraticProblem",
-        "ResidualMLP",
-        "SmallCNN",
-        "SoftmaxRegression",
-    }
-)
+@functools.cache
+def repro_modules() -> tuple:
+    """Every module of the ``repro`` package, imported (``__main__`` entry points skipped)."""
+    import repro
+
+    return (repro,) + tuple(
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    )
+
+
+def bank_layer_classes() -> frozenset:
+    """Every ``Module`` subclass in ``repro`` with a ``bank_forward`` of its own.
+
+    Read from the live classes, so a layer joins the set the moment it
+    defines ``bank_forward``; ``test_matrix_instantiates_every_bank_layer``
+    then fails until ``equivalence_cases()`` below gives it a workload.
+    """
+    return frozenset(
+        obj
+        for module in repro_modules()
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, Module) and obj is not Module
+        and obj.__module__ == module.__name__ and "bank_forward" in vars(obj)
+    )
+
 
 #: n_features used for data cases; must view as a square image (3 × 2 × 2)
 #: so the CNN registry entries accept it alongside the dense models.
@@ -293,7 +292,7 @@ class ActivationZoo(Module):
 
     No registry model uses Sigmoid (and only the MLP ``tanh`` variant uses
     Tanh), so this workload exists purely to keep every activation's
-    ``bank_forward`` pinned by the matrix — see ``BANK_EQUIVALENCE_LAYERS``.
+    ``bank_forward`` pinned by the matrix — see ``bank_layer_classes``.
     """
 
     def __init__(self, n_features: int, n_classes: int, rng=None):

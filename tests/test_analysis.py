@@ -1,11 +1,9 @@
 """repro.analysis: rule battery, suppressions, CLI, and the self-check.
 
 Fixture trees reproduce the package layout (``<tmp>/repro/core/...``) so
-path-scoped rules see the same relpaths they see in ``src/``.  The two
+path-scoped rules see the same relpaths they see in ``src/``.  The
 closing tests are the ones the subsystem exists for: the shipped tree
-must lint clean, and the bank-equivalence declaration must match both
-the statically-discovered ``bank_forward`` definers (BANK001) and the
-layers actually instantiated by the equivalence matrix (runtime walk).
+must lint clean, through the API and through the CLI.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from tests.conftest import BANK_EQUIVALENCE_LAYERS, equivalence_cases
 from repro.analysis import RULES, run_analysis
 from repro.analysis.cli import main as cli_main
 from repro.analysis.cli import rules_table_markdown
@@ -26,7 +23,6 @@ from repro.analysis.findings import suppressions_for_line
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
-CONFTEST = REPO_ROOT / "tests" / "conftest.py"
 
 
 def _write_tree(base: Path, files: dict) -> Path:
@@ -37,10 +33,10 @@ def _write_tree(base: Path, files: dict) -> Path:
     return base
 
 
-def _run(tmp_path: Path, files: dict, select=None, conftest=None, ignore=None):
+def _run(tmp_path: Path, files: dict, select=None, ignore=None):
     """Analyze a fixture tree; rules are selected explicitly per test."""
     root = _write_tree(tmp_path / "tree", files)
-    return run_analysis([root], select=select, ignore=ignore, conftest=conftest)
+    return run_analysis([root], select=select, ignore=ignore)
 
 
 def _rules_of(report) -> list:
@@ -203,110 +199,6 @@ def test_perf001_allows_coercion_outside_hot_paths_and_dtype_preserving_calls(tm
     assert report.ok
 
 
-# -- SPAWN001 ----------------------------------------------------------------
-
-
-def test_spawn001_flags_lambda_target(tmp_path):
-    source = (
-        "import multiprocessing as mp\n"
-        "p = mp.Process(target=lambda: 1, daemon=True)\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SPAWN001"])
-    assert _rules_of(report) == ["SPAWN001"]
-
-
-def test_spawn001_flags_nested_function_payload(tmp_path):
-    source = (
-        "def launch(pool, items):\n"
-        "    def work(item):\n"
-        "        return item + 1\n"
-        "    return list(pool.imap_unordered(work, items))\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SPAWN001"])
-    (finding,) = report.findings
-    assert "another function" in finding.message
-    assert finding.line == 4
-
-
-def test_spawn001_flags_lambda_bound_name_and_lambda_args(tmp_path):
-    source = (
-        "work = lambda item: item + 1\n"  # noqa: E731 - fixture under test
-        "def launch(pool, items):\n"
-        "    return pool.map(work, items, key=lambda i: i)\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SPAWN001"])
-    assert sorted(_rules_of(report)) == ["SPAWN001", "SPAWN001"]
-
-
-def test_spawn001_allows_module_level_and_partial(tmp_path):
-    source = (
-        "import functools\n"
-        "def work(item, scale):\n"
-        "    return item * scale\n"
-        "def launch(pool, items):\n"
-        "    return pool.map(functools.partial(work, scale=2), items)\n"
-        "def launch2(ctx, conn):\n"
-        "    return ctx.Process(target=work, args=(conn, 1), daemon=True)\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SPAWN001"])
-    assert report.ok
-
-
-# -- SHM001 ------------------------------------------------------------------
-
-
-def test_shm001_flags_class_creating_without_unlink(tmp_path):
-    source = (
-        "from multiprocessing import shared_memory\n"
-        "class Plane:\n"
-        "    def __init__(self, size):\n"
-        "        self.seg = shared_memory.SharedMemory(create=True, size=size)\n"
-        "    def close(self):\n"
-        "        self.seg.close()\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SHM001"])
-    (finding,) = report.findings
-    assert finding.rule == "SHM001"
-    assert "unlink()" in finding.message
-    assert "close()" not in finding.message  # close IS present
-
-
-def test_shm001_flags_module_level_create_with_no_teardown(tmp_path):
-    source = (
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "SEG = SharedMemory('scratch', True, 64)\n"  # positional create=True
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SHM001"])
-    (finding,) = report.findings
-    assert "close()" in finding.message and "unlink()" in finding.message
-    assert finding.line == 2
-
-
-def test_shm001_allows_owner_with_full_teardown_and_attach(tmp_path):
-    source = (
-        "from multiprocessing import shared_memory\n"
-        "class Plane:\n"
-        "    def __init__(self, size):\n"
-        "        self.seg = shared_memory.SharedMemory(create=True, size=size)\n"
-        "    def destroy(self):\n"
-        "        self.seg.close()\n"
-        "        self.seg.unlink()\n"
-        "def attach(name):\n"
-        "    return shared_memory.SharedMemory(name=name, create=False)\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["SHM001"])
-    assert report.ok
-
-
-def test_shm001_ships_clean_on_the_real_transport_module(tmp_path):
-    # The actual transport layer must satisfy its own rule.
-    from pathlib import Path as _Path
-
-    source = _Path("src/repro/distributed/transport.py").read_text()
-    report = _run(tmp_path, {"repro/distributed/transport.py": source}, select=["SHM001"])
-    assert report.ok
-
-
 # -- HASH001 -----------------------------------------------------------------
 
 
@@ -370,76 +262,6 @@ def test_hash001_accepts_canonical_forms(tmp_path):
     )
     report = _run(tmp_path, {"repro/sweep/store.py": source}, select=["HASH001"])
     assert report.ok
-
-
-# -- BANK001 -----------------------------------------------------------------
-
-_BANK_LAYER = (
-    "class Blur:\n"
-    "    def bank_forward(self, x, params, prefix=''):\n"
-    "        return x\n"
-)
-_ABSTRACT_LAYER = (
-    "class Base:\n"
-    "    def bank_forward(self, x, params, prefix=''):\n"
-    "        \"\"\"Stub.\"\"\"\n"
-    "        raise NotImplementedError\n"
-)
-
-
-def _bank_conftest(tmp_path: Path, names) -> Path:
-    path = tmp_path / "tests" / "conftest.py"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = ",\n".join(f'    "{name}"' for name in names)
-    path.write_text("BANK_EQUIVALENCE_LAYERS = frozenset([\n%s\n])\n" % body)
-    return path
-
-
-def test_bank001_clean_when_declaration_matches(tmp_path):
-    conftest = _bank_conftest(tmp_path, ["Blur"])
-    report = _run(
-        tmp_path,
-        {"repro/nn/layers.py": _ABSTRACT_LAYER + _BANK_LAYER},
-        select=["BANK001"],
-        conftest=conftest,
-    )
-    assert report.ok  # the abstract stub is exempt, Blur is declared
-
-
-def test_bank001_flags_undeclared_definer_at_class(tmp_path):
-    conftest = _bank_conftest(tmp_path, [])
-    report = _run(
-        tmp_path,
-        {"repro/nn/layers.py": _BANK_LAYER},
-        select=["BANK001"],
-        conftest=conftest,
-    )
-    (finding,) = report.findings
-    assert "Blur" in finding.message
-    assert finding.file.endswith("repro/nn/layers.py")
-    assert finding.line == 1
-
-
-def test_bank001_flags_stale_declaration_at_conftest(tmp_path):
-    conftest = _bank_conftest(tmp_path, ["Blur", "Ghost"])
-    report = _run(
-        tmp_path,
-        {"repro/nn/layers.py": _BANK_LAYER},
-        select=["BANK001"],
-        conftest=conftest,
-    )
-    (finding,) = report.findings
-    assert "Ghost" in finding.message
-    assert finding.file == str(conftest)
-
-
-def test_bank001_catches_layer_dropped_from_real_matrix(tmp_path):
-    """Acceptance check: removing a declared layer fails the real-tree lint."""
-    pruned = sorted(BANK_EQUIVALENCE_LAYERS - {"Tanh"})
-    conftest = _bank_conftest(tmp_path, pruned)
-    report = run_analysis([SRC_ROOT / "repro"], select=["BANK001"], conftest=conftest)
-    assert not report.ok
-    assert any("Tanh" in f.message for f in report.findings)
 
 
 # -- OBS001 ------------------------------------------------------------------
@@ -571,83 +393,6 @@ def test_obs001_catches_name_dropped_from_real_registry(tmp_path):
     assert all("'round'" in f.message for f in report.findings)
 
 
-# -- API001 ------------------------------------------------------------------
-
-
-def test_api001_flags_duplicate_registration_across_files(tmp_path):
-    report = _run(
-        tmp_path,
-        {
-            "repro/models/a.py": 'MODELS.register("mlp", build_a)\n',
-            "repro/models/b.py": 'MODELS.register("mlp", build_b)\n',
-        },
-        select=["API001"],
-    )
-    (finding,) = report.findings
-    assert "duplicate registration" in finding.message
-    assert "a.py:1" in finding.message  # points back at the first site
-    assert finding.file.endswith("b.py")
-
-
-def test_api001_allows_explicit_overwrite(tmp_path):
-    report = _run(
-        tmp_path,
-        {
-            "repro/models/a.py": 'MODELS.register("mlp", build_a)\n',
-            "repro/models/b.py": 'MODELS.register("mlp", build_b, overwrite=True)\n',
-        },
-        select=["API001"],
-    )
-    assert report.ok
-
-
-def test_api001_flags_stale_and_duplicate_all_entries(tmp_path):
-    source = 'def f():\n    pass\n__all__ = ["f", "f", "ghost"]\n'
-    report = _run(tmp_path, {"repro/x.py": source}, select=["API001"])
-    messages = sorted(f.message for f in report.findings)
-    assert len(messages) == 2
-    assert "more than once" in messages[0]
-    assert "ghost" in messages[1]
-
-
-def test_api001_lazy_getattr_module_is_exempt_from_existence(tmp_path):
-    source = (
-        "def __getattr__(name):\n"
-        "    raise AttributeError(name)\n"
-        '__all__ = ["Lazy", "Lazy"]\n'
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["API001"])
-    # existence of "Lazy" is unknowable, but the duplicate still counts
-    assert len(report.findings) == 1
-    assert "more than once" in report.findings[0].message
-
-
-# -- PY001 / PY002 -----------------------------------------------------------
-
-
-def test_py001_flags_mutable_defaults(tmp_path):
-    source = (
-        "def f(history=[]):\n"
-        "    return history\n"
-        "def g(*, cache=dict()):\n"
-        "    return cache\n"
-        "def h(items=None, scale=1.0):\n"
-        "    return items\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["PY001"])
-    assert sorted(_rules_of(report)) == ["PY001", "PY001"]
-
-
-def test_py002_flags_bare_except(tmp_path):
-    source = (
-        "try:\n    x = 1\nexcept:\n    pass\n"
-        "try:\n    y = 2\nexcept ValueError:\n    pass\n"
-    )
-    report = _run(tmp_path, {"repro/x.py": source}, select=["PY002"])
-    assert _rules_of(report) == ["PY002"]
-    assert report.findings[0].line == 3
-
-
 # -- suppressions ------------------------------------------------------------
 
 
@@ -659,7 +404,7 @@ def test_suppression_comment_silences_named_rule(tmp_path):
 
 
 def test_suppression_of_other_rule_does_not_silence(tmp_path):
-    source = "import numpy as np\nrng = np.random.default_rng()  # repro: ignore[PY001]\n"
+    source = "import numpy as np\nrng = np.random.default_rng()  # repro: ignore[DET002]\n"
     report = _run(tmp_path, {"repro/x.py": source}, select=["DET001"])
     assert _rules_of(report) == ["DET001"]
     assert report.suppressed == 0
@@ -676,9 +421,9 @@ def test_suppressions_for_line_grammar():
     assert suppressions_for_line("x = 1") == set()
     assert suppressions_for_line("x = 1  # repro: ignore") == {"*"}
     assert suppressions_for_line("x = 1  # repro: ignore[DET001]") == {"DET001"}
-    assert suppressions_for_line("x = 1  # repro: ignore[DET001, PY002] why") == {
+    assert suppressions_for_line("x = 1  # repro: ignore[DET001, DET002] why") == {
         "DET001",
-        "PY002",
+        "DET002",
     }
 
 
@@ -686,7 +431,7 @@ def test_suppressions_for_line_grammar():
 
 
 def test_syntax_error_becomes_e999_finding(tmp_path):
-    report = _run(tmp_path, {"repro/x.py": "def broken(:\n"}, select=["PY002"])
+    report = _run(tmp_path, {"repro/x.py": "def broken(:\n"}, select=["DET001"])
     assert _rules_of(report) == ["E999"]
 
 
@@ -697,8 +442,8 @@ def test_unknown_rule_raises(tmp_path):
 
 def test_select_and_ignore_control_rules_run(tmp_path):
     files = {"repro/x.py": "import numpy as np\nv = np.random.rand(3)\n"}
-    selected = _run(tmp_path, dict(files), select=["DET001", "PY002"])
-    assert selected.rules_run == ["DET001", "PY002"]
+    selected = _run(tmp_path, dict(files), select=["DET001", "HASH001"])
+    assert selected.rules_run == ["DET001", "HASH001"]
     ignored = _run(tmp_path, dict(files), ignore=["DET001"])
     assert "DET001" not in ignored.rules_run
     assert ignored.ok
@@ -775,7 +520,7 @@ def test_readme_rule_table_is_generated_output():
 
 def test_shipped_tree_lints_clean():
     """`python -m repro.analysis src/` must exit 0 on the repo itself."""
-    report = run_analysis([SRC_ROOT / "repro"], conftest=CONFTEST)
+    report = run_analysis([SRC_ROOT / "repro"])
     assert report.findings == [], "\n".join(f.render() for f in report.findings)
     assert report.files_scanned > 50
 
@@ -788,32 +533,6 @@ def test_shipped_tree_lints_clean_via_cli():
         text=True,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-def test_bank_declaration_matches_runtime_matrix():
-    """BANK_EQUIVALENCE_LAYERS == layers the equivalence cases instantiate.
-
-    The static side (BANK001) pins declaration == definers; this pins
-    declaration == exercised, so a bank-capable layer cannot silently
-    drop out of the matrix while staying declared.
-    """
-    from repro.nn.layers import Module
-
-    def walk(module):
-        yield module
-        for child in module._modules.values():
-            yield from walk(child)
-
-    observed = set()
-    for case in equivalence_cases():
-        model = case.model_fn()
-        for mod in walk(model):
-            for klass in type(mod).__mro__:
-                if klass is Module or not klass.__module__.startswith("repro."):
-                    continue
-                if "bank_forward" in vars(klass):
-                    observed.add(klass.__name__)
-    assert observed == BANK_EQUIVALENCE_LAYERS
 
 
 # -- ruff (satellite lint gate) ---------------------------------------------

@@ -99,32 +99,21 @@ class TestBankCompatibility:
 def test_one_definition_per_equivalence_layer():
     """Guard against the fork returning: ``forward`` / ``loss`` are inherited.
 
-    Every class the equivalence matrix declares has exactly one definition,
-    ``bank_forward`` (and ``bank_loss`` for models); a per-replica ``forward``
-    or ``loss`` of its own would be a second one that no backend compares.
+    Every bank layer has exactly one definition, ``bank_forward`` (and
+    ``bank_loss`` for models); a per-replica ``forward`` or ``loss`` of its
+    own would be a second one that no backend compares.
     """
-    import repro.models.cnn
-    import repro.models.linear
-    import repro.models.mlp
-    import repro.models.quadratic
-    import repro.nn.layers
-    from tests.conftest import BANK_EQUIVALENCE_LAYERS
+    from tests.conftest import bank_layer_classes
 
-    modules = (repro.nn.layers, repro.models.cnn, repro.models.linear,
-               repro.models.mlp, repro.models.quadratic)
-    classes = {
-        name: obj for module in modules for name, obj in vars(module).items()
-        if isinstance(obj, type) and issubclass(obj, Module)
-    }
-    assert BANK_EQUIVALENCE_LAYERS <= set(classes)
+    bank_layers = bank_layer_classes()
     forked = sorted(
-        f"{name}.{method}"
-        for name in BANK_EQUIVALENCE_LAYERS
+        f"{klass.__qualname__}.{method}"
+        for klass in bank_layers
         for method in ("forward", "loss")
-        if method in vars(classes[name])
+        if method in vars(klass)
     )
     assert not forked, f"second per-replica definitions: {forked}"
-    assert "bank_forward" in vars(classes["Linear"])  # the definition that stays
+    assert Linear in bank_layers  # the definition that stays
 
 
 class TestParameterBank:

@@ -15,17 +15,45 @@ from __future__ import annotations
 
 import pytest
 
+from repro.nn.layers import Linear
 from tests.conftest import (
     BACKEND_TRANSPORTS,
     EQUIVALENCE_BACKENDS,
     EquivalenceCase,
     assert_fingerprints_identical,
+    bank_layer_classes,
     build_equivalence_cluster,
     equivalence_cases,
     trajectory_fingerprint,
 )
 
 CASES = equivalence_cases()
+
+
+def test_matrix_instantiates_every_bank_layer():
+    """Every class in ``repro`` defining ``bank_forward`` runs in some matrix case.
+
+    Walks the modules each case builds and collects the bank layers along
+    each module's MRO; a layer that gains ``bank_forward`` without a
+    workload in ``equivalence_cases()``, or one the cases stop reaching,
+    is missing from that set.
+    """
+    bank_layers = bank_layer_classes()
+    assert Linear in bank_layers  # the discovery itself works
+
+    def walk(module):
+        yield module
+        for child in module._modules.values():
+            yield from walk(child)
+
+    instantiated = {
+        klass
+        for case in CASES
+        for module in walk(case.model_fn())
+        for klass in type(module).__mro__
+        if klass in bank_layers
+    }
+    assert instantiated == bank_layers
 
 
 @pytest.fixture(scope="module")

@@ -99,3 +99,21 @@ class TestPackageAPI:
                 if not (obj.__doc__ or "").strip():
                     undocumented.append(name)
         assert not undocumented, f"missing docstrings: {undocumented}"
+
+
+def test_every_all_entry_exists_once():
+    """Every ``repro`` module's ``__all__`` names each attribute once, and each resolves.
+
+    ``hasattr`` goes through a module-level ``__getattr__`` (PEP 562), so
+    lazily exported names are checked too.
+    """
+    from tests.conftest import repro_modules
+
+    problems = []
+    for module in repro_modules():
+        names = list(getattr(module, "__all__", ()))
+        problems += [f"{module.__name__}: {name!r} listed twice"
+                     for name in sorted({n for n in names if names.count(n) > 1})]
+        problems += [f"{module.__name__}: {name!r} does not resolve"
+                     for name in names if not hasattr(module, name)]
+    assert not problems, problems

@@ -9,6 +9,7 @@ partially-populated store must resume exactly the missing cells.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.sweep import (
     paired,
     run_sweep,
 )
+from repro.utils.results import MetricPoint, RunRecord, RunStore
 
 
 def tiny_spec(name="tiny", seed_mode="shared", **base_overrides) -> SweepSpec:
@@ -117,6 +119,13 @@ class TestCellHashing:
         assert first == second
         assert len(set(first)) == 4
 
+    def test_smoke_2x2_addresses_are_pinned(self):
+        """Addresses are the store's keys: a change to the canonical form
+        (key order, float spelling) would orphan every stored cell."""
+        assert [c.address for c in SWEEPS.build("smoke_2x2").cells()] == [
+            "723aa83a5139e58c", "791baeaea133710a", "e473c7bb607ff03d", "7ece42080c7dab61",
+        ]
+
     def test_renamed_campaign_keeps_addresses(self):
         a = [c.address for c in tiny_spec(name="alpha").cells()]
         b = [c.address for c in tiny_spec(name="beta").cells()]
@@ -170,6 +179,23 @@ class TestResultStore:
         # No result.json yet: the cell must not be treated as complete.
         assert "abc123" not in store
         assert store.addresses() == []
+
+    def test_non_finite_floats_round_trip_as_strict_json(self, tmp_path):
+        def refuse(token):
+            raise ValueError(f"non-RFC-8259 token {token}")
+
+        record = RunRecord("sync-sgd", {"max_iterations": math.inf})
+        record.log(MetricPoint(0, 0.0, math.nan, extra={"low": -math.inf}))
+        store = ResultStore(tmp_path)
+        store.put("abc123", {"wall_time_budget": math.inf}, RunStore.from_records([record]).to_payload())
+        for name in ("cell.json", "result.json"):
+            json.loads((store.cell_dir("abc123") / name).read_text(), parse_constant=refuse)
+        assert store.meta("abc123") == {"wall_time_budget": math.inf}
+        run = store.runs("abc123").get("sync-sgd")
+        assert run.config == {"max_iterations": math.inf}
+        (point,) = run.points
+        assert math.isnan(point.train_loss) and math.isnan(point.test_accuracy)
+        assert point.extra == {"low": -math.inf}
 
     def test_manifest_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
