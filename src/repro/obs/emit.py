@@ -11,8 +11,8 @@ registry's latency histogram and the profiler's row all receive that same
 duration.
 
 This module and the tracer's time origin are the only wall-clock reads under
-``src/``: emission sites in DET002-scoped simulation paths never touch a
-clock themselves.
+``src/``: emission sites in simulation paths never touch a clock themselves,
+and a run under a jittering fake clock saves the same bytes.
 
 Zero overhead when disabled: with the switch off, :func:`span` returns one
 shared null context manager and the other helpers are one global read and a

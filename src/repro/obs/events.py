@@ -12,8 +12,8 @@ entry that is profile-only.
 Traces are only diffable (``python -m repro.obs diff``) and only safe to
 build tooling on if the set of names is a *schema*, not a convention, so
 :data:`EVENTS` is the single declaration: :func:`repro.obs.emit.span` /
-``instant`` reject any other name at runtime, the ``OBS001`` analysis rule
-cross-checks every literal call site in ``src/`` against its keys, and
+``instant`` reject any other name at runtime, a walk in ``tests/test_obs.py``
+checks every literal call site in ``src/`` against its keys, and
 :data:`EVENT_NAMES` derives from it.  Adding an event type is one entry here
 plus one call at the site.
 """

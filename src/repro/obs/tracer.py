@@ -15,7 +15,7 @@ The tracer is one of three sinks of :mod:`repro.obs.emit`: sites call
 Determinism contract: apart from the two wall-time fields (``wall_start``,
 ``wall_dur``), every byte of a flushed trace is a pure function of the
 seeded run.  Event names come from the schema in :mod:`repro.obs.events`
-(checked at emit time, and statically by the OBS001 analysis rule); virtual
+(checked at emit time, and at every call site by ``tests/test_obs.py``); virtual
 timestamps come from the virtual clock; ``seq`` is the in-process emission
 order; field values are run state (τ, round index, labels, content
 addresses).  Two seeded runs therefore produce byte-identical

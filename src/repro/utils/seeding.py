@@ -9,12 +9,11 @@ experiments are reproducible end to end.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["check_random_state", "set_global_seed", "SeedSequence"]
+__all__ = ["check_random_state", "SeedSequence"]
 
 
 def check_random_state(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -31,23 +30,12 @@ def check_random_state(seed: int | np.random.Generator | None) -> np.random.Gene
     numpy.random.Generator
     """
     if seed is None:
-        return np.random.default_rng()  # repro: ignore[DET001] documented entropy fallback for seed=None
+        return np.random.default_rng()
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(int(seed))  # repro: ignore[DET001] this IS the sanctioned construction site
+        return np.random.default_rng(int(seed))
     raise TypeError(f"seed must be None, int, or numpy Generator, got {type(seed)!r}")
-
-
-def set_global_seed(seed: int) -> None:
-    """Seed Python's ``random`` and NumPy's legacy global RNG.
-
-    Library code never relies on global state, but examples and benchmarks
-    call this once at startup so that any incidental use of the global RNG is
-    reproducible too.
-    """
-    random.seed(seed)  # repro: ignore[DET001] global-seed helper for examples/benchmarks by design
-    np.random.seed(seed % (2**32))  # repro: ignore[DET001] global-seed helper for examples/benchmarks by design
 
 
 @dataclass
@@ -80,4 +68,4 @@ class SeedSequence:
 
     def generator(self) -> np.random.Generator:
         """Spawn a child seed and wrap it in a fresh ``Generator``."""
-        return np.random.default_rng(self.spawn())  # repro: ignore[DET001] seeded from spawn(); sanctioned site
+        return np.random.default_rng(self.spawn())

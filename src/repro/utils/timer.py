@@ -7,9 +7,9 @@ local gradient step advances it by a sampled compute time, each averaging
 step by a sampled communication delay.
 
 Nothing here reads the real clock.  Real-time reads live in
-:mod:`repro.obs.emit` (and the tracer's origin) only: the DET002 linter rule
-bans ``perf_counter`` and friends in the simulation paths, so trajectories
-and content addresses can never depend on when they ran.
+:mod:`repro.obs.emit` (and the tracer's origin) only, so trajectories and
+content addresses never depend on when they ran: a run under a jittering
+fake ``perf_counter`` and friends saves the same bytes.
 """
 
 from __future__ import annotations

@@ -1,6 +1,10 @@
-"""Tests for weight initializers and the top-level package API surface."""
+"""Tests for weight initializers, the top-level package API surface, and ruff."""
 
 from __future__ import annotations
+
+import shutil
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import repro
 from repro.nn import init
 from repro.nn.layers import Conv2d, Linear
 from repro.models.mlp import MLP
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestInitializers:
@@ -117,3 +123,11 @@ def test_every_all_entry_exists_once():
         problems += [f"{module.__name__}: {name!r} does not resolve"
                      for name in names if not hasattr(module, name)]
     assert not problems, problems
+
+
+@pytest.mark.skipif(shutil.which("ruff") is None, reason="ruff not installed")
+def test_ruff_clean():
+    proc = subprocess.run(
+        ["ruff", "check", "."], cwd=REPO_ROOT, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -19,6 +19,7 @@ The load-bearing properties, in test order:
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import logging
@@ -110,6 +111,38 @@ class TestTracer:
         with pytest.raises(ValueError, match="registered names"):
             validate_event_name("nope")
         assert validate_event_name("round") == "round"
+
+    def test_every_emission_site_in_src_names_a_declared_event(self):
+        # The emit-time check fires only on branches some test runs; this walk
+        # reaches every call site.  A call through a name imported from
+        # repro.obs must pass a literal, and every literal must be in the schema.
+        root = Path(__file__).resolve().parents[1] / "src" / "repro"
+        sites, computed = [], []
+        for path in sorted(root.rglob("*.py")):
+            if path.relative_to(root).parts[0] == "obs":
+                continue
+            tree = ast.parse(path.read_text())
+            imported = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro.obs")
+                for alias in node.names if alias.name in ("span", "instant")
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                direct = isinstance(node.func, ast.Name) and node.func.id in imported
+                if not (direct or isinstance(node.func, ast.Attribute) and node.func.attr in ("span", "instant")):
+                    continue
+                first = node.args[0] if node.args else None
+                site = f"{path.relative_to(root)}:{node.lineno}"
+                if isinstance(first, ast.Constant) and isinstance(first.value, str):
+                    sites.append((first.value, site))
+                elif direct:
+                    computed.append(site)
+        assert len(sites) >= 28
+        assert computed == []
+        assert [(name, site) for name, site in sites if name not in EVENT_NAMES] == []
 
     def test_disabled_helpers_are_shared_null_singletons(self):
         assert emit._active is None

@@ -149,12 +149,14 @@ def test_grad_buffers_keep_their_address_across_steps():
         addresses = now
 
 
-def test_steady_state_round_allocates_less_than_one_slab():
-    # m = 8, P = 103946: one (m, P) float64 array is 6.65 MB.  After warm-up
-    # a local step plus the averaging collective may allocate activations,
-    # the (P,) mean and small gradients — never a gathered (m, P) copy, a
-    # weight-gradient temporary or a fresh .grad.
-    cluster = _cluster(8, 192, (512,), 2)
+@pytest.mark.parametrize("bank_dtype", ["float64", "float32"])
+def test_steady_state_round_allocates_less_than_one_slab(bank_dtype):
+    # m = 8, P = 103946: one (m, P) slab is 6.65 MB in float64, 3.33 MB in
+    # float32.  After warm-up a local step plus the averaging collective may
+    # allocate activations, the (P,) mean and small gradients — never a
+    # gathered (m, P) copy, a weight-gradient temporary or a fresh .grad.
+    # Under float32 a float64 coercion of the slab is itself such a copy.
+    cluster = _cluster(8, 192, (512,), 2, bank_dtype=bank_dtype)
     slab_bytes = cluster.backend.bank.slab.nbytes
     assert cluster.backend.bank.n_parameters == 103946
     for _ in range(2):

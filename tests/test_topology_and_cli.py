@@ -30,6 +30,7 @@ from repro.distributed.topology import (
     star_mixing_matrix,
 )
 from repro.experiments.cli import build_parser, main
+from repro.obs import diff_traces, read_trace
 
 
 class TestMixingMatrices:
@@ -234,6 +235,11 @@ def test_property_complete_mix_equals_exact_average(m, dim, seed):
         np.testing.assert_allclose(s, exact, atol=1e-12)
 
 
+def _src_env(**extra) -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra}
+
+
 def test_cli_import_does_not_load_networkx():
     # Only the "mh" topology and arbitrary-graph MH weights need networkx; at
     # ~180 ms it must not be billed to every CLI start, shard process and
@@ -247,10 +253,48 @@ def test_cli_import_does_not_load_networkx():
         "assert mixing_matrix_for('mh', 6).shape == (6, 6)\n"
         "assert 'networkx' not in sys.modules\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_results_ignore_global_rng_clock_and_hash_seed(tmp_path):
+    # A seeded result is a pure function of its config.  Under three more hash
+    # seeds, with the global RNGs reseeded and every clock read jumping 0-6,000 s
+    # (tests/perturbed_main.py), the saved run and the store stay byte-identical
+    # and the trace identical modulo wall time.  Catches unseeded or global-RNG
+    # randomness, wall-clock reads reaching a result, and set-order iteration.
+    perturbed_main = str(Path(__file__).with_name("perturbed_main.py"))
+    commands = {
+        "run": ["--config", "smoke", "--scale", "0.2", "--save", "run.json",
+                "--trace", "trace.jsonl", "--metrics", "--profile"],
+        "sweep": ["--sweep", "smoke_2x2", "--store", "store"],
+    }
+
+    def outputs(command: str, hash_seed: int) -> tuple[dict, list]:
+        cwd = tmp_path / f"{command}-{hash_seed}"
+        cwd.mkdir()
+        entry = ["-m", "repro"] if hash_seed == 0 else [perturbed_main, str(hash_seed)]
+        proc = subprocess.run(
+            [sys.executable, *entry, *commands[command]], cwd=cwd,
+            env=_src_env(PYTHONHASHSEED=str(hash_seed)), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace = cwd / "trace.jsonl"
+        files = {
+            str(path.relative_to(cwd)): path.read_bytes()
+            for path in sorted(cwd.rglob("*")) if path.is_file() and path != trace
+        }
+        return files, read_trace(trace) if trace.exists() else []
+
+    for command in commands:
+        files, events = outputs(command, 0)
+        for hash_seed in (1, 2, 3):
+            perturbed_files, perturbed_events = outputs(command, hash_seed)
+            assert sorted(perturbed_files) == sorted(files), (command, hash_seed)
+            moved = [name for name in files if perturbed_files[name] != files[name]]
+            assert not moved, (command, hash_seed, moved)
+            diff = diff_traces(events, perturbed_events)
+            assert diff.identical, diff.summary()
 
 
 class TestCLI:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.utils.logging import get_logger
 from repro.utils.results import MetricPoint, RunRecord, RunStore
-from repro.utils.seeding import SeedSequence, check_random_state, set_global_seed
+from repro.utils.seeding import SeedSequence, check_random_state
 
 
 class TestSeeding:
@@ -42,12 +42,6 @@ class TestSeeding:
         seq = SeedSequence(1)
         g = seq.generator()
         assert isinstance(g, np.random.Generator)
-
-    def test_set_global_seed(self):
-        set_global_seed(5)
-        a = np.random.rand(3)
-        set_global_seed(5)
-        np.testing.assert_allclose(a, np.random.rand(3))
 
 
 class TestRunRecord:
