@@ -26,7 +26,8 @@ communication-bound sizings of the same two families
 (:data:`TRANSPORT_FAMILIES`) across ``--transport-workers`` cluster sizes, and
 records each transport's measured per-round pickled payload (via the
 ``bytes_over_pipe`` / ``bytes_via_shm`` obs counters) under ``"transport"``
-in the JSON.
+in the JSON.  The pipe rows pin the pool's fallback plane by failing the
+shared-memory allocation, as a full ``/dev/shm`` would (:func:`pinned_plane`).
 
 Runs standalone (no pytest-benchmark needed)::
 
@@ -40,8 +41,9 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
+from unittest import mock
 
 # Allow running without PYTHONPATH=src.
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,6 +55,7 @@ import numpy as np
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.reuse import BackendHandle
+from repro.distributed.transport import ShmStatePlane
 from repro.models.cnn import SmallCNN
 from repro.models.mlp import MLP
 from repro.runtime.distributions import ConstantDelay
@@ -116,13 +119,26 @@ TRANSPORT_FAMILIES = {
 }
 
 
+def pinned_plane(transport: str):
+    """Build sharded pools on ``transport``: "shm" (the default plane) or "pipe".
+
+    The pipe plane is the pool's fallback, so "pipe" fails the shared-memory
+    allocation with ENOSPC while the pool is built.
+    """
+    if transport == "shm":
+        return nullcontext()
+    return mock.patch.object(
+        ShmStatePlane, "create", side_effect=OSError(28, "No space left on device")
+    )
+
+
 @contextmanager
 def build_cluster(
     backend: str,
     family: str,
     n_workers: int,
     n_shards: int = 2,
-    shard_transport: str = "auto",
+    transport: str = "shm",
     families: dict = FAMILIES,
 ):
     """A seeded cluster on the given process layout; pool and cluster close on exit."""
@@ -137,8 +153,8 @@ def build_cluster(
     runtime = RuntimeSimulator(
         ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=n_workers, rng=0
     )
-    with BackendHandle(
-        backend, n_shards=n_shards, shard_transport=shard_transport
+    with pinned_plane(transport), BackendHandle(
+        backend, n_shards=n_shards
     ) as handle, SimulatedCluster(
         model_fn=spec["model_fn"],
         dataset=dataset,
@@ -155,7 +171,7 @@ def build_cluster(
 
 
 def time_backend(backend: str, family: str, n_workers: int, rounds: int, tau: int,
-                 repeats: int, n_shards: int = 2, shard_transport: str = "auto",
+                 repeats: int, n_shards: int = 2, transport: str = "shm",
                  families: dict = FAMILIES):
     """Median-of-``repeats`` wall-clock time and the final loss (parity checks).
 
@@ -171,7 +187,7 @@ def time_backend(backend: str, family: str, n_workers: int, rounds: int, tau: in
     for attempt in range(repeats + 1):  # attempt 0 is the untimed warm-up
         with build_cluster(
             backend, family, n_workers, n_shards=n_shards,
-            shard_transport=shard_transport, families=families,
+            transport=transport, families=families,
         ) as cluster:
             start = time.perf_counter()
             for _ in range(rounds):
@@ -183,7 +199,7 @@ def time_backend(backend: str, family: str, n_workers: int, rounds: int, tau: in
 
 
 def round_transfer_bytes(family: str, n_workers: int, tau: int, n_shards: int,
-                         shard_transport: str) -> tuple[int, int]:
+                         transport: str) -> tuple[int, int]:
     """Per-round (pipe_payload_bytes, shm_payload_bytes) of one sharded round.
 
     Counted by the ``bytes_over_pipe`` / ``bytes_via_shm`` obs counters the
@@ -196,7 +212,7 @@ def round_transfer_bytes(family: str, n_workers: int, tau: int, n_shards: int,
 
     with build_cluster(
         "sharded", family, n_workers, n_shards=n_shards,
-        shard_transport=shard_transport, families=TRANSPORT_FAMILIES,
+        transport=transport, families=TRANSPORT_FAMILIES,
     ) as cluster, MetricsRegistry() as metrics:
         cluster.run_round(tau)
     counters = metrics.snapshot()["counters"]
@@ -224,11 +240,11 @@ def bench_transports(families: list[str], worker_counts: list[int], rounds: int,
         for m in worker_counts:
             pipe_s, pipe_loss = time_backend(
                 "sharded", family, m, rounds, tau, repeats,
-                n_shards=n_shards, shard_transport="pipe", families=TRANSPORT_FAMILIES,
+                n_shards=n_shards, transport="pipe", families=TRANSPORT_FAMILIES,
             )
             shm_s, shm_loss = time_backend(
                 "sharded", family, m, rounds, tau, repeats,
-                n_shards=n_shards, shard_transport="shm", families=TRANSPORT_FAMILIES,
+                n_shards=n_shards, transport="shm", families=TRANSPORT_FAMILIES,
             )
             if shm_loss != pipe_loss:
                 raise SystemExit(

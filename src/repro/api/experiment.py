@@ -109,11 +109,6 @@ class Experiment:
         """Set the sharded backend's process count (``backend_shards``)."""
         return self.set(backend_shards=int(n))
 
-    def transport(self, name: str) -> "Experiment":
-        """Set the sharded pool's data plane: "auto" (shared memory where
-        available, the default), "shm", or "pipe"."""
-        return self.set(shard_transport=str(name))
-
     def dtype(self, name: str) -> "Experiment":
         """Set the bank storage dtype: "float64" (byte-identical default) or
         "float32" (opt-in reduced precision, parity within tolerance)."""

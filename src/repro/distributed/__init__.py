@@ -15,7 +15,7 @@ the paper's figures.
 from repro.distributed.averaging import average_states, weighted_average_states
 from repro.distributed.backends import BackendUnsupported, WorkerBackend, WorkerView
 from repro.distributed.worker_bank import LoopWorkers, WorkerBank
-from repro.distributed.transport import ShmStatePlane, resolve_transport, shm_available
+from repro.distributed.transport import ShmStatePlane
 from repro.distributed.sharded_bank import ShardedBank, shard_slices
 from repro.distributed.reuse import BackendHandle
 from repro.distributed.collectives import AsyncFold, Exact, Gossip
@@ -41,8 +41,6 @@ __all__ = [
     "LoopWorkers",
     "WorkerBank",
     "ShmStatePlane",
-    "resolve_transport",
-    "shm_available",
     "ShardedBank",
     "shard_slices",
     "BackendHandle",

@@ -84,7 +84,7 @@ class SimulatedCluster:
         model and shards support it — all built-in models do — else loop).
         All backends consume the same RNG streams, so seeded runs produce
         byte-identical trajectories on any of them.  A name runs on the
-        default process layout; any other (shard count, shard transport, the
+        default process layout; any other (shard count, the
         ``"auto"`` escalation to the sharded pool) travels whole as a
         :class:`~repro.distributed.reuse.BackendHandle`, which also lets a
         sharded pool survive across cluster lifetimes.  Whoever builds a

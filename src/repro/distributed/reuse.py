@@ -3,12 +3,13 @@
 Spawning the sharded backend's pool is the dominant fixed cost of a short
 run: each shard process is a fresh interpreter that must import NumPy and
 the ``repro`` package before it can serve a single command.  A method
-lineup (``run_experiment`` over four methods) or a serial sweep pays that
-cost once per run even though every run wants an identically-shaped pool.
+lineup (``run_experiment`` over four methods) or a serial sweep would pay
+that cost once per run even though every run wants an identically-shaped
+pool.  (A ``--jobs N`` sweep cell builds its own handle in its pool worker.)
 
 :class:`BackendHandle` is how a process layout — backend name, shard count,
-``"auto"`` escalation point, shard transport — reaches a cluster: whole, as
-one argument.  It also turns the pool into a reusable resource.  A run
+``"auto"`` escalation point — reaches a cluster: whole, as one argument.  It
+also turns the pool into a reusable resource.  A run
 resolves its execution backend *through* a handle instead of building one
 directly; whenever two consecutive runs resolve to sharded pools with the
 same process count, the second run reuses the first's live processes via
@@ -39,14 +40,11 @@ class BackendHandle:
     ``"sharded"``, ``"auto"``), ``n_shards`` the pool size for sharded
     resolutions (clamped to the worker count), ``auto_shard_threshold`` the
     cluster size at which ``"auto"`` escalates from the single-process bank
-    to the sharded pool (``None``: never), and ``shard_transport`` the
-    pool's data plane (shared-memory state plane or pipes — a rebuild
-    reallocates the plane, so the transport can differ between consecutive
-    runs of one pool).  The backends are byte-identical, so none of the four
-    can change a trajectory.  The handle is also a context manager; exiting
-    closes whatever pool it still holds.
+    to the sharded pool (``None``: never).  The backends are byte-identical,
+    so none of the three can change a trajectory.  The handle is also a
+    context manager; exiting closes whatever pool it still holds.
 
-    In-process backends (loop, vectorized) hold no pooled resources, so the
+    In-process backends (loop, vectorized) hold no pool resources, so the
     handle simply builds them fresh each time — reuse only changes process
     lifecycle for sharded resolutions, never arithmetic or RNG consumption.
     """
@@ -57,18 +55,16 @@ class BackendHandle:
         *,
         n_shards: int = 2,
         auto_shard_threshold: "int | None" = None,
-        shard_transport: str = "auto",
     ):
         self.spec = spec
         self.n_shards = n_shards
         self.auto_shard_threshold = auto_shard_threshold
-        self.shard_transport = shard_transport
         self._pool: "ShardedBank | None" = None
 
     @property
     def layout(self) -> tuple:
         """The process layout this slot resolves to (equal layouts can share a pool)."""
-        return (self.spec, self.n_shards, self.auto_shard_threshold, self.shard_transport)
+        return (self.spec, self.n_shards, self.auto_shard_threshold)
 
     def acquire(self, **kwargs) -> tuple[str, WorkerBackend]:
         """Resolve one run's backend, reusing the held pool when possible.
@@ -106,7 +102,7 @@ class BackendHandle:
 
     def _sharded(self, **kwargs) -> ShardedBank:
         """Rebuild the held pool in place, or retire it and build a fresh one."""
-        kwargs.update(n_shards=self.n_shards, transport=self.shard_transport)
+        kwargs.update(n_shards=self.n_shards)
         pool = self._pool
         if pool is not None and not pool._closed:
             shards = kwargs["shards"]

@@ -28,23 +28,18 @@ averaging collective runs in the parent on the identical ``(m, P)`` array —
 so parameters, buffers, losses, and RNG stream positions are byte-identical
 across all three backends (``tests/test_sharded_bank.py`` pins this down).
 
-One protocol, three carriers: every shard sits behind ``send((op, args))`` /
-``recv() -> (status, result)`` and runs the same :meth:`_ShardServer.serve`
-loop, so the parent has one request path (:meth:`ShardedBank._replies`)
-whatever carries the bytes.  A spawned child answers over a
-``multiprocessing`` Pipe; where children are forbidden (a *daemonic* parent,
-e.g. a sweep-pool worker executing a ``backend="sharded"`` cell under
-``--jobs N``) an :class:`_InprocConn` runs the loop on one thread per shard —
-identical partition, arithmetic and stored bytes, whether a cell ran serially
-or inside the pool.  The third carrier is the data plane of a process pool:
-with ``transport="auto"`` / ``"shm"`` the ``(m, P)`` state bank lives in the
-shared-memory plane of :mod:`repro.distributed.transport`, a shard that holds
-a plane attachment answers a gather by writing its rows in place and replying
-``None``, and the Pipes carry only tiny control tuples; ``"pipe"`` — also the
-silent fallback when segment allocation fails — pickles the rows into the
-reply instead (check :attr:`ShardedBank.transport` for the plane in use).
-Replies are consumed in shard index order on every carrier, so bytes never
-depend on which one ran.
+One carrier, one request path: every shard is a spawned child running
+:meth:`_ShardServer.serve` behind a ``multiprocessing`` Pipe —
+``send((op, args))`` / ``recv() -> (status, result)`` — and every command
+waits for its own replies (:meth:`ShardedBank._replies`).  A sweep cell under
+``--jobs N`` runs in a non-daemonic ``ProcessPoolExecutor`` worker, so it
+spawns its shard children like any other parent.  The ``(m, P)`` state bank
+lives in the shared-memory plane of :mod:`repro.distributed.transport`: a
+shard answers a gather by writing its rows in place and replying ``None``,
+and the Pipes carry only tiny control tuples.  When the segments cannot be
+allocated the run falls back to pickling the rows into the reply
+(:attr:`ShardedBank.transport` reports ``"shm"`` or ``"pipe"``).  Replies are
+consumed in shard index order on either plane, so bytes never depend on it.
 
 Lifecycle: there is one construction path.  The pool opens *empty* — servers
 with no bank, so ``Process.start()`` has no payload to write and the children
@@ -58,8 +53,8 @@ slower than the vectorized bank on the same machine.  The pool lives until
 :class:`~repro.distributed.reuse.BackendHandle`, or the cluster that built
 one from a bare name — calls it, with a ``weakref.finalize`` safety net).
 Shared-memory segments are created and unlinked exactly once, by the parent;
-children only close their mappings.  Children and shard threads are
-daemonic, so an abandoned backend can never outlive its parent.  A shard that
+children only close their mappings.  Children are daemonic, so an abandoned
+backend can never outlive its parent.  A shard that
 *errors* keeps serving and the failure surfaces as one ``RuntimeError`` after
 every reply of the round is drained; a shard whose connection is *lost* (the
 child died) raises at once, names the shard and the op, and leaves a pool
@@ -71,8 +66,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import queue
-import threading
 import traceback
 import weakref
 from contextlib import contextmanager
@@ -89,20 +82,13 @@ from repro.distributed.backends import (
     WorkerView,
     merge_fingerprints,
 )
-from repro.distributed.transport import ShmStatePlane, resolve_transport
+from repro.distributed.transport import ShmStatePlane
 from repro.nn.bank import attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
-from repro.obs.emit import count, instant, span
+from repro.obs.emit import count, span
 from repro.utils.seeding import check_random_state
 
 __all__ = ["ShardedBank", "shard_slices"]
-
-#: Commands whose ``("ok", None)`` acks the parent never inspects.  On a
-#: process pool they are sent fire-and-forget: the ack stays queued in the
-#: pipe and the *next* command drains it, saving one blocking round-trip per
-#: training round (broadcast ends every averaging step; its ack overlaps the
-#: next ``local_period`` instead of stalling the parent).
-_DEFERRED_ACK_OPS = frozenset({"broadcast", "broadcast_shm", "set_lr", "reset_momentum"})
 
 #: What sizes a BLAS thread pool when NumPy loads; see :func:`_blas_cap`.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -151,10 +137,9 @@ def _blas_cap(n_shards: int) -> Iterator[None]:
 class _ShardServer:
     """Executes shard commands against one shard-local ``WorkerBank``.
 
-    The single implementation behind every carrier: :func:`_shard_main` runs
-    :meth:`serve` over a Pipe in a spawned child, :class:`_InprocConn` runs
-    it on a thread.  A server starts empty; the ``rebuild`` command gives it
-    a bank (and swaps in a fresh one for each later run of a reused pool).
+    :func:`_shard_main` runs :meth:`serve` over a Pipe in a spawned child.  A
+    server starts empty; the ``rebuild`` command gives it a bank (and swaps
+    in a fresh one for each later run of a reused pool).
     """
 
     bank = None
@@ -223,8 +208,8 @@ class _ShardServer:
             return bank.broadcast_state(*args)
         if op == "broadcast_shm":
             # shm broadcast: the parent wrote the averaged model into the
-            # plane before sending this (fire-and-forget) command; copy out
-            # so the bank never aliases the shared mapping.
+            # plane before sending this command; copy out so the bank never
+            # aliases the shared mapping.
             return bank.broadcast_state(np.array(self._plane.bcast, dtype=float))
         if op == "get_worker_flat":
             return bank.bank.worker_flat(*args)
@@ -255,41 +240,6 @@ def _shard_main(conn) -> None:
     _ShardServer().serve(conn.recv, conn.send)
 
 
-class _InprocConn:
-    """The parent's end of a shard served on a thread of this process.
-
-    Stands in for a Pipe where child processes are forbidden: the same
-    ``send((op, args))`` / ``recv()`` surface in front of the same
-    :meth:`_ShardServer.serve` loop.  One thread per shard, not one pool of
-    n: commands sent to one shard run in order even when two are sent before
-    a ``recv``, while different shards overlap (the bank kernels are NumPy
-    calls that release the GIL).  Nothing is serialized except a ``rebuild``
-    payload, which takes the pickle round-trip a process boundary would
-    apply — each shard must own an isolated template and generators.
-    """
-
-    def __init__(self, index: int):
-        self._requests: queue.SimpleQueue = queue.SimpleQueue()
-        self._results: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=_ShardServer().serve, args=(self._requests.get, self._results.put),
-            name=f"repro-shard-{index}", daemon=True,
-        )
-        self._thread.start()
-
-    def send(self, command: tuple) -> None:
-        if command[0] == "rebuild":
-            command = pickle.loads(pickle.dumps(command))
-        self._requests.put(command)
-
-    def recv(self) -> tuple:
-        return self._results.get()
-
-    def close(self) -> None:
-        """Wait for the served ``close`` command to end the thread."""
-        self._thread.join(timeout=2.0)
-
-
 class ShardedBank(WorkerBackend):
     """m replicas as ``n_shards`` vectorized banks on a persistent process pool.
 
@@ -302,15 +252,10 @@ class ShardedBank(WorkerBackend):
         runs are byte-identical.
     n_shards:
         Worker processes to partition the m replicas over (clamped to m).
-    mp_context:
-        Multiprocessing start method (default ``"spawn"``, the portable
-        choice that genuinely exercises the payload's spawn safety).
-    transport:
-        Pooled data plane for the state bank: ``"shm"`` (zero-copy
-        shared-memory segments), ``"pipe"`` (pickle over the control
-        pipes), or ``"auto"`` (shm where available).  Trajectories are
-        byte-identical either way; :attr:`transport` reports the plane
-        actually in use (``"inproc"`` when there is no pool at all).
+
+    :attr:`transport` reports the current run's data plane: ``"shm"`` (the
+    shared-memory state plane) or ``"pipe"`` (the fallback when segment
+    allocation fails).  Trajectories are byte-identical either way.
     """
 
     name = "sharded"
@@ -321,47 +266,31 @@ class ShardedBank(WorkerBackend):
         shards: Sequence[Dataset | None],
         *,
         n_shards: int = 2,
-        mp_context: str = "spawn",
-        transport: str = "auto",
         **run,
     ):
-        resolved = resolve_transport(transport)  # validate before any work
         self._conns, self._procs = [], []
         self._plane: "ShmStatePlane | None" = None
         self._finalizer: "weakref.finalize | None" = None
         self._closed = False
-        #: Fire-and-forget commands whose acks are still queued in the pipes
-        #: (one per connection each), drained by the next synchronizing
-        #: command in FIFO order.  See :data:`_DEFERRED_ACK_OPS`.
-        self._deferred: list[str] = []
-        #: Whether the shards run on a real process pool.  Daemonic parents
-        #: (e.g. the sweep runner's multiprocessing.Pool workers) may not
-        #: spawn children, so there the same shard servers run on threads —
-        #: identical partition and arithmetic, so a cell's stored bytes do
-        #: not depend on whether the sweep ran serially or on a pool.
-        self.pooled = not multiprocessing.current_process().daemon
         # Validation and RNG consumption come first: BackendUnsupported is
         # raised before any process spawns.
         payloads = self._prepare(model_fn, shards, n_shards=n_shards, **run)
         try:
-            self._open_pool(mp_context)
-            self._ship(payloads, resolved)
+            self._open_pool()
+            self._ship(payloads)
         except BaseException:
             self.close()
             raise
 
-    def _open_pool(self, mp_context: str) -> None:
-        """Start one empty shard server per slice (the single spawn site).
+    def _open_pool(self) -> None:
+        """Spawn one empty shard server per slice (the single spawn site).
 
         ``_shard_main`` takes no payload, so ``Process.start()`` — which
         under ``spawn`` blocks until the child has read its pickled
         ``Process`` object — returns in milliseconds and the children boot
         their interpreters side by side instead of one after the other.
         """
-        if not self.pooled:
-            self._conns = [_InprocConn(index) for index in range(self.n_shards)]
-            return
-        ctx = multiprocessing.get_context(mp_context)
+        ctx = multiprocessing.get_context("spawn")
         with _blas_cap(self.n_shards):
             for _ in range(self.n_shards):
                 parent_conn, child_conn = ctx.Pipe()
@@ -371,20 +300,20 @@ class ShardedBank(WorkerBackend):
                 self._conns.append(parent_conn)
                 self._procs.append(proc)
 
-    def _ship(self, payloads: list, resolved: str) -> None:
+    def _ship(self, payloads: list) -> None:
         """Give every (fresh or reused) shard server this run's bank.
 
-        (Re)allocates the shm plane for the run's ``(m, P)`` geometry — the
-        transport may switch between runs of one pool — re-arms the
-        finalizer, which captures the plane, and sends each shard the
-        ``rebuild`` command with its payload and its plane rows.
+        (Re)allocates the shm plane for the run's ``(m, P)`` geometry — a
+        run whose allocation fails goes over the pipes, the next one tries
+        again — re-arms the finalizer, which captures the plane, and sends
+        each shard the ``rebuild`` command with its payload and its plane rows.
         """
         if self._plane is not None:
             # Children drop their stale attachment inside the rebuild below;
             # POSIX keeps unlinked segments mapped until then.
             self._plane.destroy()
             self._plane = None
-        self.transport = self._create_plane(resolved) if self.pooled else "inproc"
+        self.transport = self._create_plane()
         if self._finalizer is not None:
             self._finalizer.detach()
         self._finalizer = weakref.finalize(
@@ -395,14 +324,13 @@ class ShardedBank(WorkerBackend):
         for _ in self._replies("rebuild", each=each):
             pass
 
-    def _create_plane(self, resolved: str) -> str:
+    def _create_plane(self) -> str:
         """Allocate the shm state plane; return the transport actually secured.
 
-        Allocation failure (a full ``/dev/shm``, say) downgrades to
-        ``"pipe"`` rather than failing the run.
+        Allocation failure (a full ``/dev/shm``, or an interpreter without
+        ``multiprocessing.shared_memory``) downgrades to ``"pipe"`` rather
+        than failing the run.
         """
-        if resolved != "shm":
-            return "pipe"
         try:
             self._plane = ShmStatePlane.create(
                 n_workers=len(self.workers),
@@ -522,22 +450,19 @@ class ShardedBank(WorkerBackend):
         shards: Sequence[Dataset | None],
         *,
         n_shards: int = 2,
-        transport: str = "auto",
         **run,
     ) -> "ShardedBank":
         """Reuse the live pool for a fresh run instead of respawning it.
 
-        Takes the arguments of the constructor (minus ``mp_context``) and
-        the constructor's path minus the spawn — :meth:`_prepare`, then
-        :meth:`_ship` — so trajectories are byte-identical to fresh-pool
-        runs by construction.  The worker count may change between runs;
-        the shard *count* must match the live pool (a pool cannot grow or
-        shrink processes).
+        Takes the arguments of the constructor and the constructor's path
+        minus the spawn — :meth:`_prepare`, then :meth:`_ship` — so
+        trajectories are byte-identical to fresh-pool runs by construction.
+        The worker count may change between runs; the shard *count* must
+        match the live pool (a pool cannot grow or shrink processes).
         """
         self._ensure_open()
         if not shards:
             raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
-        resolved = resolve_transport(transport)
         live = self.pool_size
         requested = len(shard_slices(len(shards), n_shards))
         if requested != live:
@@ -545,44 +470,18 @@ class ShardedBank(WorkerBackend):
                 f"cannot rebuild a {live}-process pool into {requested} shard(s); "
                 f"construct a fresh ShardedBank instead"
             )
-        self._ship(self._prepare(model_fn, shards, n_shards=n_shards, **run), resolved)
+        self._ship(self._prepare(model_fn, shards, n_shards=n_shards, **run))
         return self
 
     # -- pool plumbing -------------------------------------------------------
     @property
     def pool_size(self) -> int:
-        """Number of live shard servers (pool processes, or shard threads)."""
+        """Number of live shard processes."""
         return len(self._conns)
 
     def _ensure_open(self) -> None:
         if self._closed:
             raise RuntimeError("ShardedBank is closed; its process pool is gone")
-
-    def _drain_deferred_acks(self) -> list[str]:
-        """Receive the pending acks of fire-and-forget commands, oldest first.
-
-        Callers invoke this *after* sending their own command: the pipes are
-        FIFO, so each connection's queue holds the deferred acks ahead of the
-        new reply, and draining here leaves exactly that reply queued.
-        Returns error strings instead of raising so the caller can finish
-        consuming its own replies (keeping the protocol in sync) and raise
-        once with everything that went wrong.
-        """
-        deferred, self._deferred = self._deferred, []
-        errors: list[str] = []
-        for index, conn in enumerate(self._conns):
-            for past_op in deferred:
-                try:
-                    status, detail = conn.recv()
-                except (EOFError, OSError) as err:
-                    raise _lost(index, past_op, err) from err
-                if status != "ok":
-                    errors.append(
-                        f"shard process {index} failed during deferred "
-                        f"{past_op!r}:\n{detail}"
-                    )
-                instant("shard_rpc", op=past_op, shard=index, phase="drain_ack")
-        return errors
 
     def _replies(self, op: str, *args, only: "int | None" = None, each=None) -> Iterator:
         """The one request path: send ``op``, yield ``(shard, result)`` in shard order.
@@ -591,17 +490,10 @@ class ShardedBank(WorkerBackend):
         command — with the shared ``args``, or its own tuple from ``each`` —
         before any reply is awaited, so compute-bound commands genuinely
         overlap across the pool, and replies are yielded as they land so a
-        consumer can work on shard i while shard i+1 is still busy.
-        Commands whose replies carry no payload (:data:`_DEFERRED_ACK_OPS`)
-        do not even wait on a process pool: nothing is yielded and the
-        *next* command drains the queued acks after sending itself, so the
-        shards run the deferred command and its successor back-to-back
-        without an intervening parent wake-up.  Shard threads never defer —
-        a thread must not read ``args`` while the parent moves on.  Every
+        consumer can work on shard i while shard i+1 is still busy.  Every
         reply is drained even when some shard errors — a partially-read
         round would leave stale replies queued and silently desynchronize
-        the protocol — and the errors (a deferred failure included,
-        attributed to the op that failed) are raised once, after the last
+        the protocol — and the errors are raised once, after the last
         reply.  A *lost* connection raises at once, see :func:`_lost`.
         """
         shards = range(len(self._conns)) if only is None else (only,)
@@ -610,10 +502,7 @@ class ShardedBank(WorkerBackend):
                 self._conns[index].send((op, args if each is None else each[index]))
             except (EOFError, OSError) as err:
                 raise _lost(index, op, err) from err
-        if self.pooled and op in _DEFERRED_ACK_OPS:
-            self._deferred.append(op)
-            return
-        errors = self._drain_deferred_acks()
+        errors = []
         for index in shards:
             try:
                 status, result = self._conns[index].recv()
@@ -632,15 +521,10 @@ class ShardedBank(WorkerBackend):
 
         Shard servers never report into the parent's tracer or profiler;
         this scope measures the full round-trip (serialize, compute,
-        deserialize) as the parent observes it.  Deferred ops only pay
-        serialization here; their wait lands in the next synchronizing op's
-        scope.  ``deferred`` is a function of the op alone — a shard thread
-        never actually defers, but its spans say what a process pool's say:
-        the field is part of every sharded trace's bytes.
+        deserialize) as the parent observes it.
         """
         self._ensure_open()
-        return span("shard_rpc", op=op, shard=shard, pooled=self.pooled,
-                    deferred=op in _DEFERRED_ACK_OPS, transport=self.transport)
+        return span("shard_rpc", op=op, shard=shard, transport=self.transport)
 
     def _request_all(self, op: str, *args) -> list:
         """One command to every shard; the results in shard order."""
@@ -664,11 +548,8 @@ class ShardedBank(WorkerBackend):
         return self._request_shard(shard_index, op, local_id, *args)
 
     def _count_moved(self, nbytes: int) -> None:
-        """Charge state bytes to the carrier that moved them (shard threads move none)."""
-        if self._plane is not None:
-            count("bytes_via_shm", nbytes)
-        elif self.pooled:
-            count("bytes_over_pipe", nbytes)
+        """Charge state bytes to the plane that moved them."""
+        count("bytes_over_pipe" if self._plane is None else "bytes_via_shm", nbytes)
 
     def close(self) -> None:
         """Shut the pool down; safe to call more than once.
@@ -758,15 +639,6 @@ class ShardedBank(WorkerBackend):
         if self._plane is None:
             self._request_all("broadcast", flat)
         else:
-            # Back-to-back broadcasts with no synchronizing command between
-            # them would overwrite the plane while a shard may not have read
-            # it yet; drain the pending acks first (an ack proves the read
-            # happened).  The normal round structure (broadcast →
-            # local_period → gather) never takes this branch.
-            if "broadcast_shm" in self._deferred:
-                errors = self._drain_deferred_acks()
-                if errors:
-                    raise RuntimeError("\n".join(errors))
             self._plane.bcast[:] = flat
             self._request_all("broadcast_shm")
         self._count_moved(flat.nbytes)
@@ -798,7 +670,7 @@ class ShardedBank(WorkerBackend):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedBank(n_workers={len(self.workers)}, n_shards={self.n_shards}, "
-            f"pooled={self.pooled}, transport={self.transport}, closed={self._closed})"
+            f"transport={self.transport}, closed={self._closed})"
         )
 
 

@@ -1,9 +1,8 @@
 """Zero-copy data plane for the sharded backend: the shared-memory state plane.
 
-The Pipe transport that shipped with ``backend="sharded"`` pickles the full
-``(m, P)`` float bank through ``Connection.send``/``recv`` twice per training
-round (gather + broadcast), so transport — not arithmetic — dominated the
-sharded column of BENCH_backend.json.  This module provides the replacement:
+Pickling the full ``(m, P)`` float bank through ``Connection.send``/``recv``
+twice per training round (gather + broadcast) makes transport — not
+arithmetic — dominate a sharded run, so the pool keeps its state here instead:
 one :class:`multiprocessing.shared_memory.SharedMemory` segment holds the
 stacked worker states and a second holds the broadcast vector.  Shard
 children write their ``[lo, hi)`` state rows in place and read broadcasts
@@ -21,9 +20,9 @@ last mapping closes, so teardown order can never corrupt a reader.
 
 Sizing caveat: the states segment is ``m × P`` elements of the bank dtype in
 ``/dev/shm`` (a tmpfs, typically capped at half of RAM).  Allocation failure
-— or an interpreter built without ``multiprocessing.shared_memory`` — falls
-back to the Pipe transport rather than failing the run; ``"shm"`` is a
-preference, not an assertion.
+— or an interpreter built without ``multiprocessing.shared_memory`` — makes
+:meth:`ShmStatePlane.create` raise, and the pool falls back to pickling the
+rows over its Pipes for that run rather than failing it.
 """
 
 from __future__ import annotations
@@ -35,38 +34,7 @@ try:  # pragma: no cover - present on every supported platform
 except ImportError:  # pragma: no cover - minimal builds without _posixshmem
     _shared_memory = None
 
-__all__ = [
-    "ShmStatePlane",
-    "TRANSPORTS",
-    "resolve_transport",
-    "shm_available",
-]
-
-#: Valid ``shard_transport`` spellings, in config/CLI order.
-TRANSPORTS = ("auto", "shm", "pipe")
-
-
-def shm_available() -> bool:
-    """Whether this interpreter can allocate POSIX shared memory at all."""
-    return _shared_memory is not None
-
-
-def resolve_transport(requested: str) -> str:
-    """Map a requested transport to the one the platform can deliver.
-
-    ``"auto"`` and ``"shm"`` both resolve to the shared-memory plane when
-    the interpreter ships ``multiprocessing.shared_memory``, falling back
-    to ``"pipe"`` otherwise (segment-allocation failures downgrade later,
-    at creation time).  Requesting ``"shm"`` is a preference, not an
-    assertion, so configs stay portable across platforms.
-    """
-    if requested not in TRANSPORTS:
-        raise ValueError(
-            f"unknown shard transport {requested!r}; choose one of {TRANSPORTS}"
-        )
-    if requested == "pipe":
-        return "pipe"
-    return "shm" if shm_available() else "pipe"
+__all__ = ["ShmStatePlane"]
 
 
 class ShmStatePlane:
@@ -76,7 +44,7 @@ class ShmStatePlane:
     each shard child owns rows ``[lo, hi)`` and writes them in place on a
     ``sync_states`` command, so the parent's gather is a read of its own
     mapping.  ``bcast`` is the ``(P,)`` float64 averaged model the parent
-    writes before the (fire-and-forget) ``broadcast_shm`` command.
+    writes before the ``broadcast_shm`` command.
 
     NumPy views over the mappings are created lazily and dropped in
     :meth:`close` before the segments unmap — ``mmap`` refuses to close

@@ -95,11 +95,6 @@ _CONFIG_FLAGS: list[tuple[str, str, dict]] = [
         choices=["float64", "float32"],
         help="bank storage dtype: float64 (byte-identical default) or "
              "float32 (reduced precision, parity within tolerance)")),
-    ("--shard-transport", "shard_transport", dict(
-        choices=["auto", "shm", "pipe"],
-        help="sharded-pool data plane: auto (shared-memory state plane "
-             "where available, the default), shm, or pipe — a process-"
-             "layout knob, never changes the trajectory")),
     ("--topology", "topology", dict(
         choices=["complete", "ring", "star", "mh"],
         help="communication graph for the averaging step: complete "

@@ -95,10 +95,6 @@ class ExperimentConfig:
     backend: str = "auto"
     backend_shards: int = 2
     auto_shard_threshold: "int | None" = 64
-    # Sharded-pool data plane: "auto" (the zero-copy shared-memory state
-    # plane where the platform supports it, else pipes), "shm", or "pipe".
-    # Like the other process-layout knobs this never changes a trajectory.
-    shard_transport: str = "auto"
     # Bank storage dtype: "float64" (byte-identical default) or "float32"
     # (opt-in reduced precision — half the memory traffic, parity within
     # tolerance; the loop backend stays the float64 reference regardless).
@@ -212,14 +208,14 @@ class ExperimentConfig:
     def backend_handle(self) -> BackendHandle:
         """A fresh reuse slot for this config's process layout.
 
-        The single place the four layout fields are read: a lineup, a serial
-        sweep and a lone ``run_method`` all resolve their backend through it.
+        The single place the three layout fields are read: a lineup, a
+        serial sweep and a lone ``run_method`` all resolve their backend
+        through it.
         """
         return BackendHandle(
             self.backend,
             n_shards=self.backend_shards,
             auto_shard_threshold=self.auto_shard_threshold,
-            shard_transport=self.shard_transport,
         )
 
     # -- serialization ----------------------------------------------------
@@ -257,13 +253,15 @@ class ExperimentConfig:
         Unknown keys and component names that are not registered raise
         ``ValueError`` so a typo in a JSON config fails before any training.
         """
+        payload = dict(data)
+        # A retired layout knob that never changed a trajectory: older saves still load.
+        payload.pop("shard_transport", None)
         known = {f.name for f in fields(cls) if f.name != "dataset_fn"}
-        unknown = sorted(set(data) - known)
+        unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(
                 f"unknown config fields {unknown}; known fields: {sorted(known)}"
             )
-        payload = dict(data)
         for key in _TUPLE_FIELDS:
             if payload.get(key) is not None:
                 payload[key] = tuple(payload[key])
@@ -292,11 +290,6 @@ class ExperimentConfig:
         if self.bank_dtype not in ("float64", "float32"):
             raise ValueError(
                 f"unknown bank_dtype {self.bank_dtype!r}; choose 'float64' or 'float32'"
-            )
-        if self.shard_transport not in ("auto", "shm", "pipe"):
-            raise ValueError(
-                f"unknown shard_transport {self.shard_transport!r}; "
-                f"choose 'auto', 'shm', or 'pipe'"
             )
         self.collective()  # the method-family fields: range checks and conflicts
         return self

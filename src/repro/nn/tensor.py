@@ -28,8 +28,8 @@ import numpy as np
 __all__ = ["Tensor", "Workspace", "no_grad", "is_grad_enabled"]
 
 _grad_enabled = True
-#: The next creation stamp (one C call: shard threads build graphs side by
-#: side).  Only a count lives here; the tape is the nodes' own parent links.
+#: The next creation stamp (one C call: threads never share a stamp).  Only a
+#: count lives here; the tape is the nodes' own parent links.
 _stamp = itertools.count(1).__next__
 _workspace: "Workspace | None" = None
 #: Ops on operands smaller than this never use a workspace: below glibc's mmap

@@ -65,8 +65,7 @@ EVENTS: dict[str, Event] = {
     "worker_dropout": Event(),
     # One evaluation of the synchronized model (free in virtual time).
     "eval": Event(counter="evals_total"),
-    # One RPC round-trip to the sharded pool, as the parent sees it; the
-    # drain-ack instants share the name and reach the timeline only.
+    # One RPC round-trip to the sharded pool, as the parent sees it.
     "shard_rpc": Event(profile="shard_rpc.{op}", histogram="shard_rpc_seconds"),
     # One sweep-campaign cell, tagged with its content address.
     "sweep_cell": Event(),

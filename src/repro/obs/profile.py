@@ -31,11 +31,10 @@ class Profiler(Sink):
     profiler — the parent's ``shard_rpc.*`` rows measure request/reply
     round-trips, which is the quantity the parent can actually act on.
 
-    Thread safety: the nesting stack is thread-local (the in-process sharded
-    transport drives its shard servers on threads, and each thread's scopes
-    must nest under that thread's own path, never a sibling's — their rows
-    stay top-level) while the row table is shared under a lock, so
-    concurrent scopes accumulate into one report.
+    Thread safety: the nesting stack is thread-local (each thread's scopes
+    nest under that thread's own path, never a sibling's — their rows stay
+    top-level) while the row table is shared under a lock, so concurrent
+    scopes accumulate into one report.
     """
 
     _slot = 2

@@ -3,7 +3,9 @@
 :class:`SweepRunner` takes a :class:`~repro.sweep.spec.SweepSpec`, expands it
 into content-addressed cells, skips every cell already present in the
 :class:`~repro.sweep.store.ResultStore`, and executes the rest — either
-serially in-process or on a ``multiprocessing`` pool (``jobs > 1``).
+serially in-process or on a :class:`~concurrent.futures.ProcessPoolExecutor`
+(``jobs > 1``).  Its workers are not daemonic, so a ``backend="sharded"``
+cell spawns real shard processes there, exactly as it does serially.
 
 Worker processes receive only JSON-compatible payloads (the cell's config
 dict and run seed); each worker rebuilds its ``ExperimentConfig`` through
@@ -15,7 +17,9 @@ to the store; because cells are pure functions of their config (seeded NumPy
 end to end), pool scheduling order cannot change any stored byte.
 
 A killed or partially-completed campaign resumes for free: re-running the
-same spec executes only the cells whose result files are missing.
+same spec executes only the cells whose result files are missing.  A pool
+worker that dies (SIGKILL, OOM) ends the run at once with one
+``RuntimeError`` naming the cells it lost.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ def _execute_cell(
         # derived seeds back in), so the address is the hash of what runs.
         config = ExperimentConfig.from_dict(payload["config"])
         # The span records under the parent's tracer on the serial path;
-        # pooled workers have no active tracer, so it costs nothing there.
+        # pool workers have no active tracer, so it costs nothing there.
         with span("sweep_cell", address=address, experiment=config.name):
             if payload.get("collect_metrics"):
                 with MetricsRegistry() as registry:
@@ -182,7 +186,8 @@ class SweepRunner:
 
         Duplicate addresses (axes that collapse to the same config) are
         executed once.  Failed cells are reported, not raised — inspect
-        ``report.failed`` or check ``report.ok``.
+        ``report.failed`` or check ``report.ok``.  A pool worker that dies
+        raises ``RuntimeError`` after the cells completed so far are stored.
         """
         cells = spec.cells()
         unique: dict[str, SweepCell] = {}
@@ -279,9 +284,30 @@ class SweepRunner:
                 if handle is not None:
                     handle.close()
             return
-        ctx = multiprocessing.get_context(self.mp_context)
-        with ctx.Pool(processes=jobs) as pool:
-            yield from pool.imap_unordered(_execute_cell, payloads)
+        # Imported here, not at module level: serial runs and shard children
+        # (which import this package) never pay for the executor machinery.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
+        executor = ProcessPoolExecutor(
+            jobs, mp_context=multiprocessing.get_context(self.mp_context)
+        )
+        try:
+            in_flight = {executor.submit(_execute_cell, p): p["address"] for p in payloads}
+            for future in as_completed(in_flight):
+                try:
+                    result = future.result()
+                except BrokenProcessPool as err:
+                    raise RuntimeError(
+                        "a sweep worker process died; re-run to execute the "
+                        f"cells it lost: {', '.join(sorted(in_flight.values()))}"
+                    ) from err
+                del in_flight[future]
+                yield result
+        finally:
+            # On any exit — an error, a caller that stopped iterating — wait
+            # for the running cells only, never for the queued rest.
+            executor.shutdown(cancel_futures=True)
 
 
 def run_sweep(

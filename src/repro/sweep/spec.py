@@ -113,12 +113,11 @@ def _resolve_axis(name: str, value: Any) -> dict[str, Any]:
 
 #: Config fields excluded from the content address: ``name`` is display
 #: metadata, and the process-layout knobs select how the worker bank is
-#: executed (how many shard processes, when auto escalates, which data
-#: plane moves shard state) — the backends and transports are
-#: byte-identical, so these can never change a stored result.  Excluding
+#: executed (how many shard processes, when auto escalates) — the backends
+#: are byte-identical, so these can never change a stored result.  Excluding
 #: them keeps re-runs under a different layout (and stores populated before
 #: the fields existed) as pure cache hits.
-HASH_EXCLUDED_FIELDS = ("name", "backend_shards", "auto_shard_threshold", "shard_transport")
+HASH_EXCLUDED_FIELDS = ("name", "backend_shards", "auto_shard_threshold")
 
 #: Fields elided from the content address only at their listed default.
 #: Unlike :data:`HASH_EXCLUDED_FIELDS` these *can* change the trajectory

@@ -18,7 +18,7 @@ import multiprocessing
 import os
 import pkgutil
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
-from repro.distributed import BackendHandle, SimulatedCluster
+from repro.distributed import BackendHandle, ShmStatePlane, SimulatedCluster
 from repro.models.mlp import MLP
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid, Tanh
 from repro.nn.losses import bank_cross_entropy, cross_entropy
@@ -129,18 +129,19 @@ def leaks():
 
 
 @contextmanager
-def daemonic_parent():
-    """Present the main process as a sweep-pool worker: no children allowed.
+def pipe_plane():
+    """Sharded pools built or rebuilt inside run on the pipe fallback.
 
-    Backends built inside the block get in-process shard servers; legal
-    because the main process has no ``_popen``.
+    Shared-memory allocation fails as a full ``/dev/shm`` would (ENOSPC), so
+    the rows ride in the replies — the one way to pin the pipe data plane.
     """
-    process = multiprocessing.current_process()
-    process.daemon = True
-    try:
+
+    def full(**kwargs):
+        raise OSError(28, "No space left on device")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ShmStatePlane, "create", full)
         yield
-    finally:
-        process.daemon = False
 
 
 def seeded_backend_kwargs(n_workers: int = 4) -> dict:
@@ -172,7 +173,6 @@ def cluster_on(
     *,
     n_shards: int = 2,
     auto_shard_threshold: "int | None" = None,
-    shard_transport: str = "auto",
     **cluster_kwargs,
 ) -> SimulatedCluster:
     """A :class:`SimulatedCluster` on a process layout picked per call.
@@ -186,10 +186,7 @@ def cluster_on(
     if isinstance(backend, BackendHandle):
         return SimulatedCluster(backend=backend, **cluster_kwargs)
     handle = BackendHandle(
-        backend,
-        n_shards=n_shards,
-        auto_shard_threshold=auto_shard_threshold,
-        shard_transport=shard_transport,
+        backend, n_shards=n_shards, auto_shard_threshold=auto_shard_threshold
     )
     try:
         cluster = _ClusterOwningItsHandle(backend=handle, **cluster_kwargs)
@@ -213,7 +210,8 @@ def cluster_on(
 #: pins byte-identity for the Pipe protocol AND the shared-memory plane.
 EQUIVALENCE_BACKENDS = ("vectorized", "sharded", "sharded-shm")
 
-#: pseudo-backend name -> (real backend registry name, shard transport).
+#: pseudo-backend name -> (real backend registry name, the data plane it
+#: must report; "pipe" is forced with :func:`pipe_plane`).
 BACKEND_TRANSPORTS = {
     "vectorized": ("vectorized", "auto"),
     "sharded": ("sharded", "pipe"),
@@ -374,12 +372,12 @@ def build_equivalence_cluster(
     Sharded clusters run on 2 processes (close them after use); all other
     knobs are identical across backends by construction.  ``backend`` may be
     a pseudo-backend from :data:`BACKEND_TRANSPORTS` (e.g. "sharded-shm"),
-    which resolves to the real backend name plus a pinned shard transport.
+    which resolves to the real backend name on a pinned data plane.
     Extra ``cluster_kwargs`` (``collective=Gossip("ring")``, ...) pass
     through to :class:`SimulatedCluster` so the method-family tests reuse
     the same seeded workloads.
     """
-    backend, shard_transport = BACKEND_TRANSPORTS.get(backend, (backend, "auto"))
+    backend, transport = BACKEND_TRANSPORTS.get(backend, (backend, "auto"))
 
     dataset = (
         None
@@ -398,21 +396,21 @@ def build_equivalence_cluster(
         n_workers=n_workers,
         rng=0,
     )
-    return cluster_on(
-        backend,
-        n_shards=2,
-        shard_transport=shard_transport,
-        model_fn=case.model_fn,
-        dataset=dataset,
-        runtime=runtime,
-        n_workers=n_workers,
-        batch_size=8,
-        lr=0.05,
-        momentum=case.momentum,
-        weight_decay=1e-4,
-        seed=17,
-        **cluster_kwargs,
-    )
+    with pipe_plane() if transport == "pipe" else nullcontext():
+        return cluster_on(
+            backend,
+            n_shards=2,
+            model_fn=case.model_fn,
+            dataset=dataset,
+            runtime=runtime,
+            n_workers=n_workers,
+            batch_size=8,
+            lr=0.05,
+            momentum=case.momentum,
+            weight_decay=1e-4,
+            seed=17,
+            **cluster_kwargs,
+        )
 
 
 def _eval_loss_metric(model, X, y):

@@ -167,6 +167,13 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict(payload)
 
+    def test_from_dict_drops_the_retired_shard_transport_key(self):
+        # Configs saved while the data plane was a knob carry it; whatever it
+        # held, it never changed a trajectory, so it loads as today's config.
+        for value in ("auto", "shm", "pipe"):
+            saved = {**make_config("smoke").to_dict(), "shard_transport": value}
+            assert ExperimentConfig.from_dict(saved) == make_config("smoke")
+
     def test_from_dict_rejects_unknown_model(self):
         payload = make_config("smoke").to_dict()
         payload["model"] = "transformer-xxl"

@@ -177,9 +177,9 @@ def test_workspace_evaluation_is_byte_identical_on_a_float32_bank():
             logits = template.bank_forward(X, bank.state()).data
             loss = template.bank_loss(X, y, bank.state()).data
         with no_grad(workspace=workspace):
-            pooled = template.bank_forward(X, bank.state()).data
-            assert pooled.dtype == logits.dtype == np.float32
-            assert pooled.tobytes() == logits.tobytes()
+            reused = template.bank_forward(X, bank.state()).data
+            assert reused.dtype == logits.dtype == np.float32
+            assert reused.tobytes() == logits.tobytes()
         with no_grad(workspace=workspace):
             assert template.bank_loss(X, y, bank.state()).data.tobytes() == loss.tobytes()
         bank.slab += gen.normal(size=bank.slab.shape).astype(np.float32) * np.float32(0.05)
@@ -262,12 +262,12 @@ def test_grad_enabled_ops_take_nothing_from_the_workspace(leaves):
             taped = _forward(*leaves)
         finally:
             tensor_mod._grad_enabled = False
-        pooled = _forward(*leaves)
+        reused = _forward(*leaves)
     assert taped[1].requires_grad
-    assert not any(np.shares_memory(t.data, u.data) for t in taped for u in pooled)
+    assert not any(np.shares_memory(t.data, u.data) for t in taped for u in reused)
     outside = _forward(*leaves)  # after the scope: gradients on, no workspace
     assert tensor_mod._workspace is None and outside[1].requires_grad
-    assert not any(np.shares_memory(t.data, u.data) for t in outside for u in pooled)
+    assert not any(np.shares_memory(t.data, u.data) for t in outside for u in reused)
 
 
 def test_exception_inside_the_scope_leaves_the_workspace_reusable(leaves):
@@ -425,6 +425,6 @@ def _train_with_subsampled_eval(use_workspace: bool):
 
 
 def test_subsampled_evaluation_is_byte_identical_with_and_without_workspace():
-    pooled = _train_with_subsampled_eval(True)
-    assert len(pooled) >= FORWARDS
-    assert pooled == _train_with_subsampled_eval(False)
+    reused = _train_with_subsampled_eval(True)
+    assert len(reused) >= FORWARDS
+    assert reused == _train_with_subsampled_eval(False)

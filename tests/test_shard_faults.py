@@ -119,24 +119,6 @@ def test_child_killed_during_local_period(victim, never_killed):
             timer.join()
 
 
-@pytest.mark.parametrize("victim", [0, 1])
-def test_child_killed_with_a_deferred_ack_pending(victim, never_killed):
-    # broadcast_state returns before its ack; the next synchronizing command
-    # drains it — and that drain is where the dead child is found, attributed
-    # to the deferred op whose ack never came.
-    with BackendHandle("sharded", n_shards=2) as handle:
-        _, pool = handle.acquire(**seeded_backend_kwargs())
-        timer = _kill_while_waiting(pool, victim)
-        try:
-            pool.broadcast_state(pool.initial_state())
-            assert pool._deferred == ["broadcast_shm"]
-            _assert_fails_and_recovers(
-                handle, pool, STEPS["local_period"][0], victim, "broadcast_shm", never_killed
-            )
-        finally:
-            timer.join()
-
-
 class TestBlasCap:
     """Shard children inherit a BLAS pool of cores // shards threads."""
 

@@ -30,7 +30,7 @@ from tests.conftest import (
     EQUIVALENCE_FEATURES,
     _registry_model_fn,
     cluster_on,
-    daemonic_parent,
+    pipe_plane,
 )
 
 #: No test here may leave a /dev/shm segment or a child process behind.
@@ -227,22 +227,20 @@ class TestShardedBackendSurface:
         with pytest.raises(RuntimeError, match="closed"):
             backend.local_period(1)
 
-    def test_deferred_broadcast_ack_error_surfaces_on_next_command(self):
-        # broadcast/set_lr/reset_momentum acks are fire-and-forget; a shard
-        # failure must still surface — on the next synchronizing command,
-        # attributed to the command that actually failed.  Pinned to the
-        # Pipe transport: over the shm plane a malformed broadcast fails
-        # fast in the parent instead (covered below).
-        cluster = _cluster(
-            "sharded", _registry_model_fn("mlp"), 4, shard_transport="pipe"
-        )
+    def test_pipe_broadcast_error_raised_by_broadcast(self):
+        # Every command waits for its own replies, so a shard failure is
+        # raised by the call that caused it, naming every failed shard.  On
+        # the pipe plane the children validate the broadcast; over the shm
+        # plane a malformed one fails fast in the parent instead (below).
+        with pipe_plane():
+            cluster = _cluster("sharded", _registry_model_fn("mlp"), 4)
         try:
             backend = cluster.backend
-            backend.broadcast_state(np.zeros(3))  # wrong length, returns at once
-            with pytest.raises(RuntimeError, match="deferred 'broadcast'"):
-                backend.get_stacked_states()
-            # The drain consumed every queued reply, so the pool protocol is
-            # back in sync and the backend keeps working.
+            with pytest.raises(
+                RuntimeError, match=r"shard process 0 failed:\n(?s:.*)shard process 1 failed"
+            ):
+                backend.broadcast_state(np.zeros(3))  # wrong length, on both shards
+            # Every reply was drained, so the protocol is still in sync.
             assert len(backend.get_stacked_states()) == 4
         finally:
             cluster.close()
@@ -250,9 +248,7 @@ class TestShardedBackendSurface:
     def test_shm_malformed_broadcast_fails_fast_in_parent(self):
         # The shm plane write validates the broadcast length before any
         # command is sent, so the error is immediate and the pool unharmed.
-        cluster = _cluster(
-            "sharded", _registry_model_fn("mlp"), 4, shard_transport="shm"
-        )
+        cluster = _cluster("sharded", _registry_model_fn("mlp"), 4)
         try:
             backend = cluster.backend
             assert backend.transport == "shm"
@@ -342,45 +338,46 @@ class TestAutoEscalation:
 
 
 class TestShardedInsideSweepPool:
-    """A sweep-pool worker is daemonic and may not spawn shard processes; the
-    backend must fall back to in-process shard servers with identical bytes."""
+    """A sweep-pool worker spawns its own shard processes, so a sharded cell's
+    outputs — result bytes and metrics counters — do not depend on ``--jobs``."""
 
     def test_parallel_sweep_cells_match_serial_bytes(self, tmp_path):
-        from repro.sweep import SweepSpec, grid, run_sweep
+        from repro.sweep import ResultStore, SweepSpec, grid, run_sweep
 
-        # Dropout + batch norm make the cells stream-consuming: the in-process
-        # fallback must isolate each shard's template and generators exactly
-        # as crossing a process boundary would, or the bytes diverge.
+        # Dropout + batch norm make the cells stream-consuming: each shard
+        # must own an isolated template and generators, or the bytes diverge.
         base = make_config(
             "smoke", backend="sharded", n_train=120, n_test=40,
             wall_time_budget=8.0, methods=("sync-sgd",),
             model_kwargs={"batch_norm": True, "dropout": 0.2},
         )
         spec = SweepSpec("sharded_pool", base, grid(tau=[1, 4]))
-        serial = run_sweep(spec, tmp_path / "serial")
+        serial = run_sweep(spec, tmp_path / "serial", collect_metrics=True)
         assert serial.ok and len(serial.executed) == 2
-        parallel = run_sweep(spec, tmp_path / "parallel", jobs=2)
+        parallel = run_sweep(spec, tmp_path / "parallel", jobs=2, collect_metrics=True)
         assert parallel.ok and len(parallel.executed) == 2
         for address in serial.executed:
             assert (
                 (tmp_path / "serial" / "cells" / address / "result.json").read_bytes()
                 == (tmp_path / "parallel" / "cells" / address / "result.json").read_bytes()
             )
+            counters = [
+                ResultStore(tmp_path / run).metrics(address)["counters"]
+                for run in ("serial", "parallel")
+            ]
+            assert counters[0]["bytes_via_shm"] > 0
+            assert counters[0] == counters[1]
 
     def test_inprocess_mode_matches_vectorized_for_stream_models(self):
-        # Force the daemonic-parent fallback in-process: the main process is
-        # temporarily marked daemonic, which is how a sweep-pool worker
-        # presents itself.  Uneven shards (m=5 over 2) plus dropout+batch
-        # norm exercise per-shard stream isolation.
+        # Uneven shards (m=5 over 2) plus dropout+batch norm exercise
+        # per-shard stream isolation across the process boundary.
         def model_fn():
             return MLP(F, C, hidden_sizes=(8,), batch_norm=True, dropout=0.3, rng=1)
 
         vectorized = _cluster("vectorized", model_fn, 5)
-        with daemonic_parent():
-            sharded = _cluster("sharded", model_fn, 5, n_shards=2)
+        sharded = _cluster("sharded", model_fn, 5, n_shards=2)
         try:
-            assert not sharded.backend.pooled
-            assert sharded.backend._procs == []
+            assert len(sharded.backend._procs) == 2
             for _ in range(2):
                 np.testing.assert_array_equal(
                     vectorized.backend.local_period(3), sharded.backend.local_period(3)
@@ -406,14 +403,6 @@ class TestShardedInsideSweepPool:
                 model_fn=None, shards=shards, batch_size=8,
                 template=template, stream_rngs=streams,
             )
-
-    def test_main_process_backend_is_pooled(self):
-        cluster = _cluster("sharded", _registry_model_fn("mlp"), 4)
-        try:
-            assert cluster.backend.pooled
-            assert len(cluster.backend._procs) == 2
-        finally:
-            cluster.close()
 
 
 class TestHarnessAndConfigWiring:

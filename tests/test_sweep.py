@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import signal
+import threading
+import time
 
 import pytest
 
@@ -606,26 +610,43 @@ class TestHashExcludesProcessLayout:
         assert second.executed == [] and len(second.cached) == 4
 
 
-    def test_serial_sweep_honours_shard_transport(self, tmp_path, monkeypatch):
-        # The campaign-wide BackendHandle used to be built from three of the
-        # four layout fields, so a serial sweep of pipe cells ran on shm.
-        from repro.distributed.cluster import SimulatedCluster
+def _store_files(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
-        seen = []
-        init = SimulatedCluster.__init__
 
-        def spy(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            seen.append((self.backend_name, self.backend.transport))
+class TestKilledPoolWorker:
+    def test_sigkill_mid_cell_fails_fast_and_resumes_to_identical_bytes(self, tmp_path, leaks):
+        base = make_config("smoke", n_train=120, n_test=40, wall_time_budget=24.0)
+        spec = SweepSpec("killed", base, grid(tau=[1, 4], seed=[7, 8, 9]))
+        store = ResultStore(tmp_path / "killed")
+        raised = []
 
-        monkeypatch.setattr(SimulatedCluster, "__init__", spy)
-        base = make_config(
-            "smoke", n_train=120, n_test=40, wall_time_budget=6.0,
-            backend="sharded", shard_transport="pipe", methods=("pasgd-tau4",),
-        )
-        report = run_sweep(SweepSpec("pipes", base, grid(seed=[7, 8])), tmp_path / "store")
-        assert len(report.executed) == 2 and not report.failed
-        assert seen == [("sharded", "pipe")] * 2
+        def campaign():
+            try:
+                run_sweep(spec, store, jobs=2)
+            except RuntimeError as err:
+                raised.append(err)
+
+        sweep = threading.Thread(target=campaign, daemon=True)
+        sweep.start()
+        # The first stored cell means both workers are into their next ones.
+        while not len(store) and sweep.is_alive():
+            time.sleep(0.005)
+        victim, *_ = leaks.children(grace=0)
+        os.kill(victim.pid, signal.SIGKILL)
+        sweep.join(timeout=10)
+        assert not sweep.is_alive(), "the campaign hung after its worker was killed"
+        (error,) = raised
+        missing = {cell.address for cell in spec.cells()} - set(store.addresses())
+        assert str(error).startswith("a sweep worker process died")
+        assert missing and set(str(error).rsplit(": ", 1)[1].split(", ")) == missing
+        assert not leaks.children()
+
+        done = store.addresses()
+        resumed = run_sweep(spec, store)
+        assert sorted(resumed.cached) == done and set(resumed.executed) == missing
+        run_sweep(spec, tmp_path / "clean")
+        assert _store_files(tmp_path / "killed") == _store_files(tmp_path / "clean")
 
 
 class TestStoreQuery:
