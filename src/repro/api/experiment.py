@@ -114,49 +114,20 @@ class Experiment:
         "float32" (opt-in reduced precision, parity within tolerance)."""
         return self.set(bank_dtype=str(name))
 
-    def topology(self, name: str, rounds: int = 1) -> "Experiment":
-        """Select the averaging communication graph.
-
-        "complete" (default) is the paper's exact all-node average; "ring",
-        "star", and "mh" (Metropolis-Hastings over a chordal ring) route the
-        averaging step through ``rounds`` doubly-stochastic gossip mixes.
-        """
-        return self.set(topology=str(name), gossip_rounds=int(rounds))
-
-    def staleness(self, damping: float) -> "Experiment":
-        """Set the staleness damping used by async method specs.
-
-        Async updates fold in with weight ``1/(m·(1+damping·s))`` where
-        ``s`` is how many server versions elapsed since the worker pulled.
-        """
-        return self.set(staleness_damping=float(damping))
-
-    def elastic(self, p: float = 0.0, deadline: "float | None" = None) -> "Experiment":
-        """Enable seeded per-round worker dropout (elastic stragglers).
-
-        ``p`` drops each worker independently per round; ``deadline`` drops
-        workers whose period compute time exceeds it.  Survivors average,
-        the broadcast rejoins everyone, and the fastest worker always
-        survives so a round can never lose the whole cluster.
-        """
-        return self.set(
-            elastic_dropout_prob=float(p),
-            elastic_deadline=float(deadline) if deadline is not None else None,
-        )
-
     def methods(self, *specs: str) -> "Experiment":
         """Set the method lineup from spec strings (see ``parse_method_spec``).
 
-        Each spec is parsed (and therefore fully validated — name *and*
-        arguments) against the current config immediately, so a bad lineup
-        fails here rather than at ``run()`` time.
+        The spec names each method's collective (``"gossip-ring-tau4"``,
+        ``"async:tau=8,damping=0.5"``, ``"elastic:p=0.1,tau=4"``).  The lineup
+        is resolved (and therefore fully validated — names, arguments, shared
+        labels) against the current config immediately, so a bad lineup fails
+        here rather than at ``run()`` time.
         """
         if not specs:
             raise ValueError("methods() needs at least one method spec")
-        from repro.experiments.harness import parse_method_spec
+        from repro.experiments.harness import default_methods
 
-        for spec in specs:
-            parse_method_spec(spec, self._config)
+        default_methods(self._config, specs)
         self._config = self._config.with_overrides(methods=tuple(specs))
         return self
 

@@ -20,7 +20,6 @@ from repro.distributed.sharded_bank import ShardedBank, shard_slices
 from repro.distributed.reuse import BackendHandle
 from repro.distributed.collectives import AsyncFold, Exact, Gossip
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.events import CommunicationEvent, LocalPeriodEvent, EventLog
 from repro.distributed.topology import (
     complete_mixing_matrix,
     ring_mixing_matrix,
@@ -48,9 +47,6 @@ __all__ = [
     "Gossip",
     "AsyncFold",
     "SimulatedCluster",
-    "CommunicationEvent",
-    "LocalPeriodEvent",
-    "EventLog",
     "complete_mixing_matrix",
     "ring_mixing_matrix",
     "star_mixing_matrix",

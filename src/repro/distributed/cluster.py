@@ -4,8 +4,9 @@
 worker to run τ local SGD steps, advances the virtual clock by the slowest
 worker's compute time (sampled from the runtime model), then performs the
 model-averaging collective and advances the clock by the sampled
-communication delay.  What that communication step does to the ``(m, P)``
-states and to the clock is one value — ``Exact | Gossip | AsyncFold``, see
+communication delay; :meth:`~SimulatedCluster.breakdown` keeps the running
+totals of both.  What that communication step does to the ``(m, P)`` states
+and to the clock is one value — ``Exact | Gossip | AsyncFold``, see
 :mod:`repro.distributed.collectives` — so the paper's method and its
 decentralized and asynchronous extensions (Section 6) are the same two
 phases, :meth:`~SimulatedCluster.run_local_period` then
@@ -33,7 +34,6 @@ from repro.data.synthetic import Dataset
 from repro.distributed.averaging import weighted_average_states
 from repro.distributed.backends import WorkerBackend
 from repro.distributed.collectives import AsyncFold, Collective, Exact, Gossip
-from repro.distributed.events import CommunicationEvent, EventLog, LocalPeriodEvent
 from repro.distributed.reuse import BackendHandle
 from repro.distributed.topology import consensus_distance, mixing_matrix_for
 from repro.nn.layers import Module, evaluating
@@ -126,7 +126,6 @@ class SimulatedCluster:
         self.n_workers = n_workers
         self.runtime = runtime
         self.clock = VirtualClock()
-        self.events = EventLog()
         self._seeds = SeedSequence(seed)
 
         # Shard the data.
@@ -199,8 +198,11 @@ class SimulatedCluster:
 
         self._synchronized_params = self._backend.initial_state()
         self._eval_workspace = Workspace()  # see evaluate_synchronized
+        # The ledger of simulated time: what breakdown() reports.
         self.total_local_iterations = 0
         self.communication_rounds = 0
+        self.compute_time = 0.0
+        self.communication_time = 0.0
         self.current_lr = lr
         gauge("workers", n_workers)
 
@@ -247,7 +249,6 @@ class SimulatedCluster:
         """
         if tau < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
-        start = self.clock.now
         # The span closes after the clock advance so its virtual duration is
         # the sampled straggler-bound compute time of the period.
         with span("local_steps", clock=self.clock, tau=tau, backend=self.backend_name):
@@ -273,18 +274,8 @@ class SimulatedCluster:
                 )
         count("local_steps_total", tau)
         self.total_local_iterations += tau
-        mean_loss = float(np.mean(losses))
-        self.events.append(
-            LocalPeriodEvent(
-                start_time=start,
-                duration=duration,
-                tau=tau,
-                lr=self.current_lr,
-                iteration_end=self.total_local_iterations,
-                mean_local_loss=mean_loss,
-            )
-        )
-        return mean_loss
+        self.compute_time += duration
+        return float(np.mean(losses))
 
     def _sample_survivors(self, per_worker_compute: np.ndarray) -> np.ndarray:
         """Elastic straggler process: which workers report in time this round.
@@ -311,7 +302,7 @@ class SimulatedCluster:
         """Run the communication collective and advance the clock.
 
         The scaffold is the same for every collective — the ``communicate``
-        span, the byte and round counters, the read-only snapshot, the event
+        span, the byte and round counters, the read-only snapshot, the ledger
         and the clock charge; what happens to the states is the variant's
         ``slab -> (synchronized, bytes moved)`` function.  Returns the new
         synchronized flat parameter vector: the mean every worker loaded
@@ -342,9 +333,7 @@ class SimulatedCluster:
                 duration = float(timing.per_worker_push.mean())
                 self.clock.advance(float(timing.arrival_times.max()) - start)
         self.communication_rounds += 1
-        self.events.append(
-            CommunicationEvent(start_time=start, duration=duration, round_index=self.communication_rounds)
-        )
+        self.communication_time += duration
         return synchronized
 
     def _exact_average(self) -> tuple[np.ndarray, int]:
@@ -516,6 +505,20 @@ class SimulatedCluster:
         states = self._backend.get_stacked_states()
         avg = states.mean(axis=0)
         return float(np.mean(np.linalg.norm(states - avg, axis=1)))
+
+    def breakdown(self) -> dict[str, float]:
+        """Simulated compute / communication split so far (the Figure-8 quantity).
+
+        Per-period durations live in the ``local_steps`` / ``communicate``
+        trace spans; the cluster keeps only the running totals.
+        """
+        return {
+            "compute_time": self.compute_time,
+            "communication_time": self.communication_time,
+            "total_time": self.compute_time + self.communication_time,
+            "local_iterations": float(self.total_local_iterations),
+            "communication_rounds": float(self.communication_rounds),
+        }
 
     def epochs_completed(self) -> float:
         """Approximate number of passes over the global training set."""

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Topology names accepted by :func:`mixing_matrix_for` (and hence by
-#: ``Gossip(topology=...)`` and ``ExperimentConfig.topology``).
+#: ``Gossip(topology=...)`` and the ``gossip-<topology>-tau<N>`` method specs).
 TOPOLOGIES = ("complete", "ring", "star", "mh")
 
 

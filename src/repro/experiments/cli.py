@@ -95,17 +95,6 @@ _CONFIG_FLAGS: list[tuple[str, str, dict]] = [
         choices=["float64", "float32"],
         help="bank storage dtype: float64 (byte-identical default) or "
              "float32 (reduced precision, parity within tolerance)")),
-    ("--topology", "topology", dict(
-        choices=["complete", "ring", "star", "mh"],
-        help="communication graph for the averaging step: complete "
-             "(exact all-node average, the default) or a decentralized "
-             "gossip topology (ring, star, mh = Metropolis-Hastings); "
-             "gossip rounds per step via --set gossip_rounds=N")),
-    ("--staleness", "staleness_damping", dict(
-        type=float, metavar="DAMPING",
-        help="staleness damping for async method specs (fold-in weight "
-             "1/(m*(1+damping*staleness))); only read by methods like "
-             "'async-tau8'")),
     ("--seed", "seed", dict(type=int, help="override the config seed")),
 ]
 

@@ -37,26 +37,13 @@ from repro.api.registries import (
 )
 from repro.api.registry import filter_kwargs
 from repro.data.synthetic import Dataset
-from repro.distributed.collectives import AsyncFold, Exact, Gossip
+from repro.distributed.collectives import Exact
 from repro.distributed.reuse import BackendHandle
 
 __all__ = ["ExperimentConfig", "make_config", "available_configs", "config_spec"]
 
 # Fields stored as tuples but serialized as JSON lists.
 _TUPLE_FIELDS = ("hidden_sizes", "lr_decay_milestones", "fixed_taus", "methods")
-
-# Fields serialized only when they differ from their default.  These were
-# added after stores and golden fixtures existed; at the default they are
-# trajectory-preserving no-ops, so eliding them keeps previously rendered
-# config dicts byte-identical — golden fixtures stay green and sweep-cell
-# content addresses (which hash ``to_dict()``) remain pure cache hits.
-_SPARSE_FIELDS: dict[str, Any] = {
-    "topology": "complete",
-    "gossip_rounds": 1,
-    "staleness_damping": 0.0,
-    "elastic_dropout_prob": 0.0,
-    "elastic_deadline": None,
-}
 
 
 @dataclass(frozen=True)
@@ -66,7 +53,9 @@ class ExperimentConfig:
     All component fields (``model``, ``dataset``, ``delay``,
     ``network_scaling``, ``lr_schedule``, ``methods``) are registry names —
     see ``repro.api`` — so a config can be serialized with :meth:`to_dict`
-    and rebuilt with :meth:`from_dict`.
+    and rebuilt with :meth:`from_dict`.  What a method's communication step
+    does (gossip, async, elastic dropout) is named by its method spec, never
+    by a lineup-wide field; see :func:`repro.experiments.harness.parse_method_spec`.
     """
 
     name: str
@@ -102,20 +91,6 @@ class ExperimentConfig:
     # Averaging-collective weighting: "uniform" (paper, eq. 3) or
     # "shard_size" (FedAvg-style, for unbalanced partitions).
     weighting: str = "uniform"
-    # Communication graph for the averaging step: "complete" (default — the
-    # paper's exact all-node average) or a decentralized gossip topology
-    # ("ring", "star", "mh" = Metropolis-Hastings over a chordal ring), with
-    # ``gossip_rounds`` mixing rounds per communication step.
-    topology: str = "complete"
-    gossip_rounds: int = 1
-    # Async parameter-server mode: staleness-damped fold-in weight
-    # 1/(m·(1+damping·staleness)).  Only read by async method specs.
-    staleness_damping: float = 0.0
-    # Elastic stragglers: per-round worker dropout by probability and/or a
-    # compute-time deadline; dropped workers skip that round's average and
-    # rejoin at the broadcast.
-    elastic_dropout_prob: float = 0.0
-    elastic_deadline: "float | None" = None
     # Delay model (all times in units of the mean compute time).  ``delay`` is
     # either a registered distribution name, whose parameters are derived from
     # ``compute_time`` / ``compute_time_std_fraction`` (moment matching), or a
@@ -173,37 +148,13 @@ class ExperimentConfig:
         )
         return fn(**filter_kwargs(fn, kwargs))
 
-    def collective(self) -> "Exact | Gossip":
-        """The lineup-wide communication collective, as one value.
+    def collective(self) -> Exact:
+        """The lineup's own collective: the paper's :class:`Exact` average.
 
-        The single place the flat method-family fields are read (they stay
-        flat so ``to_dict()`` and every sweep-cell address are unchanged):
-        ``topology="complete"`` is the paper's :class:`Exact` collective, any
-        other topology a :class:`Gossip` one.  Building the values runs their
-        range checks — ``gossip_rounds`` and ``staleness_damping`` (read only
-        by ``async-*`` method specs) included, whichever one is returned.
+        Method specs that name another collective (``gossip-*``, ``async-*``)
+        replace it, and ``elastic:`` adds its dropout to it.
         """
-        exact = Exact(
-            weighting=self.weighting,
-            block_momentum=self.block_momentum_beta,
-            dropout_prob=self.elastic_dropout_prob,
-            dropout_deadline=self.elastic_deadline,
-        )
-        gossip = Gossip(self.topology, self.gossip_rounds)
-        AsyncFold(self.staleness_damping)
-        if self.topology == "complete":
-            return exact
-        if exact.block_momentum > 0:
-            raise ValueError(
-                "block momentum post-processes a single global average and is "
-                "incompatible with decentralized gossip topologies"
-            )
-        if exact.elastic:
-            raise ValueError(
-                "elastic dropout assumes the exact collective; use "
-                "topology='complete' with elastic_dropout_prob/elastic_deadline"
-            )
-        return gossip
+        return Exact(weighting=self.weighting, block_momentum=self.block_momentum_beta)
 
     def backend_handle(self) -> BackendHandle:
         """A fresh reuse slot for this config's process layout.
@@ -237,8 +188,6 @@ class ExperimentConfig:
             if f.name == "dataset_fn":
                 continue
             value = getattr(self, f.name)
-            if f.name in _SPARSE_FIELDS and value == _SPARSE_FIELDS[f.name]:
-                continue
             if isinstance(value, tuple):
                 value = list(value)
             elif isinstance(value, dict):
@@ -291,7 +240,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown bank_dtype {self.bank_dtype!r}; choose 'float64' or 'float32'"
             )
-        self.collective()  # the method-family fields: range checks and conflicts
+        self.collective()  # range checks of weighting and block_momentum_beta
         return self
 
 

@@ -35,7 +35,7 @@ from repro.core.schedules import CommunicationSchedule
 from repro.core.trainer import PASGDTrainer, TrainerConfig
 from repro.data.synthetic import Dataset
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.collectives import AsyncFold, Collective, Gossip
+from repro.distributed.collectives import AsyncFold, Collective, Exact, Gossip
 from repro.distributed.reuse import BackendHandle
 from repro.experiments.configs import ExperimentConfig
 from repro.obs.emit import span
@@ -151,10 +151,11 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
     * ``"<name>"`` or ``"<name>:key=value,..."`` — any schedule registered in
       ``COMM_SCHEDULES`` (e.g. ``"fixed:tau=4"``, ``"adacomm:initial_tau=50"``).
 
-    The collective is resolved here, fully, against ``config``: a classic
-    spec gets the config's own, ``elastic:`` adds its dropout to it, and
-    ``gossip-*`` / ``async-*`` replace it — so a method that conflicts with
-    the lineup-wide settings fails at parse time, where the spec is known.
+    The spec is the only place a collective is named.  A classic spec gets
+    the config's own :class:`Exact` one, ``elastic:`` adds its dropout to
+    it, and ``gossip-*`` / ``async-*`` replace it — and refuse a lineup whose
+    ``block_momentum_beta > 0`` or ``weighting="shard_size"``, which only an
+    exact average can honour, here, where the spec is known.
     """
     if isinstance(spec, MethodSpec):
         if spec.collective is not None:
@@ -165,7 +166,7 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
     name, body, tau = _split_tau_shorthand(name, spec)
     if tau is not None:
         kwargs.setdefault("tau", tau)
-    collective = config.collective()
+    collective: Collective = config.collective()
     label: "str | None" = None
     if name == "sync-sgd":
         kwargs.setdefault("tau", 1)
@@ -178,7 +179,7 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
         kwargs.setdefault("couple_lr", True)
     elif name == "gossip":
         topology = kwargs.pop("topology", None)
-        rounds = int(kwargs.pop("rounds", kwargs.pop("gossip_rounds", config.gossip_rounds)))
+        rounds = int(kwargs.pop("rounds", 1))
         topology = body or topology
         if topology is None:
             raise ValueError(
@@ -186,39 +187,22 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
                 f"or 'gossip:topology=ring,tau=4'"
             )
         kwargs.setdefault("tau", 1)
-        # Through the config, so a block-momentum or elastic lineup refuses it.
-        collective = config.with_overrides(
-            topology=str(topology), gossip_rounds=rounds
-        ).collective()
+        collective = Gossip(str(topology), rounds)
         label = f"gossip-{topology}-tau{kwargs['tau']}"
         if rounds != 1:
             label += f"-r{rounds}"
         name = "fixed"
     elif name == "async":
-        damping = float(
-            kwargs.pop("damping", kwargs.pop("staleness_damping", config.staleness_damping))
-        )
+        damping = float(kwargs.pop("damping", 0.0))
         kwargs.setdefault("tau", 1)
-        if isinstance(collective, Gossip):
-            raise ValueError(
-                "async execution uses a central parameter server; it cannot be "
-                f"combined with topology={collective.topology!r}"
-            )
-        if collective.elastic:
-            raise ValueError(
-                "async execution has no barrier to drop stragglers at; it cannot be "
-                "combined with elastic_dropout_prob / elastic_deadline"
-            )
         collective = AsyncFold(damping)
         label = f"async-tau{kwargs['tau']}"
         if damping > 0.0:
             label += f"-d{damping:g}"
         name = "fixed"
     elif name == "elastic":
-        prob = float(
-            kwargs.pop("p", kwargs.pop("dropout_prob", config.elastic_dropout_prob))
-        )
-        deadline = kwargs.pop("deadline", config.elastic_deadline)
+        prob = float(kwargs.pop("p", 0.0))
+        deadline = kwargs.pop("deadline", None)
         deadline = float(deadline) if deadline is not None else None
         if prob == 0.0 and deadline is None:
             raise ValueError(
@@ -226,16 +210,27 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
                 f"e.g. 'elastic:p=0.1,tau=4'"
             )
         kwargs.setdefault("tau", 1)
-        # Through the config, so a gossip lineup refuses it.
-        collective = config.with_overrides(
-            elastic_dropout_prob=prob, elastic_deadline=deadline
-        ).collective()
+        collective = replace(collective, dropout_prob=prob, dropout_deadline=deadline)
         label = f"elastic-tau{kwargs['tau']}"
         if prob > 0.0:
             label += f"-p{prob:g}"
         if deadline is not None:
             label += f"-d{deadline:g}"
         name = "fixed"
+    if not isinstance(collective, Exact):
+        family = "async execution"
+        if isinstance(collective, Gossip):
+            family = "decentralized gossip topologies"
+        if config.block_momentum_beta > 0:
+            raise ValueError(
+                "block momentum post-processes a single global average and is "
+                f"incompatible with {family} (method spec {spec!r})"
+            )
+        if config.weighting != "uniform":
+            raise ValueError(
+                f"weighting={config.weighting!r} weights a single global average and is "
+                f"incompatible with {family} (method spec {spec!r})"
+            )
     factory = COMM_SCHEDULES.get(name)  # raises with available names if unknown
 
     kwargs_snapshot = dict(kwargs)
@@ -260,20 +255,33 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
     )
 
 
-def default_methods(config: ExperimentConfig) -> list[MethodSpec]:
-    """The configured method lineup.
+def default_methods(
+    config: ExperimentConfig, methods: Sequence["MethodSpec | str"] | None = None
+) -> list[MethodSpec]:
+    """The method lineup, parsed: ``methods`` if given, else the config's.
 
     ``config.methods`` names the methods explicitly; when it is ``None`` the
     paper's default lineup is used: one fixed-τ baseline per ``fixed_taus``
-    entry (τ=1 is fully synchronous SGD) plus ADACOMM.
+    entry (τ=1 is fully synchronous SGD) plus ADACOMM.  Runs are stored by
+    label, so two specs that share one (``"pasgd-tau4"``, ``"fixed:tau=4"``)
+    are refused here, before anything runs.
     """
-    if config.methods is not None:
-        specs: Sequence[str] = config.methods
-    else:
-        specs = [
+    if methods is None:
+        methods = config.methods
+    if methods is None:
+        methods = [
             "sync-sgd" if tau == 1 else f"pasgd-tau{tau}" for tau in config.fixed_taus
         ] + ["adacomm"]
-    return [parse_method_spec(spec, config) for spec in specs]
+    resolved = [parse_method_spec(spec, config) for spec in methods]
+    specs_by_label: dict = {}
+    for spec, method in zip(methods, resolved):
+        if method.label in specs_by_label:
+            raise ValueError(
+                f"method specs {specs_by_label[method.label]!r} and {spec!r} share the "
+                f"label {method.label!r}; a lineup stores one run per label"
+            )
+        specs_by_label[method.label] = spec
+    return resolved
 
 
 def _build_compute_distribution(config: ExperimentConfig) -> DelayDistribution:
@@ -467,7 +475,7 @@ def run_method(
         # Method-family fields ride along only when non-default, so records
         # from classic sync methods keep their exact golden-fixture bytes.
         record.config.update(method.collective.record_fields())
-        record.config["event_breakdown"] = cluster.events.breakdown()
+        record.config["event_breakdown"] = cluster.breakdown()
         return record
 
 
@@ -487,14 +495,10 @@ def run_experiment(
     reuse across *calls* — e.g. the serial sweep path hands every cell one
     handle — in which case the caller owns (and must close) the handle.
     """
+    resolved = default_methods(config, methods)
     seeds = SeedSequence(config.seed)
     train_set, test_set = _split_dataset(config, seeds.generator())
     store = RunStore()
-    resolved = (
-        [parse_method_spec(m, config) for m in methods]
-        if methods is not None
-        else default_methods(config)
-    )
 
     with span("experiment", experiment=config.name, n_methods=len(resolved)), ExitStack() as stack:
         if backend_handle is None:

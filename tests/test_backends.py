@@ -361,8 +361,8 @@ class TestWorkerBankBackend:
         for w in cluster.workers:
             np.testing.assert_allclose(w.get_parameters(), averaged)
         assert cluster.model_discrepancy() == pytest.approx(0.0, abs=1e-12)
-        assert cluster.events.total_local_iterations() == 5
-        assert cluster.events.communication_rounds() == 1
+        assert cluster.breakdown()["local_iterations"] == 5
+        assert cluster.breakdown()["communication_rounds"] == 1
 
     def test_worker_views_roundtrip_parameters(self):
         cluster = _make_cluster("vectorized", n_workers=2)

@@ -11,7 +11,6 @@ from repro.data.partition import partition_dataset
 from repro.distributed.averaging import average_states, weighted_average_states
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import Exact
-from repro.distributed.events import CommunicationEvent, EventLog, LocalPeriodEvent
 from repro.distributed.worker_bank import LoopWorkers, WorkerBank
 from repro.models.mlp import MLP
 from repro.nn.layers import evaluating
@@ -117,32 +116,6 @@ class TestWorker:
             worker.materialize(worker.worker_state(0), worker_id=-1)
 
 
-class TestEventLog:
-    def test_breakdown_sums(self):
-        log = EventLog()
-        log.append(LocalPeriodEvent(0.0, 5.0, tau=5, lr=0.1, iteration_end=5, mean_local_loss=1.0))
-        log.append(CommunicationEvent(5.0, 2.0, round_index=1))
-        log.append(LocalPeriodEvent(7.0, 5.0, tau=5, lr=0.1, iteration_end=10, mean_local_loss=0.8))
-        assert log.total_compute_time() == 10.0
-        assert log.total_communication_time() == 2.0
-        assert log.total_local_iterations() == 10
-        assert log.communication_rounds() == 1
-        assert log.breakdown()["total_time"] == 12.0
-
-    def test_chronological_order_enforced(self):
-        log = EventLog()
-        log.append(CommunicationEvent(5.0, 1.0, round_index=1))
-        with pytest.raises(ValueError):
-            log.append(CommunicationEvent(1.0, 1.0, round_index=2))
-
-    def test_filters(self):
-        log = EventLog()
-        log.append(LocalPeriodEvent(0.0, 1.0, 1, 0.1, 1, 0.5))
-        log.append(CommunicationEvent(1.0, 1.0, 1))
-        assert len(log.local_periods) == 1 and len(log.communications) == 1
-        assert len(log) == 2
-
-
 def _make_cluster(tiny_dataset, tiny_model_fn, n_workers=4, block_momentum=None, **kwargs):
     runtime = RuntimeSimulator(
         ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=n_workers, rng=0
@@ -200,8 +173,15 @@ class TestSimulatedCluster:
         cluster = _make_cluster(tiny_dataset, tiny_model_fn)
         for tau in (3, 5, 2):
             cluster.run_round(tau)
-        assert cluster.clock.now == pytest.approx(cluster.events.total_time())
-        assert cluster.events.total_local_iterations() == 10
+        # Constant delays: Y = 1 per step, D = 2 per round.
+        assert cluster.breakdown() == {
+            "compute_time": 10.0,
+            "communication_time": 6.0,
+            "total_time": 16.0,
+            "local_iterations": 10.0,
+            "communication_rounds": 3.0,
+        }
+        assert cluster.clock.now == cluster.breakdown()["total_time"]
 
     def test_set_lr_propagates(self, tiny_dataset, tiny_model_fn):
         cluster = _make_cluster(tiny_dataset, tiny_model_fn)
@@ -311,9 +291,10 @@ class TestClusterBackendParity:
         cluster = _make_cluster(tiny_dataset, tiny_model_fn, backend=backend)
         for tau in (3, 5, 2):
             cluster.run_round(tau)
-        assert cluster.clock.now == pytest.approx(cluster.events.total_time())
-        assert cluster.events.total_local_iterations() == 10
-        assert cluster.events.communication_rounds() == 3
+        breakdown = cluster.breakdown()
+        assert cluster.clock.now == pytest.approx(breakdown["total_time"])
+        assert breakdown["local_iterations"] == 10
+        assert breakdown["communication_rounds"] == 3
 
     def test_average_is_mean_axis0_of_stacked_states(self, tiny_dataset, tiny_model_fn, backend):
         cluster = _make_cluster(tiny_dataset, tiny_model_fn, backend=backend)

@@ -67,19 +67,6 @@ class TestGossipCluster:
             cand.backend.get_stacked_states(), ref.backend.get_stacked_states()
         )
 
-    def test_complete_topology_is_byte_identical_to_default(self):
-        default = build_equivalence_cluster(_MLP, "vectorized", n_workers=4)
-        collective = make_config("smoke", topology="complete").collective()
-        assert collective == Exact()
-        complete = build_equivalence_cluster(
-            _MLP, "vectorized", n_workers=4, collective=collective
-        )
-        for _ in range(2):
-            assert complete.run_local_period(3) == default.run_local_period(3)
-            np.testing.assert_array_equal(
-                complete.average_models(), default.average_models()
-            )
-
     def test_gossip_matches_explicit_mixing_matrix(self):
         cluster = build_equivalence_cluster(
             _MLP, "vectorized", n_workers=GOSSIP_WORKERS, collective=Gossip("ring")
@@ -137,11 +124,11 @@ class TestGossipCluster:
         assert snapshot["gauges"]["consensus_distance"] > 0.0
 
     def test_gossip_rejects_block_momentum(self):
-        # Unwritable on the value, refused (parent's message) on the flat config.
+        # Unwritable on the value, refused when a gossip spec meets the lineup's.
         with pytest.raises(TypeError):
             Gossip("ring", block_momentum=0.3)
         with pytest.raises(ValueError, match="block momentum"):
-            make_config("smoke", topology="ring", block_momentum_beta=0.3).validate()
+            parse_method_spec("gossip-ring-tau4", make_config("smoke", block_momentum_beta=0.3))
 
 
 # -- async parameter server ---------------------------------------------------
@@ -312,45 +299,29 @@ class TestElasticCluster:
 
 
 class TestConfigPlumbing:
-    def test_new_fields_are_sparse_in_to_dict(self):
-        payload = make_config("smoke").to_dict()
-        for name in (
-            "topology",
-            "gossip_rounds",
-            "staleness_damping",
-            "elastic_dropout_prob",
-            "elastic_deadline",
-        ):
-            assert name not in payload
-        # Non-default values do serialize and round-trip.
-        cfg = make_config("smoke", topology="ring", gossip_rounds=2)
-        data = cfg.to_dict()
-        assert data["topology"] == "ring" and data["gossip_rounds"] == 2
-        assert ExperimentConfig.from_dict(data) == cfg
-
-    def test_default_cell_address_is_unchanged_by_new_fields(self):
-        from repro.sweep.spec import cell_hash
-
-        cfg = make_config("smoke")
-        legacy_payload = {
-            k: v for k, v in cfg.to_dict().items()
-        }  # defaults already elided
-        assert cell_hash(cfg) == cell_hash(ExperimentConfig.from_dict(legacy_payload))
-        assert cell_hash(cfg) != cell_hash(cfg.with_overrides(topology="ring"))
+    def test_retired_lineup_wide_keys_fail_loudly(self):
+        # Saved before the spec became the only way to name a collective: each
+        # key held a non-default value that changed the trajectory, so loading
+        # it without the behaviour would silently change results.
+        data = make_config("smoke").to_dict()
+        for key, value in [
+            ("topology", "ring"), ("gossip_rounds", 2), ("staleness_damping", 0.5),
+            ("elastic_dropout_prob", 0.2), ("elastic_deadline", 5.0),
+        ]:
+            with pytest.raises(ValueError, match=rf"unknown config fields \['{key}'\]"):
+                ExperimentConfig.from_dict({**data, key: value})
 
     def test_validation_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            make_config("smoke", topology="mesh").validate()
-        with pytest.raises(ValueError):
-            make_config("smoke", gossip_rounds=0).validate()  # even on "complete"
-        with pytest.raises(ValueError):
-            make_config("smoke", topology="ring", gossip_rounds=0).validate()
-        with pytest.raises(ValueError):
-            make_config("smoke", elastic_dropout_prob=1.0).validate()
-        with pytest.raises(ValueError):
-            make_config("smoke", staleness_damping=-1.0).validate()
-        with pytest.raises(ValueError):
-            make_config("smoke", elastic_deadline=-2.0).validate()
+        cfg = make_config("smoke")
+        for spec in (
+            "gossip:topology=mesh,tau=2",
+            "gossip:topology=ring,rounds=0,tau=2",
+            "async:tau=2,damping=-1",
+            "elastic:p=1.0,tau=4",
+            "elastic:deadline=-2,tau=4",
+        ):
+            with pytest.raises(ValueError):
+                parse_method_spec(spec, cfg)
 
 
 # -- method specs and the harness ---------------------------------------------
@@ -362,30 +333,19 @@ class TestMethodSpecs:
         return make_config("smoke", n_workers=4, wall_time_budget=25.0)
 
     @pytest.mark.parametrize(
-        "spec, label, mode, overrides",
+        "spec, label, collective",
         [
-            ("gossip-ring-tau4", "gossip-ring-tau4", "sync",
-             {"topology": "ring", "gossip_rounds": 1}),
-            ("gossip:topology=star,tau=2,rounds=3", "gossip-star-tau2-r3", "sync",
-             {"topology": "star", "gossip_rounds": 3}),
-            ("async-tau8", "async-tau8", "async", {}),
-            ("async:tau=4,damping=0.5", "async-tau4-d0.5", "async",
-             {"staleness_damping": 0.5}),
-            ("elastic:p=0.1,tau=4", "elastic-tau4-p0.1", "sync",
-             {"elastic_dropout_prob": 0.1, "elastic_deadline": None}),
+            ("gossip-ring-tau4", "gossip-ring-tau4", Gossip("ring", 1)),
+            ("gossip:topology=star,tau=2,rounds=3", "gossip-star-tau2-r3", Gossip("star", 3)),
+            ("async-tau8", "async-tau8", AsyncFold(0.0)),
+            ("async:tau=4,damping=0.5", "async-tau4-d0.5", AsyncFold(0.5)),
+            ("elastic:p=0.1,tau=4", "elastic-tau4-p0.1", Exact(dropout_prob=0.1)),
         ],
     )
-    def test_parse_forms(self, cfg, spec, label, mode, overrides):
-        # ``mode`` / ``overrides`` are the retired MethodSpec fields; the
-        # collective must be what they used to expand to.
+    def test_parse_forms(self, cfg, spec, label, collective):
         method = parse_method_spec(spec, cfg)
         assert method.label == label
-        assert isinstance(method.collective, AsyncFold) == (mode == "async")
-        imposed = cfg.with_overrides(**overrides)
-        if mode == "async":
-            assert method.collective == AsyncFold(imposed.staleness_damping)
-        else:
-            assert method.collective == imposed.collective()
+        assert method.collective == collective
 
     def test_collectives_are_comparable_values(self, cfg):
         assert parse_method_spec("gossip-ring-tau4", cfg).collective == Gossip("ring", 1)
@@ -405,10 +365,6 @@ class TestMethodSpecs:
         method = parse_method_spec("pasgd-tau8", cfg)
         assert method.collective == cfg.collective() == Exact()
         assert method.label == "pasgd-tau8"
-
-    def test_async_refuses_gossip_topology(self, cfg):
-        with pytest.raises(ValueError, match="parameter server"):
-            run_method(cfg.with_overrides(topology="ring"), "async-tau4")
 
     @pytest.mark.parametrize(
         "spec", ["gossip-ring-tau4", "async-tau4", "elastic:p=0.2,tau=4"]
@@ -432,16 +388,19 @@ class TestMethodSpecs:
     @pytest.mark.parametrize(
         "fields, spec, match",
         [
-            # lineup-wide conflicts: refused by validate() itself
-            ({"topology": "ring", "block_momentum_beta": 0.3}, None, "block momentum"),
-            ({"topology": "ring", "elastic_dropout_prob": 0.2}, None, "elastic dropout"),
-            # method-vs-lineup conflicts: refused when the spec is parsed
-            ({"topology": "ring"}, "async-tau4", "parameter server"),
-            ({"topology": "ring"}, "elastic:p=0.2,tau=4", "elastic dropout"),
+            # Only an exact average honours block momentum or shard-size
+            # weights; the first three used to run with the setting silently
+            # ignored (block momentum even recorded).
+            ({"block_momentum_beta": 0.3}, "async-tau4", "block momentum"),
+            ({"weighting": "shard_size"}, "gossip-ring-tau4", "weighting='shard_size'"),
+            ({"weighting": "shard_size"}, "async-tau4", "weighting='shard_size'"),
+            # the keyword spelling of a gossip spec is refused like the short one
+            (
+                {"block_momentum_beta": 0.3},
+                "gossip:topology=ring,tau=4,rounds=2",
+                "block momentum",
+            ),
             ({"block_momentum_beta": 0.3}, "gossip-ring-tau4", "block momentum"),
-            # used to run with the dropout silently ignored (and recorded)
-            ({"elastic_dropout_prob": 0.2}, "async-tau4", "no barrier"),
-            ({"elastic_deadline": 5.0}, "async-tau4", "no barrier"),
         ],
     )
     def test_conflicts_surface_before_any_cluster_is_built(
@@ -450,12 +409,20 @@ class TestMethodSpecs:
         from repro.distributed.cluster import SimulatedCluster
 
         monkeypatch.setattr(SimulatedCluster, "__init__", None)  # must not be reached
-        conflicted = cfg.with_overrides(**fields)
         with pytest.raises(ValueError, match=match):
-            if spec is None:
-                conflicted.validate()
-            else:
-                run_method(conflicted, spec)
+            run_method(cfg.with_overrides(**fields), spec)
+
+    def test_specs_sharing_a_label_fail_before_anything_runs(self, cfg, monkeypatch):
+        from repro.api import Experiment
+        from repro.distributed.cluster import SimulatedCluster
+        from repro.experiments.harness import run_experiment
+
+        monkeypatch.setattr(SimulatedCluster, "__init__", None)  # must not be reached
+        match = r"'pasgd-tau4' and 'fixed:tau=4' share the label 'pasgd-tau4'"
+        with pytest.raises(ValueError, match=match):
+            run_experiment(cfg, methods=["pasgd-tau4", "fixed:tau=4"])
+        with pytest.raises(ValueError, match=match):
+            Experiment(cfg).methods("pasgd-tau4", "fixed:tau=4")
 
     def test_async_discrepancy_is_measured_before_the_fold(self, cfg, monkeypatch):
         # TrainerConfig.record_discrepancy documents the *pre-averaging*

@@ -129,6 +129,14 @@ class TestCellHashing:
         assert [c.address for c in SWEEPS.build("smoke_2x2").cells()] == [
             "723aa83a5139e58c", "791baeaea133710a", "e473c7bb607ff03d", "7ece42080c7dab61",
         ]
+        # The method family (the benchmark's `bench_family` campaign uses the
+        # same specs): a collective is named by the spec, never by a field.
+        assert [c.address for c in SWEEPS.build("method_family_frontier").cells()] == [
+            "585482d524507cb9", "b03659ce2db16e4c", "7b073054637dba34", "1c0d82399dc9e0f9",
+            "8010e47ed8e92db3", "960e068f4d024408", "0ea1a26548d219d1", "60f0445ae5c661d5",
+            "7421ce9b9de424ba", "1f3b9c9893e2b1f9", "8828a5076d38bbcd", "5d05a797d697250c",
+            "3763810682cd1769", "411472388a00a96c", "bdb9c4819082a187", "2643a4163727ab19",
+        ]
 
     def test_renamed_campaign_keeps_addresses(self):
         a = [c.address for c in tiny_spec(name="alpha").cells()]

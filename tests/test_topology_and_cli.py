@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +31,8 @@ from repro.distributed.topology import (
     spectral_gap,
     star_mixing_matrix,
 )
-from repro.experiments.cli import build_parser, main
+from repro.experiments.cli import _load_config, build_parser, main
+from repro.experiments.harness import default_methods
 from repro.obs import diff_traces, read_trace
 
 
@@ -321,28 +324,26 @@ class TestCLI:
         assert main(["--config", "smoke", "--seed", "3", "--target-loss", "0.5"]) == 0
         assert "speed-up" in capsys.readouterr().out.lower()
 
-    def test_parser_accepts_topology_and_staleness(self):
-        args = build_parser().parse_args(["--topology", "ring", "--staleness", "0.5"])
-        assert args.topology == "ring"
-        assert args.staleness == 0.5
-        assert build_parser().parse_args([]).topology is None
-
-    def test_parser_rejects_unknown_topology(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--topology", "mesh"])
-
-    def test_main_runs_gossip_via_topology_flag(self, capsys):
+    def test_main_runs_async_spec_with_damping(self, capsys):
         exit_code = main(
-            ["--config", "smoke", "--topology", "ring",
-             "--set", "methods=('pasgd-tau4',)", "--points", "3"]
-        )
-        assert exit_code == 0
-        assert "pasgd-tau4" in capsys.readouterr().out
-
-    def test_main_runs_async_with_staleness_flag(self, capsys):
-        exit_code = main(
-            ["--config", "smoke", "--staleness", "0.5",
-             "--set", "methods=('async-tau4',)", "--points", "3"]
+            ["--config", "smoke", "--set", "methods=('async:tau=4,damping=0.5',)",
+             "--points", "3"]
         )
         assert exit_code == 0
         assert "async-tau4-d0.5" in capsys.readouterr().out
+
+    def test_readme_commands_parse(self):
+        # Every `python -m repro` line of a README bash block parses, and every
+        # method spec it sets parses against that line's config.  Nothing runs.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```bash\n(.*?)^```", readme.read_text(), re.M | re.S)
+        lines = [
+            line for block in blocks for line in block.splitlines()
+            if line.startswith("python -m repro ")
+        ]
+        assert len(lines) >= 10
+        for line in lines:
+            args = build_parser().parse_args(shlex.split(line, comments=True)[3:])
+            if "methods" in dict(args.overrides):
+                config = _load_config(args)
+                assert default_methods(config), line
