@@ -29,7 +29,7 @@ records each transport's measured per-round pickled payload (via the
 in the JSON.  The pipe rows pin the pool's fallback plane by failing the
 shared-memory allocation, as a full ``/dev/shm`` would (:func:`pinned_plane`).
 
-Runs standalone (no pytest-benchmark needed)::
+Runs standalone::
 
     PYTHONPATH=src python benchmarks/bench_backend_speedup.py
     PYTHONPATH=src python benchmarks/bench_backend_speedup.py --workers 2 --rounds 2 --models cnn

@@ -14,9 +14,9 @@ Implements:
   holds.
 
 These functions are used three ways: by the AdaComm controller (through the
-practical update rules in ``repro.core.adacomm``), by the Figure-6 benchmark
-(plotting the bound), and by the test suite (verifying convexity of the bound
-in τ, correctness of the minimizer, etc.).
+practical update rules in ``repro.core.adacomm``), by the Figure 6 rows of
+``CLAIMS.json`` (``repro.experiments.claims``), and by the test suite
+(verifying convexity of the bound in τ, correctness of the minimizer, etc.).
 """
 
 from __future__ import annotations

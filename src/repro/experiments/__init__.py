@@ -6,7 +6,7 @@ calibrated to the paper's Figure 8 communication/computation ratios.
 ``harness`` runs a set of methods (fully synchronous SGD, fixed-τ PASGD,
 ADACOMM) under one config and collects their :class:`RunRecord` trajectories.
 ``tables`` and ``figures`` turn stores of run records into the text tables
-and data series that the benchmark targets print.
+and data series that the CLI and ``claims`` print.
 """
 
 from repro.experiments.configs import (

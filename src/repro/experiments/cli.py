@@ -58,7 +58,7 @@ from repro.experiments.figures import (
     summarize_series,
     sweep_loss_curves,
 )
-from repro.experiments.harness import run_experiment
+from repro.experiments.harness import default_methods, run_experiment
 from repro.experiments.tables import (
     accuracy_table,
     format_table,
@@ -145,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["configs", *sorted(all_registries())],
                         help="print the registered names of one component kind and exit")
     parser.add_argument("--scale", type=float, default=1.0,
-                        help="multiply the wall-clock budget (e.g. 0.25 for a quick run)")
+                        help="multiply the wall-clock budget, the AdaComm interval and "
+                             "the training-set size (e.g. 0.25 for a quick run)")
     parser.add_argument("--target-loss", type=float, default=None,
                         help="training-loss target used for the speed-up table")
     parser.add_argument("--save", type=str, default=None,
@@ -156,7 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Build the experiment config from --config/--scale/--seed/--model/--set."""
+    """Build the experiment config from --config/--scale/--seed/--model/--set.
+
+    Every bad input, the lineup included, ends in one ``error: ...`` line.
+    """
     if args.config.endswith(".json") or os.path.isfile(args.config):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -164,22 +168,23 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         except (OSError, TypeError, ValueError) as err:
             # unreadable file, missing/mistyped fields, bad JSON, bad names
             raise SystemExit(f"error: cannot load config {args.config!r}: {err}") from err
-        config = _apply_scale(config, args.scale)
     else:
-        config = make_config(args.config, scale=args.scale)
+        config = make_config(args.config)
 
     overrides = dict(args.overrides)
     for flag, field, _ in _CONFIG_FLAGS:
         value = getattr(args, _flag_dest(flag))
         if value is not None:
             overrides[field] = value
-    if overrides:
-        try:
-            config = config.with_overrides(**overrides)
-        except TypeError as err:
-            raise SystemExit(f"error: invalid --set override: {err}") from err
     try:
-        return config.validate()
+        config = _apply_scale(config, args.scale)
+        if overrides:
+            try:
+                config = config.with_overrides(**overrides)
+            except TypeError as err:
+                raise SystemExit(f"error: invalid --set override: {err}") from err
+        default_methods(config.validate())  # a bad method spec or a shared label
+        return config
     except ValueError as err:
         raise SystemExit(f"error: {err}") from err
 

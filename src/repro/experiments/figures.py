@@ -2,9 +2,8 @@
 
 There is no plotting dependency in this environment, so "figures" are
 produced as data series (lists of (x, y) pairs) plus compact text summaries;
-the benchmark targets print a downsampled view of each series so the shape of
-every paper figure can be inspected directly from the bench output, and the
-full series can be saved to JSON for external plotting.
+the CLI prints a downsampled view of each series, and the full series can be
+saved to JSON for external plotting.
 
 The ``sweep_*`` functions render campaign figures from a persistent
 :class:`~repro.sweep.store.ResultStore` *alone* — no in-memory run objects —

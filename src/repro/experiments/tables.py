@@ -6,7 +6,7 @@ budget, per method), ``time_to_loss_table`` and ``speedup_table`` produce the
 Section 5.  ``sweep_summary_table`` renders an entire campaign from a
 persistent :class:`~repro.sweep.store.ResultStore` (one row per cell ×
 method).  ``format_table`` renders any of them as aligned plain text, which
-is what the benchmark targets and the CLI print.
+is what the CLI and ``python -m repro.experiments.claims`` print.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ and the speed-up of PASGD over synchronous SGD (eq. 12 for the constant-delay
 case): ``(1 + α) / (1 + α/τ)`` with α = D/Y.
 
 :class:`RuntimeModel` bundles a compute-time distribution, a network model,
-and the worker count into one object that both the analytic benches
+and the worker count into one object that both the claims table
 (Figures 4 and 5) and the training-loop simulator consume.
 """
 

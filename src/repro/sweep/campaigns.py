@@ -20,6 +20,9 @@ The paper's headline artifacts are all campaign-shaped:
   ADACOMM) on one workload, so every execution model lands on the same
   error-runtime frontier figure.
 * ``smoke_2x2`` — a 2×2 miniature used by tests and the CI sweep-smoke job.
+* ``paper_claims`` / ``paper_ablations`` — the cells behind ``CLAIMS.json``
+  (``python -m repro.experiments.claims``): every named config but ``smoke``
+  at full size, and the AdaComm / network-scaling ablations.
 
 Budgets are scaled down so every campaign completes in seconds on one core
 while preserving the regime (α, τ ranges) each figure probes; pass
@@ -32,8 +35,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.api.registries import SWEEPS
-from repro.experiments.configs import make_config
-from repro.sweep.spec import SweepSpec, grid
+from repro.experiments.configs import ExperimentConfig, available_configs, make_config
+from repro.sweep.spec import SweepSpec, grid, paired
 
 __all__ = [
     "tau_sweep",
@@ -41,6 +44,8 @@ __all__ = [
     "scaling_sweep",
     "method_family_sweep",
     "smoke_sweep",
+    "paper_claims_sweep",
+    "paper_ablations_sweep",
 ]
 
 
@@ -129,8 +134,35 @@ def smoke_sweep() -> SweepSpec:
     return SweepSpec(name="smoke_2x2", base=base, axes=grid(tau=[1, 8], seed=[7, 8]))
 
 
+def paper_claims_sweep() -> SweepSpec:
+    """One cell per named config but ``smoke``; on the all-defaults base a cell
+    *is* its named config, address ``cell_hash(make_config(name))`` included."""
+    configs = [name for name in available_configs() if name != "smoke"]
+    return SweepSpec("paper_claims", ExperimentConfig(name="paper_claims"), grid(config=configs))
+
+
+def paper_ablations_sweep() -> SweepSpec:
+    """The ablations on Fig 9(b)'s workload.
+
+    Twelve cells run one AdaComm each (a lineup holds one ``adacomm``), with
+    one of its hand-set knobs changed: eq. 18's decay γ, the interval T0 or
+    the initial τ0.  Two run sync SGD and AdaComm at α = 1 under a ring
+    all-reduce and a parameter server, where s(m) alone sets the delay.
+    """
+    knobs = [f"adacomm:gamma={g}" for g in (0.25, 0.5, 0.75, 0.9)]
+    knobs += [f"adacomm:interval_length={t}" for t in (60.0, 120.0, 240.0, 480.0)]
+    knobs += [f"adacomm:initial_tau={t}" for t in (5, 10, 20, 50)]
+    return SweepSpec("paper_ablations", make_config("vgg_cifar10_fixed_lr"), paired(
+        method=knobs + [("sync-sgd", "adacomm")] * 2,
+        network_scaling=["constant"] * 12 + ["ring_allreduce", "parameter_server"],
+        alpha=[4.0] * 12 + [1.0] * 2,
+    ))
+
+
 SWEEPS.register("tau_error_runtime", tau_sweep)
 SWEEPS.register("variable_vs_fixed_tau", method_sweep)
 SWEEPS.register("worker_scaling", scaling_sweep)
 SWEEPS.register("method_family_frontier", method_family_sweep)
 SWEEPS.register("smoke_2x2", smoke_sweep)
+SWEEPS.register("paper_claims", paper_claims_sweep)
+SWEEPS.register("paper_ablations", paper_ablations_sweep)

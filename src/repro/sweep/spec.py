@@ -17,12 +17,14 @@ physics therefore share cells, a renamed campaign keeps its cache, and the
 :class:`~repro.sweep.store.ResultStore` can skip any cell whose address is
 already populated.
 
-Axis names are config field names, plus three paper-oriented aliases:
+Axis names are config field names, plus four paper-oriented aliases:
 
 * ``m`` — cluster size (``n_workers``);
 * ``tau`` — a single fixed-τ method per cell (``sync-sgd`` for τ = 1,
   ``pasgd-tau<N>`` otherwise), the axis behind the error-runtime figures;
-* ``method`` — a single method spec string per cell (e.g. ``"adacomm"``).
+* ``method`` — a single method spec string per cell (e.g. ``"adacomm"``);
+* ``config`` — a named config's spec (:func:`config_spec`), so on a
+  default base a cell is that named config, address included.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.configs import ExperimentConfig
+from repro.experiments.configs import ExperimentConfig, config_spec
 from repro.utils.seeding import check_random_state
 
 __all__ = ["SweepSpec", "SweepCell", "grid", "paired", "cell_hash", "derive_cell_seed"]
@@ -108,6 +110,8 @@ def _resolve_axis(name: str, value: Any) -> dict[str, Any]:
         return {"methods": ("sync-sgd" if tau == 1 else f"pasgd-tau{tau}",)}
     if name == "method":
         return {"methods": (value,) if isinstance(value, str) else tuple(value)}
+    if name == "config":
+        return config_spec(value)
     return {name: value}
 
 
@@ -200,7 +204,8 @@ class SweepSpec:
         content-addressed through ``to_dict()``.
     axes:
         Ordered mapping of axis name → values (see :func:`grid`).  Axis
-        names are config fields or the aliases ``m`` / ``tau`` / ``method``;
+        names are config fields or the aliases ``m`` / ``tau`` / ``method`` /
+        ``config``;
         two axes may not resolve to the same config field.
     seed_mode:
         ``"shared"`` (default) — each cell runs with its config's own
@@ -258,7 +263,8 @@ class SweepSpec:
         for axis, values in self.axes.items():
             if not values:
                 raise ValueError(f"sweep axis {axis!r} has no values")
-            for target in _resolve_axis(axis, values[0]):
+            # Every value, not the first: two named configs set different fields.
+            for target in dict.fromkeys(t for v in values for t in _resolve_axis(axis, v)):
                 if target in seen_fields:
                     raise ValueError(
                         f"axes {seen_fields[target]!r} and {axis!r} both set "

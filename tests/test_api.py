@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -371,6 +372,15 @@ class TestCLI:
     def test_invalid_set_key_exits_with_message(self):
         with pytest.raises(SystemExit, match="invalid --set override"):
             main(["--config", "smoke", "--set", "warp_factor=9"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--scale", "0"], "scale must be positive"),
+        (["--set", "methods=('gossip-moon-tau4',)"], "unknown topology 'moon'"),
+        (["--set", "methods=('pasgd-tau4','fixed:tau=4')"], "share the label 'pasgd-tau4'"),
+    ])
+    def test_bad_scale_or_lineup_exits_with_message(self, argv, message):
+        with pytest.raises(SystemExit, match=f"^error: .*{re.escape(message)}"):
+            main(["--config", "smoke", *argv])
 
     def test_unknown_model_exits_with_message(self):
         with pytest.raises(SystemExit, match="unknown model"):

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro.api import SWEEPS, Experiment
-from repro.experiments.configs import make_config
+from repro.experiments.configs import ExperimentConfig, config_spec, make_config
 from repro.experiments.figures import sweep_error_runtime_frontier, sweep_loss_curves
 from repro.experiments.tables import sweep_summary_table
 from repro.sweep import (
@@ -30,6 +30,7 @@ from repro.sweep import (
     paired,
     run_sweep,
 )
+from repro.sweep.spec import _resolve_axis
 from repro.utils.results import MetricPoint, RunRecord, RunStore
 
 
@@ -77,6 +78,14 @@ class TestGridAndSpec:
     def test_method_axis(self):
         spec = SweepSpec("m", make_config("smoke"), grid(method=["adacomm"]))
         assert spec.cells()[0].config.methods == ("adacomm",)
+
+    def test_config_axis_applies_a_named_config(self):
+        assert _resolve_axis("config", "smoke") == config_spec("smoke")
+        with pytest.raises(ValueError, match=r"unknown config 'nope'; available: \["):
+            _resolve_axis("config", "nope")
+        # Every value's fields count: only the 8-worker config sets n_workers.
+        with pytest.raises(ValueError, match="'config' and 'm' both set config field 'n_workers'"):
+            SweepSpec("c", ExperimentConfig(name="c"), grid(config=["vgg_cifar10_fixed_lr", "vgg_cifar10_8workers"], m=[2]))
 
     def test_conflicting_axes_rejected(self):
         with pytest.raises(ValueError, match="both set"):
@@ -137,6 +146,14 @@ class TestCellHashing:
             "7421ce9b9de424ba", "1f3b9c9893e2b1f9", "8828a5076d38bbcd", "5d05a797d697250c",
             "3763810682cd1769", "411472388a00a96c", "bdb9c4819082a187", "2643a4163727ab19",
         ]
+        # The cells behind CLAIMS.json: each one *is* its named config.
+        cells = SWEEPS.build("paper_claims").cells()
+        assert [c.address for c in cells] == [
+            "ae59f30a5dc3dd58", "191f3ad1238442e3", "054c11781e39ab06", "ca6068a0b508032d",
+            "4b22f97a8f68c81f", "336b0a15950f3614", "5d22eb3877442fea", "ba81e8837cc6d8df",
+            "cc64952992953028", "d7f602330cddb474", "e792736bf232820d",
+        ]
+        assert [c.address for c in cells] == [cell_hash(make_config(c.overrides["config"])) for c in cells]
 
     def test_renamed_campaign_keeps_addresses(self):
         a = [c.address for c in tiny_spec(name="alpha").cells()]
