@@ -46,7 +46,7 @@ with no bank, so ``Process.start()`` has no payload to write and the children
 boot their interpreters side by side — and a ``rebuild`` command then ships
 every shard its payload; :meth:`ShardedBank.rebuild` sends the same command
 to a live pool, so a fresh and a reused pool are equal by construction.
-Children are spawned with their BLAS pool capped to ``cores // shards``
+Children are spawned with their BLAS pool capped to ``usable cores // shards``
 threads (see :func:`_blas_cap`): n children × a cores-wide pool each is 3×
 slower than the vectorized bank on the same machine.  The pool lives until
 :meth:`ShardedBank.close` (idempotent; whoever built the backend — a
@@ -88,7 +88,7 @@ from repro.nn.layers import Module
 from repro.obs.emit import count, span
 from repro.utils.seeding import check_random_state
 
-__all__ = ["ShardedBank", "shard_slices"]
+__all__ = ["ShardedBank", "shard_slices", "usable_cores"]
 
 #: What sizes a BLAS thread pool when NumPy loads; see :func:`_blas_cap`.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -114,9 +114,18 @@ def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
     return slices
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask under ``taskset`` or a
+    cpuset container), not the host's ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform (macOS, Windows)
+        return os.cpu_count() or 1
+
+
 @contextmanager
-def _blas_cap(n_shards: int) -> Iterator[None]:
-    """Cap the BLAS pool of children started inside this block to cores // shards.
+def _blas_cap(n_procs: int) -> Iterator[None]:
+    """Cap the BLAS pool of children started inside this block to cores // n_procs.
 
     A BLAS library sizes its thread pool when NumPy loads, which in a spawned
     child is before any of our code runs, so the cap has to sit in the
@@ -124,7 +133,7 @@ def _blas_cap(n_shards: int) -> Iterator[None]:
     after.  A value the user exported wins, and the parent's own (already
     loaded) pool is untouched.
     """
-    cap = str(max(1, (os.cpu_count() or 1) // n_shards))
+    cap = str(max(1, usable_cores() // n_procs))
     ours = [name for name in _BLAS_ENV if name not in os.environ]
     os.environ.update(dict.fromkeys(ours, cap))
     try:

@@ -33,7 +33,8 @@ Campaigns (``python -m repro --sweep <name>``) run a whole grid of
 experiments against a persistent, content-addressed result store:
 
 * ``--sweep`` names a registered campaign (see ``--list sweeps``);
-* ``--jobs N`` executes cells on N worker processes;
+* ``--jobs N`` executes cells on N worker processes (sweep-only: a single
+  run places its lineup's methods on helper processes by itself);
 * ``--store DIR`` selects the store directory (default ``sweeps``); cells
   already in the store are skipped, so re-running a campaign only renders —
   every table and curve is produced from the store, never from memory.
@@ -136,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sweep", default=None, metavar="NAME",
                         help="run a registered experiment campaign instead of a single "
                              "config (see --list sweeps); results land in --store")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for --sweep cell execution (default 1)")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes for --sweep cell execution (default 1); "
+                             "sweep-only: a single run places its lineup's methods itself, "
+                             "on the parent plus late-started helpers on spare cores")
     parser.add_argument("--store", default="sweeps", metavar="DIR",
                         help="result-store directory for --sweep (default ./sweeps); "
                              "completed cells found here are never re-executed")
@@ -220,11 +223,10 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
         raise SystemExit(f"error: {err}") from err
 
     store = ResultStore(args.store)
+    jobs = 1 if args.jobs is None else args.jobs
     print(f"running sweep {spec.name!r}: {spec.n_cells} cells over "
-          f"axes {dict(spec.axes)}, jobs={args.jobs}, store={store.root}")
-    runner = SweepRunner(
-        store, jobs=args.jobs, progress=print, collect_metrics=args.metrics
-    )
+          f"axes {dict(spec.axes)}, jobs={jobs}, store={store.root}")
+    runner = SweepRunner(store, jobs=jobs, progress=print, collect_metrics=args.metrics)
     if args.trace is not None:
         # The parent-side campaign trace: per-cell spans on the serial path,
         # outcome instants either way.  Telemetry is runtime state — stored
@@ -272,6 +274,13 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.sweep is None:
+        raise SystemExit("error: --jobs applies to --sweep only; a single run places "
+                         "its lineup's methods itself")
+    if args.jobs is not None and args.jobs < 1:
+        raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
+    if args.points < 2:
+        raise SystemExit(f"error: --points must be >= 2, got {args.points}")
 
     if args.list_what is not None:
         names = (

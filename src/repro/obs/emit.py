@@ -11,8 +11,10 @@ registry's latency histogram and the profiler's row all receive that same
 duration.
 
 This module and the tracer's time origin are the only wall-clock reads under
-``src/``: emission sites in simulation paths never touch a clock themselves,
-and a run under a jittering fake clock saves the same bytes.
+``src/`` besides the lineup's placement trigger (``experiments/harness.py``),
+which decides where a method runs, never what it computes: emission sites in
+simulation paths never touch a clock themselves, and a run under a jittering
+fake clock saves the same bytes.
 
 Zero overhead when disabled: with the switch off, :func:`span` returns one
 shared null context manager and the other helpers are one global read and a
@@ -26,12 +28,17 @@ from contextlib import nullcontext
 
 from repro.obs.events import EVENTS, validate_event_name
 
-__all__ = ["Sink", "count", "gauge", "instant", "observe", "observe_many", "span"]
+__all__ = ["Sink", "count", "gauge", "instant", "observe", "observe_many", "span", "telemetry_on"]
 
 _OFF = (None, None, None)
 
 #: The process-wide switch: ``None``, or ``(tracer, registry, profiler)``.
 _active: "tuple | None" = None
+
+
+def telemetry_on() -> bool:
+    """Whether any sink (a tracer, a metrics registry, a profiler) is enabled."""
+    return _active is not None
 
 
 class Sink:

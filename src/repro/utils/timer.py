@@ -7,9 +7,10 @@ local gradient step advances it by a sampled compute time, each averaging
 step by a sampled communication delay.
 
 Nothing here reads the real clock.  Real-time reads live in
-:mod:`repro.obs.emit` (and the tracer's origin) only, so trajectories and
-content addresses never depend on when they ran: a run under a jittering
-fake ``perf_counter`` and friends saves the same bytes.
+:mod:`repro.obs.emit` (and the tracer's origin), plus the lineup's placement
+trigger, which picks where a method runs and never what it computes; so
+trajectories and content addresses never depend on when they ran: a run
+under a jittering fake ``perf_counter`` and friends saves the same bytes.
 """
 
 from __future__ import annotations

@@ -374,6 +374,23 @@ class TestCLI:
             main(["--config", "smoke", "--set", "warp_factor=9"])
 
     @pytest.mark.parametrize("argv, message", [
+        (["--sweep", "smoke_2x2", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["--config", "smoke", "--jobs", "3"], "--jobs applies to --sweep only"),
+        (["--config", "smoke", "--points", "0"], "--points must be >= 2, got 0"),
+        (["--config", "smoke", "--points", "1"], "--points must be >= 2, got 1"),
+    ])
+    def test_bad_run_flags_exit_before_anything_runs(self, argv, message, monkeypatch, tmp_path):
+        import repro.experiments.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the run started before the flags were checked")
+
+        monkeypatch.chdir(tmp_path)  # a sweep that slipped through writes its store here
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}"):
+            main(argv)
+
+    @pytest.mark.parametrize("argv, message", [
         (["--scale", "0"], "scale must be positive"),
         (["--set", "methods=('gossip-moon-tau4',)"], "unknown topology 'moon'"),
         (["--set", "methods=('pasgd-tau4','fixed:tau=4')"], "share the label 'pasgd-tau4'"),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import BackendHandle
-from repro.distributed.sharded_bank import _BLAS_ENV, _blas_cap
+from repro.distributed.sharded_bank import _BLAS_ENV, _blas_cap, usable_cores
 
 from tests.conftest import seeded_backend_kwargs
 
@@ -119,27 +119,39 @@ def test_child_killed_during_local_period(victim, never_killed):
             timer.join()
 
 
+def _cores(monkeypatch, n: int) -> None:
+    """This process may run on ``n`` CPUs of a 64-CPU host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 class TestBlasCap:
-    """Shard children inherit a BLAS pool of cores // shards threads."""
+    """Shard children inherit a BLAS pool of usable cores // shards threads."""
+
+    def test_usable_cores_is_the_affinity_mask_not_the_host(self, monkeypatch):
+        _cores(monkeypatch, 3)
+        assert usable_cores() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without the API
+        assert usable_cores() == 64
 
     def test_sets_unset_variables_and_restores(self, monkeypatch):
         for name in _BLAS_ENV:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        _cores(monkeypatch, 8)
         with _blas_cap(2):
             assert [os.environ[name] for name in _BLAS_ENV] == ["4"] * 3
         assert not any(name in os.environ for name in _BLAS_ENV)
 
     def test_never_below_one_thread(self, monkeypatch):
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _cores(monkeypatch, 2)
         with _blas_cap(3):
             assert os.environ["OMP_NUM_THREADS"] == "1"
 
     def test_an_exported_value_wins_and_survives(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "6")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        _cores(monkeypatch, 8)
         with _blas_cap(4):
             assert os.environ["OPENBLAS_NUM_THREADS"] == "6"
             assert os.environ["MKL_NUM_THREADS"] == "2"
@@ -155,7 +167,7 @@ class TestBlasCap:
     def test_shard_children_see_the_cap(self, monkeypatch):
         for name in _BLAS_ENV:
             monkeypatch.delenv(name, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        _cores(monkeypatch, 6)
         with BackendHandle("sharded", n_shards=2) as handle:
             _, pool = handle.acquire(**seeded_backend_kwargs())
             assert not any(name in os.environ for name in _BLAS_ENV)
