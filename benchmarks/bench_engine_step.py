@@ -9,7 +9,7 @@ m = 6 workers, batch 16) and prints, per ``WorkerBank.local_step``:
   transcription of the step — the same NumPy calls in the same order with no
   ``Tensor``, closure or walk — timed in this process and checked to produce
   the same gradient bytes.  The gap is the engine's overhead; the flat figure
-  is the floor any recorded-plan design could reach (ROADMAP item 5).
+  is the floor any recorded-plan design could reach (ROADMAP item 9).
 
 Standalone, nothing gated (seconds are never ratcheted in CI)::
 

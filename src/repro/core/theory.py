@@ -162,9 +162,7 @@ def optimal_communication_period(
             * c.communication_delay
             / ((lr**3) * (c.lipschitz**2) * c.gradient_variance * wall_time)
         )
-    if clip_to_int:
-        return float(max(1, math.ceil(tau_star)))
-    return max(tau_star, 1.0) if clip_to_int else tau_star
+    return float(max(1, math.ceil(tau_star))) if clip_to_int else tau_star
 
 
 def adacomm_convergence_conditions(

@@ -5,7 +5,7 @@ run: each shard process is a fresh interpreter that must import NumPy and
 the ``repro`` package before it can serve a single command.  A method
 lineup (``run_experiment`` over four methods) or a serial sweep would pay
 that cost once per run even though every run wants an identically-shaped
-pool.  (A ``--jobs N`` sweep cell builds its own handle in its pool worker.)
+pool.  (A ``--jobs N`` sweep cell on a helper process builds its own handle.)
 
 :class:`BackendHandle` is how a process layout — backend name, shard count,
 ``"auto"`` escalation point — reaches a cluster: whole, as one argument.  It

@@ -32,8 +32,8 @@ One carrier, one request path: every shard is a spawned child running
 :meth:`_ShardServer.serve` behind a ``multiprocessing`` Pipe —
 ``send((op, args))`` / ``recv() -> (status, result)`` — and every command
 waits for its own replies (:meth:`ShardedBank._replies`).  A sweep cell under
-``--jobs N`` runs in a non-daemonic ``ProcessPoolExecutor`` worker, so it
-spawns its shard children like any other parent.  The ``(m, P)`` state bank
+``--jobs N`` may run in a non-daemonic helper process, so it spawns its
+shard children like any other parent.  The ``(m, P)`` state bank
 lives in the shared-memory plane of :mod:`repro.distributed.transport`: a
 shard answers a gather by writing its rows in place and replying ``None``,
 and the Pipes carry only tiny control tuples.  When the segments cannot be
@@ -66,6 +66,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import threading
 import traceback
 import weakref
 from contextlib import contextmanager
@@ -92,6 +93,9 @@ __all__ = ["ShardedBank", "shard_slices", "usable_cores"]
 
 #: What sizes a BLAS thread pool when NumPy loads; see :func:`_blas_cap`.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Serializes :func:`_blas_cap`: helpers start from a timer thread while the
+#: main thread may be starting shards.
+_BLAS_ENV_LOCK = threading.Lock()
 
 
 def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
@@ -134,13 +138,14 @@ def _blas_cap(n_procs: int) -> Iterator[None]:
     loaded) pool is untouched.
     """
     cap = str(max(1, usable_cores() // n_procs))
-    ours = [name for name in _BLAS_ENV if name not in os.environ]
-    os.environ.update(dict.fromkeys(ours, cap))
-    try:
-        yield
-    finally:
-        for name in ours:
-            del os.environ[name]
+    with _BLAS_ENV_LOCK:
+        ours = [name for name in _BLAS_ENV if name not in os.environ]
+        os.environ.update(dict.fromkeys(ours, cap))
+        try:
+            yield
+        finally:
+            for name in ours:
+                del os.environ[name]
 
 
 class _ShardServer:

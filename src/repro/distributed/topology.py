@@ -41,7 +41,7 @@ def _networkx(needed_by: str):
     """Import networkx on first use: only :func:`chordal_ring_graph` needs it
     (every named topology, ``"mh"`` included, is built in NumPy), and at
     ~180 ms it would otherwise be the largest share of every CLI start, shard
-    process and sweep-pool worker."""
+    process and sweep helper."""
     try:
         import networkx
     except ImportError:  # pragma: no cover - networkx is installed in this environment

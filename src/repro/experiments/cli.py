@@ -33,8 +33,8 @@ Campaigns (``python -m repro --sweep <name>``) run a whole grid of
 experiments against a persistent, content-addressed result store:
 
 * ``--sweep`` names a registered campaign (see ``--list sweeps``);
-* ``--jobs N`` executes cells on N worker processes (sweep-only: a single
-  run places its lineup's methods on helper processes by itself);
+* ``--jobs N`` keeps up to N processes busy on cells, the parent included
+  (sweep-only: a single run places its lineup's methods the same way);
 * ``--store DIR`` selects the store directory (default ``sweeps``); cells
   already in the store are skipped, so re-running a campaign only renders —
   every table and curve is produced from the store, never from memory.
@@ -138,9 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run a registered experiment campaign instead of a single "
                              "config (see --list sweeps); results land in --store")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for --sweep cell execution (default 1); "
-                             "sweep-only: a single run places its lineup's methods itself, "
-                             "on the parent plus late-started helpers on spare cores")
+                        help="busy processes for --sweep cells, the parent included "
+                             "(default 1); sweep-only: a single run places its lineup's "
+                             "methods the same way, on every usable core")
     parser.add_argument("--store", default="sweeps", metavar="DIR",
                         help="result-store directory for --sweep (default ./sweeps); "
                              "completed cells found here are never re-executed")
@@ -228,9 +228,8 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
           f"axes {dict(spec.axes)}, jobs={jobs}, store={store.root}")
     runner = SweepRunner(store, jobs=jobs, progress=print, collect_metrics=args.metrics)
     if args.trace is not None:
-        # The parent-side campaign trace: per-cell spans on the serial path,
-        # outcome instants either way.  Telemetry is runtime state — stored
-        # cell bytes (and their content addresses) are unaffected.
+        # A tracer keeps every cell on the parent: one timeline whatever
+        # --jobs says.  Stored cell bytes (and addresses) are unaffected.
         from repro.obs.tracer import Tracer
 
         with Tracer() as tracer:

@@ -23,21 +23,15 @@ stacked definition and shards too ragged to stack.
 from __future__ import annotations
 
 import ast
-import multiprocessing
-import os
-import pickle
-import shutil
-import sys
-import tempfile
-import threading
-import types
+import functools
+import json
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api.registries import COMM_SCHEDULES, DELAYS, LR_SCHEDULES, MODELS, all_registries
+from repro.api.registries import COMM_SCHEDULES, DELAYS, LR_SCHEDULES, MODELS
 from repro.api.registry import filter_kwargs
 from repro.core.schedules import CommunicationSchedule
 from repro.core.trainer import PASGDTrainer, TrainerConfig
@@ -45,9 +39,10 @@ from repro.data.synthetic import Dataset
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import AsyncFold, Collective, Exact, Gossip
 from repro.distributed.reuse import BackendHandle
-from repro.distributed.sharded_bank import _blas_cap, usable_cores
+from repro.distributed.sharded_bank import usable_cores
 from repro.experiments.configs import ExperimentConfig
-from repro.obs.emit import span, telemetry_on
+from repro.experiments.parallel import run_items
+from repro.obs.emit import span
 from repro.optim.lr_schedules import LRSchedule
 from repro.runtime.distributions import DelayDistribution
 from repro.runtime.network import NetworkModel
@@ -488,146 +483,42 @@ def run_method(
         return record
 
 
-#: Wall seconds from ``Process.start()`` until a lineup helper can claim its
-#: first method: spawn, import NumPy and ``repro``, rebuild the config and the
-#: split.  Ten fresh starts on a 2-vCPU VM, BLAS pinned: 0.25-0.36 s, median
-#: 0.29.  A lineup starts helpers once it has itself run this long.
-_HELPER_BOOT_S = 0.29
+def _lineup_payload(config: ExperimentConfig, methods, discrepancy: bool, handle: BackendHandle) -> "str | None":
+    """The lineup as a helper rebuilds it (JSON), or ``None`` to keep it on this process.
 
-
-def _registry_refs() -> dict:
-    """``module:qualname`` of every registered component, keyed ``kind:name``."""
-    return {
-        f"{kind}:{name}": f"{getattr(entry, '__module__', None)}:{getattr(entry, '__qualname__', repr(entry))}"
-        for kind, registry in all_registries().items() if kind != "sweeps"
-        for name, entry in ((name, registry.get(name)) for name in registry.names())
-    }
-
-
-def _claim(claims: str, index: int) -> bool:
-    """Take method ``index`` of a lineup: of all processes asking, exactly one gets it."""
-    try:
-        os.close(os.open(os.path.join(claims, str(index)), os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        return False
-    return True
-
-
-def _helper_main(payload: dict, claims: str) -> None:
-    """A lineup helper: run unclaimed methods from the back, one pickled record each.
-
-    A helper whose registries map a name to another factory than the
-    parent's claims nothing.  A method that raises ends the helper: the
-    parent reruns it, so the error reaches the caller as in a serial run.
-    """
-    if _registry_refs() != payload["registries"]:
-        return
-    config = ExperimentConfig.from_dict(payload["config"])
-    resolved = default_methods(config, payload["methods"])
-    train_set, test_set = _split_dataset(config, SeedSequence(config.seed).generator())
-    with config.backend_handle() as handle:
-        for index in reversed(range(len(resolved))):
-            if not _claim(claims, index):
-                continue
-            try:
-                record = run_method(config, resolved[index], train_set, test_set, payload["discrepancy"], handle)
-            except Exception:  # noqa: BLE001 - the parent reruns it and raises it there
-                return
-            path = os.path.join(claims, f"{index}.pkl")
-            with open(f"{path}.tmp", "wb") as fh:
-                pickle.dump(record, fh)
-            os.replace(f"{path}.tmp", path)
-
-
-class _Helpers:
-    """Up to ``n_helpers`` processes that take a lineup's methods from the back.
-
-    Every process claims a method (:func:`_claim`) before running it, so no
-    cost model decides who runs what.  A timer spawns the helpers
-    :data:`_HELPER_BOOT_S` after the lineup started, if a method is still
-    unclaimed (ski rental); it only spawns, every method of the parent runs
-    on the main thread.  :meth:`close` stops whatever still runs.
-    """
-
-    def __init__(self, config: ExperimentConfig, methods, discrepancy: bool, n_methods: int, n_helpers: int):
-        self._payload = {
-            "config": config.to_dict(),
-            "methods": None if methods is None else list(methods),
-            "discrepancy": discrepancy,
-            "registries": _registry_refs(),
-        }
-        self._n_methods, self._n_helpers = n_methods, n_helpers
-        self.dir = tempfile.mkdtemp(prefix="repro-lineup-")
-        self.procs: list = []
-        self._timer = threading.Timer(_HELPER_BOOT_S, self._start)
-        self._timer.start()
-
-    def _start(self) -> None:
-        n_helpers = min(self._n_helpers, self._n_methods - len(os.listdir(self.dir)))
-        # spawn re-imports a parent ``__main__`` that has a file or a module
-        # spec; a stand-in with neither keeps an unguarded script (or a
-        # notebook cell) from running its top level again in every helper.
-        main = sys.modules["__main__"]
-        sys.modules["__main__"] = types.ModuleType("__main__")
-        try:
-            with _blas_cap(n_helpers + 1):
-                for _ in range(n_helpers):
-                    proc = multiprocessing.get_context("spawn").Process(
-                        target=_helper_main, args=(self._payload, self.dir), daemon=True
-                    )
-                    proc.start()
-                    self.procs.append(proc)
-        except OSError:  # no process to spare: the parent runs what is left
-            pass
-        finally:
-            sys.modules["__main__"] = main
-
-    def records(self) -> dict:
-        """Wait for the helpers; every method they finished, by lineup index."""
-        self._timer.join()
-        for proc in self.procs:
-            proc.join()
-        records = {}
-        for name in os.listdir(self.dir):
-            if name.endswith(".pkl"):
-                with open(os.path.join(self.dir, name), "rb") as fh:
-                    records[int(name[:-4])] = pickle.load(fh)
-        return records
-
-    def close(self) -> None:
-        self._timer.cancel()
-        self._timer.join()
-        for proc in self.procs:
-            proc.terminate()
-        for proc in self.procs:
-            proc.join()
-        shutil.rmtree(self.dir, ignore_errors=True)
-
-
-def _helper_count(config: ExperimentConfig, methods, n_methods: int, handle: BackendHandle) -> int:
-    """How many helpers may share a lineup; 0 keeps it serial.
-
-    Serial when a helper cannot help (one method; a sharded layout; inside a
-    multiprocessing child such as a ``--jobs N`` worker) or cannot be trusted
-    (an obs sink on; a hand-built :class:`MethodSpec`; a config that does not
-    survive ``to_dict`` / ``from_dict``, the only way it reaches a helper).
+    ``None`` when a helper cannot help (a sharded layout: the shards already
+    use the cores) or cannot be trusted (a hand-built :class:`MethodSpec`; a
+    config that does not survive JSON and ``from_dict``).
     """
     spec, _, threshold = handle.layout
     if (
-        n_methods < 2
-        or spec == "sharded"
+        spec == "sharded"
         or (spec == "auto" and threshold is not None and config.n_workers >= threshold)
-        or telemetry_on()
-        or multiprocessing.parent_process() is not None
         or any(isinstance(method, MethodSpec) for method in methods or ())
     ):
-        return 0
+        return None
     try:
-        if ExperimentConfig.from_dict(config.to_dict()) != config:
-            return 0
+        methods = None if methods is None else list(methods)
+        lineup = json.dumps({"config": config.to_dict(), "methods": methods, "discrepancy": discrepancy})
+        survives = ExperimentConfig.from_dict(json.loads(lineup)["config"]) == config
     except (TypeError, ValueError):
-        return 0
-    return usable_cores() - 1
+        return None
+    return lineup if survives else None
+
+
+@functools.lru_cache(maxsize=1)
+def _helper_lineup(lineup: str) -> tuple:
+    """A helper's lineup, built once: the config, its methods and the shared split."""
+    payload = json.loads(lineup)
+    config = ExperimentConfig.from_dict(payload["config"])
+    train_set, test_set = _split_dataset(config, SeedSequence(config.seed).generator())
+    return config, default_methods(config, payload["methods"]), train_set, test_set, payload["discrepancy"]
+
+
+def _lineup_method(lineup: str, index: int) -> RunRecord:
+    """Method ``index`` of ``lineup``, run on a helper."""
+    config, methods, train_set, test_set, discrepancy = _helper_lineup(lineup)
+    return run_method(config, methods[index], train_set, test_set, discrepancy)
 
 
 def run_experiment(
@@ -643,31 +534,27 @@ def run_experiment(
     rebuilt in place between methods instead of respawned per method
     (byte-identical trajectories either way; see
     ``repro.distributed.reuse``).  Passing ``backend_handle`` extends the
-    reuse across *calls* — e.g. the serial sweep path hands every cell one
+    reuse across *calls* — e.g. a sweep hands every cell its parent runs one
     handle — in which case the caller owns (and must close) the handle.
 
     The parent runs methods from the front; helper processes take them from
-    the back (:class:`_Helpers`, :func:`_helper_count`).  A method is a pure
-    function of (config, spec) and records are stored in lineup order, so the
-    bytes equal a serial run's: the clock decides where a method runs only.
+    the back (:func:`~repro.experiments.parallel.run_items`).  A method is a
+    pure function of (config, spec) and records are stored in lineup order,
+    so the bytes equal a serial run's: the clock decides where a method runs
+    only.
     """
     resolved = default_methods(config, methods)
     seeds = SeedSequence(config.seed)
     train_set, test_set = _split_dataset(config, seeds.generator())
-    records: dict[int, RunRecord] = {}
 
     with span("experiment", experiment=config.name, n_methods=len(resolved)), ExitStack() as stack:
         if backend_handle is None:
             backend_handle = stack.enter_context(config.backend_handle())
-        n_helpers = _helper_count(config, methods, len(resolved), backend_handle)
-        helpers: "_Helpers | None" = None
-        if n_helpers:
-            helpers = _Helpers(config, methods, record_discrepancy, len(resolved), n_helpers)
-            stack.callback(helpers.close)
+        lineup = _lineup_payload(config, methods, record_discrepancy, backend_handle)
 
-        def run(index: int) -> None:
+        def run(index: int) -> RunRecord:
             logger.info("running %s on %s", resolved[index].label, config.name)
-            records[index] = run_method(
+            return run_method(
                 config,
                 resolved[index],
                 train_set=train_set,
@@ -676,14 +563,6 @@ def run_experiment(
                 backend_handle=backend_handle,
             )
 
-        for index in range(len(resolved)):
-            if helpers is not None and not _claim(helpers.dir, index):
-                records.update(helpers.records())  # the helpers hold the rest
-                break
-            run(index)
-        # What no helper finished (it died, or its method raised) runs here,
-        # in lineup order, so a failing method raises as in a serial run.
-        for index in range(len(resolved)):
-            if index not in records:
-                run(index)
-    return RunStore.from_records(records[index] for index in range(len(resolved)))
+        n_procs = 1 if lineup is None else usable_cores()
+        records = list(run_items(range(len(resolved)), functools.partial(_lineup_method, lineup), run, n_procs))
+    return RunStore.from_records(records)

@@ -2,34 +2,28 @@
 
 :class:`SweepRunner` takes a :class:`~repro.sweep.spec.SweepSpec`, expands it
 into content-addressed cells, skips every cell already present in the
-:class:`~repro.sweep.store.ResultStore`, and executes the rest — either
-serially in-process or on a :class:`~concurrent.futures.ProcessPoolExecutor`
-(``jobs > 1``).  Its workers are not daemonic, so a ``backend="sharded"``
-cell spawns real shard processes there, exactly as it does serially.
-
-Worker processes receive only JSON-compatible payloads (the cell's config
-dict and run seed); each worker rebuilds its ``ExperimentConfig`` through
-``from_dict``, which re-resolves every component name against the registries
-*in that process* — so spawned interpreters (the default start method, and
-the only one available on Windows/macOS) work without any pickled model or
-registry state.  Results come back to the parent, which is the only writer
-to the store; because cells are pure functions of their config (seeded NumPy
-end to end), pool scheduling order cannot change any stored byte.
+:class:`~repro.sweep.store.ResultStore`, and executes the rest through
+:func:`~repro.experiments.parallel.run_items`: the parent runs cells from
+the front and, with ``jobs > 1``, late-started helper processes take them
+from the back.  Helpers get only JSON payloads (the cell's config dict,
+which carries its run seed) and re-resolve every component name against
+their own registries.  The parent is the only writer to the store; because
+cells are pure functions of their config, where a cell ran cannot change
+any stored byte.
 
 A killed or partially-completed campaign resumes for free: re-running the
-same spec executes only the cells whose result files are missing.  A pool
-worker that dies (SIGKILL, OOM) ends the run at once with one
-``RuntimeError`` naming the cells it lost.
+same spec executes only the cells whose result files are missing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import traceback
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.experiments.parallel import run_items
 from repro.obs.emit import count, instant, span
 from repro.sweep.spec import SweepCell, SweepSpec
 from repro.sweep.store import ResultStore
@@ -89,11 +83,11 @@ def _execute_cell(
     always has; the snapshot is the store's *sidecar* content, never part of
     ``result.json``.
 
-    Module-level (picklable) so it works under every multiprocessing start
-    method.  Imports are local so a spawned interpreter pays them lazily and
-    the registries repopulate inside the worker.  ``backend_handle`` (serial
-    path only — handles do not cross process boundaries) lets consecutive
-    cells reuse one sharded process pool; the runner owns its lifetime.
+    Module-level (picklable): it is what a helper process calls.  Imports
+    are local so the registries repopulate inside the helper.
+    ``backend_handle`` (parent only — handles do not cross process
+    boundaries) lets consecutive cells reuse one sharded process pool; the
+    runner owns its lifetime.
     """
     from repro.experiments.configs import ExperimentConfig
     from repro.experiments.harness import run_experiment
@@ -104,8 +98,8 @@ def _execute_cell(
         # The config dict already carries the cell's run seed (the spec folds
         # derived seeds back in), so the address is the hash of what runs.
         config = ExperimentConfig.from_dict(payload["config"])
-        # The span records under the parent's tracer on the serial path;
-        # pool workers have no active tracer, so it costs nothing there.
+        # The span records under the parent's tracer; helpers run only
+        # while no tracer is active, so it costs nothing there.
         with span("sweep_cell", address=address, experiment=config.name):
             if payload.get("collect_metrics"):
                 with MetricsRegistry() as registry:
@@ -121,7 +115,6 @@ def _cell_payload(cell: SweepCell, collect_metrics: bool = False) -> dict[str, A
     return {
         "address": cell.address,
         "config": cell.config.to_dict(),
-        "run_seed": cell.run_seed,
         "collect_metrics": collect_metrics,
     }
 
@@ -143,12 +136,9 @@ class SweepRunner:
     store:
         A :class:`ResultStore` or a directory path for one.
     jobs:
-        Worker processes; ``1`` (default) runs serially in-process, which is
-        also the automatic fallback when only one cell is pending.
-    mp_context:
-        Multiprocessing start method (default ``"spawn"`` — the portable
-        choice, and the one that genuinely exercises in-worker registry
-        re-resolution; ``"fork"`` is faster on Linux if startup dominates).
+        Busy processes, the parent included; ``1`` (default) runs every cell
+        in-process.  See :func:`~repro.experiments.parallel.run_items` for
+        when helpers start and when everything stays on the parent.
     progress:
         Optional callable receiving one line per cell event (the CLI passes
         ``print``); campaign progress also goes to the module logger.
@@ -164,7 +154,6 @@ class SweepRunner:
         self,
         store: "ResultStore | str | Path",
         jobs: int = 1,
-        mp_context: str = "spawn",
         progress: "Callable[[str], None] | None" = None,
         collect_metrics: bool = False,
     ):
@@ -172,7 +161,6 @@ class SweepRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
         self.jobs = int(jobs)
-        self.mp_context = mp_context
         self._progress = progress
         self.collect_metrics = bool(collect_metrics)
 
@@ -186,8 +174,8 @@ class SweepRunner:
 
         Duplicate addresses (axes that collapse to the same config) are
         executed once.  Failed cells are reported, not raised — inspect
-        ``report.failed`` or check ``report.ok``.  A pool worker that dies
-        raises ``RuntimeError`` after the cells completed so far are stored.
+        ``report.failed`` or check ``report.ok``.  Cells are stored and
+        reported in pending order, each as soon as it reaches the parent.
         """
         cells = spec.cells()
         unique: dict[str, SweepCell] = {}
@@ -231,83 +219,38 @@ class SweepRunner:
                 f"[sweep] {spec.name}: running {len(pending)}/{len(unique)} cell(s) "
                 f"with jobs={min(self.jobs, len(pending))}"
             )
-        by_address = {cell.address: cell for cell in pending}
-        # Results are stored and reported as they complete, but a trace must
-        # be a pure function of the seeded run, not of pool scheduling: the
-        # outcome instant of pending cell k waits for those of the cells
-        # before it (serial arrivals are already in order).
-        outcome: dict[str, str] = {}
-        announced = 0
-        for address, result_payload, error, metrics in self._execute(pending):
-            cell = by_address[address]
-            if error is not None:
-                report.failed[address] = error
-                count("sweep_cells_failed_total")
-                outcome[address] = "failed"
-                self._emit(f"[sweep] FAILED   {address}  {cell.label}")
-                logger.error("cell %s failed:\n%s", address, error)
-            else:
-                self.store.put(address, _cell_meta(cell), result_payload)
-                if metrics is not None:
-                    self.store.put_metrics(address, metrics)
-                report.executed.append(address)
-                count("sweep_cells_executed_total")
-                outcome[address] = "executed"
-                self._emit(f"[sweep] executed {address}  {cell.label}")
-            while announced < len(pending) and pending[announced].address in outcome:
-                head = pending[announced].address
-                instant("sweep_cell", address=head, status=outcome[head])
-                announced += 1
+        payloads = [_cell_payload(cell, self.collect_metrics) for cell in pending]
+        with ExitStack() as stack:
+            # One layout for every pending cell: one BackendHandle spans the
+            # parent's cells, so their sharded pool is spawned once (see
+            # repro.distributed.reuse); else each lineup makes its own.
+            handle = None
+            if len({cell.config.backend_handle().layout for cell in pending}) == 1:
+                handle = stack.enter_context(pending[0].config.backend_handle())
+            outcomes = stack.enter_context(closing(run_items(
+                payloads,
+                _execute_cell,
+                lambda index: _execute_cell(payloads[index], backend_handle=handle),
+                self.jobs,
+            )))
+            for cell, (address, result_payload, error, metrics) in zip(pending, outcomes):
+                if error is not None:
+                    report.failed[address] = error
+                    count("sweep_cells_failed_total")
+                    instant("sweep_cell", address=address, status="failed")
+                    self._emit(f"[sweep] FAILED   {address}  {cell.label}")
+                    logger.error("cell %s failed:\n%s", address, error)
+                else:
+                    self.store.put(address, _cell_meta(cell), result_payload)
+                    if metrics is not None:
+                        self.store.put_metrics(address, metrics)
+                    report.executed.append(address)
+                    count("sweep_cells_executed_total")
+                    instant("sweep_cell", address=address, status="executed")
+                    self._emit(f"[sweep] executed {address}  {cell.label}")
 
         self._emit(report.summary())
         return report
-
-    def _execute(self, pending: list[SweepCell]):
-        """Yield ``(address, payload, error, metrics)`` for each pending cell."""
-        payloads = [_cell_payload(cell, self.collect_metrics) for cell in pending]
-        if not payloads:
-            return
-        jobs = min(self.jobs, len(payloads))
-        if jobs == 1:
-            # Serial path: when every pending cell selects its backend the
-            # same way, one BackendHandle spans the whole campaign, so a
-            # sharded pool spawned by the first cell is rebuilt in place by
-            # each subsequent one (byte-identical results either way; see
-            # repro.distributed.reuse).  Mixed-backend campaigns fall back
-            # to the per-lineup handle run_experiment creates itself.
-            layouts = {cell.config.backend_handle().layout for cell in pending}
-            handle = pending[0].config.backend_handle() if len(layouts) == 1 else None
-            try:
-                for payload in payloads:
-                    yield _execute_cell(payload, backend_handle=handle)
-            finally:
-                if handle is not None:
-                    handle.close()
-            return
-        # Imported here, not at module level: serial runs and shard children
-        # (which import this package) never pay for the executor machinery.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-
-        executor = ProcessPoolExecutor(
-            jobs, mp_context=multiprocessing.get_context(self.mp_context)
-        )
-        try:
-            in_flight = {executor.submit(_execute_cell, p): p["address"] for p in payloads}
-            for future in as_completed(in_flight):
-                try:
-                    result = future.result()
-                except BrokenProcessPool as err:
-                    raise RuntimeError(
-                        "a sweep worker process died; re-run to execute the "
-                        f"cells it lost: {', '.join(sorted(in_flight.values()))}"
-                    ) from err
-                del in_flight[future]
-                yield result
-        finally:
-            # On any exit — an error, a caller that stopped iterating — wait
-            # for the running cells only, never for the queued rest.
-            executor.shutdown(cancel_futures=True)
 
 
 def run_sweep(

@@ -17,9 +17,11 @@ import importlib
 import multiprocessing
 import os
 import pkgutil
+import signal
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +29,7 @@ import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed import BackendHandle, ShmStatePlane, SimulatedCluster
+from repro.experiments import harness, parallel
 from repro.models.mlp import MLP
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid, Tanh
 from repro.nn.losses import bank_cross_entropy, cross_entropy
@@ -126,6 +129,57 @@ def leaks():
     detector = LeakDetector()
     yield detector
     detector.assert_clean()
+
+
+class Placement:
+    """Force a helper on, and make it take the last item of a scheduler's list.
+
+    The boot constant is 0 and a lineup sees two usable cores, so one helper
+    starts with the parent's first item.  Before its second ``run_method``
+    the parent waits (:meth:`await_claim`, 60 s at most) until the helper has
+    claimed an item or exited; with ``kill`` it then SIGKILLs the helper.
+    ``helpers`` has one entry per late start (claims ``dir``, ``procs``,
+    ``timer``); ``parent_ran`` lists the method labels the parent ran.
+    """
+
+    def __init__(self, monkeypatch, kill: bool = False):
+        self.helpers: list = []
+        self.parent_ran: list = []
+        self.helper_claimed = False
+        self.kill = kill
+        spawn_later, run_method = parallel._spawn_later, harness.run_method
+
+        def recorded_spawn_later(n_helpers, args, procs):
+            timer = spawn_later(n_helpers, args, procs)
+            self.helpers.append(SimpleNamespace(dir=args[2], procs=procs, timer=timer))
+            return timer
+
+        def parent_run_method(config, method, *args, **kwargs):
+            if len(self.parent_ran) == 1 and self.helpers:
+                self.await_claim()
+            self.parent_ran.append(method.label)
+            return run_method(config, method, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_HELPER_BOOT_S", 0.0)
+        monkeypatch.setattr(parallel, "_spawn_later", recorded_spawn_later)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "run_method", parent_run_method)
+
+    def await_claim(self) -> None:
+        # Claims 0 and 1 are the parent's; a third file is the helper's.
+        helpers = self.helpers[0]
+        helpers.timer.join(timeout=60.0)  # the spawn itself
+        deadline = time.monotonic() + 60.0
+        while (
+            len(os.listdir(helpers.dir)) < 3
+            and any(proc.is_alive() for proc in helpers.procs)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        self.helper_claimed = len(os.listdir(helpers.dir)) >= 3
+        if self.kill:
+            for proc in helpers.procs:
+                os.kill(proc.pid, signal.SIGKILL)
 
 
 @contextmanager

@@ -1,15 +1,19 @@
-"""A lineup's methods on the parent plus late-started helper processes.
+"""One process-parallel mechanism: items on the parent plus late-started helpers.
 
-``run_experiment`` runs a lineup from the front and, once the lineup has run
-as long as a helper takes to boot, spawns helpers that claim methods from the
-back.  Every method is a pure function of (config, spec), so the saved bytes
-must equal the serial run's whoever ran which method.  :class:`Placement`
-forces the placement: a helper starts after the first method, and the parent
-holds its second method until the helper has claimed the last one.
+``repro.experiments.parallel.run_items`` runs a list from the front on the
+parent and, once the parent has run as long as a helper takes to boot,
+spawns helpers that claim items from the back.  ``run_experiment`` uses it
+with a lineup's methods as items, ``SweepRunner`` with a campaign's cells.
+Every item is a pure function of its payload, so the saved bytes must equal
+the serial run's whoever ran which item.  :class:`Placement` forces the
+placement: a helper starts after the first method, and the parent holds its
+second method until the helper has claimed the last item.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import multiprocessing
 import os
@@ -24,15 +28,19 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api.registries import COMM_SCHEDULES, DATASETS
 from repro.core.schedules import FixedCommunicationSchedule
-from repro.experiments import harness
+from repro.distributed.sharded_bank import _BLAS_ENV, usable_cores
+from repro.experiments import harness, parallel
 from repro.experiments.cli import main
 from repro.experiments.configs import make_config
 from repro.experiments.harness import MethodSpec, run_experiment
 from repro.obs import MetricsRegistry, Profiler, Tracer
+from repro.sweep import SweepSpec, grid, run_sweep, runner
+from tests.conftest import Placement
 
 #: No test here may leave a child process or a shared-memory segment behind.
 pytestmark = pytest.mark.usefixtures("leaks")
@@ -62,57 +70,6 @@ def _serially(fn, *args, **kwargs):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(harness, "usable_cores", lambda: 1)
         return fn(*args, **kwargs)
-
-
-class Placement:
-    """Force a helper on, and make it take the lineup's last method.
-
-    The boot constant is 0 and two cores are usable, so one helper starts
-    with the parent's first method.  Before its second method the parent
-    waits (60 s at most) until the helper has claimed a method or exited;
-    with ``kill`` it then SIGKILLs the helper.  ``parent_ran`` lists the
-    labels the parent ran itself.
-    """
-
-    def __init__(self, monkeypatch, kill: bool = False):
-        self.helpers: list = []
-        self.parent_ran: list = []
-        self.helper_claimed = False
-        self.kill = kill
-        placement = self
-
-        class Recorded(harness._Helpers):
-            def __init__(self, *args):
-                super().__init__(*args)
-                placement.helpers.append(self)
-
-        run_method = harness.run_method
-
-        def parent_run_method(config, method, *args, **kwargs):
-            if len(self.parent_ran) == 1 and self.helpers:
-                self._await_claim(self.helpers[0])
-            self.parent_ran.append(method.label)
-            return run_method(config, method, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "_HELPER_BOOT_S", 0.0)
-        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
-        monkeypatch.setattr(harness, "_Helpers", Recorded)
-        monkeypatch.setattr(harness, "run_method", parent_run_method)
-
-    def _await_claim(self, helpers) -> None:
-        # Claims 0 and 1 are the parent's; a third file is the helper's.
-        helpers._timer.join(timeout=60.0)  # the spawn itself
-        deadline = time.monotonic() + 60.0
-        while (
-            len(os.listdir(helpers.dir)) < 3
-            and any(proc.is_alive() for proc in helpers.procs)
-            and time.monotonic() < deadline
-        ):
-            time.sleep(0.005)
-        self.helper_claimed = len(os.listdir(helpers.dir)) >= 3
-        if self.kill:
-            for proc in helpers.procs:
-                os.kill(proc.pid, signal.SIGKILL)
 
 
 @pytest.mark.parametrize("backend", ["vectorized", "loop"])
@@ -183,17 +140,24 @@ def test_no_helper_starts_when_a_serial_rule_holds(rule, monkeypatch):
     assert placement.helpers == [] and len(placement.parent_ran) == len(store)
 
 
-def _helpers_started_in_a_pool_worker() -> int:
+def _late_starts_in_a_lineup(item) -> int:
+    """How many times a lineup run as scheduler item ``item`` started helpers."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        placement = Placement(monkeypatch)
+        starts = []
+        spawn_later = parallel._spawn_later
+        monkeypatch.setattr(parallel, "_spawn_later", lambda *args: starts.append(args) or spawn_later(*args))
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
         run_experiment(_smoke())
-    return len(placement.helpers)
+    return len(starts)
 
 
-def test_no_helper_starts_inside_a_pool_worker():
-    # A ``--jobs 2`` sweep cell runs in exactly this: a spawned pool worker.
-    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        assert pool.submit(_helpers_started_in_a_pool_worker).result(timeout=120) == 0
+def test_no_helper_starts_inside_a_pool_worker(monkeypatch):
+    # A ``--jobs 2`` sweep cell's lineup runs in exactly this: an item of a
+    # scheduler on two processes, on the parent or on a helper.
+    placement = Placement(monkeypatch)
+    lineups = parallel.run_items([0, 1, 2], _late_starts_in_a_lineup, _late_starts_in_a_lineup, 2)
+    assert list(lineups) == [0, 0, 0]
+    assert placement.helper_claimed  # the helper ran a lineup too
 
 
 class _DoubledTau(FixedCommunicationSchedule):
@@ -225,7 +189,8 @@ def test_an_unguarded_script_runs_its_top_level_once(tmp_path):
         sys.path.insert(0, {str(ROOT)!r})
         import pytest
         from repro.experiments.harness import run_experiment
-        from tests.test_lineup_helpers import Placement, _smoke
+        from tests.conftest import Placement
+        from tests.test_lineup_helpers import _smoke
 
         with open({str(log)!r}, "a") as fh:
             fh.write("top level\\n")
@@ -247,7 +212,7 @@ def _claim_all(claims: str, order: int, start_at: float) -> list:
     indices = list(range(2000))
     random.Random(order).shuffle(indices)
     time.sleep(max(0.0, start_at - time.time()))
-    return [index for index in indices if harness._claim(claims, index)]
+    return [index for index in indices if parallel._claim(claims, index)]
 
 
 def test_every_method_is_claimed_exactly_once_under_contention(tmp_path):
@@ -257,3 +222,53 @@ def test_every_method_is_claimed_exactly_once_under_contention(tmp_path):
         futures = [pool.submit(_claim_all, str(tmp_path), order, start_at) for order in range(4)]
         claimed = [future.result(timeout=120) for future in futures]
     assert sorted(index for mine in claimed for index in mine) == list(range(2000))
+
+
+def _blas_threads() -> int:
+    """This process's BLAS pool size, read back from NumPy's bundled OpenBLAS."""
+    (lib,) = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    get_num_threads = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+    get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+    return get_num_threads()
+
+
+_EXECUTE_CELL = runner._execute_cell
+_LINEUP_METHOD = harness._lineup_method
+
+
+def _probe_cell(payload, backend_handle=None):
+    """A sweep cell whose metrics sidecar says which process ran it, on how many BLAS threads."""
+    address, result, error, _ = _EXECUTE_CELL(payload, backend_handle)
+    return address, result, error, {"pid": os.getpid(), "blas_threads": _blas_threads()}
+
+
+def _probe_method(lineup, index):
+    """A lineup helper's method, its record tagged with the helper's BLAS threads."""
+    record = _LINEUP_METHOD(lineup, index)
+    record.config["blas_threads"] = _blas_threads()
+    return record
+
+
+@pytest.mark.parametrize("caller", ["sweep", "lineup"])
+def test_helpers_start_under_the_blas_cap(caller, monkeypatch, tmp_path):
+    try:
+        _blas_threads()
+    except (ValueError, OSError, AttributeError):
+        pytest.skip("NumPy does not bundle scipy-openblas here")
+    for name in _BLAS_ENV:
+        monkeypatch.delenv(name, raising=False)
+    placement = Placement(monkeypatch)
+    n_procs = 2  # --jobs 2, or a lineup on two usable cores
+    if caller == "sweep":
+        monkeypatch.setattr(runner, "_execute_cell", _probe_cell)
+        spec = SweepSpec("blas", _smoke(n_train=120, n_test=40), grid(tau=[1, 4, 8]))
+        report = run_sweep(spec, tmp_path, jobs=n_procs)
+        assert report.ok
+        readings = [report.store.metrics(address) for address in report.executed]
+        helper = [r["blas_threads"] for r in readings if r["pid"] != os.getpid()]
+    else:
+        monkeypatch.setattr(harness, "_lineup_method", _probe_method)
+        store = run_experiment(_smoke())
+        helper = [record.config["blas_threads"] for record in store if "blas_threads" in record.config]
+    assert placement.helper_claimed and helper
+    assert set(helper) == {max(1, usable_cores() // n_procs)}

@@ -697,26 +697,26 @@ class TestPersistence:
     ):
         from repro.sweep import SweepSpec, grid
         from repro.sweep.runner import SweepRunner
+        from tests.conftest import Placement
 
         spec = SweepSpec("obs-order", _tiny_config(wall_time_budget=4.0), grid(tau=[1, 2, 4]))
 
-        def outcomes(store):
+        def traced(store, jobs):
             with Tracer() as tracer:
-                report = SweepRunner(store).run(spec)
+                report = SweepRunner(store, jobs=jobs).run(spec)
             assert report.ok
-            instants = [e for e in strip_wall_fields(tracer.events) if e["kind"] == "instant"]
-            assert {e["name"] for e in instants} == {"sweep_cell"}
-            return [e["fields"] for e in instants], report.executed
+            return strip_wall_fields(tracer.events), report.executed
 
-        serial, serial_order = outcomes(tmp_path / "serial")
-        execute = SweepRunner._execute
-        # What a pool may do: every cell completes in the opposite order.
-        monkeypatch.setattr(
-            SweepRunner, "_execute", lambda self, pending: reversed(list(execute(self, pending)))
-        )
-        shuffled, completion_order = outcomes(tmp_path / "shuffled")
-        assert completion_order == serial_order[::-1]  # stored and reported as they land
-        assert shuffled == serial and len(serial) == 3  # but traced in pending order
+        serial, serial_order = traced(tmp_path / "serial", 1)
+        # Where a helper would take the last cell, a tracer keeps every cell
+        # on the parent: a --jobs 2 trace is the --jobs 1 trace.
+        placement = Placement(monkeypatch)
+        parallel, parallel_order = traced(tmp_path / "parallel", 2)
+        assert placement.helpers == [] and parallel_order == serial_order
+        assert parallel == serial
+        instants = [e for e in serial if e["kind"] == "instant"]
+        assert {e["name"] for e in instants} == {"sweep_cell"}
+        assert [e["fields"]["address"] for e in instants] == serial_order and len(serial_order) == 3
 
 
 # -- experiment API and CLI wiring --------------------------------------------

@@ -12,11 +12,15 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import SWEEPS, Experiment
 from repro.experiments.configs import ExperimentConfig, config_spec, make_config
 from repro.experiments.figures import sweep_error_runtime_frontier, sweep_loss_curves
@@ -32,6 +36,7 @@ from repro.sweep import (
 )
 from repro.sweep.spec import _resolve_axis
 from repro.utils.results import MetricPoint, RunRecord, RunStore
+from tests.conftest import Placement
 
 
 def tiny_spec(name="tiny", seed_mode="shared", **base_overrides) -> SweepSpec:
@@ -269,14 +274,15 @@ class TestRunnerDeterminismAndResume:
         after = (report.store.cell_dir(victim) / "result.json").read_bytes()
         assert after == before  # the re-executed cell reproduces its bytes
 
-    def test_parallel_matches_serial_bytes(self, tmp_path):
+    def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
         spec = tiny_spec()
         serial = run_sweep(spec, tmp_path / "serial")
-        # fork keeps this test fast; the CLI/CI exercise the spawn default.
-        parallel = SweepRunner(tmp_path / "par", jobs=2, mp_context="fork").run(
-            tiny_spec()
-        )
-        assert sorted(parallel.executed) == sorted(serial.executed)
+        # A late start could leave every cell to the parent; the placement
+        # makes a spawned helper take the last one.
+        placement = Placement(monkeypatch)
+        parallel = run_sweep(tiny_spec(), tmp_path / "par", jobs=2)
+        assert placement.helper_claimed and len(placement.parent_ran) < len(serial.executed)
+        assert parallel.executed == serial.executed
         for address in serial.executed:
             assert (
                 (serial.store.cell_dir(address) / "result.json").read_bytes()
@@ -640,38 +646,113 @@ def _store_files(root) -> dict:
 
 
 class TestKilledPoolWorker:
-    def test_sigkill_mid_cell_fails_fast_and_resumes_to_identical_bytes(self, tmp_path, leaks):
+    def test_sigkill_mid_cell_costs_time_not_bytes(self, tmp_path, monkeypatch, leaks):
         base = make_config("smoke", n_train=120, n_test=40, wall_time_budget=24.0)
         spec = SweepSpec("killed", base, grid(tau=[1, 4], seed=[7, 8, 9]))
-        store = ResultStore(tmp_path / "killed")
-        raised = []
-
-        def campaign():
-            try:
-                run_sweep(spec, store, jobs=2)
-            except RuntimeError as err:
-                raised.append(err)
-
-        sweep = threading.Thread(target=campaign, daemon=True)
+        # The helper is SIGKILLed right after it claims the last cell.
+        placement = Placement(monkeypatch, kill=True)
+        reports = []
+        sweep = threading.Thread(
+            target=lambda: reports.append(run_sweep(spec, tmp_path / "killed", jobs=2)), daemon=True
+        )
         sweep.start()
-        # The first stored cell means both workers are into their next ones.
-        while not len(store) and sweep.is_alive():
-            time.sleep(0.005)
-        victim, *_ = leaks.children(grace=0)
-        os.kill(victim.pid, signal.SIGKILL)
-        sweep.join(timeout=10)
-        assert not sweep.is_alive(), "the campaign hung after its worker was killed"
-        (error,) = raised
-        missing = {cell.address for cell in spec.cells()} - set(store.addresses())
-        assert str(error).startswith("a sweep worker process died")
-        assert missing and set(str(error).rsplit(": ", 1)[1].split(", ")) == missing
-        assert not leaks.children()
+        sweep.join(timeout=120)
+        assert not sweep.is_alive(), "the campaign hung after its helper was killed"
+        (report,) = reports
+        (helpers,) = placement.helpers
+        assert placement.helper_claimed
+        assert [proc.exitcode for proc in helpers.procs] == [-signal.SIGKILL]
+        assert report.ok and report.executed == [cell.address for cell in spec.cells()]
+        assert len(placement.parent_ran) == 6  # the parent reran the helper's cell
+        assert not leaks.children(grace=0)
 
-        done = store.addresses()
-        resumed = run_sweep(spec, store)
-        assert sorted(resumed.cached) == done and set(resumed.executed) == missing
         run_sweep(spec, tmp_path / "clean")
         assert _store_files(tmp_path / "killed") == _store_files(tmp_path / "clean")
+
+
+#: Loaded by every interpreter started with it on ``PYTHONPATH``: the parent's
+#: first cell runs, every later ``run_method`` on any process marks the file
+#: ``<HOLD_DIR>/<pid>`` and sleeps, so a signal finds each process mid-cell.
+_HOLD_CELLS = """\
+import multiprocessing, os, time
+from pathlib import Path
+from repro.experiments import harness
+
+_run_method, _calls = harness.run_method, []
+
+def run_method(*args, **kwargs):
+    _calls.append(None)
+    if len(_calls) > 1 or multiprocessing.parent_process() is not None:
+        Path(os.environ["HOLD_DIR"], str(os.getpid())).touch()
+        time.sleep(600)
+    return _run_method(*args, **kwargs)
+
+harness.run_method = run_method
+"""
+
+
+def _processes() -> dict:
+    """``{pid: parent pid}`` of every live, not yet reaped-or-zombie process, from ``/proc``."""
+    processes = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except OSError:  # exited while we looked
+            continue
+        if state != "Z":
+            processes[int(stat.parent.name)] = int(ppid)
+    return processes
+
+
+def _descendants(pid: int) -> set:
+    processes, found, frontier = _processes(), set(), {pid}
+    while frontier:
+        frontier = {child for child, parent in processes.items() if parent in frontier} - found
+        found |= frontier
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process tree from /proc")
+class TestInterruptedSweep:
+    def test_sigint_mid_cell_leaves_no_child_and_resumes_to_identical_bytes(self, tmp_path, leaks):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "repro", "--sweep", "smoke_2x2", "--jobs", "2", "--store"]
+        hold = tmp_path / "hold"
+        hold.mkdir()
+        (tmp_path / "sitecustomize.py").write_text(_HOLD_CELLS)
+        env = {**os.environ, "PYTHONPATH": f"{tmp_path}{os.pathsep}{src}", "HOLD_DIR": str(hold)}
+        sweep = subprocess.Popen(
+            [*argv, str(tmp_path / "interrupted")], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            # Parent and helper each hold in a cell.
+            deadline = time.monotonic() + 120
+            while len(list(hold.iterdir())) < 2 and sweep.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(list(hold.iterdir())) == 2, sweep.stderr.read().decode() if sweep.poll() else ""
+            children = _descendants(sweep.pid)
+            assert {int(path.name) for path in hold.iterdir()} - {sweep.pid} <= children
+            sweep.send_signal(signal.SIGINT)
+            assert sweep.wait(timeout=60) != 0
+        finally:
+            sweep.kill()
+            sweep.wait()
+            sweep.stderr.close()
+        deadline = time.monotonic() + 10
+        while children & set(_processes()) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = children & set(_processes())
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert not survivors, "a child of the interrupted sweep survived it"
+        assert len(ResultStore(tmp_path / "interrupted")) == 1  # the parent's first cell
+
+        plain = {**os.environ, "PYTHONPATH": src}
+        for store in ("interrupted", "clean"):
+            subprocess.run([*argv, str(tmp_path / store)], env=plain, check=True,
+                           stdout=subprocess.DEVNULL, timeout=300)
+        assert _store_files(tmp_path / "interrupted") == _store_files(tmp_path / "clean")
 
 
 class TestStoreQuery:

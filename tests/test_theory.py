@@ -139,6 +139,14 @@ class TestOptimalTau:
         val = optimal_communication_period(constants, 0.08, 1e9, clip_to_int=True)
         assert val == 1.0
 
+    @pytest.mark.parametrize("wall_time", [1e9, 100.0])
+    def test_clip_to_int_rounds_up_and_floors_at_one_and_only_then(self, constants, wall_time):
+        tau_star = optimal_communication_period(constants, 0.08, wall_time)
+        assert not tau_star.is_integer()  # about 0.002 below one, 6.25 above
+        assert optimal_communication_period(constants, 0.08, wall_time, clip_to_int=False) == tau_star
+        clipped = optimal_communication_period(constants, 0.08, wall_time, clip_to_int=True)
+        assert clipped == max(1.0, math.ceil(tau_star)) and isinstance(clipped, float)
+
     def test_zero_delay_gives_tau_one(self):
         c = TheoreticalConstants(1.0, 1.0, 1.0, 4, 1.0, communication_delay=0.0)
         assert optimal_communication_period(c, 0.1, 100.0) == 1.0
