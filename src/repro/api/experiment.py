@@ -71,7 +71,7 @@ class Experiment:
     def dataset(self, name: str) -> "Experiment":
         """Select a registered dataset generator."""
         DATASETS.get(name)
-        self._config = self._config.with_overrides(dataset=name, dataset_fn=None)
+        self._config = self._config.with_overrides(dataset=name)
         return self
 
     def delay(self, kind: str, **params) -> "Experiment":

@@ -25,7 +25,7 @@ higher-fidelity runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.api.registries import (
     BACKENDS,
@@ -63,7 +63,6 @@ class ExperimentConfig:
     dataset: str = "synth_cifar10"
     model: str = "mlp"
     model_kwargs: dict = field(default_factory=dict)
-    dataset_fn: Callable[..., Dataset] | None = None  # escape hatch; not serializable
     n_train: int = 2400
     n_test: int = 600
     n_features: int = 64
@@ -133,11 +132,11 @@ class ExperimentConfig:
     def build_dataset(self, rng=None) -> Dataset:
         """Instantiate the train+test dataset for this config.
 
-        Uses ``dataset_fn`` when set, otherwise resolves ``dataset`` through
-        the ``DATASETS`` registry; kwargs the generator does not accept are
-        dropped, so e.g. ``spirals`` (no ``n_features``) works unchanged.
+        Resolves ``dataset`` through the ``DATASETS`` registry; kwargs the
+        generator does not accept are dropped, so e.g. ``spirals`` (no
+        ``n_features``) works unchanged.
         """
-        fn = self.dataset_fn if self.dataset_fn is not None else DATASETS.get(self.dataset)
+        fn = DATASETS.get(self.dataset)
         kwargs = dict(
             n_samples=self.n_train + self.n_test,
             n_features=self.n_features,
@@ -172,21 +171,12 @@ class ExperimentConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible dict of every declarative field.
+        """JSON-compatible dict of every field.
 
-        Raises ``ValueError`` if a non-serializable ``dataset_fn`` override
-        is set; tuples become lists (and are converted back by
-        :meth:`from_dict`).
+        Tuples become lists (and are converted back by :meth:`from_dict`).
         """
-        if self.dataset_fn is not None:
-            raise ValueError(
-                "config carries a custom dataset_fn callable and cannot be serialized; "
-                "register the generator in repro.api.DATASETS and use its name instead"
-            )
         out: dict[str, Any] = {}
         for f in fields(self):
-            if f.name == "dataset_fn":
-                continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
                 value = list(value)
@@ -205,7 +195,7 @@ class ExperimentConfig:
         payload = dict(data)
         # A retired layout knob that never changed a trajectory: older saves still load.
         payload.pop("shard_transport", None)
-        known = {f.name for f in fields(cls) if f.name != "dataset_fn"}
+        known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(
@@ -219,9 +209,8 @@ class ExperimentConfig:
         return config
 
     def validate(self) -> "ExperimentConfig":
-        """Check every component name against its registry; returns self."""
-        if self.dataset_fn is None:
-            DATASETS.get(self.dataset)
+        """Check component names against their registries and sizes against their ranges."""
+        DATASETS.get(self.dataset)
         MODELS.get(self.model)
         delay_kind = self.delay["kind"] if isinstance(self.delay, dict) else self.delay
         DELAYS.get(delay_kind)
@@ -230,6 +219,11 @@ class ExperimentConfig:
             LR_SCHEDULES.get(self.lr_schedule)
         if self.backend != "auto":
             BACKENDS.get(self.backend)
+        for name in ("n_workers", "batch_size", "eval_every_rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.wall_time_budget > 0:
+            raise ValueError(f"wall_time_budget must be positive, got {self.wall_time_budget}")
         if self.backend_shards < 1:
             raise ValueError(f"backend_shards must be >= 1, got {self.backend_shards}")
         if self.auto_shard_threshold is not None and self.auto_shard_threshold < 1:

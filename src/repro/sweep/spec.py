@@ -199,9 +199,8 @@ class SweepSpec:
     name:
         Campaign name (used for cell naming and the store manifest).
     base:
-        The :class:`ExperimentConfig` every cell starts from.  Must be
-        serializable (no ``dataset_fn`` escape hatch) since cells are
-        content-addressed through ``to_dict()``.
+        The :class:`ExperimentConfig` every cell starts from.  Cells are
+        content-addressed through its ``to_dict()``.
     axes:
         Ordered mapping of axis name → values (see :func:`grid`).  Axis
         names are config fields or the aliases ``m`` / ``tau`` / ``method`` /

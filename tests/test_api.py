@@ -188,9 +188,14 @@ class TestConfigSerialization:
             ExperimentConfig.from_dict(payload)
 
     def test_to_dict_rejects_dataset_fn_escape_hatch(self):
-        cfg = make_config("smoke", dataset_fn=lambda **kw: None)
-        with pytest.raises(ValueError, match="dataset_fn"):
-            cfg.to_dict()
+        # A dataset is named once, through DATASETS: a callable field is gone
+        # from the config, its dict and what from_dict accepts.
+        payload = make_config("smoke").to_dict()
+        assert "dataset_fn" not in payload
+        with pytest.raises(ValueError, match=r"unknown config fields \['dataset_fn'\]"):
+            ExperimentConfig.from_dict({**payload, "dataset_fn": None})
+        with pytest.raises(TypeError, match="dataset_fn"):
+            make_config("smoke", dataset_fn=lambda **kw: None)
 
     def test_config_spec_is_a_copy(self):
         spec = config_spec("smoke")
@@ -378,8 +383,12 @@ class TestCLI:
         (["--config", "smoke", "--jobs", "3"], "--jobs applies to --sweep only"),
         (["--config", "smoke", "--points", "0"], "--points must be >= 2, got 0"),
         (["--config", "smoke", "--points", "1"], "--points must be >= 2, got 1"),
+        (["--config", "smoke", "--set", "n_workers=0"], "n_workers must be >= 1, got 0"),
+        (["--config", "smoke", "--set", "batch_size=0"], "batch_size must be >= 1, got 0"),
+        (["--config", "smoke", "--set", "eval_every_rounds=0"], "eval_every_rounds must be >= 1, got 0"),
+        (["--config", "smoke", "--set", "wall_time_budget=-1"], "wall_time_budget must be positive, got -1"),
     ])
-    def test_bad_run_flags_exit_before_anything_runs(self, argv, message, monkeypatch, tmp_path):
+    def test_bad_run_flags_exit_before_anything_runs(self, argv, message, monkeypatch, tmp_path, capsys):
         import repro.experiments.cli as cli
 
         def must_not_run(*args, **kwargs):
@@ -387,8 +396,13 @@ class TestCLI:
 
         monkeypatch.chdir(tmp_path)  # a sweep that slipped through writes its store here
         monkeypatch.setattr(cli, "run_experiment", must_not_run)
-        with pytest.raises(SystemExit, match=f"^error: {re.escape(message)}"):
+        with pytest.raises(SystemExit) as stop:
             main(argv)
+        # A string code is what Python prints to stderr before exiting with status 1.
+        assert re.match(f"error: {re.escape(message)}", stop.value.code) and "\n" not in stop.value.code
+        captured = capsys.readouterr()
+        assert "error:" not in captured.out + captured.err
+        assert "running experiment" not in captured.out
 
     @pytest.mark.parametrize("argv, message", [
         (["--scale", "0"], "scale must be positive"),

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api.registries import COMM_SCHEDULES, DATASETS
+from repro.api.registries import COMM_SCHEDULES
 from repro.core.schedules import FixedCommunicationSchedule
 from repro.distributed.sharded_bank import _BLAS_ENV, usable_cores
 from repro.experiments import harness, parallel
@@ -127,7 +127,8 @@ SERIAL_RULES = {
         ["sync-sgd", "pasgd-tau8", MethodSpec("tau3", lambda: FixedCommunicationSchedule(3))],
         nullcontext(),
     ),
-    "a dataset_fn": lambda: (_smoke(dataset_fn=DATASETS.get("synth_cifar10")), None, nullcontext()),
+    # to_dict stores the list, from_dict rebuilds a tuple: not the same config.
+    "a config JSON does not round-trip": lambda: (_smoke(hidden_sizes=[16]), None, nullcontext()),
 }
 
 

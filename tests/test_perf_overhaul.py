@@ -236,63 +236,6 @@ class TestBackendHandleReuse:
             assert handle._pool.pool_size == 1
 
 
-def _load_ratchet_module():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "check_perf_ratchet.py"
-    spec = importlib.util.spec_from_file_location("check_perf_ratchet", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _bench_payload(rows):
-    return {
-        "results": [
-            {"model": m, "n_workers": n, "speedup": s, "sharded_speedup": ss}
-            for (m, n, s, ss) in rows
-        ]
-    }
-
-
-class TestPerfRatchet:
-    """The CI ratchet comparison: generous floor, best-of-retries, no silent rows."""
-
-    def test_within_tolerance_passes(self, capsys):
-        ratchet = _load_ratchet_module()
-        baseline = _bench_payload([("mlp", 4, 3.0, 1.4)])
-        fresh = _bench_payload([("mlp", 4, 2.2, 1.0)])  # >= committed * 0.7
-        assert ratchet.regressions(baseline, [fresh]) == []
-        assert "ok " in capsys.readouterr().out
-
-    def test_reproduced_regression_fails_with_named_row(self):
-        ratchet = _load_ratchet_module()
-        baseline = _bench_payload([("cnn", 8, 4.0, 2.0)])
-        fresh = _bench_payload([("cnn", 8, 2.0, 1.9)])  # speedup below 4.0 * 0.7
-        failures = ratchet.regressions(baseline, [fresh, fresh])
-        assert len(failures) == 1
-        assert "cnn m=8 speedup" in failures[0]
-
-    def test_retry_takes_best_ratio_per_row_and_field(self):
-        ratchet = _load_ratchet_module()
-        baseline = _bench_payload([("mlp", 4, 3.0, 1.4), ("cnn", 8, 4.0, 2.0)])
-        noisy = _bench_payload([("mlp", 4, 1.8, 1.5), ("cnn", 8, 3.9, 0.9)])
-        retry = _bench_payload([("mlp", 4, 2.9, 0.9), ("cnn", 8, 3.0, 1.9)])
-        # Each row/field keeps its best sample, so one noisy run per row passes.
-        assert ratchet.regressions(baseline, [noisy, retry]) == []
-        # Either run alone would have failed.
-        assert ratchet.regressions(baseline, [noisy])
-        assert ratchet.regressions(baseline, [retry])
-
-    def test_dropped_row_is_a_failure(self):
-        ratchet = _load_ratchet_module()
-        baseline = _bench_payload([("mlp", 4, 3.0, 1.4), ("mlp", 8, 4.0, 2.0)])
-        fresh = _bench_payload([("mlp", 4, 3.0, 1.4)])
-        failures = ratchet.regressions(baseline, [fresh])
-        assert failures == ["benchmark dropped the ('mlp', 8) row"]
-
-
 if __name__ == "__main__":  # pragma: no cover
     import sys
 
