@@ -228,8 +228,6 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
           f"axes {dict(spec.axes)}, jobs={jobs}, store={store.root}")
     runner = SweepRunner(store, jobs=jobs, progress=print, collect_metrics=args.metrics)
     if args.trace is not None:
-        # A tracer keeps every cell on the parent: one timeline whatever
-        # --jobs says.  Stored cell bytes (and addresses) are unaffected.
         from repro.obs.tracer import Tracer
 
         with Tracer() as tracer:
@@ -242,7 +240,7 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
 
     # Everything below renders from the persistent store, never from memory;
     # cells are read and parsed exactly once and shared by every view.
-    addresses = sorted({c.address for c in report.cells} & set(store.addresses()))
+    addresses = sorted({*report.executed, *report.cached})
     if not addresses:
         return 1 if report.failed else 0
 

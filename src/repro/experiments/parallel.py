@@ -5,8 +5,10 @@
 in-process; if an item is still unclaimed :data:`_HELPER_BOOT_S` later, up to
 ``n_procs - 1`` spawned helpers take items from the back.  Each item is a
 pure function of its JSON payload and results come back in item order, so
-where an item ran never shows in the output bytes.  ``docs/backends.md``
-("One scheduler") has every rule and what it costs.
+where an item ran never shows in the output bytes.  Nor in the telemetry: a
+helper records what an item emits to the ``repro.obs`` sinks the parent has
+on, and the parent replays that log just before it yields the result.
+``docs/backends.md`` ("One scheduler") has every rule and what it costs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.api.registries import all_registries
 from repro.distributed.sharded_bank import _blas_cap
-from repro.obs.emit import telemetry_on
+from repro.obs.emit import capture, occupied, replay
 
 __all__ = ["run_items"]
 
@@ -57,11 +59,13 @@ def _claim(claims: str, index: int) -> bool:
     return True
 
 
-def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict) -> None:
-    """A helper: run unclaimed items from the back, one pickled result each.
+def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict, slots: tuple) -> None:
+    """A helper: run unclaimed items from the back, one pickled ``(result, log)`` each.
 
-    An item that raises ends the helper: the parent reruns it, so the error
-    reaches the caller as in a serial run.  ``terminate()`` unwinds like
+    ``log`` is what the item emitted to the obs ``slots`` the parent has
+    occupied.  An item that raises ends the helper and leaves no log: the
+    parent reruns it live, so the error reaches the caller as in a serial run
+    and nothing is emitted twice.  ``terminate()`` unwinds like
     Ctrl-C, so a sharded cell shuts its shards down and unlinks its segments.
     """
     global _in_parallel_item
@@ -74,12 +78,13 @@ def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict
             if not _claim(claims, index):
                 continue
             try:
-                result = fn(items[index])
+                with capture(slots) as log:
+                    result = fn(items[index])
             except Exception:  # noqa: BLE001 - the parent reruns it and raises it there
                 return
             path = os.path.join(claims, f"{index}.pkl")
             with open(f"{path}.tmp", "wb") as fh:
-                pickle.dump(result, fh)
+                pickle.dump((result, log), fh)
             os.replace(f"{path}.tmp", path)
     except KeyboardInterrupt:
         pass
@@ -87,7 +92,7 @@ def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict
 
 def _spawn_later(n_helpers: int, args: tuple, procs: list) -> threading.Timer:
     """In :data:`_HELPER_BOOT_S`, spawn up to ``n_helpers`` helpers for the items still unclaimed."""
-    _, items, claims, _ = args
+    items, claims = args[1:3]
 
     def spawn() -> None:
         n_spawn = min(n_helpers, len(items) - len(os.listdir(claims)))
@@ -119,18 +124,20 @@ def run_items(
 
     ``run_here(index)`` runs item ``index`` on this process; a helper runs
     ``fn(items[index])`` instead, so ``fn`` must be picklable (module level)
-    and the items JSON-like.  Every helper has exited or been terminated
-    when the iterator is exhausted or closed.
+    and the items JSON-like.  A helper's telemetry is replayed here just
+    before its result is yielded, so it lands where a serial run emits it.
+    Every helper has exited or been terminated when the iterator is
+    exhausted or closed.
     """
     global _in_parallel_item
     n_procs = min(n_procs, len(items))
-    if n_procs < 2 or telemetry_on() or _in_parallel_item:
+    if n_procs < 2 or _in_parallel_item:
         for index in range(len(items)):
             yield run_here(index)
         return
     claims = tempfile.mkdtemp(prefix="repro-items-")
     procs: list = []
-    timer = _spawn_later(n_procs - 1, (fn, list(items), claims, _registry_refs()), procs)
+    timer = _spawn_later(n_procs - 1, (fn, list(items), claims, _registry_refs(), occupied()), procs)
     _in_parallel_item = True
     try:
         first = 0
@@ -148,7 +155,9 @@ def run_items(
             path = os.path.join(claims, f"{index}.pkl")
             if os.path.exists(path):
                 with open(path, "rb") as fh:
-                    yield pickle.load(fh)
+                    result, log = pickle.load(fh)
+                replay(log)
+                yield result
             else:
                 yield run_here(index)
     finally:

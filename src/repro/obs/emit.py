@@ -11,10 +11,16 @@ registry's latency histogram and the profiler's row all receive that same
 duration.
 
 This module and the tracer's time origin are the only wall-clock reads under
-``src/`` besides the lineup's placement trigger (``experiments/harness.py``),
-which decides where a method runs, never what it computes: emission sites in
+``src/`` besides the scheduler's placement trigger (``experiments/parallel.py``),
+which decides where an item runs, never what it computes: emission sites in
 simulation paths never touch a clock themselves, and a run under a jittering
 fake clock saves the same bytes.
+
+An item the scheduler hands to a helper process runs under :func:`capture`,
+which fills exactly the slots the parent has occupied (:func:`occupied`) with
+a recorder, and the parent replays the log (:func:`replay`) into its own sinks
+where a serial run would have emitted it, so every consumer sees the serial
+call sequence and sums its floats in serial order.
 
 Zero overhead when disabled: with the switch off, :func:`span` returns one
 shared null context manager and the other helpers are one global read and a
@@ -24,11 +30,15 @@ return, so emission sites stay in per-step hot paths unconditionally.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from typing import Iterator
 
 from repro.obs.events import EVENTS, validate_event_name
 
-__all__ = ["Sink", "count", "gauge", "instant", "observe", "observe_many", "span", "telemetry_on"]
+__all__ = [
+    "Sink", "capture", "count", "gauge", "instant", "observe", "observe_many", "occupied",
+    "replay", "span",
+]
 
 _OFF = (None, None, None)
 
@@ -36,9 +46,9 @@ _OFF = (None, None, None)
 _active: "tuple | None" = None
 
 
-def telemetry_on() -> bool:
-    """Whether any sink (a tracer, a metrics registry, a profiler) is enabled."""
-    return _active is not None
+def occupied() -> tuple:
+    """Which slots hold a sink: ``(tracer, registry, profiler)`` as booleans."""
+    return tuple(sink is not None for sink in _active or _OFF)
 
 
 class Sink:
@@ -191,3 +201,87 @@ def observe_many(name: str, values) -> None:
         histogram = sinks[1].histogram(name)
         for value in values:
             histogram.observe(value)
+
+
+# -- capture in a helper, replay on the parent -------------------------------
+
+class _Metric:
+    """A registry metric in a recorder: every update is one log entry."""
+
+    __slots__ = ("_log", "_kind", "_name")
+
+    def __init__(self, log: list, kind: str, name: str):
+        self._log, self._kind, self._name = log, kind, name
+
+    def _update(self, value: float = 1.0) -> None:
+        self._log.append((self._kind, self._name, value))
+
+    inc = set = observe = _update
+
+
+class _Recorder:
+    """Stands in for every occupied slot and logs each consumer call, in order."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def record(self, *args) -> None:
+        self.log.append(("record", *args))
+
+    def push(self, op: str) -> None:
+        self.log.append(("push", op))
+
+    def pop(self, calls: int, seconds: float) -> None:
+        self.log.append(("pop", calls, seconds))
+
+    def counter(self, name: str) -> _Metric:
+        return _Metric(self.log, "counter", name)
+
+    def gauge(self, name: str) -> _Metric:
+        return _Metric(self.log, "gauge", name)
+
+    def histogram(self, name: str) -> _Metric:
+        return _Metric(self.log, "histogram", name)
+
+
+#: The update method of each registry metric kind, for :func:`replay`.
+_UPDATES = {"counter": "inc", "gauge": "set", "histogram": "observe"}
+
+
+@contextmanager
+def capture(slots: tuple) -> Iterator[list]:
+    """Record what this block emits to the slots marked in ``slots``; yields the log.
+
+    ``slots`` is a parent's :func:`occupied`: only those slots are filled, so
+    exactly the emissions the parent would hear are recorded — a gauge
+    callable is evaluated, and a profile row pushed, only where the parent's
+    slot is on.  Sinks enabled inside the block take their slot over as
+    usual.  Wall readings are raw ``perf_counter`` values, which are
+    ``CLOCK_MONOTONIC`` and so on the parent's timeline as they are.
+    """
+    global _active
+    log: list = []
+    recorder = _Recorder(log)
+    outer = _active
+    _active = tuple(recorder if on else None for on in slots) if any(slots) else None
+    try:
+        yield log
+    finally:
+        _active = outer
+
+
+def replay(log: list) -> None:
+    """Re-issue a :func:`capture` log, in order, to this process's sinks."""
+    tracer, registry, profiler = _active or _OFF
+    for call, *args in log:
+        if call == "record":
+            tracer.record(*args)
+        elif call == "push":
+            profiler.push(*args)
+        elif call == "pop":
+            profiler.pop(*args)
+        else:
+            name, value = args
+            getattr(getattr(registry, call)(name), _UPDATES[call])(value)

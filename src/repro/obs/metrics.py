@@ -19,7 +19,9 @@ byte-identity contract (see ``ResultStore.put_metrics``).
 
 The kernel-plan cache is owned by :mod:`repro.nn.layers`; its counters are
 bridged into every snapshot (``plan_cache_hits`` / ``plan_cache_misses``) so
-one snapshot answers "did the im2col plans actually get reused?".
+one snapshot answers "did the im2col plans actually get reused?".  They read
+the snapshotting process's cache only: the plans a lineup or sweep helper
+process built never reach the parent's gauges.
 """
 
 from __future__ import annotations

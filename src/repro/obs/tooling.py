@@ -10,8 +10,10 @@ Three consumers of the same ``trace.jsonl`` event records:
   two tracks: one positioned by the wall clock (what the process really
   did, ``shard_rpc`` stalls included) and one by the virtual clock (what
   the simulated cluster experienced) — scrolling between them is the
-  fastest way to see where the two diverge.  ``profile_op`` rows from the
-  bridged per-op profiler come along as counter-style args.
+  fastest way to see where the two diverge.  A span that a helper process
+  ran beside the parent's gets its own wall-track lane (``tid``).
+  ``profile_op`` rows from the bridged per-op profiler come along as
+  counter-style args.
 * :func:`diff_traces` — compares the deterministic projection of two traces
   (wall fields stripped, see :data:`~repro.obs.tracer.WALL_FIELDS`): first
   structural divergence, per-event-name count deltas, and a round-timeline
@@ -97,15 +99,68 @@ _WALL_PID = 1
 _VIRTUAL_PID = 2
 
 
+def _wall_lanes(events: list[dict]) -> dict[int, int]:
+    """The wall-track ``tid`` of every span with a wall start, by event index.
+
+    A tracer records a span when it closes, so a trace is a post-order walk
+    of the call tree: a span adopts the run of spans just before it that lie
+    inside it.  A helper's item, replayed into the parent's trace, can lie
+    inside an item beside it in wall time; it then also holds one of that
+    item's children, which no sibling of theirs can, and is left for the
+    enclosing span.  That rebuilds the serial-equivalent tree.  By start,
+    each span goes on its parent's lane while the parent is that lane's
+    innermost open span, else on the lowest lane with nothing open: a serial
+    trace is all lane 0, and no lane holds spans that overlap without nesting.
+    """
+    spans = [
+        (index, event["wall_start"], event["wall_start"] + (event.get("wall_dur") or 0.0))
+        for index, event in enumerate(events)
+        if event["kind"] == "span" and event.get("wall_start") is not None
+    ]
+    parent: dict[int, int] = {}
+    unadopted: list[tuple] = []
+    for index, start, end in spans:
+        children: list[tuple] = []
+        first_child = end
+        while unadopted and unadopted[-1][1] >= start and unadopted[-1][2] <= end:
+            child, child_start, child_end = unadopted[-1]
+            if child_end > first_child and any(
+                child_start <= k_start and k_end <= child_end for k_start, k_end in children
+            ):
+                break
+            unadopted.pop()
+            parent[child] = index
+            children.append((child_start, child_end))
+            first_child = min(first_child, child_start)
+        unadopted.append((index, start, end))
+    lanes: dict[int, int] = {}
+    open_spans: list[list] = [[]]  # per lane: the stack of open (index, end)
+    for index, start, end in sorted(spans, key=lambda span: (span[1], -span[2], -span[0])):
+        for stack in open_spans:
+            while stack and stack[-1][1] <= start:
+                stack.pop()
+        up = parent.get(index)
+        lane = lanes.get(up, 0)
+        if (open_spans[lane][-1][0] if open_spans[lane] else None) != up:
+            lane = next((k for k, stack in enumerate(open_spans) if not stack), len(open_spans))
+            if lane == len(open_spans):
+                open_spans.append([])
+        open_spans[lane].append((index, end))
+        lanes[index] = lane
+    return lanes
+
+
 def to_chrome_trace(events: list[dict]) -> dict:
     """Convert trace events to the Chrome trace-event JSON format.
 
     Span events become complete (``"ph": "X"``) events — on the wall-clock
     track always, and on the virtual-clock track additionally whenever they
-    carry virtual timestamps.  Instants become ``"ph": "i"``; ``profile_op``
-    rows (no timestamps of their own) are placed at time 0 on the wall track
-    with their aggregated stats in ``args``.  Timestamps are microseconds,
-    per the format.
+    carry virtual timestamps.  Wall-track spans of a serial trace share
+    ``tid`` 0; one that overlaps an open span without nesting in it (a
+    helper's item) moves to another lane (:func:`_wall_lanes`).  Instants
+    become ``"ph": "i"``; ``profile_op`` rows (no timestamps of their own)
+    are placed at time 0 on the wall track with their aggregated stats in
+    ``args``.  Timestamps are microseconds, per the format.
     """
     trace_events: list[dict] = [
         {"ph": "M", "pid": _WALL_PID, "tid": 0, "name": "process_name",
@@ -113,14 +168,15 @@ def to_chrome_trace(events: list[dict]) -> dict:
         {"ph": "M", "pid": _VIRTUAL_PID, "tid": 0, "name": "process_name",
          "args": {"name": "virtual clock"}},
     ]
-    for event in events:
+    lanes = _wall_lanes(events)
+    for index, event in enumerate(events):
         args = dict(event.get("fields", {}))
         args["seq"] = event.get("seq")
         name = event["name"]
         if event["kind"] == "span":
             if event.get("wall_start") is not None:
                 trace_events.append({
-                    "ph": "X", "pid": _WALL_PID, "tid": 0, "name": name,
+                    "ph": "X", "pid": _WALL_PID, "tid": lanes[index], "name": name,
                     "ts": 1e6 * event["wall_start"],
                     "dur": 1e6 * (event.get("wall_dur") or 0.0),
                     "args": args,

@@ -16,8 +16,10 @@ Determinism contract: apart from the two wall-time fields (``wall_start``,
 ``wall_dur``), every byte of a flushed trace is a pure function of the
 seeded run.  Event names come from the schema in :mod:`repro.obs.events`
 (checked at emit time, and at every call site by ``tests/test_obs.py``); virtual
-timestamps come from the virtual clock; ``seq`` is the in-process emission
-order; field values are run state (τ, round index, labels, content
+timestamps come from the virtual clock; ``seq`` is the serial-equivalent
+emission order (a helper process's emissions are replayed on the parent
+where a serial run makes them, and ``record`` numbers events as it appends
+them); field values are run state (τ, round index, labels, content
 addresses).  Two seeded runs therefore produce byte-identical
 ``trace.jsonl`` files modulo the wall fields — the property the
 ``python -m repro.obs diff`` triage tool and the test suite rely on.

@@ -98,8 +98,7 @@ def _execute_cell(
         # The config dict already carries the cell's run seed (the spec folds
         # derived seeds back in), so the address is the hash of what runs.
         config = ExperimentConfig.from_dict(payload["config"])
-        # The span records under the parent's tracer; helpers run only
-        # while no tracer is active, so it costs nothing there.
+        # On a helper the span is recorded and replayed on the parent.
         with span("sweep_cell", address=address, experiment=config.name):
             if payload.get("collect_metrics"):
                 with MetricsRegistry() as registry:
@@ -138,7 +137,8 @@ class SweepRunner:
     jobs:
         Busy processes, the parent included; ``1`` (default) runs every cell
         in-process.  See :func:`~repro.experiments.parallel.run_items` for
-        when helpers start and when everything stays on the parent.
+        when helpers start and when everything stays on the parent; a
+        helper's telemetry is replayed on the parent in cell order.
     progress:
         Optional callable receiving one line per cell event (the CLI passes
         ``print``); campaign progress also goes to the module logger.

@@ -12,8 +12,9 @@ Everything is plain JSON with sorted keys and **no timestamps**, so the same
 cell executed twice produces byte-identical files — the determinism contract
 the resume machinery and the test suite rely on.  ``result.json`` is written
 last and atomically (temp file + ``os.replace``), so a killed campaign never
-leaves a truncated result that would be mistaken for a completed cell: a
-cell is complete if and only if its ``result.json`` exists.
+leaves a truncated result behind; and a cell is complete if and only if its
+``result.json`` parses into a payload with a ``runs`` list, so one truncated
+or clobbered by anything else is rerun on resume, never served.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ def _dump_json(path: Path, payload: Any) -> None:
     os.replace(tmp, path)
 
 
+def _is_result(path: Path) -> bool:
+    """Whether ``path`` holds a whole result: JSON with a ``runs`` list."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return False
+    return isinstance(payload, dict) and isinstance(payload.get("runs"), list)
+
+
 def _load_json(path: Path) -> Any:
     """Read a store file, mapping sentinel strings back to their floats.
 
@@ -147,18 +157,22 @@ class ResultStore:
     # -- queries ----------------------------------------------------------
 
     def __contains__(self, address: str) -> bool:
-        """A cell counts as stored only once its result file exists."""
-        return self._result_path(address).is_file()
+        """A cell counts as stored only once its result file holds a whole result."""
+        return _is_result(self._result_path(address))
 
     def __len__(self) -> int:
         return len(self.addresses())
 
-    def addresses(self) -> list[str]:
-        """Sorted content addresses of every *completed* cell."""
+    def _written(self) -> list[str]:
+        """Sorted addresses of every cell with a result file, whole or not."""
         cells = self.root / "cells"
         if not cells.is_dir():
             return []
         return sorted(d.name for d in cells.iterdir() if (d / _RESULT_FILE).is_file())
+
+    def addresses(self) -> list[str]:
+        """Sorted content addresses of every *completed* cell."""
+        return [address for address in self._written() if address in self]
 
     def meta(self, address: str) -> dict[str, Any]:
         """The ``cell.json`` payload of a stored cell."""
@@ -303,7 +317,9 @@ class ResultStore:
         src = src if isinstance(src, ResultStore) else ResultStore(src)
         report = MergeReport()
         cells_to_copy: list[tuple[str, str, str]] = []
-        for address in src.addresses():
+        # Every source result file, whole or not: a damaged one where the
+        # destination holds the cell whole is a conflict, not a silent skip.
+        for address in src._written():
             src_meta = src._meta_path(address).read_text()
             src_result = src._result_path(address).read_text()
             if address in self:
@@ -331,7 +347,7 @@ class ResultStore:
             return report
         for address, src_meta, src_result in cells_to_copy:
             # Byte-preserving copy, result last and atomic (same contract as
-            # put(): a cell is complete iff its result file exists).
+            # put(): a cell is complete iff its result file is whole).
             cell_dir = self.cell_dir(address)
             cell_dir.mkdir(parents=True, exist_ok=True)
             (cell_dir / _CELL_FILE).write_text(src_meta)

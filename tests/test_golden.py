@@ -11,7 +11,9 @@ unnoticed.  Intentional changes regenerate with
 The two ``trace_*.jsonl`` fixtures pin the other output of a run: the
 deterministic projection of its telemetry (trace events without wall fields,
 profile rows, metrics), so a change to ``repro.obs`` or to an emission site
-is diffed against the committed bytes instead of by hand.
+is diffed against the committed bytes instead of by hand.  They hold with a
+helper process running part of the lineup too: its emissions are replayed on
+the parent in lineup order.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 
 import pytest
 
+from tests.conftest import Placement
 from tests.regen_golden import (
     GOLDEN_DIR,
     golden_configs,
@@ -92,9 +95,7 @@ def test_trajectory_matches_committed_bytes(name, backend):
         )
 
 
-@pytest.mark.parametrize("name", sorted(TRACE_CONFIGS))
-def test_telemetry_matches_committed_projection(name):
-    """What an instrumented run emits — events, profile rows, metrics — is pinned too."""
+def _assert_projection(name: str) -> None:
     expected = (GOLDEN_DIR / f"{name}.jsonl").read_text().splitlines()
     actual = render_trace_projection(TRACE_CONFIGS[name]).splitlines()
     if actual != expected:
@@ -107,6 +108,15 @@ def test_telemetry_matches_committed_projection(name):
             f"({len(expected)} lines committed, {len(actual)} now):\n"
             + "\n".join(line[:240] for line in list(diff)[:30])
         )
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CONFIGS))
+def test_telemetry_matches_committed_projection(name, monkeypatch):
+    """What an instrumented run emits — events, profile rows, metrics — is pinned too."""
+    _assert_projection(name)
+    placement = Placement(monkeypatch)  # a helper runs the lineup's last method
+    _assert_projection(name)
+    assert placement.helper_claimed
 
 
 def test_regeneration_is_deterministic():

@@ -7,7 +7,9 @@ with a lineup's methods as items, ``SweepRunner`` with a campaign's cells.
 Every item is a pure function of its payload, so the saved bytes must equal
 the serial run's whoever ran which item.  :class:`Placement` forces the
 placement: a helper starts after the first method, and the parent holds its
-second method until the helper has claimed the last item.
+second method until the helper has claimed the last item.  Telemetry is no
+serial rule: a helper records its item's emissions and the parent replays
+them in item order, so a trace is the serial trace too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import multiprocessing
 import os
 import random
-import re
 import signal
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from repro.experiments import harness, parallel
 from repro.experiments.cli import main
 from repro.experiments.configs import make_config
 from repro.experiments.harness import MethodSpec, run_experiment
-from repro.obs import MetricsRegistry, Profiler, Tracer
+from repro.obs import Tracer, strip_wall_fields
 from repro.sweep import SweepSpec, grid, run_sweep, runner
 from tests.conftest import Placement
 
@@ -86,11 +87,23 @@ def test_a_helper_run_saves_the_serial_bytes(lineup, backend, monkeypatch, tmp_p
     assert (tmp_path / "helper.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
+def _traced(fn, *args):
+    """``fn(*args)`` under a tracer: its result (or the error it raised) and the stripped trace."""
+    with Tracer() as tracer:
+        try:
+            result = fn(*args)
+        except Exception as err:  # noqa: BLE001 - compared by the caller
+            result = err
+    return result, strip_wall_fields(tracer.events)
+
+
 def test_a_killed_helper_costs_time_not_bytes(monkeypatch, leaks):
+    # The killed helper left no log, so its method is traced once: live, on the parent.
     config = _smoke()
-    serial = _json(_serially(run_experiment, config))
+    serial, serial_trace = _traced(_serially, run_experiment, config)
     placement = Placement(monkeypatch, kill=True)
-    assert _json(run_experiment(config)) == serial
+    store, trace = _traced(run_experiment, config)
+    assert _json(store) == _json(serial) and trace == serial_trace
     (helpers,) = placement.helpers
     assert placement.helper_claimed
     assert [proc.exitcode for proc in helpers.procs] == [-signal.SIGKILL]
@@ -105,11 +118,13 @@ def test_a_method_raising_in_a_helper_raises_in_the_caller(monkeypatch):
         methods=("pasgd-tau8", "pasgd-tau4", "sync-sgd"), variable_lr=True,
         lr_decay_gamma=1e-200, lr_decay_milestones=(0.1, 0.2),
     )
-    with pytest.raises(ValueError) as serial:
-        _serially(run_experiment, config)
+    serial, serial_trace = _traced(_serially, run_experiment, config)
+    assert isinstance(serial, ValueError)
     placement = Placement(monkeypatch)
-    with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
-        run_experiment(config)
+    error, trace = _traced(run_experiment, config)
+    assert type(error) is type(serial) and str(error) == str(serial)
+    # The raising helper left no log: sync-sgd is traced once, live on the parent.
+    assert trace == serial_trace
     assert placement.helper_claimed  # the helper took sync-sgd, raised, and left it
     assert placement.parent_ran == ["pasgd-tau8", "pasgd-tau4", "sync-sgd"]
 
@@ -117,9 +132,6 @@ def test_a_method_raising_in_a_helper_raises_in_the_caller(monkeypatch):
 #: Each serial rule: (config, methods, a context to run in).
 SERIAL_RULES = {
     "one method": lambda: (_smoke(methods=("sync-sgd",)), None, nullcontext()),
-    "tracer on": lambda: (_smoke(), None, Tracer()),
-    "metrics on": lambda: (_smoke(), None, MetricsRegistry()),
-    "profiler on": lambda: (_smoke(), None, Profiler()),
     "sharded": lambda: (_smoke(backend="sharded"), None, nullcontext()),
     "auto at the shard threshold": lambda: (_smoke(auto_shard_threshold=2), None, nullcontext()),
     "a hand-built MethodSpec": lambda: (

@@ -567,6 +567,48 @@ class TestTooling:
         assert profile["args"]["total_seconds"] == 0.25
         json.dumps(document)  # must be valid JSON end to end
 
+    def test_chrome_export_puts_overlapping_spans_on_separate_tids(self):
+        # Method b ran on a helper and was replayed after method a: the two
+        # overlap in wall time, and b's round lies inside a's wall interval.
+        def record(seq, name, wall_start, wall_dur, **fields):
+            return {"name": name, "kind": "span", "seq": seq, "v_start": None, "v_dur": None,
+                    "wall_start": wall_start, "wall_dur": wall_dur, "fields": fields}
+
+        events = [
+            record(0, "round", 0.1, 0.1, method="a"),
+            record(1, "method", 0.0, 1.0, method="a"),
+            record(2, "round", 0.6, 0.1, method="b"),
+            record(3, "method", 0.5, 1.0, method="b"),
+            record(4, "experiment", 0.0, 2.0),
+        ]
+        tids = {
+            (e["name"], e["args"].get("method")): e["tid"]
+            for e in to_chrome_trace(events)["traceEvents"] if e["ph"] == "X"
+        }
+        assert tids == {
+            ("round", "a"): 0, ("method", "a"): 0, ("experiment", None): 0,
+            ("round", "b"): 1, ("method", "b"): 1,
+        }
+        # A serial trace nests properly: everything stays on tid 0.
+        # Method a inside method b's wall interval, holding one of b's rounds.
+        inside = [
+            record(0, "round", 0.65, 0.05, method="a"),
+            record(1, "method", 0.6, 0.3, method="a"),
+            record(2, "round", 0.55, 0.07, method="b"),
+            record(3, "round", 0.75, 0.05, method="b"),
+            record(4, "method", 0.5, 1.0, method="b"),
+            record(5, "experiment", 0.0, 2.0),
+        ]
+        assert {
+            (e["name"], e["args"].get("method"), e["tid"])
+            for e in to_chrome_trace(inside)["traceEvents"] if e["ph"] == "X"
+        } == {
+            ("round", "a", 1), ("method", "a", 1), ("experiment", None, 0),
+            ("round", "b", 0), ("method", "b", 0),
+        }
+        events[1]["wall_dur"] = 0.4  # method a ends before method b starts
+        assert {e["tid"] for e in to_chrome_trace(events)["traceEvents"]} == {0}
+
     def test_diff_identical_modulo_wall(self):
         a = _synthetic_events()
         b = [dict(e, wall_start=9.9, wall_dur=9.9) for e in _synthetic_events()]
@@ -708,11 +750,11 @@ class TestPersistence:
             return strip_wall_fields(tracer.events), report.executed
 
         serial, serial_order = traced(tmp_path / "serial", 1)
-        # Where a helper would take the last cell, a tracer keeps every cell
-        # on the parent: a --jobs 2 trace is the --jobs 1 trace.
+        # A helper takes the last cell; the parent replays its events just
+        # before that cell's outcome: a --jobs 2 trace is the --jobs 1 trace.
         placement = Placement(monkeypatch)
         parallel, parallel_order = traced(tmp_path / "parallel", 2)
-        assert placement.helpers == [] and parallel_order == serial_order
+        assert placement.helper_claimed and parallel_order == serial_order
         assert parallel == serial
         instants = [e for e in serial if e["kind"] == "instant"]
         assert {e["name"] for e in instants} == {"sweep_cell"}

@@ -274,6 +274,18 @@ class TestRunnerDeterminismAndResume:
         after = (report.store.cell_dir(victim) / "result.json").read_bytes()
         assert after == before  # the re-executed cell reproduces its bytes
 
+    def test_truncated_result_resumes_to_a_clean_runs_bytes(self, tmp_path):
+        clean = run_sweep(tiny_spec(), tmp_path / "clean")
+        report = run_sweep(tiny_spec(), tmp_path / "damaged")
+        victim = report.executed[1]
+        result = report.store.cell_dir(victim) / "result.json"
+        result.write_bytes(result.read_bytes()[:100])
+        assert victim not in report.store and victim not in report.store.addresses()
+
+        resumed = run_sweep(tiny_spec(), tmp_path / "damaged")
+        assert resumed.executed == [victim] and len(resumed.cached) == 3
+        assert _store_files(tmp_path / "damaged") == _store_files(clean.store.root)
+
     def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
         spec = tiny_spec()
         serial = run_sweep(spec, tmp_path / "serial")
