@@ -8,13 +8,12 @@ memory (or one core's arithmetic throughput) split across the machine while
 every byte of the trajectory stays identical to the single-process bank —
 and hence to the loop's m banks of one.
 
-Spawn safety follows the sweep runner's pattern: the child entry point is a
-module-level function, every import it needs happens lazily inside the child
-(registries repopulate in-process), and the per-shard payload it is sent is
-pure *state* — the template module, the shard datasets, and the per-worker
-generators, all picklable under the ``spawn`` start method (the default, and
-the only one available everywhere).  Nothing in the payload is a closure:
-``model_fn`` never crosses the process boundary.  The parent consumes
+Spawn safety: the child entry point is a module-level function, every
+import it needs happens lazily inside the child (registries repopulate
+in-process), and the per-shard payload it is sent is pure *state* — the
+template module, the shard datasets, and the per-worker generators, all
+picklable under the ``spawn`` start method.  Nothing in the payload is a
+closure: ``model_fn`` never crosses the process boundary.  The parent consumes
 ``model_fn`` and the worker RNG streams exactly as the vectorized backend
 would (one template plus m-1 stream-harvest replicas when stochastic modules
 exist), then ships each shard its slice of datasets, loader generators, and
@@ -63,10 +62,11 @@ that can only be closed.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import multiprocessing
 import os
 import pickle
-import threading
 import traceback
 import weakref
 from contextlib import contextmanager
@@ -93,9 +93,6 @@ __all__ = ["ShardedBank", "shard_slices", "usable_cores"]
 
 #: What sizes a BLAS thread pool when NumPy loads; see :func:`_blas_cap`.
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-#: Serializes :func:`_blas_cap`: helpers start from a timer thread while the
-#: main thread may be starting shards.
-_BLAS_ENV_LOCK = threading.Lock()
 
 
 def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
@@ -138,14 +135,33 @@ def _blas_cap(n_procs: int) -> Iterator[None]:
     loaded) pool is untouched.
     """
     cap = str(max(1, usable_cores() // n_procs))
-    with _BLAS_ENV_LOCK:
-        ours = [name for name in _BLAS_ENV if name not in os.environ]
-        os.environ.update(dict.fromkeys(ours, cap))
-        try:
-            yield
-        finally:
-            for name in ours:
-                del os.environ[name]
+    ours = [name for name in _BLAS_ENV if name not in os.environ]
+    os.environ.update(dict.fromkeys(ours, cap))
+    try:
+        yield
+    finally:
+        for name in ours:
+            del os.environ[name]
+
+
+def _set_blas_threads(n_threads: int) -> "int | None":
+    """Resize this process's loaded BLAS pool to ``n_threads``; the previous size, or ``None``.
+
+    The run-time counterpart of :func:`_blas_cap`, for a process whose BLAS
+    is loaded already (a forked helper, the parent beside it): ctypes on
+    NumPy's bundled scipy-openblas.  Where there is none, or the user
+    exported one of :data:`_BLAS_ENV`, it does nothing and returns ``None``.
+    """
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    if len(libs) != 1 or any(name in os.environ for name in _BLAS_ENV):
+        return None
+    lib = ctypes.CDLL(libs[0])
+    get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    previous = get_threads()
+    set_threads(n_threads)
+    return previous
 
 
 class _ShardServer:

@@ -1,13 +1,13 @@
-"""One process-parallel mechanism: a list of items on the parent plus late-started helpers.
+"""One process-parallel mechanism: a list of items on the parent plus forked helpers.
 
 ``run_experiment`` runs a lineup's methods through :func:`run_items`, and
 ``SweepRunner`` a campaign's cells.  The parent runs items from the front,
-in-process; if an item is still unclaimed :data:`_HELPER_BOOT_S` later, up to
-``n_procs - 1`` spawned helpers take items from the back.  Each item is a
-pure function of its JSON payload and results come back in item order, so
-where an item ran never shows in the output bytes.  Nor in the telemetry: a
-helper records what an item emits to the ``repro.obs`` sinks the parent has
-on, and the parent replays that log just before it yields the result.
+in-process; up to ``n_procs - 1`` helpers, forked before the parent's first
+item, wait :data:`_HELPER_DELAY_S` and then take items from the back.  Each
+item is a pure function of its payload and results come back in item order,
+so where an item ran never shows in the output bytes.  Nor in the telemetry:
+a helper records what an item emits to the ``repro.obs`` sinks the parent
+has on, and the parent replays that log just before it yields the result.
 ``docs/backends.md`` ("One scheduler") has every rule and what it costs.
 """
 
@@ -18,36 +18,25 @@ import os
 import pickle
 import shutil
 import signal
-import sys
 import tempfile
-import threading
-import types
+import time
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.api.registries import all_registries
-from repro.distributed.sharded_bank import _blas_cap
-from repro.obs.emit import capture, occupied, replay
+from repro.distributed.sharded_bank import _set_blas_threads, usable_cores
+from repro.obs.emit import capture, replay
 
 __all__ = ["run_items"]
 
-#: Wall seconds from ``Process.start()`` until a lineup helper can claim its
-#: first method: spawn, import NumPy and ``repro``, rebuild the config and the
-#: split.  Ten fresh starts on a 2-vCPU VM, BLAS pinned: 0.25-0.36 s, median
-#: 0.29.  Helpers start once the parent has itself run this long.
-_HELPER_BOOT_S = 0.29
+#: Wall seconds a forked helper waits before its first claim, so a list the
+#: parent finishes first never sees one.  A fork is running 1.7-2.3 ms after
+#: ``start()`` (median of 15, 2-vCPU VM), and an idle helper costs ≈ 4 ms to
+#: fork, terminate and join; the 3-method lineup of the benchmark's quick
+#: suite runs 18 ms traced, so 0.1 s leaves it a 5× margin on the parent.
+_HELPER_DELAY_S = 0.1
 
 #: True while this process takes part in a scheduler spread over more than
 #: one process: always in a helper, and on the parent while the scheduler runs.
 _in_parallel_item = False
-
-
-def _registry_refs() -> dict:
-    """``module:qualname`` of every registered component, keyed ``kind:name``."""
-    return {
-        f"{kind}:{name}": f"{getattr(entry, '__module__', None)}:{getattr(entry, '__qualname__', repr(entry))}"
-        for kind, registry in all_registries().items() if kind != "sweeps"
-        for name, entry in ((name, registry.get(name)) for name in registry.names())
-    }
 
 
 def _claim(claims: str, index: int) -> bool:
@@ -59,11 +48,11 @@ def _claim(claims: str, index: int) -> bool:
     return True
 
 
-def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict, slots: tuple) -> None:
+def _helper(fn: Callable[[Any], Any], items: list, claims: str, blas_threads: int) -> None:
     """A helper: run unclaimed items from the back, one pickled ``(result, log)`` each.
 
-    ``log`` is what the item emitted to the obs ``slots`` the parent has
-    occupied.  An item that raises ends the helper and leaves no log: the
+    ``log`` is what the item emitted to the obs sinks inherited from the
+    parent.  An item that raises ends the helper and leaves no log: the
     parent reruns it live, so the error reaches the caller as in a serial run
     and nothing is emitted twice.  ``terminate()`` unwinds like
     Ctrl-C, so a sharded cell shuts its shards down and unlinks its segments.
@@ -71,14 +60,14 @@ def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict
     global _in_parallel_item
     _in_parallel_item = True
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    if _registry_refs() != registries:
-        return
+    _set_blas_threads(blas_threads)
     try:
+        time.sleep(_HELPER_DELAY_S)
         for index in reversed(range(len(items))):
             if not _claim(claims, index):
                 continue
             try:
-                with capture(slots) as log:
+                with capture() as log:
                     result = fn(items[index])
             except Exception:  # noqa: BLE001 - the parent reruns it and raises it there
                 return
@@ -90,31 +79,17 @@ def _helper(fn: Callable[[Any], Any], items: list, claims: str, registries: dict
         pass
 
 
-def _spawn_later(n_helpers: int, args: tuple, procs: list) -> threading.Timer:
-    """In :data:`_HELPER_BOOT_S`, spawn up to ``n_helpers`` helpers for the items still unclaimed."""
-    items, claims = args[1:3]
-
-    def spawn() -> None:
-        n_spawn = min(n_helpers, len(items) - len(os.listdir(claims)))
-        # spawn re-imports a parent ``__main__`` that has a file or a module
-        # spec; a stand-in with neither keeps an unguarded script (or a
-        # notebook cell) from running its top level again in every helper.
-        main = sys.modules["__main__"]
-        sys.modules["__main__"] = types.ModuleType("__main__")
+def _fork_helpers(n_helpers: int, args: tuple) -> list:
+    """Fork up to ``n_helpers`` processes running ``_helper(*args)``; fewer if none can be spared."""
+    procs: list = []
+    for _ in range(n_helpers):
+        proc = multiprocessing.get_context("fork").Process(target=_helper, args=args)
         try:
-            with _blas_cap(n_spawn + 1):
-                for _ in range(n_spawn):
-                    proc = multiprocessing.get_context("spawn").Process(target=_helper, args=args)
-                    proc.start()
-                    procs.append(proc)
+            proc.start()
         except OSError:  # no process to spare: the parent runs what is left
-            pass
-        finally:
-            sys.modules["__main__"] = main
-
-    timer = threading.Timer(_HELPER_BOOT_S, spawn)
-    timer.start()
-    return timer
+            break
+        procs.append(proc)
+    return procs
 
 
 def run_items(
@@ -122,33 +97,37 @@ def run_items(
 ) -> Iterator[Any]:
     """Yield the result of every item, in item order, from up to ``n_procs`` processes.
 
-    ``run_here(index)`` runs item ``index`` on this process; a helper runs
-    ``fn(items[index])`` instead, so ``fn`` must be picklable (module level)
-    and the items JSON-like.  A helper's telemetry is replayed here just
-    before its result is yielded, so it lands where a serial run emits it.
-    Every helper has exited or been terminated when the iterator is
-    exhausted or closed.
+    ``run_here(index)`` runs item ``index`` on this process; a helper, a
+    fork of this process, runs ``fn(items[index])`` instead and pickles the
+    result.  A helper's telemetry is replayed here just before its result is
+    yielded, so it lands where a serial run emits it.  While helpers may run,
+    this process's BLAS pool shrinks to its share of the cores, as theirs
+    does.  Every helper has exited or been terminated, and the BLAS pool is
+    restored, when the iterator is exhausted or closed.  Where the platform
+    cannot fork, every item runs here.
     """
     global _in_parallel_item
     n_procs = min(n_procs, len(items))
-    if n_procs < 2 or _in_parallel_item:
+    if n_procs < 2 or _in_parallel_item or "fork" not in multiprocessing.get_all_start_methods():
         for index in range(len(items)):
             yield run_here(index)
         return
     claims = tempfile.mkdtemp(prefix="repro-items-")
-    procs: list = []
-    timer = _spawn_later(n_procs - 1, (fn, list(items), claims, _registry_refs(), occupied()), procs)
+    _claim(claims, 0)
+    share = max(1, usable_cores() // n_procs)
+    blas_threads = _set_blas_threads(share)
     _in_parallel_item = True
+    procs: list = []
     try:
-        first = 0
-        while first < len(items) and _claim(claims, first):
+        procs = _fork_helpers(n_procs - 1, (fn, list(items), claims, share))
+        first = 0  # claimed before the fork, so no helper can take it
+        while first < len(items) and (first == 0 or _claim(claims, first)):
             yield run_here(first)
             first += 1
         if first == len(items):
             return
         # The helpers hold the rest; what none of them finished (it died, or
         # its item raised) runs here.
-        timer.join()
         for proc in procs:
             proc.join()
         for index in range(first, len(items)):
@@ -162,10 +141,10 @@ def run_items(
                 yield run_here(index)
     finally:
         _in_parallel_item = False
-        timer.cancel()
-        timer.join()
         for proc in procs:
             proc.terminate()
         for proc in procs:
             proc.join()
+        if blas_threads is not None:
+            _set_blas_threads(blas_threads)
         shutil.rmtree(claims, ignore_errors=True)

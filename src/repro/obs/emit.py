@@ -11,16 +11,16 @@ registry's latency histogram and the profiler's row all receive that same
 duration.
 
 This module and the tracer's time origin are the only wall-clock reads under
-``src/`` besides the scheduler's placement trigger (``experiments/parallel.py``),
+``src/`` besides the scheduler's helper delay (``experiments/parallel.py``),
 which decides where an item runs, never what it computes: emission sites in
 simulation paths never touch a clock themselves, and a run under a jittering
 fake clock saves the same bytes.
 
-An item the scheduler hands to a helper process runs under :func:`capture`,
-which fills exactly the slots the parent has occupied (:func:`occupied`) with
-a recorder, and the parent replays the log (:func:`replay`) into its own sinks
-where a serial run would have emitted it, so every consumer sees the serial
-call sequence and sums its floats in serial order.
+An item the scheduler hands to a helper process (a fork, so it has the
+parent's sinks) runs under :func:`capture`, which fills exactly the occupied
+slots with a recorder, and the parent replays the log (:func:`replay`) into
+its own sinks where a serial run would have emitted it, so every consumer
+sees the serial call sequence and sums its floats in serial order.
 
 Zero overhead when disabled: with the switch off, :func:`span` returns one
 shared null context manager and the other helpers are one global read and a
@@ -36,19 +36,13 @@ from typing import Iterator
 from repro.obs.events import EVENTS, validate_event_name
 
 __all__ = [
-    "Sink", "capture", "count", "gauge", "instant", "observe", "observe_many", "occupied",
-    "replay", "span",
+    "Sink", "capture", "count", "gauge", "instant", "observe", "observe_many", "replay", "span",
 ]
 
 _OFF = (None, None, None)
 
 #: The process-wide switch: ``None``, or ``(tracer, registry, profiler)``.
 _active: "tuple | None" = None
-
-
-def occupied() -> tuple:
-    """Which slots hold a sink: ``(tracer, registry, profiler)`` as booleans."""
-    return tuple(sink is not None for sink in _active or _OFF)
 
 
 class Sink:
@@ -251,21 +245,20 @@ _UPDATES = {"counter": "inc", "gauge": "set", "histogram": "observe"}
 
 
 @contextmanager
-def capture(slots: tuple) -> Iterator[list]:
-    """Record what this block emits to the slots marked in ``slots``; yields the log.
+def capture() -> Iterator[list]:
+    """Record what this block emits to the occupied sink slots; yields the log.
 
-    ``slots`` is a parent's :func:`occupied`: only those slots are filled, so
-    exactly the emissions the parent would hear are recorded — a gauge
-    callable is evaluated, and a profile row pushed, only where the parent's
-    slot is on.  Sinks enabled inside the block take their slot over as
-    usual.  Wall readings are raw ``perf_counter`` values, which are
+    Only the slots holding a sink are filled, so exactly the emissions those
+    sinks would hear are recorded — a gauge callable is evaluated, and a
+    profile row pushed, only where its slot is on.  Sinks enabled inside the
+    block take their slot over as usual.  Wall readings are raw ``perf_counter`` values, which are
     ``CLOCK_MONOTONIC`` and so on the parent's timeline as they are.
     """
     global _active
     log: list = []
     recorder = _Recorder(log)
     outer = _active
-    _active = tuple(recorder if on else None for on in slots) if any(slots) else None
+    _active = None if outer is None else tuple(recorder if sink is not None else None for sink in outer)
     try:
         yield log
     finally:

@@ -21,8 +21,9 @@ campaigns populate:
   untouched.
 * ``gc <store>`` — prune cell directories that no campaign manifest under
   ``sweeps/*.json`` references (orphans left behind by config-schema
-  changes or edited campaign specs).  ``--dry-run`` lists what would be
-  removed without touching the store.
+  changes or edited campaign specs), and the ``*.tmp`` files a writer
+  killed mid-write leaves under ``cells/`` and ``sweeps/``.  ``--dry-run``
+  lists what would be removed without touching the store.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gc = sub.add_parser(
         "gc",
-        help="prune cells not referenced by any campaign manifest under sweeps/*.json",
+        help="prune cells not referenced by any campaign manifest under sweeps/*.json, and orphaned *.tmp files",
     )
     gc.add_argument("store", help="store directory to collect")
     gc.add_argument("--dry-run", action="store_true",
@@ -123,12 +124,13 @@ def _run_merge(args: argparse.Namespace) -> int:
 
 def _run_gc(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
-    orphans = store.gc(dry_run=args.dry_run)
+    pruned = store.gc(dry_run=args.dry_run)
     verb = "would remove" if args.dry_run else "removed"
-    for address in orphans:
-        print(f"[gc] {verb} {address}")
-    print(f"[gc] {store.root}: {len(orphans)} orphan cell(s) {verb}, "
-          f"{len(store.referenced_addresses())} referenced")
+    for entry in pruned:
+        print(f"[gc] {verb} {entry}")
+    n_temps = sum(entry.endswith(".tmp") for entry in pruned)
+    print(f"[gc] {store.root}: {len(pruned) - n_temps} orphan cell(s) {verb}, "
+          f"{n_temps} temp file(s) {verb}, {len(store.referenced_addresses())} referenced")
     return 0
 
 

@@ -4,12 +4,11 @@
 into content-addressed cells, skips every cell already present in the
 :class:`~repro.sweep.store.ResultStore`, and executes the rest through
 :func:`~repro.experiments.parallel.run_items`: the parent runs cells from
-the front and, with ``jobs > 1``, late-started helper processes take them
-from the back.  Helpers get only JSON payloads (the cell's config dict,
-which carries its run seed) and re-resolve every component name against
-their own registries.  The parent is the only writer to the store; because
-cells are pure functions of their config, where a cell ran cannot change
-any stored byte.
+the front and, with ``jobs > 1``, helper processes forked from it take them
+from the back.  A cell runs from its JSON payload alone (the cell's config
+dict, which carries its run seed).  The parent is the only writer to the
+store; because cells are pure functions of their config, where a cell ran
+cannot change any stored byte.
 
 A killed or partially-completed campaign resumes for free: re-running the
 same spec executes only the cells whose result files are missing.

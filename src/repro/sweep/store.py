@@ -376,26 +376,33 @@ class ResultStore:
         return refs
 
     def gc(self, dry_run: bool = False) -> list[str]:
-        """Prune cell directories no campaign manifest references.
+        """Prune cell directories no campaign manifest references, and orphaned temp files.
 
         Orphans appear when a config-schema change shifts content addresses
         or a campaign spec is edited; incomplete cells (no result file) are
         pruned by the same rule.  Interrupted campaigns are safe: the runner
         records the manifest *before* executing any cell, so their completed
-        cells stay referenced.  Returns the sorted orphan addresses —
-        removed, or merely listed when ``dry_run`` is set.
+        cells stay referenced.  A writer killed between its write and its
+        rename (:func:`_dump_json`) leaves a ``*.tmp`` that nothing reads;
+        gc deletes those under ``cells/`` and ``sweeps/`` too, so run it
+        while no campaign writes to the store.  Returns the sorted orphan
+        addresses, then the sorted store-relative ``*.tmp`` paths — removed,
+        or merely listed when ``dry_run`` is set.
         """
         cells_dir = self.root / "cells"
-        if not cells_dir.is_dir():
-            return []
         referenced = self.referenced_addresses()
         orphans = sorted(
             d.name for d in cells_dir.iterdir() if d.is_dir() and d.name not in referenced
+        ) if cells_dir.is_dir() else []
+        temps = sorted(
+            str(path.relative_to(self.root)) for top in ("cells", "sweeps") for path in (self.root / top).rglob("*.tmp")
         )
         if not dry_run:
+            for path in temps:
+                (self.root / path).unlink()
             for address in orphans:
                 shutil.rmtree(cells_dir / address)
-        return orphans
+        return orphans + temps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultStore(root={str(self.root)!r}, cells={len(self)})"

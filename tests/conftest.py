@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import pkgutil
 import signal
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -134,12 +135,18 @@ def leaks():
 class Placement:
     """Force a helper on, and make it take the last item of a scheduler's list.
 
-    The boot constant is 0 and a lineup sees two usable cores, so one helper
-    starts with the parent's first item.  Before its second ``run_method``
-    the parent waits (:meth:`await_claim`, 60 s at most) until the helper has
-    claimed an item or exited; with ``kill`` it then SIGKILLs the helper.
-    ``helpers`` has one entry per late start (claims ``dir``, ``procs``,
-    ``timer``); ``parent_ran`` lists the method labels the parent ran.
+    The helper delay is 0 and a lineup sees two usable cores, so the helper
+    forked before the parent's first item claims the last item at once.
+    Before its next ``run_method`` the parent waits (:meth:`await_claim`,
+    60 s at most) until the helper has claimed the last item or exited; with
+    ``kill`` it then SIGKILLs the helper.  The helper holds that item's
+    result until the wait is over, so it can neither outrun the parent nor
+    finish before the kill.  It expects lists of three items or more: with
+    two, the last item is the parent's second.  ``helpers`` has one entry per
+    fork (claims ``dir``, ``procs``, the ``threads`` alive at the fork);
+    ``parent_ran`` lists the method labels the parent ran.  Only the
+    parent's pid records or waits: a forked helper inherits these patches
+    and runs straight through them.
     """
 
     def __init__(self, monkeypatch, kill: bool = False):
@@ -147,39 +154,54 @@ class Placement:
         self.parent_ran: list = []
         self.helper_claimed = False
         self.kill = kill
-        spawn_later, run_method = parallel._spawn_later, harness.run_method
+        pid = os.getpid()
+        fork_helpers, run_method = parallel._fork_helpers, harness.run_method
 
-        def recorded_spawn_later(n_helpers, args, procs):
-            timer = spawn_later(n_helpers, args, procs)
-            self.helpers.append(SimpleNamespace(dir=args[2], procs=procs, timer=timer))
-            return timer
+        def recorded_fork_helpers(n_helpers, args):
+            fn, items, claims, *rest = args
+            threads = threading.active_count()
+            procs = fork_helpers(n_helpers, (functools.partial(_held, fn, claims), items, claims, *rest))
+            self.helpers.append(SimpleNamespace(
+                dir=claims, last=str(len(items) - 1), procs=procs, threads=threads, ran_before=len(self.parent_ran),
+            ))
+            return procs
 
         def parent_run_method(config, method, *args, **kwargs):
-            if len(self.parent_ran) == 1 and self.helpers:
-                self.await_claim()
-            self.parent_ran.append(method.label)
+            if os.getpid() == pid:
+                if self.helpers and len(self.parent_ran) == self.helpers[-1].ran_before + 1:
+                    self.await_claim()
+                self.parent_ran.append(method.label)
             return run_method(config, method, *args, **kwargs)
 
-        monkeypatch.setattr(parallel, "_HELPER_BOOT_S", 0.0)
-        monkeypatch.setattr(parallel, "_spawn_later", recorded_spawn_later)
+        monkeypatch.setattr(parallel, "_HELPER_DELAY_S", 0.0)
+        monkeypatch.setattr(parallel, "_fork_helpers", recorded_fork_helpers)
         monkeypatch.setattr(harness, "usable_cores", lambda: 2)
         monkeypatch.setattr(harness, "run_method", parent_run_method)
 
     def await_claim(self) -> None:
-        # Claims 0 and 1 are the parent's; a third file is the helper's.
-        helpers = self.helpers[0]
-        helpers.timer.join(timeout=60.0)  # the spawn itself
+        helpers = self.helpers[-1]
+        claimed = os.path.join(helpers.dir, helpers.last)
         deadline = time.monotonic() + 60.0
         while (
-            len(os.listdir(helpers.dir)) < 3
+            not os.path.exists(claimed)
             and any(proc.is_alive() for proc in helpers.procs)
             and time.monotonic() < deadline
         ):
             time.sleep(0.005)
-        self.helper_claimed = len(os.listdir(helpers.dir)) >= 3
+        self.helper_claimed = os.path.exists(claimed)
         if self.kill:
             for proc in helpers.procs:
                 os.kill(proc.pid, signal.SIGKILL)
+        open(os.path.join(helpers.dir, "awaited"), "w").close()
+
+
+def _held(fn, claims: str, item):
+    """``fn(item)`` on a helper, returned once the parent's :meth:`Placement.await_claim` is over (60 s at most)."""
+    result = fn(item)
+    deadline = time.monotonic() + 60.0
+    while not os.path.exists(os.path.join(claims, "awaited")) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return result
 
 
 @contextmanager

@@ -1,15 +1,15 @@
-"""One process-parallel mechanism: items on the parent plus late-started helpers.
+"""One process-parallel mechanism: items on the parent plus forked helpers.
 
 ``repro.experiments.parallel.run_items`` runs a list from the front on the
-parent and, once the parent has run as long as a helper takes to boot,
-spawns helpers that claim items from the back.  ``run_experiment`` uses it
-with a lineup's methods as items, ``SweepRunner`` with a campaign's cells.
-Every item is a pure function of its payload, so the saved bytes must equal
-the serial run's whoever ran which item.  :class:`Placement` forces the
-placement: a helper starts after the first method, and the parent holds its
-second method until the helper has claimed the last item.  Telemetry is no
-serial rule: a helper records its item's emissions and the parent replays
-them in item order, so a trace is the serial trace too.
+parent; helpers forked before the parent's first item wait a fixed delay and
+then claim items from the back.  ``run_experiment`` uses it with a lineup's
+methods as items, ``SweepRunner`` with a campaign's cells.  Every item is a
+pure function of its payload, so the saved bytes must equal the serial run's
+whoever ran which item.  :class:`Placement` forces the placement: the helper
+claims at once, and the parent holds its second method until the helper has
+claimed the last item.  Telemetry is no serial rule: a helper records its
+item's emissions and the parent replays them in item order, so a trace is
+the serial trace too.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import pytest
 
 from repro.api.registries import COMM_SCHEDULES
 from repro.core.schedules import FixedCommunicationSchedule
-from repro.distributed.sharded_bank import _BLAS_ENV, usable_cores
+from repro.distributed.sharded_bank import _BLAS_ENV, ShardedBank, _set_blas_threads, usable_cores
 from repro.experiments import harness, parallel
 from repro.experiments.cli import main
 from repro.experiments.configs import make_config
@@ -157,8 +157,8 @@ def _late_starts_in_a_lineup(item) -> int:
     """How many times a lineup run as scheduler item ``item`` started helpers."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         starts = []
-        spawn_later = parallel._spawn_later
-        monkeypatch.setattr(parallel, "_spawn_later", lambda *args: starts.append(args) or spawn_later(*args))
+        fork_helpers = parallel._fork_helpers
+        monkeypatch.setattr(parallel, "_fork_helpers", lambda *args: starts.append(args) or fork_helpers(*args))
         monkeypatch.setattr(harness, "usable_cores", lambda: 2)
         run_experiment(_smoke())
     return len(starts)
@@ -174,13 +174,14 @@ def test_no_helper_starts_inside_a_pool_worker(monkeypatch):
 
 
 class _DoubledTau(FixedCommunicationSchedule):
-    """``"fixed"`` overwritten at run time: a fresh helper would not see it."""
+    """``"fixed"`` overwritten at run time, as a script's ``__main__`` may do."""
 
     def __init__(self, tau: int):
         super().__init__(2 * tau)
 
 
-def test_a_helper_whose_registry_differs_claims_nothing(monkeypatch):
+def test_a_helper_sees_a_component_registered_at_run_time(monkeypatch):
+    # A forked helper has the parent's registries, whatever registered what.
     config = _smoke(methods=("sync-sgd", "pasgd-tau8", "pasgd-tau4"))
     builtin = COMM_SCHEDULES.get("fixed")
     COMM_SCHEDULES.register("fixed", _DoubledTau, overwrite=True)
@@ -190,8 +191,59 @@ def test_a_helper_whose_registry_differs_claims_nothing(monkeypatch):
         assert _json(run_experiment(config)) == serial
     finally:
         COMM_SCHEDULES.register("fixed", builtin, overwrite=True)
-    assert len(placement.helpers) == 1 and not placement.helper_claimed
-    assert placement.parent_ran == ["pasgd-tau2", "pasgd-tau16", "pasgd-tau8"]
+    assert len(placement.helpers) == 1 and placement.helper_claimed
+    assert placement.parent_ran == ["pasgd-tau2", "pasgd-tau16"]
+    assert serial != _json(_serially(run_experiment, config))  # the override did act
+
+
+def test_helpers_fork_from_a_process_with_one_thread(monkeypatch):
+    placement = Placement(monkeypatch)
+    run_experiment(_smoke())
+    assert placement.helper_claimed
+    assert [helpers.threads for helpers in placement.helpers] == [1]
+
+
+def test_a_lineup_shorter_than_the_delay_runs_on_the_parent(monkeypatch, leaks):
+    forks, parent_ran = [], []
+    fork_helpers, run_method = parallel._fork_helpers, harness.run_method
+    pid = os.getpid()
+
+    def recorded_run_method(config, method, *args, **kwargs):
+        if os.getpid() == pid:
+            parent_ran.append(method.label)
+        return run_method(config, method, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+    monkeypatch.setattr(harness, "run_method", recorded_run_method)
+    monkeypatch.setattr(parallel, "_fork_helpers", lambda *args: forks.append(args) or fork_helpers(*args))
+    store = run_experiment(_smoke())  # ≈ 15-25 ms against a 0.1 s delay
+    assert len(forks) == 1 and len(parent_ran) == len(store) == 3
+    assert not leaks.children(grace=0) and not leaks.segments()
+
+
+def test_helpers_fork_beside_a_live_sharded_pool(monkeypatch, tmp_path, leaks):
+    # A --jobs 1 sweep shares one auto handle: cell 0 escalates to sharded,
+    # cell 1's lineup forks a helper while that pool is live, cell 2 reuses it.
+    spec = SweepSpec("live-pool", _smoke(auto_shard_threshold=4), grid(n_workers=[4, 2, 5]))
+    serial = _serially(run_sweep, spec, tmp_path / "serial")
+    placement = Placement(monkeypatch)
+    pools, live_at_fork = [], []
+    init, fork_helpers = ShardedBank.__init__, parallel._fork_helpers
+    monkeypatch.setattr(ShardedBank, "__init__", lambda self, *a, **kw: pools.append(self) or init(self, *a, **kw))
+    monkeypatch.setattr(
+        parallel, "_fork_helpers",
+        lambda *args: live_at_fork.append([not pool._closed for pool in pools]) or fork_helpers(*args),
+    )
+    report = run_sweep(spec, tmp_path / "forked")
+    assert report.ok and report.executed == serial.executed
+    assert live_at_fork == [[True]] and placement.helper_claimed
+    assert len(pools) == 1  # cell 2 ran on the pool the helper was forked beside
+    assert _files(tmp_path / "forked" / "cells") == _files(tmp_path / "serial" / "cells")
+    assert not leaks.segments()
+
+
+def _files(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
 
 def test_an_unguarded_script_runs_its_top_level_once(tmp_path):
@@ -246,20 +298,12 @@ def _blas_threads() -> int:
 
 
 _EXECUTE_CELL = runner._execute_cell
-_LINEUP_METHOD = harness._lineup_method
 
 
 def _probe_cell(payload, backend_handle=None):
     """A sweep cell whose metrics sidecar says which process ran it, on how many BLAS threads."""
     address, result, error, _ = _EXECUTE_CELL(payload, backend_handle)
     return address, result, error, {"pid": os.getpid(), "blas_threads": _blas_threads()}
-
-
-def _probe_method(lineup, index):
-    """A lineup helper's method, its record tagged with the helper's BLAS threads."""
-    record = _LINEUP_METHOD(lineup, index)
-    record.config["blas_threads"] = _blas_threads()
-    return record
 
 
 @pytest.mark.parametrize("caller", ["sweep", "lineup"])
@@ -270,18 +314,32 @@ def test_helpers_start_under_the_blas_cap(caller, monkeypatch, tmp_path):
         pytest.skip("NumPy does not bundle scipy-openblas here")
     for name in _BLAS_ENV:
         monkeypatch.delenv(name, raising=False)
-    placement = Placement(monkeypatch)
     n_procs = 2  # --jobs 2, or a lineup on two usable cores
-    if caller == "sweep":
-        monkeypatch.setattr(runner, "_execute_cell", _probe_cell)
-        spec = SweepSpec("blas", _smoke(n_train=120, n_test=40), grid(tau=[1, 4, 8]))
-        report = run_sweep(spec, tmp_path, jobs=n_procs)
-        assert report.ok
-        readings = [report.store.metrics(address) for address in report.executed]
-        helper = [r["blas_threads"] for r in readings if r["pid"] != os.getpid()]
-    else:
-        monkeypatch.setattr(harness, "_lineup_method", _probe_method)
-        store = run_experiment(_smoke())
-        helper = [record.config["blas_threads"] for record in store if "blas_threads" in record.config]
-    assert placement.helper_claimed and helper
-    assert set(helper) == {max(1, usable_cores() // n_procs)}
+    share = max(1, usable_cores() // n_procs)
+    outside = _set_blas_threads(share + 1)  # a pool the list must cap, then restore
+    try:
+        placement = Placement(monkeypatch)
+        if caller == "sweep":
+            monkeypatch.setattr(runner, "_execute_cell", _probe_cell)
+            spec = SweepSpec("blas", _smoke(n_train=120, n_test=40), grid(tau=[1, 4, 8]))
+            report = run_sweep(spec, tmp_path, jobs=n_procs)
+            assert report.ok
+            readings = [report.store.metrics(address) for address in report.executed]
+        else:
+            run_method = harness.run_method
+
+            def probed(*args, **kwargs):
+                record = run_method(*args, **kwargs)
+                record.config["probe"] = {"pid": os.getpid(), "blas_threads": _blas_threads()}
+                return record
+
+            monkeypatch.setattr(harness, "run_method", probed)
+            readings = [record.config["probe"] for record in run_experiment(_smoke())]
+        after = _blas_threads()
+    finally:
+        _set_blas_threads(outside)
+    helper = {r["blas_threads"] for r in readings if r["pid"] != os.getpid()}
+    parent = {r["blas_threads"] for r in readings if r["pid"] == os.getpid()}
+    assert placement.helper_claimed
+    assert helper == parent == {share}
+    assert after == share + 1

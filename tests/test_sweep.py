@@ -289,8 +289,8 @@ class TestRunnerDeterminismAndResume:
     def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
         spec = tiny_spec()
         serial = run_sweep(spec, tmp_path / "serial")
-        # A late start could leave every cell to the parent; the placement
-        # makes a spawned helper take the last one.
+        # The helper delay could leave every cell to the parent; the
+        # placement makes the forked helper take the last one.
         placement = Placement(monkeypatch)
         parallel = run_sweep(tiny_spec(), tmp_path / "par", jobs=2)
         assert placement.helper_claimed and len(placement.parent_ran) < len(serial.executed)
@@ -603,6 +603,24 @@ class TestStoreMergeAndGC:
         removed = store.gc()
         assert removed == ["feedface00000000"]
         assert len(store) == 4
+
+    def test_gc_collects_orphaned_temp_files(self, tmp_path):
+        # A writer killed between its write and its rename leaves a *.tmp.
+        store, report = self._populated(tmp_path, "store")
+        planted = [
+            store.cell_dir(report.executed[0]) / "result.json.tmp",
+            store.root / "sweeps" / "tiny.json.tmp",
+        ]
+        for path in planted:
+            path.write_text('{"trunc')
+        before = _store_files(store.root)
+        listed = store.gc(dry_run=True)
+        assert listed == sorted(str(path.relative_to(store.root)) for path in planted)
+        assert _store_files(store.root) == before  # dry run removed nothing
+        assert store.gc() == listed
+        for path in planted:
+            del before[str(path.relative_to(store.root))]
+        assert _store_files(store.root) == before
 
     def test_gc_on_empty_store(self, tmp_path):
         assert ResultStore(tmp_path / "empty").gc() == []

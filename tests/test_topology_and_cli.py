@@ -271,7 +271,7 @@ def test_results_ignore_global_rng_clock_and_hash_seed(tmp_path):
         "run": ["--config", "smoke", "--scale", "0.2", "--save", "run.json",
                 "--trace", "trace.jsonl", "--metrics", "--profile"],
         "sweep": ["--sweep", "smoke_2x2", "--store", "store"],
-        # Untraced and longer than a helper boot, so a lineup helper may take
+        # Longer than the helper delay, so a lineup helper may take
         # methods: where a method runs must not change what it computes.
         "lineup": ["--config", "smoke", "--save", "lineup.json"],
     }
