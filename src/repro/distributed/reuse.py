@@ -5,7 +5,10 @@ run: each shard process is a fresh interpreter that must import NumPy and
 the ``repro`` package before it can serve a single command.  A method
 lineup (``run_experiment`` over four methods) or a serial sweep would pay
 that cost once per run even though every run wants an identically-shaped
-pool.  (A ``--jobs N`` sweep cell on a helper process builds its own handle.)
+pool.  A scheduler helper (``repro.experiments.parallel``) is a fork that
+never acquires a pool through a handle it inherited: a sweep hands its
+handle to the parent's cells only, and a lineup whose layout
+:meth:`~BackendHandle.may_shard` stays on the parent.
 
 :class:`BackendHandle` is how a process layout — backend name, shard count,
 ``"auto"`` escalation point — reaches a cluster: whole, as one argument.  It
@@ -66,6 +69,12 @@ class BackendHandle:
         """The process layout this slot resolves to (equal layouts can share a pool)."""
         return (self.spec, self.n_shards, self.auto_shard_threshold)
 
+    def may_shard(self, n_workers: int) -> bool:
+        """Whether a run of ``n_workers`` may resolve to the sharded pool on this layout."""
+        if self.spec == "auto":
+            return self.auto_shard_threshold is not None and n_workers >= self.auto_shard_threshold
+        return self.spec == "sharded"
+
     def acquire(self, **kwargs) -> tuple[str, WorkerBackend]:
         """Resolve one run's backend, reusing the held pool when possible.
 
@@ -86,10 +95,7 @@ class BackendHandle:
             return "sharded", self._sharded(**kwargs)
         if self.spec == "auto":
             template = kwargs["model_fn"]()
-            if (
-                self.auto_shard_threshold is not None
-                and len(kwargs["shards"]) >= self.auto_shard_threshold
-            ):
+            if self.may_shard(len(kwargs["shards"])):
                 try:
                     return "sharded", self._sharded(template=template, **kwargs)
                 except BackendUnsupported:

@@ -23,8 +23,6 @@ stacked definition and shards too ragged to stack.
 from __future__ import annotations
 
 import ast
-import functools
-import json
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -483,44 +481,6 @@ def run_method(
         return record
 
 
-def _lineup_payload(config: ExperimentConfig, methods, discrepancy: bool, handle: BackendHandle) -> "str | None":
-    """The lineup as a helper rebuilds it (JSON), or ``None`` to keep it on this process.
-
-    ``None`` when a helper cannot help (a sharded layout: the shards already
-    use the cores) or cannot be trusted (a hand-built :class:`MethodSpec`; a
-    config that does not survive JSON and ``from_dict``).
-    """
-    spec, _, threshold = handle.layout
-    if (
-        spec == "sharded"
-        or (spec == "auto" and threshold is not None and config.n_workers >= threshold)
-        or any(isinstance(method, MethodSpec) for method in methods or ())
-    ):
-        return None
-    try:
-        methods = None if methods is None else list(methods)
-        lineup = json.dumps({"config": config.to_dict(), "methods": methods, "discrepancy": discrepancy})
-        survives = ExperimentConfig.from_dict(json.loads(lineup)["config"]) == config
-    except (TypeError, ValueError):
-        return None
-    return lineup if survives else None
-
-
-@functools.lru_cache(maxsize=1)
-def _helper_lineup(lineup: str) -> tuple:
-    """A helper's lineup, built once: the config, its methods and the shared split."""
-    payload = json.loads(lineup)
-    config = ExperimentConfig.from_dict(payload["config"])
-    train_set, test_set = _split_dataset(config, SeedSequence(config.seed).generator())
-    return config, default_methods(config, payload["methods"]), train_set, test_set, payload["discrepancy"]
-
-
-def _lineup_method(lineup: str, index: int) -> RunRecord:
-    """Method ``index`` of ``lineup``, run on a helper."""
-    config, methods, train_set, test_set, discrepancy = _helper_lineup(lineup)
-    return run_method(config, methods[index], train_set, test_set, discrepancy)
-
-
 def run_experiment(
     config: ExperimentConfig,
     methods: Sequence["MethodSpec | str"] | None = None,
@@ -537,11 +497,14 @@ def run_experiment(
     reuse across *calls* — e.g. a sweep hands every cell its parent runs one
     handle — in which case the caller owns (and must close) the handle.
 
-    The parent runs methods from the front; helper processes take them from
-    the back (:func:`~repro.experiments.parallel.run_items`).  A method is a
-    pure function of (config, spec) and records are stored in lineup order,
-    so the bytes equal a serial run's: the clock decides where a method runs
-    only.
+    The parent runs methods from the front; helper processes, forked from
+    it, take them from the back (:func:`~repro.experiments.parallel.run_items`)
+    and run the same closure over the parent's config, methods and split.  A
+    method is a pure function of (config, spec) and records are stored in
+    lineup order, so the bytes equal a serial run's: the clock decides where
+    a method runs only.  A layout that may shard keeps the lineup on this
+    process: its shards already use the cores, and a helper must not reach
+    a pool through the handle it inherited.
     """
     resolved = default_methods(config, methods)
     seeds = SeedSequence(config.seed)
@@ -550,7 +513,6 @@ def run_experiment(
     with span("experiment", experiment=config.name, n_methods=len(resolved)), ExitStack() as stack:
         if backend_handle is None:
             backend_handle = stack.enter_context(config.backend_handle())
-        lineup = _lineup_payload(config, methods, record_discrepancy, backend_handle)
 
         def run(index: int) -> RunRecord:
             logger.info("running %s on %s", resolved[index].label, config.name)
@@ -563,6 +525,6 @@ def run_experiment(
                 backend_handle=backend_handle,
             )
 
-        n_procs = 1 if lineup is None else usable_cores()
-        records = list(run_items(range(len(resolved)), functools.partial(_lineup_method, lineup), run, n_procs))
+        n_procs = 1 if backend_handle.may_shard(config.n_workers) else usable_cores()
+        records = list(run_items(len(resolved), run, n_procs))
     return RunStore.from_records(records)

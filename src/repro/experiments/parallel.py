@@ -3,11 +3,12 @@
 ``run_experiment`` runs a lineup's methods through :func:`run_items`, and
 ``SweepRunner`` a campaign's cells.  The parent runs items from the front,
 in-process; up to ``n_procs - 1`` helpers, forked before the parent's first
-item, wait :data:`_HELPER_DELAY_S` and then take items from the back.  Each
-item is a pure function of its payload and results come back in item order,
-so where an item ran never shows in the output bytes.  Nor in the telemetry:
-a helper records what an item emits to the ``repro.obs`` sinks the parent
-has on, and the parent replays that log just before it yields the result.
+item, wait :data:`_HELPER_DELAY_S` and then take items from the back.  Both
+call the same ``run(index)``, so an item is a pure function of the parent's
+state at the fork; results come back in item order, so where an item ran
+never shows in the output bytes.  Nor in the telemetry: a helper records
+what an item emits to the ``repro.obs`` sinks the parent has on, and the
+parent replays that log just before it yields the result.
 ``docs/backends.md`` ("One scheduler") has every rule and what it costs.
 """
 
@@ -20,7 +21,7 @@ import shutil
 import signal
 import tempfile
 import time
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator
 
 from repro.distributed.sharded_bank import _set_blas_threads, usable_cores
 from repro.obs.emit import capture, replay
@@ -48,7 +49,7 @@ def _claim(claims: str, index: int) -> bool:
     return True
 
 
-def _helper(fn: Callable[[Any], Any], items: list, claims: str, blas_threads: int) -> None:
+def _helper(run: Callable[[int], Any], n_items: int, claims: str, blas_threads: int) -> None:
     """A helper: run unclaimed items from the back, one pickled ``(result, log)`` each.
 
     ``log`` is what the item emitted to the obs sinks inherited from the
@@ -63,12 +64,12 @@ def _helper(fn: Callable[[Any], Any], items: list, claims: str, blas_threads: in
     _set_blas_threads(blas_threads)
     try:
         time.sleep(_HELPER_DELAY_S)
-        for index in reversed(range(len(items))):
+        for index in reversed(range(n_items)):
             if not _claim(claims, index):
                 continue
             try:
                 with capture() as log:
-                    result = fn(items[index])
+                    result = run(index)
             except Exception:  # noqa: BLE001 - the parent reruns it and raises it there
                 return
             path = os.path.join(claims, f"{index}.pkl")
@@ -92,25 +93,22 @@ def _fork_helpers(n_helpers: int, args: tuple) -> list:
     return procs
 
 
-def run_items(
-    items: Sequence[Any], fn: Callable[[Any], Any], run_here: Callable[[int], Any], n_procs: int
-) -> Iterator[Any]:
-    """Yield the result of every item, in item order, from up to ``n_procs`` processes.
+def run_items(n_items: int, run: Callable[[int], Any], n_procs: int) -> Iterator[Any]:
+    """Yield ``run(index)`` for each index below ``n_items``, in order, from up to ``n_procs`` processes.
 
-    ``run_here(index)`` runs item ``index`` on this process; a helper, a
-    fork of this process, runs ``fn(items[index])`` instead and pickles the
-    result.  A helper's telemetry is replayed here just before its result is
-    yielded, so it lands where a serial run emits it.  While helpers may run,
-    this process's BLAS pool shrinks to its share of the cores, as theirs
-    does.  Every helper has exited or been terminated, and the BLAS pool is
-    restored, when the iterator is exhausted or closed.  Where the platform
-    cannot fork, every item runs here.
+    This process and every helper, a fork of it, call the same ``run``; a
+    helper pickles its result, and its telemetry is replayed here just
+    before that result is yielded, so it lands where a serial run emits it.
+    While helpers may run, this process's BLAS pool shrinks to its share of
+    the cores, as theirs does.  Every helper has exited or been terminated,
+    and the BLAS pool is restored, when the iterator is exhausted or closed.
+    Where the platform cannot fork, every item runs here.
     """
     global _in_parallel_item
-    n_procs = min(n_procs, len(items))
+    n_procs = min(n_procs, n_items)
     if n_procs < 2 or _in_parallel_item or "fork" not in multiprocessing.get_all_start_methods():
-        for index in range(len(items)):
-            yield run_here(index)
+        for index in range(n_items):
+            yield run(index)
         return
     claims = tempfile.mkdtemp(prefix="repro-items-")
     _claim(claims, 0)
@@ -119,18 +117,18 @@ def run_items(
     _in_parallel_item = True
     procs: list = []
     try:
-        procs = _fork_helpers(n_procs - 1, (fn, list(items), claims, share))
+        procs = _fork_helpers(n_procs - 1, (run, n_items, claims, share))
         first = 0  # claimed before the fork, so no helper can take it
-        while first < len(items) and (first == 0 or _claim(claims, first)):
-            yield run_here(first)
+        while first < n_items and (first == 0 or _claim(claims, first)):
+            yield run(first)
             first += 1
-        if first == len(items):
+        if first == n_items:
             return
         # The helpers hold the rest; what none of them finished (it died, or
         # its item raised) runs here.
         for proc in procs:
             proc.join()
-        for index in range(first, len(items)):
+        for index in range(first, n_items):
             path = os.path.join(claims, f"{index}.pkl")
             if os.path.exists(path):
                 with open(path, "rb") as fh:
@@ -138,7 +136,7 @@ def run_items(
                 replay(log)
                 yield result
             else:
-                yield run_here(index)
+                yield run(index)
     finally:
         _in_parallel_item = False
         for proc in procs:

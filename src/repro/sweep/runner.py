@@ -5,10 +5,10 @@ into content-addressed cells, skips every cell already present in the
 :class:`~repro.sweep.store.ResultStore`, and executes the rest through
 :func:`~repro.experiments.parallel.run_items`: the parent runs cells from
 the front and, with ``jobs > 1``, helper processes forked from it take them
-from the back.  A cell runs from its JSON payload alone (the cell's config
-dict, which carries its run seed).  The parent is the only writer to the
-store; because cells are pure functions of their config, where a cell ran
-cannot change any stored byte.
+from the back.  Both run a cell from its config dict (which carries its run
+seed), the helper from the copy it inherited at the fork.  The parent is the
+only writer to the store; because cells are pure functions of their config,
+where a cell ran cannot change any stored byte.
 
 A killed or partially-completed campaign resumes for free: re-running the
 same spec executes only the cells whose result files are missing.
@@ -16,14 +16,19 @@ same spec executes only the cells whose result files are missing.
 
 from __future__ import annotations
 
+import os
 import traceback
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.distributed.reuse import BackendHandle
+from repro.experiments.configs import ExperimentConfig
+from repro.experiments.harness import run_experiment
 from repro.experiments.parallel import run_items
 from repro.obs.emit import count, instant, span
+from repro.obs.metrics import MetricsRegistry
 from repro.sweep.spec import SweepCell, SweepSpec
 from repro.sweep.store import ResultStore
 from repro.utils.logging import get_logger
@@ -71,50 +76,33 @@ class SweepReport:
 
 
 def _execute_cell(
-    payload: dict[str, Any], backend_handle=None
-) -> tuple[str, "dict | None", "str | None", "dict | None"]:
+    cell: SweepCell, collect_metrics: bool, backend_handle: "BackendHandle | None" = None
+) -> tuple["dict | None", "str | None", "dict | None"]:
     """Run one cell in the current process.
 
-    Returns ``(address, result, error, metrics)``: the result payload, a
-    traceback string on failure, and (only when the payload asks for
-    ``collect_metrics``) a metrics snapshot from a per-cell registry.
-    Metrics are opt-in so the default path stores exactly the bytes it
-    always has; the snapshot is the store's *sidecar* content, never part of
-    ``result.json``.
+    Returns ``(result, error, metrics)``: the result payload, a
+    traceback string on failure, and (only with ``collect_metrics``) a
+    metrics snapshot from a per-cell registry.  Metrics are opt-in so the
+    default path stores exactly the bytes it always has; the snapshot is the
+    store's *sidecar* content, never part of ``result.json``.
 
-    Module-level (picklable): it is what a helper process calls.  Imports
-    are local so the registries repopulate inside the helper.
-    ``backend_handle`` (parent only — handles do not cross process
-    boundaries) lets consecutive cells reuse one sharded process pool; the
-    runner owns its lifetime.
+    ``backend_handle`` lets consecutive cells on the process that opened it
+    reuse one sharded process pool; the runner owns its lifetime.
     """
-    from repro.experiments.configs import ExperimentConfig
-    from repro.experiments.harness import run_experiment
-    from repro.obs.metrics import MetricsRegistry
-
-    address = payload["address"]
     try:
         # The config dict already carries the cell's run seed (the spec folds
         # derived seeds back in), so the address is the hash of what runs.
-        config = ExperimentConfig.from_dict(payload["config"])
+        config = ExperimentConfig.from_dict(cell.config.to_dict())
         # On a helper the span is recorded and replayed on the parent.
-        with span("sweep_cell", address=address, experiment=config.name):
-            if payload.get("collect_metrics"):
+        with span("sweep_cell", address=cell.address, experiment=config.name):
+            if collect_metrics:
                 with MetricsRegistry() as registry:
                     runs = run_experiment(config, backend_handle=backend_handle)
-                return address, runs.to_payload(), None, registry.snapshot()
+                return runs.to_payload(), None, registry.snapshot()
             runs = run_experiment(config, backend_handle=backend_handle)
-        return address, runs.to_payload(), None, None
+        return runs.to_payload(), None, None
     except Exception:  # noqa: BLE001 - one bad cell must not sink the campaign
-        return address, None, traceback.format_exc(), None
-
-
-def _cell_payload(cell: SweepCell, collect_metrics: bool = False) -> dict[str, Any]:
-    return {
-        "address": cell.address,
-        "config": cell.config.to_dict(),
-        "collect_metrics": collect_metrics,
-    }
+        return None, traceback.format_exc(), None
 
 
 def _cell_meta(cell: SweepCell) -> dict[str, Any]:
@@ -218,21 +206,24 @@ class SweepRunner:
                 f"[sweep] {spec.name}: running {len(pending)}/{len(unique)} cell(s) "
                 f"with jobs={min(self.jobs, len(pending))}"
             )
-        payloads = [_cell_payload(cell, self.collect_metrics) for cell in pending]
         with ExitStack() as stack:
             # One layout for every pending cell: one BackendHandle spans the
             # parent's cells, so their sharded pool is spawned once (see
-            # repro.distributed.reuse); else each lineup makes its own.
+            # repro.distributed.reuse); else each lineup makes its own.  A
+            # helper inherits the handle at the fork but never uses it: its
+            # cells make their own, so it never reaches the parent's pool.
             handle = None
             if len({cell.config.backend_handle().layout for cell in pending}) == 1:
                 handle = stack.enter_context(pending[0].config.backend_handle())
-            outcomes = stack.enter_context(closing(run_items(
-                payloads,
-                _execute_cell,
-                lambda index: _execute_cell(payloads[index], backend_handle=handle),
-                self.jobs,
-            )))
-            for cell, (address, result_payload, error, metrics) in zip(pending, outcomes):
+            parent = os.getpid()
+
+            def run(index: int):
+                own = handle if os.getpid() == parent else None
+                return _execute_cell(pending[index], self.collect_metrics, own)
+
+            outcomes = stack.enter_context(closing(run_items(len(pending), run, self.jobs)))
+            for cell, (result_payload, error, metrics) in zip(pending, outcomes):
+                address = cell.address
                 if error is not None:
                     report.failed[address] = error
                     count("sweep_cells_failed_total")

@@ -158,11 +158,11 @@ class Placement:
         fork_helpers, run_method = parallel._fork_helpers, harness.run_method
 
         def recorded_fork_helpers(n_helpers, args):
-            fn, items, claims, *rest = args
+            run, n_items, claims, *rest = args
             threads = threading.active_count()
-            procs = fork_helpers(n_helpers, (functools.partial(_held, fn, claims), items, claims, *rest))
+            procs = fork_helpers(n_helpers, (functools.partial(_held, run, claims), n_items, claims, *rest))
             self.helpers.append(SimpleNamespace(
-                dir=claims, last=str(len(items) - 1), procs=procs, threads=threads, ran_before=len(self.parent_ran),
+                dir=claims, last=str(n_items - 1), procs=procs, threads=threads, ran_before=len(self.parent_ran),
             ))
             return procs
 
@@ -195,9 +195,9 @@ class Placement:
         open(os.path.join(helpers.dir, "awaited"), "w").close()
 
 
-def _held(fn, claims: str, item):
-    """``fn(item)`` on a helper, returned once the parent's :meth:`Placement.await_claim` is over (60 s at most)."""
-    result = fn(item)
+def _held(run, claims: str, index: int):
+    """``run(index)`` on a helper, returned once the parent's :meth:`Placement.await_claim` is over (60 s at most)."""
+    result = run(index)
     deadline = time.monotonic() + 60.0
     while not os.path.exists(os.path.join(claims, "awaited")) and time.monotonic() < deadline:
         time.sleep(0.005)

@@ -3,13 +3,14 @@
 ``repro.experiments.parallel.run_items`` runs a list from the front on the
 parent; helpers forked before the parent's first item wait a fixed delay and
 then claim items from the back.  ``run_experiment`` uses it with a lineup's
-methods as items, ``SweepRunner`` with a campaign's cells.  Every item is a
-pure function of its payload, so the saved bytes must equal the serial run's
-whoever ran which item.  :class:`Placement` forces the placement: the helper
-claims at once, and the parent holds its second method until the helper has
-claimed the last item.  Telemetry is no serial rule: a helper records its
-item's emissions and the parent replays them in item order, so a trace is
-the serial trace too.
+methods as items, ``SweepRunner`` with a campaign's cells; the parent and
+every helper call the same ``run(index)``.  Every item is a pure function of
+the parent's state at the fork, so the saved bytes must equal the serial
+run's whoever ran which item.  :class:`Placement` forces the placement: the
+helper claims at once, and the parent holds its second method until the
+helper has claimed the last item.  Telemetry is no serial rule: a helper
+records its item's emissions and the parent replays them in item order, so
+a trace is the serial trace too.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import sys
 import textwrap
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -129,32 +129,46 @@ def test_a_method_raising_in_a_helper_raises_in_the_caller(monkeypatch):
     assert placement.parent_ran == ["pasgd-tau8", "pasgd-tau4", "sync-sgd"]
 
 
-#: Each serial rule: (config, methods, a context to run in).
+#: The config of each serial rule.
 SERIAL_RULES = {
-    "one method": lambda: (_smoke(methods=("sync-sgd",)), None, nullcontext()),
-    "sharded": lambda: (_smoke(backend="sharded"), None, nullcontext()),
-    "auto at the shard threshold": lambda: (_smoke(auto_shard_threshold=2), None, nullcontext()),
-    "a hand-built MethodSpec": lambda: (
-        _smoke(),
-        ["sync-sgd", "pasgd-tau8", MethodSpec("tau3", lambda: FixedCommunicationSchedule(3))],
-        nullcontext(),
-    ),
-    # to_dict stores the list, from_dict rebuilds a tuple: not the same config.
-    "a config JSON does not round-trip": lambda: (_smoke(hidden_sizes=[16]), None, nullcontext()),
+    "one method": lambda: _smoke(methods=("sync-sgd",)),
+    "sharded": lambda: _smoke(backend="sharded"),
+    "auto at the shard threshold": lambda: _smoke(auto_shard_threshold=2),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(SERIAL_RULES))
 def test_no_helper_starts_when_a_serial_rule_holds(rule, monkeypatch):
-    config, methods, context = SERIAL_RULES[rule]()
+    config = SERIAL_RULES[rule]()
     placement = Placement(monkeypatch)
-    with context:
-        store = run_experiment(config, methods=methods)
+    store = run_experiment(config)
     assert placement.helpers == [] and len(placement.parent_ran) == len(store)
 
 
-def _late_starts_in_a_lineup(item) -> int:
-    """How many times a lineup run as scheduler item ``item`` started helpers."""
+#: Lineups no JSON payload could carry; a helper runs the parent's own objects.
+UNSERIALIZABLE_LINEUPS = {
+    "a hand-built MethodSpec": lambda: (
+        _smoke(),
+        ["sync-sgd", "pasgd-tau8", MethodSpec("tau3", lambda: FixedCommunicationSchedule(3))],
+    ),
+    # to_dict stores the list, from_dict rebuilds a tuple: not the same config.
+    "a config JSON does not round-trip": lambda: (_smoke(hidden_sizes=[16]), None),
+}
+
+
+@pytest.mark.parametrize("lineup", sorted(UNSERIALIZABLE_LINEUPS))
+def test_helpers_need_no_json_payload(lineup, monkeypatch):
+    config, methods = UNSERIALIZABLE_LINEUPS[lineup]()
+    serial = _json(_serially(run_experiment, config, methods=methods))
+    placement = Placement(monkeypatch)
+    store = run_experiment(config, methods=methods)
+    assert len(placement.helpers) == 1 and placement.helper_claimed
+    assert len(placement.parent_ran) < len(store)  # the helper ran the last method
+    assert _json(store) == serial
+
+
+def _late_starts_in_a_lineup(index: int) -> int:
+    """How many times a lineup run as scheduler item ``index`` started helpers."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         starts = []
         fork_helpers = parallel._fork_helpers
@@ -168,7 +182,7 @@ def test_no_helper_starts_inside_a_pool_worker(monkeypatch):
     # A ``--jobs 2`` sweep cell's lineup runs in exactly this: an item of a
     # scheduler on two processes, on the parent or on a helper.
     placement = Placement(monkeypatch)
-    lineups = parallel.run_items([0, 1, 2], _late_starts_in_a_lineup, _late_starts_in_a_lineup, 2)
+    lineups = parallel.run_items(3, _late_starts_in_a_lineup, 2)
     assert list(lineups) == [0, 0, 0]
     assert placement.helper_claimed  # the helper ran a lineup too
 
@@ -242,6 +256,29 @@ def test_helpers_fork_beside_a_live_sharded_pool(monkeypatch, tmp_path, leaks):
     assert not leaks.segments()
 
 
+def test_a_sharded_sweep_helper_never_reaches_the_parents_pool(monkeypatch, tmp_path, leaks):
+    # The parent's cells share one handle and one pool; the helper's cell
+    # opens, and closes, a handle of its own.
+    spec = SweepSpec("sharded", _smoke(backend="sharded", n_train=120, n_test=40), grid(tau=[1, 4, 8]))
+    serial = run_sweep(spec, tmp_path / "serial")
+    placement = Placement(monkeypatch)
+    parent_pools = []
+    pid, init = os.getpid(), ShardedBank.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        if os.getpid() == pid:
+            parent_pools.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShardedBank, "__init__", recorded_init)
+    report = run_sweep(spec, tmp_path / "forked", jobs=2)
+    assert report.ok and report.executed == serial.executed
+    assert len(placement.helpers) == 1 and placement.helper_claimed  # the helper took the last cell
+    assert len(parent_pools) == 1
+    assert _files(tmp_path / "forked" / "cells") == _files(tmp_path / "serial" / "cells")
+    assert not leaks.children(grace=0) and not leaks.segments()
+
+
 def _files(root: Path) -> dict:
     return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
 
@@ -300,10 +337,10 @@ def _blas_threads() -> int:
 _EXECUTE_CELL = runner._execute_cell
 
 
-def _probe_cell(payload, backend_handle=None):
+def _probe_cell(cell, collect_metrics, backend_handle=None):
     """A sweep cell whose metrics sidecar says which process ran it, on how many BLAS threads."""
-    address, result, error, _ = _EXECUTE_CELL(payload, backend_handle)
-    return address, result, error, {"pid": os.getpid(), "blas_threads": _blas_threads()}
+    result, error, _ = _EXECUTE_CELL(cell, collect_metrics, backend_handle)
+    return result, error, {"pid": os.getpid(), "blas_threads": _blas_threads()}
 
 
 @pytest.mark.parametrize("caller", ["sweep", "lineup"])
