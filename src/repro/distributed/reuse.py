@@ -1,13 +1,12 @@
 """The process layout as one value, and the slot that reuses its pool across runs.
 
-Spawning the sharded backend's pool is the dominant fixed cost of a short
-run: each shard process is a fresh interpreter that must import NumPy and
-the ``repro`` package before it can serve a single command.  A method
-lineup (``run_experiment`` over four methods) or a serial sweep would pay
-that cost once per run even though every run wants an identically-shaped
-pool.  A scheduler helper (``repro.experiments.parallel``) is a fork that
-never acquires a pool through a handle it inherited: a sweep hands its
-handle to the parent's cells only, and a lineup whose layout
+Forking the sharded backend's pool is a fixed cost of a short run: each
+shard process is forked, sizes its BLAS pool and is then sent its bank.  A
+method lineup (``run_experiment`` over four methods) or a serial sweep would
+pay that cost once per run even though every run wants an
+identically-shaped pool.  A scheduler helper (``repro.experiments.parallel``)
+is a fork that never acquires a pool through a handle it inherited: a sweep
+hands its handle to the parent's cells only, and a lineup whose layout
 :meth:`~BackendHandle.may_shard` stays on the parent.
 
 :class:`BackendHandle` is how a process layout — backend name, shard count,
@@ -18,7 +17,7 @@ directly; whenever two consecutive runs resolve to sharded pools with the
 same process count, the second run reuses the first's live processes via
 :meth:`~repro.distributed.sharded_bank.ShardedBank.rebuild` — each shard
 swaps in a bank built from a fresh payload, so the trajectory is
-byte-identical to a fresh-pool run and only the spawn is skipped.
+byte-identical to a fresh-pool run and only the fork is skipped.
 
 Ownership is explicit — whoever builds a handle closes it: a
 :class:`~repro.distributed.cluster.SimulatedCluster` given a handle never
@@ -118,7 +117,7 @@ class BackendHandle:
                 except (RuntimeError, OSError):
                     # A dead or desynchronized pool (e.g. a shard process
                     # killed by a previous failed run) is not worth saving —
-                    # retire it and spawn a fresh one below.  Setup errors
+                    # retire it and fork a fresh one below.  Setup errors
                     # (BackendUnsupported, ValueError) propagate: the pool is
                     # still healthy and the caller's fallback chain decides.
                     pass

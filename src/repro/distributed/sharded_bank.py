@@ -8,17 +8,13 @@ memory (or one core's arithmetic throughput) split across the machine while
 every byte of the trajectory stays identical to the single-process bank —
 and hence to the loop's m banks of one.
 
-Spawn safety: the child entry point is a module-level function, every
-import it needs happens lazily inside the child (registries repopulate
-in-process), and the per-shard payload it is sent is pure *state* — the
-template module, the shard datasets, and the per-worker generators, all
-picklable under the ``spawn`` start method.  Nothing in the payload is a
-closure: ``model_fn`` never crosses the process boundary.  The parent consumes
-``model_fn`` and the worker RNG streams exactly as the vectorized backend
-would (one template plus m-1 stream-harvest replicas when stochastic modules
-exist), then ships each shard its slice of datasets, loader generators, and
-stream generators; each child rebuilds a shard-local ``WorkerBank`` around
-them with :func:`repro.nn.bank.attach_stream_generators`.
+The parent consumes ``model_fn`` and the worker RNG streams exactly as the
+vectorized backend would (one template plus m-1 stream-harvest replicas when
+stochastic modules exist), then ships each shard its slice of datasets,
+loader generators, and stream generators as a picklable payload — pure
+*state*, never a closure: ``model_fn`` stays in the parent.  Each child
+rebuilds a shard-local ``WorkerBank`` around them with
+:func:`repro.nn.bank.attach_stream_generators`.
 
 Equivalence is structural, not approximate: a shard-local bank performs the
 same per-slice NumPy arithmetic on the same per-worker streams the full bank
@@ -27,11 +23,11 @@ averaging collective runs in the parent on the identical ``(m, P)`` array —
 so parameters, buffers, losses, and RNG stream positions are byte-identical
 across all three backends (``tests/test_sharded_bank.py`` pins this down).
 
-One carrier, one request path: every shard is a spawned child running
+One carrier, one request path: every shard is a forked child running
 :meth:`_ShardServer.serve` behind a ``multiprocessing`` Pipe —
 ``send((op, args))`` / ``recv() -> (status, result)`` — and every command
 waits for its own replies (:meth:`ShardedBank._replies`).  A sweep cell under
-``--jobs N`` may run in a non-daemonic helper process, so it spawns its
+``--jobs N`` may run in a non-daemonic helper process, so it forks its
 shard children like any other parent.  The ``(m, P)`` state bank
 lives in the shared-memory plane of :mod:`repro.distributed.transport`: a
 shard answers a gather by writing its rows in place and replying ``None``,
@@ -40,14 +36,14 @@ allocated the run falls back to pickling the rows into the reply
 (:attr:`ShardedBank.transport` reports ``"shm"`` or ``"pipe"``).  Replies are
 consumed in shard index order on either plane, so bytes never depend on it.
 
-Lifecycle: there is one construction path.  The pool opens *empty* — servers
-with no bank, so ``Process.start()`` has no payload to write and the children
-boot their interpreters side by side — and a ``rebuild`` command then ships
-every shard its payload; :meth:`ShardedBank.rebuild` sends the same command
-to a live pool, so a fresh and a reused pool are equal by construction.
-Children are spawned with their BLAS pool capped to ``usable cores // shards``
-threads (see :func:`_blas_cap`): n children × a cores-wide pool each is 3×
-slower than the vectorized bank on the same machine.  The pool lives until
+Lifecycle: there is one construction path.  The pool forks *empty* servers
+(no bank), and a ``rebuild`` command then ships every shard its payload;
+:meth:`ShardedBank.rebuild` sends the same command to a live pool, so a
+fresh and a reused pool are equal by construction.  A fork has NumPy and
+``repro`` loaded already; :func:`_shard_main` puts back the few things a
+fresh interpreter would not have inherited, and sizes the child's BLAS pool
+to ``usable cores // shards`` threads: n children × a cores-wide pool each is
+3× slower than the vectorized bank on the same machine.  The pool lives until
 :meth:`ShardedBank.close` (idempotent; whoever built the backend — a
 :class:`~repro.distributed.reuse.BackendHandle`, or the cluster that built
 one from a bare name — calls it, with a ``weakref.finalize`` safety net).
@@ -56,8 +52,8 @@ children only close their mappings.  Children are daemonic, so an abandoned
 backend can never outlive its parent.  A shard that
 *errors* keeps serving and the failure surfaces as one ``RuntimeError`` after
 every reply of the round is drained; a shard whose connection is *lost* (the
-child died) raises at once, names the shard and the op, and leaves a pool
-that can only be closed.
+child died, or its reply does not unpickle) raises at once, names the shard
+and the op, and leaves a pool that can only be closed.
 """
 
 from __future__ import annotations
@@ -67,9 +63,10 @@ import glob
 import multiprocessing
 import os
 import pickle
+import signal
 import traceback
 import weakref
-from contextlib import contextmanager
+from multiprocessing import resource_tracker
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -84,14 +81,17 @@ from repro.distributed.backends import (
     merge_fingerprints,
 )
 from repro.distributed.transport import ShmStatePlane
+from repro.distributed.worker_bank import WorkerBank
 from repro.nn.bank import attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
+import repro.obs.emit
 from repro.obs.emit import count, span
 from repro.utils.seeding import check_random_state
 
 __all__ = ["ShardedBank", "shard_slices", "usable_cores"]
 
-#: What sizes a BLAS thread pool when NumPy loads; see :func:`_blas_cap`.
+#: What sizes a BLAS thread pool when NumPy loads; a user who exported one
+#: keeps that size in every process (see :func:`_set_blas_threads`).
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -124,33 +124,13 @@ def usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _blas_cap(n_procs: int) -> Iterator[None]:
-    """Cap the BLAS pool of children started inside this block to cores // n_procs.
-
-    A BLAS library sizes its thread pool when NumPy loads, which in a spawned
-    child is before any of our code runs, so the cap has to sit in the
-    environment the child inherits: set around ``Process.start()``, restored
-    after.  A value the user exported wins, and the parent's own (already
-    loaded) pool is untouched.
-    """
-    cap = str(max(1, usable_cores() // n_procs))
-    ours = [name for name in _BLAS_ENV if name not in os.environ]
-    os.environ.update(dict.fromkeys(ours, cap))
-    try:
-        yield
-    finally:
-        for name in ours:
-            del os.environ[name]
-
-
 def _set_blas_threads(n_threads: int) -> "int | None":
     """Resize this process's loaded BLAS pool to ``n_threads``; the previous size, or ``None``.
 
-    The run-time counterpart of :func:`_blas_cap`, for a process whose BLAS
-    is loaded already (a forked helper, the parent beside it): ctypes on
-    NumPy's bundled scipy-openblas.  Where there is none, or the user
-    exported one of :data:`_BLAS_ENV`, it does nothing and returns ``None``.
+    For a process whose BLAS is loaded already (a forked shard or helper,
+    the parent beside them): ctypes on NumPy's bundled scipy-openblas.
+    Where there is none, or the user exported one of :data:`_BLAS_ENV`, it
+    does nothing and returns ``None``.
     """
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
     if len(libs) != 1 or any(name in os.environ for name in _BLAS_ENV):
@@ -167,7 +147,7 @@ def _set_blas_threads(n_threads: int) -> "int | None":
 class _ShardServer:
     """Executes shard commands against one shard-local ``WorkerBank``.
 
-    :func:`_shard_main` runs :meth:`serve` over a Pipe in a spawned child.  A
+    :func:`_shard_main` runs :meth:`serve` over a Pipe in a forked child.  A
     server starts empty; the ``rebuild`` command gives it a bank (and swaps
     in a fresh one for each later run of a reused pool).
     """
@@ -204,8 +184,6 @@ class _ShardServer:
 
     def _rebuild(self, payload: dict, plane_spec: "dict | None", bounds: tuple) -> None:
         """Swap in a bank built from ``payload``; own plane rows ``bounds``."""
-        from repro.distributed.worker_bank import WorkerBank
-
         # The parent destroyed (and possibly resized) the previous run's
         # plane, so drop the stale attachment first.  Attach-only: the
         # parent is the sole owner/unlinker of the segments.
@@ -258,15 +236,22 @@ class _ShardServer:
         raise ValueError(f"unknown shard command {op!r}")
 
 
-def _shard_main(conn) -> None:
+def _shard_main(conn, inherited: list, n_shards: int) -> None:
     """Child entry point: serve an (initially empty) shard over ``conn``.
 
-    Module-level (picklable by reference) so it works under every
-    multiprocessing start method; the ``WorkerBank`` import inside
-    :class:`_ShardServer` is local so a spawned interpreter pays it lazily
-    and the component registries repopulate inside the child, mirroring the
-    sweep runner's workers.
+    A fork starts from the parent's state, so first this puts back what a
+    freshly started interpreter would have had.  It closes the parent's
+    ``inherited`` pipe ends (its own and those of the shards forked before
+    it): one left open would keep a shard from seeing EOF when the parent
+    dies.  It turns emission off, because the parent's sinks are not this
+    process's, takes the default ``SIGTERM`` action, and sizes its BLAS pool
+    to its share of the cores.
     """
+    for end in inherited:
+        end.close()
+    repro.obs.emit._active = None
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _set_blas_threads(max(1, usable_cores() // n_shards))
     _ShardServer().serve(conn.recv, conn.send)
 
 
@@ -303,7 +288,7 @@ class ShardedBank(WorkerBackend):
         self._finalizer: "weakref.finalize | None" = None
         self._closed = False
         # Validation and RNG consumption come first: BackendUnsupported is
-        # raised before any process spawns.
+        # raised before any process forks.
         payloads = self._prepare(model_fn, shards, n_shards=n_shards, **run)
         try:
             self._open_pool()
@@ -313,22 +298,23 @@ class ShardedBank(WorkerBackend):
             raise
 
     def _open_pool(self) -> None:
-        """Spawn one empty shard server per slice (the single spawn site).
+        """Fork one empty shard server per slice (the single fork site).
 
-        ``_shard_main`` takes no payload, so ``Process.start()`` — which
-        under ``spawn`` blocks until the child has read its pickled
-        ``Process`` object — returns in milliseconds and the children boot
-        their interpreters side by side instead of one after the other.
+        The parent's resource tracker runs before the first fork, so every
+        shard shares it.  A shard that started its own, when it attached the
+        shm plane, would unlink the parent's segments when it exits.
         """
-        ctx = multiprocessing.get_context("spawn")
-        with _blas_cap(self.n_shards):
-            for _ in range(self.n_shards):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(target=_shard_main, args=(child_conn,), daemon=True)
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
+        resource_tracker.ensure_running()
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(self.n_shards):
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(
+                target=_shard_main, args=(child_conn, [*self._conns, parent_conn], self.n_shards), daemon=True,
+            )
+            proc.start()
+            child_conn.close()
+            self._conns.append(parent_conn)
+            self._procs.append(proc)
 
     def _ship(self, payloads: list) -> None:
         """Give every (fresh or reused) shard server this run's bank.
@@ -401,6 +387,8 @@ class ShardedBank(WorkerBackend):
             rngs = [None] * len(shards)
         if len(rngs) != len(shards):
             raise ValueError(f"{len(shards)} shards but {len(rngs)} RNG streams")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise BackendUnsupported("shard processes are forked, and this platform cannot fork")
         if template is None:
             template = model_fn()
         # Every unsupported-setup check runs before any RNG stream (or extra
@@ -420,7 +408,7 @@ class ShardedBank(WorkerBackend):
         if not data_free:
             # Same rule each shard-local BankLoader will enforce, checked in
             # the parent so an unstackable setup raises BackendUnsupported
-            # (and "auto" can fall back) before any process is spawned.
+            # (and "auto" can fall back) before any process is forked.
             try:
                 effective_batch = common_effective_batch(shards, batch_size)
             except ValueError as err:
@@ -482,10 +470,10 @@ class ShardedBank(WorkerBackend):
         n_shards: int = 2,
         **run,
     ) -> "ShardedBank":
-        """Reuse the live pool for a fresh run instead of respawning it.
+        """Reuse the live pool for a fresh run instead of forking a new one.
 
         Takes the arguments of the constructor and the constructor's path
-        minus the spawn — :meth:`_prepare`, then :meth:`_ship` — so
+        minus the fork — :meth:`_prepare`, then :meth:`_ship` — so
         trajectories are byte-identical to fresh-pool runs by construction.
         The worker count may change between runs; the shard *count* must
         match the live pool (a pool cannot grow or shrink processes).
@@ -524,7 +512,8 @@ class ShardedBank(WorkerBackend):
         reply is drained even when some shard errors — a partially-read
         round would leave stale replies queued and silently desynchronize
         the protocol — and the errors are raised once, after the last
-        reply.  A *lost* connection raises at once, see :func:`_lost`.
+        reply.  A *lost* connection raises at once, see :func:`_lost`; so
+        does a reply that arrived whole but does not unpickle.
         """
         shards = range(len(self._conns)) if only is None else (only,)
         for index in shards:
@@ -536,7 +525,7 @@ class ShardedBank(WorkerBackend):
         for index in shards:
             try:
                 status, result = self._conns[index].recv()
-            except (EOFError, OSError) as err:
+            except (EOFError, OSError, pickle.UnpicklingError) as err:
                 raise _lost(index, op, err) from err
             if status == "ok":
                 yield index, result
@@ -705,7 +694,7 @@ class ShardedBank(WorkerBackend):
 
 
 def _lost(shard: int, op: str, err: Exception) -> RuntimeError:
-    """The error for a connection that died under ``op`` (a killed child, say).
+    """The error for a connection that died under ``op`` (a killed child, a garbled reply).
 
     Unlike a shard *error*, it is raised without waiting for the other
     shards' replies: the pool cannot be used again, only closed.

@@ -399,7 +399,7 @@ def run_method(
     ``method`` may be a :class:`MethodSpec` or a method spec string such as
     ``"pasgd-tau20"`` (see :func:`parse_method_spec`).  ``backend_handle``
     opts into backend reuse across calls: the cluster resolves its backend
-    through the handle (so a sharded pool spawned by one method is rebuilt
+    through the handle (so a sharded pool forked by one method is rebuilt
     in place for the next) and the *caller* owns the pool's lifetime —
     the per-run ``cluster.close()`` here leaves it alive.
     """
@@ -490,8 +490,8 @@ def run_experiment(
     """Run all methods on a shared dataset split and collect their records.
 
     The whole lineup shares one :class:`BackendHandle`, so when the config
-    resolves to the sharded backend its process pool is spawned once and
-    rebuilt in place between methods instead of respawned per method
+    resolves to the sharded backend its process pool is forked once and
+    rebuilt in place between methods instead of forked per method
     (byte-identical trajectories either way; see
     ``repro.distributed.reuse``).  Passing ``backend_handle`` extends the
     reuse across *calls* — e.g. a sweep hands every cell its parent runs one

@@ -208,7 +208,7 @@ class SweepRunner:
             )
         with ExitStack() as stack:
             # One layout for every pending cell: one BackendHandle spans the
-            # parent's cells, so their sharded pool is spawned once (see
+            # parent's cells, so their sharded pool is forked once (see
             # repro.distributed.reuse); else each lineup makes its own.  A
             # helper inherits the handle at the fork but never uses it: its
             # cells make their own, so it never reaches the parent's pool.

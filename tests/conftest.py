@@ -12,7 +12,9 @@ name here instead of copying assertions across test files.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import importlib
 import multiprocessing
 import os
@@ -202,6 +204,14 @@ def _held(run, claims: str, index: int):
     while not os.path.exists(os.path.join(claims, "awaited")) and time.monotonic() < deadline:
         time.sleep(0.005)
     return result
+
+
+def blas_threads() -> int:
+    """This process's BLAS pool size, read back from NumPy's bundled OpenBLAS."""
+    (lib,) = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
+    get_num_threads = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
+    get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+    return get_num_threads()
 
 
 @contextmanager

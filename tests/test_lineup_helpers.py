@@ -15,8 +15,6 @@ a trace is the serial trace too.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import json
 import multiprocessing
 import os
@@ -29,7 +27,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api.registries import COMM_SCHEDULES
@@ -41,7 +38,7 @@ from repro.experiments.configs import make_config
 from repro.experiments.harness import MethodSpec, run_experiment
 from repro.obs import Tracer, strip_wall_fields
 from repro.sweep import SweepSpec, grid, run_sweep, runner
-from tests.conftest import Placement
+from tests.conftest import Placement, blas_threads
 
 #: No test here may leave a child process or a shared-memory segment behind.
 pytestmark = pytest.mark.usefixtures("leaks")
@@ -326,27 +323,19 @@ def test_every_method_is_claimed_exactly_once_under_contention(tmp_path):
     assert sorted(index for mine in claimed for index in mine) == list(range(2000))
 
 
-def _blas_threads() -> int:
-    """This process's BLAS pool size, read back from NumPy's bundled OpenBLAS."""
-    (lib,) = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
-    get_num_threads = ctypes.CDLL(lib).scipy_openblas_get_num_threads64_
-    get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
-    return get_num_threads()
-
-
 _EXECUTE_CELL = runner._execute_cell
 
 
 def _probe_cell(cell, collect_metrics, backend_handle=None):
     """A sweep cell whose metrics sidecar says which process ran it, on how many BLAS threads."""
     result, error, _ = _EXECUTE_CELL(cell, collect_metrics, backend_handle)
-    return result, error, {"pid": os.getpid(), "blas_threads": _blas_threads()}
+    return result, error, {"pid": os.getpid(), "blas_threads": blas_threads()}
 
 
 @pytest.mark.parametrize("caller", ["sweep", "lineup"])
 def test_helpers_start_under_the_blas_cap(caller, monkeypatch, tmp_path):
     try:
-        _blas_threads()
+        blas_threads()
     except (ValueError, OSError, AttributeError):
         pytest.skip("NumPy does not bundle scipy-openblas here")
     for name in _BLAS_ENV:
@@ -367,12 +356,12 @@ def test_helpers_start_under_the_blas_cap(caller, monkeypatch, tmp_path):
 
             def probed(*args, **kwargs):
                 record = run_method(*args, **kwargs)
-                record.config["probe"] = {"pid": os.getpid(), "blas_threads": _blas_threads()}
+                record.config["probe"] = {"pid": os.getpid(), "blas_threads": blas_threads()}
                 return record
 
             monkeypatch.setattr(harness, "run_method", probed)
             readings = [record.config["probe"] for record in run_experiment(_smoke())]
-        after = _blas_threads()
+        after = blas_threads()
     finally:
         _set_blas_threads(outside)
     helper = {r["blas_threads"] for r in readings if r["pid"] != os.getpid()}

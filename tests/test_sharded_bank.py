@@ -338,7 +338,7 @@ class TestAutoEscalation:
 
 
 class TestShardedInsideSweepPool:
-    """A sweep-pool worker spawns its own shard processes, so a sharded cell's
+    """A sweep-pool worker forks its own shard processes, so a sharded cell's
     outputs — result bytes and metrics counters — do not depend on ``--jobs``."""
 
     def test_parallel_sweep_cells_match_serial_bytes(self, tmp_path):
