@@ -138,7 +138,7 @@ def main() -> None:
         assert p.grad.tobytes() == flat_grad.tobytes(), f"flat transcription: {name} gradient differs"
 
     engine_us, flat_us = best_us(engine_step), best_us(flat)
-    print(f"cell: bench_family / {METHOD} (m={bank.n_workers}, batch={bank.batch_size}, smoke MLP)")
+    print(f"cell: bench_family / {METHOD} (m={bank.n_workers}, batch={bank.loader.batch_size}, smoke MLP)")
     print(f"python function calls per local_step : {calls:.1f}")
     print(f"graph nodes per local_step           : {nodes:.1f}")
     print(f"forward + backward, repro.nn         : {engine_us:.1f} us")

@@ -30,8 +30,9 @@ def common_effective_batch(shards: Sequence[Dataset], batch_size: int) -> int:
     :class:`BatchLoader` clips the requested batch to each shard's length;
     stacked sampling needs that clipped size to be *common* across shards.
     This is the single home of the rule — ``BankLoader`` enforces it at
-    construction and the sharded backend pre-checks it in the parent (so an
-    unstackable setup raises before any process is spawned).
+    construction and
+    :func:`~repro.distributed.worker_bank.check_bank_setup` checks it before
+    any stream is consumed (so ``"auto"`` can fall back).
     """
     effective = {min(batch_size, len(shard)) for shard in shards}
     if len(effective) > 1:

@@ -5,7 +5,8 @@ that touches *all m replicas* — local SGD periods, state gather/broadcast,
 learning-rate and momentum control, model materialization for evaluation —
 to a backend implementing :class:`WorkerBackend`.  There is one local step,
 :meth:`repro.distributed.worker_bank.WorkerBank.local_step`; the three
-backends differ only in what they compose around it (``docs/backends.md``):
+backends differ only in how they cut the m workers into banks of it
+(``docs/backends.md``):
 
 * :class:`~repro.distributed.worker_bank.WorkerBank` (``"vectorized"``) —
   one bank of m: all replicas stacked along a leading worker axis, one
@@ -17,6 +18,11 @@ backends differ only in what they compose around it (``docs/backends.md``):
 * :class:`~repro.distributed.sharded_bank.ShardedBank` (``"sharded"``) — the
   bank partitioned into contiguous worker shards, one vectorized bank per
   shard on a persistent pool of worker processes.
+
+The last two are the one chunk composite,
+:class:`~repro.distributed.worker_bank.Chunks`, with two carriers: the
+setup check, each chunk's construction and the cross-chunk calls are
+written once in :mod:`repro.distributed.worker_bank`.
 
 Backends register by name in :data:`repro.api.registries.BACKENDS` and share
 one constructor signature, so ``SimulatedCluster(..., backend="vectorized")``
@@ -30,7 +36,7 @@ is byte-identical on any backend.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,7 +47,6 @@ __all__ = [
     "WorkerBackend",
     "WorkerView",
     "generator_state",
-    "merge_fingerprints",
 ]
 
 
@@ -88,14 +93,12 @@ class WorkerBackend:
     name: str = "abstract"
     #: One :class:`WorkerView` per worker, in worker order.
     workers: Sequence[WorkerView]
+    #: Per-worker shard lengths, ``None`` for data-free runs (:meth:`shard_sizes`).
+    _shard_sizes: "list[int] | None" = None
 
     @property
     def n_workers(self) -> int:
         return len(self.workers)
-
-    @property
-    def batch_size(self) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     def shard_sizes(self) -> "list[int] | None":
         """Per-worker training-shard sizes, or ``None`` for data-free runs.
@@ -104,7 +107,7 @@ class WorkerBackend:
         partitions the cluster can weight each worker's state by its shard
         size (``weighting="shard_size"``) instead of averaging uniformly.
         """
-        return None
+        return None if self._shard_sizes is None else list(self._shard_sizes)
 
     def initial_state(self) -> np.ndarray:
         """Flat copy of the common initial parameter vector."""
@@ -202,12 +205,3 @@ class WorkerBackend:
 def generator_state(gen) -> dict:
     """Comparable position of one NumPy generator (``bit_generator.state``)."""
     return gen.bit_generator.state
-
-
-def merge_fingerprints(parts: Iterable[dict]) -> dict:
-    """Concatenate the :meth:`~WorkerBackend.rng_fingerprint` of consecutive worker ranges."""
-    merged: dict = {"loaders": [], "streams": []}
-    for part in parts:
-        merged["loaders"].extend(part["loaders"])
-        merged["streams"].extend(part["streams"])
-    return merged

@@ -16,11 +16,13 @@ The cluster is deliberately policy-free: *when* to average and with what τ
 and learning rate is decided by the trainer / communication schedule in
 ``repro.core``.  *How* the m replicas are executed is equally pluggable: a
 worker-execution backend (see ``repro.distributed.backends``) runs the one
-local step either on m banks of one worker in a Python loop (``"loop"``) or
-on one bank of m as stacked NumPy ops (``"vectorized"``).  ``"auto"`` picks
-the vectorized bank whenever the model and data support it.  The collective
-is the same arithmetic either way — an operation on the stacked ``(m, P)``
-states — and the straggler clock advance is backend-independent.
+local step on one bank of m as stacked NumPy ops (``"vectorized"``), on m
+banks of one in a Python loop (``"loop"``), or on one bank per shard in a
+pool of processes (``"sharded"``).  ``"auto"`` picks the sharded pool at or
+above its worker threshold, else the vectorized bank when the model and data
+support it, else the loop.  The collective is the same arithmetic on every
+backend — an operation on the stacked ``(m, P)`` states — and the straggler
+clock advance is backend-independent.
 """
 
 from __future__ import annotations
@@ -142,6 +144,9 @@ class SimulatedCluster:
                 dataset, n_workers, strategy=partition_strategy, rng=self._seeds.generator()
             )
             shards = [self._partition.shard(i) for i in range(n_workers)]
+
+        # Samples one local step draws: each worker's batch, clipped to its shard.
+        self._samples_per_step = sum(min(batch_size, len(shard)) for shard in shards if shard is not None)
 
         # Per-worker RNG streams, spawned in worker order (identical
         # consumption of the seed sequence on every backend).
@@ -525,6 +530,5 @@ class SimulatedCluster:
         if self._partition is None:
             return 0.0
         total_samples = len(self._partition.dataset)
-        batch = self._backend.batch_size
-        samples_processed = self.total_local_iterations * batch * self.n_workers
+        samples_processed = self.total_local_iterations * self._samples_per_step
         return samples_processed / total_samples if total_samples else 0.0

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from repro.api.registries import BACKENDS
 from repro.distributed.backends import BackendUnsupported, WorkerBackend
-from repro.distributed.sharded_bank import ShardedBank, shard_slices
+from repro.distributed.sharded_bank import ShardedBank
+from repro.distributed.worker_bank import shard_slices
 
 __all__ = ["BackendHandle"]
 

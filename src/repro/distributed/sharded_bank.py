@@ -1,20 +1,21 @@
 """The sharded worker bank: m replicas split across a persistent process pool.
 
-``ShardedBank`` is the third execution backend.  It partitions the m workers
-into contiguous shards and runs one vectorized
-:class:`~repro.distributed.worker_bank.WorkerBank` per shard inside a
-persistent pool of worker *processes*, so banks larger than one process'
-memory (or one core's arithmetic throughput) split across the machine while
-every byte of the trajectory stays identical to the single-process bank —
-and hence to the loop's m banks of one.
+``ShardedBank`` is the third execution backend: the chunk composite of
+:mod:`repro.distributed.worker_bank` (:class:`~repro.distributed.worker_bank.Chunks`)
+with its chunks in a persistent pool of worker *processes*.  It partitions
+the m workers into contiguous shards and runs one vectorized
+:class:`~repro.distributed.worker_bank.WorkerBank` per shard, so banks larger
+than one process' memory (or one core's arithmetic throughput) split across
+the machine while every byte of the trajectory stays identical to the
+single-process bank — and hence to the loop's m banks of one.
 
-The parent consumes ``model_fn`` and the worker RNG streams exactly as the
-vectorized backend would (one template plus m-1 stream-harvest replicas when
-stochastic modules exist), then ships each shard its slice of datasets,
-loader generators, and stream generators as a picklable payload — pure
-*state*, never a closure: ``model_fn`` stays in the parent.  Each child
-rebuilds a shard-local ``WorkerBank`` around them with
-:func:`repro.nn.bank.attach_stream_generators`.
+The parent builds every shard's bank arguments with
+:func:`~repro.distributed.worker_bank.chunk_payloads`, as the loop builds its
+banks of one: a template per shard from ``model_fn`` and, for stochastic
+modules, that shard's stream replicas, all in worker order.  A payload is
+pure *state* — the template, datasets, loader and stream generators, never a
+closure: ``model_fn`` stays in the parent — and each child builds its
+shard-local ``WorkerBank`` from it.
 
 Equivalence is structural, not approximate: a shard-local bank performs the
 same per-slice NumPy arithmetic on the same per-worker streams the full bank
@@ -72,47 +73,25 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.api.registries import BACKENDS
-from repro.data.bank_loader import common_effective_batch
 from repro.data.synthetic import Dataset
-from repro.distributed.backends import (
-    BackendUnsupported,
-    WorkerBackend,
-    WorkerView,
-    merge_fingerprints,
-)
+from repro.distributed.backends import BackendUnsupported
 from repro.distributed.transport import ShmStatePlane
-from repro.distributed.worker_bank import WorkerBank
-from repro.nn.bank import attach_bank_streams, bank_compatible
+from repro.distributed.worker_bank import (
+    Chunks,
+    WorkerBank,
+    check_bank_setup,
+    chunk_payloads,
+    shard_slices,
+)
 from repro.nn.layers import Module
 import repro.obs.emit
 from repro.obs.emit import count, span
-from repro.utils.seeding import check_random_state
 
-__all__ = ["ShardedBank", "shard_slices", "usable_cores"]
+__all__ = ["ShardedBank", "usable_cores"]
 
 #: What sizes a BLAS thread pool when NumPy loads; a user who exported one
 #: keeps that size in every process (see :func:`_set_blas_threads`).
 _BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` worker ranges for each of ``n_shards`` shards.
-
-    Sizes follow ``np.array_split``: the first ``n_workers % n_shards``
-    shards get one extra worker, so any (m, shards) pair yields a balanced,
-    deterministic partition.  ``n_shards`` is clamped to ``n_workers`` so no
-    shard is ever empty.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    n_shards = min(n_shards, n_workers)
-    base, extra = divmod(n_workers, n_shards)
-    slices, lo = [], 0
-    for index in range(n_shards):
-        hi = lo + base + (1 if index < extra else 0)
-        slices.append((lo, hi))
-        lo = hi
-    return slices
 
 
 def usable_cores() -> int:
@@ -188,16 +167,12 @@ class _ShardServer:
         # plane, so drop the stale attachment first.  Attach-only: the
         # parent is the sole owner/unlinker of the segments.
         self.close_plane()
-        # The parent ships stream_rngs whenever the template has stream
-        # modules, so WorkerBank never falls back to calling model_fn here.
         self.bank = WorkerBank(model_fn=None, **payload)
         if plane_spec is not None:
             self._plane, self._bounds = ShmStatePlane.attach(plane_spec), bounds
 
     def execute(self, op: str, args: tuple):
         bank = self.bank
-        if op == "local_period":
-            return bank.local_period(*args)
         if op in ("get_states", "sync_states"):
             # The parent names the op after the plane it allocated; what
             # comes back depends on the plane this shard holds.
@@ -212,28 +187,17 @@ class _ShardServer:
             lo, hi = self._bounds
             self._plane.states[lo:hi] = bank.bank.slab
             return None
-        if op == "broadcast":
-            return bank.broadcast_state(*args)
         if op == "broadcast_shm":
             # shm broadcast: the parent wrote the averaged model into the
             # plane before sending this command; copy out so the bank never
             # aliases the shared mapping.
             return bank.broadcast_state(np.array(self._plane.bcast, dtype=float))
-        if op == "get_worker_flat":
-            return bank.bank.worker_flat(*args)
-        if op == "set_worker_flat":
-            return bank.bank.set_worker_flat(*args)
-        if op == "get_worker_buffers":
+        if op == "worker_buffers":
             return bank.bank.worker_buffers(*args)
-        if op == "set_lr":
-            return bank.set_lr(*args)
-        if op == "reset_momentum":
-            return bank.reset_momentum()
-        if op == "rng_fingerprint":
-            return bank.rng_fingerprint()
         if op == "rebuild":
             return self._rebuild(*args)
-        raise ValueError(f"unknown shard command {op!r}")
+        # Every other command is the bank method of that name (Chunks' calls).
+        return getattr(bank, op)(*args)
 
 
 def _shard_main(conn, inherited: list, n_shards: int) -> None:
@@ -255,16 +219,16 @@ def _shard_main(conn, inherited: list, n_shards: int) -> None:
     _ShardServer().serve(conn.recv, conn.send)
 
 
-class ShardedBank(WorkerBackend):
+class ShardedBank(Chunks):
     """m replicas as ``n_shards`` vectorized banks on a persistent process pool.
 
     Parameters
     ----------
     model_fn, shards, batch_size, lr, momentum, weight_decay, rngs, template, bank_dtype:
         As for :class:`~repro.distributed.worker_bank.WorkerBank`; the
-        parent consumes ``model_fn`` and the RNG streams exactly as the
-        single-process bank would, so ``"sharded"`` and ``"vectorized"``
-        runs are byte-identical.
+        parent consumes the RNG streams exactly as the single-process bank
+        would (:func:`~repro.distributed.worker_bank.chunk_payloads`), so
+        ``"sharded"`` and ``"vectorized"`` runs are byte-identical.
     n_shards:
         Worker processes to partition the m replicas over (clamped to m).
 
@@ -336,7 +300,7 @@ class ShardedBank(WorkerBackend):
             self, _shutdown_pool, list(self._conns), list(self._procs), self._plane
         )
         spec = None if self._plane is None else self._plane.spec()
-        each = [(payload, spec, bounds) for payload, bounds in zip(payloads, self.shard_slices)]
+        each = [(payload, spec, bounds) for payload, bounds in zip(payloads, self.bounds)]
         for _ in self._replies("rebuild", each=each):
             pass
 
@@ -364,29 +328,19 @@ class ShardedBank(WorkerBackend):
         *,
         n_shards: int,
         batch_size: int = 32,
-        lr: float = 0.1,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        rngs: Sequence | None = None,
         template: Module | None = None,
         bank_dtype: str = "float64",
+        **run,
     ) -> list[dict]:
         """Validate the setup, set all backend state, return shard payloads.
 
         Shared by construction and :meth:`rebuild`: everything except the
-        pool itself — validation, RNG/stream consumption, the shard
-        partition, per-shard payloads (``WorkerBank`` keyword arguments) and
-        this object's bookkeeping — happens here, so a rebuilt backend is
-        state-identical to a freshly constructed one.
+        pool itself — validation, the shard partition, the per-shard
+        ``WorkerBank`` arguments and this object's bookkeeping — happens
+        here, so a rebuilt backend is state-identical to a freshly
+        constructed one.
         """
-        if not shards:
-            raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if rngs is None:
-            rngs = [None] * len(shards)
-        if len(rngs) != len(shards):
-            raise ValueError(f"{len(shards)} shards but {len(rngs)} RNG streams")
+        self._split(shards, n_shards)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise BackendUnsupported("shard processes are forked, and this platform cannot fork")
         if template is None:
@@ -394,25 +348,7 @@ class ShardedBank(WorkerBackend):
         # Every unsupported-setup check runs before any RNG stream (or extra
         # model_fn call) is consumed, so an "auto" escalation that lands here
         # can still fall back to the vectorized bank with pristine streams.
-        if not bank_compatible(template):
-            raise BackendUnsupported(
-                f"model {type(template).__name__} has no param-bank forward path; "
-                f"use the 'loop' backend"
-            )
-        data_free = all(shard is None for shard in shards)
-        if not data_free and any(shard is None for shard in shards):
-            raise BackendUnsupported(
-                "the sharded backend needs a dataset shard per worker "
-                "(or None for every worker on data-free objectives)"
-            )
-        if not data_free:
-            # Same rule each shard-local BankLoader will enforce, checked in
-            # the parent so an unstackable setup raises BackendUnsupported
-            # (and "auto" can fall back) before any process is forked.
-            try:
-                effective_batch = common_effective_batch(shards, batch_size)
-            except ValueError as err:
-                raise BackendUnsupported(f"stacked sampling unavailable: {err}") from err
+        check_bank_setup(template, shards, batch_size)
         try:
             pickle.dumps(template)
         except Exception as err:  # noqa: BLE001 - any pickling failure means loop-only
@@ -420,47 +356,15 @@ class ShardedBank(WorkerBackend):
                 f"model {type(template).__name__} is not picklable and cannot ship "
                 f"to shard processes ({err}); use the 'vectorized' or 'loop' backend"
             ) from err
-
-        m = len(shards)
         self.model = template
         self._initial_flat = template.get_flat_parameters()
         self._bank_dtype = bank_dtype
         self._has_buffers = any(True for _ in template.named_buffers())
-        self._shard_sizes = None if data_free else [len(shard) for shard in shards]
-        self._batch_size = 0 if data_free else effective_batch
-        self.shard_slices = shard_slices(m, n_shards)
-        self.n_shards = len(self.shard_slices)
-
-        # Consume model_fn / streams exactly as the vectorized bank would:
-        # stochastic modules get the m per-worker generators m replicas
-        # would own; each shard then receives its contiguous slice.
-        stream_mods = list(template.stream_modules())
-        if stream_mods:
-            attach_bank_streams(template, [model_fn() for _ in range(m - 1)])
-        # Loader generators materialize in worker order (identical seed-
-        # sequence consumption to handing each worker its own BatchLoader).
-        loader_rngs = None if data_free else [check_random_state(r) for r in rngs]
-
-        payloads = []
-        for lo, hi in self.shard_slices:
-            payloads.append({
-                "template": template,
-                "shards": list(shards[lo:hi]),
-                "batch_size": batch_size,
-                "lr": lr,
-                "momentum": momentum,
-                "weight_decay": weight_decay,
-                "rngs": None if loader_rngs is None else loader_rngs[lo:hi],
-                "stream_rngs": (
-                    [[mod._bank_rngs[i] for i in range(lo, hi)] for mod in stream_mods]
-                    if stream_mods
-                    else None
-                ),
-                "bank_dtype": bank_dtype,
-            })
-
-        self.workers = tuple(WorkerView(self, i) for i in range(m))
-        return payloads
+        self.n_shards = len(self.bounds)
+        return chunk_payloads(
+            model_fn, shards, self.bounds,
+            template=template, batch_size=batch_size, bank_dtype=bank_dtype, **run,
+        )
 
     def rebuild(
         self,
@@ -545,26 +449,14 @@ class ShardedBank(WorkerBackend):
         self._ensure_open()
         return span("shard_rpc", op=op, shard=shard, transport=self.transport)
 
-    def _request_all(self, op: str, *args) -> list:
-        """One command to every shard; the results in shard order."""
+    def _each(self, op: str, *args) -> list:
         with self._rpc_scope(op):
             return [result for _, result in self._replies(op, *args)]
 
-    def _request_shard(self, shard_index: int, op: str, *args):
-        with self._rpc_scope(op, shard_index):
-            ((_, result),) = self._replies(op, *args, only=shard_index)
+    def _one(self, chunk: int, op: str, *args):
+        with self._rpc_scope(op, chunk):
+            ((_, result),) = self._replies(op, *args, only=chunk)
             return result
-
-    def _locate(self, worker_id: int) -> tuple[int, int]:
-        """Map a global worker id to ``(shard_index, local_id)``."""
-        for index, (lo, hi) in enumerate(self.shard_slices):
-            if lo <= worker_id < hi:
-                return index, worker_id - lo
-        raise IndexError(f"worker_id {worker_id} out of range [0, {len(self.workers)})")
-
-    def _worker_request(self, worker_id: int, op: str, *args):
-        shard_index, local_id = self._locate(worker_id)
-        return self._request_shard(shard_index, op, local_id, *args)
 
     def _count_moved(self, nbytes: int) -> None:
         """Charge state bytes to the plane that moved them."""
@@ -586,26 +478,8 @@ class ShardedBank(WorkerBackend):
         self._plane = None
 
     # -- WorkerBackend protocol ----------------------------------------------
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
-
-    def shard_sizes(self) -> "list[int] | None":
-        return None if self._shard_sizes is None else list(self._shard_sizes)
-
     def initial_state(self) -> np.ndarray:
         return self._initial_flat.copy()
-
-    def worker_state(self, worker_id: int) -> np.ndarray:
-        return self._worker_request(worker_id, "get_worker_flat")
-
-    def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
-        self._worker_request(worker_id, "set_worker_flat", np.asarray(flat, dtype=float))
-
-    def local_period(self, tau: int) -> np.ndarray:
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        return np.concatenate(self._request_all("local_period", tau))
 
     @property
     def _gather_op(self) -> str:
@@ -621,7 +495,7 @@ class ShardedBank(WorkerBackend):
         # shm plane the children wrote their rows in place and the parent
         # copies out of its own mapping; the pipes carried only empty acks.
         with span("shard_gather"):
-            blocks = self._request_all(self._gather_op)
+            blocks = self._each(self._gather_op)
             if self._plane is None:
                 states = np.concatenate(blocks, axis=0)
             else:
@@ -645,7 +519,7 @@ class ShardedBank(WorkerBackend):
         nbytes = 0
         with self._rpc_scope("mean_state"), span("shard_gather"):
             for shard, reply in self._replies(self._gather_op):
-                lo, hi = self.shard_slices[shard]
+                lo, hi = self.bounds[shard]
                 block = self._plane.states[lo:hi] if reply is None else reply
                 acc = _fold_rows(acc, block)
                 nbytes += block.nbytes
@@ -656,21 +530,16 @@ class ShardedBank(WorkerBackend):
     def broadcast_state(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
         if self._plane is None:
-            self._request_all("broadcast", flat)
+            super().broadcast_state(flat)
         else:
             self._plane.bcast[:] = flat
-            self._request_all("broadcast_shm")
+            self._each("broadcast_shm")
         self._count_moved(flat.nbytes)
-
-    def set_lr(self, lr: float) -> None:
-        self._request_all("set_lr", lr)
-
-    def reset_momentum(self) -> None:
-        self._request_all("reset_momentum")
 
     def worker_buffers(self, worker_id: int) -> dict:
         """Copies of one worker's buffer slices (fetched from its shard)."""
-        return self._worker_request(worker_id, "get_worker_buffers")
+        chunk, local = self._locate(worker_id)
+        return self._one(chunk, "worker_buffers", local)
 
     def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:
         self.model.set_flat_parameters(flat)
@@ -682,9 +551,6 @@ class ShardedBank(WorkerBackend):
             for name, value in self.worker_buffers(worker_id).items():
                 self.model.set_buffer(name, value)
         return self.model
-
-    def rng_fingerprint(self) -> dict:
-        return merge_fingerprints(self._request_all("rng_fingerprint"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

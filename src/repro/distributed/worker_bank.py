@@ -1,4 +1,4 @@
-"""The one local step, and its two in-process compositions.
+"""The one local step, and the chunk composite the other two backends are.
 
 :meth:`WorkerBank.local_step` is the only local SGD step in ``src/`` (paper
 eq. 2): draw the stacked ``(m, B, ...)`` batch from a
@@ -14,18 +14,24 @@ losses into the gradient slab, apply the fused
   stochastic modules (dropout, data-free noise models) are handed the
   per-worker streams m replicas would own
   (:func:`repro.nn.bank.attach_bank_streams`).  Every built-in model runs
-  here; a model without a stacked definition, or shards that clip
-  ``batch_size`` to different sizes, raise :class:`BackendUnsupported`
-  *before* consuming any RNG state, so ``backend="auto"`` falls back
-  transparently.
-* :class:`LoopWorkers` (``"loop"``) is m banks of one, stepped in a Python
-  loop: the same step on m graphs of one replica.  It no longer carries its
-  own optimizer arithmetic or state exchange (``BankSGD`` and
-  ``ParameterBank`` are pinned by their own byte-level tests); what it still
-  checks independently is the worker axis, which is why a seeded run is
+  here; :func:`check_bank_setup` refuses the rest (a model without a stacked
+  definition, shards that clip ``batch_size`` to different sizes) with
+  :class:`BackendUnsupported` *before* consuming any RNG state, so
+  ``backend="auto"`` falls back transparently.
+* :class:`Chunks` is the worker axis cut into contiguous ``[lo, hi)`` ranges,
+  one ``WorkerBank`` per range.  What every such composite needs is written
+  here once: the split (:func:`shard_slices`), each chunk's construction
+  (:func:`chunk_payloads`, which consumes ``model_fn`` and the streams in
+  worker order, so any split gives the same bytes) and the cross-chunk calls,
+  over two carrier hooks.
+* :class:`LoopWorkers` (``"loop"``) is m chunks of one, carried by in-process
+  calls: the same step on m graphs of one replica.  What it checks
+  independently is the worker axis, which is why a seeded run is
   byte-identical on either.  It also serves what one stacked graph cannot:
   ragged shards (each bank clips its own batch) and modules that only write
   ``forward`` / ``loss`` (see :meth:`WorkerBank._replica_losses`).
+* :class:`~repro.distributed.sharded_bank.ShardedBank` (``"sharded"``) is n
+  chunks in forked processes, carried over pipes.
 """
 
 from __future__ import annotations
@@ -35,26 +41,121 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.api.registries import BACKENDS
-from repro.data.bank_loader import BankLoader
+from repro.data.bank_loader import BankLoader, common_effective_batch
 from repro.data.synthetic import Dataset
 from repro.distributed.backends import (
     BackendUnsupported,
     WorkerBackend,
     WorkerView,
     generator_state,
-    merge_fingerprints,
 )
-from repro.nn.bank import (
-    ParameterBank,
-    attach_bank_streams,
-    attach_stream_generators,
-    bank_compatible,
-)
+from repro.nn.bank import ParameterBank, attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 from repro.optim.bank_sgd import BankSGD
 
-__all__ = ["WorkerBank", "LoopWorkers"]
+__all__ = [
+    "WorkerBank",
+    "Chunks",
+    "LoopWorkers",
+    "check_bank_setup",
+    "chunk_payloads",
+    "shard_slices",
+]
+
+
+def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
+    """Contiguous ``[lo, hi)`` worker ranges for each of ``n_shards`` shards.
+
+    Sizes follow ``np.array_split``: the first ``n_workers % n_shards``
+    shards get one extra worker, so any (m, shards) pair yields a balanced,
+    deterministic partition.  ``n_shards`` is clamped to ``n_workers`` so no
+    shard is ever empty.
+    """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    n_shards = min(n_shards, n_workers)
+    base, extra = divmod(n_workers, n_shards)
+    slices, lo = [], 0
+    for index in range(n_shards):
+        hi = lo + base + (1 if index < extra else 0)
+        slices.append((lo, hi))
+        lo = hi
+    return slices
+
+
+def check_bank_setup(
+    template: Module,
+    shards: Sequence[Dataset | None],
+    batch_size: int,
+    *,
+    forward_only: bool = False,
+) -> None:
+    """Raise :class:`BackendUnsupported` for a setup one stacked bank cannot run.
+
+    That is a model without a stacked definition (unless ``forward_only``: a
+    bank of one carries it as a scratch replica), a mix of data and ``None``
+    shards, or shards that clip ``batch_size`` to different sizes.  It only
+    reads: no RNG stream or ``model_fn`` call is consumed, so ``"auto"`` can
+    fall back with pristine streams and an unperturbed factory.
+    """
+    if not forward_only and not bank_compatible(template):
+        raise BackendUnsupported(
+            f"model {type(template).__name__} has no param-bank forward path; "
+            f"use the 'loop' backend"
+        )
+    if all(shard is None for shard in shards):
+        return
+    if any(shard is None for shard in shards):
+        raise BackendUnsupported(
+            "a worker bank needs a dataset shard per worker "
+            "(or None for every worker on data-free objectives)"
+        )
+    try:
+        common_effective_batch(shards, batch_size)
+    except ValueError as err:
+        raise BackendUnsupported(f"stacked sampling unavailable: {err}") from err
+
+
+def chunk_payloads(
+    model_fn: "Callable[[], Module] | None",
+    shards: Sequence[Dataset | None],
+    bounds: Sequence[tuple[int, int]],
+    *,
+    rngs: Sequence | None = None,
+    template: Module | None = None,
+    **run,
+) -> list[dict]:
+    """One :class:`WorkerBank` argument dict per ``[lo, hi)`` range of ``bounds``.
+
+    Chunk 0's template is ``template`` (``model_fn()`` when ``None``); every
+    later chunk's is a ``model_fn()`` call loaded with chunk 0's parameters,
+    the common x1.  A template with stochastic modules is handed its workers'
+    streams, harvested from the replicas they would own as banks of one
+    (:func:`~repro.nn.bank.attach_bank_streams`).  All calls come in worker
+    order, so ``model_fn`` and the streams are consumed as m banks of one
+    would and every split gives the same bytes.  ``run`` is the rest of the
+    bank's arguments (``batch_size``, the optimizer settings, ``bank_dtype``).
+
+    A payload is state, never a closure: it pickles, and ``WorkerBank(None,
+    **payload)`` builds the chunk wherever it lands.  Ship the payload, not a
+    built bank: pickling a bank would cut its parameters loose from its slab.
+    """
+    if rngs is None:
+        rngs = [None] * len(shards)
+    if len(rngs) != len(shards):
+        raise ValueError(f"{len(shards)} shards but {len(rngs)} RNG streams")
+    payloads: list[dict] = []
+    for lo, hi in bounds:
+        chunk = template if template is not None and not payloads else model_fn()
+        if any(True for _ in chunk.stream_modules()):
+            attach_bank_streams(chunk, [model_fn() for _ in range(hi - lo - 1)])
+        if payloads:
+            chunk.set_flat_parameters(payloads[0]["template"].get_flat_parameters())
+        payloads.append(
+            {"template": chunk, "shards": list(shards[lo:hi]), "rngs": list(rngs[lo:hi]), **run}
+        )
+    return payloads
 
 
 class WorkerBank(WorkerBackend):
@@ -77,7 +178,6 @@ class WorkerBank(WorkerBackend):
         weight_decay: float = 0.0,
         rngs: Sequence | None = None,
         template: Module | None = None,
-        stream_rngs: "Sequence[Sequence] | None" = None,
         bank_dtype: str = "float64",
     ):
         if not shards:
@@ -88,45 +188,16 @@ class WorkerBank(WorkerBackend):
         dtype = np.dtype(bank_dtype)
         if template is None:
             template = model_fn()
-        # All unsupported-setup checks come before any RNG stream (or extra
-        # model_fn call) is consumed, so "auto" can fall back to the loop
-        # backend with pristine streams and an unperturbed factory.
+        check_bank_setup(template, shards, batch_size, forward_only=self._accepts_forward_only)
         self._scratch_replica = not bank_compatible(template)
-        if self._scratch_replica and not self._accepts_forward_only:
-            raise BackendUnsupported(
-                f"model {type(template).__name__} has no param-bank forward path; "
-                f"use the 'loop' backend"
-            )
-        data_free = all(shard is None for shard in shards)
-        if not data_free and any(shard is None for shard in shards):
-            raise BackendUnsupported(
-                "the vectorized backend needs a dataset shard per worker "
-                "(or None for every worker on data-free objectives)"
-            )
-        if data_free:
-            loader = None
-        else:
-            try:
-                loader = BankLoader(
-                    shards,
-                    batch_size,
-                    rngs=rngs,
-                    dtype=None if dtype == np.float64 else dtype,
-                )
-            except ValueError as err:
-                raise BackendUnsupported(f"stacked sampling unavailable: {err}") from err
-        # Stochastic modules (dropout masks, data-free gradient noise) need
-        # one RNG stream per worker.  Build the replicas m banks of one
-        # would have built — consuming model_fn exactly as they would — and
-        # hand the template their streams; stream-free models skip this and
-        # keep the bank's one-replica construction cost.  A caller already
-        # holding correctly-positioned generators (a shard process of the
-        # sharded backend) injects them via ``stream_rngs`` instead, in which
-        # case ``model_fn`` is never invoked.
-        if stream_rngs is not None:
-            attach_stream_generators(template, stream_rngs, n_workers=len(shards))
-        elif any(True for _ in template.stream_modules()):
-            attach_bank_streams(template, [model_fn() for _ in range(len(shards) - 1)])
+        data_free = shards[0] is None
+        loader = None if data_free else BankLoader(
+            shards, batch_size, rngs=rngs, dtype=None if dtype == np.float64 else dtype
+        )
+        if model_fn is not None:
+            # Built from model_fn, the bank is its composite's only chunk.  A
+            # chunk_payloads template (model_fn=None) has its streams already.
+            chunk_payloads(model_fn, shards, [(0, len(shards))], template=template)
         self.model = template
         self.bank = ParameterBank(template, len(shards), dtype=dtype)
         self.loader = loader
@@ -136,13 +207,6 @@ class WorkerBank(WorkerBackend):
         )
         self.local_steps_taken = 0
         self.workers = tuple(WorkerView(self, i) for i in range(len(shards)))
-
-    @property
-    def batch_size(self) -> int:
-        return self.loader.batch_size if self.loader is not None else 0
-
-    def shard_sizes(self) -> "list[int] | None":
-        return None if self._shard_sizes is None else list(self._shard_sizes)
 
     # -- training ------------------------------------------------------------
     def local_step(self) -> np.ndarray:
@@ -252,15 +316,82 @@ class _BankOfOne(WorkerBank):
     _accepts_forward_only = True
 
 
-class LoopWorkers(WorkerBackend):
-    """m banks of one worker each, stepped in a Python loop.
+class Chunks(WorkerBackend):
+    """The worker axis as contiguous ``WorkerBank`` chunks: ``loop`` and ``sharded``.
 
-    Takes the arguments of :class:`WorkerBank` (``run``: ``batch_size`` and
-    the optimizer settings); worker i gets its own replica from ``model_fn``
-    (``template``, when given, is worker 0's — the probe an ``"auto"``
-    fallback already built, so ``model_fn`` is consumed as in a direct
-    build), its own shard, loader stream, slab and optimizer.  ``bank_dtype``
-    is accepted and ignored: the loop is the float64 check.
+    ``bounds`` holds each chunk's ``[lo, hi)`` worker range, in worker order.
+    The cross-chunk methods below are written once, over two carrier hooks
+    that call a :class:`WorkerBank` method by name: :meth:`_each` on every
+    chunk (results in chunk order) and :meth:`_one` on one chunk.  A subclass
+    is its carrier: in-process calls, or commands over a pipe.
+    """
+
+    bounds: "list[tuple[int, int]]"
+
+    def _split(self, shards: Sequence[Dataset | None], n_chunks: int) -> None:
+        """Cut the workers of ``shards`` into ``n_chunks`` ranges (see :func:`shard_slices`)."""
+        if not shards:
+            raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
+        self.bounds = shard_slices(len(shards), n_chunks)
+        self._shard_sizes = (
+            None if any(shard is None for shard in shards) else [len(shard) for shard in shards]
+        )
+        self.workers = tuple(WorkerView(self, i) for i in range(len(shards)))
+
+    def _each(self, op: str, *args) -> list:  # pragma: no cover - overridden
+        """``WorkerBank.<op>(*args)`` on every chunk; the results in chunk order."""
+        raise NotImplementedError
+
+    def _one(self, chunk: int, op: str, *args):  # pragma: no cover - overridden
+        """``WorkerBank.<op>(*args)`` on chunk ``chunk`` alone."""
+        raise NotImplementedError
+
+    def _locate(self, worker_id: int) -> tuple[int, int]:
+        """Map a global worker id to ``(chunk, local_id)``."""
+        for chunk, (lo, hi) in enumerate(self.bounds):
+            if lo <= worker_id < hi:
+                return chunk, worker_id - lo
+        raise IndexError(f"worker_id {worker_id} out of range [0, {self.n_workers})")
+
+    def local_period(self, tau: int) -> np.ndarray:
+        if tau < 1:
+            raise ValueError(f"tau must be >= 1, got {tau}")
+        return np.concatenate(self._each("local_period", tau))
+
+    def worker_state(self, worker_id: int) -> np.ndarray:
+        chunk, local = self._locate(worker_id)
+        return self._one(chunk, "worker_state", local)
+
+    def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
+        chunk, local = self._locate(worker_id)
+        self._one(chunk, "set_worker_state", local, flat)
+
+    def broadcast_state(self, flat: np.ndarray) -> None:
+        self._each("broadcast_state", flat)
+
+    def set_lr(self, lr: float) -> None:
+        self._each("set_lr", lr)
+
+    def reset_momentum(self) -> None:
+        self._each("reset_momentum")
+
+    def rng_fingerprint(self) -> dict:
+        merged: dict = {"loaders": [], "streams": []}
+        for part in self._each("rng_fingerprint"):
+            merged["loaders"].extend(part["loaders"])
+            merged["streams"].extend(part["streams"])
+        return merged
+
+
+class LoopWorkers(Chunks):
+    """m chunks of one worker each, stepped in a Python loop.
+
+    Takes the arguments of :class:`WorkerBank`; worker i gets its own
+    replica from ``model_fn`` (``template``, when given, is worker 0's — the
+    probe an ``"auto"`` fallback already built, so ``model_fn`` is consumed
+    as in a direct build), its own shard, loader stream, slab and optimizer
+    (:func:`chunk_payloads`).  ``bank_dtype`` is accepted and ignored: the
+    loop is the float64 check.
     """
 
     name = "loop"
@@ -270,67 +401,26 @@ class LoopWorkers(WorkerBackend):
         model_fn: Callable[[], Module],
         shards: Sequence[Dataset | None],
         *,
-        rngs: Sequence | None = None,
-        template: Module | None = None,
         bank_dtype: str = "float64",
         **run,
     ):
         del bank_dtype
-        if not shards:
-            raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
-        if rngs is None:
-            rngs = [None] * len(shards)
-        if len(rngs) != len(shards):
-            raise ValueError(f"{len(shards)} shards but {len(rngs)} RNG streams")
-        self.banks: list[WorkerBank] = []
-        for shard, rng in zip(shards, rngs):
-            bank = _BankOfOne(
-                model_fn, [shard], rngs=[rng],
-                template=None if self.banks else template, **run,
-            )
-            if self.banks:
-                # Force identical initial parameters across replicas (same x1).
-                bank.broadcast_state(self.banks[0].initial_state())
-            self.banks.append(bank)
-        self.workers = tuple(WorkerView(self, i) for i in range(len(shards)))
+        self._split(shards, len(shards))
+        self.banks: list[WorkerBank] = [
+            _BankOfOne(None, **payload) for payload in chunk_payloads(model_fn, shards, self.bounds, **run)
+        ]
 
-    @property
-    def batch_size(self) -> int:
-        return self.banks[0].batch_size
+    def _each(self, op: str, *args) -> list:
+        return [getattr(bank, op)(*args) for bank in self.banks]
 
-    def shard_sizes(self) -> "list[int] | None":
-        sizes = [bank.shard_sizes() for bank in self.banks]
-        return None if None in sizes else [size for (size,) in sizes]
-
-    def local_period(self, tau: int) -> np.ndarray:
-        return np.concatenate([bank.local_period(tau) for bank in self.banks])
-
-    def worker_state(self, worker_id: int) -> np.ndarray:
-        return self.banks[worker_id].worker_state(0)
-
-    def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
-        self.banks[worker_id].set_worker_state(0, flat)
+    def _one(self, chunk: int, op: str, *args):
+        return getattr(self.banks[chunk], op)(*args)
 
     def get_stacked_states(self) -> np.ndarray:
         return np.concatenate([bank.bank.slab for bank in self.banks])
 
-    def broadcast_state(self, flat: np.ndarray) -> None:
-        for bank in self.banks:
-            bank.broadcast_state(flat)
-
-    def set_lr(self, lr: float) -> None:
-        for bank in self.banks:
-            bank.set_lr(lr)
-
-    def reset_momentum(self) -> None:
-        for bank in self.banks:
-            bank.reset_momentum()
-
     def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:
         return self.banks[worker_id].materialize(flat)
-
-    def rng_fingerprint(self) -> dict:
-        return merge_fingerprints(bank.rng_fingerprint() for bank in self.banks)
 
 
 BACKENDS.register("loop", LoopWorkers)

@@ -33,7 +33,6 @@ __all__ = [
     "ParameterBank",
     "bank_compatible",
     "attach_bank_streams",
-    "attach_stream_generators",
 ]
 
 
@@ -72,41 +71,6 @@ def attach_bank_streams(template: Module, replicas: Sequence[Module]) -> None:
             )
     for idx, mod in enumerate(template_mods):
         mod._bank_rngs = [mod._rng] + [mods[idx]._rng for mods in replica_mods]
-
-
-def attach_stream_generators(
-    template: Module,
-    per_module_rngs: Sequence[Sequence],
-    n_workers: "int | None" = None,
-) -> None:
-    """Wire explicit per-worker generators into the template's stream modules.
-
-    ``per_module_rngs[i]`` is the list of m generators for the i-th module
-    yielded by :meth:`Module.stream_modules` (worker order).  This is the
-    transport-level sibling of :func:`attach_bank_streams`: instead of
-    building throwaway replicas to harvest streams from, callers that already
-    hold correctly-positioned generators — e.g. a shard process that received
-    them from the parent — install them directly.  Passing ``n_workers``
-    turns a wrong-sized slice into an immediate error here instead of a
-    confusing failure (or, worse, silently mis-streamed masks) at forward
-    time.
-    """
-    template_mods = list(template.stream_modules())
-    if len(per_module_rngs) != len(template_mods):
-        raise ValueError(
-            f"got stream generators for {len(per_module_rngs)} module(s), template "
-            f"has {len(template_mods)} stream module(s)"
-        )
-    lengths = {len(rngs) for rngs in per_module_rngs}
-    if len(lengths) > 1:
-        raise ValueError(f"per-module stream lists have unequal lengths {sorted(lengths)}")
-    if n_workers is not None and lengths and lengths != {n_workers}:
-        raise ValueError(
-            f"stream lists carry {lengths.pop()} generator(s) but the bank has "
-            f"{n_workers} worker(s)"
-        )
-    for mod, rngs in zip(template_mods, per_module_rngs):
-        mod._bank_rngs = list(rngs)
 
 
 class ParameterBank:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.partition import partition_dataset
+from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.averaging import average_states, weighted_average_states
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import Exact
@@ -261,6 +262,20 @@ class TestSimulatedCluster:
         cluster.run_round(10)
         # 10 iterations × 8 batch × 4 workers = 320 samples over a 180-sample dataset.
         assert cluster.epochs_completed() == pytest.approx(320 / 180)
+
+    @pytest.mark.parametrize("backend", ["loop", "auto"])
+    def test_epochs_count_each_workers_clipped_batch(self, tiny_model_fn, backend):
+        # Ten samples over four workers: batch 3 clips to the shards [3, 3, 2, 2],
+        # so every step draws all ten, one epoch, and "auto" lands on the loop.
+        data = make_gaussian_blobs(n_samples=10, n_features=8, n_classes=3, rng=0)
+        runtime = RuntimeSimulator(ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=4, rng=0)
+        cluster = SimulatedCluster(
+            tiny_model_fn, data, runtime, n_workers=4, batch_size=3, seed=0, backend=backend
+        )
+        assert cluster.backend_name == "loop"
+        assert cluster.backend.shard_sizes() == [3, 3, 2, 2]
+        cluster.run_round(5)
+        assert cluster.epochs_completed() == 5.0
 
 
 class TestClusterBackendParity:

@@ -5,7 +5,8 @@ Every parent-side command goes through one request path
 surface the same way: one ``RuntimeError`` naming the shard and the op the
 connection was lost under — not a bare ``EOFError('')`` from whichever
 ``recv`` happened to be waiting.  A reply that arrives truncated or garbled
-fails the same way.  After each fault the pool must still close silently
+fails the same way, and so does the next command to a shard that was sent
+half a request.  After each fault the pool must still close silently
 (twice), leave no ``/dev/shm`` segment and no child behind (the shared
 ``leaks`` detector), and the :class:`BackendHandle` that held it must fork a
 fresh pool whose trajectory equals a never-killed one.
@@ -93,7 +94,7 @@ STEPS = {
         lambda pool, victim: pool.broadcast_state(pool.initial_state()), "broadcast_shm",
     ),
     "get_parameters": (
-        lambda pool, victim: pool.workers[2 * victim].get_parameters(), "get_worker_flat",
+        lambda pool, victim: pool.workers[2 * victim].get_parameters(), "worker_state",
     ),
     "rebuild": (
         lambda pool, victim: pool.rebuild(n_shards=2, **seeded_backend_kwargs()), "rebuild",
@@ -185,7 +186,7 @@ class TestBlasCap:
         try:
             with BackendHandle("sharded", n_shards=2) as handle:
                 _, pool = handle.acquire(**seeded_backend_kwargs())
-                assert pool._request_all("blas_threads") == [share, share]
+                assert pool._each("blas_threads") == [share, share]
             assert blas_threads() == 4  # the parent's own pool is left alone
         finally:
             _set_blas_threads(outside)
@@ -198,7 +199,7 @@ class TestBlasCap:
         try:
             with BackendHandle("sharded", n_shards=2) as handle:
                 _, pool = handle.acquire(**seeded_backend_kwargs())
-                assert pool._request_all("blas_threads") == [1, 1]
+                assert pool._each("blas_threads") == [1, 1]
         finally:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS")
             _set_blas_threads(outside)
@@ -233,16 +234,28 @@ def _broken_replies(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("victim", [0, 1])
-@pytest.mark.parametrize("kind, cause", [("garbled", "UnpicklingError"), ("truncated", "OSError")])
+@pytest.mark.parametrize(
+    "kind, cause",
+    [("garbled", "UnpicklingError"), ("truncated", "OSError"), ("request", "BrokenPipeError")],
+)
 def test_a_broken_reply_fails_like_a_lost_one(monkeypatch, kind, cause, victim):
     _broken_replies(monkeypatch)
     pool = ShardedBank(n_shards=2, **seeded_backend_kwargs())
     try:
-        each = [(kind,) if shard == victim else (None,) for shard in range(2)]
+        if kind == "request":
+            # Half a request frame: the shard cannot unpickle it and dies, and
+            # the next command to it names it.
+            frame = pickle.dumps(("local_period", (2,)))
+            pool._conns[victim].send_bytes(frame[: len(frame) // 2])
+            pool._procs[victim].join(timeout=10)
+            assert pool._procs[victim].exitcode == 1
+            op, args, each = "local_period", (2,), None
+        else:
+            op, args, each = "fault", (), [(kind,) if shard == victim else (None,) for shard in range(2)]
         with pytest.raises(RuntimeError) as raised:
-            list(pool._replies("fault", each=each))
+            list(pool._replies(op, *args, each=each))
         message = str(raised.value)
-        assert message.startswith(f"shard process {victim} failed:\nconnection lost during 'fault' ({cause}(")
+        assert message.startswith(f"shard process {victim} failed:\nconnection lost during {op!r} ({cause}(")
     finally:
         pool.close()
         pool.close()
@@ -370,7 +383,7 @@ def test_a_shard_records_nothing_into_the_parents_sinks(monkeypatch):
         at_fork = sinks()
         pool = ShardedBank(n_shards=2, **seeded_backend_kwargs())
         try:
-            assert pool._request_all("step_and_read") == [at_fork, at_fork]
+            assert pool._each("step_and_read") == [at_fork, at_fork]
         finally:
             pool.close()
 

@@ -10,17 +10,23 @@ equality, no tolerances.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.api.registries import BACKENDS
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.backends import BackendUnsupported, WorkerView
 from repro.distributed.collectives import Exact
-from repro.distributed.sharded_bank import ShardedBank, shard_slices
+from repro.distributed.sharded_bank import ShardedBank
+from repro.distributed.worker_bank import LoopWorkers, shard_slices
 from repro.experiments.configs import make_config
 from repro.experiments.harness import run_method
 from repro.models.mlp import MLP
+from repro.models.quadratic import NoisyQuadraticProblem, QuadraticObjective
 from repro.nn.layers import Linear, Module
 from repro.runtime.distributions import ConstantDelay
 from repro.runtime.network import NetworkModel
@@ -176,7 +182,7 @@ class TestByteIdenticalToVectorized:
         vectorized = _cluster("vectorized", model_fn, 5)
         sharded = _cluster("sharded", model_fn, 5, n_shards=3)
         try:
-            assert sharded.backend.shard_slices == [(0, 2), (2, 4), (4, 5)]
+            assert sharded.backend.bounds == [(0, 2), (2, 4), (4, 5)]
             for _ in range(2):
                 np.testing.assert_array_equal(
                     vectorized.backend.local_period(3), sharded.backend.local_period(3)
@@ -184,6 +190,62 @@ class TestByteIdenticalToVectorized:
                 np.testing.assert_array_equal(
                     vectorized.average_models(), sharded.average_models()
                 )
+        finally:
+            sharded.close()
+
+
+def _composite_kwargs(model: str, m: int) -> dict:
+    """Backend arguments for m workers; every call builds an identical, fresh factory.
+
+    ``"dropout_bn"`` and ``"quadratic"`` draw each replica's seed from one
+    counter, so only a build that calls ``model_fn`` in worker order gets
+    the loop's initial parameters and per-worker streams.
+    """
+    seeds = itertools.count(5)
+    if model == "quadratic":
+        objective = QuadraticObjective.random(dim=6, rng=0, noise_std=0.1)
+        return dict(
+            model_fn=lambda: NoisyQuadraticProblem(objective, x0=np.ones(6) * 3.0, rng=next(seeds)),
+            shards=[None] * m, lr=0.05, rngs=list(range(m)),
+        )
+    if model == "dropout_bn":
+        def model_fn():
+            return MLP(F, C, hidden_sizes=(6,), batch_norm=True, dropout=0.3, rng=next(seeds))
+    else:
+        def model_fn():
+            return MLP(F, C, hidden_sizes=(6,), rng=0)
+    shards = [
+        make_gaussian_blobs(n_samples=10 + 3 * i, n_features=F, n_classes=C, rng=i) for i in range(m)
+    ]
+    return dict(
+        model_fn=model_fn, shards=shards, batch_size=8, lr=0.05, momentum=0.9,
+        weight_decay=1e-4, rngs=list(range(100, 100 + m)),
+    )
+
+
+def _composite_run(backend) -> tuple[list, dict]:
+    """Per-step losses and stacked states over two rounds, then the stream positions."""
+    arrays = [backend.local_period(1), backend.local_period(1)]
+    mean, _ = backend.mean_state()
+    backend.broadcast_state(mean)
+    arrays += [backend.local_period(1), backend.get_stacked_states()]
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays], backend.rng_fingerprint()
+
+
+class TestOneChunkComposite:
+    """``sharded`` is ``loop`` with other chunks: equal bytes on any split of the worker axis."""
+
+    @pytest.mark.parametrize("model", ["dropout_bn", "stream_free", "quadratic"])
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layout=st.integers(1, 7).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))))
+    @example(layout=(5, 2))  # chunks of 3 and 2: a later chunk holds more than one worker
+    def test_sharded_equals_loop_on_any_split(self, model, layout):
+        m, n_shards = layout
+        loop = LoopWorkers(**_composite_kwargs(model, m))
+        sharded = ShardedBank(n_shards=n_shards, **_composite_kwargs(model, m))
+        try:
+            assert sharded.bounds == shard_slices(m, n_shards)
+            assert _composite_run(sharded) == _composite_run(loop)
         finally:
             sharded.close()
 
@@ -388,21 +450,6 @@ class TestShardedInsideSweepPool:
             assert vectorized.backend.rng_fingerprint() == sharded.backend.rng_fingerprint()
         finally:
             sharded.close()
-
-    def test_wrong_sized_stream_slice_fails_at_construction(self):
-        from repro.distributed.worker_bank import WorkerBank
-
-        template = MLP(F, C, hidden_sizes=(8,), dropout=0.3, rng=1)
-        shards = [
-            make_gaussian_blobs(n_samples=30, n_features=F, n_classes=C, rng=s)
-            for s in range(3)
-        ]
-        streams = [[np.random.default_rng(0), np.random.default_rng(1)]]  # 2 != 3
-        with pytest.raises(ValueError, match="3 worker"):
-            WorkerBank(
-                model_fn=None, shards=shards, batch_size=8,
-                template=template, stream_rngs=streams,
-            )
 
 
 class TestHarnessAndConfigWiring:
