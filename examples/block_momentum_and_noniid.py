@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
-    AdaCommConfig,
     AdaCommSchedule,
     NetworkModel,
     PASGDTrainer,
@@ -68,7 +67,7 @@ def build_and_train(
         collective=Exact(block_momentum=0.3 if use_block_momentum else 0.0),
         seed=seed,
     )
-    schedule = AdaCommSchedule(AdaCommConfig(initial_tau=20, interval_length=100.0))
+    schedule = AdaCommSchedule(initial_tau=20, interval_length=100.0)
     trainer = PASGDTrainer(
         cluster,
         schedule,

@@ -41,17 +41,13 @@ lineup:
 
 from repro.api import Experiment, Registry
 from repro.core import (
-    AdaCommConfig,
-    AdaCommController,
     AdaCommSchedule,
     FixedCommunicationSchedule,
     PASGDTrainer,
     SequenceCommunicationSchedule,
     TrainerConfig,
     TheoreticalConstants,
-    basic_tau_update,
-    refined_tau_update,
-    lr_coupled_tau_update,
+    tau_rule,
     error_runtime_bound,
     optimal_communication_period,
 )
@@ -84,17 +80,13 @@ __version__ = "1.0.0"
 __all__ = [
     "Experiment",
     "Registry",
-    "AdaCommConfig",
-    "AdaCommController",
     "AdaCommSchedule",
     "FixedCommunicationSchedule",
     "SequenceCommunicationSchedule",
     "PASGDTrainer",
     "TrainerConfig",
     "TheoreticalConstants",
-    "basic_tau_update",
-    "refined_tau_update",
-    "lr_coupled_tau_update",
+    "tau_rule",
     "error_runtime_bound",
     "optimal_communication_period",
     "SimulatedCluster",

@@ -2,12 +2,10 @@
 
 * ``theory`` — Theorem 1's error-runtime bound, Theorem 2's optimal τ*, and
   Theorem 3's convergence-condition checks for variable (τ, η) sequences.
-* ``adacomm`` — the communication-period update rules (basic eq. 17,
-  saturation-refined eq. 18, learning-rate-coupled eq. 19/20) and the
-  :class:`AdaCommController` that applies them every T0 seconds of simulated
-  wall-clock time.
 * ``schedules`` — the ``CommunicationSchedule`` interface with fixed-τ,
-  explicit-sequence, and AdaComm-driven implementations.
+  explicit-sequence and AdaComm implementations; :class:`AdaCommSchedule`
+  is the whole adaptive algorithm, and its module docstring states its
+  update rules (eqs. 17, 18 and 20).
 * ``trainer`` — :class:`PASGDTrainer`, which drives a simulated cluster under
   a communication schedule and an LR schedule and records loss/accuracy
   versus iterations *and* simulated wall-clock time.
@@ -21,19 +19,12 @@ from repro.core.theory import (
     adacomm_convergence_conditions,
     variable_tau_bound,
 )
-from repro.core.adacomm import (
-    AdaCommConfig,
-    AdaCommController,
-    basic_tau_update,
-    refined_tau_update,
-    lr_coupled_tau_update,
-    estimate_initial_tau,
-)
 from repro.core.schedules import (
     CommunicationSchedule,
     FixedCommunicationSchedule,
     SequenceCommunicationSchedule,
     AdaCommSchedule,
+    tau_rule,
 )
 from repro.core.trainer import PASGDTrainer, TrainerConfig
 
@@ -44,16 +35,11 @@ __all__ = [
     "optimal_communication_period",
     "adacomm_convergence_conditions",
     "variable_tau_bound",
-    "AdaCommConfig",
-    "AdaCommController",
-    "basic_tau_update",
-    "refined_tau_update",
-    "lr_coupled_tau_update",
-    "estimate_initial_tau",
     "CommunicationSchedule",
     "FixedCommunicationSchedule",
     "SequenceCommunicationSchedule",
     "AdaCommSchedule",
+    "tau_rule",
     "PASGDTrainer",
     "TrainerConfig",
 ]

@@ -1,4 +1,4 @@
-"""Communication-period schedules.
+"""Communication-period schedules, ADACOMM among them (Section 4).
 
 A ``CommunicationSchedule`` answers one question for the trainer: *how many
 local steps should the workers take before the next averaging step?*  Three
@@ -10,24 +10,39 @@ implementations cover the paper's experiments:
 * :class:`SequenceCommunicationSchedule` — an arbitrary pre-specified
   {τ_0, τ_1, ...} sequence, used by the variable-τ convergence analysis
   (Theorem 3) tests and by ablations.
-* :class:`AdaCommSchedule` — wraps an :class:`~repro.core.adacomm.AdaCommController`
-  so the period is re-estimated every T0 seconds of simulated time.
+* :class:`AdaCommSchedule` — ADACOMM.  Training is cut into wall-clock
+  intervals of length T0; the first observation fixes the reference loss F_0
+  and learning rate η_0, and at each interval boundary τ is re-estimated from
+  the latest loss F_l and learning rate η_l:
+
+  - eq. 20: τ_l = ⌈√((η_0/η_l) · F_l/F_0) · τ_0⌉ (:func:`tau_rule`; at a
+    constant learning rate it is eq. 17, τ_l = ⌈√(F_l/F_0) · τ_0⌉, and it is
+    the practical ``ηL ≈ 1`` form of eq. 19);
+  - eq. 18: if that candidate is not strictly smaller than the current τ,
+    τ ← ⌊γ · τ⌋ instead (the paper uses γ = 1/2), so τ keeps shrinking when
+    the loss plateaus.
+
+  τ never drops below 1 and never increases.
 """
 
 from __future__ import annotations
 
 import abc
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.api.registries import COMM_SCHEDULES
-from repro.core.adacomm import AdaCommConfig, AdaCommController
+from repro.utils.logging import get_logger
+
+logger = get_logger("core.schedules")
 
 __all__ = [
     "CommunicationSchedule",
     "FixedCommunicationSchedule",
     "SequenceCommunicationSchedule",
     "AdaCommSchedule",
-    "adacomm_schedule",
+    "tau_rule",
 ]
 
 
@@ -45,11 +60,6 @@ class CommunicationSchedule(abc.ABC):
 
     def observe(self, wall_time: float, train_loss: float, lr: float) -> None:
         """Report progress after an averaging step (no-op for static schedules)."""
-
-    @property
-    def is_adaptive(self) -> bool:
-        """Whether the schedule reacts to training progress."""
-        return False
 
     @property
     @abc.abstractmethod
@@ -99,48 +109,100 @@ class SequenceCommunicationSchedule(CommunicationSchedule):
         return self.taus[min(self._index, len(self.taus) - 1)]
 
     @property
-    def rounds_emitted(self) -> int:
-        return self._index
-
-    @property
     def label(self) -> str:
         return f"sequence-{len(self.taus)}"
 
-    def reset(self) -> None:
-        self._index = 0
+
+def tau_rule(initial_loss: float, loss: float, initial_tau: int, lr_ratio: float = 1.0) -> int:
+    """Eq. 20's candidate period, ``⌈√(lr_ratio · loss/initial_loss) · initial_tau⌉``, at least 1.
+
+    ``lr_ratio`` is η_0/η_l; at its default the rule is eq. 17.
+    """
+    return max(1, math.ceil(math.sqrt(lr_ratio * (loss / initial_loss)) * initial_tau))
 
 
+@COMM_SCHEDULES.register("adacomm")
+@dataclass
 class AdaCommSchedule(CommunicationSchedule):
-    """ADACOMM: interval-based adaptive communication period (Section 4)."""
+    """ADACOMM: τ re-estimated every ``interval_length`` simulated seconds.
 
-    def __init__(self, config: AdaCommConfig | None = None, controller: AdaCommController | None = None):
-        if controller is not None and config is not None:
-            raise ValueError("pass either a config or a ready controller, not both")
-        if controller is None:
-            controller = AdaCommController(config or AdaCommConfig())
-        self.controller = controller
+    Attributes
+    ----------
+    initial_tau:
+        τ_0 for the first interval.
+    interval_length:
+        T0, the wall-clock length of each adaptation interval in (simulated)
+        seconds.  The paper uses 60 s (~10 epochs at τ_0) on its testbed.
+    gamma:
+        The eq. 18 decay applied when the rule fails to strictly decrease τ.
+    tau_history:
+        ``(wall_time, τ)`` at the start and at every adaptation.
+    """
+
+    initial_tau: int = 10
+    interval_length: float = 60.0
+    gamma: float = 0.5
+    tau_history: list[tuple[float, int]] = field(init=False)
+    _tau: int = field(init=False, repr=False)
+    _initial_loss: "float | None" = field(default=None, init=False, repr=False)
+    _initial_lr: "float | None" = field(default=None, init=False, repr=False)
+    _next_boundary: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.initial_tau < 1:
+            raise ValueError(f"initial_tau must be >= 1, got {self.initial_tau}")
+        if self.interval_length <= 0:
+            raise ValueError(f"interval_length must be positive, got {self.interval_length}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        self._tau = self.initial_tau
+        self._next_boundary = self.interval_length
+        self.tau_history = [(0.0, self._tau)]
 
     def next_tau(self) -> int:
-        return self.controller.current_tau()
+        return self._tau
 
     def observe(self, wall_time: float, train_loss: float, lr: float) -> None:
-        self.controller.observe(wall_time, train_loss, lr)
+        """Report progress after an averaging step; adapts τ at an interval boundary.
 
-    @property
-    def is_adaptive(self) -> bool:
-        return True
+        The first observation fixes F_0 and η_0.  When ``wall_time`` has
+        crossed one or more boundaries since the last adaptation, τ adapts
+        once, with the latest loss (an implementation that only wakes up at
+        averaging steps).
+        """
+        if wall_time < 0:
+            raise ValueError("wall_time must be non-negative")
+        if not math.isfinite(train_loss):
+            # A diverging run reports NaN (or inf) losses; adapting on one
+            # would poison every later τ (and ceil(nan·τ) raises).  Keep the
+            # previous period and wait for a finite observation — the next
+            # boundary crossing adapts with whatever loss is reported then.
+            logger.warning(
+                "ignoring non-finite training loss %r at t=%.3f; keeping tau=%d",
+                train_loss,
+                wall_time,
+                self._tau,
+            )
+            return
+        if train_loss < 0:
+            raise ValueError("train_loss must be non-negative")
+        if lr <= 0:
+            raise ValueError("lr must be positive")
+
+        if self._initial_loss is None:
+            # Guard against a zero initial loss (already converged).
+            self._initial_loss = max(train_loss, 1e-12)
+            self._initial_lr = lr
+            return
+        if wall_time < self._next_boundary:
+            return
+        while wall_time >= self._next_boundary:
+            self._next_boundary += self.interval_length
+
+        candidate = tau_rule(self._initial_loss, train_loss, self.initial_tau, self._initial_lr / lr)
+        self._tau = candidate if candidate < self._tau else max(1, math.floor(self.gamma * self._tau))
+        self.tau_history.append((wall_time, self._tau))
 
     @property
     def label(self) -> str:
         return "adacomm"
-
-    @property
-    def tau_history(self) -> list[tuple[float, int]]:
-        """(wall_time, τ) pairs at every adaptation event."""
-        return list(self.controller.tau_history)
-
-
-@COMM_SCHEDULES.register("adacomm")
-def adacomm_schedule(**kwargs) -> AdaCommSchedule:
-    """Build an :class:`AdaCommSchedule` from :class:`AdaCommConfig` kwargs."""
-    return AdaCommSchedule(AdaCommConfig(**kwargs))

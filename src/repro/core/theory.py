@@ -13,10 +13,11 @@ Implements:
 * The learning-rate condition ``ηL + η²L²τ(τ-1) ≤ 1`` under which Theorem 1
   holds.
 
-These functions are used three ways: by the AdaComm controller (through the
-practical update rules in ``repro.core.adacomm``), by the Figure 6 rows of
-``CLAIMS.json`` (``repro.experiments.claims``), and by the test suite
-(verifying convexity of the bound in τ, correctness of the minimizer, etc.).
+These functions are used two ways: by the Figure 6 rows of ``CLAIMS.json``
+(``repro.experiments.claims``) and by the test suite (verifying convexity of
+the bound in τ, correctness of the minimizer, etc.).  AdaComm's practical
+update rules (``repro.core.schedules.AdaCommSchedule``) are derived from
+Theorem 2's τ* but do not call it.
 """
 
 from __future__ import annotations

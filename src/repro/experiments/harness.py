@@ -103,7 +103,7 @@ def _parse_spec_kwargs(argstr: str) -> dict:
     for part in filter(None, _split_top_level(argstr)):
         key, sep, raw = part.partition("=")
         if not sep:
-            raise ValueError(f"method spec argument {part!r} is not of the form key=value")
+            raise ValueError(f"argument {part!r} is not of the form key=value")
         try:
             kwargs[key.strip()] = ast.literal_eval(raw.strip())
         except (ValueError, SyntaxError):
@@ -116,7 +116,7 @@ def _parse_spec_kwargs(argstr: str) -> dict:
 _TAU_SHORTHANDS = {"pasgd": "pasgd-tau8", "async": "async-tau8", "gossip": "gossip-ring-tau4"}
 
 
-def _split_tau_shorthand(name: str, spec: str) -> "tuple[str, str, int | None]":
+def _split_tau_shorthand(name: str) -> "tuple[str, str, int | None]":
     """``(family, body, tau)`` of a shorthand name; other names pass through.
 
     ``"pasgd-tau8"`` → ``("pasgd", "", 8)``, ``"gossip-ring-tau4"`` →
@@ -131,9 +131,7 @@ def _split_tau_shorthand(name: str, spec: str) -> "tuple[str, str, int | None]":
             raise ValueError
         return family, body[1:], int(tau)
     except ValueError:
-        raise ValueError(
-            f"method spec {spec!r} has a malformed tau; e.g. {_TAU_SHORTHANDS[family]!r}"
-        ) from None
+        raise ValueError(f"malformed tau; e.g. {_TAU_SHORTHANDS[family]!r}") from None
 
 
 def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> MethodSpec:
@@ -157,15 +155,24 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
     the config's own :class:`Exact` one, ``elastic:`` adds its dropout to
     it, and ``gossip-*`` / ``async-*`` replace it — and refuse a lineup whose
     ``block_momentum_beta > 0`` or ``weighting="shard_size"``, which only an
-    exact average can honour, here, where the spec is known.
+    exact average can honour, here, where the spec is known.  Every
+    ``ValueError`` names the spec, so a bad cell of a campaign is found.
     """
     if isinstance(spec, MethodSpec):
         if spec.collective is not None:
             return spec
         return replace(spec, collective=config.collective())
+    try:
+        return _resolve_method_spec(spec, config)
+    except ValueError as err:
+        raise ValueError(f"method spec {spec!r}: {err}") from err
+
+
+def _resolve_method_spec(spec: str, config: ExperimentConfig) -> MethodSpec:
+    """:func:`parse_method_spec` for a string; its errors leave the spec to the caller."""
     name, _, argstr = spec.partition(":")
     kwargs = _parse_spec_kwargs(argstr)
-    name, body, tau = _split_tau_shorthand(name, spec)
+    name, body, tau = _split_tau_shorthand(name)
     if tau is not None:
         kwargs.setdefault("tau", tau)
     collective: Collective = config.collective()
@@ -178,16 +185,12 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
     elif name == "adacomm":
         kwargs.setdefault("initial_tau", config.adacomm_initial_tau)
         kwargs.setdefault("interval_length", config.adacomm_interval)
-        kwargs.setdefault("couple_lr", True)
     elif name == "gossip":
         topology = kwargs.pop("topology", None)
         rounds = int(kwargs.pop("rounds", 1))
         topology = body or topology
         if topology is None:
-            raise ValueError(
-                f"method spec {spec!r} needs a topology; e.g. 'gossip-ring-tau4' "
-                f"or 'gossip:topology=ring,tau=4'"
-            )
+            raise ValueError("needs a topology; e.g. 'gossip-ring-tau4' or 'gossip:topology=ring,tau=4'")
         kwargs.setdefault("tau", 1)
         collective = Gossip(str(topology), rounds)
         label = f"gossip-{topology}-tau{kwargs['tau']}"
@@ -207,10 +210,7 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
         deadline = kwargs.pop("deadline", None)
         deadline = float(deadline) if deadline is not None else None
         if prob == 0.0 and deadline is None:
-            raise ValueError(
-                f"method spec {spec!r} needs a dropout probability or deadline; "
-                f"e.g. 'elastic:p=0.1,tau=4'"
-            )
+            raise ValueError("needs a dropout probability or deadline; e.g. 'elastic:p=0.1,tau=4'")
         kwargs.setdefault("tau", 1)
         collective = replace(collective, dropout_prob=prob, dropout_deadline=deadline)
         label = f"elastic-tau{kwargs['tau']}"
@@ -225,13 +225,12 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
             family = "decentralized gossip topologies"
         if config.block_momentum_beta > 0:
             raise ValueError(
-                "block momentum post-processes a single global average and is "
-                f"incompatible with {family} (method spec {spec!r})"
+                f"block momentum post-processes a single global average and is incompatible with {family}"
             )
         if config.weighting != "uniform":
             raise ValueError(
                 f"weighting={config.weighting!r} weights a single global average and is "
-                f"incompatible with {family} (method spec {spec!r})"
+                f"incompatible with {family}"
             )
     factory = COMM_SCHEDULES.get(name)  # raises with available names if unknown
 
@@ -247,8 +246,7 @@ def parse_method_spec(spec: "str | MethodSpec", config: ExperimentConfig) -> Met
         schedule_label = schedule_fn().label
     except TypeError as err:
         raise ValueError(
-            f"method spec {spec!r} has missing or invalid arguments ({err}); "
-            f"e.g. 'pasgd-tau8' or 'fixed:tau=8'"
+            f"missing or invalid arguments ({err}); e.g. 'pasgd-tau8' or 'fixed:tau=8'"
         ) from err
     return MethodSpec(
         label=label if label is not None else schedule_label,

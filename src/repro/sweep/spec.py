@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -99,12 +100,19 @@ def format_overrides(overrides: Mapping[str, Any]) -> str:
     return ", ".join(f"{k}={v}" for k, v in overrides.items())
 
 
+def _integer_axis(name: str, value: Any) -> int:
+    """``value`` as an int; a bool or a non-integral number would run a cell other than its label."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"sweep axis {name!r} takes integers, got {value!r}")
+    return int(value)
+
+
 def _resolve_axis(name: str, value: Any) -> dict[str, Any]:
     """Map one axis assignment to concrete ``ExperimentConfig`` overrides."""
     if name == "m":
-        return {"n_workers": int(value)}
+        return {"n_workers": _integer_axis(name, value)}
     if name == "tau":
-        tau = int(value)
+        tau = _integer_axis(name, value)
         if tau < 1:
             raise ValueError(f"tau axis values must be >= 1, got {value!r}")
         return {"methods": ("sync-sgd" if tau == 1 else f"pasgd-tau{tau}",)}

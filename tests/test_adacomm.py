@@ -1,4 +1,4 @@
-"""Tests for the ADACOMM update rules and controller (repro.core.adacomm)."""
+"""Tests for ADACOMM: ``repro.core.schedules.AdaCommSchedule`` and its ``tau_rule``."""
 
 from __future__ import annotations
 
@@ -8,235 +8,199 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.adacomm import (
-    AdaCommConfig,
-    AdaCommController,
-    basic_tau_update,
-    estimate_initial_tau,
-    lr_coupled_tau_update,
-    refined_tau_update,
-)
-from repro.core.theory import TheoreticalConstants
+from repro.core.schedules import AdaCommSchedule, tau_rule
+
+
+def adapted_taus(initial_tau, losses, lrs=None, gamma=0.5):
+    """τ after each interval boundary: ``losses[0]`` at t = 0, ``losses[i]`` at t = 10·i."""
+    lrs = lrs or [0.1] * len(losses)
+    sched = AdaCommSchedule(initial_tau=initial_tau, interval_length=10.0, gamma=gamma)
+    sched.observe(0.0, losses[0], lrs[0])
+    taus = []
+    for i, (loss, lr) in enumerate(zip(losses[1:], lrs[1:]), 1):
+        sched.observe(10.0 * i, loss, lr)
+        taus.append(sched.next_tau())
+    return taus
 
 
 class TestBasicRule:
+    """Eq. 17, ``τ_l = ⌈√(F_l/F_0) · τ_0⌉``: :func:`tau_rule` at a constant learning rate."""
+
     def test_eq17_value(self):
-        # τ_l = ceil( sqrt(F_l / F_0) τ_0 )
-        assert basic_tau_update(initial_loss=4.0, current_loss=1.0, initial_tau=10) == 5
-        assert basic_tau_update(initial_loss=2.0, current_loss=2.0, initial_tau=7) == 7
+        assert tau_rule(initial_loss=4.0, loss=1.0, initial_tau=10) == 5
+        assert tau_rule(initial_loss=2.0, loss=2.0, initial_tau=7) == 7
 
     def test_rounds_up(self):
-        assert basic_tau_update(3.0, 1.0, 10) == math.ceil(10 / math.sqrt(3))
+        assert tau_rule(3.0, 1.0, 10) == math.ceil(10 / math.sqrt(3))
 
     def test_never_below_one(self):
-        assert basic_tau_update(100.0, 1e-9, 10) == 1
+        assert tau_rule(100.0, 1e-9, 10) == 1
 
     def test_loss_increase_can_increase_tau(self):
-        assert basic_tau_update(1.0, 4.0, 10) == 20
+        # The candidate only: the schedule then decays instead (TestRefinedRule).
+        assert tau_rule(1.0, 4.0, 10) == 20
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            basic_tau_update(0.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            basic_tau_update(1.0, -1.0, 10)
-        with pytest.raises(ValueError):
-            basic_tau_update(1.0, 1.0, 0)
+        # The rule's inputs enter through the schedule, which checks them there.
+        with pytest.raises(ValueError, match="initial_tau must be >= 1"):
+            AdaCommSchedule(initial_tau=0)
+        with pytest.raises(ValueError, match="train_loss must be non-negative"):
+            AdaCommSchedule().observe(0.0, -1.0, 0.1)
+        # A zero first loss (already converged) is floored, not divided by.
+        sched = AdaCommSchedule(initial_tau=8, interval_length=10.0)
+        sched.observe(0.0, 0.0, 0.1)
+        sched.observe(10.0, 0.0, 0.1)
+        assert sched.next_tau() == 1
 
 
 class TestLRCoupledRule:
+    """Eq. 20, ``τ_l = ⌈√((η_0/η_l) · F_l/F_0) · τ_0⌉``: ``lr_ratio`` is η_0/η_l."""
+
     def test_eq20_value(self):
-        # τ_l = ceil( sqrt( (η0/ηl) Fl/F0 ) τ0 ): smaller lr → larger τ.
-        assert lr_coupled_tau_update(1.0, 1.0, 10, initial_lr=0.1, current_lr=0.1) == 10
-        assert lr_coupled_tau_update(1.0, 1.0, 10, initial_lr=0.1, current_lr=0.025) == 20
+        # A smaller learning rate tolerates a larger period.
+        assert tau_rule(1.0, 1.0, 10, lr_ratio=0.1 / 0.1) == 10
+        assert tau_rule(1.0, 1.0, 10, lr_ratio=0.1 / 0.025) == 20
 
     def test_combined_loss_and_lr_effect(self):
         # loss ratio 1/4 (→ ×1/2) and lr ratio 4 (→ ×2) cancel out.
-        assert lr_coupled_tau_update(4.0, 1.0, 10, initial_lr=0.4, current_lr=0.1) == 10
+        assert tau_rule(4.0, 1.0, 10, lr_ratio=0.4 / 0.1) == 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            lr_coupled_tau_update(1.0, 1.0, 10, initial_lr=0.0, current_lr=0.1)
+        with pytest.raises(ValueError, match="lr must be positive"):
+            AdaCommSchedule().observe(0.0, 1.0, 0.0)
+        sched = AdaCommSchedule(interval_length=10.0)
+        sched.observe(0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="lr must be positive"):
+            sched.observe(10.0, 1.0, -0.1)
 
 
 class TestRefinedRule:
+    """Eq. 18: the candidate if it is strictly below the current τ, else ⌊γ · τ⌋."""
+
     def test_uses_basic_rule_when_strictly_decreasing(self):
-        # candidate 5 < previous 8 → take the candidate.
-        assert refined_tau_update(4.0, 1.0, initial_tau=10, previous_tau=8) == 5
+        # candidates ⌈0.75 · 12⌉ = 9 < 12, then ⌈0.5 · 12⌉ = 6 < 9.
+        assert adapted_taus(12, [16.0, 9.0, 4.0]) == [9, 6]
 
     def test_decays_multiplicatively_when_stalled(self):
-        # candidate equals previous → γ-decay instead (eq. 18).
-        assert refined_tau_update(1.0, 1.0, initial_tau=10, previous_tau=10, gamma=0.5) == 5
+        # The candidate equals the current τ → γ-decay instead.
+        assert adapted_taus(10, [1.0, 1.0], gamma=0.5) == [5]
 
     def test_decay_when_candidate_larger(self):
-        assert refined_tau_update(1.0, 4.0, initial_tau=10, previous_tau=12, gamma=0.5) == 6
+        # 9, then the candidate ⌈1.5 · 12⌉ = 18 > 9 → ⌊9 / 2⌋.
+        assert adapted_taus(12, [16.0, 9.0, 36.0], gamma=0.5) == [9, 4]
 
     def test_gamma_controls_decay(self):
-        assert refined_tau_update(1.0, 1.0, 10, previous_tau=9, gamma=0.25) == 2
+        # ⌈0.75 · 10⌉ = 8, then the candidate 10 ≥ 8 → ⌊0.25 · 8⌋.
+        assert adapted_taus(10, [16.0, 9.0, 16.0], gamma=0.25) == [8, 2]
 
     def test_never_below_one(self):
-        assert refined_tau_update(1.0, 1.0, 10, previous_tau=1, gamma=0.5) == 1
-
-    def test_slack_makes_condition_stricter(self):
-        # basic candidate = ceil(sqrt(1/2)·10) = 8.
-        # Against previous_tau=8 it is not strictly smaller → γ decay.
-        assert refined_tau_update(2.0, 1.0, 10, previous_tau=8, gamma=0.5) == 4
-        # Against previous_tau=9 it passes without slack but not with slack 1.
-        assert refined_tau_update(2.0, 1.0, 10, previous_tau=9, slack=0) == 8
-        assert refined_tau_update(2.0, 1.0, 10, previous_tau=9, slack=1, gamma=0.5) == 4
+        assert adapted_taus(1, [1.0, 1.0, 1.0], gamma=0.5) == [1, 1]
 
     def test_lr_coupling_passthrough(self):
-        out = refined_tau_update(
-            1.0, 1.0, 10, previous_tau=30, initial_lr=0.4, current_lr=0.1
-        )
-        assert out == 20  # LR-coupled candidate 20 < 30
+        # η_0/η_l = 4 and F_l/F_0 = 1/16: eq. 20 gives 5 where eq. 17 would give 3.
+        assert adapted_taus(10, [16.0, 1.0], lrs=[0.4, 0.1]) == [5]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            refined_tau_update(1.0, 1.0, 10, previous_tau=0)
-        with pytest.raises(ValueError):
-            refined_tau_update(1.0, 1.0, 10, previous_tau=5, gamma=1.0)
-        with pytest.raises(ValueError):
-            refined_tau_update(1.0, 1.0, 10, previous_tau=5, slack=-1)
-
-
-class TestEstimateInitialTau:
-    def test_grid_search_picks_lowest_loss(self):
-        losses = {1: 0.9, 10: 0.5, 50: 0.7}
-        assert estimate_initial_tau(trial_losses=losses) == 10
-
-    def test_grid_search_tie_prefers_smaller_tau(self):
-        losses = {5: 0.5, 20: 0.5}
-        assert estimate_initial_tau(trial_losses=losses) == 5
-
-    def test_grid_search_with_candidate_filter(self):
-        losses = {1: 0.9, 10: 0.5, 50: 0.2}
-        assert estimate_initial_tau(candidate_taus=[1, 10], trial_losses=losses) == 10
-
-    def test_grid_search_missing_candidate_raises(self):
-        with pytest.raises(ValueError):
-            estimate_initial_tau(candidate_taus=[1, 99], trial_losses={1: 0.5})
-
-    def test_theory_mode_uses_theorem2(self):
-        constants = TheoreticalConstants(1.0, 1.0, 1.0, 8, 1.0, 1.0)
-        tau = estimate_initial_tau(constants=constants, lr=0.05, interval_length=60.0)
-        assert tau == math.ceil(math.sqrt(2 * 1.0 / (0.05**3 * 60.0)))
-
-    def test_theory_mode_clipped_to_max(self):
-        constants = TheoreticalConstants(10.0, 1.0, 0.1, 8, 1.0, 10.0)
-        assert estimate_initial_tau(constants=constants, lr=0.01, interval_length=1.0, max_tau=50) == 50
-
-    def test_no_inputs_raises(self):
-        with pytest.raises(ValueError):
-            estimate_initial_tau()
+        for gamma in (0.0, 1.0):
+            with pytest.raises(ValueError, match="gamma must be in"):
+                AdaCommSchedule(gamma=gamma)
 
 
 class TestAdaCommConfig:
+    """The schedule's three fields: τ_0, T0 and γ."""
+
     def test_defaults_valid(self):
-        cfg = AdaCommConfig()
-        assert cfg.initial_tau >= 1
+        sched = AdaCommSchedule()
+        assert (sched.initial_tau, sched.interval_length, sched.gamma) == (10, 60.0, 0.5)
+        assert sched.next_tau() == 10 and sched.tau_history == [(0.0, 10)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AdaCommConfig(initial_tau=0)
+            AdaCommSchedule(initial_tau=0)
         with pytest.raises(ValueError):
-            AdaCommConfig(interval_length=0)
+            AdaCommSchedule(interval_length=0)
         with pytest.raises(ValueError):
-            AdaCommConfig(gamma=1.5)
-        with pytest.raises(ValueError):
-            AdaCommConfig(min_tau=5, max_tau=2)
-        with pytest.raises(ValueError):
-            AdaCommConfig(initial_tau=200, max_tau=100)
+            AdaCommSchedule(gamma=1.5)
+        for knob in ("slack", "min_tau", "max_tau", "couple_lr", "config", "controller"):
+            with pytest.raises(TypeError):
+                AdaCommSchedule(**{knob: 1})
 
 
 class TestAdaCommController:
+    """The interval clock: when τ adapts, and what it records."""
+
     def test_starts_at_initial_tau(self):
-        ctrl = AdaCommController(AdaCommConfig(initial_tau=16, interval_length=10.0))
-        assert ctrl.current_tau() == 16
+        assert AdaCommSchedule(initial_tau=16, interval_length=10.0).next_tau() == 16
 
     def test_no_adaptation_before_first_boundary(self):
-        ctrl = AdaCommController(AdaCommConfig(initial_tau=16, interval_length=10.0))
-        ctrl.observe(0.0, 4.0, lr=0.1)  # sets the reference loss
-        assert ctrl.observe(5.0, 1.0, lr=0.1) == 16
+        sched = AdaCommSchedule(initial_tau=16, interval_length=10.0)
+        sched.observe(0.0, 4.0, lr=0.1)  # sets the reference loss
+        sched.observe(5.0, 1.0, lr=0.1)
+        assert sched.next_tau() == 16
 
     def test_adapts_at_boundary_with_basic_rule(self):
-        ctrl = AdaCommController(
-            AdaCommConfig(initial_tau=16, interval_length=10.0, couple_lr=False)
-        )
-        ctrl.observe(0.0, 4.0, lr=0.1)
-        new_tau = ctrl.observe(10.0, 1.0, lr=0.1)  # sqrt(1/4)·16 = 8
-        assert new_tau == 8
-        assert ctrl.interval_index == 1
+        sched = AdaCommSchedule(initial_tau=16, interval_length=10.0)
+        sched.observe(0.0, 4.0, lr=0.1)
+        sched.observe(10.0, 1.0, lr=0.1)  # sqrt(1/4)·16 = 8
+        assert sched.next_tau() == 8
+        assert sched.tau_history == [(0.0, 16), (10.0, 8)]
 
     def test_gamma_decay_on_plateau(self):
-        ctrl = AdaCommController(
-            AdaCommConfig(initial_tau=16, interval_length=10.0, couple_lr=False, gamma=0.5)
-        )
-        ctrl.observe(0.0, 4.0, lr=0.1)
-        assert ctrl.observe(10.0, 4.0, lr=0.1) == 8  # no loss progress → γ decay
-        assert ctrl.observe(20.0, 4.0, lr=0.1) == 4
+        assert adapted_taus(16, [4.0, 4.0, 4.0], gamma=0.5) == [8, 4]  # no loss progress → γ decay
 
     def test_tau_sequence_decreases_as_loss_decreases(self):
-        ctrl = AdaCommController(
-            AdaCommConfig(initial_tau=20, interval_length=10.0, couple_lr=False)
-        )
-        losses = [8.0, 4.0, 2.0, 1.0, 0.5, 0.25]
-        ctrl.observe(0.0, losses[0], lr=0.1)
-        taus = [ctrl.observe(10.0 * (i + 1), loss, lr=0.1) for i, loss in enumerate(losses[1:])]
+        taus = adapted_taus(20, [8.0, 4.0, 2.0, 1.0, 0.5, 0.25])
         assert all(b <= a for a, b in zip(taus, taus[1:]))
         assert taus[-1] < 20
 
     def test_lr_coupling_raises_tau_when_lr_drops(self):
-        ctrl = AdaCommController(
-            AdaCommConfig(initial_tau=10, interval_length=10.0, couple_lr=True, max_tau=100)
-        )
-        ctrl.observe(0.0, 1.0, lr=0.4)
-        # Same loss but lr dropped 16×: candidate = ceil(sqrt(16)·10) = 40 > previous 10 → γ decay path
-        # is NOT taken because candidate must be strictly smaller; the rule decays instead.
-        tau = ctrl.observe(10.0, 1.0, lr=0.025)
-        assert tau == 5  # γ-decay of previous 10, since candidate (40) is not < 10
+        # Same loss, lr dropped 16×: the candidate ⌈√16 · 10⌉ = 40 is not
+        # below 10, so the rule decays instead.
+        assert adapted_taus(10, [1.0, 1.0], lrs=[0.4, 0.025]) == [5]
 
     def test_multiple_boundaries_crossed_adapts_once(self):
-        ctrl = AdaCommController(
-            AdaCommConfig(initial_tau=16, interval_length=10.0, couple_lr=False)
-        )
-        ctrl.observe(0.0, 4.0, lr=0.1)
-        tau = ctrl.observe(35.0, 1.0, lr=0.1)
-        assert tau == 8
-        assert ctrl.interval_index == 3  # boundaries at 10, 20, 30 were all crossed
+        sched = AdaCommSchedule(initial_tau=16, interval_length=10.0)
+        sched.observe(0.0, 4.0, lr=0.1)
+        sched.observe(35.0, 1.0, lr=0.1)
+        assert sched.tau_history == [(0.0, 16), (35.0, 8)]
+        # Boundaries 10, 20 and 30 were all crossed: the next one is 40.
+        sched.observe(39.9, 1.0, lr=0.1)
+        assert sched.next_tau() == 8
+        sched.observe(40.0, 1.0, lr=0.1)
+        assert sched.tau_history[-1] == (40.0, 4)
 
     def test_clamping_to_bounds(self):
-        ctrl = AdaCommController(
-            AdaCommConfig(initial_tau=4, interval_length=10.0, couple_lr=False, min_tau=2, max_tau=50)
-        )
-        ctrl.observe(0.0, 1.0, lr=0.1)
-        for i in range(10):
-            tau = ctrl.observe(10.0 * (i + 1), 1e-8, lr=0.1)
-        assert tau == 2
+        # τ stays in [1, τ_0]: a loss blow-up or an lr drop cannot raise it,
+        # and a vanishing loss cannot take it below 1.
+        assert adapted_taus(4, [1.0, 100.0, 1e4], lrs=[0.1, 0.01, 0.001]) == [2, 1]
+        assert adapted_taus(4, [1.0] + [1e-8] * 5) == [1] * 5
 
     def test_tau_history_records_adaptations(self):
-        ctrl = AdaCommController(AdaCommConfig(initial_tau=8, interval_length=5.0, couple_lr=False))
-        ctrl.observe(0.0, 2.0, lr=0.1)
-        ctrl.observe(5.0, 1.0, lr=0.1)
-        ctrl.observe(10.0, 0.5, lr=0.1)
-        assert len(ctrl.tau_history) == 3  # initial + two adaptations
-        times = [t for t, _ in ctrl.tau_history]
+        sched = AdaCommSchedule(initial_tau=8, interval_length=5.0)
+        sched.observe(0.0, 2.0, lr=0.1)
+        sched.observe(5.0, 1.0, lr=0.1)
+        sched.observe(10.0, 0.5, lr=0.1)
+        assert len(sched.tau_history) == 3  # initial + two adaptations
+        times = [t for t, _ in sched.tau_history]
         assert times == sorted(times)
 
-    def test_reset(self):
-        ctrl = AdaCommController(AdaCommConfig(initial_tau=8, interval_length=5.0))
-        ctrl.observe(0.0, 2.0, lr=0.1)
-        ctrl.observe(5.0, 1.0, lr=0.1)
-        ctrl.reset()
-        assert ctrl.current_tau() == 8 and ctrl.interval_index == 0
-
     def test_observe_validation(self):
-        ctrl = AdaCommController(AdaCommConfig())
+        sched = AdaCommSchedule()
         with pytest.raises(ValueError):
-            ctrl.observe(-1.0, 1.0, 0.1)
+            sched.observe(-1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            ctrl.observe(1.0, -1.0, 0.1)
+            sched.observe(1.0, -1.0, 0.1)
         with pytest.raises(ValueError):
-            ctrl.observe(1.0, 1.0, 0.0)
+            sched.observe(1.0, 1.0, 0.0)
+
+    def test_non_finite_loss_is_ignored(self):
+        sched = AdaCommSchedule(initial_tau=8, interval_length=10.0)
+        sched.observe(0.0, float("nan"), 0.1)  # not the reference loss either
+        sched.observe(1.0, 4.0, 0.1)
+        sched.observe(10.0, float("inf"), 0.1)
+        assert sched.tau_history == [(0.0, 8)]
+        sched.observe(11.0, 1.0, 0.1)  # the boundary at 10 is still pending
+        assert sched.tau_history == [(0.0, 8), (11.0, 4)]
 
 
 @settings(max_examples=50, deadline=None)
@@ -247,26 +211,32 @@ class TestAdaCommController:
 )
 def test_property_basic_rule_bounds(f0, fl, tau0):
     """eq. 17 output is ≥ 1 and scales like sqrt of the loss ratio (within ceil slack)."""
-    tau = basic_tau_update(f0, fl, tau0)
+    tau = tau_rule(f0, fl, tau0)
     exact = math.sqrt(fl / f0) * tau0
     assert tau >= 1
     assert exact <= tau <= max(1.0, exact) + 1.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    f0=st.floats(min_value=1e-3, max_value=10.0),
-    fl=st.floats(min_value=0.0, max_value=10.0),
-    tau0=st.integers(min_value=1, max_value=100),
-    prev=st.integers(min_value=1, max_value=100),
-    gamma=st.floats(min_value=0.1, max_value=0.9),
+    tau0=st.integers(min_value=1, max_value=64),
+    gamma=st.floats(min_value=0.05, max_value=0.95),
+    # Small integer losses and three learning rates: plateaus, where the
+    # candidate equals the current τ, come up often.
+    steps=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=16), st.sampled_from([0.1, 0.05, 0.025])),
+        min_size=2,
+        max_size=12,
+    ),
 )
-def test_property_refined_rule_never_exceeds_previous_unless_smaller_candidate(f0, fl, tau0, prev, gamma):
-    """eq. 18 either strictly decreases τ (γ path) or returns a candidate < previous."""
-    out = refined_tau_update(f0, fl, tau0, previous_tau=prev, gamma=gamma)
-    assert out >= 1
-    candidate = basic_tau_update(f0, fl, tau0)
-    if candidate < prev:
-        assert out == candidate
-    else:
-        assert out <= max(1, math.floor(gamma * prev))
+def test_property_refined_rule_never_exceeds_previous_unless_smaller_candidate(tau0, gamma, steps):
+    """Every adaptation is the candidate if it is strictly smaller, else ⌊γτ⌋ (at least 1)."""
+    sched = AdaCommSchedule(initial_tau=tau0, interval_length=1.0, gamma=gamma)
+    (f0, lr0), *rest = [(float(loss), lr) for loss, lr in steps]
+    sched.observe(0.0, f0, lr0)
+    for t, (loss, lr) in enumerate(rest, 1):
+        old = sched.next_tau()
+        sched.observe(float(t), loss, lr)
+        candidate = tau_rule(max(f0, 1e-12), loss, tau0, lr_ratio=lr0 / lr)
+        assert sched.next_tau() == (candidate if candidate < old else max(1, math.floor(gamma * old)))
+        assert 1 <= sched.next_tau() <= old

@@ -1,7 +1,7 @@
 """The paper's claims: the committed ``CLAIMS.json`` table, plus the quadratic checks.
 
 ``TestClaimsTable`` re-derives the fast rows of ``CLAIMS.json`` (Figs 1, 4,
-5, 6, 8, 9(b), 14 and a Table 1 setting) and demands the committed table
+5, 6, 8, 9(a), 9(b), 14 and two Table 1 settings) and demands the committed table
 exactly; ``python -m repro.experiments.claims`` regenerates all of it.  The
 tests below it run small experiments on the noisy quadratic, where every
 constant is known:
@@ -103,12 +103,26 @@ class TestErrorRuntimeTradeoff:
         assert floor_tau == pytest.approx(floor_sync, rel=0.5)
 
 
+#: The lineups ``TestClaimsTable`` re-runs: VGG on CIFAR-10 at a fixed and a τ-gated lr.
+_FAST_LINEUPS = ("vgg_cifar10_fixed_lr", "vgg_cifar10_variable_lr")
+_ADACOMM_CHANGE_POINTS = [
+    (0.0, 20, 0.4),
+    (141.9945719298536, 10, 0.4),
+    (253.78544260394435, 5, 0.4),
+    (369.586002903768, 2, 0.4),
+    (486.6416999523425, 1, 0.04000000000000001),
+    (1405.4691882860984, 1, 0.004000000000000001),
+]
+
+
 class TestClaimsTable:
     """``CLAIMS.json`` (``python -m repro.experiments.claims``) holds, and its fast rows re-derive.
 
     The fast rows are the runtime-model Figs 4, 5, 6 and 8, Fig 14's
-    hand-built cluster and the ``vgg_cifar10_fixed_lr`` cell behind Figs 1,
-    9(b) and Table 1's first setting.  Simulated time is deterministic, so
+    hand-built cluster, the ``vgg_cifar10_fixed_lr`` cell behind Figs 1,
+    9(b) and Table 1's first setting, and the ``vgg_cifar10_variable_lr``
+    cell behind Fig 9(a) and Table 1's second, where AdaComm runs under
+    τ-gated lr decay.  Simulated time is deterministic, so
     they must equal the committed table exactly (per BLAS build, like the
     goldens); CI's ``paper-claims`` job re-derives every row.
     """
@@ -119,16 +133,26 @@ class TestClaimsTable:
 
     @pytest.fixture(scope="class")
     def vgg_runs(self, tmp_path_factory):
-        # The campaign's vgg_cifar10_fixed_lr cell alone: same base, same address.
-        spec = replace(paper_claims_sweep(), axes=grid(config=["vgg_cifar10_fixed_lr"]))
+        # The campaign's two VGG CIFAR-10 cells alone: same base, same addresses.
+        spec = replace(paper_claims_sweep(), axes=grid(config=list(_FAST_LINEUPS)))
         report = SweepRunner(tmp_path_factory.mktemp("claims")).run(spec)
-        (cell,) = report.cells
-        return report.store.runs(cell.address)
+        return {cell.overrides["config"]: report.store.runs(cell.address) for cell in report.cells}
 
     def test_fast_rows_equal_the_committed_table(self, committed, vgg_runs):
         rows = {row["id"]: row for row in committed["claims"]}
-        fast = runtime_claims() + fig14_claims() + lineup_claims("vgg_cifar10_fixed_lr", vgg_runs)
+        fast = runtime_claims() + fig14_claims()
+        for name, runs in vgg_runs.items():
+            fast += lineup_claims(name, runs)
         assert {c.id: encode_json_floats(c.to_dict()) for c in fast} == {c.id: rows.get(c.id) for c in fast}
+
+    def test_adacomm_under_tau_gated_decay(self, vgg_runs):
+        # AdaComm's (wall time, τ, lr) change points on vgg_cifar10_variable_lr:
+        # τ adapts at 20 → 10 → 5 → 2 → 1, and the τ-gated lr decay fires
+        # only once τ = 1.
+        points = vgg_runs["vgg_cifar10_variable_lr"].get("adacomm").points
+        changes = [(p.wall_time, p.tau, p.lr) for i, p in enumerate(points)
+                   if i == 0 or (p.tau, p.lr) != (points[i - 1].tau, points[i - 1].lr)]
+        assert changes == _ADACOMM_CHANGE_POINTS
 
     def test_every_committed_relation_holds_and_ids_are_unique(self, committed):
         ids = [row["id"] for row in committed["claims"]]

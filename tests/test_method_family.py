@@ -15,6 +15,8 @@ operations (``local_period`` / ``get_stacked_states`` /
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,7 @@ class TestConfigPlumbing:
                 ExperimentConfig.from_dict({**data, key: value})
 
     def test_validation_rejects_bad_values(self):
+        # Each message names its spec, once: a campaign has many.
         cfg = make_config("smoke")
         for spec in (
             "gossip:topology=mesh,tau=2",
@@ -319,9 +322,16 @@ class TestConfigPlumbing:
             "async:tau=2,damping=-1",
             "elastic:p=1.0,tau=4",
             "elastic:deadline=-2,tau=4",
+            "adacomm:gamma=1.0",
+            "adacomm:couple_lr=False",
+            "sequence:taus=[]",
+            "fixed:tau=0",
+            "fixed:4",
+            "pasgd-taux",
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"method spec {spec!r}: ")) as caught:
                 parse_method_spec(spec, cfg)
+            assert str(caught.value).count(repr(spec)) == 1
 
 
 # -- method specs and the harness ---------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.core.adacomm import AdaCommConfig, AdaCommController
+from repro.api.registries import COMM_SCHEDULES
 from repro.core.schedules import (
     AdaCommSchedule,
     FixedCommunicationSchedule,
@@ -21,9 +23,6 @@ class TestFixedSchedule:
     def test_label_for_sync_sgd(self):
         assert FixedCommunicationSchedule(1).label == "sync-sgd"
         assert FixedCommunicationSchedule(20).label == "pasgd-tau20"
-
-    def test_not_adaptive(self):
-        assert not FixedCommunicationSchedule(5).is_adaptive
 
     def test_observe_is_noop(self):
         sched = FixedCommunicationSchedule(5)
@@ -46,14 +45,6 @@ class TestSequenceSchedule:
         assert sched.next_tau() == 8
         assert sched.peek_tau() == 4
 
-    def test_rounds_emitted_and_reset(self):
-        sched = SequenceCommunicationSchedule([3, 2, 1])
-        sched.next_tau()
-        sched.next_tau()
-        assert sched.rounds_emitted == 2
-        sched.reset()
-        assert sched.next_tau() == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SequenceCommunicationSchedule([])
@@ -63,25 +54,17 @@ class TestSequenceSchedule:
 
 class TestAdaCommSchedule:
     def test_default_construction(self):
-        sched = AdaCommSchedule(AdaCommConfig(initial_tau=12, interval_length=10.0))
-        assert sched.next_tau() == 12
-        assert sched.is_adaptive
+        sched = AdaCommSchedule(initial_tau=12, interval_length=10.0)
+        assert sched.next_tau() == sched.peek_tau() == 12
         assert sched.label == "adacomm"
 
     def test_observe_drives_controller(self):
-        sched = AdaCommSchedule(
-            AdaCommConfig(initial_tau=16, interval_length=10.0, couple_lr=False)
-        )
+        sched = AdaCommSchedule(initial_tau=16, interval_length=10.0)
         sched.observe(0.0, 4.0, 0.1)
         sched.observe(10.0, 1.0, 0.1)
         assert sched.next_tau() == 8
         assert len(sched.tau_history) == 2
 
-    def test_accepts_prebuilt_controller(self):
-        controller = AdaCommController(AdaCommConfig(initial_tau=5))
-        sched = AdaCommSchedule(controller=controller)
-        assert sched.next_tau() == 5
-
-    def test_rejects_both_config_and_controller(self):
-        with pytest.raises(ValueError):
-            AdaCommSchedule(AdaCommConfig(), controller=AdaCommController(AdaCommConfig()))
+    def test_is_the_registered_adacomm_with_three_fields(self):
+        assert COMM_SCHEDULES.get("adacomm") is AdaCommSchedule
+        assert [f.name for f in fields(AdaCommSchedule) if f.init] == ["initial_tau", "interval_length", "gamma"]

@@ -80,6 +80,14 @@ class TestGridAndSpec:
         spec = SweepSpec("t", make_config("smoke"), grid(tau=[1]))
         assert spec.cells()[0].config.methods == ("sync-sgd",)
 
+    @pytest.mark.parametrize("axis, value", [("tau", 2.5), ("m", 3.7), ("tau", True), ("m", False), ("tau", "4")])
+    def test_integer_axes_refuse_what_they_would_truncate(self, axis, value):
+        # int() would run pasgd-tau2 / 3 workers / sync-sgd under a label that says otherwise.
+        with pytest.raises(ValueError, match=f"sweep axis '{axis}' takes integers, got {value!r}"):
+            SweepSpec("t", make_config("smoke"), {axis: [value]})
+        (cell,) = SweepSpec("t", make_config("smoke"), grid(tau=[4.0], m=[3])).cells()
+        assert (cell.config.methods, cell.config.n_workers) == (("pasgd-tau4",), 3)
+
     def test_method_axis(self):
         spec = SweepSpec("m", make_config("smoke"), grid(method=["adacomm"]))
         assert spec.cells()[0].config.methods == ("adacomm",)

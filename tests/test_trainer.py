@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.adacomm import AdaCommConfig
 from repro.core.schedules import (
     AdaCommSchedule,
     FixedCommunicationSchedule,
@@ -150,9 +149,7 @@ class TestSequenceAndAdaptiveTraining:
 
     def test_adacomm_tau_decreases_over_training(self, tiny_dataset, tiny_model_fn):
         cluster = make_cluster(tiny_dataset, tiny_model_fn)
-        schedule = AdaCommSchedule(
-            AdaCommConfig(initial_tau=8, interval_length=20.0, couple_lr=False)
-        )
+        schedule = AdaCommSchedule(initial_tau=8, interval_length=20.0)
         trainer = PASGDTrainer(
             cluster,
             schedule,
@@ -167,9 +164,7 @@ class TestSequenceAndAdaptiveTraining:
 
     def test_tau_gated_lr_schedule_interacts_with_adacomm(self, tiny_dataset, tiny_model_fn):
         cluster = make_cluster(tiny_dataset, tiny_model_fn)
-        schedule = AdaCommSchedule(
-            AdaCommConfig(initial_tau=6, interval_length=15.0, couple_lr=True)
-        )
+        schedule = AdaCommSchedule(initial_tau=6, interval_length=15.0)
         lr_schedule = TauGatedStepLR(lr=0.2, milestones=(0.5,), gamma=0.1)
         trainer = PASGDTrainer(
             cluster,
