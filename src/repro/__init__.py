@@ -69,7 +69,6 @@ from repro.runtime import (
     ConstantDelay,
     ExponentialDelay,
     NetworkModel,
-    RuntimeModel,
     RuntimeSimulator,
     speedup_constant_delays,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "ConstantDelay",
     "ExponentialDelay",
     "NetworkModel",
-    "RuntimeModel",
     "RuntimeSimulator",
     "speedup_constant_delays",
     "MetricsRegistry",

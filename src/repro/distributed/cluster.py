@@ -2,11 +2,13 @@
 
 ``SimulatedCluster`` implements the PASGD update rule (eq. 3): it asks every
 worker to run τ local SGD steps, advances the virtual clock by the slowest
-worker's compute time (sampled from the runtime model), then performs the
-model-averaging collective and advances the clock by the sampled
-communication delay; :meth:`~SimulatedCluster.breakdown` keeps the running
-totals of both.  What that communication step does to the ``(m, P)`` states
-and to the clock is one value — ``Exact | Gossip | AsyncFold``, see
+worker's compute time (the runtime simulator samples each worker's, the
+cluster takes the max), then performs the model-averaging collective and
+advances the clock by the sampled communication delay.  The cluster is the
+one ledger of simulated time: :meth:`~SimulatedCluster.breakdown` keeps the
+running totals of both, and the simulator keeps none.  What that
+communication step does to the ``(m, P)`` states and to the clock is one
+value — ``Exact | Gossip | AsyncFold``, see
 :mod:`repro.distributed.collectives` — so the paper's method and its
 decentralized and asynchronous extensions (Section 6) are the same two
 phases, :meth:`~SimulatedCluster.run_local_period` then
@@ -261,21 +263,22 @@ class SimulatedCluster:
                 losses = self._backend.local_period(tau)
             if isinstance(self.collective, AsyncFold):
                 self._async_timing = self.runtime.sample_async_period(tau)
+                # No barrier: the ledger books the mean worker's compute time.
                 duration = float(self._async_timing.per_worker_compute.mean())
             else:
-                timing = self.runtime.sample_local_period(tau)
-                duration = timing.compute_time
+                per_worker = self.runtime.sample_local_period(tau)
+                waited = per_worker
                 if self._elastic_rng is not None:
                     # The round only waits for the surviving workers.
-                    self._last_survivors = self._sample_survivors(timing.per_worker_compute)
-                    duration = float(timing.per_worker_compute[self._last_survivors].max())
+                    self._last_survivors = self._sample_survivors(per_worker)
+                    waited = per_worker[self._last_survivors]
+                duration = float(waited.max())
                 self.clock.advance(duration)
                 # Straggler wait per worker: how long each replica idled for
                 # the slowest one, in virtual seconds (a determinism-safe
                 # histogram).
                 observe_many(
-                    "straggler_wait_virtual_seconds",
-                    np.maximum(duration - timing.per_worker_compute, 0.0),
+                    "straggler_wait_virtual_seconds", np.maximum(duration - per_worker, 0.0)
                 )
         count("local_steps_total", tau)
         self.total_local_iterations += tau

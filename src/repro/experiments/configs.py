@@ -39,6 +39,7 @@ from repro.api.registry import filter_kwargs
 from repro.data.synthetic import Dataset
 from repro.distributed.collectives import Exact
 from repro.distributed.reuse import BackendHandle
+from repro.runtime.distributions import DelayDistribution
 
 __all__ = ["ExperimentConfig", "make_config", "available_configs", "config_spec"]
 
@@ -155,6 +156,49 @@ class ExperimentConfig:
         """
         return Exact(weighting=self.weighting, block_momentum=self.block_momentum_beta)
 
+    def compute_distribution(self) -> DelayDistribution:
+        """The compute-time distribution ``F_Y`` named by ``delay``.
+
+        A dict spec ``{"kind": name, **params}`` is built verbatim from the
+        ``DELAYS`` registry.  A bare name delegates to the distribution's own
+        ``from_moments(mean, std)`` classmethod with ``compute_time`` (mean Y)
+        and ``compute_time_std_fraction · compute_time`` (std), so every named
+        delay — builtin or third-party ``@DELAYS.register(...)`` — plugs into
+        the same two config knobs by defining that one hook.  A malformed
+        spec raises ``ValueError``.
+        """
+        spec = self.delay
+        if isinstance(spec, dict):
+            params = dict(spec)
+            kind = params.pop("kind", None)
+            if not isinstance(kind, str):
+                raise ValueError(f"delay spec dict must name its 'kind', got {spec!r}")
+            factory = DELAYS.get(kind)  # the standard unknown-name error
+            try:
+                return factory(**params)
+            except TypeError as err:  # a misspelled or mistyped parameter
+                raise ValueError(f"invalid parameters for delay {kind!r}: {err}") from None
+
+        mean = self.compute_time
+        std = self.compute_time_std_fraction * mean
+        factory = DELAYS.get(spec)  # raise the standard unknown-name error first
+        if std <= 0:
+            # Zero spread degenerates to a deterministic delay for every family.
+            return DELAYS.build("constant", value=mean)
+        from_moments = getattr(factory, "from_moments", None)
+        if from_moments is None:
+            raise ValueError(
+                f"delay distribution {spec!r} has no from_moments(mean, std) hook; pass "
+                f"an explicit spec dict like {{'kind': {spec!r}, ...params}} instead"
+            )
+        try:
+            return from_moments(mean, std)
+        except NotImplementedError as err:
+            raise ValueError(
+                f"delay distribution {spec!r} has no moment-matching rule ({err}); pass "
+                f"an explicit spec dict like {{'kind': {spec!r}, ...params}} instead"
+            ) from None
+
     def backend_handle(self) -> BackendHandle:
         """A fresh reuse slot for this config's process layout.
 
@@ -212,8 +256,19 @@ class ExperimentConfig:
         """Check component names against their registries and sizes against their ranges."""
         DATASETS.get(self.dataset)
         MODELS.get(self.model)
-        delay_kind = self.delay["kind"] if isinstance(self.delay, dict) else self.delay
-        DELAYS.get(delay_kind)
+        # A run whose clock cannot move never ends: the trainer loops until
+        # the virtual clock reaches the budget.
+        if not self.compute_time > 0:
+            raise ValueError(f"compute_time must be positive, got {self.compute_time}")
+        if not self.compute_time_std_fraction >= 0:
+            raise ValueError(
+                f"compute_time_std_fraction must be >= 0, got {self.compute_time_std_fraction}"
+            )
+        if not self.alpha >= 0:
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        compute = self.compute_distribution()
+        if not compute.mean > 0:
+            raise ValueError(f"the compute-time distribution's mean must be positive, got {compute.mean}")
         NETWORK_SCALINGS.get(self.network_scaling)
         if self.lr_schedule is not None:
             LR_SCHEDULES.get(self.lr_schedule)

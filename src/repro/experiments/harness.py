@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api.registries import COMM_SCHEDULES, DELAYS, LR_SCHEDULES, MODELS
+from repro.api.registries import COMM_SCHEDULES, LR_SCHEDULES, MODELS
 from repro.api.registry import filter_kwargs
 from repro.core.schedules import CommunicationSchedule
 from repro.core.trainer import PASGDTrainer, TrainerConfig
@@ -42,7 +42,6 @@ from repro.experiments.configs import ExperimentConfig
 from repro.experiments.parallel import run_items
 from repro.obs.emit import span
 from repro.optim.lr_schedules import LRSchedule
-from repro.runtime.distributions import DelayDistribution
 from repro.runtime.network import NetworkModel
 from repro.runtime.simulator import RuntimeSimulator
 from repro.utils.logging import get_logger
@@ -284,46 +283,6 @@ def default_methods(
     return resolved
 
 
-def _build_compute_distribution(config: ExperimentConfig) -> DelayDistribution:
-    """Resolve the compute-time distribution from the config's ``delay`` spec.
-
-    A dict spec ``{"kind": name, **params}`` is built verbatim from the
-    ``DELAYS`` registry.  A bare name delegates to the distribution's own
-    ``from_moments(mean, std)`` classmethod with ``compute_time`` (mean Y)
-    and ``compute_time_std_fraction · compute_time`` (std), so every named
-    delay — builtin or third-party ``@DELAYS.register(...)`` — plugs into
-    the same two config knobs by defining that one hook.
-    """
-    spec = config.delay
-    if isinstance(spec, dict):
-        params = dict(spec)
-        try:
-            kind = params.pop("kind")
-        except KeyError:
-            raise ValueError(f"delay spec dict must have a 'kind' key, got {spec!r}") from None
-        return DELAYS.build(kind, **params)
-
-    mean = config.compute_time
-    std = config.compute_time_std_fraction * mean
-    factory = DELAYS.get(spec)  # raise the standard unknown-name error first
-    if std <= 0:
-        # Zero spread degenerates to a deterministic delay for every family.
-        return DELAYS.build("constant", value=mean)
-    from_moments = getattr(factory, "from_moments", None)
-    if from_moments is None:
-        raise ValueError(
-            f"delay distribution {spec!r} has no from_moments(mean, std) hook; pass "
-            f"an explicit spec dict like {{'kind': {spec!r}, ...params}} instead"
-        )
-    try:
-        return from_moments(mean, std)
-    except NotImplementedError as err:
-        raise ValueError(
-            f"delay distribution {spec!r} has no moment-matching rule ({err}); pass "
-            f"an explicit spec dict like {{'kind': {spec!r}, ...params}} instead"
-        ) from None
-
-
 def _build_lr_schedule(config: ExperimentConfig) -> LRSchedule:
     """Resolve the LR schedule: ``lr_schedule`` name, else the ``variable_lr`` flag."""
     if config.lr_schedule is not None:
@@ -406,7 +365,7 @@ def run_method(
     if train_set is None or test_set is None:
         train_set, test_set = _split_dataset(config, seeds.generator())
 
-    compute = _build_compute_distribution(config)
+    compute = config.compute_distribution()
     network = NetworkModel(
         base_delay=config.communication_delay, scaling=config.network_scaling
     )

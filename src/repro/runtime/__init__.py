@@ -3,7 +3,10 @@ runtime-per-iteration model of Section 3 of the paper.
 
 The paper models the local computation time of worker ``i`` at local step
 ``k`` as an i.i.d. random variable ``Y_{i,k} ~ F_Y`` and the communication
-delay of an all-node broadcast as ``D = D0 * s(m)``.  This package provides:
+delay of an all-node broadcast as ``D = D0 * s(m)`` (eq. 5, no jitter).
+This package predicts and samples; it keeps no totals.  Simulated time is
+accounted once, by ``repro.distributed.cluster.SimulatedCluster``.  It
+provides:
 
 * ``distributions`` — a family of delay distributions (constant,
   exponential, shifted exponential, uniform, Pareto) with analytic moments.
@@ -14,8 +17,8 @@ delay of an all-node broadcast as ``D = D0 * s(m)``.  This package provides:
   topologies (constant, parameter server, reduction tree, ring all-reduce).
 * ``model`` — the expected-runtime expressions (eq. 7–12): ``E[T_sync]``,
   ``E[T_PAvg]`` and the speed-up of PASGD over fully synchronous SGD.
-* ``simulator`` — samples per-iteration runtimes to drive the virtual wall
-  clock of the simulated cluster.
+* ``simulator`` — samples per-worker compute times and communication delays;
+  the simulated cluster turns them into virtual-clock advances.
 """
 
 from repro.runtime.distributions import (
@@ -25,7 +28,6 @@ from repro.runtime.distributions import (
     ShiftedExponentialDelay,
     UniformDelay,
     ParetoDelay,
-    make_distribution,
 )
 from repro.runtime.network import (
     NetworkModel,
@@ -33,7 +35,6 @@ from repro.runtime.network import (
     parameter_server_scaling,
     reduction_tree_scaling,
     ring_allreduce_scaling,
-    make_scaling,
 )
 from repro.runtime.order_stats import (
     expected_max_iid,
@@ -42,13 +43,12 @@ from repro.runtime.order_stats import (
     empirical_max_distribution,
 )
 from repro.runtime.model import (
-    RuntimeModel,
     expected_runtime_sync,
     expected_runtime_pasgd,
     speedup_constant_delays,
     speedup_over_sync,
 )
-from repro.runtime.simulator import RuntimeSimulator, IterationTiming
+from repro.runtime.simulator import RuntimeSimulator
 
 __all__ = [
     "DelayDistribution",
@@ -57,22 +57,18 @@ __all__ = [
     "ShiftedExponentialDelay",
     "UniformDelay",
     "ParetoDelay",
-    "make_distribution",
     "NetworkModel",
     "constant_scaling",
     "parameter_server_scaling",
     "reduction_tree_scaling",
     "ring_allreduce_scaling",
-    "make_scaling",
     "expected_max_iid",
     "expected_max_exponential",
     "expected_max_averaged",
     "empirical_max_distribution",
-    "RuntimeModel",
     "expected_runtime_sync",
     "expected_runtime_pasgd",
     "speedup_constant_delays",
     "speedup_over_sync",
     "RuntimeSimulator",
-    "IterationTiming",
 ]

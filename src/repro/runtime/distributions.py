@@ -29,7 +29,6 @@ __all__ = [
     "ShiftedExponentialDelay",
     "UniformDelay",
     "ParetoDelay",
-    "make_distribution",
 ]
 
 
@@ -69,10 +68,6 @@ class DelayDistribution(abc.ABC):
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-    def sample_one(self, rng: np.random.Generator | int | None = None) -> float:
-        """Draw a single scalar sample."""
-        return float(self.sample(1, rng)[0])
 
     def averaged(self, tau: int) -> "AveragedDelay":
         """Distribution of the mean of ``tau`` i.i.d. copies (the paper's ``Ȳ``)."""
@@ -286,13 +281,3 @@ class AveragedDelay(DelayDistribution):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AveragedDelay(base={self.base!r}, tau={self.tau})"
 
-
-def make_distribution(name: str, **kwargs) -> DelayDistribution:
-    """Factory for delay distributions by name (the shared ``DELAYS`` registry).
-
-    Examples
-    --------
-    >>> make_distribution("exponential", scale=1.0).mean
-    1.0
-    """
-    return DELAYS.build(name, **kwargs)

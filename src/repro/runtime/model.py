@@ -9,14 +9,11 @@ iteration:
 and the speed-up of PASGD over synchronous SGD (eq. 12 for the constant-delay
 case): ``(1 + α) / (1 + α/τ)`` with α = D/Y.
 
-:class:`RuntimeModel` bundles a compute-time distribution, a network model,
-and the worker count into one object that both the claims table
-(Figures 4 and 5) and the training-loop simulator consume.
+These are the predictions; what a run measures is the simulated cluster's
+ledger (``SimulatedCluster.breakdown``), fed by ``repro.runtime.simulator``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +26,6 @@ __all__ = [
     "expected_runtime_pasgd",
     "speedup_constant_delays",
     "speedup_over_sync",
-    "RuntimeModel",
 ]
 
 
@@ -90,61 +86,3 @@ def speedup_over_sync(
     t_pasgd = expected_runtime_pasgd(compute, network, m, tau, n_samples=n_samples, rng=rng)
     return t_sync / t_pasgd
 
-
-@dataclass
-class RuntimeModel:
-    """A complete cluster timing model: compute times, network, worker count.
-
-    Parameters
-    ----------
-    compute:
-        Distribution of the per-mini-batch compute time ``Y`` of one worker.
-    network:
-        Communication delay model ``D = D0 s(m)``.
-    n_workers:
-        Cluster size ``m``.
-    """
-
-    compute: DelayDistribution
-    network: NetworkModel
-    n_workers: int
-
-    def __post_init__(self) -> None:
-        if self.n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
-
-    # -- analytic quantities ----------------------------------------------
-    @property
-    def alpha(self) -> float:
-        """Communication/computation ratio α = E[D]/E[Y]."""
-        return self.network.communication_computation_ratio(self.n_workers, self.compute)
-
-    @property
-    def mean_communication_delay(self) -> float:
-        """E[D] for the configured cluster size."""
-        return self.network.mean_delay(self.n_workers)
-
-    @property
-    def mean_compute_time(self) -> float:
-        """E[Y] for one local step of one worker."""
-        return self.compute.mean
-
-    def expected_runtime_per_iteration(self, tau: int, n_samples: int = 20000, rng=None) -> float:
-        """E[T] per local iteration at communication period τ (eq. 8 / eq. 11)."""
-        if tau == 1:
-            return expected_runtime_sync(self.compute, self.network, self.n_workers, n_samples, rng)
-        return expected_runtime_pasgd(self.compute, self.network, self.n_workers, tau, n_samples, rng)
-
-    def expected_runtime(self, n_iterations: int, tau: int, n_samples: int = 20000, rng=None) -> float:
-        """Expected total wall-clock time of ``n_iterations`` local iterations."""
-        if n_iterations < 0:
-            raise ValueError(f"n_iterations must be non-negative, got {n_iterations}")
-        return n_iterations * self.expected_runtime_per_iteration(tau, n_samples, rng)
-
-    def speedup(self, tau: int, n_samples: int = 20000, rng=None) -> float:
-        """Speed-up of PASGD(τ) over fully synchronous SGD on this cluster."""
-        return speedup_over_sync(self.compute, self.network, self.n_workers, tau, n_samples, rng)
-
-    def iterations_per_second(self, tau: int, n_samples: int = 20000, rng=None) -> float:
-        """Throughput in local iterations per second at period τ."""
-        return 1.0 / self.expected_runtime_per_iteration(tau, n_samples, rng)

@@ -8,28 +8,25 @@ tree scales as ``2 log2(m)`` (the example given in the paper, citing
 FireCaffe), and a bandwidth-optimal ring all-reduce is ``2 (m-1)/m`` — nearly
 constant.
 
-``NetworkModel`` bundles ``D0``, the scaling function, and an optional jitter
-distribution into a single object the simulator can sample from.
+``NetworkModel`` bundles ``D0`` and a registered scaling name into the one
+object both the runtime model (``E[D]``) and the simulator (``D``) read.
+There is no jitter: every round's delay is exactly ``D0 * s(m)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.api.registries import NETWORK_SCALINGS
-from repro.runtime.distributions import ConstantDelay, DelayDistribution
-from repro.utils.seeding import check_random_state
 
 __all__ = [
     "constant_scaling",
     "parameter_server_scaling",
     "reduction_tree_scaling",
     "ring_allreduce_scaling",
-    "make_scaling",
     "NetworkModel",
 ]
 
@@ -72,14 +69,9 @@ def _validate_m(m: int) -> None:
         raise ValueError(f"number of workers m must be a positive integer, got {m!r}")
 
 
-def make_scaling(name: str) -> Callable[[int], float]:
-    """Look up a scaling function ``s(m)`` by name (the ``NETWORK_SCALINGS`` registry)."""
-    return NETWORK_SCALINGS.get(name)
-
-
 @dataclass
 class NetworkModel:
-    """Communication-delay model ``D = D0 * s(m) + jitter``.
+    """Communication-delay model ``D = D0 * s(m)`` (eq. 5).
 
     Parameters
     ----------
@@ -87,49 +79,21 @@ class NetworkModel:
         ``D0``, the per-transfer delay in seconds.  Proportional to model
         size / bandwidth in a real deployment.
     scaling:
-        Either the name of a registered scaling or a callable ``m -> s(m)``.
-    jitter:
-        Optional additive random jitter on every communication round.
+        The name of a registered scaling ``s(m)`` (``NETWORK_SCALINGS``).
     """
 
     base_delay: float
-    scaling: str | Callable[[int], float] = "reduction_tree"
-    jitter: DelayDistribution = field(default_factory=lambda: ConstantDelay(0.0))
+    scaling: str
 
     def __post_init__(self) -> None:
         if self.base_delay < 0:
             raise ValueError(f"base_delay must be non-negative, got {self.base_delay}")
-        if isinstance(self.scaling, str):
-            self._scaling_fn = make_scaling(self.scaling)
-            self._scaling_name = self.scaling
-        elif callable(self.scaling):
-            self._scaling_fn = self.scaling
-            self._scaling_name = getattr(self.scaling, "__name__", "custom")
-        else:
-            raise TypeError("scaling must be a name or a callable m -> s(m)")
+        self._scaling_fn = NETWORK_SCALINGS.get(self.scaling)
 
     def mean_delay(self, m: int) -> float:
         """Expected all-node broadcast delay ``E[D]`` for ``m`` workers."""
-        return self.base_delay * self._scaling_fn(m) + self.jitter.mean
+        return self.base_delay * self._scaling_fn(m)
 
-    def sample_delay(
-        self, m: int, rng: np.random.Generator | int | None = None, size: int | None = None
-    ) -> float | np.ndarray:
-        """Sample the broadcast delay for one (or ``size``) communication rounds."""
-        gen = check_random_state(rng)
-        deterministic = self.base_delay * self._scaling_fn(m)
-        if size is None:
-            return deterministic + self.jitter.sample_one(gen)
-        return deterministic + self.jitter.sample(size, gen)
-
-    def communication_computation_ratio(self, m: int, compute: DelayDistribution) -> float:
-        """The paper's α = E[D] / E[Y] for a given compute-time distribution."""
-        if compute.mean <= 0:
-            raise ValueError("compute-time mean must be positive to form the ratio")
-        return self.mean_delay(m) / compute.mean
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"NetworkModel(base_delay={self.base_delay}, scaling={self._scaling_name!r}, "
-            f"jitter={self.jitter!r})"
-        )
+    def sample_delay(self, m: int) -> float:
+        """The broadcast delay of one communication round among ``m`` workers (= ``E[D]``)."""
+        return self.mean_delay(m)

@@ -1,19 +1,21 @@
-"""Sampling per-iteration timings to drive the virtual wall clock.
+"""Sampling the delays that drive the virtual wall clock.
 
-The simulated cluster (``repro.distributed.cluster``) asks the
-:class:`RuntimeSimulator` two questions:
+The :class:`RuntimeSimulator` only samples; the simulated cluster
+(``repro.distributed.cluster``) turns the draws into clock advances and is
+the one ledger of simulated time (``SimulatedCluster.breakdown``).  The
+cluster asks two questions:
 
-* "all m workers just did one local step each — how long did that take?"
-  Answer: ``max_i Y_i`` over freshly sampled compute times (workers proceed
-  in parallel; within a local-update period they are not synchronized, but
-  the *period* as a whole finishes when the slowest worker finishes its τ
-  steps, so we accumulate per-worker sums and take the max at averaging
-  time — see :meth:`sample_local_period`).
+* "all m workers just ran τ local steps each — how long did each take?"
+  Answer: the ``(m,)`` per-worker totals ``sum_{k=1}^{τ} Y_{i,k}``
+  (:meth:`~RuntimeSimulator.sample_local_period`).  Within a period the
+  workers are not synchronized, so the barrier waits for
+  ``max_i sum_k Y_{i,k}`` (eq. 11), or for the survivors' maximum under
+  elastic dropout; a τ = 1 period is the per-step barrier of eq. 8.
 * "the workers just averaged their models — how long did the broadcast take?"
-  Answer: a sample of ``D = D0 s(m) + jitter``.
+  Answer: ``D = D0 s(m)`` (eq. 5; :meth:`~RuntimeSimulator.sample_communication`).
 
-Keeping the timing logic here (rather than inside the trainer) lets the same
-trainer run under any delay regime and makes the timing model unit-testable
+Keeping the sampling here (rather than inside the trainer) lets the same
+trainer run under any delay regime and makes the delay model unit-testable
 in isolation.
 """
 
@@ -27,30 +29,7 @@ from repro.runtime.distributions import DelayDistribution
 from repro.runtime.network import NetworkModel
 from repro.utils.seeding import check_random_state
 
-__all__ = ["IterationTiming", "AsyncRoundTiming", "RuntimeSimulator"]
-
-
-@dataclass(frozen=True)
-class IterationTiming:
-    """Timing breakdown of one local-update period (τ local steps + 1 averaging).
-
-    Attributes
-    ----------
-    compute_time:
-        Wall-clock time of the compute phase: ``max_i sum_{k=1}^{τ} Y_{i,k}``.
-    communication_time:
-        Wall-clock time of the averaging step (0 if no averaging happened).
-    per_worker_compute:
-        The per-worker total compute times, useful for straggler diagnostics.
-    """
-
-    compute_time: float
-    communication_time: float
-    per_worker_compute: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return self.compute_time + self.communication_time
+__all__ = ["AsyncRoundTiming", "RuntimeSimulator"]
 
 
 @dataclass(frozen=True)
@@ -92,47 +71,15 @@ class RuntimeSimulator:
         # Per-worker virtual clocks for the async (barrier-free) execution
         # mode; synchronous paths never read or advance them.
         self.worker_clocks = np.zeros(self.n_workers)
-        # Cumulative accounting, handy for Figure-8 style comm-vs-comp breakdowns.
-        self.total_compute_time = 0.0
-        self.total_communication_time = 0.0
-        self.n_local_steps = 0
-        self.n_communication_rounds = 0
 
-    def sample_local_step(self) -> float:
-        """Duration of one parallel local step: the slowest of m fresh draws.
+    def sample_local_period(self, tau: int) -> np.ndarray:
+        """Per-worker compute time of τ local steps: the ``(m,)`` sums ``sum_k Y_{i,k}``.
 
-        Used when the trainer advances the clock step by step (e.g. when the
-        averaging boundary is decided adaptively mid-period).  Note that
-        advancing step-by-step with a max per step is slightly pessimistic
-        compared to :meth:`sample_local_period`, which lets workers run their
-        τ steps asynchronously and only waits at the averaging barrier; both
-        are offered and the trainer uses the period-level variant.
+        The period ends when the slowest worker finishes, ``max_i sum_k Y_{i,k}``;
+        the sum averages out per-step noise, which is the straggler mitigation
+        of periodic averaging.
         """
-        draws = self.compute.sample(self.n_workers, self._rng)
-        dt = float(draws.max())
-        self.total_compute_time += dt
-        self.n_local_steps += 1
-        return dt
-
-    def sample_local_period(self, tau: int) -> IterationTiming:
-        """Duration of τ local steps at every worker followed by no averaging.
-
-        Workers run their τ steps independently; the period ends when the
-        slowest worker finishes, i.e. ``max_i sum_k Y_{i,k}``.  This is the
-        straggler-mitigation effect: the sum averages out per-step noise.
-        """
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        draws = self.compute.sample((self.n_workers, tau), self._rng)
-        per_worker = draws.sum(axis=1)
-        compute_time = float(per_worker.max())
-        self.total_compute_time += compute_time
-        self.n_local_steps += tau
-        return IterationTiming(
-            compute_time=compute_time,
-            communication_time=0.0,
-            per_worker_compute=per_worker,
-        )
+        return self._per_worker_compute(tau)
 
     def sample_async_period(self, tau: int) -> AsyncRoundTiming:
         """Per-worker timings of τ async local steps plus a server push.
@@ -144,21 +91,10 @@ class RuntimeSimulator:
         absolute arrival times determine the order in which the parameter
         server folds the updates in.
         """
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        draws = self.compute.sample((self.n_workers, tau), self._rng)
-        per_worker = draws.sum(axis=1)
-        push = np.atleast_1d(
-            self.network.sample_delay(1, self._rng, size=self.n_workers)
-        ).astype(float)
+        per_worker = self._per_worker_compute(tau)
+        push = np.full(self.n_workers, self.network.sample_delay(1))
         arrivals = self.worker_clocks + per_worker + push
         self.worker_clocks = arrivals.copy()
-        # Accounting under async is per-worker (there is no straggler-bound
-        # barrier to attribute the round to): mean compute and push times.
-        self.total_compute_time += float(per_worker.mean())
-        self.total_communication_time += float(push.mean())
-        self.n_local_steps += tau
-        self.n_communication_rounds += 1
         return AsyncRoundTiming(
             arrival_times=arrivals,
             per_worker_compute=per_worker,
@@ -167,23 +103,11 @@ class RuntimeSimulator:
 
     def sample_communication(self) -> float:
         """Duration of one all-node model-averaging round."""
-        dt = float(self.network.sample_delay(self.n_workers, self._rng))
-        self.total_communication_time += dt
-        self.n_communication_rounds += 1
-        return dt
+        return float(self.network.sample_delay(self.n_workers))
 
-    def breakdown(self) -> dict[str, float]:
-        """Cumulative compute/communication totals (Figure-8 style)."""
-        return {
-            "compute_time": self.total_compute_time,
-            "communication_time": self.total_communication_time,
-            "n_local_steps": float(self.n_local_steps),
-            "n_communication_rounds": float(self.n_communication_rounds),
-        }
-
-    def reset_accounting(self) -> None:
-        """Zero the cumulative counters (the RNG stream is left untouched)."""
-        self.total_compute_time = 0.0
-        self.total_communication_time = 0.0
-        self.n_local_steps = 0
-        self.n_communication_rounds = 0
+    # Not a public sampler: ``benchmarks/e2e/traced_main.py`` times the three
+    # public ones as ``runtime.sample_s``, and an async period is one call.
+    def _per_worker_compute(self, tau: int) -> np.ndarray:
+        if tau < 1:
+            raise ValueError(f"tau must be >= 1, got {tau}")
+        return self.compute.sample((self.n_workers, tau), self._rng).sum(axis=1)

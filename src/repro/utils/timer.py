@@ -29,31 +29,18 @@ class VirtualClock:
         if start < 0:
             raise ValueError(f"start time must be non-negative, got {start}")
         self._now = float(start)
-        self._n_advances = 0
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
 
-    @property
-    def n_advances(self) -> int:
-        """Number of times the clock has been advanced."""
-        return self._n_advances
-
     def advance(self, dt: float) -> float:
         """Move the clock forward by ``dt`` seconds and return the new time."""
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative duration {dt}")
         self._now += float(dt)
-        self._n_advances += 1
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError(f"start time must be non-negative, got {start}")
-        self._now = float(start)
-        self._n_advances = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VirtualClock(now={self._now:.4f}, advances={self._n_advances})"
+        return f"VirtualClock(now={self._now:.4f})"

@@ -15,11 +15,7 @@ from repro.experiments.configs import (
     config_spec,
     make_config,
 )
-from repro.experiments.harness import (
-    _build_compute_distribution,
-    default_methods,
-    parse_method_spec,
-)
+from repro.experiments.harness import default_methods, parse_method_spec
 from repro.models.registry import build_model, infer_image_geometry, register_model
 from repro.runtime.distributions import ParetoDelay
 
@@ -187,6 +183,36 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown dataset"):
             ExperimentConfig.from_dict(payload)
 
+    # Timing values a run cannot use: a clock that never moves spins the
+    # trainer forever, and a negative spread or delay is not a delay model.
+    BAD_TIMINGS = [
+        ({"compute_time": 0.0}, "compute_time must be positive, got 0.0"),
+        ({"compute_time": -1.0}, "compute_time must be positive"),
+        ({"compute_time_std_fraction": -0.5}, "compute_time_std_fraction must be >= 0"),
+        ({"alpha": -1.0}, "alpha must be >= 0, got -1.0"),
+        ({"delay": {"kind": "constant", "value": 0.0}, "alpha": 0.0}, "mean must be positive, got 0.0"),
+        ({"delay": {"kind": "uniform", "low": 0.0, "high": 0.0}}, "mean must be positive"),
+        ({"delay": {"value": 1.0}}, "must name its 'kind'"),
+        ({"delay": {"kind": "constant", "valu": 1.0}}, "invalid parameters for delay 'constant'"),
+        ({"delay": {"kind": "constant", "value": "slow"}}, "invalid parameters for delay 'constant'"),
+        ({"delay": {"kind": "weibull"}}, "unknown delay distribution 'weibull'"),
+    ]
+
+    @pytest.mark.parametrize("overrides, message", BAD_TIMINGS)
+    def test_validate_refuses_unusable_timing(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_config("smoke", **overrides).validate()
+
+    @pytest.mark.parametrize("overrides, message", BAD_TIMINGS)
+    def test_from_dict_refuses_unusable_timing(self, overrides, message):
+        payload = {**make_config("smoke").to_dict(), **overrides}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(json.loads(json.dumps(payload)))
+
+    def test_validate_accepts_the_timing_edges(self):
+        # No spread (a constant delay) and no communication cost both still run.
+        make_config("smoke", compute_time_std_fraction=0.0, alpha=0.0).validate()
+
     def test_to_dict_rejects_dataset_fn_escape_hatch(self):
         # A dataset is named once, through DATASETS: a callable field is gone
         # from the config, its dict and what from_dict accepts.
@@ -255,27 +281,27 @@ class TestMethodSpecs:
 class TestDelaySpecs:
     def test_pareto_moment_matched_to_config(self):
         cfg = make_config("smoke", delay="pareto")
-        dist = _build_compute_distribution(cfg)
+        dist = cfg.compute_distribution()
         assert isinstance(dist, ParetoDelay)
         assert dist.mean == pytest.approx(cfg.compute_time)
         assert dist.std == pytest.approx(cfg.compute_time_std_fraction * cfg.compute_time)
 
     def test_dict_spec_passes_params_verbatim(self):
         cfg = make_config("smoke", delay={"kind": "pareto", "scale": 1.0, "alpha": 3.0})
-        dist = _build_compute_distribution(cfg)
+        dist = cfg.compute_distribution()
         assert isinstance(dist, ParetoDelay) and dist.alpha == 3.0
 
     def test_zero_std_degenerates_to_constant(self):
         cfg = make_config("smoke", delay="exponential", compute_time_std_fraction=0.0)
-        assert _build_compute_distribution(cfg).variance == 0.0
+        assert cfg.compute_distribution().variance == 0.0
 
     def test_unknown_delay_raises(self):
         with pytest.raises(ValueError, match="unknown delay distribution"):
-            _build_compute_distribution(make_config("smoke", delay="weibull"))
+            make_config("smoke", delay="weibull").compute_distribution()
 
     def test_dict_spec_requires_kind(self):
         with pytest.raises(ValueError, match="'kind'"):
-            _build_compute_distribution(make_config("smoke", delay={"scale": 1.0}))
+            make_config("smoke", delay={"scale": 1.0}).compute_distribution()
 
     def test_pareto_delay_runs_end_to_end(self):
         from repro.experiments.harness import run_method
@@ -387,6 +413,11 @@ class TestCLI:
         (["--config", "smoke", "--set", "batch_size=0"], "batch_size must be >= 1, got 0"),
         (["--config", "smoke", "--set", "eval_every_rounds=0"], "eval_every_rounds must be >= 1, got 0"),
         (["--config", "smoke", "--set", "wall_time_budget=-1"], "wall_time_budget must be positive, got -1"),
+        (["--config", "smoke", "--set", "compute_time=0"], "compute_time must be positive, got 0"),
+        (["--config", "smoke", "--set", "alpha=-1"], "alpha must be >= 0, got -1"),
+        (["--config", "smoke", "--set", "delay={'value': 1.0}"], "delay spec dict must name its 'kind'"),
+        (["--config", "smoke", "--set", "delay={'kind': 'constant', 'valu': 1.0}"],
+         "invalid parameters for delay 'constant'"),
     ])
     def test_bad_run_flags_exit_before_anything_runs(self, argv, message, monkeypatch, tmp_path, capsys):
         import repro.experiments.cli as cli

@@ -11,7 +11,7 @@ from repro.data.partition import partition_dataset
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.averaging import average_states, weighted_average_states
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.collectives import Exact
+from repro.distributed.collectives import AsyncFold, Exact, Gossip
 from repro.distributed.worker_bank import LoopWorkers, WorkerBank
 from repro.models.mlp import MLP
 from repro.nn.layers import evaluating
@@ -183,6 +183,39 @@ class TestSimulatedCluster:
             "communication_rounds": 3.0,
         }
         assert cluster.clock.now == cluster.breakdown()["total_time"]
+
+    @pytest.mark.parametrize(
+        "collective, communication, barrier",
+        [
+            # Async books the mean push per generation (D0 · s(1) at every worker).
+            (AsyncFold(damping=0.5), 6.0, False),
+            # Elastic: with constant Y every worker's time is τ, so dropouts
+            # leave the compute total at Σ τ.
+            (Exact(dropout_prob=0.5), 6.0, True),
+            # Gossip pays one sampled delay per mixing round: 2 · D per round.
+            (Gossip("ring", rounds=2), 12.0, True),
+        ],
+        ids=["async", "elastic", "gossip-2-rounds"],
+    )
+    def test_the_ledger_of_every_collective(self, tiny_dataset, tiny_model_fn, collective, communication, barrier):
+        # The cluster is the only ledger of simulated time.  Constant delays:
+        # Y = 1 per step, D0 = 2.
+        runtime = RuntimeSimulator(ConstantDelay(1.0), NetworkModel(2.0, "constant"), n_workers=4, rng=0)
+        cluster = SimulatedCluster(
+            tiny_model_fn, tiny_dataset, runtime, n_workers=4, batch_size=8, lr=0.2,
+            collective=collective, seed=0,
+        )
+        for tau in (3, 5, 2):
+            cluster.run_round(tau)
+        assert cluster.breakdown() == {
+            "compute_time": 10.0,
+            "communication_time": communication,
+            "total_time": 10.0 + communication,
+            "local_iterations": 10.0,
+            "communication_rounds": 3.0,
+        }
+        if barrier:
+            assert cluster.clock.now == cluster.breakdown()["total_time"]
 
     def test_set_lr_propagates(self, tiny_dataset, tiny_model_fn):
         cluster = _make_cluster(tiny_dataset, tiny_model_fn)

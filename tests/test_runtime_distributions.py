@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import DELAYS
 from repro.runtime.distributions import (
     ConstantDelay,
     ExponentialDelay,
     ParetoDelay,
     ShiftedExponentialDelay,
     UniformDelay,
-    make_distribution,
 )
 
 
@@ -45,9 +45,6 @@ class TestCommonBehaviour:
             assert samples.var() == 0
         else:
             assert samples.var() == pytest.approx(dist.variance, rel=0.1)
-
-    def test_sample_one_is_scalar(self, dist):
-        assert isinstance(dist.sample_one(rng=3), float)
 
     def test_std_is_sqrt_variance(self, dist):
         assert dist.std == pytest.approx(np.sqrt(dist.variance))
@@ -104,15 +101,15 @@ class TestValidation:
 
 class TestFactory:
     def test_make_each_registered_distribution(self):
-        assert make_distribution("constant", value=1.0).mean == 1.0
-        assert make_distribution("exponential", scale=2.0).mean == 2.0
-        assert make_distribution("uniform", low=0.0, high=2.0).mean == 1.0
-        assert make_distribution("shifted_exponential", shift=1.0, scale=1.0).mean == 2.0
-        assert make_distribution("pareto", scale=1.0, alpha=3.0).mean == 1.5
+        assert DELAYS.build("constant", value=1.0).mean == 1.0
+        assert DELAYS.build("exponential", scale=2.0).mean == 2.0
+        assert DELAYS.build("uniform", low=0.0, high=2.0).mean == 1.0
+        assert DELAYS.build("shifted_exponential", shift=1.0, scale=1.0).mean == 2.0
+        assert DELAYS.build("pareto", scale=1.0, alpha=3.0).mean == 1.5
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            make_distribution("weibull")
+            DELAYS.build("weibull")
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,31 +194,25 @@ class TestFromMoments:
 
     def test_registered_delay_resolves_via_hook_in_harness(self):
         """A third-party delay given as a bare name works end to end."""
-        from repro.api import DELAYS
         from repro.experiments.configs import make_config
-        from repro.experiments.harness import _build_compute_distribution
 
         @DELAYS.register("thirdparty_uniform_for_test")
         class ThirdParty(UniformDelay):
             pass
 
         try:
-            dist = _build_compute_distribution(
-                make_config("smoke", delay="thirdparty_uniform_for_test")
-            )
+            dist = make_config("smoke", delay="thirdparty_uniform_for_test").compute_distribution()
             assert isinstance(dist, ThirdParty)
             assert dist.mean == pytest.approx(1.0)
         finally:
             DELAYS.unregister("thirdparty_uniform_for_test")
 
     def test_unhooked_registered_delay_fails_with_guidance(self):
-        from repro.api import DELAYS
         from repro.experiments.configs import make_config
-        from repro.experiments.harness import _build_compute_distribution
 
         DELAYS.register("hookless_for_test", lambda **kw: None)
         try:
             with pytest.raises(ValueError, match="from_moments"):
-                _build_compute_distribution(make_config("smoke", delay="hookless_for_test"))
+                make_config("smoke", delay="hookless_for_test").compute_distribution()
         finally:
             DELAYS.unregister("hookless_for_test")

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.registries import NETWORK_SCALINGS
 from repro.runtime.distributions import ConstantDelay, ExponentialDelay, ParetoDelay
 from repro.runtime.model import (
-    RuntimeModel,
     expected_runtime_pasgd,
     expected_runtime_sync,
     speedup_constant_delays,
@@ -18,7 +18,6 @@ from repro.runtime.model import (
 from repro.runtime.network import (
     NetworkModel,
     constant_scaling,
-    make_scaling,
     parameter_server_scaling,
     reduction_tree_scaling,
     ring_allreduce_scaling,
@@ -91,9 +90,11 @@ class TestNetworkScalings:
         assert ring_allreduce_scaling(1) == 1.0
 
     def test_make_scaling(self):
-        assert make_scaling("reduction_tree") is reduction_tree_scaling
+        assert NETWORK_SCALINGS.get("reduction_tree") is reduction_tree_scaling
         with pytest.raises(ValueError):
-            make_scaling("torus")
+            NETWORK_SCALINGS.get("torus")
+        with pytest.raises(ValueError, match="unknown scaling 'torus'"):
+            NetworkModel(1.0, "torus")
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
@@ -102,24 +103,11 @@ class TestNetworkScalings:
     def test_network_model_mean_delay(self):
         net = NetworkModel(base_delay=0.5, scaling="parameter_server")
         assert net.mean_delay(4) == pytest.approx(2.0)
-
-    def test_network_model_with_jitter(self):
-        net = NetworkModel(base_delay=1.0, scaling="constant", jitter=ExponentialDelay(0.5))
-        assert net.mean_delay(4) == pytest.approx(1.5)
-        samples = net.sample_delay(4, rng=0, size=2000)
-        assert samples.mean() == pytest.approx(1.5, rel=0.1)
-
-    def test_network_model_custom_callable(self):
-        net = NetworkModel(base_delay=2.0, scaling=lambda m: m**0.5)
-        assert net.mean_delay(4) == pytest.approx(4.0)
-
-    def test_alpha_ratio(self):
-        net = NetworkModel(base_delay=4.0, scaling="constant")
-        assert net.communication_computation_ratio(4, ConstantDelay(1.0)) == pytest.approx(4.0)
+        assert net.sample_delay(4) == net.mean_delay(4)  # D = D0 * s(m), no jitter
 
     def test_negative_base_delay(self):
         with pytest.raises(ValueError):
-            NetworkModel(base_delay=-1.0)
+            NetworkModel(base_delay=-1.0, scaling="constant")
 
 
 class TestRuntimeEquations:
@@ -162,31 +150,6 @@ class TestRuntimeEquations:
             speedup_constant_delays(0.5, 0)
         with pytest.raises(ValueError):
             expected_runtime_pasgd(ConstantDelay(1.0), NetworkModel(1.0, "constant"), 4, 0)
-
-
-class TestRuntimeModelClass:
-    def test_alpha_and_means(self):
-        model = RuntimeModel(ConstantDelay(2.0), NetworkModel(1.0, "constant"), n_workers=4)
-        assert model.alpha == pytest.approx(0.5)
-        assert model.mean_compute_time == 2.0
-        assert model.mean_communication_delay == 1.0
-
-    def test_expected_runtime_total(self):
-        model = RuntimeModel(ConstantDelay(1.0), NetworkModel(1.0, "constant"), n_workers=2)
-        assert model.expected_runtime(100, tau=1) == pytest.approx(200.0)
-        assert model.expected_runtime(100, tau=10) == pytest.approx(110.0)
-
-    def test_speedup_increases_with_tau(self):
-        model = RuntimeModel(ConstantDelay(1.0), NetworkModel(0.9, "constant"), n_workers=4)
-        assert model.speedup(20) > model.speedup(2) > 1.0 - 1e-9
-
-    def test_iterations_per_second(self):
-        model = RuntimeModel(ConstantDelay(1.0), NetworkModel(1.0, "constant"), n_workers=2)
-        assert model.iterations_per_second(1) == pytest.approx(0.5)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            RuntimeModel(ConstantDelay(1.0), NetworkModel(1.0, "constant"), n_workers=0)
 
 
 @settings(max_examples=40, deadline=None)
