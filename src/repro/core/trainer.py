@@ -37,7 +37,6 @@ from repro.obs.emit import span
 from repro.optim.lr_schedules import ConstantLR, LRSchedule
 from repro.utils.logging import get_logger
 from repro.utils.results import MetricPoint, RunRecord
-from repro.utils.seeding import check_random_state
 
 __all__ = ["TrainerConfig", "PASGDTrainer"]
 
@@ -57,9 +56,6 @@ class TrainerConfig:
         the two budgets must be finite.
     eval_every_rounds:
         Evaluate the synchronized model every this many communication rounds.
-    eval_fraction:
-        Fraction of the evaluation set used per evaluation (subsampling keeps
-        NumPy evaluation cheap for large synthetic datasets).
     iterations_per_epoch:
         Used to convert iteration counts to "epochs" for the LR schedule when
         the cluster has no dataset (e.g. quadratic objectives).  When a
@@ -72,7 +68,6 @@ class TrainerConfig:
     max_wall_time: float = math.inf
     max_iterations: float = math.inf
     eval_every_rounds: int = 1
-    eval_fraction: float = 1.0
     iterations_per_epoch: int = 100
     record_discrepancy: bool = False
 
@@ -83,8 +78,6 @@ class TrainerConfig:
             raise ValueError("budgets must be positive")
         if self.eval_every_rounds < 1:
             raise ValueError("eval_every_rounds must be >= 1")
-        if not 0.0 < self.eval_fraction <= 1.0:
-            raise ValueError("eval_fraction must be in (0, 1]")
         if self.iterations_per_epoch < 1:
             raise ValueError("iterations_per_epoch must be >= 1")
 
@@ -109,7 +102,12 @@ class PASGDTrainer:
     loss_fn:
         Optional override ``model -> float`` computing the training loss of
         the synchronized model (used by the quadratic-objective experiments
-        where the loss has a closed form).
+        where the loss has a closed form).  It runs like the data metrics:
+        eval mode, gradients off.
+
+    Both metrics of an evaluation point run in one
+    :meth:`~repro.distributed.cluster.SimulatedCluster.evaluate_synchronized`
+    call: one load of the synchronized model, one eval scope.
     """
 
     def __init__(
@@ -122,45 +120,35 @@ class PASGDTrainer:
         loss_fn: Callable[[Module], float] | None = None,
         config: TrainerConfig | None = None,
         name: str | None = None,
-        rng: np.random.Generator | None = None,
     ):
         self.cluster = cluster
         self.schedule = schedule
         self.lr_schedule = lr_schedule or ConstantLR(cluster.current_lr)
-        self.train_eval_data = train_eval_data
-        self.test_eval_data = test_eval_data
-        self.loss_fn = loss_fn
         self.config = config or TrainerConfig(max_iterations=1000)
         self.name = name or schedule.label
-        self._rng = check_random_state(rng if rng is not None else 0)
+        # metric name -> ``model -> float``, evaluated together at every point.
+        self._metrics: dict[str, Callable[[Module], float]] = {}
+        if loss_fn is not None:
+            self._metrics["train_loss"] = loss_fn
+        elif train_eval_data is not None:
+            X_train, y_train = train_eval_data
+            self._metrics["train_loss"] = lambda model: float(model.loss(X_train, y_train).item())
+        if test_eval_data is not None:
+            X_test, y_test = test_eval_data
+            self._metrics["test_accuracy"] = lambda model: accuracy_metric(model(X_test), y_test)
 
-    # -- evaluation helpers -------------------------------------------------
-    def _subsample(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        frac = self.config.eval_fraction
-        if frac >= 1.0 or len(X) <= 1:
-            return X, y
-        n = max(1, int(round(frac * len(X))))
-        idx = self._rng.choice(len(X), size=n, replace=False)
-        return X[idx], y[idx]
+    # -- evaluation -----------------------------------------------------------
+    def _evaluate(self, round_index: int, fallback_loss: float) -> tuple[float, float]:
+        """``(train loss, test accuracy)`` of the synchronized model, one call.
 
-    def _eval_train_loss(self, fallback_loss: float) -> float:
-        if self.loss_fn is not None:
-            model = self.cluster.synchronized_model()
-            return float(self.loss_fn(model))
-        if self.train_eval_data is None:
-            return fallback_loss
-        X, y = self._subsample(*self.train_eval_data)
-        return self.cluster.evaluate_synchronized(
-            X, y, lambda model, Xe, ye: float(model.loss(Xe, ye).item())
-        )
-
-    def _eval_test_accuracy(self) -> float:
-        if self.test_eval_data is None:
-            return float("nan")
-        X, y = self._subsample(*self.test_eval_data)
-        return self.cluster.evaluate_synchronized(
-            X, y, lambda model, Xe, ye: accuracy_metric(model(Xe), ye)
-        )
+        A metric without data reads ``fallback_loss`` / nan.  Evaluation is
+        free on the virtual clock, so the span's virtual duration is 0 while
+        its wall duration is not — the divergence the dual-clock trace shows.
+        """
+        with span("eval", clock=self.cluster.clock, round=round_index):
+            values = self.cluster.evaluate_synchronized(*self._metrics.values())
+        got = dict(zip(self._metrics, values))
+        return got.get("train_loss", fallback_loss), got.get("test_accuracy", float("nan"))
 
     def _current_epoch(self) -> float:
         epochs = self.cluster.epochs_completed()
@@ -203,9 +191,7 @@ class PASGDTrainer:
         )
 
         # Initial evaluation at t = 0 so every curve starts from the same point.
-        with span("eval", clock=self.cluster.clock, round=0):
-            initial_loss = self._eval_train_loss(fallback_loss=float("nan"))
-            initial_acc = self._eval_test_accuracy()
+        initial_loss, initial_acc = self._evaluate(0, fallback_loss=float("nan"))
         record.log(
             MetricPoint(
                 iteration=0,
@@ -234,12 +220,7 @@ class PASGDTrainer:
             rounds += 1
 
             if rounds % cfg.eval_every_rounds == 0:
-                # Evaluation is free on the virtual clock, so the span's
-                # virtual duration is 0 while its wall duration is not —
-                # exactly the divergence the dual-clock trace surfaces.
-                with span("eval", clock=self.cluster.clock, round=rounds):
-                    train_loss = self._eval_train_loss(fallback_loss=period_loss)
-                    test_acc = self._eval_test_accuracy()
+                train_loss, test_acc = self._evaluate(rounds, fallback_loss=period_loss)
             else:
                 train_loss = period_loss
                 test_acc = float("nan")
@@ -264,9 +245,7 @@ class PASGDTrainer:
             # the final synchronized model once so every run ends on a real
             # measurement (final-accuracy readers and the error-runtime
             # frontier consume the last point).
-            with span("eval", clock=self.cluster.clock, round=rounds):
-                final_loss = self._eval_train_loss(fallback_loss=period_loss)
-                final_acc = self._eval_test_accuracy()
+            final_loss, final_acc = self._evaluate(rounds, fallback_loss=period_loss)
             record.log(
                 MetricPoint(
                     iteration=self.cluster.total_local_iterations,

@@ -36,7 +36,7 @@ is byte-identical on any backend.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -178,10 +178,6 @@ class WorkerBackend:
         so loading the module (or a caller writing to it) changes no worker.
         """
         raise NotImplementedError
-
-    def evaluate_with_state(self, flat: np.ndarray, fn: Callable[[Module], float]):
-        """Run ``fn`` on a module holding ``flat``, leaving workers unchanged."""
-        return fn(self.materialize(flat))
 
     def rng_fingerprint(self) -> dict:
         """Positions of every per-worker RNG stream, in one comparable dict.

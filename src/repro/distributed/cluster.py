@@ -478,30 +478,18 @@ class SimulatedCluster:
         """Flat parameters of the most recent synchronized (averaged) model."""
         return self._synchronized_params.copy()
 
-    def synchronized_model(self) -> Module:
-        """A model loaded with the synchronized parameters.
+    def evaluate_synchronized(self, *metrics: Callable[[Module], float]) -> tuple[float, ...]:
+        """Every ``metric(model)`` of the synchronized model, in order; workers unchanged.
 
-        The returned module is backend scratch (a bank's template) on every
-        backend: loading it changes no worker, and the next materialization
-        or forward-only local step overwrites it — treat it as read-only.
+        One load of the synchronized state into backend scratch (a bank
+        template, so no worker changes), then one scope in eval mode with
+        gradients off under the cluster's :class:`~repro.nn.tensor.Workspace`
+        (every backend) for all the metrics: the next evaluation reuses its
+        arrays, so a metric returns a number, not a tensor.
         """
-        return self._backend.materialize(self._synchronized_params)
-
-    def evaluate_synchronized(
-        self, X: np.ndarray, y: np.ndarray, metric: Callable[[Module, np.ndarray, np.ndarray], float]
-    ) -> float:
-        """Evaluate a metric of the synchronized model, leaving workers unchanged.
-
-        ``metric`` runs in eval mode with gradients off as one forward under
-        the cluster's :class:`~repro.nn.tensor.Workspace` (every backend): the
-        next evaluation reuses its arrays, so return a number, not a tensor.
-        """
-
-        def run(model: Module) -> float:
-            with evaluating(model, self._eval_workspace):
-                return metric(model, X, y)
-
-        return self._backend.evaluate_with_state(self._synchronized_params, run)
+        model = self._backend.materialize(self._synchronized_params)
+        with evaluating(model, self._eval_workspace):
+            return tuple(metric(model) for metric in metrics)
 
     def model_discrepancy(self) -> float:
         """Mean L2 distance of local models from their average.

@@ -191,7 +191,7 @@ def fig14_claims() -> list[Claim]:
             cluster.run_local_period(15)
             local.append(accuracy(cluster.workers[0].model(test.X), test.y))
             cluster.average_models()
-            synced.append(cluster.evaluate_synchronized(test.X, test.y, lambda m, X, y: accuracy(m(X), y)))
+            synced.extend(cluster.evaluate_synchronized(lambda model: accuracy(model(test.X), test.y)))
     gap = 100 * float(np.mean(synced[30:]) - np.mean(local[30:]))  # once the curves have settled
     return [Claim("fig14.accuracy_gap", "synchronized minus local test accuracy, PASGD τ = 15, rounds 30-59 (points)",
                   "simulator > 0.0", gap, paper=10.0)]

@@ -274,9 +274,13 @@ class ExperimentConfig:
             LR_SCHEDULES.get(self.lr_schedule)
         if self.backend != "auto":
             BACKENDS.get(self.backend)
-        for name in ("n_workers", "batch_size", "eval_every_rounds"):
+        for name in ("n_train", "n_test", "n_features", "n_workers", "batch_size", "eval_every_rounds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
+        if self.methods is not None and not self.methods:
+            raise ValueError("methods must name at least one method, got ()")
         if not self.wall_time_budget > 0:
             raise ValueError(f"wall_time_budget must be positive, got {self.wall_time_budget}")
         if self.backend_shards < 1:

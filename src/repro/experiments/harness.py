@@ -304,9 +304,7 @@ def _build_lr_schedule(config: ExperimentConfig) -> LRSchedule:
     return LR_SCHEDULES.build("constant", lr=config.lr)
 
 
-def _build_model_fn(
-    config: ExperimentConfig, model_seed: int, n_features: int | None = None
-) -> Callable:
+def _build_model_fn(config: ExperimentConfig, model_seed: int, dataset: Dataset) -> Callable:
     """Model factory resolved from the ``MODELS`` registry.
 
     Builders have heterogeneous signatures (CNNs take no ``hidden_sizes``,
@@ -314,17 +312,18 @@ def _build_model_fn(
     filtered per builder; ``config.model_kwargs`` entries are passed last and
     unconditionally, so an unknown name there fails loudly.
 
-    ``n_features`` is the feature count of the *built* dataset, which wins
-    over ``config.n_features``: generators with an intrinsic dimensionality
-    (e.g. ``spirals``) ignore the config knob, and the model must match the
-    data it will actually see.
+    The model's input and head are sized from the *built* ``dataset``, which
+    wins over ``config.n_features`` / ``config.n_classes``: generators with an
+    intrinsic shape (``spirals``' two features, ``synth_cifar10``'s ten
+    classes) ignore those knobs, and the model must match the data it will
+    actually see.  A regression set (``n_classes`` None) keeps the config's.
     """
     builder = MODELS.get(config.model)
     kwargs = filter_kwargs(
         builder,
         dict(
-            n_features=config.n_features if n_features is None else n_features,
-            n_classes=config.n_classes,
+            n_features=dataset.n_features,
+            n_classes=config.n_classes if dataset.n_classes is None else dataset.n_classes,
             hidden_sizes=config.hidden_sizes,
             rng=model_seed,
         ),
@@ -371,9 +370,7 @@ def run_method(
     )
     runtime = RuntimeSimulator(compute, network, config.n_workers, rng=seeds.generator())
 
-    model_fn = _build_model_fn(
-        config, model_seed=seeds.spawn(), n_features=train_set.n_features
-    )
+    model_fn = _build_model_fn(config, model_seed=seeds.spawn(), dataset=train_set)
 
     with ExitStack() as stack:
         if backend_handle is None:
@@ -409,7 +406,6 @@ def run_method(
                 record_discrepancy=record_discrepancy,
             ),
             name=method.label,
-            rng=seeds.generator(),
         )
         with span(
             "method",

@@ -9,7 +9,6 @@ across workers, eq. 3 of the paper).
 from __future__ import annotations
 
 import contextlib
-import operator
 from collections import OrderedDict
 from typing import Iterator
 
@@ -40,6 +39,11 @@ __all__ = [
 ]
 
 
+#: Bumped whenever any module (re)binds a parameter, buffer or sub-module:
+#: a ``Module._bank_of_one`` view stays valid while the count stands still.
+_rebinds = 0
+
+
 class Module:
     """Base class for layers and models.
 
@@ -66,15 +70,19 @@ class Module:
 
     # -- attribute magic -------------------------------------------------
     def __setattr__(self, name: str, value) -> None:
+        global _rebinds
         if isinstance(value, Tensor) and value.requires_grad:
             self.__dict__.setdefault("_parameters", OrderedDict())[name] = value
+            _rebinds += 1
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
+            _rebinds += 1
         elif name in self.__dict__.get("_buffers", {}):
             # Re-assignment to a registered buffer keeps it registered
             # (``set_buffer`` rebinds the array; see ``_bank_of_one``).
             value = np.asarray(value, dtype=float)
             self.__dict__["_buffers"][name] = value
+            _rebinds += 1
         object.__setattr__(self, name, value)
 
     # -- parameter access -------------------------------------------------
@@ -105,8 +113,10 @@ class Module:
         backend stacks them per worker alongside the parameters (see
         :class:`repro.nn.bank.ParameterBank`).
         """
+        global _rebinds
         arr = np.asarray(value, dtype=float)
         self.__dict__.setdefault("_buffers", OrderedDict())[name] = arr
+        _rebinds += 1
         object.__setattr__(self, name, arr)
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
@@ -221,15 +231,11 @@ class Module:
         reshape node over the parameter itself, so gradients land on the
         replica's own tensors; a buffer is a ``buf[None]`` view, so in-place
         updates (batch-norm running stats) write through.  Built once, and
-        again only after a parameter or buffer was rebound (``set_buffer``).
+        again only after some module rebound a parameter, buffer or
+        sub-module (``set_buffer``): an O(1) check of ``_rebinds``.
         """
-        sources = [*self.parameters(), *self.buffers()]
         cached = self.__dict__.get("_bank1")
-        if (
-            cached is None
-            or len(cached[0]) != len(sources)
-            or not all(map(operator.is_, cached[0], sources))
-        ):
+        if cached is None or cached[0] != _rebinds:
             state: dict = {}
             for name, p in self.named_parameters():
                 # Built by hand, not with ``p.reshape``: the node must stay
@@ -240,7 +246,7 @@ class Module:
                 state[name] = view
             for name, b in self.named_buffers():
                 state[name] = b[None]
-            cached = self.__dict__["_bank1"] = (sources, state)
+            cached = self.__dict__["_bank1"] = (_rebinds, state)
         return cached[1]
 
     def __getstate__(self) -> dict:
@@ -682,6 +688,10 @@ class Conv2d(Module):
         out_c = self.out_channels
         x_data = x.data
         m, b, c, h, w = x_data.shape
+        if max(kh - h, kw - w) > 2 * self.padding:
+            raise ValueError(
+                f"Conv2d kernel {kh}x{kw} exceeds its {h}x{w} input padded by {self.padding}"
+            )
         with span("conv2d.bank_forward"):
             plan = _conv_plan(c, h, w, kh, kw, self.stride, self.padding)
             out_h, out_w, row = plan.out_h, plan.out_w, c * kh * kw
@@ -736,8 +746,10 @@ class _Pool2d(Module):
         super().__init__()
         if kernel_size < 1:
             raise ValueError("kernel_size must be positive")
+        if stride is not None and stride < 1:
+            raise ValueError(f"pooling stride must be >= 1, got {stride}")
         self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
+        self.stride = kernel_size if stride is None else stride
 
     def _forward_arrays(self, x_data: np.ndarray):  # pragma: no cover - abstract
         """Array-level pool: return ``(out_data, backward)`` for NCHW input."""
@@ -752,7 +764,12 @@ class _Pool2d(Module):
         if x.ndim != 5:
             raise ValueError(f"pooling bank_forward expects (m, B, C, H, W) input, got shape {x.shape}")
         x_data = x.data
-        m, b = x_data.shape[0], x_data.shape[1]
+        m, b, _, h, w = x_data.shape
+        if self.kernel_size > min(h, w):
+            raise ValueError(
+                f"{type(self).__name__} window {self.kernel_size}x{self.kernel_size} "
+                f"exceeds its {h}x{w} input"
+            )
         with span("pool.bank_forward"):
             out4, array_backward = self._forward_arrays(x_data.reshape(m * b, *x_data.shape[2:]))
         out_data = out4.reshape(m, b, *out4.shape[1:])

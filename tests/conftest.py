@@ -499,15 +499,6 @@ def build_equivalence_cluster(
         )
 
 
-def _eval_loss_metric(model, X, y):
-    was_training = model.training
-    model.eval()
-    try:
-        return float(model.loss(X, y).item())
-    finally:
-        model.train(was_training)
-
-
 def trajectory_fingerprint(cluster, rounds: int = 2, tau: int = 3) -> dict:
     """Everything that must match byte-for-byte across backends, per round.
 
@@ -526,8 +517,8 @@ def trajectory_fingerprint(cluster, rounds: int = 2, tau: int = 3) -> dict:
         fingerprint["states"].append(cluster.backend.get_stacked_states())
         fingerprint["synced"].append(cluster.average_models())
         if not data_free:
-            fingerprint["eval_losses"].append(
-                cluster.evaluate_synchronized(probe.X, probe.y, _eval_loss_metric)
+            fingerprint["eval_losses"].extend(
+                cluster.evaluate_synchronized(lambda model: float(model.loss(probe.X, probe.y).item()))
             )
     fingerprint["rng"] = cluster.backend.rng_fingerprint()
     return fingerprint

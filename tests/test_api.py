@@ -418,6 +418,11 @@ class TestCLI:
         (["--config", "smoke", "--set", "delay={'value': 1.0}"], "delay spec dict must name its 'kind'"),
         (["--config", "smoke", "--set", "delay={'kind': 'constant', 'valu': 1.0}"],
          "invalid parameters for delay 'constant'"),
+        (["--config", "smoke", "--set", "n_train=0"], "n_train must be >= 1, got 0"),
+        (["--config", "smoke", "--set", "n_test=0"], "n_test must be >= 1, got 0"),
+        (["--config", "smoke", "--set", "n_features=0"], "n_features must be >= 1, got 0"),
+        (["--config", "smoke", "--set", "hidden_sizes=(16, 0)"], "hidden_sizes must all be >= 1, got (16, 0)"),
+        (["--config", "smoke", "--set", "methods=()"], "methods must name at least one method, got ()"),
     ])
     def test_bad_run_flags_exit_before_anything_runs(self, argv, message, monkeypatch, tmp_path, capsys):
         import repro.experiments.cli as cli

@@ -394,10 +394,7 @@ class TestWorkerBankBackend:
         before = cluster.backend.get_stacked_states()
         dataset = make_gaussian_blobs(n_samples=50, n_features=F, n_classes=C, rng=1)
 
-        def loss_metric(model, X, y):
-            return float(model.loss(X, y).item())
-
-        value = cluster.evaluate_synchronized(dataset.X, dataset.y, loss_metric)
+        (value,) = cluster.evaluate_synchronized(lambda model: float(model.loss(dataset.X, dataset.y).item()))
         assert np.isfinite(value)
         np.testing.assert_array_equal(before, cluster.backend.get_stacked_states())
 
@@ -407,13 +404,13 @@ class TestWorkerBankBackend:
             n_samples=200, n_features=F, n_classes=C, class_sep=2.0, noise_std=0.6, rng=3
         )
 
-        def loss_metric(model, X, y):
-            return float(model.loss(X, y).item())
+        def loss_metric(model):
+            return float(model.loss(dataset.X, dataset.y).item())
 
-        before = cluster.evaluate_synchronized(dataset.X, dataset.y, loss_metric)
+        (before,) = cluster.evaluate_synchronized(loss_metric)
         for _ in range(15):
             cluster.run_round(4)
-        after = cluster.evaluate_synchronized(dataset.X, dataset.y, loss_metric)
+        (after,) = cluster.evaluate_synchronized(loss_metric)
         assert after < 0.8 * before
 
 

@@ -126,15 +126,11 @@ class TestByteIdenticalTrajectories:
             bank.run_round(4)
         probe = make_gaussian_blobs(n_samples=60, n_features=n_features, n_classes=C, rng=9)
 
-        def eval_loss(model, X, y):
-            model.eval()
-            try:
-                return float(model.loss(X, y).item())
-            finally:
-                model.train()
+        def eval_loss(model):
+            return float(model.loss(probe.X, probe.y).item())
 
-        loss_l = loop.evaluate_synchronized(probe.X, probe.y, eval_loss)
-        loss_v = bank.evaluate_synchronized(probe.X, probe.y, eval_loss)
+        loss_l = loop.evaluate_synchronized(eval_loss)
+        loss_v = bank.evaluate_synchronized(eval_loss)
         assert loss_l == loss_v
 
     @pytest.mark.parametrize("case", ["dropout", "bn_dropout"], ids=["dropout", "bn_dropout"])
@@ -173,14 +169,7 @@ class TestByteIdenticalTrajectories:
         ]
         probe = make_gaussian_blobs(n_samples=40, n_features=n_features, n_classes=C, rng=9)
 
-        def eval_loss(model, X, y):
-            model.eval()
-            try:
-                return float(model.loss(X, y).item())
-            finally:
-                model.train()
-
-        bank.evaluate_synchronized(probe.X, probe.y, eval_loss)
+        bank.evaluate_synchronized(lambda model: float(model.loss(probe.X, probe.y).item()))
         after = [
             _generator_state(rng)
             for mod in bank.backend.model.stream_modules()

@@ -66,11 +66,9 @@ class TestWorker:
 
     @staticmethod
     def _shard_loss(worker, dataset) -> float:
-        def loss(model):
-            with evaluating(model):
-                return float(model.loss(dataset.X, dataset.y).item())
-
-        return worker.evaluate_with_state(worker.worker_state(0), loss)
+        model = worker.materialize(worker.worker_state(0))
+        with evaluating(model):
+            return float(model.loss(dataset.X, dataset.y).item())
 
     def test_local_step_changes_parameters_and_returns_loss(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
@@ -229,13 +227,13 @@ class TestSimulatedCluster:
         cluster = _make_cluster(tiny_dataset, tiny_model_fn)
         X, y = tiny_dataset.X, tiny_dataset.y
 
-        def loss_metric(model, Xe, ye):
-            return float(model.loss(Xe, ye).item())
+        def loss_metric(model):
+            return float(model.loss(X, y).item())
 
-        before = cluster.evaluate_synchronized(X, y, loss_metric)
+        (before,) = cluster.evaluate_synchronized(loss_metric)
         for _ in range(15):
             cluster.run_round(4)
-        after = cluster.evaluate_synchronized(X, y, loss_metric)
+        (after,) = cluster.evaluate_synchronized(loss_metric)
         assert after < 0.8 * before
 
     def test_block_momentum_zero_beta_matches_plain_averaging(self, tiny_dataset, tiny_model_fn):
@@ -358,15 +356,11 @@ class TestClusterBackendParity:
         assert len(np.unique(indices)) == len(tiny_dataset)
         assert cluster._partition.shard_sizes() == [45, 45, 45, 45]
 
-    def test_backend_evaluate_with_state_restores_workers(
-        self, tiny_dataset, tiny_model_fn, backend
-    ):
+    def test_evaluate_synchronized_restores_workers(self, tiny_dataset, tiny_model_fn, backend):
         cluster = _make_cluster(tiny_dataset, tiny_model_fn, backend=backend)
         cluster.run_round(3)
         before = cluster.backend.get_stacked_states()
-        cluster.evaluate_synchronized(
-            tiny_dataset.X, tiny_dataset.y, lambda m, X, y: float(m.loss(X, y).item())
-        )
+        cluster.evaluate_synchronized(lambda m: float(m.loss(tiny_dataset.X, tiny_dataset.y).item()))
         np.testing.assert_array_equal(before, cluster.backend.get_stacked_states())
 
     def test_loop_and_vectorized_agree_on_seeded_run(self, tiny_dataset, tiny_model_fn):

@@ -84,11 +84,9 @@ def test_no_grad_context_disables_graph_construction():
 def _evaluate_loss(worker: WorkerBank, dataset) -> float:
     """Loss of one worker's current state on ``dataset``, the way the cluster evaluates."""
 
-    def loss(model):
-        with evaluating(model):
-            return float(model.loss(dataset.X, dataset.y).item())
-
-    return worker.evaluate_with_state(worker.worker_state(0), loss)
+    model = worker.materialize(worker.worker_state(0))
+    with evaluating(model):
+        return float(model.loss(dataset.X, dataset.y).item())
 
 
 def test_worker_evaluate_loss_builds_no_graph():
@@ -132,8 +130,7 @@ def test_trainer_eval_metrics_build_no_graph():
     trainer, cluster = _trainer("loop")
     probe = cluster.workers[0].model.probe
     probe.calls.clear()
-    trainer._eval_train_loss(fallback_loss=0.0)
-    trainer._eval_test_accuracy()
+    trainer._evaluate(0, fallback_loss=0.0)  # both metrics, one call
     assert probe.calls == [False, False]
 
 
@@ -151,6 +148,5 @@ def test_trainer_eval_no_graph_on_vectorized_backend():
     assert cluster.backend_name == "vectorized"
     probe = cluster.backend.model.probe
     probe.calls.clear()
-    trainer._eval_train_loss(fallback_loss=0.0)
-    trainer._eval_test_accuracy()
+    trainer._evaluate(0, fallback_loss=0.0)  # both metrics, one call
     assert probe.calls == [False, False]

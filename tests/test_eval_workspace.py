@@ -13,12 +13,15 @@ Contracts under test:
   forward under the same workspace, a nested bare ``no_grad()`` and grad-
   enabled ops take nothing from it, an exception leaves it reusable and
   ``cluster.close()`` drops its buffers;
+* ``evaluate_synchronized`` runs every metric of an evaluation point on one
+  load of the synchronized model, in one eval-mode workspace scope;
 * operands below the size floor never touch a workspace, and steady-state
   evaluation at ``lineup_eval``'s shapes allocates (almost) nothing.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -29,6 +32,11 @@ from repro.core.schedules import FixedCommunicationSchedule
 from repro.core.trainer import PASGDTrainer, TrainerConfig
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.sharded_bank import ShardedBank
+from repro.distributed.worker_bank import LoopWorkers, WorkerBank
+from repro.experiments import harness
+from repro.experiments.configs import make_config
+from repro.experiments.harness import run_experiment
 from repro.models.cnn import vgg_lite_cnn
 from repro.models.mlp import MLP, ResidualMLP
 from repro.nn import tensor as tensor_mod
@@ -312,9 +320,10 @@ def _cluster(backend: str, hidden=(6,), n_features=8, n_samples=96, **kwargs) ->
     )
 
 
-def _probe_metric(seen: list):
-    def metric(model, X, y) -> float:
-        seen.append((model.training, is_grad_enabled(), tensor_mod._workspace))
+def _probe_metric(X, y, seen: list):
+    def metric(model) -> float:
+        workspace = tensor_mod._workspace
+        seen.append((model, model.training, is_grad_enabled(), workspace, workspace._cursor))
         return float(model.loss(X, y).item())
 
     return metric
@@ -327,15 +336,22 @@ def test_evaluate_synchronized_is_the_one_evaluation_prelude(backend):
     with _cluster(backend) as cluster, _cluster("loop") as reference:
         seen: list = []
         for _ in range(FORWARDS):
-            got = cluster.evaluate_synchronized(X, y, _probe_metric(seen))
-            model = reference.synchronized_model()
+            got = cluster.evaluate_synchronized(
+                _probe_metric(X, y, seen), _probe_metric(X[:7], y[:7], seen)
+            )
+            model = reference.backend.materialize(reference.synchronized_parameters)
             with evaluating(model):
-                assert got == float(model.loss(X, y).item())
+                assert got == (float(model.loss(X, y).item()), float(model.loss(X[:7], y[:7]).item()))
             cluster.run_round(2)
             reference.run_round(2)
-        assert seen == [(False, False, cluster._eval_workspace)] * FORWARDS
+        for first, second in zip(seen[::2], seen[1::2]):
+            # Both metrics read one model in one scope: the second forward's
+            # ops take the positions after the first's.
+            assert first[0] is second[0]
+            assert first[1:4] == second[1:4] == (False, False, cluster._eval_workspace)
+            assert first[4] == 0 < second[4]
         assert is_grad_enabled() and tensor_mod._workspace is None
-        assert cluster.synchronized_model().training
+        assert seen[-1][0].training
         assert kept_bytes(cluster._eval_workspace) > 0
     assert kept_bytes(cluster._eval_workspace) == 0  # close() dropped the buffers
 
@@ -346,15 +362,15 @@ def test_metric_with_its_own_prelude_still_works():
     gen = np.random.default_rng(2)
     X, y = gen.normal(size=(30, 8)), gen.integers(0, 10, size=30)
 
-    def old_style(model, Xe, ye) -> float:
+    def old_style(model) -> float:
         model.eval()
         with no_grad():
-            return float(model.loss(Xe, ye).item())
+            return float(model.loss(X, y).item())
 
     with _cluster("vectorized") as cluster:
         for _ in range(FORWARDS):
-            plain = cluster.evaluate_synchronized(X, y, lambda m, Xe, ye: float(m.loss(Xe, ye).item()))
-            assert cluster.evaluate_synchronized(X, y, old_style) == plain
+            plain, own = cluster.evaluate_synchronized(lambda m: float(m.loss(X, y).item()), old_style)
+            assert own == plain
             cluster.run_round(1)
 
 
@@ -386,8 +402,9 @@ def test_steady_state_evaluation_allocates_under_half_a_megabyte(real_size_floor
     cluster = _cluster("vectorized", hidden=(128,), n_features=64)
 
     def evaluate():
-        cluster.evaluate_synchronized(*train, lambda m, X, y: float(m.loss(X, y).item()))
-        cluster.evaluate_synchronized(*test, lambda m, X, y: accuracy(m(X), y))
+        cluster.evaluate_synchronized(
+            lambda m: float(m.loss(*train).item()), lambda m: accuracy(m(test[0]), test[1])
+        )
 
     for _ in range(Workspace.RETAIN_AT):  # warm-up: the forwards that fill the workspace
         evaluate()
@@ -405,9 +422,9 @@ def test_steady_state_evaluation_allocates_under_half_a_megabyte(real_size_floor
     assert kept_bytes(cluster._eval_workspace) > 2 * 2400 * 128 * 8
 
 
-# -- (e) a fresh subsample per evaluation ---------------------------------------------------
+# -- (e) the trainer's evaluation points ------------------------------------------------------
 
-def _train_with_subsampled_eval(use_workspace: bool):
+def _train_and_evaluate(use_workspace: bool):
     dataset = make_gaussian_blobs(n_samples=96, n_features=8, n_classes=10, rng=3)
     cluster = _cluster("vectorized")
     if not use_workspace:
@@ -416,15 +433,40 @@ def _train_with_subsampled_eval(use_workspace: bool):
         cluster=cluster,
         schedule=FixedCommunicationSchedule(2),
         train_eval_data=(dataset.X, dataset.y),
-        test_eval_data=(dataset.X, dataset.y),
-        config=TrainerConfig(max_iterations=16, eval_fraction=0.5),
-        rng=4,
+        test_eval_data=(dataset.X[:40], dataset.y[:40]),  # a second row count in the scope
+        config=TrainerConfig(max_iterations=16),
     )
     record = trainer.train()
     return [(p.iteration, p.train_loss, p.test_accuracy) for p in record.points]
 
 
-def test_subsampled_evaluation_is_byte_identical_with_and_without_workspace():
-    reused = _train_with_subsampled_eval(True)
+def test_trainer_evaluation_is_byte_identical_with_and_without_workspace():
+    reused = _train_and_evaluate(True)
     assert len(reused) >= FORWARDS
-    assert reused == _train_with_subsampled_eval(False)
+    assert reused == _train_and_evaluate(False)
+
+
+# -- (f) one load and one call per evaluation point ------------------------------------------
+
+@pytest.mark.parametrize("backend", ["loop", "vectorized", "sharded"])
+def test_one_load_and_one_call_per_evaluation_point(backend, monkeypatch, leaks, real_size_floor):
+    calls = {"evaluate": 0, "materialize": 0}
+    backend_cls = {"loop": LoopWorkers, "vectorized": WorkerBank, "sharded": ShardedBank}[backend]
+    evaluate, materialize = SimulatedCluster.evaluate_synchronized, backend_cls.materialize
+
+    def counted_evaluate(self, *metrics):
+        calls["evaluate"] += 1
+        return evaluate(self, *metrics)
+
+    def counted_materialize(self, *args, **kwargs):
+        calls["materialize"] += 1
+        return materialize(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimulatedCluster, "evaluate_synchronized", counted_evaluate)
+    monkeypatch.setattr(backend_cls, "materialize", counted_materialize)
+    monkeypatch.setattr(harness, "usable_cores", lambda: 1)  # no helper: every call is counted here
+    store = run_experiment(make_config("smoke", backend=backend, eval_every_rounds=2, wall_time_budget=20.0))
+    # Every evaluation point, and only those, carries a test accuracy.
+    points = sum(not math.isnan(p.test_accuracy) for record in store for p in record.points)
+    assert len(store) == 3 and points > 3
+    assert calls == {"evaluate": points, "materialize": points}

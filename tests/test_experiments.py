@@ -108,6 +108,18 @@ class TestHarness:
             a.get("sync-sgd").train_losses[-3:], b.get("sync-sgd").train_losses[-3:]
         )
 
+    @pytest.mark.parametrize("n_classes", [5, 20])
+    def test_model_head_is_sized_from_the_dataset(self, n_classes):
+        # synth_cifar10 draws ten classes whatever n_classes says; the head
+        # follows the data, so the run is the default one byte for byte.
+        cfg = make_config("smoke", wall_time_budget=10.0)
+        method = MethodSpec("sync-sgd", lambda: FixedCommunicationSchedule(1))
+        expected = run_method(cfg, method)
+        got = run_method(cfg.with_overrides(n_classes=n_classes), method)
+        assert [(p.train_loss, p.test_accuracy) for p in got.points] == [
+            (p.train_loss, p.test_accuracy) for p in expected.points
+        ]
+
     def test_block_momentum_config_runs(self):
         cfg = make_config("smoke", block_momentum_beta=0.3, momentum=0.9)
         method = MethodSpec("pasgd-tau8", lambda: FixedCommunicationSchedule(8))

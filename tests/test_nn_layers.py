@@ -13,6 +13,7 @@ from repro.nn.layers import (
     Flatten,
     Linear,
     MaxPool2d,
+    Module,
     ReLU,
     Residual,
     Sequential,
@@ -92,6 +93,18 @@ class TestBankOfOneView:
             assert np.shares_memory(view[name].data, p.data)
         for name, b in model.named_buffers():
             assert np.shares_memory(view[name], b)
+
+    def test_cached_view_is_found_without_walking_the_module_tree(self, monkeypatch):
+        model = self._bn_mlp()
+        view = model._bank_of_one()
+
+        def walk(*args, **kwargs):
+            raise AssertionError("the cache check walked the module tree")
+
+        for name in ("parameters", "named_parameters", "buffers", "named_buffers"):
+            monkeypatch.setattr(Module, name, walk)
+        model.training = False  # a plain attribute rebinds nothing
+        assert model._bank_of_one() is view
 
     def test_view_first_built_under_no_grad_still_trains(self):
         from repro.nn.tensor import no_grad
@@ -246,6 +259,13 @@ class TestConv2d:
         with pytest.raises(ValueError):
             conv(Tensor(np.zeros((4, 4))))
 
+    def test_names_a_kernel_larger_than_its_padded_input(self):
+        with pytest.raises(ValueError, match="kernel 5x5 exceeds its 2x3 input padded by 1"):
+            Conv2d(1, 2, kernel_size=5, padding=1, rng=0)(Tensor(np.zeros((1, 1, 2, 3))))
+        # Exactly filling the padded input is one output position.
+        out = Conv2d(1, 2, kernel_size=4, padding=1, rng=0)(Tensor(np.zeros((1, 1, 2, 2))))
+        assert out.shape == (1, 2, 1, 1)
+
 
 class TestPooling:
     def test_maxpool_values(self):
@@ -294,6 +314,22 @@ class TestPooling:
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
         (out * Tensor(upstream)).sum().backward()
         np.testing.assert_allclose(x.grad, expected_dx, atol=1e-12)
+
+
+    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_refuses_a_stride_below_one(self, pool_cls, stride):
+        # A negative stride read the window through as_strided from memory
+        # outside the input; zero silently became the kernel size.
+        with pytest.raises(ValueError, match=f"pooling stride must be >= 1, got {stride}"):
+            pool_cls(3, stride=stride)
+
+    @pytest.mark.parametrize("pool_cls", [MaxPool2d, AvgPool2d])
+    def test_refuses_a_window_larger_than_its_input(self, pool_cls):
+        x = Tensor(np.arange(6.0).reshape(1, 1, 2, 3))
+        with pytest.raises(ValueError, match=f"{pool_cls.__name__} window 3x3 exceeds its 2x3 input"):
+            pool_cls(3)(x)
+        assert pool_cls(2, stride=5)(x).shape == (1, 1, 1, 1)  # one window fits
 
 
 class TestBatchNormAndResidual:

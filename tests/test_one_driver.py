@@ -58,17 +58,15 @@ def layouts():
 
 
 def _run(layout, collective, *, peek: bool):
-    """Two rounds of three steps, optionally materializing the synchronized model between."""
+    """Two rounds of three steps, optionally evaluating the synchronized model between."""
     cluster = build_equivalence_cluster(
         CASES["mlp+batch_norm+dropout"], layout, collective=collective
     )
     try:
         cluster.run_round(3)
         if peek:
-            model = cluster.synchronized_model()
-            np.testing.assert_array_equal(
-                model.get_flat_parameters(), cluster.synchronized_parameters
-            )
+            (loaded,) = cluster.evaluate_synchronized(lambda model: model.get_flat_parameters())
+            np.testing.assert_array_equal(loaded, cluster.synchronized_parameters)
         cluster.run_round(3)
         return cluster.backend.get_stacked_states(), cluster.backend.rng_fingerprint()
     finally:

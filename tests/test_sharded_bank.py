@@ -143,16 +143,10 @@ class TestByteIdenticalToVectorized:
 
             probe = make_gaussian_blobs(n_samples=40, n_features=F, n_classes=C, rng=9)
 
-            def eval_loss(model, X, y):
-                model.eval()
-                try:
-                    return float(model.loss(X, y).item())
-                finally:
-                    model.train()
+            def eval_loss(model):
+                return float(model.loss(probe.X, probe.y).item())
 
-            assert vectorized.evaluate_synchronized(
-                probe.X, probe.y, eval_loss
-            ) == sharded.evaluate_synchronized(probe.X, probe.y, eval_loss)
+            assert vectorized.evaluate_synchronized(eval_loss) == sharded.evaluate_synchronized(eval_loss)
         finally:
             sharded.close()
 

@@ -48,8 +48,6 @@ class TestTrainerConfig:
             TrainerConfig(max_wall_time=-1.0)
         with pytest.raises(ValueError):
             TrainerConfig(max_iterations=10, eval_every_rounds=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(max_iterations=10, eval_fraction=0.0)
 
 
 class TestFixedScheduleTraining:
