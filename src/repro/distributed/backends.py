@@ -10,7 +10,9 @@ backends differ only in how they cut the m workers into banks of it
 
 * :class:`~repro.distributed.worker_bank.WorkerBank` (``"vectorized"``) —
   one bank of m: all replicas stacked along a leading worker axis, one
-  graph per step.  Covers every built-in model.
+  graph per step.  Covers every built-in model.  Where chunks of the bank
+  each fill a core's L2, ``"vectorized"`` is k such banks stepped on
+  threads (:func:`~repro.distributed.worker_bank.vectorized`).
 * :class:`~repro.distributed.worker_bank.LoopWorkers` (``"loop"``) — m banks
   of one, stepped in a Python loop.  The independent check of the worker
   axis (m graphs of one replica against one graph of m), and where ragged
@@ -20,7 +22,8 @@ backends differ only in how they cut the m workers into banks of it
   shard on a persistent pool of worker processes.
 
 The last two are the one chunk composite,
-:class:`~repro.distributed.worker_bank.Chunks`, with two carriers: the
+:class:`~repro.distributed.worker_bank.Chunks`, with two carriers
+(in-process calls, on threads where they pay, and forked processes): the
 setup check, each chunk's construction and the cross-chunk calls are
 written once in :mod:`repro.distributed.worker_bank`.
 
@@ -157,13 +160,12 @@ class WorkerBackend:
         the size of the gathered ``(m, P)`` stack (what
         ``bytes_averaged_total`` counts).  The cluster's uniform averaging
         collective calls this instead of gathering itself so backends can
-        overlap the reduction with the gather — the sharded backend folds
-        each shard's rows into the running sum as that shard's reply
-        arrives.  Overriding backends must keep the reduction row-
-        sequential in worker order; any other association changes bytes.
+        reduce the rows where they lie — a chunk composite folds each
+        chunk's rows into the running sum (the sharded backend as each
+        shard's reply arrives).  Overriding backends must keep the reduction
+        row-sequential in worker order; any other association changes bytes.
         """
-        states = self.get_stacked_states()
-        return states.mean(axis=0), states.nbytes
+        raise NotImplementedError
 
     def set_lr(self, lr: float) -> None:
         raise NotImplementedError
@@ -191,10 +193,10 @@ class WorkerBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release backend resources (worker processes, pools).  Idempotent.
+        """Release backend resources (worker processes, threads).  Idempotent.
 
-        In-process backends have nothing to release; the sharded backend
-        overrides this to shut its process pool down cleanly.
+        The one bank has nothing to release; the sharded backend shuts its
+        process pool down, the in-process carrier joins its chunk threads.
         """
 
 

@@ -83,17 +83,17 @@ class SimulatedCluster:
     backend:
         Worker-execution backend name: ``"loop"`` (m banks of one worker,
         the independent check of the worker axis), ``"vectorized"`` (one
-        stacked bank of m), ``"sharded"`` (the bank split over a persistent
-        pool of worker processes), or ``"auto"`` (vectorized whenever the
-        model and shards support it — all built-in models do — else loop).
+        stacked bank of m; above L2, k of them stepped on threads),
+        ``"sharded"`` (the bank split over a persistent pool of worker
+        processes), or ``"auto"`` (vectorized whenever the model and shards
+        support it — all built-in models do — else loop).
         All backends consume the same RNG streams, so seeded runs produce
         byte-identical trajectories on any of them.  A name runs on the
         default process layout; any other (shard count, the
         ``"auto"`` escalation to the sharded pool) travels whole as a
         :class:`~repro.distributed.reuse.BackendHandle`, which also lets a
         sharded pool survive across cluster lifetimes.  Whoever builds a
-        handle closes it: ``close()`` here releases only the backend of a
-        handle the cluster built from a name.
+        handle closes it: ``close()`` here keeps a caller's handle's pool.
     bank_dtype:
         Storage dtype of the bank backends (``"float64"``, the
         byte-identical default, or ``"float32"``, the opt-in
@@ -163,12 +163,11 @@ class SimulatedCluster:
             rngs=worker_rngs,
             bank_dtype=bank_dtype,
         )
-        # A caller's handle owns the backend it resolves (pool reuse across
-        # runs) and closes it; cluster.close() must not.
-        self._owns_backend = not isinstance(backend, BackendHandle)
-        if self._owns_backend:
-            backend = BackendHandle(backend)
-        self.backend_name, self._backend = backend.acquire(**build_kwargs)
+        # A caller's handle keeps the pool it resolves for the next run and
+        # closes it; cluster.close() only closes a handle it built itself.
+        self._owns_handle = not isinstance(backend, BackendHandle)
+        self._handle = BackendHandle(backend) if self._owns_handle else backend
+        self.backend_name, self._backend = self._handle.acquire(**build_kwargs)
 
         # Per-run state of the collective; the value itself stays pure.
         self.collective = collective
@@ -224,18 +223,19 @@ class SimulatedCluster:
         return self._backend
 
     def close(self) -> None:
-        """Release backend resources (the sharded backend's process pool).
+        """Release backend resources (a process pool, chunk threads).
 
-        Idempotent and a no-op for in-process backends; the experiment
-        harness calls it after every run, and ``with SimulatedCluster(...)``
-        does so on exit.  A backend acquired through a
-        :class:`~repro.distributed.reuse.BackendHandle` is owned by the
-        handle — it stays alive here so the next run can reuse its pool.
-        The evaluation workspace's buffers are dropped either way.
+        Idempotent; the experiment harness calls it after every run, and
+        ``with SimulatedCluster(...)`` does so on exit.  A sharded pool
+        acquired through a caller's
+        :class:`~repro.distributed.reuse.BackendHandle` is the handle's — it
+        stays alive here so the next run can reuse it.  The evaluation
+        workspace's buffers are dropped either way.
         """
         self._eval_workspace = Workspace()
-        if self._owns_backend:
-            self._backend.close()
+        self._handle.release(self._backend)
+        if self._owns_handle:
+            self._handle.close()
 
     def __enter__(self) -> "SimulatedCluster":
         return self
@@ -421,7 +421,10 @@ class SimulatedCluster:
         in the runtime simulator).  An update folds in with weight
         ``1 / (m · (1 + damping · staleness))`` and its worker pulls the
         server's latest state the moment the push lands.  Each worker has at
-        most one outstanding period, so staleness is bounded by m − 1.
+        most one outstanding period, so staleness is bounded by 2(m − 1):
+        the folds after the worker's pull in the previous generation (up to
+        m − 1, when it landed first) plus the folds before it in this one
+        (up to m − 1, when it lands last).
         """
         timing, damping = self._async_timing, self.collective.damping
         if timing is None:

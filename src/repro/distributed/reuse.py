@@ -47,9 +47,10 @@ class BackendHandle:
     so none of the three can change a trajectory.  The handle is also a
     context manager; exiting closes whatever pool it still holds.
 
-    In-process backends (loop, vectorized) hold no pool resources, so the
-    handle simply builds them fresh each time — reuse only changes process
-    lifecycle for sharded resolutions, never arithmetic or RNG consumption.
+    In-process backends (loop, vectorized) are built fresh each time and
+    closed by :meth:`release` when their run ends (their chunk threads, if
+    any, are joined) — reuse only changes process lifecycle for sharded
+    resolutions, never arithmetic or RNG consumption.
     """
 
     def __init__(
@@ -128,6 +129,11 @@ class BackendHandle:
             self._pool = None
         self._pool = BACKENDS.build("sharded", **kwargs)
         return self._pool
+
+    def release(self, backend: WorkerBackend) -> None:
+        """The run that acquired ``backend`` is over: close it, unless it is the pool kept for the next run."""
+        if backend is not self._pool:
+            backend.close()
 
     def close(self) -> None:
         """Release the held pool, if any.  Idempotent."""

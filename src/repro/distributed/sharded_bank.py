@@ -59,10 +59,7 @@ and the op, and leaves a pool that can only be closed.
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import multiprocessing
-import os
 import pickle
 import signal
 import traceback
@@ -74,7 +71,9 @@ import numpy as np
 
 from repro.api.registries import BACKENDS
 from repro.data.synthetic import Dataset
+import repro.distributed.host
 from repro.distributed.backends import BackendUnsupported
+from repro.distributed.host import _set_blas_threads, usable_cores
 from repro.distributed.transport import ShmStatePlane
 from repro.distributed.worker_bank import (
     Chunks,
@@ -87,40 +86,7 @@ from repro.nn.layers import Module
 import repro.obs.emit
 from repro.obs.emit import count, span
 
-__all__ = ["ShardedBank", "usable_cores"]
-
-#: What sizes a BLAS thread pool when NumPy loads; a user who exported one
-#: keeps that size in every process (see :func:`_set_blas_threads`).
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def usable_cores() -> int:
-    """CPUs this process may run on (its affinity mask under ``taskset`` or a
-    cpuset container), not the host's ``os.cpu_count()``."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform (macOS, Windows)
-        return os.cpu_count() or 1
-
-
-def _set_blas_threads(n_threads: int) -> "int | None":
-    """Resize this process's loaded BLAS pool to ``n_threads``; the previous size, or ``None``.
-
-    For a process whose BLAS is loaded already (a forked shard or helper,
-    the parent beside them): ctypes on NumPy's bundled scipy-openblas.
-    Where there is none, or the user exported one of :data:`_BLAS_ENV`, it
-    does nothing and returns ``None``.
-    """
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*"))
-    if len(libs) != 1 or any(name in os.environ for name in _BLAS_ENV):
-        return None
-    lib = ctypes.CDLL(libs[0])
-    get_threads, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    previous = get_threads()
-    set_threads(n_threads)
-    return previous
+__all__ = ["ShardedBank"]
 
 
 class _ShardServer:
@@ -209,13 +175,15 @@ def _shard_main(conn, inherited: list, n_shards: int) -> None:
     it): one left open would keep a shard from seeing EOF when the parent
     dies.  It turns emission off, because the parent's sinks are not this
     process's, takes the default ``SIGTERM`` action, and sizes its BLAS pool
-    to its share of the cores.
+    to its share of the cores.  It uses one core for anything else: a shard
+    never steps its bank in chunk threads.
     """
     for end in inherited:
         end.close()
     repro.obs.emit._active = None
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _set_blas_threads(max(1, usable_cores() // n_shards))
+    repro.distributed.host._core_share = 1
     _ShardServer().serve(conn.recv, conn.send)
 
 
@@ -504,28 +472,21 @@ class ShardedBank(Chunks):
         return states
 
     def mean_state(self) -> "tuple[np.ndarray, int]":
-        """Overlapped uniform mean: reduce each shard's rows as they land.
-
-        Instead of materializing the full ``(m, P)`` stack and then calling
-        ``mean(axis=0)``, the parent folds each shard's block into a running
-        sum the moment that shard's reply (or shm ready-ack) arrives, while
-        later shards are still computing or in flight.  The reduction visits
-        rows strictly in worker order — NumPy's own axis-0 mean is the same
-        row-sequential accumulation — so the result is bit-identical to
-        ``get_stacked_states().mean(axis=0)``; per-shard partial sums would
-        reassociate the additions and are deliberately avoided.
-        """
-        acc: "np.ndarray | None" = None
-        nbytes = 0
+        """Overlapped uniform mean: :meth:`Chunks.mean_state`'s fold, over :meth:`_rows`."""
         with self._rpc_scope("mean_state"), span("shard_gather"):
-            for shard, reply in self._replies(self._gather_op):
-                lo, hi = self.bounds[shard]
-                block = self._plane.states[lo:hi] if reply is None else reply
-                acc = _fold_rows(acc, block)
-                nbytes += block.nbytes
+            mean, nbytes = super().mean_state()
         self._count_moved(nbytes)
-        acc /= acc.dtype.type(len(self.workers))
-        return acc, nbytes
+        return mean, nbytes
+
+    def _rows(self) -> "Iterator[np.ndarray]":
+        """Each shard's rows the moment its reply (or shm ready-ack) lands.
+
+        The parent folds shard i while later shards are still computing or
+        in flight, instead of materializing the ``(m, P)`` stack first.
+        """
+        for shard, reply in self._replies(self._gather_op):
+            lo, hi = self.bounds[shard]
+            yield self._plane.states[lo:hi] if reply is None else reply
 
     def broadcast_state(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
@@ -568,22 +529,6 @@ def _lost(shard: int, op: str, err: Exception) -> RuntimeError:
     return RuntimeError(
         f"shard process {shard} failed:\nconnection lost during {op!r} ({err!r})"
     )
-
-
-def _fold_rows(acc: "np.ndarray | None", block: np.ndarray) -> np.ndarray:
-    """Fold one shard's ``(k, P)`` state block into the running row sum.
-
-    Row-sequential accumulation in worker order is exactly the reduction
-    ``np.mean(states, axis=0)`` performs on the concatenated bank, so the
-    overlapped average stays bit-identical to the materialize-then-mean
-    path for float64 and float32 alike.
-    """
-    for row in block:
-        if acc is None:
-            acc = row.copy()
-        else:
-            acc += row
-    return acc
 
 
 def _shutdown_pool(conns: list, procs: list, plane: "ShmStatePlane | None" = None) -> None:

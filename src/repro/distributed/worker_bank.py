@@ -7,7 +7,7 @@ over a :class:`~repro.nn.bank.ParameterBank`, back-propagate the summed
 losses into the gradient slab, apply the fused
 :class:`~repro.optim.bank_sgd.BankSGD` update to the ``(m, P)`` slab.
 
-* :class:`WorkerBank` (``"vectorized"``) is one bank of m: every replica's
+* :class:`WorkerBank` (``"vectorized"`` below L2) is one bank of m: every replica's
   parameters stacked along a leading worker axis, all m mini-batches drawn
   at once, every step one graph of batched NumPy ops.  The bank consumes
   each shard's RNG stream exactly as m per-worker loaders would, and
@@ -23,20 +23,24 @@ losses into the gradient slab, apply the fused
   here once: the split (:func:`shard_slices`), each chunk's construction
   (:func:`chunk_payloads`, which consumes ``model_fn`` and the streams in
   worker order, so any split gives the same bytes) and the cross-chunk calls,
-  over two carrier hooks.
-* :class:`LoopWorkers` (``"loop"``) is m chunks of one, carried by in-process
-  calls: the same step on m graphs of one replica.  What it checks
+  the row-sequential mean among them, over three carrier hooks.
+* :class:`LoopWorkers` carries chunks by in-process calls.  ``"loop"`` is m
+  chunks of one: the same step on m graphs of one replica.  What it checks
   independently is the worker axis, which is why a seeded run is
   byte-identical on either.  It also serves what one stacked graph cannot:
   ragged shards (each bank clips its own batch) and modules that only write
   ``forward`` / ``loss`` (see :meth:`WorkerBank._replica_losses`).
+  ``"vectorized"`` above L2 is k chunks of m/k (:func:`vectorized`).  Where
+  each chunk's slab fills a core's L2 the carrier steps its chunks on
+  threads (:func:`chunk_threads`): NumPy releases the GIL inside the large
+  ops, so a memory-bound bank uses every core it may.
 * :class:`~repro.distributed.sharded_bank.ShardedBank` (``"sharded"``) is n
   chunks in forked processes, carried over pipes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,10 +53,14 @@ from repro.distributed.backends import (
     WorkerView,
     generator_state,
 )
+from repro.distributed.host import _set_blas_threads, affinity, l2_bytes, pin_thread, usable_cores
 from repro.nn.bank import ParameterBank, attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 from repro.optim.bank_sgd import BankSGD
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "WorkerBank",
@@ -60,7 +68,10 @@ __all__ = [
     "LoopWorkers",
     "check_bank_setup",
     "chunk_payloads",
+    "chunk_threads",
     "shard_slices",
+    "vectorized",
+    "vectorized_chunks",
 ]
 
 
@@ -82,6 +93,29 @@ def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
         slices.append((lo, hi))
         lo = hi
     return slices
+
+
+def chunk_threads(n_workers: int, n_chunks: int, row_bytes: int) -> int:
+    """Threads that step ``n_chunks`` in-process chunks of ``n_workers`` rows of ``row_bytes``.
+
+    The cores this process may use (capped at ``n_chunks``) when the
+    smallest chunk's parameter slab is at least one core's L2, else 1 — and
+    1 where the L2 size cannot be read.  Below L2 a chunk's per-op arrays are
+    too small: NumPy holds the GIL for too much of each step for a second
+    thread to pay (``docs/backends.md`` has the measurements).
+    """
+    threads = min(usable_cores(), n_chunks)
+    l2 = l2_bytes()
+    if threads < 2 or l2 is None or n_workers // n_chunks * row_bytes < l2:
+        return 1
+    return threads
+
+
+def vectorized_chunks(n_workers: int, row_bytes: int) -> int:
+    """The chunk count k of ``vectorized``: one chunk per usable core when
+    :func:`chunk_threads` steps them concurrently, else 1 — the one bank."""
+    k = min(usable_cores(), n_workers)
+    return k if chunk_threads(n_workers, k, row_bytes) > 1 else 1
 
 
 def check_bank_setup(
@@ -317,13 +351,14 @@ class _BankOfOne(WorkerBank):
 
 
 class Chunks(WorkerBackend):
-    """The worker axis as contiguous ``WorkerBank`` chunks: ``loop`` and ``sharded``.
+    """The worker axis as contiguous ``WorkerBank`` chunks: ``loop``, ``sharded``, ``vectorized`` above L2.
 
     ``bounds`` holds each chunk's ``[lo, hi)`` worker range, in worker order.
-    The cross-chunk methods below are written once, over two carrier hooks
-    that call a :class:`WorkerBank` method by name: :meth:`_each` on every
-    chunk (results in chunk order) and :meth:`_one` on one chunk.  A subclass
-    is its carrier: in-process calls, or commands over a pipe.
+    The cross-chunk methods below are written once, over three carrier
+    hooks: two call a :class:`WorkerBank` method by name, :meth:`_each` on
+    every chunk (results in chunk order) and :meth:`_one` on one chunk, and
+    :meth:`_rows` yields each chunk's parameter rows.  A subclass is its
+    carrier: in-process calls, or commands over a pipe.
     """
 
     bounds: "list[tuple[int, int]]"
@@ -346,6 +381,10 @@ class Chunks(WorkerBackend):
         """``WorkerBank.<op>(*args)`` on chunk ``chunk`` alone."""
         raise NotImplementedError
 
+    def _rows(self) -> "Iterable[np.ndarray]":  # pragma: no cover - overridden
+        """Each chunk's ``(k, P)`` parameter rows, in chunk order (read before the next step)."""
+        raise NotImplementedError
+
     def _locate(self, worker_id: int) -> tuple[int, int]:
         """Map a global worker id to ``(chunk, local_id)``."""
         for chunk, (lo, hi) in enumerate(self.bounds):
@@ -366,6 +405,26 @@ class Chunks(WorkerBackend):
         chunk, local = self._locate(worker_id)
         self._one(chunk, "set_worker_state", local, flat)
 
+    def mean_state(self) -> "tuple[np.ndarray, int]":
+        """Fold every chunk's rows, in worker order, into one running sum.
+
+        No ``(m, P)`` stack is built.  The fold is row-sequential, which is
+        the reduction NumPy's own axis-0 mean performs, so the bytes equal
+        ``slab.mean(axis=0)`` of the one bank, for float64 and float32 alike;
+        per-chunk partial sums would reassociate the additions.
+        """
+        acc: "np.ndarray | None" = None
+        nbytes = 0
+        for block in self._rows():
+            for row in block:
+                if acc is None:
+                    acc = row.copy()
+                else:
+                    acc += row
+            nbytes += block.nbytes
+        acc /= acc.dtype.type(self.n_workers)
+        return acc, nbytes
+
     def broadcast_state(self, flat: np.ndarray) -> None:
         self._each("broadcast_state", flat)
 
@@ -384,14 +443,24 @@ class Chunks(WorkerBackend):
 
 
 class LoopWorkers(Chunks):
-    """m chunks of one worker each, stepped in a Python loop.
+    """Chunks carried by in-process calls: ``loop``, and ``vectorized`` above L2.
 
-    Takes the arguments of :class:`WorkerBank`; worker i gets its own
-    replica from ``model_fn`` (``template``, when given, is worker 0's — the
-    probe an ``"auto"`` fallback already built, so ``model_fn`` is consumed
-    as in a direct build), its own shard, loader stream, slab and optimizer
-    (:func:`chunk_payloads`).  ``bank_dtype`` is accepted and ignored: the
-    loop is the float64 check.
+    Takes the arguments of :class:`WorkerBank`.  Without ``n_chunks`` it is
+    the loop: m chunks of one, worker i with its own replica from
+    ``model_fn`` (``template``, when given, is worker 0's — the probe an
+    ``"auto"`` fallback already built, so ``model_fn`` is consumed as in a
+    direct build), its own shard, loader stream, slab and optimizer
+    (:func:`chunk_payloads`), in float64 whatever ``bank_dtype`` says: the
+    loop is the float64 check.  With ``n_chunks`` it is the vectorized bank
+    cut into that many :func:`shard_slices` chunks (see :func:`vectorized`).
+
+    Where :func:`chunk_threads` says so, :meth:`_each` steps the chunks on
+    threads: this thread runs every t-th chunk from chunk 0 and a pool of
+    t − 1 threads the rest, each thread pinned to its own CPU and the BLAS
+    pool at one thread each meanwhile.  No chunk call is running once
+    ``_each`` returns or raises; the first chunk that failed, in chunk
+    order, raises here, as in a serial loop.  The pool starts with the first
+    concurrent call and :meth:`close` joins it.
     """
 
     name = "loop"
@@ -401,27 +470,117 @@ class LoopWorkers(Chunks):
         model_fn: Callable[[], Module],
         shards: Sequence[Dataset | None],
         *,
+        n_chunks: "int | None" = None,
         bank_dtype: str = "float64",
         **run,
     ):
-        del bank_dtype
-        self._split(shards, len(shards))
+        chunk = WorkerBank
+        if n_chunks is None:
+            n_chunks, bank_dtype, chunk = len(shards), "float64", _BankOfOne
+        else:
+            self.name = "vectorized"
+        self._split(shards, n_chunks)
         self.banks: list[WorkerBank] = [
-            _BankOfOne(None, **payload) for payload in chunk_payloads(model_fn, shards, self.bounds, **run)
+            chunk(None, **payload)
+            for payload in chunk_payloads(model_fn, shards, self.bounds, bank_dtype=bank_dtype, **run)
         ]
+        self._threads = chunk_threads(len(shards), len(self.bounds), self.banks[0].bank.slab[0].nbytes)
+        self._pool: "ThreadPoolExecutor | None" = None
+        cpus = affinity()
+        #: The CPU each of the threads runs its chunks on (``None``: unpinned).
+        self._cpus = [{cpus[i % len(cpus)]} if cpus else None for i in range(self._threads)]
 
     def _each(self, op: str, *args) -> list:
-        return [getattr(bank, op)(*args) for bank in self.banks]
+        calls = [getattr(bank, op) for bank in self.banks]
+        t = self._threads
+        if t == 1:
+            return [call(*args) for call in calls]
+        # Imported here: a run that never threads does not pay its import.
+        from concurrent.futures import ThreadPoolExecutor, wait
+
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(t - 1, thread_name_prefix="repro-chunk")
+        blas = _set_blas_threads(1)
+        futures = []
+        try:
+            futures = [self._pool.submit(_run_calls, calls[i::t], args, self._cpus[i]) for i in range(1, t)]
+            shares = [_run_calls(calls[::t], args, self._cpus[0]), *(future.result() for future in futures)]
+        finally:
+            wait(futures)
+            if blas is not None:
+                _set_blas_threads(blas)
+        failed = [(i + t * len(done), err) for i, (done, err) in enumerate(shares) if err is not None]
+        if failed:
+            raise min(failed, key=lambda pair: pair[0])[1]
+        results: list = [None] * len(calls)
+        for i, (done, _) in enumerate(shares):
+            results[i::t] = done
+        return results
 
     def _one(self, chunk: int, op: str, *args):
         return getattr(self.banks[chunk], op)(*args)
 
+    def _rows(self) -> "list[np.ndarray]":
+        return [bank.bank.slab for bank in self.banks]
+
     def get_stacked_states(self) -> np.ndarray:
-        return np.concatenate([bank.bank.slab for bank in self.banks])
+        return np.concatenate(self._rows())
 
     def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:
-        return self.banks[worker_id].materialize(flat)
+        chunk, local = self._locate(worker_id)
+        return self.banks[chunk].materialize(flat, local)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+
+def _run_calls(calls: list, args: tuple, cpus: "set[int] | None") -> "tuple[list, Exception | None]":
+    """Run ``calls`` in order, pinned to ``cpus``, until one raises: the results before it, and its error.
+
+    The thread's own CPU set is back in place when this returns.
+    """
+    done: list = []
+    unpinned = pin_thread(cpus)
+    try:
+        for call in calls:
+            try:
+                done.append(call(*args))
+            except Exception as err:  # noqa: BLE001 - LoopWorkers._each raises it, in chunk order
+                return done, err
+        return done, None
+    finally:
+        pin_thread(unpinned)
+
+
+def vectorized(
+    model_fn: Callable[[], Module],
+    shards: Sequence[Dataset | None],
+    *,
+    template: Module | None = None,
+    batch_size: int = 32,
+    bank_dtype: str = "float64",
+    **run,
+) -> WorkerBackend:
+    """The ``"vectorized"`` backend: one :class:`WorkerBank` of m, or k chunks of it on threads.
+
+    Takes the arguments of :class:`WorkerBank`.  k is :func:`vectorized_chunks`
+    of the template's parameter row: at k = 1 this is the one bank, else the
+    in-process carrier (:class:`LoopWorkers`) with k chunks.  A chunk is the
+    same arithmetic on a slice of the worker axis, so the bytes are the one
+    bank's either way.  The setup is checked first, so ``"auto"`` can still
+    fall back before a second ``model_fn()`` call or any stream is consumed.
+    """
+    if template is None:
+        template = model_fn()
+    check_bank_setup(template, shards, batch_size)
+    k = vectorized_chunks(len(shards), template.num_parameters() * np.dtype(bank_dtype).itemsize)
+    kwargs = dict(template=template, batch_size=batch_size, bank_dtype=bank_dtype, **run)
+    if k == 1:
+        return WorkerBank(model_fn, shards, **kwargs)
+    return LoopWorkers(model_fn, shards, n_chunks=k, **kwargs)
 
 
 BACKENDS.register("loop", LoopWorkers)
-BACKENDS.register("vectorized", WorkerBank)
+BACKENDS.register("vectorized", vectorized)

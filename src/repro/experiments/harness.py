@@ -36,8 +36,8 @@ from repro.core.trainer import PASGDTrainer, TrainerConfig
 from repro.data.synthetic import Dataset
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import AsyncFold, Collective, Exact, Gossip
+from repro.distributed.host import usable_cores
 from repro.distributed.reuse import BackendHandle
-from repro.distributed.sharded_bank import usable_cores
 from repro.experiments.configs import ExperimentConfig
 from repro.experiments.parallel import run_items
 from repro.obs.emit import span

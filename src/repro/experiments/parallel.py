@@ -23,7 +23,8 @@ import tempfile
 import time
 from typing import Any, Callable, Iterator
 
-from repro.distributed.sharded_bank import _set_blas_threads, usable_cores
+import repro.distributed.host
+from repro.distributed.host import _set_blas_threads, usable_cores
 from repro.obs.emit import capture, replay
 
 __all__ = ["run_items"]
@@ -49,8 +50,11 @@ def _claim(claims: str, index: int) -> bool:
     return True
 
 
-def _helper(run: Callable[[int], Any], n_items: int, claims: str, blas_threads: int) -> None:
+def _helper(run: Callable[[int], Any], n_items: int, claims: str, share: int) -> None:
     """A helper: run unclaimed items from the back, one pickled ``(result, log)`` each.
+
+    It may use ``share`` cores: its BLAS pool has that many threads, and
+    :func:`~repro.distributed.host.usable_cores` reads it.
 
     ``log`` is what the item emitted to the obs sinks inherited from the
     parent.  An item that raises ends the helper and leaves no log: the
@@ -61,7 +65,8 @@ def _helper(run: Callable[[int], Any], n_items: int, claims: str, blas_threads: 
     global _in_parallel_item
     _in_parallel_item = True
     signal.signal(signal.SIGTERM, signal.default_int_handler)
-    _set_blas_threads(blas_threads)
+    _set_blas_threads(share)
+    repro.distributed.host._core_share = share
     try:
         time.sleep(_HELPER_DELAY_S)
         for index in reversed(range(n_items)):
@@ -99,9 +104,11 @@ def run_items(n_items: int, run: Callable[[int], Any], n_procs: int) -> Iterator
     This process and every helper, a fork of it, call the same ``run``; a
     helper pickles its result, and its telemetry is replayed here just
     before that result is yielded, so it lands where a serial run emits it.
-    While helpers may run, this process's BLAS pool shrinks to its share of
-    the cores, as theirs does.  Every helper has exited or been terminated,
-    and the BLAS pool is restored, when the iterator is exhausted or closed.
+    While helpers may run, this process may use its share of the cores, as
+    each of them does: its BLAS pool shrinks to that share and
+    :func:`~repro.distributed.host.usable_cores` reads it.  Every helper has
+    exited or been terminated, and both are restored, when the iterator is
+    exhausted or closed.
     Where the platform cannot fork, every item runs here.
     """
     global _in_parallel_item
@@ -114,6 +121,8 @@ def run_items(n_items: int, run: Callable[[int], Any], n_procs: int) -> Iterator
     _claim(claims, 0)
     share = max(1, usable_cores() // n_procs)
     blas_threads = _set_blas_threads(share)
+    outer_share = repro.distributed.host._core_share
+    repro.distributed.host._core_share = share
     _in_parallel_item = True
     procs: list = []
     try:
@@ -143,6 +152,7 @@ def run_items(n_items: int, run: Callable[[int], Any], n_procs: int) -> Iterator
             proc.terminate()
         for proc in procs:
             proc.join()
+        repro.distributed.host._core_share = outer_share
         if blas_threads is not None:
             _set_blas_threads(blas_threads)
         shutil.rmtree(claims, ignore_errors=True)

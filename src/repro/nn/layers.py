@@ -9,6 +9,7 @@ across workers, eq. 3 of the paper).
 from __future__ import annotations
 
 import contextlib
+import threading
 from collections import OrderedDict
 from typing import Iterator
 
@@ -550,12 +551,14 @@ class _ConvPlan:
 #: Conv plans keyed by ``(c, h, w, kh, kw, stride, pad)`` and pool plans keyed
 #: by ``(c, h, w, k, stride)`` — per sample, so batch size never enters a key.
 #: Bounded FIFO caches: a handful of geometries per model; evict the oldest
-#: entry past the cap instead of growing without bound.
+#: entry past the cap instead of growing without bound.  Chunk threads share
+#: them, so every look-up, eviction and counter update holds the lock.
 _CONV_PLANS: dict[tuple, _ConvPlan] = {}
 _POOL_PLANS: dict[tuple, tuple] = {}
 _PLAN_CACHE_CAP = 128
 _plan_cache_hits = 0
 _plan_cache_misses = 0
+_plan_lock = threading.Lock()
 
 #: Bytes of im2col columns a grad-free convolution gathers per GEMM: half of
 #: a 4 MiB L2.  Interleaved medians of a 2400-row ``vgg_lite_cnn`` loss:
@@ -565,15 +568,16 @@ _CONV_BLOCK_BYTES = 2 << 20
 
 def _cached_plan(cache: dict, key: tuple, build):
     global _plan_cache_hits, _plan_cache_misses
-    plan = cache.get(key)
-    if plan is None:
-        _plan_cache_misses += 1
-        if len(cache) >= _PLAN_CACHE_CAP:
-            cache.pop(next(iter(cache)))
-        plan = cache[key] = build(*key)
-    else:
-        _plan_cache_hits += 1
-    return plan
+    with _plan_lock:
+        plan = cache.get(key)
+        if plan is None:
+            _plan_cache_misses += 1
+            if len(cache) >= _PLAN_CACHE_CAP:
+                cache.pop(next(iter(cache)))
+            plan = cache[key] = build(*key)
+        else:
+            _plan_cache_hits += 1
+        return plan
 
 
 def _conv_plan(c: int, h: int, w: int, kh: int, kw: int, stride: int, pad: int) -> _ConvPlan:
@@ -610,10 +614,11 @@ def _pool_plan(c: int, h: int, w: int, k: int, s: int) -> tuple:
 def clear_kernel_plan_cache() -> None:
     """Drop all cached conv/pool index plans (test hook; safe at any time)."""
     global _plan_cache_hits, _plan_cache_misses
-    _CONV_PLANS.clear()
-    _POOL_PLANS.clear()
-    _plan_cache_hits = 0
-    _plan_cache_misses = 0
+    with _plan_lock:
+        _CONV_PLANS.clear()
+        _POOL_PLANS.clear()
+        _plan_cache_hits = 0
+        _plan_cache_misses = 0
 
 
 def kernel_plan_cache_stats() -> dict[str, int]:

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.nn.bank import ParameterBank
 from repro.obs.emit import span
+from repro.optim.sgd import require_finite
 
 __all__ = ["BankSGD"]
 
@@ -39,12 +40,10 @@ class BankSGD:
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        require_finite("learning rate", lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
+        require_finite("weight_decay", weight_decay, zero_ok=True)
 
         self.bank = bank
         self.lr = float(lr)
@@ -105,8 +104,7 @@ class BankSGD:
 
     def set_lr(self, lr: float) -> None:
         """Change the learning rate (LR schedules and AdaComm coupling)."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        require_finite("learning rate", lr)
         self.lr = float(lr)
 
     def reset_momentum(self) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.optim.sgd import require_finite
+
 __all__ = ["BlockMomentum"]
 
 
@@ -53,8 +55,7 @@ class BlockMomentum:
         x_avg = np.asarray(x_avg, dtype=float)
         if x_anchor.shape != x_avg.shape:
             raise ValueError("anchor and averaged model must have the same shape")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        require_finite("learning rate", lr)
 
         # Accumulated (averaged) update of the block, in gradient units.
         block_gradient = (x_anchor - x_avg) / lr

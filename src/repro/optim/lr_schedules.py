@@ -15,6 +15,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.api.registries import LR_SCHEDULES
+from repro.optim.sgd import require_finite
 
 __all__ = [
     "LRSchedule",
@@ -47,8 +48,7 @@ class ConstantLR(LRSchedule):
     lr: float
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        require_finite("learning rate", self.lr)
 
     def lr_at(self, epoch: float, tau: int = 1) -> float:
         return self.lr
@@ -68,7 +68,8 @@ class StepDecayLR(LRSchedule):
     gamma: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or self.step_epochs <= 0 or not 0 < self.gamma <= 1:
+        require_finite("learning rate", self.lr)
+        if not (self.step_epochs > 0 and 0 < self.gamma <= 1):
             raise ValueError("invalid StepDecayLR parameters")
 
     def lr_at(self, epoch: float, tau: int = 1) -> float:
@@ -90,7 +91,8 @@ class MultiStepLR(LRSchedule):
     gamma: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or not 0 < self.gamma <= 1:
+        require_finite("learning rate", self.lr)
+        if not 0 < self.gamma <= 1:
             raise ValueError("invalid MultiStepLR parameters")
         if any(m <= 0 for m in self.milestones):
             raise ValueError("milestones must be positive")
@@ -124,7 +126,8 @@ class TauGatedStepLR(LRSchedule):
     _fired: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if self.lr <= 0 or not 0 < self.gamma <= 1:
+        require_finite("learning rate", self.lr)
+        if not 0 < self.gamma <= 1:
             raise ValueError("invalid TauGatedStepLR parameters")
         if list(self.milestones) != sorted(self.milestones):
             raise ValueError("milestones must be sorted ascending")

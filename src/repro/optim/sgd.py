@@ -11,12 +11,24 @@ by CNTK's block-momentum implementation.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 
 __all__ = ["SGD"]
+
+
+def require_finite(name: str, value: float, *, zero_ok: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and positive (non-negative with ``zero_ok``).
+
+    A bare ``value <= 0`` check lets NaN through, which fails every
+    comparison, and ∞ as well.
+    """
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise ValueError(f"{name} must be finite and {'non-negative' if zero_ok else 'positive'}, got {value}")
 
 
 class SGD:
@@ -47,12 +59,10 @@ class SGD:
             params = list(params)
         if not params:
             raise ValueError("optimizer received no parameters")
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        require_finite("learning rate", lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
+        require_finite("weight_decay", weight_decay, zero_ok=True)
 
         self.params: list[Tensor] = params
         self.lr = float(lr)
@@ -83,8 +93,7 @@ class SGD:
 
     def set_lr(self, lr: float) -> None:
         """Change the learning rate (used by LR schedules and AdaComm coupling)."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        require_finite("learning rate", lr)
         self.lr = float(lr)
 
     def reset_momentum(self) -> None:

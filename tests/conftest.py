@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
-from repro.distributed import BackendHandle, ShmStatePlane, SimulatedCluster
+from repro.distributed import BackendHandle, ShmStatePlane, SimulatedCluster, worker_bank
 from repro.experiments import harness, parallel
 from repro.models.mlp import MLP
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid, Tanh
@@ -91,15 +91,16 @@ def stochastic_runtime():
 
 
 class LeakDetector:
-    """What a pool must not leave behind: ``/dev/shm/psm_*`` segments and children.
+    """What a pool must not leave behind: ``/dev/shm/psm_*`` segments, children, chunk threads.
 
-    Both are counted relative to construction time, so leftovers of an
+    All are counted relative to construction time, so leftovers of an
     earlier (failed) test are not billed to this one.
     """
 
     def __init__(self):
         self._segments = self._shm_segments()
         self._children = set(multiprocessing.active_children())
+        self._threads = set(chunk_threads_alive())
 
     @staticmethod
     def _shm_segments() -> set:
@@ -124,6 +125,7 @@ class LeakDetector:
     def assert_clean(self) -> None:
         assert not self.segments(), f"leaked /dev/shm segments: {sorted(self.segments())}"
         assert not self.children(), "child processes survived"
+        assert not set(chunk_threads_alive()) - self._threads, "chunk threads survived"
 
 
 @pytest.fixture
@@ -230,6 +232,27 @@ def pipe_plane():
         yield
 
 
+@contextmanager
+def chunk_rule(threads: bool):
+    """Backends built inside see the ``vectorized`` chunk rule pinned.
+
+    ``threads=True``: two usable cores and a one-byte L2, so any in-process
+    carrier of two or more chunks steps them on two threads and
+    ``vectorized`` cuts m ≥ 2 workers in two, whatever the model's size.
+    ``threads=False``: an unreadable L2, so ``vectorized`` is the one bank
+    and no carrier starts a thread, whatever this host's cache.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worker_bank, "usable_cores", lambda: 2)
+        patch.setattr(worker_bank, "l2_bytes", (lambda: 1) if threads else (lambda: None))
+        yield
+
+
+def chunk_threads_alive() -> list:
+    """The live threads of in-process chunk carriers' pools."""
+    return [thread for thread in threading.enumerate() if thread.name.startswith("repro-chunk")]
+
+
 def seeded_backend_kwargs(n_workers: int = 4) -> dict:
     """Backend construction arguments, identically seeded on every call."""
     return dict(
@@ -294,12 +317,16 @@ def cluster_on(
 #: Backends checked against the "loop" reference.  "sharded" and
 #: "sharded-shm" are the same backend on its two data planes — the matrix
 #: pins byte-identity for the Pipe protocol AND the shared-memory plane.
-EQUIVALENCE_BACKENDS = ("vectorized", "sharded", "sharded-shm")
+#: "vectorized-threads" is the vectorized backend cut in two chunks stepped
+#: on two threads, which the matrix's small models never reach by the rule.
+EQUIVALENCE_BACKENDS = ("vectorized", "vectorized-threads", "sharded", "sharded-shm")
 
 #: pseudo-backend name -> (real backend registry name, the data plane it
-#: must report; "pipe" is forced with :func:`pipe_plane`).
+#: must report; "pipe" is forced with :func:`pipe_plane`, and "threads"
+#: means chunk threads forced with :func:`chunk_rule`).
 BACKEND_TRANSPORTS = {
     "vectorized": ("vectorized", "auto"),
+    "vectorized-threads": ("vectorized", "threads"),
     "sharded": ("sharded", "pipe"),
     "sharded-shm": ("sharded", "shm"),
 }
@@ -482,7 +509,8 @@ def build_equivalence_cluster(
         n_workers=n_workers,
         rng=0,
     )
-    with pipe_plane() if transport == "pipe" else nullcontext():
+    pinned = {"pipe": pipe_plane, "threads": functools.partial(chunk_rule, True)}.get(transport, nullcontext)
+    with pinned():
         return cluster_on(
             backend,
             n_shards=2,

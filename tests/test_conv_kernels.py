@@ -11,6 +11,8 @@ gradients and the allocation budget the rewrite was for.
 from __future__ import annotations
 
 import copy
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -244,6 +246,40 @@ def test_pool_plans_are_per_sample():
         pool.bank_forward(x, {}).sum().backward()
     stats = kernel_plan_cache_stats()
     assert stats["pool_plans"] == 1 and stats["misses"] == 1 and stats["hits"] == 2
+
+
+def test_plan_cache_under_two_threads():
+    # Two chunk threads building more distinct geometries than the cap at
+    # once: no iteration over a resizing dict, no double eviction, no lost
+    # counter update, and the cache never past its cap.
+    clear_kernel_plan_cache()
+    per_thread = layers._PLAN_CACHE_CAP + 40
+    errors, sizes = [], []
+
+    def build(channels):
+        try:
+            for h in range(2, 2 + per_thread):
+                layers._pool_plan(channels, h, 2, 2, 2)
+                sizes.append(len(layers._POOL_PLANS))
+        except Exception as err:  # noqa: BLE001 - reported below
+            errors.append(err)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(channels,)) for channels in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert max(sizes) <= layers._PLAN_CACHE_CAP
+    stats = kernel_plan_cache_stats()
+    assert (stats["misses"], stats["hits"]) == (2 * per_thread, 0)
+    clear_kernel_plan_cache()
 
 
 # -- (c) blocked grad-free convolution == one block -------------------------------

@@ -80,7 +80,9 @@ def test_backend_matches_loop_reference(case, backend, loop_fingerprints):
     real_backend, transport = BACKEND_TRANSPORTS.get(backend, (backend, "auto"))
     try:
         assert cluster.backend_name == real_backend
-        if transport != "auto":
+        if transport == "threads":
+            assert (len(cluster.backend.banks), cluster.backend._threads) == (2, 2)
+        elif transport != "auto":
             assert cluster.backend.transport == transport
         fingerprint = trajectory_fingerprint(cluster)
     finally:

@@ -31,7 +31,8 @@ import pytest
 
 from repro.api.registries import COMM_SCHEDULES
 from repro.core.schedules import FixedCommunicationSchedule
-from repro.distributed.sharded_bank import _BLAS_ENV, ShardedBank, _set_blas_threads, usable_cores
+from repro.distributed.host import _BLAS_ENV, _set_blas_threads, usable_cores
+from repro.distributed.sharded_bank import ShardedBank
 from repro.experiments import harness, parallel
 from repro.experiments.cli import main
 from repro.experiments.configs import make_config

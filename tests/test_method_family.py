@@ -20,7 +20,9 @@ import re
 import numpy as np
 import pytest
 
-from tests.conftest import build_equivalence_cluster, equivalence_cases
+from tests.conftest import EQUIVALENCE_FEATURES, build_equivalence_cluster, equivalence_cases
+from repro.data.synthetic import make_gaussian_blobs
+from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.averaging import weighted_average_states
 from repro.distributed.collectives import AsyncFold, Exact, Gossip
 from repro.distributed.topology import consensus_distance, mixing_matrix_for
@@ -29,6 +31,9 @@ from repro.experiments.harness import parse_method_spec, run_method
 from repro.obs.events import EVENT_NAMES
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.runtime.distributions import ExponentialDelay
+from repro.runtime.network import NetworkModel
+from repro.runtime.simulator import RuntimeSimulator
 
 GOSSIP_WORKERS = 6  # smallest m where the MH chordal ring is not complete
 
@@ -174,6 +179,24 @@ class TestAsyncCluster:
         assert hist["count"] == m
         assert hist["max"] == float(m - 1)
         assert snapshot["counters"]["async_applies_total"] == float(m)
+
+    def test_staleness_is_bounded_by_two_generations(self):
+        # A worker that landed first in the previous generation and lands last
+        # in this one has seen m − 1 + m − 1 folds since its pull: random
+        # arrival orders reach past m − 1, never past 2(m − 1).
+        m = 4
+        runtime = RuntimeSimulator(ExponentialDelay(1.0), NetworkModel(0.5, "constant"), n_workers=m, rng=2)
+        cluster = SimulatedCluster(
+            model_fn=_MLP.model_fn,
+            dataset=make_gaussian_blobs(n_samples=80, n_features=EQUIVALENCE_FEATURES, n_classes=4, rng=3),
+            runtime=runtime, n_workers=m, batch_size=8, lr=0.05, collective=AsyncFold(), seed=2,
+        )
+        with MetricsRegistry() as registry:
+            for _ in range(20):
+                cluster.run_round(1)
+        hist = registry.snapshot()["histograms"]["staleness_updates"]
+        assert hist["count"] == 20 * m
+        assert m - 1 < hist["max"] <= 2 * (m - 1)
 
     def test_worker_clocks_advance_independently(self):
         cluster = _async_cluster()

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models.linear import SoftmaxRegression
+from repro.nn.bank import ParameterBank
 from repro.nn.layers import Linear
 from repro.nn.tensor import Tensor
+from repro.optim.bank_sgd import BankSGD
 from repro.optim.block_momentum import BlockMomentum
 from repro.optim.lr_schedules import (
     ConstantLR,
@@ -96,6 +98,50 @@ class TestSGD:
             model.loss(X, y).backward()
             opt.step()
         assert model.loss(X, y).item() < 0.3 * first
+
+
+NOT_FINITE = [float("nan"), float("inf")]
+
+
+class TestNonFiniteRates:
+    """NaN fails every comparison, so ``lr <= 0`` let it (and ∞) through."""
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    def test_sgd(self, bad):
+        layer = Linear(1, 1, rng=0)
+        with pytest.raises(ValueError, match="learning rate"):
+            SGD(layer, lr=bad)
+        with pytest.raises(ValueError, match="weight_decay"):
+            SGD(layer, lr=0.1, weight_decay=bad)
+        with pytest.raises(ValueError, match="learning rate"):
+            SGD(layer, lr=0.1).set_lr(bad)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    def test_bank_sgd(self, bad):
+        bank = ParameterBank(Linear(2, 1, rng=0), 3)
+        with pytest.raises(ValueError, match="learning rate"):
+            BankSGD(bank, lr=bad)
+        with pytest.raises(ValueError, match="weight_decay"):
+            BankSGD(bank, lr=0.1, weight_decay=bad)
+        optimizer = BankSGD(bank, lr=0.1)
+        with pytest.raises(ValueError, match="learning rate"):
+            optimizer.set_lr(bad)
+        assert optimizer.lr == 0.1
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    def test_block_momentum(self, bad):
+        with pytest.raises(ValueError, match="learning rate"):
+            BlockMomentum(0.3).apply(np.zeros(2), np.ones(2), lr=bad)
+
+    @pytest.mark.parametrize("bad", NOT_FINITE)
+    @pytest.mark.parametrize(
+        "schedule",
+        [ConstantLR, lambda lr: StepDecayLR(lr=lr, step_epochs=10), MultiStepLR, TauGatedStepLR],
+        ids=["constant", "step", "multistep", "tau_gated"],
+    )
+    def test_schedules(self, schedule, bad):
+        with pytest.raises(ValueError, match="learning rate"):
+            schedule(bad)
 
 
 class TestBlockMomentum:

@@ -27,6 +27,7 @@ from repro.optim.sgd import SGD
 from repro.runtime.distributions import ConstantDelay
 from repro.runtime.network import NetworkModel
 from repro.runtime.simulator import RuntimeSimulator
+from tests.conftest import chunk_rule
 
 M = 3
 
@@ -149,6 +150,22 @@ def test_grad_buffers_keep_their_address_across_steps():
         addresses = now
 
 
+def _round_peak(cluster: SimulatedCluster) -> int:
+    """Bytes allocated at the peak of one steady-state local step plus averaging."""
+    for _ in range(2):
+        cluster.run_round(1)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        cluster.backend.local_period(1)
+        cluster.average_models()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
 @pytest.mark.parametrize("bank_dtype", ["float64", "float32"])
 def test_steady_state_round_allocates_less_than_one_slab(bank_dtype):
     # m = 8, P = 103946: one (m, P) slab is 6.65 MB in float64, 3.33 MB in
@@ -156,21 +173,27 @@ def test_steady_state_round_allocates_less_than_one_slab(bank_dtype):
     # allocate activations, the (P,) mean and small gradients — never a
     # gathered (m, P) copy, a weight-gradient temporary or a fresh .grad.
     # Under float32 a float64 coercion of the slab is itself such a copy.
-    cluster = _cluster(8, 192, (512,), 2, bank_dtype=bank_dtype)
+    with chunk_rule(threads=False):  # the one bank, whatever this host's L2
+        cluster = _cluster(8, 192, (512,), 2, bank_dtype=bank_dtype)
     slab_bytes = cluster.backend.bank.slab.nbytes
     assert cluster.backend.bank.n_parameters == 103946
-    for _ in range(2):
-        cluster.run_round(1)
-    tracemalloc.start()
+    peak = _round_peak(cluster)
+    assert peak < slab_bytes, f"peak {peak} B vs one slab {slab_bytes} B"
+
+
+@pytest.mark.parametrize("bank_dtype", ["float64", "float32"])
+def test_steady_state_round_on_chunk_threads_allocates_less_than_one_slab(bank_dtype):
+    # The same guard on two chunks of four stepped at once: both chunks'
+    # temporaries together, and a mean folded without a gathered (m, P) stack.
+    with chunk_rule(threads=True):
+        cluster = _cluster(8, 192, (512,), 2, bank_dtype=bank_dtype)
     try:
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        cluster.backend.local_step()
-        cluster.average_models()
-        _, peak = tracemalloc.get_traced_memory()
+        assert cluster.backend.bounds == [(0, 4), (4, 8)]
+        slab_bytes = sum(bank.bank.slab.nbytes for bank in cluster.backend.banks)
+        peak = _round_peak(cluster)
     finally:
-        tracemalloc.stop()
-    assert peak - before < slab_bytes, f"peak {peak - before} B vs one slab {slab_bytes} B"
+        cluster.close()
+    assert peak < slab_bytes, f"peak {peak} B vs one slab {slab_bytes} B"
 
 
 # -- fused optimizer step == per-parameter reference, byte for byte -------------

@@ -34,13 +34,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import BackendHandle
-from repro.distributed.sharded_bank import (
-    _BLAS_ENV,
-    ShardedBank,
-    _set_blas_threads,
-    _ShardServer,
-    usable_cores,
-)
+from repro.distributed.host import _BLAS_ENV, _set_blas_threads, usable_cores
+from repro.distributed.sharded_bank import ShardedBank, _ShardServer
 from repro.obs import MetricsRegistry, Profiler, Tracer
 
 from tests.conftest import blas_threads, seeded_backend_kwargs
@@ -190,6 +185,15 @@ class TestBlasCap:
             assert blas_threads() == 4  # the parent's own pool is left alone
         finally:
             _set_blas_threads(outside)
+
+    def test_a_shard_may_use_one_core_for_chunks(self, monkeypatch):
+        # Its BLAS pool takes its share of the cores; it never steps chunk threads.
+        _cores(monkeypatch, 6)
+        _probe(monkeypatch, cores=lambda server: usable_cores())
+        with BackendHandle("sharded", n_shards=2) as handle:
+            _, pool = handle.acquire(**seeded_backend_kwargs())
+            assert pool._each("cores") == [1, 1]
+        assert usable_cores() == 6
 
     @pytest.mark.usefixtures("probed_shards")
     def test_an_exported_count_is_the_parents(self, monkeypatch):

@@ -35,6 +35,7 @@ from repro.runtime.simulator import RuntimeSimulator
 from tests.conftest import (
     EQUIVALENCE_FEATURES,
     _registry_model_fn,
+    chunk_rule,
     cluster_on,
     pipe_plane,
 )
@@ -227,7 +228,7 @@ def _composite_run(backend) -> tuple[list, dict]:
 
 
 class TestOneChunkComposite:
-    """``sharded`` is ``loop`` with other chunks: equal bytes on any split of the worker axis."""
+    """``sharded`` and the in-process carrier are ``loop`` with other chunks: equal bytes on any split."""
 
     @pytest.mark.parametrize("model", ["dropout_bn", "stream_free", "quadratic"])
     @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -242,6 +243,22 @@ class TestOneChunkComposite:
             assert _composite_run(sharded) == _composite_run(loop)
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("model", ["dropout_bn", "stream_free", "quadratic"])
+    @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(layout=st.integers(1, 7).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))))
+    @example(layout=(5, 2))
+    @example(layout=(7, 3))  # three chunks on two threads: one thread steps two of them
+    def test_chunk_threads_equal_loop_on_any_split(self, model, layout):
+        m, k = layout
+        loop = LoopWorkers(**_composite_kwargs(model, m))
+        with chunk_rule(threads=True):
+            chunks = LoopWorkers(n_chunks=k, **_composite_kwargs(model, m))
+        try:
+            assert (chunks.bounds, chunks._threads) == (shard_slices(m, k), min(k, 2))
+            assert _composite_run(chunks) == _composite_run(loop)
+        finally:
+            chunks.close()
 
 
 class TestShardedBackendSurface:
