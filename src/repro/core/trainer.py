@@ -30,9 +30,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.schedules import CommunicationSchedule
-from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.cluster import RowMetric, SimulatedCluster
 from repro.nn.layers import Module
-from repro.nn.losses import accuracy as accuracy_metric
 from repro.obs.emit import span
 from repro.optim.lr_schedules import ConstantLR, LRSchedule
 from repro.utils.logging import get_logger
@@ -131,11 +130,9 @@ class PASGDTrainer:
         if loss_fn is not None:
             self._metrics["train_loss"] = loss_fn
         elif train_eval_data is not None:
-            X_train, y_train = train_eval_data
-            self._metrics["train_loss"] = lambda model: float(model.loss(X_train, y_train).item())
+            self._metrics["train_loss"] = RowMetric("loss", *train_eval_data)
         if test_eval_data is not None:
-            X_test, y_test = test_eval_data
-            self._metrics["test_accuracy"] = lambda model: accuracy_metric(model(X_test), y_test)
+            self._metrics["test_accuracy"] = RowMetric("accuracy", *test_eval_data)
 
     # -- evaluation -----------------------------------------------------------
     def _evaluate(self, round_index: int, fallback_loss: float) -> tuple[float, float]:

@@ -29,26 +29,85 @@ clock advance is backend-independent.
 
 from __future__ import annotations
 
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.data.partition import PartitionedDataset, partition_dataset
 from repro.data.synthetic import Dataset
+from repro.distributed import host
 from repro.distributed.averaging import weighted_average_states
 from repro.distributed.backends import WorkerBackend
 from repro.distributed.collectives import AsyncFold, Collective, Exact, Gossip
 from repro.distributed.reuse import BackendHandle
 from repro.distributed.topology import consensus_distance, mixing_matrix_for
-from repro.nn.layers import Module, evaluating
-from repro.nn.tensor import Workspace
-from repro.obs.emit import count, gauge, instant, observe, observe_many, span
+from repro.distributed.worker_bank import shard_slices
+from repro.nn.layers import Classifier, Module, evaluating
+from repro.nn.losses import accuracy, bank_cross_entropy
+from repro.nn.tensor import Tensor, Workspace, no_grad
+from repro.obs.emit import count, gauge, instant, muted, observe, observe_many, span
 from repro.optim.block_momentum import BlockMomentum
 from repro.runtime.simulator import AsyncRoundTiming, RuntimeSimulator
 from repro.utils.seeding import SeedSequence
 from repro.utils.timer import VirtualClock
 
-__all__ = ["SimulatedCluster"]
+__all__ = ["SimulatedCluster", "RowMetric"]
+
+
+class RowMetric(NamedTuple):
+    """The mean loss (``kind="loss"``) or the top-1 accuracy (``"accuracy"``) of a model on rows ``X``, labels ``y``.
+
+    Called on a model it is the whole-data metric: ``model.loss(X, y)``, or
+    the accuracy of ``model(X)``.  On a :class:`~repro.nn.layers.Classifier`
+    it is a function of the ``(n, C)`` logits alone (:meth:`of_logits`), so
+    :meth:`SimulatedCluster.evaluate_synchronized` may forward its rows in
+    blocks.
+    """
+
+    kind: str
+    X: np.ndarray
+    y: np.ndarray
+
+    def __call__(self, model: Module) -> float:
+        if self.kind == "loss":
+            return float(model.loss(self.X, self.y).item())
+        return accuracy(model(self.X), self.y)
+
+    def of_logits(self, logits: np.ndarray) -> float:
+        """The metric of a classifier whose forward gave ``logits`` for all n rows."""
+        if self.kind == "loss":
+            return float(bank_cross_entropy(Tensor(logits[None]), self.y[None]).item())
+        return accuracy(logits, self.y)
+
+
+def _widest_row(model: Module, X: np.ndarray) -> int:
+    """Bytes of the widest array one row of ``X`` makes in ``model``'s eval-mode forward, the row included.
+
+    One row goes forward as the only tensor that records a tape, so the tape
+    holds exactly the activations; the parameters are copied out of it.  The
+    forward is muted: a layout reading is not evaluation work, and a profile
+    must not depend on whether the rule was read.
+    """
+    params = {
+        name: Tensor(value.data) if isinstance(value, Tensor) else value
+        for name, value in model._bank_of_one().items()
+    }
+    was_training = model.training
+    model.eval()
+    try:
+        with muted():
+            out = model.bank_forward(Tensor(X[None, :1], requires_grad=True), params)
+    finally:
+        model.train(was_training)
+    widest, stack, seen = 0, [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            widest = max(widest, node.data.nbytes)
+            stack.extend(parent for parent in node._parents if parent.requires_grad)
+    return widest
 
 
 class SimulatedCluster:
@@ -203,7 +262,13 @@ class SimulatedCluster:
             self._pulled_versions = np.zeros(n_workers, dtype=np.int64)
 
         self._synchronized_params = self._backend.initial_state()
-        self._eval_workspace = Workspace()  # see evaluate_synchronized
+        # See evaluate_synchronized: the calling thread's workspace, one per
+        # further row block, the widest row per (row shape, dtype) and the
+        # row blocks per (data shape, dtype).
+        self._eval_workspace = Workspace()
+        self._block_workspaces: list[Workspace] = []
+        self._row_bytes: dict[tuple, int] = {}
+        self._eval_bounds: dict[tuple, list] = {}
         # The ledger of simulated time: what breakdown() reports.
         self.total_local_iterations = 0
         self.communication_rounds = 0
@@ -230,9 +295,12 @@ class SimulatedCluster:
         acquired through a caller's
         :class:`~repro.distributed.reuse.BackendHandle` is the handle's — it
         stays alive here so the next run can reuse it.  The evaluation
-        workspace's buffers are dropped either way.
+        workspaces' buffers are dropped and the pinned pool's threads joined
+        either way.
         """
         self._eval_workspace = Workspace()
+        self._block_workspaces = []
+        host.close_pool()
         self._handle.release(self._backend)
         if self._owns_handle:
             self._handle.close()
@@ -489,10 +557,78 @@ class SimulatedCluster:
         gradients off under the cluster's :class:`~repro.nn.tensor.Workspace`
         (every backend) for all the metrics: the next evaluation reuses its
         arrays, so a metric returns a number, not a tensor.
+
+        Where a :class:`~repro.nn.layers.Classifier`'s :class:`RowMetric`
+        values split (:meth:`_row_bounds`), they go forward first, in
+        contiguous row blocks, one block per pinned thread
+        (:func:`~repro.distributed.host.spread`), every further thread under
+        its own workspace.  The logits are joined in row order and the loss
+        or accuracy applied once, here.  A logit row is a function of its own
+        input row alone, so the bytes are those of the one forward that every
+        metric runs where none splits.
         """
         model = self._backend.materialize(self._synchronized_params)
+        rows = [metric for metric in metrics if isinstance(metric, RowMetric)] if isinstance(model, Classifier) else []
+        # Outside the scope: the rule's first reading records a one-row tape.
+        bounds = [self._row_bounds(model, metric.X) for metric in rows]
         with evaluating(model, self._eval_workspace):
-            return tuple(metric(model) for metric in metrics)
+            if max(map(len, bounds), default=1) == 1:
+                return tuple(metric(model) for metric in metrics)
+            logits = iter(self._forward_rows(model, rows, bounds))
+            return tuple(
+                metric.of_logits(next(logits)) if isinstance(metric, RowMetric) else metric(model)
+                for metric in metrics
+            )
+
+    def _row_bounds(self, model: Module, X: np.ndarray) -> "list[tuple[int, int]]":
+        """The contiguous ``[lo, hi)`` row blocks ``X`` goes forward in, read once per data shape.
+
+        One block per usable core where a block's rows times the widest row
+        (:func:`_widest_row`) fill a core's L2
+        (:func:`~repro.distributed.host.block_threads`), else one block.  A
+        block has two rows or more: one row would be a GEMV, whose sums need
+        not match the GEMM's row.  A cluster runs inside one scheduler item,
+        so its share of the cores does not change while it lives.
+        """
+        key = (X.shape, X.dtype)
+        if key not in self._eval_bounds:
+            k = min(host.usable_cores(), len(X) // 2)
+            if k >= 2:
+                row = (X.shape[1:], X.dtype)
+                if row not in self._row_bytes:
+                    self._row_bytes[row] = _widest_row(model, X)
+                k = host.block_threads(k, len(X) // k * self._row_bytes[row])
+            self._eval_bounds[key] = shard_slices(len(X), max(k, 1))
+        return self._eval_bounds[key]
+
+    def _forward_rows(self, model: Module, metrics: list, bounds: list) -> "list[np.ndarray]":
+        """Each metric's ``(n, C)`` logits, its rows forwarded in the blocks of ``bounds``.
+
+        Thread i forwards block i of every metric cut in more than i blocks;
+        thread 0 is this one, inside the caller's eval scope.
+        """
+
+        def forward(i: int) -> dict:
+            out = {}
+            for j, (metric, blocks) in enumerate(zip(metrics, bounds)):
+                if i < len(blocks):
+                    lo, hi = blocks[i]
+                    out[j] = model(metric.X[lo:hi]).data
+            return out
+
+        def block(i: int) -> dict:
+            with no_grad(workspace=self._block_workspaces[i - 1]), muted():
+                return forward(i)
+
+        t = max(map(len, bounds))
+        while len(self._block_workspaces) < t - 1:
+            self._block_workspaces.append(Workspace())
+        outputs = host.spread([partial(forward, 0), *(partial(block, i) for i in range(1, t))])
+        return [
+            outputs[0][j] if len(blocks) == 1
+            else np.concatenate([outputs[i][j] for i in range(len(blocks))])
+            for j, blocks in enumerate(bounds)
+        ]
 
     def model_discrepancy(self) -> float:
         """Mean L2 distance of local models from their average.

@@ -31,16 +31,19 @@ losses into the gradient slab, apply the fused
   ragged shards (each bank clips its own batch) and modules that only write
   ``forward`` / ``loss`` (see :meth:`WorkerBank._replica_losses`).
   ``"vectorized"`` above L2 is k chunks of m/k (:func:`vectorized`).  Where
-  each chunk's slab fills a core's L2 the carrier steps its chunks on
-  threads (:func:`chunk_threads`): NumPy releases the GIL inside the large
-  ops, so a memory-bound bank uses every core it may.
+  each chunk's slab fills a core's L2 the carrier steps its chunks on the
+  process's pinned threads (:func:`chunk_threads`,
+  :func:`repro.distributed.host.run_pinned`): NumPy releases the GIL inside
+  the large ops, so a memory-bound bank uses every core it may.
 * :class:`~repro.distributed.sharded_bank.ShardedBank` (``"sharded"``) is n
   chunks in forked processes, carried over pipes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+import itertools
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,14 +56,11 @@ from repro.distributed.backends import (
     WorkerView,
     generator_state,
 )
-from repro.distributed.host import _set_blas_threads, affinity, l2_bytes, pin_thread, usable_cores
+from repro.distributed import host
 from repro.nn.bank import ParameterBank, attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 from repro.optim.bank_sgd import BankSGD
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "WorkerBank",
@@ -96,25 +96,15 @@ def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
 
 
 def chunk_threads(n_workers: int, n_chunks: int, row_bytes: int) -> int:
-    """Threads that step ``n_chunks`` in-process chunks of ``n_workers`` rows of ``row_bytes``.
-
-    The cores this process may use (capped at ``n_chunks``) when the
-    smallest chunk's parameter slab is at least one core's L2, else 1 — and
-    1 where the L2 size cannot be read.  Below L2 a chunk's per-op arrays are
-    too small: NumPy holds the GIL for too much of each step for a second
-    thread to pay (``docs/backends.md`` has the measurements).
-    """
-    threads = min(usable_cores(), n_chunks)
-    l2 = l2_bytes()
-    if threads < 2 or l2 is None or n_workers // n_chunks * row_bytes < l2:
-        return 1
-    return threads
+    """Threads that step ``n_chunks`` in-process chunks of ``n_workers`` rows of ``row_bytes``:
+    :func:`~repro.distributed.host.block_threads` of the smallest chunk's parameter slab."""
+    return host.block_threads(n_chunks, n_workers // n_chunks * row_bytes)
 
 
 def vectorized_chunks(n_workers: int, row_bytes: int) -> int:
     """The chunk count k of ``vectorized``: one chunk per usable core when
     :func:`chunk_threads` steps them concurrently, else 1 — the one bank."""
-    k = min(usable_cores(), n_workers)
+    k = min(host.usable_cores(), n_workers)
     return k if chunk_threads(n_workers, k, row_bytes) > 1 else 1
 
 
@@ -411,19 +401,22 @@ class Chunks(WorkerBackend):
         No ``(m, P)`` stack is built.  The fold is row-sequential, which is
         the reduction NumPy's own axis-0 mean performs, so the bytes equal
         ``slab.mean(axis=0)`` of the one bank, for float64 and float32 alike;
-        per-chunk partial sums would reassociate the additions.
+        per-chunk partial sums would reassociate the additions.  Where the
+        ``(m, P)`` slab cut in column ranges fills a core's L2 per range
+        (:func:`~repro.distributed.host.block_threads`), each pinned thread
+        folds its own range of every chunk, all in one dispatch: every column
+        still adds its rows in order.  One thread folds each chunk's rows as
+        they arrive (the sharded pool's replies).
         """
-        acc: "np.ndarray | None" = None
-        nbytes = 0
-        for block in self._rows():
-            for row in block:
-                if acc is None:
-                    acc = row.copy()
-                else:
-                    acc += row
-            nbytes += block.nbytes
+        rows = iter(self._rows())
+        first = next(rows)
+        acc = np.empty(first.shape[1], first.dtype)
+        k = min(host.usable_cores(), acc.size)
+        t = host.block_threads(k, self.n_workers * (acc.size // k) * acc.itemsize)
+        blocks = [first, *rows] if t > 1 else itertools.chain([first], rows)
+        host.spread([partial(_fold_columns, acc, lo, hi, blocks) for lo, hi in shard_slices(acc.size, t)])
         acc /= acc.dtype.type(self.n_workers)
-        return acc, nbytes
+        return acc, self.n_workers * acc.nbytes
 
     def broadcast_state(self, flat: np.ndarray) -> None:
         self._each("broadcast_state", flat)
@@ -455,12 +448,11 @@ class LoopWorkers(Chunks):
     cut into that many :func:`shard_slices` chunks (see :func:`vectorized`).
 
     Where :func:`chunk_threads` says so, :meth:`_each` steps the chunks on
-    threads: this thread runs every t-th chunk from chunk 0 and a pool of
-    t − 1 threads the rest, each thread pinned to its own CPU and the BLAS
-    pool at one thread each meanwhile.  No chunk call is running once
-    ``_each`` returns or raises; the first chunk that failed, in chunk
-    order, raises here, as in a serial loop.  The pool starts with the first
-    concurrent call and :meth:`close` joins it.
+    t pinned threads (:func:`~repro.distributed.host.run_pinned`): this
+    thread runs every t-th chunk from chunk 0 and the process's pool the
+    rest.  No chunk call is running once ``_each`` returns or raises; the
+    first chunk that failed, in chunk order, raises here, as in a serial
+    loop.  :meth:`close` joins the pool.
     """
 
     name = "loop"
@@ -485,30 +477,13 @@ class LoopWorkers(Chunks):
             for payload in chunk_payloads(model_fn, shards, self.bounds, bank_dtype=bank_dtype, **run)
         ]
         self._threads = chunk_threads(len(shards), len(self.bounds), self.banks[0].bank.slab[0].nbytes)
-        self._pool: "ThreadPoolExecutor | None" = None
-        cpus = affinity()
-        #: The CPU each of the threads runs its chunks on (``None``: unpinned).
-        self._cpus = [{cpus[i % len(cpus)]} if cpus else None for i in range(self._threads)]
 
     def _each(self, op: str, *args) -> list:
         calls = [getattr(bank, op) for bank in self.banks]
         t = self._threads
         if t == 1:
             return [call(*args) for call in calls]
-        # Imported here: a run that never threads does not pay its import.
-        from concurrent.futures import ThreadPoolExecutor, wait
-
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(t - 1, thread_name_prefix="repro-chunk")
-        blas = _set_blas_threads(1)
-        futures = []
-        try:
-            futures = [self._pool.submit(_run_calls, calls[i::t], args, self._cpus[i]) for i in range(1, t)]
-            shares = [_run_calls(calls[::t], args, self._cpus[0]), *(future.result() for future in futures)]
-        finally:
-            wait(futures)
-            if blas is not None:
-                _set_blas_threads(blas)
+        shares = host.run_pinned([calls[i::t] for i in range(t)], *args)
         failed = [(i + t * len(done), err) for i, (done, err) in enumerate(shares) if err is not None]
         if failed:
             raise min(failed, key=lambda pair: pair[0])[1]
@@ -531,27 +506,17 @@ class LoopWorkers(Chunks):
         return self.banks[chunk].materialize(flat, local)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        if self._threads > 1:
+            host.close_pool()
 
 
-def _run_calls(calls: list, args: tuple, cpus: "set[int] | None") -> "tuple[list, Exception | None]":
-    """Run ``calls`` in order, pinned to ``cpus``, until one raises: the results before it, and its error.
-
-    The thread's own CPU set is back in place when this returns.
-    """
-    done: list = []
-    unpinned = pin_thread(cpus)
-    try:
-        for call in calls:
-            try:
-                done.append(call(*args))
-            except Exception as err:  # noqa: BLE001 - LoopWorkers._each raises it, in chunk order
-                return done, err
-        return done, None
-    finally:
-        pin_thread(unpinned)
+def _fold_columns(acc: np.ndarray, lo: int, hi: int, blocks: Iterable[np.ndarray]) -> None:
+    """Sum the rows of ``blocks``, in order, into ``acc[lo:hi]`` (the first row copied in, the rest added)."""
+    out = acc[lo:hi]
+    rows = (row[lo:hi] for block in blocks for row in block)
+    out[...] = next(rows)
+    for row in rows:
+        out += row
 
 
 def vectorized(

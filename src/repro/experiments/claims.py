@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.theory import TheoreticalConstants, error_runtime_bound
-from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.cluster import RowMetric, SimulatedCluster
 from repro.experiments.configs import make_config
 from repro.experiments.tables import accuracy_table, format_table
 from repro.models.mlp import MLP
@@ -191,7 +191,7 @@ def fig14_claims() -> list[Claim]:
             cluster.run_local_period(15)
             local.append(accuracy(cluster.workers[0].model(test.X), test.y))
             cluster.average_models()
-            synced.extend(cluster.evaluate_synchronized(lambda model: accuracy(model(test.X), test.y)))
+            synced.extend(cluster.evaluate_synchronized(RowMetric("accuracy", test.X, test.y)))
     gap = 100 * float(np.mean(synced[30:]) - np.mean(local[30:]))  # once the curves have settled
     return [Claim("fig14.accuracy_gap", "synchronized minus local test accuracy, PASGD τ = 15, rounds 30-59 (points)",
                   "simulator > 0.0", gap, paper=10.0)]

@@ -8,17 +8,14 @@ experiment level, not baked into the architecture.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, Module, ReLU, Sequential
-from repro.nn.losses import bank_cross_entropy
+from repro.nn.layers import AvgPool2d, Classifier, Conv2d, Flatten, Linear, MaxPool2d, Module, ReLU, Sequential
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import SeedSequence, check_random_state
 
 __all__ = ["SmallCNN", "vgg_lite_cnn", "resnet_lite_cnn"]
 
 
-class SmallCNN(Module):
+class SmallCNN(Classifier):
     """Conv → ReLU → Pool stages followed by a linear classifier head.
 
     Parameters
@@ -77,9 +74,6 @@ class SmallCNN(Module):
             raise ValueError(f"SmallCNN bank_forward expects (m, B, F) or (m, B, C, H, W), got {x.shape}")
         h = self.features.bank_forward(x, params, f"{prefix}features.")
         return self.classifier.bank_forward(h, params, f"{prefix}classifier.")
-
-    def bank_loss(self, x, y: np.ndarray, params) -> Tensor:
-        return bank_cross_entropy(self.bank_forward(x, params), y)
 
 
 def vgg_lite_cnn(n_classes: int = 10, image_size: int = 8, rng=None) -> SmallCNN:

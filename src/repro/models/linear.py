@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Linear, Module
-from repro.nn.losses import bank_cross_entropy, bank_mse_loss
+from repro.nn.layers import Classifier, Linear, Module
+from repro.nn.losses import bank_mse_loss
 from repro.nn.tensor import Tensor
 
 __all__ = ["SoftmaxRegression", "LinearRegressionModel"]
 
 
-class SoftmaxRegression(Module):
+class SoftmaxRegression(Classifier):
     """Multinomial logistic regression: a single linear layer + cross-entropy."""
 
     def __init__(self, n_features: int, n_classes: int, rng=None):
@@ -28,9 +28,6 @@ class SoftmaxRegression(Module):
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         x = self._as_bank_input(x)
         return self.fc.bank_forward(x, params, f"{prefix}fc.")
-
-    def bank_loss(self, x, y: np.ndarray, params) -> Tensor:
-        return bank_cross_entropy(self.bank_forward(x, params), y)
 
 
 class LinearRegressionModel(Module):

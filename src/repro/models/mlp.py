@@ -9,17 +9,14 @@ configs) rather than trying to mimic the exact architectures.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.nn.layers import BatchNorm1d, Dropout, Linear, Module, ReLU, Residual, Sequential, Tanh
-from repro.nn.losses import bank_cross_entropy
+from repro.nn.layers import BatchNorm1d, Classifier, Dropout, Linear, Module, ReLU, Residual, Sequential, Tanh
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import SeedSequence, check_random_state
 
 __all__ = ["MLP", "build_mlp", "vgg_lite_mlp", "resnet_lite_mlp"]
 
 
-class MLP(Module):
+class MLP(Classifier):
     """Fully connected classifier with configurable hidden sizes.
 
     Parameters
@@ -73,9 +70,6 @@ class MLP(Module):
         x = self._as_bank_input(x)
         return self.net.bank_forward(x, params, f"{prefix}net.")
 
-    def bank_loss(self, x, y: np.ndarray, params) -> Tensor:
-        return bank_cross_entropy(self.bank_forward(x, params), y)
-
 
 def build_mlp(n_features: int, n_classes: int, hidden_sizes=(128,), rng=None, **kwargs) -> MLP:
     """Convenience constructor used by the model registry."""
@@ -92,7 +86,7 @@ def resnet_lite_mlp(n_features: int = 256, n_classes: int = 10, rng=None) -> "Re
     return ResidualMLP(n_features, n_classes, width=96, n_blocks=3, rng=rng)
 
 
-class ResidualMLP(Module):
+class ResidualMLP(Classifier):
     """MLP whose hidden layers are residual blocks ``x + ReLU(Linear(x))``."""
 
     def __init__(self, n_features: int, n_classes: int, width: int = 96, n_blocks: int = 3, rng=None):
@@ -115,6 +109,3 @@ class ResidualMLP(Module):
         h = self.stem.bank_forward(x, params, f"{prefix}stem.").relu()
         h = self.blocks.bank_forward(h, params, f"{prefix}blocks.")
         return self.head.bank_forward(h, params, f"{prefix}head.")
-
-    def bank_loss(self, x, y: np.ndarray, params) -> Tensor:
-        return bank_cross_entropy(self.bank_forward(x, params), y)

@@ -16,12 +16,14 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import init as init_mod
+from repro.nn.losses import bank_cross_entropy
 from repro.nn.tensor import Tensor, Workspace, is_grad_enabled, no_grad
 from repro.obs.emit import span
 from repro.utils.seeding import check_random_state
 
 __all__ = [
     "Module",
+    "Classifier",
     "evaluating",
     "Linear",
     "ReLU",
@@ -332,6 +334,20 @@ class Module:
         if x.ndim > 3:
             x = x.reshape(x.shape[0], x.shape[1], -1)
         return x
+
+
+class Classifier(Module):
+    """A model whose loss is the cross-entropy of its ``bank_forward`` logits.
+
+    The one ``bank_loss`` of every classifier in the zoo.  Its loss and its
+    accuracy are functions of the logits alone, and a logit row depends on
+    its own input row only, so the synchronized model's evaluation may
+    forward a classifier's data in row blocks
+    (:meth:`~repro.distributed.cluster.SimulatedCluster.evaluate_synchronized`).
+    """
+
+    def bank_loss(self, x, y, params) -> Tensor:
+        return bank_cross_entropy(self.bank_forward(x, params), y)
 
 
 @contextlib.contextmanager

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import threading
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -27,11 +28,23 @@ import numpy as np
 
 __all__ = ["Tensor", "Workspace", "no_grad", "is_grad_enabled"]
 
-_grad_enabled = True
+
+class _Autograd(threading.local):
+    """Each thread's graph-building switch and active workspace.
+
+    Per thread, so evaluation blocks on pool threads each run in their own
+    ``no_grad(workspace)`` scope while another thread records a tape.  The
+    class attributes are a fresh thread's defaults.
+    """
+
+    grad_enabled = True
+    workspace: "Workspace | None" = None
+
+
+_state = _Autograd()
 #: The next creation stamp (one C call: threads never share a stamp).  Only a
 #: count lives here; the tape is the nodes' own parent links.
 _stamp = itertools.count(1).__next__
-_workspace: "Workspace | None" = None
 #: Ops on operands smaller than this never use a workspace: below glibc's mmap
 #: threshold (128 KiB) malloc recycles a block from its free lists in ~50 ns,
 #: less than the workspace's own bookkeeping per op (~1 us).
@@ -50,9 +63,11 @@ class Workspace:
 
     Validity rule: a tensor produced under a workspace, and every view of it,
     is valid until the next ``no_grad(workspace=ws)`` scope on that workspace;
-    copy what must outlive it.  A nested bare ``no_grad()`` suspends the
-    workspace, and ops never consult it while gradients are enabled: a tape
-    must not hold activations the next forward overwrites.
+    copy what must outlive it.  A workspace serves one thread at a time: two
+    threads forwarding at once each need their own.  A nested bare
+    ``no_grad()`` suspends the workspace, and ops never consult it while
+    gradients are enabled: a tape must not hold activations the next forward
+    overwrites.
     """
 
     #: A buffer is kept from its third request on; until then ops allocate and
@@ -85,39 +100,43 @@ class Workspace:
 
 @contextlib.contextmanager
 def no_grad(workspace: "Workspace | None" = None):
-    """Context manager disabling graph construction (like ``torch.no_grad``);
-    with a :class:`Workspace`, the scope is one forward under it."""
-    global _grad_enabled, _workspace
-    prev = _grad_enabled, _workspace
-    _grad_enabled, _workspace = False, workspace
+    """Context manager disabling graph construction (like ``torch.no_grad``)
+    on the calling thread; with a :class:`Workspace`, the scope is one
+    forward under it."""
+    state = _state
+    prev = state.grad_enabled, state.workspace
+    state.grad_enabled, state.workspace = False, workspace
     if workspace is not None:
         workspace._cursor = 0
     try:
         yield
     finally:
-        _grad_enabled, _workspace = prev
+        state.grad_enabled, state.workspace = prev
 
 
 def is_grad_enabled() -> bool:
-    return _grad_enabled
+    """Whether ops on the calling thread record a tape."""
+    return _state.grad_enabled
 
 
 def _out(a: np.ndarray, b: "np.ndarray | None" = None) -> "np.ndarray | None":
     """``out=`` for an elementwise result of ``a`` (and ``b``); ``None``: allocate."""
-    if _workspace is None or _grad_enabled or max(a.nbytes, 0 if b is None else b.nbytes) < _WORKSPACE_MIN_BYTES:
+    workspace = _state.workspace
+    if workspace is None or _state.grad_enabled or max(a.nbytes, 0 if b is None else b.nbytes) < _WORKSPACE_MIN_BYTES:
         return None
     if b is None or (a.shape == b.shape and a.dtype == b.dtype):
-        return _workspace.out(a.shape, a.dtype)
-    return _workspace.out(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+        return workspace.out(a.shape, a.dtype)
+    return workspace.out(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, into the active workspace when there is one."""
-    if (_workspace is None or _grad_enabled or a.ndim < 2 or b.ndim < 2
+    workspace = _state.workspace
+    if (workspace is None or _state.grad_enabled or a.ndim < 2 or b.ndim < 2
             or max(a.nbytes, b.nbytes) < _WORKSPACE_MIN_BYTES):
         return a @ b
     shape = (*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), a.shape[-2], b.shape[-1])
-    return np.matmul(a, b, out=_workspace.out(shape, np.result_type(a, b)))
+    return np.matmul(a, b, out=workspace.out(shape, np.result_type(a, b)))
 
 
 def _matmul_vjp(a: "Tensor", b: "Tensor", g: np.ndarray) -> tuple:
@@ -255,7 +274,7 @@ class Tensor:
         out.data = data
         out.grad = out.grad_buffer = out.name = out._pending = out._backward = None
         out.requires_grad, out._parents, out._index = False, (), _stamp()
-        if _grad_enabled:
+        if _state.grad_enabled:
             for p in parents:
                 if p.requires_grad:
                     out.requires_grad, out._parents, out._backward = True, parents, backward

@@ -25,10 +25,16 @@ sees the serial call sequence and sums its floats in serial order.
 Zero overhead when disabled: with the switch off, :func:`span` returns one
 shared null context manager and the other helpers are one global read and a
 return, so emission sites stay in per-step hot paths unconditionally.
+
+Threads: the three sinks take emissions from any thread.  A thread that
+does a share of another thread's work (an evaluation block) runs it
+:func:`muted`: its scopes reach no profile row, so the profile stays a
+wall-time attribution, and equal, call for call, to the one-thread run's.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager, nullcontext
 from typing import Iterator
@@ -36,13 +42,21 @@ from typing import Iterator
 from repro.obs.events import EVENTS, validate_event_name
 
 __all__ = [
-    "Sink", "capture", "count", "gauge", "instant", "observe", "observe_many", "replay", "span",
+    "Sink", "capture", "count", "gauge", "instant", "muted", "observe", "observe_many", "replay", "span",
 ]
 
 _OFF = (None, None, None)
 
 #: The process-wide switch: ``None``, or ``(tracer, registry, profiler)``.
 _active: "tuple | None" = None
+
+
+class _Thread(threading.local):
+    #: Whether this thread's scopes skip the profiler (see :func:`muted`).
+    muted = False
+
+
+_thread = _Thread()
 
 
 class Sink:
@@ -143,7 +157,26 @@ def span(name: str, clock=None, **fields):
     block advanced it by (0.0 for work that is free in simulated time).
     """
     sinks = _active
-    return _NULL_SPAN if sinks is None else _Span(sinks, name, clock, fields)
+    if sinks is None:
+        return _NULL_SPAN
+    if sinks[2] is not None and _thread.muted:
+        sinks = (sinks[0], sinks[1], None)
+    return _Span(sinks, name, clock, fields)
+
+
+@contextmanager
+def muted() -> Iterator[None]:
+    """Keep this thread's scopes out of the profile for the block.
+
+    For a thread running a share of work another thread started and times:
+    concurrent shares would add up to more than the wall time they took, and
+    their call counts would depend on how many threads there were.
+    """
+    previous, _thread.muted = _thread.muted, True
+    try:
+        yield
+    finally:
+        _thread.muted = previous
 
 
 def instant(name: str, clock=None, **fields) -> None:

@@ -26,6 +26,7 @@ process built never reach the parent's gauges.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 
 from repro.obs.emit import Sink
@@ -74,6 +75,11 @@ STANDARD_METRICS = (
 )
 
 
+#: Metric updates are read-modify-writes; emissions from several threads
+#: (evaluation blocks, chunk steps) take this lock for each one.
+_LOCK = threading.Lock()
+
+
 class Counter:
     """Monotonically increasing total."""
 
@@ -85,7 +91,8 @@ class Counter:
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up; got increment {amount}")
-        self.value += amount
+        with _LOCK:
+            self.value += amount
 
     def to_dict(self) -> float:
         return self.value
@@ -130,13 +137,15 @@ class Histogram:
         value = float(value)
         # First bucket whose bound is >= value; past the last bound lands in
         # the +inf overflow slot (index len(buckets)).
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
+        bucket = bisect_left(self.buckets, value)
+        with _LOCK:
+            self.counts[bucket] += 1
+            self.count += 1
+            self.sum += value
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
 
     def to_dict(self) -> dict:
         labels = [f"le_{b:g}" for b in self.buckets] + ["le_inf"]
@@ -174,16 +183,17 @@ class MetricsRegistry(Sink):
     # -- registration and access --------------------------------------------
     def _register(self, name: str, kind: str):
         metric = self._metrics.get(name)
-        if metric is not None:
-            if self._kinds[name] != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as a {self._kinds[name]}, "
-                    f"not a {kind}"
-                )
-            return metric
-        metric = _KINDS[kind]()
-        self._metrics[name] = metric
-        self._kinds[name] = kind
+        if metric is None:
+            with _LOCK:  # two threads registering one name get one metric
+                if name not in self._metrics:
+                    self._metrics[name] = _KINDS[kind]()
+                    self._kinds[name] = kind
+                metric = self._metrics[name]
+        if self._kinds[name] != kind:
+            raise ValueError(
+                f"metric {name!r} already registered as a {self._kinds[name]}, "
+                f"not a {kind}"
+            )
         return metric
 
     def counter(self, name: str) -> Counter:

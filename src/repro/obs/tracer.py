@@ -28,6 +28,7 @@ addresses).  Two seeded runs therefore produce byte-identical
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -71,6 +72,7 @@ class Tracer(Sink):
 
     def __init__(self, profile: bool = False):
         self._events: list[dict] = []
+        self._lock = threading.Lock()  # ``seq`` and the append are one step
         self._wall0 = time.perf_counter()
         self._profiler = Profiler() if profile else None
         self._profile_bridged = False
@@ -98,16 +100,17 @@ class Tracer(Sink):
         fields: dict,
     ) -> None:
         """Append one event; ``wall_at`` is a raw ``perf_counter`` reading."""
-        self._events.append({
-            "name": name,
-            "kind": kind,
-            "seq": len(self._events),
-            "v_start": v_start,
-            "v_dur": v_dur,
-            "wall_start": None if wall_at is None else wall_at - self._wall0,
-            "wall_dur": wall_dur,
-            "fields": fields,
-        })
+        with self._lock:
+            self._events.append({
+                "name": name,
+                "kind": kind,
+                "seq": len(self._events),
+                "v_start": v_start,
+                "v_dur": v_dur,
+                "wall_start": None if wall_at is None else wall_at - self._wall0,
+                "wall_dur": wall_dur,
+                "fields": fields,
+            })
 
     # -- output -------------------------------------------------------------
     def finish(self) -> list[dict]:

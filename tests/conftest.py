@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
-from repro.distributed import BackendHandle, ShmStatePlane, SimulatedCluster, worker_bank
+from repro.distributed import BackendHandle, ShmStatePlane, SimulatedCluster, host
 from repro.experiments import harness, parallel
 from repro.models.mlp import MLP
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid, Tanh
@@ -234,23 +234,25 @@ def pipe_plane():
 
 @contextmanager
 def chunk_rule(threads: bool):
-    """Backends built inside see the ``vectorized`` chunk rule pinned.
+    """Code run inside sees the host's block rule (``host.block_threads``) pinned.
 
     ``threads=True``: two usable cores and a one-byte L2, so any in-process
-    carrier of two or more chunks steps them on two threads and
-    ``vectorized`` cuts m ≥ 2 workers in two, whatever the model's size.
+    carrier of two or more chunks steps them on two threads,
+    ``vectorized`` cuts m ≥ 2 workers in two, a chunk composite's mean folds
+    its columns on two threads and a classifier's evaluation forwards
+    every metric of four rows or more in two blocks, whatever the sizes.
     ``threads=False``: an unreadable L2, so ``vectorized`` is the one bank
-    and no carrier starts a thread, whatever this host's cache.
+    and nothing starts a thread, whatever this host's cache.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(worker_bank, "usable_cores", lambda: 2)
-        patch.setattr(worker_bank, "l2_bytes", (lambda: 1) if threads else (lambda: None))
+        patch.setattr(host, "usable_cores", lambda: 2)
+        patch.setattr(host, "l2_bytes", (lambda: 1) if threads else (lambda: None))
         yield
 
 
 def chunk_threads_alive() -> list:
-    """The live threads of in-process chunk carriers' pools."""
-    return [thread for thread in threading.enumerate() if thread.name.startswith("repro-chunk")]
+    """The live threads of the process's pinned pool (``host.run_pinned``)."""
+    return [thread for thread in threading.enumerate() if thread.name.startswith("repro-pinned")]
 
 
 def seeded_backend_kwargs(n_workers: int = 4) -> dict:

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api.registries import BACKENDS, MODELS
 from repro.api.registry import filter_kwargs
-from repro.distributed import BackendHandle, LoopWorkers, SimulatedCluster, WorkerBank, host, worker_bank
+from repro.distributed import BackendHandle, LoopWorkers, SimulatedCluster, WorkerBank, host
 from repro.distributed.host import _BLAS_ENV, _set_blas_threads, l2_bytes, usable_cores
 from repro.distributed.worker_bank import vectorized_chunks
 from repro.experiments import parallel
@@ -51,22 +51,22 @@ pytestmark = pytest.mark.usefixtures("leaks")
 def test_rule_at_two_cores_and_2_mib_of_l2(monkeypatch, workload, model, n_features, hidden, m, k):
     # Only avg_bound's chunks (8 workers x 103,946 float64 parameters, 6.7 MB)
     # fill a core's L2; the conv net's and the small MLPs' stay one bank.
-    monkeypatch.setattr(worker_bank, "usable_cores", lambda: 2)
-    monkeypatch.setattr(worker_bank, "l2_bytes", lambda: 2 << 20)
+    monkeypatch.setattr(host, "usable_cores", lambda: 2)
+    monkeypatch.setattr(host, "l2_bytes", lambda: 2 << 20)
     factory = MODELS.get(model)
     template = factory(**filter_kwargs(factory, dict(n_features=n_features, n_classes=10, hidden_sizes=hidden, rng=0)))
     assert vectorized_chunks(m, template.num_parameters() * 8) == k, workload
 
 
 def test_rule_needs_two_cores_and_a_readable_l2(monkeypatch):
-    monkeypatch.setattr(worker_bank, "l2_bytes", lambda: 2 << 20)
+    monkeypatch.setattr(host, "l2_bytes", lambda: 2 << 20)
     big = 16 << 20  # one worker's row alone is 8x the L2
-    monkeypatch.setattr(worker_bank, "usable_cores", lambda: 1)
+    monkeypatch.setattr(host, "usable_cores", lambda: 1)
     assert vectorized_chunks(16, big) == 1
-    monkeypatch.setattr(worker_bank, "usable_cores", lambda: 4)
+    monkeypatch.setattr(host, "usable_cores", lambda: 4)
     assert vectorized_chunks(16, big) == 4
     assert vectorized_chunks(3, big) == 3  # capped at m
-    monkeypatch.setattr(worker_bank, "l2_bytes", lambda: None)
+    monkeypatch.setattr(host, "l2_bytes", lambda: None)
     assert vectorized_chunks(16, big) == 1
 
 

@@ -250,7 +250,7 @@ def test_nested_bare_no_grad_takes_nothing_from_the_outer_workspace(leaves):
         h = leaves[0].affine(leaves[1], leaves[2])
         with no_grad():
             inner = _forward(*leaves)
-        assert tensor_mod._workspace is workspace
+        assert tensor_mod._state.workspace is workspace
         r = h.relu()  # still the forward's second buffer
     with no_grad(workspace=workspace):
         again = _forward(*leaves)
@@ -265,16 +265,16 @@ def test_grad_enabled_ops_take_nothing_from_the_workspace(leaves):
     with no_grad(workspace=workspace):
         # No public API re-enables gradients inside ``no_grad``; if one ever
         # does, a tape must not record arrays the next forward overwrites.
-        tensor_mod._grad_enabled = True
+        tensor_mod._state.grad_enabled = True
         try:
             taped = _forward(*leaves)
         finally:
-            tensor_mod._grad_enabled = False
+            tensor_mod._state.grad_enabled = False
         reused = _forward(*leaves)
     assert taped[1].requires_grad
     assert not any(np.shares_memory(t.data, u.data) for t in taped for u in reused)
     outside = _forward(*leaves)  # after the scope: gradients on, no workspace
-    assert tensor_mod._workspace is None and outside[1].requires_grad
+    assert tensor_mod._state.workspace is None and outside[1].requires_grad
     assert not any(np.shares_memory(t.data, u.data) for t in outside for u in reused)
 
 
@@ -287,7 +287,7 @@ def test_exception_inside_the_scope_leaves_the_workspace_reusable(leaves):
         with no_grad(workspace=workspace):
             leaves[0].affine(leaves[1], leaves[2])  # abandoned mid-forward
             1 / 0
-    assert is_grad_enabled() and tensor_mod._workspace is None
+    assert is_grad_enabled() and tensor_mod._state.workspace is None
     kept = kept_bytes(workspace)
     with no_grad(workspace=workspace):
         got = _forward(*leaves)
@@ -322,7 +322,7 @@ def _cluster(backend: str, hidden=(6,), n_features=8, n_samples=96, **kwargs) ->
 
 def _probe_metric(X, y, seen: list):
     def metric(model) -> float:
-        workspace = tensor_mod._workspace
+        workspace = tensor_mod._state.workspace
         seen.append((model, model.training, is_grad_enabled(), workspace, workspace._cursor))
         return float(model.loss(X, y).item())
 
@@ -350,7 +350,7 @@ def test_evaluate_synchronized_is_the_one_evaluation_prelude(backend):
             assert first[0] is second[0]
             assert first[1:4] == second[1:4] == (False, False, cluster._eval_workspace)
             assert first[4] == 0 < second[4]
-        assert is_grad_enabled() and tensor_mod._workspace is None
+        assert is_grad_enabled() and tensor_mod._state.workspace is None
         assert seen[-1][0].training
         assert kept_bytes(cluster._eval_workspace) > 0
     assert kept_bytes(cluster._eval_workspace) == 0  # close() dropped the buffers
