@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.api.registries import COMM_SCHEDULES
+from repro.utils.domains import AT_LEAST_ONE, POSITIVE, Interval
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.schedules")
@@ -72,8 +73,7 @@ class FixedCommunicationSchedule(CommunicationSchedule):
     """Constant communication period τ (τ = 1 is fully synchronous SGD)."""
 
     def __init__(self, tau: int):
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
+        AT_LEAST_ONE("tau", tau)
         self.tau = int(tau)
 
     def next_tau(self) -> int:
@@ -149,12 +149,9 @@ class AdaCommSchedule(CommunicationSchedule):
     _next_boundary: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.initial_tau < 1:
-            raise ValueError(f"initial_tau must be >= 1, got {self.initial_tau}")
-        if self.interval_length <= 0:
-            raise ValueError(f"interval_length must be positive, got {self.interval_length}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        AT_LEAST_ONE("initial_tau", self.initial_tau)
+        POSITIVE("interval_length", self.interval_length)
+        Interval(0, 1, lo_open=True, hi_open=True)("gamma", self.gamma)
         self._tau = self.initial_tau
         self._next_boundary = self.interval_length
         self.tau_history = [(0.0, self._tau)]
@@ -186,8 +183,7 @@ class AdaCommSchedule(CommunicationSchedule):
             return
         if train_loss < 0:
             raise ValueError("train_loss must be non-negative")
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        POSITIVE("lr", lr)
 
         if self._initial_loss is None:
             # Guard against a zero initial loss (already converged).
@@ -196,8 +192,10 @@ class AdaCommSchedule(CommunicationSchedule):
             return
         if wall_time < self._next_boundary:
             return
-        while wall_time >= self._next_boundary:
-            self._next_boundary += self.interval_length
+        # Step past every boundary crossed since the last adaptation at once: a
+        # loop of `+= interval_length` never ends where the addition is absorbed.
+        crossed = (wall_time - self._next_boundary) // self.interval_length + 1
+        self._next_boundary += crossed * self.interval_length
 
         candidate = tau_rule(self._initial_loss, train_loss, self.initial_tau, self._initial_lr / lr)
         self._tau = candidate if candidate < self._tau else max(1, math.floor(self.gamma * self._tau))

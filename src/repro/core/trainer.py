@@ -34,6 +34,7 @@ from repro.distributed.cluster import RowMetric, SimulatedCluster
 from repro.nn.layers import Module
 from repro.obs.emit import span
 from repro.optim.lr_schedules import ConstantLR, LRSchedule
+from repro.utils.domains import AT_LEAST_ONE
 from repro.utils.logging import get_logger
 from repro.utils.results import MetricPoint, RunRecord
 
@@ -75,10 +76,8 @@ class TrainerConfig:
             raise ValueError("at least one of max_wall_time / max_iterations must be finite")
         if self.max_wall_time <= 0 or self.max_iterations <= 0:
             raise ValueError("budgets must be positive")
-        if self.eval_every_rounds < 1:
-            raise ValueError("eval_every_rounds must be >= 1")
-        if self.iterations_per_epoch < 1:
-            raise ValueError("iterations_per_epoch must be >= 1")
+        AT_LEAST_ONE("eval_every_rounds", self.eval_every_rounds)
+        AT_LEAST_ONE("iterations_per_epoch", self.iterations_per_epoch)
 
 
 class PASGDTrainer:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.registries import DATASETS
+from repro.utils.domains import Interval
 from repro.utils.seeding import check_random_state
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
     "make_spirals",
     "make_linear_regression",
 ]
+
+#: The fraction of labels flipped at random: all of them would leave no signal.
+LABEL_NOISE = Interval(0, 1, hi_open=True)
 
 
 @dataclass
@@ -89,8 +93,7 @@ def make_gaussian_blobs(
     """
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
-    if not 0.0 <= label_noise < 1.0:
-        raise ValueError("label_noise must be in [0, 1)")
+    LABEL_NOISE("label_noise", label_noise)
     gen = check_random_state(rng)
     centers = gen.normal(0.0, class_sep, size=(n_classes, n_features))
     y = gen.integers(0, n_classes, size=n_samples)

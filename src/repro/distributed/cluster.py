@@ -49,6 +49,7 @@ from repro.nn.tensor import Tensor, Workspace, no_grad
 from repro.obs.emit import count, gauge, instant, muted, observe, observe_many, span
 from repro.optim.block_momentum import BlockMomentum
 from repro.runtime.simulator import AsyncRoundTiming, RuntimeSimulator
+from repro.utils.domains import AT_LEAST_ONE, POSITIVE
 from repro.utils.seeding import SeedSequence
 from repro.utils.timer import VirtualClock
 
@@ -177,8 +178,7 @@ class SimulatedCluster:
         backend: "str | BackendHandle" = "loop",
         bank_dtype: str = "float64",
     ):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        AT_LEAST_ONE("n_workers", n_workers)
         if runtime.n_workers != n_workers:
             raise ValueError(
                 f"runtime simulator is configured for {runtime.n_workers} workers, "
@@ -322,8 +322,7 @@ class SimulatedCluster:
         Returns the mean local batch loss over the period (across workers and
         steps), which AdaComm may use as a cheap loss proxy.
         """
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
+        AT_LEAST_ONE("tau", tau)
         # The span closes after the clock advance so its virtual duration is
         # the sampled straggler-bound compute time of the period.
         with span("local_steps", clock=self.clock, tau=tau, backend=self.backend_name):
@@ -538,8 +537,7 @@ class SimulatedCluster:
     # -- hyper-parameter control ---------------------------------------------------
     def set_lr(self, lr: float) -> None:
         """Set the learning rate on every worker."""
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        POSITIVE("learning rate", lr)
         self._backend.set_lr(lr)
         self.current_lr = float(lr)
 

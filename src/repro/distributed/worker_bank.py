@@ -61,6 +61,7 @@ from repro.nn.bank import ParameterBank, attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
 from repro.optim.bank_sgd import BankSGD
+from repro.utils.domains import AT_LEAST_ONE
 
 __all__ = [
     "WorkerBank",
@@ -83,8 +84,7 @@ def shard_slices(n_workers: int, n_shards: int) -> list[tuple[int, int]]:
     deterministic partition.  ``n_shards`` is clamped to ``n_workers`` so no
     shard is ever empty.
     """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    AT_LEAST_ONE("n_shards", n_shards)
     n_shards = min(n_shards, n_workers)
     base, extra = divmod(n_workers, n_shards)
     slices, lo = [], 0
@@ -273,8 +273,7 @@ class WorkerBank(WorkerBackend):
         return loss.data.reshape(1).copy()
 
     def local_period(self, tau: int) -> np.ndarray:
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
+        AT_LEAST_ONE("tau", tau)
         totals = np.zeros(self.n_workers)
         for _ in range(tau):
             totals += self.local_step()
@@ -383,8 +382,7 @@ class Chunks(WorkerBackend):
         raise IndexError(f"worker_id {worker_id} out of range [0, {self.n_workers})")
 
     def local_period(self, tau: int) -> np.ndarray:
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
+        AT_LEAST_ONE("tau", tau)
         return np.concatenate(self._each("local_period", tau))
 
     def worker_state(self, worker_id: int) -> np.ndarray:

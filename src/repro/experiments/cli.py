@@ -25,7 +25,9 @@ The experiment is composed declaratively from the ``repro.api`` registries:
   store, and with ``--sweep`` each executed cell gets a ``metrics.json``
   sidecar next to its result;
 * ``--set key=value`` (repeatable) overrides any config field, with values
-  parsed as Python literals (``--set n_workers=4 --set delay=pareto``);
+  parsed as Python literals (``--set n_workers=4 --set delay=pareto``; ``nan``
+  and ``inf`` are floats); every field's type and domain is checked before
+  anything runs;
 * ``--list {configs,models,datasets,delays,schedules,scalings,lr_schedules,backends,sweeps}``
   prints the registered names and exits.
 
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -59,7 +62,7 @@ from repro.experiments.figures import (
     summarize_series,
     sweep_loss_curves,
 )
-from repro.experiments.harness import default_methods, run_experiment
+from repro.experiments.harness import run_experiment
 from repro.experiments.tables import (
     accuracy_table,
     format_table,
@@ -93,7 +96,6 @@ _CONFIG_FLAGS: list[tuple[str, str, dict]] = [
              "(see --list backends; auto picks vectorized when supported and "
              "escalates to sharded at large n_workers)")),
     ("--bank-dtype", "bank_dtype", dict(
-        choices=["float64", "float32"],
         help="bank storage dtype: float64 (byte-identical default) or "
              "float32 (reduced precision, parity within tolerance)")),
     ("--seed", "seed", dict(type=int, help="override the config seed")),
@@ -186,8 +188,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 config = config.with_overrides(**overrides)
             except TypeError as err:
                 raise SystemExit(f"error: invalid --set override: {err}") from err
-        default_methods(config.validate())  # a bad method spec or a shared label
-        return config
+        return config.validate()  # every field's domain, the lineup included
     except ValueError as err:
         raise SystemExit(f"error: {err}") from err
 
@@ -278,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit(f"error: --jobs must be >= 1, got {args.jobs}")
     if args.points < 2:
         raise SystemExit(f"error: --points must be >= 2, got {args.points}")
+    if args.target_loss is not None and not math.isfinite(args.target_loss):
+        raise SystemExit(f"error: --target-loss must be finite, got {args.target_loss}")
 
     if args.list_what is not None:
         names = (

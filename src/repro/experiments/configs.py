@@ -24,8 +24,10 @@ higher-fidelity runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from functools import partial
+from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from repro.api.registries import (
     BACKENDS,
@@ -35,16 +37,26 @@ from repro.api.registries import (
     MODELS,
     NETWORK_SCALINGS,
 )
-from repro.api.registry import filter_kwargs
-from repro.data.synthetic import Dataset
+from repro.api.registry import Registry, filter_kwargs
+from repro.data.synthetic import LABEL_NOISE, Dataset
 from repro.distributed.collectives import Exact
 from repro.distributed.reuse import BackendHandle
+from repro.optim.lr_schedules import DECAY_GAMMA, check_milestones
+from repro.optim.sgd import MOMENTUM, require_finite
 from repro.runtime.distributions import DelayDistribution
+from repro.utils.domains import AT_LEAST_ONE, NON_NEGATIVE, POSITIVE, Interval
 
 __all__ = ["ExperimentConfig", "make_config", "available_configs", "config_spec"]
 
-# Fields stored as tuples but serialized as JSON lists.
-_TUPLE_FIELDS = ("hidden_sizes", "lr_decay_milestones", "fixed_taus", "methods")
+
+def _field(default: Any, domain: Any) -> Any:
+    """A field whose value must lie in ``domain``: a registry, a choice tuple or a ``check(name, value)``."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def _backend_name(name: str, value: str) -> None:
+    if value != "auto":
+        BACKENDS.get(value)
 
 
 @dataclass(frozen=True)
@@ -57,20 +69,23 @@ class ExperimentConfig:
     and rebuilt with :meth:`from_dict`.  What a method's communication step
     does (gossip, async, elastic dropout) is named by its method spec, never
     by a lineup-wide field; see :func:`repro.experiments.harness.parse_method_spec`.
+
+    Each field declares its domain once: its annotation is its type, and its
+    metadata the range, name set or registry its value must lie in.
     """
 
     name: str
     # Workload
-    dataset: str = "synth_cifar10"
-    model: str = "mlp"
+    dataset: str = _field("synth_cifar10", DATASETS)
+    model: str = _field("mlp", MODELS)
     model_kwargs: dict = field(default_factory=dict)
-    n_train: int = 2400
-    n_test: int = 600
-    n_features: int = 64
-    class_sep: float = 0.8
-    label_noise: float = 0.15
-    hidden_sizes: tuple[int, ...] = ()
-    n_classes: int = 10
+    n_train: int = _field(2400, AT_LEAST_ONE)
+    n_test: int = _field(600, AT_LEAST_ONE)
+    n_features: int = _field(64, AT_LEAST_ONE)
+    class_sep: float = _field(0.8, NON_NEGATIVE)
+    label_noise: float = _field(0.15, LABEL_NOISE)
+    hidden_sizes: tuple[int, ...] = _field((), AT_LEAST_ONE)
+    n_classes: int = _field(10, Interval(2))
     # Cluster.  ``backend`` selects the worker-execution engine: "loop" steps
     # m banks of one worker (the independent check of the worker axis),
     # "vectorized" runs all replicas as stacked NumPy ops, "sharded" splits
@@ -79,46 +94,50 @@ class ExperimentConfig:
     # else vectorized whenever the model supports it — which every
     # registered model does.  All backends are byte-identical, so these
     # knobs change the process layout, never the trajectory.
-    n_workers: int = 4
-    batch_size: int = 8
-    backend: str = "auto"
-    backend_shards: int = 2
-    auto_shard_threshold: "int | None" = 64
+    n_workers: int = _field(4, AT_LEAST_ONE)
+    batch_size: int = _field(8, AT_LEAST_ONE)
+    backend: str = _field("auto", _backend_name)
+    backend_shards: int = _field(2, AT_LEAST_ONE)
+    auto_shard_threshold: int | None = _field(64, AT_LEAST_ONE)
     # Bank storage dtype: "float64" (byte-identical default) or "float32"
     # (opt-in reduced precision — half the memory traffic, parity within
     # tolerance; the loop backend stays the float64 reference regardless).
-    bank_dtype: str = "float64"
+    bank_dtype: str = _field("float64", ("float64", "float32"))
     # Averaging-collective weighting: "uniform" (paper, eq. 3) or
-    # "shard_size" (FedAvg-style, for unbalanced partitions).
+    # "shard_size" (FedAvg-style, for unbalanced partitions); ``Exact`` owns
+    # the names, checked through ``collective()``.
     weighting: str = "uniform"
     # Delay model (all times in units of the mean compute time).  ``delay`` is
     # either a registered distribution name, whose parameters are derived from
     # ``compute_time`` / ``compute_time_std_fraction`` (moment matching), or a
-    # ``{"kind": name, **params}`` dict giving the parameters explicitly.
+    # ``{"kind": name, **params}`` dict giving the parameters explicitly;
+    # ``validate()`` builds it (:meth:`compute_distribution`).
     delay: str | dict = "shifted_exponential"
-    compute_time: float = 1.0
-    compute_time_std_fraction: float = 0.25
-    alpha: float = 4.0
-    network_scaling: str = "constant"
+    # A clock that cannot move never ends a run: the trainer loops until the
+    # virtual clock reaches the budget.
+    compute_time: float = _field(1.0, POSITIVE)
+    compute_time_std_fraction: float = _field(0.25, NON_NEGATIVE)
+    alpha: float = _field(4.0, NON_NEGATIVE)
+    network_scaling: str = _field("constant", NETWORK_SCALINGS)
     # Optimization
-    lr: float = 0.4
-    weight_decay: float = 1e-4
-    momentum: float = 0.0
-    block_momentum_beta: float = 0.0
+    lr: float = _field(0.4, require_finite)
+    weight_decay: float = _field(1e-4, partial(require_finite, zero_ok=True))
+    momentum: float = _field(0.0, MOMENTUM)
+    block_momentum_beta: float = _field(0.0, MOMENTUM)
     variable_lr: bool = False
-    lr_schedule: str | None = None  # overrides ``variable_lr`` when set
-    lr_decay_milestones: tuple[float, ...] = (3.0, 6.0, 9.0)
-    lr_decay_gamma: float = 0.1
+    lr_schedule: str | None = _field(None, LR_SCHEDULES)  # overrides ``variable_lr`` when set
+    lr_decay_milestones: tuple[float, ...] = _field((3.0, 6.0, 9.0), check_milestones)
+    lr_decay_gamma: float = _field(0.1, DECAY_GAMMA)
     # Budgets / schedules
-    wall_time_budget: float = 1800.0
-    adacomm_interval: float = 120.0
-    adacomm_initial_tau: int = 20
-    fixed_taus: tuple[int, ...] = (1, 20, 100)
+    wall_time_budget: float = _field(1800.0, POSITIVE)
+    adacomm_interval: float = _field(120.0, POSITIVE)
+    adacomm_initial_tau: int = _field(20, AT_LEAST_ONE)
+    fixed_taus: tuple[int, ...] = _field((1, 20, 100), AT_LEAST_ONE)
     # Method lineup: ``None`` means the paper default (one entry per
     # ``fixed_taus`` value plus ADACOMM); otherwise a tuple of method specs
-    # such as ("sync-sgd", "pasgd-tau20", "adacomm").
+    # such as ("sync-sgd", "pasgd-tau20", "adacomm"); ``validate()`` parses it.
     methods: tuple[str, ...] | None = None
-    eval_every_rounds: int = 1
+    eval_every_rounds: int = _field(1, AT_LEAST_ONE)
     seed: int = 7
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
@@ -186,12 +205,9 @@ class ExperimentConfig:
             # Zero spread degenerates to a deterministic delay for every family.
             return DELAYS.build("constant", value=mean)
         from_moments = getattr(factory, "from_moments", None)
-        if from_moments is None:
-            raise ValueError(
-                f"delay distribution {spec!r} has no from_moments(mean, std) hook; pass "
-                f"an explicit spec dict like {{'kind': {spec!r}, ...params}} instead"
-            )
         try:
+            if from_moments is None:
+                raise NotImplementedError("no from_moments(mean, std) hook")
             return from_moments(mean, std)
         except NotImplementedError as err:
             raise ValueError(
@@ -231,12 +247,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentConfig":
-        """Rebuild a config from :meth:`to_dict` output, validating names.
+        """Rebuild a config from :meth:`to_dict` output and :meth:`validate` it.
 
-        Unknown keys and component names that are not registered raise
-        ``ValueError`` so a typo in a JSON config fails before any training.
+        JSON lists become tuples.  Unknown keys, values outside their field's
+        type or domain and names that are not registered raise ``ValueError``,
+        so a typo in a JSON config fails before any training.
         """
-        payload = dict(data)
+        payload = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
         # A retired layout knob that never changed a trajectory: older saves still load.
         payload.pop("shard_transport", None)
         known = {f.name for f in fields(cls)}
@@ -245,56 +262,103 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown config fields {unknown}; known fields: {sorted(known)}"
             )
-        for key in _TUPLE_FIELDS:
-            if payload.get(key) is not None:
-                payload[key] = tuple(payload[key])
-        config = cls(**payload)
-        config.validate()
-        return config
+        return cls(**payload).validate()
 
     def validate(self) -> "ExperimentConfig":
-        """Check component names against their registries and sizes against their ranges."""
-        DATASETS.get(self.dataset)
-        MODELS.get(self.model)
-        # A run whose clock cannot move never ends: the trainer loops until
-        # the virtual clock reaches the budget.
-        if not self.compute_time > 0:
-            raise ValueError(f"compute_time must be positive, got {self.compute_time}")
-        if not self.compute_time_std_fraction >= 0:
-            raise ValueError(
-                f"compute_time_std_fraction must be >= 0, got {self.compute_time_std_fraction}"
-            )
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        compute = self.compute_distribution()
-        if not compute.mean > 0:
-            raise ValueError(f"the compute-time distribution's mean must be positive, got {compute.mean}")
-        NETWORK_SCALINGS.get(self.network_scaling)
-        if self.lr_schedule is not None:
-            LR_SCHEDULES.get(self.lr_schedule)
-        if self.backend != "auto":
-            BACKENDS.get(self.backend)
-        for name in ("n_train", "n_test", "n_features", "n_workers", "batch_size", "eval_every_rounds"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if any(width < 1 for width in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must all be >= 1, got {self.hidden_sizes}")
-        if self.methods is not None and not self.methods:
-            raise ValueError("methods must name at least one method, got ()")
-        if not self.wall_time_budget > 0:
-            raise ValueError(f"wall_time_budget must be positive, got {self.wall_time_budget}")
-        if self.backend_shards < 1:
-            raise ValueError(f"backend_shards must be >= 1, got {self.backend_shards}")
-        if self.auto_shard_threshold is not None and self.auto_shard_threshold < 1:
-            raise ValueError(
-                f"auto_shard_threshold must be >= 1 or None, got {self.auto_shard_threshold}"
-            )
-        if self.bank_dtype not in ("float64", "float32"):
-            raise ValueError(
-                f"unknown bank_dtype {self.bank_dtype!r}; choose 'float64' or 'float32'"
-            )
-        self.collective()  # range checks of weighting and block_momentum_beta
+        """Check each field's type and domain, then the cross-field rules, before anything runs."""
+        for name, domain in _DOMAINS.items():
+            value = getattr(self, name)
+            check_type(name, value)
+            if value is None or domain is None:
+                continue
+            if isinstance(domain, Registry):
+                domain.get(value)
+            elif isinstance(domain, tuple):
+                if value not in domain:
+                    raise ValueError(f"unknown {name} {value!r}; choose {' or '.join(map(repr, domain))}")
+            else:
+                domain(name, value)
+        for rule in _CROSS_FIELD_RULES:
+            rule(self)
         return self
+
+
+_KINDS = {int: "integers", float: "finite numbers", bool: "booleans", str: "strings", dict: "dicts",
+          type(None): "None"}
+
+
+def _accepts(hint: Any) -> Callable[[Any], bool]:
+    """Whether a value has type ``hint``: an int is no bool, a float is finite, and an int is a float."""
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        item = _accepts(args[0])
+        return lambda value: isinstance(value, tuple) and all(map(item, value))
+    if args:  # a union
+        arms = [_accepts(arm) for arm in args]
+        return lambda value: any(arm(value) for arm in arms)
+    if hint is float:
+        return lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return lambda value: isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
+def _describe(hint: Any) -> str:
+    if get_origin(hint) is tuple:
+        return f"tuples of {_describe(get_args(hint)[0])}"
+    return " or ".join(_describe(arm) for arm in get_args(hint)) or _KINDS[hint]
+
+
+# Each field's resolved annotation, read once: its type check and how to name the type.
+_TYPES = {name: (_accepts(hint), _describe(hint)) for name, hint in get_type_hints(ExperimentConfig).items()}
+_DOMAINS = {f.name: f.metadata.get("domain") for f in fields(ExperimentConfig)}
+
+
+def check_type(name: str, value: Any, subject: "str | None" = None) -> None:
+    """Refuse a ``value`` of another type than config field ``name``'s; the error names ``subject``."""
+    accepts, kinds = _TYPES.get(name, (None, None))
+    if accepts is not None and not accepts(value):
+        raise ValueError(f"{subject or name} takes {kinds}, got {value!r}")
+
+
+def _train_floor(config: ExperimentConfig) -> int:
+    return config.n_workers * config.batch_size
+
+
+def _data_fills_a_round(config: ExperimentConfig) -> None:
+    if config.n_train < _train_floor(config):
+        raise ValueError(f"n_train must be >= n_workers * batch_size = {_train_floor(config)}, got {config.n_train}")
+
+
+def _model_takes_kwargs(config: ExperimentConfig) -> None:
+    kwargs = config.model_kwargs
+    unknown = kwargs and sorted(set(kwargs) - set(filter_kwargs(MODELS.get(config.model), kwargs)))
+    if unknown:
+        raise ValueError(f"model_kwargs {unknown} are not arguments of model {config.model!r}")
+
+
+def _compute_mean_positive(config: ExperimentConfig) -> None:
+    mean = config.compute_distribution().mean
+    if not mean > 0:
+        raise ValueError(f"delay {config.delay!r}: the compute-time distribution's mean must be positive, got {mean}")
+
+
+def _lineup_parses(config: ExperimentConfig) -> None:
+    from repro.experiments.harness import default_methods  # the harness imports this module
+
+    if config.methods == ():
+        raise ValueError("methods must name at least one method, got ()")
+    try:
+        default_methods(config)  # a bad method spec or a shared label
+    except ValueError as err:
+        if config.methods is not None:
+            raise
+        raise ValueError(f"fixed_taus {config.fixed_taus}: {err}") from None  # the default lineup's source
+
+
+#: Rules over several fields, checked once every field lies in its domain.  The
+#: collective owns the weighting names (and shares β's range with its field).
+_CROSS_FIELD_RULES = (
+    _data_fills_a_round, _model_takes_kwargs, _compute_mean_positive, ExperimentConfig.collective, _lineup_parses,
+)
 
 
 # -- named configs (declarative specs) ------------------------------------
@@ -377,14 +441,14 @@ def config_spec(name: str) -> dict[str, Any]:
 
 def _apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
     """Scale the wall-clock budget, AdaComm interval, and training-set size."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     if scale == 1.0:
         return cfg
     return cfg.with_overrides(
         wall_time_budget=cfg.wall_time_budget * scale,
         adacomm_interval=cfg.adacomm_interval * scale,
-        n_train=max(cfg.n_workers * cfg.batch_size, int(cfg.n_train * scale + 0.5)),
+        n_train=max(_train_floor(cfg), int(cfg.n_train * scale + 0.5)),
     )
 
 

@@ -310,7 +310,7 @@ def _build_model_fn(config: ExperimentConfig, model_seed: int, dataset: Dataset)
     Builders have heterogeneous signatures (CNNs take no ``hidden_sizes``,
     linear models no ``hidden_sizes`` either), so the standard kwargs are
     filtered per builder; ``config.model_kwargs`` entries are passed last and
-    unconditionally, so an unknown name there fails loudly.
+    unconditionally, and ``validate()`` refuses a name the builder does not take.
 
     The model's input and head are sized from the *built* ``dataset``, which
     wins over ``config.n_features`` / ``config.n_classes``: generators with an

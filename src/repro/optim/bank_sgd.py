@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.nn.bank import ParameterBank
 from repro.obs.emit import span
-from repro.optim.sgd import require_finite
+from repro.optim.sgd import MOMENTUM, require_finite
 
 __all__ = ["BankSGD"]
 
@@ -41,8 +41,7 @@ class BankSGD:
         weight_decay: float = 0.0,
     ):
         require_finite("learning rate", lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        MOMENTUM("momentum", momentum)
         require_finite("weight_decay", weight_decay, zero_ok=True)
 
         self.bank = bank

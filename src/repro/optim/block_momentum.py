@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optim.sgd import require_finite
+from repro.optim.sgd import MOMENTUM, require_finite
 
 __all__ = ["BlockMomentum"]
 
@@ -43,8 +43,7 @@ class BlockMomentum:
     """
 
     def __init__(self, beta: float = 0.3):
-        if not 0.0 <= beta < 1.0:
-            raise ValueError(f"global momentum factor must be in [0, 1), got {beta}")
+        MOMENTUM("global momentum factor", beta)
         self.beta = float(beta)
         self._buffer: np.ndarray | None = None
         self.n_rounds = 0

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.api.registries import LR_SCHEDULES
 from repro.optim.sgd import require_finite
+from repro.utils.domains import POSITIVE, Interval
 
 __all__ = [
     "LRSchedule",
@@ -25,6 +26,16 @@ __all__ = [
     "TauGatedStepLR",
     "make_lr_schedule",
 ]
+
+#: A decay factor's range: 1 keeps the rate, and 0 would zero it.
+DECAY_GAMMA = Interval(0, 1, lo_open=True)
+
+
+def check_milestones(name: str, milestones: tuple) -> None:
+    """Refuse milestones that are not positive epochs in ascending order."""
+    POSITIVE(name, tuple(milestones))
+    if list(milestones) != sorted(milestones):
+        raise ValueError(f"{name} must be sorted ascending, got {milestones}")
 
 
 class LRSchedule(abc.ABC):
@@ -69,8 +80,8 @@ class StepDecayLR(LRSchedule):
 
     def __post_init__(self) -> None:
         require_finite("learning rate", self.lr)
-        if not (self.step_epochs > 0 and 0 < self.gamma <= 1):
-            raise ValueError("invalid StepDecayLR parameters")
+        POSITIVE("step_epochs", self.step_epochs)
+        DECAY_GAMMA("gamma", self.gamma)
 
     def lr_at(self, epoch: float, tau: int = 1) -> float:
         n_decays = int(epoch // self.step_epochs)
@@ -92,12 +103,8 @@ class MultiStepLR(LRSchedule):
 
     def __post_init__(self) -> None:
         require_finite("learning rate", self.lr)
-        if not 0 < self.gamma <= 1:
-            raise ValueError("invalid MultiStepLR parameters")
-        if any(m <= 0 for m in self.milestones):
-            raise ValueError("milestones must be positive")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ValueError("milestones must be sorted ascending")
+        DECAY_GAMMA("gamma", self.gamma)
+        check_milestones("milestones", self.milestones)
 
     def lr_at(self, epoch: float, tau: int = 1) -> float:
         n_decays = sum(1 for m in self.milestones if epoch >= m)
@@ -127,10 +134,8 @@ class TauGatedStepLR(LRSchedule):
 
     def __post_init__(self) -> None:
         require_finite("learning rate", self.lr)
-        if not 0 < self.gamma <= 1:
-            raise ValueError("invalid TauGatedStepLR parameters")
-        if list(self.milestones) != sorted(self.milestones):
-            raise ValueError("milestones must be sorted ascending")
+        DECAY_GAMMA("gamma", self.gamma)
+        check_milestones("milestones", self.milestones)
 
     def lr_at(self, epoch: float, tau: int = 1) -> float:
         eligible = sum(1 for m in self.milestones if epoch >= m)

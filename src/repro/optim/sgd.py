@@ -17,8 +17,12 @@ import numpy as np
 
 from repro.nn.layers import Module
 from repro.nn.tensor import Tensor
+from repro.utils.domains import Interval
 
 __all__ = ["SGD"]
+
+#: A momentum factor's range: the local heavy-ball one and block momentum's global β.
+MOMENTUM = Interval(0, 1, hi_open=True)
 
 
 def require_finite(name: str, value: float, *, zero_ok: bool = False) -> None:
@@ -60,8 +64,7 @@ class SGD:
         if not params:
             raise ValueError("optimizer received no parameters")
         require_finite("learning rate", lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+        MOMENTUM("momentum", momentum)
         require_finite("weight_decay", weight_decay, zero_ok=True)
 
         self.params: list[Tensor] = params

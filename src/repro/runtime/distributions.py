@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.api.registries import DELAYS
+from repro.utils.domains import AT_LEAST_ONE, POSITIVE
 from repro.utils.seeding import check_random_state
 
 __all__ = [
@@ -115,8 +116,7 @@ class ExponentialDelay(DelayDistribution):
         return cls(scale=mean)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        POSITIVE("scale", self.scale)
 
     @property
     def mean(self) -> float:
@@ -147,16 +147,14 @@ class ShiftedExponentialDelay(DelayDistribution):
     @classmethod
     def from_moments(cls, mean: float, std: float) -> "ShiftedExponentialDelay":
         """Set the exponential part's scale to the std (capped so shift >= 0)."""
-        if std <= 0:
-            raise ValueError(f"std must be positive, got {std}")
+        POSITIVE("std", std)
         scale = min(std, mean)
         return cls(shift=mean - scale, scale=scale)
 
     def __post_init__(self) -> None:
         if self.shift < 0:
             raise ValueError(f"shift must be non-negative, got {self.shift}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        POSITIVE("scale", self.scale)
 
     @property
     def mean(self) -> float:
@@ -182,8 +180,7 @@ class UniformDelay(DelayDistribution):
     @classmethod
     def from_moments(cls, mean: float, std: float) -> "UniformDelay":
         """Center at the mean with half-width √3·std (capped so low >= 0)."""
-        if std <= 0:
-            raise ValueError(f"std must be positive, got {std}")
+        POSITIVE("std", std)
         half_width = min(math.sqrt(3.0) * std, mean)
         return cls(low=mean - half_width, high=mean + half_width)
 
@@ -220,15 +217,13 @@ class ParetoDelay(DelayDistribution):
     @classmethod
     def from_moments(cls, mean: float, std: float) -> "ParetoDelay":
         """Solve E = αs/(α−1), Var = std² for the shape: α(α−2) = (mean/std)²."""
-        if std <= 0:
-            raise ValueError(f"std must be positive, got {std}")
+        POSITIVE("std", std)
         f = std / mean
         shape = 1.0 + math.sqrt(1.0 + 1.0 / f**2)
         return cls(scale=mean * (shape - 1.0) / shape, alpha=shape)
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        POSITIVE("scale", self.scale)
         if self.alpha <= 2:
             raise ValueError(f"alpha must exceed 2 for finite variance, got {self.alpha}")
 
@@ -256,8 +251,7 @@ class AveragedDelay(DelayDistribution):
     """
 
     def __init__(self, base: DelayDistribution, tau: int):
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
+        AT_LEAST_ONE("tau", tau)
         self.base = base
         self.tau = int(tau)
 

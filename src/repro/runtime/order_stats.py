@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.runtime.distributions import DelayDistribution, ExponentialDelay
+from repro.utils.domains import AT_LEAST_ONE, POSITIVE
 from repro.utils.seeding import check_random_state
 
 __all__ = [
@@ -30,8 +31,7 @@ __all__ = [
 
 def harmonic_number(m: int) -> float:
     """The m-th harmonic number ``H_m = sum_{i=1}^m 1/i``."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    AT_LEAST_ONE("m", m)
     return float(np.sum(1.0 / np.arange(1, m + 1)))
 
 
@@ -42,8 +42,7 @@ def expected_max_exponential(mean: float, m: int) -> float:
     per-iteration cost of fully synchronous SGD grows logarithmically with
     the number of workers.
     """
-    if mean <= 0:
-        raise ValueError(f"mean must be positive, got {mean}")
+    POSITIVE("mean", mean)
     return mean * harmonic_number(m)
 
 
@@ -58,8 +57,7 @@ def expected_max_iid(
     Uses the exact closed form when ``dist`` is exponential or has zero
     variance (constant), otherwise simulates.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    AT_LEAST_ONE("m", m)
     if dist.variance == 0.0:
         return dist.mean
     if isinstance(dist, ExponentialDelay):
@@ -81,8 +79,7 @@ def expected_max_averaged(
     This is the first term of the PASGD per-iteration runtime (eq. 11).  For
     τ = 1 it coincides with :func:`expected_max_iid`.
     """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    AT_LEAST_ONE("tau", tau)
     if tau == 1:
         return expected_max_iid(dist, m, n_samples=n_samples, rng=rng)
     if dist.variance == 0.0:
@@ -107,10 +104,8 @@ def empirical_max_distribution(
     fully synchronous SGD (τ=1) versus PASGD (τ=10) with exponential compute
     times.  ``comm_delay`` is the (deterministic) communication delay ``D``.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    AT_LEAST_ONE("m", m)
+    AT_LEAST_ONE("tau", tau)
     if comm_delay < 0:
         raise ValueError(f"comm_delay must be non-negative, got {comm_delay}")
     gen = check_random_state(rng)

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.runtime.distributions import DelayDistribution
 from repro.runtime.network import NetworkModel
+from repro.utils.domains import AT_LEAST_ONE
 from repro.utils.seeding import check_random_state
 
 __all__ = ["AsyncRoundTiming", "RuntimeSimulator"]
@@ -62,8 +63,7 @@ class RuntimeSimulator:
         n_workers: int,
         rng: np.random.Generator | int | None = None,
     ):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        AT_LEAST_ONE("n_workers", n_workers)
         self.compute = compute
         self.network = network
         self.n_workers = int(n_workers)
@@ -108,6 +108,5 @@ class RuntimeSimulator:
     # Not a public sampler: ``benchmarks/e2e/traced_main.py`` times the three
     # public ones as ``runtime.sample_s``, and an async period is one call.
     def _per_worker_compute(self, tau: int) -> np.ndarray:
-        if tau < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
+        AT_LEAST_ONE("tau", tau)
         return self.compute.sample((self.n_workers, tau), self._rng).sum(axis=1)

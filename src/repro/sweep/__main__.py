@@ -83,7 +83,7 @@ def _run_query(args: argparse.Namespace) -> int:
     where = dict(args.where)
     try:
         hits = store.query(where, campaign=args.campaign)
-    except KeyError as err:
+    except (KeyError, ValueError) as err:  # no such campaign; a nan / inf value has no JSON form
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 1
     for hit in hits:

@@ -38,7 +38,8 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.experiments.configs import ExperimentConfig, config_spec
+from repro.experiments.configs import ExperimentConfig, check_type, config_spec
+from repro.utils.domains import AT_LEAST_ONE
 from repro.utils.seeding import check_random_state
 
 __all__ = ["SweepSpec", "SweepCell", "grid", "paired", "cell_hash", "derive_cell_seed"]
@@ -110,11 +111,10 @@ def _integer_axis(name: str, value: Any) -> int:
 def _resolve_axis(name: str, value: Any) -> dict[str, Any]:
     """Map one axis assignment to concrete ``ExperimentConfig`` overrides."""
     if name == "m":
-        return {"n_workers": _integer_axis(name, value)}
+        return {"n_workers": value}
     if name == "tau":
         tau = _integer_axis(name, value)
-        if tau < 1:
-            raise ValueError(f"tau axis values must be >= 1, got {value!r}")
+        AT_LEAST_ONE("tau axis values", tau)
         return {"methods": ("sync-sgd" if tau == 1 else f"pasgd-tau{tau}",)}
     if name == "method":
         return {"methods": (value,) if isinstance(value, str) else tuple(value)}
@@ -264,20 +264,21 @@ class SweepSpec:
         object.__setattr__(self, "axes", {k: list(v) for k, v in self.axes.items()})
         if self.expansion == "paired":
             _check_equal_lengths(self.axes)
-        if self.sample_n is not None and self.sample_n < 1:
-            raise ValueError(f"sample_n must be >= 1, got {self.sample_n}")
+        if self.sample_n is not None:
+            AT_LEAST_ONE("sample_n", self.sample_n)
         seen_fields: dict[str, str] = {}
         for axis, values in self.axes.items():
             if not values:
                 raise ValueError(f"sweep axis {axis!r} has no values")
             # Every value, not the first: two named configs set different fields.
-            for target in dict.fromkeys(t for v in values for t in _resolve_axis(axis, v)):
-                if target in seen_fields:
+            # A value of the wrong type is refused here; its domain, with the cell.
+            for target, value in (item for v in values for item in _resolve_axis(axis, v).items()):
+                check_type(target, value, f"sweep axis {axis!r}")
+                if seen_fields.setdefault(target, axis) != axis:
                     raise ValueError(
                         f"axes {seen_fields[target]!r} and {axis!r} both set "
                         f"config field {target!r}"
                     )
-                seen_fields[target] = axis
         self.base.to_dict()  # fails loudly on non-serializable configs
 
     def random(self, n: int, seed: int = 0) -> "SweepSpec":
@@ -287,8 +288,7 @@ class SweepSpec:
         replacement inside :meth:`cells`, so the same ``(n, seed)`` always
         names the same sub-campaign and resumes from the store for free.
         """
-        if n < 1:
-            raise ValueError(f"random sample size must be >= 1, got {n}")
+        AT_LEAST_ONE("random sample size", n)
         return replace(self, sample_n=int(n), sample_seed=int(seed))
 
     def _combos(self) -> "list[tuple]":

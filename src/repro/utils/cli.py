@@ -14,6 +14,7 @@ def key_value_parser(flag: str):
     Values parse as Python literals with a plain-string fallback, so
     ``tau=4`` yields an int and ``delay=pareto`` a string — the one
     convention shared by ``--set`` (main CLI) and ``--where`` (sweep CLI).
+    ``nan``, ``inf`` and ``-inf`` are floats, for a domain to refuse.
     ``flag`` only names the option in the error message.
     """
 
@@ -24,7 +25,7 @@ def key_value_parser(flag: str):
         try:
             value: object = ast.literal_eval(raw)
         except (ValueError, SyntaxError):
-            value = raw
+            value = float(raw) if raw in ("nan", "inf", "-inf") else raw
         return key, value
 
     return parse

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,22 @@ class TestAdaCommController:
         assert sched.next_tau() == 8
         sched.observe(40.0, 1.0, lr=0.1)
         assert sched.tau_history[-1] == (40.0, 4)
+
+    def test_a_huge_wall_time_steps_past_its_boundaries_at_once(self):
+        # Stepping one interval at a time never ended: at 1e300, `+= 15.0` is absorbed.
+        def stuck(signum, frame):
+            raise TimeoutError("observe() spun on the interval boundary")
+
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.alarm(10)
+        try:
+            sched = AdaCommSchedule(initial_tau=8, interval_length=15.0)
+            sched.observe(0.0, 4.0, lr=0.1)
+            sched.observe(1e300, 1.0, lr=0.1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sched.tau_history == [(0.0, 8), (1e300, 4)]
 
     def test_clamping_to_bounds(self):
         # τ stays in [1, τ_0]: a loss blow-up or an lr drop cannot raise it,

@@ -423,6 +423,31 @@ class TestCLI:
         (["--config", "smoke", "--set", "n_features=0"], "n_features must be >= 1, got 0"),
         (["--config", "smoke", "--set", "hidden_sizes=(16, 0)"], "hidden_sizes must all be >= 1, got (16, 0)"),
         (["--config", "smoke", "--set", "methods=()"], "methods must name at least one method, got ()"),
+        # Every field's declared domain: each of these traced back mid-run or ran regardless.
+        (["--config", "smoke", "--set", "lr=-1"], "lr must be finite and positive, got -1"),
+        (["--config", "smoke", "--set", "lr=0"], "lr must be finite and positive, got 0"),
+        (["--config", "smoke", "--set", "momentum=1.5"], "momentum must be in [0, 1), got 1.5"),
+        (["--config", "smoke", "--set", "weight_decay=-1.0"], "weight_decay must be finite and non-negative, got -1.0"),
+        (["--config", "smoke", "--set", "label_noise=2.0"], "label_noise must be in [0, 1), got 2.0"),
+        (["--config", "smoke", "--set", "class_sep=-1.0"], "class_sep must be >= 0, got -1.0"),
+        (["--config", "smoke", "--set", "n_workers=100000"],
+         "n_train must be >= n_workers * batch_size = 1600000, got 240"),
+        (["--config", "smoke", "--set", "n_train=2.5"], "n_train takes integers, got 2.5"),
+        (["--config", "smoke", "--set", "model_kwargs={'foo':1}"], "model_kwargs ['foo'] are not arguments of model 'mlp'"),
+        (["--config", "smoke", "--set", "lr=nan"], "lr takes finite numbers, got nan"),
+        (["--config", "smoke", "--set", "alpha=nan"], "alpha takes finite numbers, got nan"),
+        (["--config", "smoke", "--set", "compute_time=nan"], "compute_time takes finite numbers, got nan"),
+        (["--config", "smoke", "--set", "wall_time_budget=inf"], "wall_time_budget takes finite numbers, got inf"),
+        (["--config", "smoke", "--set", "lr_decay_gamma=0.0"], "lr_decay_gamma must be in (0, 1], got 0.0"),
+        (["--config", "smoke", "--set", "lr_decay_gamma=2.0"], "lr_decay_gamma must be in (0, 1], got 2.0"),
+        (["--config", "smoke", "--set", "lr_decay_milestones=(-1.0,)"], "lr_decay_milestones must all be positive, got (-1.0,)"),
+        (["--config", "smoke", "--set", "batch_size=100000"],
+         "n_train must be >= n_workers * batch_size = 200000, got 240"),
+        (["--config", "smoke", "--set", "n_classes=1"], "n_classes must be >= 2, got 1"),
+        (["--config", "smoke", "--set", "eval_every_rounds=1.5"], "eval_every_rounds takes integers, got 1.5"),
+        (["--config", "smoke", "--set", "n_workers=True"], "n_workers takes integers, got True"),
+        (["--config", "smoke", "--set", "seed=True"], "seed takes integers, got True"),
+        (["--config", "smoke", "--bank-dtype", "float16"], "unknown bank_dtype 'float16'; choose 'float64' or 'float32'"),
     ])
     def test_bad_run_flags_exit_before_anything_runs(self, argv, message, monkeypatch, tmp_path, capsys):
         import repro.experiments.cli as cli
@@ -444,6 +469,9 @@ class TestCLI:
         (["--scale", "0"], "scale must be positive"),
         (["--set", "methods=('gossip-moon-tau4',)"], "unknown topology 'moon'"),
         (["--set", "methods=('pasgd-tau4','fixed:tau=4')"], "share the label 'pasgd-tau4'"),
+        (["--scale", "inf"], "scale must be positive and finite, got inf"),
+        (["--scale", "nan"], "scale must be positive and finite, got nan"),
+        (["--target-loss", "nan"], "--target-loss must be finite, got nan"),
     ])
     def test_bad_scale_or_lineup_exits_with_message(self, argv, message):
         with pytest.raises(SystemExit, match=f"^error: .*{re.escape(message)}"):

@@ -111,6 +111,17 @@ class TestGridAndSpec:
         with pytest.raises(ValueError, match="unknown model"):
             spec.cells()
 
+    def test_axis_values_of_the_wrong_type_fail_at_construction(self):
+        with pytest.raises(ValueError, match="sweep axis 'lr' takes finite numbers, got nan"):
+            SweepSpec("bad", make_config("smoke"), {"lr": [0.1, float("nan")]})
+        with pytest.raises(ValueError, match="sweep axis 'n_workers' takes integers, got 2.5"):
+            SweepSpec("bad", make_config("smoke"), {"n_workers": [2, 2.5]})
+
+    def test_lineup_that_does_not_parse_fails_at_expansion(self):
+        spec = SweepSpec("bad", make_config("smoke"), {"method": ["fixed:tau=0", "sync-sgd"]})
+        with pytest.raises(ValueError, match="method spec 'fixed:tau=0': tau must be >= 1, got 0"):
+            spec.cells()
+
     def test_unknown_axis_field_rejected(self):
         spec = SweepSpec("bad", make_config("smoke"), {"not_a_field": [1]})
         with pytest.raises(TypeError):
@@ -324,10 +335,12 @@ class TestRunnerDeterminismAndResume:
         assert report.total == 2
 
     def test_failed_cell_reported_not_raised(self, tmp_path):
+        # A lineup that does not parse is refused at expansion (validate); a CNN
+        # that cannot view 15 features as an image fails only when it is built.
         spec = SweepSpec(
             "boom",
-            make_config("smoke", n_train=120, n_test=40, wall_time_budget=8.0),
-            {"method": ["fixed:tau=0", "sync-sgd"]},
+            make_config("smoke", n_train=120, n_test=40, n_features=15, wall_time_budget=8.0),
+            {"model": ["vgg_lite_cnn", "mlp"]},
         )
         report = run_sweep(spec, tmp_path)
         assert not report.ok
@@ -866,6 +879,15 @@ class TestStoreQuery:
         assert "0 cell(s) match" in capsys.readouterr().out
         assert main(["query", str(store_dir), "--campaign", "nope"]) == 1
         assert "no manifest" in capsys.readouterr().err
+
+
+    def test_query_verb_refuses_a_non_finite_value(self, tmp_path, capsys):
+        from repro.sweep.__main__ import main
+
+        store_dir = tmp_path / "store"
+        run_sweep(tiny_spec(), store_dir)
+        assert main(["query", str(store_dir), "--where", "lr=nan"]) == 1
+        assert "error: Out of range float values are not JSON compliant" in capsys.readouterr().err
 
 
 class TestSweepMaintenanceCLI:
