@@ -100,8 +100,7 @@ class Experiment:
 
     def backend(self, name: str) -> "Experiment":
         """Select the worker-execution backend ("auto", "loop", "vectorized", "sharded")."""
-        if name != "auto":
-            BACKENDS.get(name)
+        BACKENDS.get(name)
         self._config = self._config.with_overrides(backend=name)
         return self
 
@@ -202,7 +201,6 @@ class Experiment:
         store: str = "sweeps",
         jobs: int = 1,
         name: str | None = None,
-        seed_mode: str = "shared",
         **axis_kwargs,
     ):
         """Expand a grid over the composed config and run it as a campaign.
@@ -224,12 +222,7 @@ class Experiment:
         from repro.sweep import SweepRunner, SweepSpec
 
         merged = {**(axes or {}), **axis_kwargs}
-        spec = SweepSpec(
-            name=name or f"{self._config.name}_sweep",
-            base=self.build(),
-            axes=merged,
-            seed_mode=seed_mode,
-        )
+        spec = SweepSpec(name or f"{self._config.name}_sweep", self.build(), merged)
         return SweepRunner(store, jobs=jobs).run(spec)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,8 +11,8 @@ registry                  registered by                           example names
 ``NETWORK_SCALINGS``      ``repro.runtime.network``               ``ring_allreduce``
 ``COMM_SCHEDULES``        ``repro.core.schedules``                ``adacomm``
 ``LR_SCHEDULES``          ``repro.optim.lr_schedules``            ``tau_gated``
-``BACKENDS``              ``repro.distributed.worker_bank`` /     ``loop``, ``vectorized``,
-                          ``repro.distributed.sharded_bank``      ``sharded``
+``BACKENDS``              ``repro.distributed.worker_bank`` /     ``auto``, ``loop``,
+                          ``repro.distributed.sharded_bank``      ``vectorized``, ``sharded``
 ``SWEEPS``                ``repro.sweep.campaigns``               ``tau_error_runtime``
 ========================  ======================================  =========================
 

@@ -29,9 +29,9 @@ written once in :mod:`repro.distributed.worker_bank`.
 
 Backends register by name in :data:`repro.api.registries.BACKENDS` and share
 one constructor signature, so ``SimulatedCluster(..., backend="vectorized")``
-and the CLI's ``--backend`` flag switch them declaratively; ``"auto"`` picks
-the vectorized bank whenever the model and shards support it, escalates to
-the sharded pool at large cluster sizes, and falls back to the loop
+and the CLI's ``--backend`` flag switch them declaratively; ``"auto"``
+(:func:`~repro.distributed.worker_bank.auto`) picks the vectorized bank
+whenever the model and shards support it and falls back to the loop
 otherwise.  All backends consume the per-worker RNG streams identically
 (data sampling, dropout masks, gradient noise), so a seeded run's trajectory
 is byte-identical on any backend.

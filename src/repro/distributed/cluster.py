@@ -149,8 +149,7 @@ class SimulatedCluster:
         support it — all built-in models do — else loop).
         All backends consume the same RNG streams, so seeded runs produce
         byte-identical trajectories on any of them.  A name runs on the
-        default process layout; any other (shard count, the
-        ``"auto"`` escalation to the sharded pool) travels whole as a
+        default process layout; any other (a shard count) travels whole as a
         :class:`~repro.distributed.reuse.BackendHandle`, which also lets a
         sharded pool survive across cluster lifetimes.  Whoever builds a
         handle closes it: ``close()`` here keeps a caller's handle's pool.
@@ -226,7 +225,8 @@ class SimulatedCluster:
         # closes it; cluster.close() only closes a handle it built itself.
         self._owns_handle = not isinstance(backend, BackendHandle)
         self._handle = BackendHandle(backend) if self._owns_handle else backend
-        self.backend_name, self._backend = self._handle.acquire(**build_kwargs)
+        self._backend = self._handle.acquire(**build_kwargs)
+        self.backend_name = self._backend.name
 
         # Per-run state of the collective; the value itself stays pure.
         self.collective = collective

@@ -7,11 +7,11 @@ pay that cost once per run even though every run wants an
 identically-shaped pool.  A scheduler helper (``repro.experiments.parallel``)
 is a fork that never acquires a pool through a handle it inherited: a sweep
 hands its handle to the parent's cells only, and a lineup whose layout
-:meth:`~BackendHandle.may_shard` stays on the parent.
+:attr:`~BackendHandle.may_shard` stays on the parent.
 
-:class:`BackendHandle` is how a process layout — backend name, shard count,
-``"auto"`` escalation point — reaches a cluster: whole, as one argument.  It
-also turns the pool into a reusable resource.  A run
+:class:`BackendHandle` is how a process layout — backend name and shard
+count — reaches a cluster: whole, as one argument.  It also turns the pool
+into a reusable resource.  A run
 resolves its execution backend *through* a handle instead of building one
 directly; whenever two consecutive runs resolve to sharded pools with the
 same process count, the second run reuses the first's live processes via
@@ -29,7 +29,7 @@ the run or the lineup).
 from __future__ import annotations
 
 from repro.api.registries import BACKENDS
-from repro.distributed.backends import BackendUnsupported, WorkerBackend
+from repro.distributed.backends import WorkerBackend
 from repro.distributed.sharded_bank import ShardedBank
 from repro.distributed.worker_bank import shard_slices
 
@@ -39,73 +39,44 @@ __all__ = ["BackendHandle"]
 class BackendHandle:
     """A slot that carries a live sharded pool from one run to the next.
 
-    ``spec`` is the backend name (``"loop"``, ``"vectorized"``,
-    ``"sharded"``, ``"auto"``), ``n_shards`` the pool size for sharded
-    resolutions (clamped to the worker count), ``auto_shard_threshold`` the
-    cluster size at which ``"auto"`` escalates from the single-process bank
-    to the sharded pool (``None``: never).  The backends are byte-identical,
-    so none of the three can change a trajectory.  The handle is also a
-    context manager; exiting closes whatever pool it still holds.
+    ``spec`` is a registered backend name (``"auto"``, ``"loop"``,
+    ``"vectorized"``, ``"sharded"``), ``n_shards`` the pool size of a
+    sharded run (clamped to the worker count).  The backends are
+    byte-identical, so neither can change a trajectory.  The handle is also
+    a context manager; exiting closes whatever pool it still holds.
 
-    In-process backends (loop, vectorized) are built fresh each time and
-    closed by :meth:`release` when their run ends (their chunk threads, if
-    any, are joined) — reuse only changes process lifecycle for sharded
-    resolutions, never arithmetic or RNG consumption.
+    In-process backends are built fresh each time and closed by
+    :meth:`release` when their run ends (their chunk threads, if any, are
+    joined) — reuse only changes process lifecycle for sharded runs, never
+    arithmetic or RNG consumption.
     """
 
-    def __init__(
-        self,
-        spec: str = "auto",
-        *,
-        n_shards: int = 2,
-        auto_shard_threshold: "int | None" = None,
-    ):
+    def __init__(self, spec: str = "auto", *, n_shards: int = 2):
         self.spec = spec
         self.n_shards = n_shards
-        self.auto_shard_threshold = auto_shard_threshold
         self._pool: "ShardedBank | None" = None
 
     @property
     def layout(self) -> tuple:
         """The process layout this slot resolves to (equal layouts can share a pool)."""
-        return (self.spec, self.n_shards, self.auto_shard_threshold)
+        return (self.spec, self.n_shards)
 
-    def may_shard(self, n_workers: int) -> bool:
-        """Whether a run of ``n_workers`` may resolve to the sharded pool on this layout."""
-        if self.spec == "auto":
-            return self.auto_shard_threshold is not None and n_workers >= self.auto_shard_threshold
+    @property
+    def may_shard(self) -> bool:
+        """Whether a run on this layout forks shard processes: ``"sharded"`` is chosen by name only."""
         return self.spec == "sharded"
 
-    def acquire(self, **kwargs) -> tuple[str, WorkerBackend]:
+    def acquire(self, **kwargs) -> WorkerBackend:
         """Resolve one run's backend, reusing the held pool when possible.
 
         ``kwargs`` are the per-run construction arguments (``model_fn``,
         ``shards``, ``batch_size``, ``lr``, ``momentum``, ``weight_decay``,
-        ``rngs``, ``bank_dtype``).  Returns ``(backend_name, backend)``.
-
-        ``"auto"`` picks the sharded pool at or above ``auto_shard_threshold``
-        workers, the vectorized bank otherwise, and the loop for what one
-        stacked graph cannot run (a model without a stacked definition,
-        shards that clip the batch size differently).  Both bank backends raise
-        :class:`BackendUnsupported` before consuming any RNG stream, and the
-        probe replica built to decide compatibility is reused down the
-        fallback chain, so every resolution consumes ``model_fn`` and the RNG
-        streams exactly as a direct build of the chosen backend would.
+        ``rngs``, ``bank_dtype``).  The backend's ``name`` is what runs, so
+        an ``"auto"`` layout's reads ``"vectorized"`` or ``"loop"``.
         """
-        if self.spec == "sharded":
-            return "sharded", self._sharded(**kwargs)
-        if self.spec == "auto":
-            template = kwargs["model_fn"]()
-            if self.may_shard(len(kwargs["shards"])):
-                try:
-                    return "sharded", self._sharded(template=template, **kwargs)
-                except BackendUnsupported:
-                    pass
-            try:
-                return "vectorized", BACKENDS.build("vectorized", template=template, **kwargs)
-            except BackendUnsupported:
-                return "loop", BACKENDS.build("loop", template=template, **kwargs)
-        return self.spec, BACKENDS.build(self.spec, **kwargs)
+        if self.may_shard:
+            return self._sharded(**kwargs)
+        return BACKENDS.build(self.spec, **kwargs)
 
     def _sharded(self, **kwargs) -> ShardedBank:
         """Rebuild the held pool in place, or retire it and build a fresh one."""
@@ -121,7 +92,7 @@ class BackendHandle:
                     # killed by a previous failed run) is not worth saving —
                     # retire it and fork a fresh one below.  Setup errors
                     # (BackendUnsupported, ValueError) propagate: the pool is
-                    # still healthy and the caller's fallback chain decides.
+                    # still healthy.
                     pass
             # Wrong process count for the next run, or the rebuild failed —
             # a pool cannot grow, shrink, or heal, so release it.

@@ -192,7 +192,7 @@ class ShardedBank(Chunks):
 
     Parameters
     ----------
-    model_fn, shards, batch_size, lr, momentum, weight_decay, rngs, template, bank_dtype:
+    model_fn, shards, batch_size, lr, momentum, weight_decay, rngs, bank_dtype:
         As for :class:`~repro.distributed.worker_bank.WorkerBank`; the
         parent consumes the RNG streams exactly as the single-process bank
         would (:func:`~repro.distributed.worker_bank.chunk_payloads`), so
@@ -296,7 +296,6 @@ class ShardedBank(Chunks):
         *,
         n_shards: int,
         batch_size: int = 32,
-        template: Module | None = None,
         bank_dtype: str = "float64",
         **run,
     ) -> list[dict]:
@@ -311,11 +310,9 @@ class ShardedBank(Chunks):
         self._split(shards, n_shards)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise BackendUnsupported("shard processes are forked, and this platform cannot fork")
-        if template is None:
-            template = model_fn()
-        # Every unsupported-setup check runs before any RNG stream (or extra
-        # model_fn call) is consumed, so an "auto" escalation that lands here
-        # can still fall back to the vectorized bank with pristine streams.
+        template = model_fn()
+        # Every unsupported-setup check runs before any RNG stream (or further
+        # model_fn call) is consumed, so a refused setup leaves them pristine.
         check_bank_setup(template, shards, batch_size)
         try:
             pickle.dumps(template)

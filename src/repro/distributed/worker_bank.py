@@ -67,6 +67,7 @@ __all__ = [
     "WorkerBank",
     "Chunks",
     "LoopWorkers",
+    "auto",
     "check_bank_setup",
     "chunk_payloads",
     "chunk_threads",
@@ -532,7 +533,7 @@ def vectorized(
     of the template's parameter row: at k = 1 this is the one bank, else the
     in-process carrier (:class:`LoopWorkers`) with k chunks.  A chunk is the
     same arithmetic on a slice of the worker axis, so the bytes are the one
-    bank's either way.  The setup is checked first, so ``"auto"`` can still
+    bank's either way.  The setup is checked first, so :func:`auto` can still
     fall back before a second ``model_fn()`` call or any stream is consumed.
     """
     if template is None:
@@ -545,5 +546,24 @@ def vectorized(
     return LoopWorkers(model_fn, shards, n_chunks=k, **kwargs)
 
 
+def auto(model_fn: Callable[[], Module], shards: Sequence[Dataset | None], **run) -> WorkerBackend:
+    """The ``"auto"`` backend: ``vectorized`` where one stacked graph can run
+    the model and shards, else the loop (a model without a stacked definition,
+    shards that clip the batch size differently).
+
+    One probe template serves both: ``vectorized`` checks the setup before a
+    second ``model_fn()`` call or any stream is consumed, and the loop takes
+    the probe as worker 0's replica, so either resolution consumes
+    ``model_fn`` and the RNG streams exactly as a direct build of it would.
+    ``"sharded"`` is chosen by name only.
+    """
+    template = model_fn()
+    try:
+        return vectorized(model_fn, shards, template=template, **run)
+    except BackendUnsupported:
+        return LoopWorkers(model_fn, shards, template=template, **run)
+
+
 BACKENDS.register("loop", LoopWorkers)
 BACKENDS.register("vectorized", vectorized)
+BACKENDS.register("auto", auto)

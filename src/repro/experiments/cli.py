@@ -70,6 +70,7 @@ from repro.experiments.tables import (
     time_to_loss_table,
 )
 from repro.utils.cli import key_value_parser
+from repro.utils.results import RunRecord, RunStore
 
 __all__ = ["build_parser", "main"]
 
@@ -93,8 +94,8 @@ _CONFIG_FLAGS: list[tuple[str, str, dict]] = [
     ("--backend", "backend", dict(
         metavar="NAME",
         help="worker-execution backend: auto, loop, vectorized, or sharded "
-             "(see --list backends; auto picks vectorized when supported and "
-             "escalates to sharded at large n_workers)")),
+             "(see --list backends; auto picks vectorized when supported, "
+             "else loop)")),
     ("--bank-dtype", "bank_dtype", dict(
         help="bank storage dtype: float64 (byte-identical default) or "
              "float32 (reduced precision, parity within tolerance)")),
@@ -246,13 +247,7 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
         return 1 if report.failed else 0
 
     cells = list(store.cells(addresses))
-    records = [rec for cell in cells for rec in cell.runs]
-    if args.target_loss is not None:
-        target = args.target_loss
-    else:
-        start = max(r.points[0].train_loss for r in records if r.points)
-        best = min(r.best_loss() for r in records)
-        target = best + 0.25 * (start - best)
+    target = _target_loss([rec for cell in cells for rec in cell.runs], args.target_loss)
 
     print()
     print(format_table(
@@ -267,6 +262,26 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
         )
         print(f"  {label}: {checkpoints}")
     return 1 if report.failed else 0
+
+
+def _target_loss(records: "list[RunRecord]", given: "float | None") -> float:
+    """``given`` (``--target-loss``), else a quarter of the way from the best loss back up to the highest initial one."""
+    if given is not None:
+        return given
+    start = max(r.points[0].train_loss for r in records if r.points)
+    best = min(r.best_loss() for r in records)
+    return best + 0.25 * (start - best)
+
+
+def _speedup_text(store: RunStore, target: float) -> str:
+    """AdaComm's time-to-``target`` speed-up over sync SGD, or why there is none."""
+    speedup = store.speedup("adacomm", "sync-sgd", target_loss=target)
+    if math.isfinite(speedup):
+        return f"{speedup:.2f}x"
+    never = [name for name in ("adacomm", "sync-sgd") if not math.isfinite(store.get(name).time_to_loss(target))]
+    if not never:
+        return "none, adacomm starts at or below it"
+    return f"none, {' and '.join(never)} did not reach it within the budget"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -327,13 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         for t, loss in summarize_series(loss_vs_time_series(record), n_points=args.points):
             print(f"  t = {t:8.1f} s   train loss = {loss:.4f}")
 
-    # Pick a default target between the initial loss and the best final loss.
-    if args.target_loss is not None:
-        target = args.target_loss
-    else:
-        start = max(r.points[0].train_loss for r in store if r.points)
-        best = min(r.best_loss() for r in store)
-        target = best + 0.25 * (start - best)
+    target = _target_loss(list(store), args.target_loss)
 
     print()
     print(format_table(
@@ -348,8 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         title="Best test accuracy within the budget",
     ))
     if "adacomm" in store and "sync-sgd" in store:
-        speedup = store.speedup("adacomm", "sync-sgd", target_loss=target)
-        print(f"\nADACOMM speed-up over fully synchronous SGD at loss {target:.3g}: {speedup:.2f}x")
+        print(f"\nADACOMM speed-up over fully synchronous SGD at loss {target:.3g}: "
+              f"{_speedup_text(store, target)}")
 
     if profiler is not None:
         print()

@@ -54,9 +54,9 @@ def _field(default: Any, domain: Any) -> Any:
     return field(default=default, metadata={"domain": domain})
 
 
-def _backend_name(name: str, value: str) -> None:
-    if value != "auto":
-        BACKENDS.get(value)
+#: Process-layout fields that are gone; they never changed a trajectory, so a
+#: saved config that still carries one loads without it.
+_RETIRED_LAYOUT_KEYS = ("shard_transport", "auto_shard_threshold")
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,14 @@ class ExperimentConfig:
     # m banks of one worker (the independent check of the worker axis),
     # "vectorized" runs all replicas as stacked NumPy ops, "sharded" splits
     # the stacked bank over ``backend_shards`` worker processes, and "auto"
-    # (default) picks sharded at or above ``auto_shard_threshold`` workers,
-    # else vectorized whenever the model supports it — which every
-    # registered model does.  All backends are byte-identical, so these
-    # knobs change the process layout, never the trajectory.
+    # (default) is vectorized whenever the model supports it — which every
+    # registered model does — else the loop.  All backends are
+    # byte-identical, so these knobs change the process layout, never the
+    # trajectory.
     n_workers: int = _field(4, AT_LEAST_ONE)
     batch_size: int = _field(8, AT_LEAST_ONE)
-    backend: str = _field("auto", _backend_name)
+    backend: str = _field("auto", BACKENDS)
     backend_shards: int = _field(2, AT_LEAST_ONE)
-    auto_shard_threshold: int | None = _field(64, AT_LEAST_ONE)
     # Bank storage dtype: "float64" (byte-identical default) or "float32"
     # (opt-in reduced precision — half the memory traffic, parity within
     # tolerance; the loop backend stays the float64 reference regardless).
@@ -218,15 +217,11 @@ class ExperimentConfig:
     def backend_handle(self) -> BackendHandle:
         """A fresh reuse slot for this config's process layout.
 
-        The single place the three layout fields are read: a lineup, a
+        The single place the two layout fields are read: a lineup, a
         serial sweep and a lone ``run_method`` all resolve their backend
         through it.
         """
-        return BackendHandle(
-            self.backend,
-            n_shards=self.backend_shards,
-            auto_shard_threshold=self.auto_shard_threshold,
-        )
+        return BackendHandle(self.backend, n_shards=self.backend_shards)
 
     # -- serialization ----------------------------------------------------
 
@@ -254,8 +249,9 @@ class ExperimentConfig:
         so a typo in a JSON config fails before any training.
         """
         payload = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-        # A retired layout knob that never changed a trajectory: older saves still load.
-        payload.pop("shard_transport", None)
+        # Retired layout knobs never changed a trajectory: older saves still load.
+        for key in _RETIRED_LAYOUT_KEYS:
+            payload.pop(key, None)
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

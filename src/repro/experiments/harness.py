@@ -14,10 +14,10 @@ spec string ("sync-sgd", "pasgd-tau20", "adacomm", or
 "<schedule>:key=value,...") from ``COMM_SCHEDULES``.  The worker-execution
 backend comes from ``BACKENDS``: the default ``backend="auto"`` runs the
 vectorized worker bank for every registered model (CNNs, batch-norm nets,
-dropout, and data-free objectives included), escalating to the sharded
-multi-process bank at large cluster sizes (``auto_shard_threshold``); the
-per-worker loop (m banks of one) serves third-party models without a
-stacked definition and shards too ragged to stack.
+dropout, and data-free objectives included), in process; the per-worker
+loop (m banks of one) serves third-party models without a stacked
+definition and shards too ragged to stack.  The sharded multi-process bank
+runs only when ``backend="sharded"`` names it.
 """
 
 from __future__ import annotations
@@ -478,6 +478,6 @@ def run_experiment(
                 backend_handle=backend_handle,
             )
 
-        n_procs = 1 if backend_handle.may_shard(config.n_workers) else usable_cores()
+        n_procs = 1 if backend_handle.may_shard else usable_cores()
         records = list(run_items(len(resolved), run, n_procs))
     return RunStore.from_records(records)

@@ -12,7 +12,7 @@ from repro.nn.layers import AvgPool2d, Classifier, Conv2d, Flatten, Linear, MaxP
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import SeedSequence, check_random_state
 
-__all__ = ["SmallCNN", "vgg_lite_cnn", "resnet_lite_cnn"]
+__all__ = ["SmallCNN", "vgg_lite_cnn"]
 
 
 class SmallCNN(Classifier):
@@ -79,8 +79,3 @@ class SmallCNN(Classifier):
 def vgg_lite_cnn(n_classes: int = 10, image_size: int = 8, rng=None) -> SmallCNN:
     """Wider CNN (more parameters → larger communication payload)."""
     return SmallCNN(in_channels=3, image_size=image_size, channels=(16, 32), n_classes=n_classes, rng=rng)
-
-
-def resnet_lite_cnn(n_classes: int = 10, image_size: int = 8, rng=None) -> SmallCNN:
-    """Narrower CNN (fewer parameters → smaller communication payload)."""
-    return SmallCNN(in_channels=3, image_size=image_size, channels=(8, 8), n_classes=n_classes, rng=rng)

@@ -108,4 +108,3 @@ register_model("mlp", MLP)
 register_model("vgg_lite_mlp", vgg_lite_mlp)
 register_model("resnet_lite_mlp", resnet_lite_mlp)
 register_model("vgg_lite_cnn", _adaptive_cnn(channels=(16, 32)))
-register_model("resnet_lite_cnn", _adaptive_cnn(channels=(8, 8)))

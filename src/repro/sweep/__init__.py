@@ -6,8 +6,7 @@ This package makes a campaign a first-class, declarative object:
 
 * :class:`SweepSpec` — a base :class:`~repro.experiments.configs.ExperimentConfig`
   plus :func:`grid` (cross-product) or :func:`paired` (zipped) axes,
-  expanding into content-addressed cells; ``spec.random(n, seed)`` keeps a
-  seeded random-search subsample of the expansion;
+  expanding into content-addressed cells;
 * :class:`ResultStore` — a persistent on-disk store keyed by the hash of
   each cell's canonical config dict, so completed cells are never re-run
   and a killed campaign resumes for free; ``query`` filters manifest cells
@@ -34,7 +33,7 @@ address is already populated — and the figure/table helpers in
 """
 
 from repro.sweep.runner import SweepReport, SweepRunner, run_sweep
-from repro.sweep.spec import SweepCell, SweepSpec, cell_hash, derive_cell_seed, grid, paired
+from repro.sweep.spec import SweepCell, SweepSpec, cell_hash, grid, paired
 from repro.sweep.store import CellResult, MergeReport, QueryHit, ResultStore
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "grid",
     "paired",
     "cell_hash",
-    "derive_cell_seed",
     "ResultStore",
     "CellResult",
     "MergeReport",

@@ -10,8 +10,8 @@ The paper's headline artifacts are all campaign-shaped:
 
 * ``tau_error_runtime`` — the τ-grid behind the error-vs-runtime trade-off
   curves (Figure 2 / Section 5): one fixed-τ run per cell, replicated over
-  seeds, all sharing datasets (``seed_mode="shared"``) so curves differ only
-  in the communication period.
+  seeds, the cells of one seed sharing datasets so curves differ only in
+  the communication period.
 * ``variable_vs_fixed_tau`` — ADACOMM against the best fixed-τ baselines,
   seed-replicated (the variable-τ vs fixed-τ comparison).
 * ``worker_scaling`` — the m × τ grid (scaling sweeps over cluster size).
@@ -112,8 +112,8 @@ def method_family_sweep(
 ) -> SweepSpec:
     """Every execution model of the method family on one shared workload.
 
-    One method spec per cell (replicated over seeds, ``seed_mode="shared"``
-    so all methods see the same datasets and initializations) covering the
+    One method spec per cell (replicated over seeds; the cells of one seed
+    see the same datasets and initializations) covering the
     synchronous baselines, the three gossip topologies, barrier-free async,
     and elastic dropout — the campaign behind the combined
     error-runtime-frontier figure.  ``n_workers`` defaults to 6 — the

@@ -90,8 +90,6 @@ def _execute_cell(
     reuse one sharded process pool; the runner owns its lifetime.
     """
     try:
-        # The config dict already carries the cell's run seed (the spec folds
-        # derived seeds back in), so the address is the hash of what runs.
         config = ExperimentConfig.from_dict(cell.config.to_dict())
         # On a helper the span is recorded and replayed on the parent.
         with span("sweep_cell", address=cell.address, experiment=config.name):
@@ -109,7 +107,7 @@ def _cell_meta(cell: SweepCell) -> dict[str, Any]:
     return {
         "name": cell.config.name,
         "overrides": dict(cell.overrides),
-        "run_seed": cell.run_seed,
+        "run_seed": cell.config.seed,
         "config": cell.config.to_dict(),
     }
 
@@ -183,7 +181,6 @@ class SweepRunner:
             spec.name,
             {
                 "name": spec.name,
-                "seed_mode": spec.seed_mode,
                 "axes": {k: list(v) for k, v in spec.axes.items()},
                 "cells": [
                     {"address": c.address, "overrides": dict(c.overrides)}

@@ -1,19 +1,19 @@
 """Declarative sweep specifications: a base config plus axes of variation.
 
-A :class:`SweepSpec` is the campaign analogue of an
-:class:`~repro.experiments.configs.ExperimentConfig`: pure data describing a
-*grid* of concrete experiment configs.  Each point of the grid — a
-:class:`SweepCell` — is produced by applying one combination of axis values
-to the base config through the existing ``with_overrides`` / ``to_dict`` /
-``from_dict`` spec machinery, so every cell is itself a validated,
-JSON-round-trippable config.
+A :class:`SweepSpec` is three values: a campaign name, a base
+:class:`~repro.experiments.configs.ExperimentConfig` and its axes.
+:func:`grid` axes expand into their cross-product, :func:`paired` axes zip
+into a list of points.  Each point — a :class:`SweepCell` — is the base
+config with one combination of axis values applied through
+``with_overrides``, so every cell is itself a validated,
+JSON-round-trippable config that runs with its own ``seed``.
 
 Cells are identified by a **content address**: the SHA-256 hash of the
 canonical (sorted-key JSON) form of the cell's config dict, with the
-cosmetic ``name`` field and the process-layout fields (``backend_shards``,
-``auto_shard_threshold`` — they select how many processes execute the bank,
-never what it computes) excluded.  Two sweeps that expand to the same
-physics therefore share cells, a renamed campaign keeps its cache, and the
+cosmetic ``name`` field and the process-layout field ``backend_shards`` (it
+selects how many processes execute the bank, never what it computes)
+excluded.  Two sweeps that expand to the same physics therefore share
+cells, a renamed campaign keeps its cache, and the
 :class:`~repro.sweep.store.ResultStore` can skip any cell whose address is
 already populated.
 
@@ -32,23 +32,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from repro.experiments.configs import ExperimentConfig, check_type, config_spec
 from repro.utils.domains import AT_LEAST_ONE
-from repro.utils.seeding import check_random_state
 
-__all__ = ["SweepSpec", "SweepCell", "grid", "paired", "cell_hash", "derive_cell_seed"]
+__all__ = ["SweepSpec", "SweepCell", "grid", "paired", "cell_hash"]
 
 #: Hex digits kept from the SHA-256 digest (64 bits — ample for any campaign).
 HASH_LENGTH = 16
-
-_SEED_MODES = ("shared", "decorrelated")
-_EXPANSIONS = ("grid", "paired")
 
 
 def grid(**axes: Iterable) -> dict[str, list]:
@@ -70,16 +65,9 @@ def grid(**axes: Iterable) -> dict[str, list]:
 class _PairedAxes(dict):
     """Marker type returned by :func:`paired`: axes to be zipped, not crossed.
 
-    ``SweepSpec`` recognizes the marker and switches itself to
-    ``expansion="paired"``, so the zipping intent travels with the axes and
-    cannot silently degrade into a full cross-product.
+    ``SweepSpec`` keeps the marker, so the zipping intent travels with the
+    axes and cannot silently degrade into a full cross-product.
     """
-
-
-def _check_equal_lengths(axes: Mapping[str, Sequence]) -> None:
-    lengths = {name: len(values) for name, values in axes.items()}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"paired axes must have equal lengths, got {lengths}")
 
 
 def paired(**axes: Iterable) -> "_PairedAxes":
@@ -92,7 +80,9 @@ def paired(**axes: Iterable) -> "_PairedAxes":
     ``SweepSpec(name, base, paired(...))`` needs no extra flag.
     """
     out = _PairedAxes(grid(**axes))
-    _check_equal_lengths(out)
+    lengths = {name: len(values) for name, values in out.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"paired axes must have equal lengths, got {lengths}")
     return out
 
 
@@ -124,12 +114,11 @@ def _resolve_axis(name: str, value: Any) -> dict[str, Any]:
 
 
 #: Config fields excluded from the content address: ``name`` is display
-#: metadata, and the process-layout knobs select how the worker bank is
-#: executed (how many shard processes, when auto escalates) — the backends
-#: are byte-identical, so these can never change a stored result.  Excluding
-#: them keeps re-runs under a different layout (and stores populated before
-#: the fields existed) as pure cache hits.
-HASH_EXCLUDED_FIELDS = ("name", "backend_shards", "auto_shard_threshold")
+#: metadata, and ``backend_shards`` selects how many shard processes execute
+#: the worker bank — the backends are byte-identical, so neither can change
+#: a stored result.  Excluding them keeps re-runs under a different layout
+#: (and stores populated before the field existed) as pure cache hits.
+HASH_EXCLUDED_FIELDS = ("name", "backend_shards")
 
 #: Fields elided from the content address only at their listed default.
 #: Unlike :data:`HASH_EXCLUDED_FIELDS` these *can* change the trajectory
@@ -163,20 +152,6 @@ def cell_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:HASH_LENGTH]
 
 
-def derive_cell_seed(address: str, base_seed: int) -> int:
-    """Deterministic per-cell seed mixing a cell's config hash into its seed.
-
-    Used by ``seed_mode="decorrelated"`` sweeps: every cell gets an
-    independent RNG stream that is still a pure function of the cell's
-    declared config, so re-runs and resumed campaigns reproduce
-    byte-identical results regardless of execution order or worker count.
-    The derived seed is folded back into the cell's config before the final
-    content address is computed (the address hashes what actually runs).
-    """
-    digest = hashlib.sha256(f"{address}:{base_seed}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "big") % (2**31)
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One concrete point of a sweep grid."""
@@ -185,12 +160,8 @@ class SweepCell:
     #: Axis assignments that produced this cell, e.g. ``{"tau": 4, "seed": 7}``.
     overrides: dict[str, Any]
     config: ExperimentConfig
-    #: Content address (see :func:`cell_hash`) — always the hash of the
-    #: config *as executed*, so stored results never collide across modes.
+    #: Content address (see :func:`cell_hash`) of ``config``.
     address: str
-    #: Seed the runner executes with (always == ``config.seed``; kept as an
-    #: explicit field so store metadata records it even if defaults change).
-    run_seed: int
 
     @property
     def label(self) -> str:
@@ -210,62 +181,26 @@ class SweepSpec:
         The :class:`ExperimentConfig` every cell starts from.  Cells are
         content-addressed through its ``to_dict()``.
     axes:
-        Ordered mapping of axis name → values (see :func:`grid`).  Axis
+        Ordered mapping of axis name → values: :func:`grid` axes expand
+        into their cross-product, :func:`paired` axes zip positionally.  Axis
         names are config fields or the aliases ``m`` / ``tau`` / ``method`` /
-        ``config``;
-        two axes may not resolve to the same config field.
-    seed_mode:
-        ``"shared"`` (default) — each cell runs with its config's own
-        ``seed``, so cells differing only in method/τ share datasets and
-        initializations (common random numbers, the paper's paired-
-        comparison setting).  ``"decorrelated"`` — each cell's run seed is
-        derived from the hash of its declared config
-        (:func:`derive_cell_seed`) and folded back into the config, fully
-        decorrelating the grid; the cell's address is then the hash of the
-        config as executed, so the two modes can never collide in a store.
-    expansion:
-        ``"grid"`` (default) — the row-major cross-product of the axes.
-        ``"paired"`` — equal-length axes zipped positionally: cell i takes
-        value i of every axis.  Axes built with :func:`paired` carry the
-        mode themselves, so the flag is only needed for plain dict axes.
-    sample_n, sample_seed:
-        When ``sample_n`` is set, a random-search subsample of that many
-        cells is drawn from the expansion with a seeded RNG (see
-        :meth:`random`); enumeration order of the kept cells follows the
-        underlying expansion, so the same ``(n, seed)`` always yields the
-        same campaign.  The store and runner are untouched — a sampled
-        campaign is just a shorter cell list.
+        ``config``; two axes may not resolve to the same config field.  Every
+        cell runs with its config's own ``seed``, so cells differing only in
+        method or τ share datasets and initializations (common random
+        numbers, the paper's paired-comparison setting).
     """
 
     name: str
     base: ExperimentConfig
     axes: Mapping[str, Sequence]
-    seed_mode: str = "shared"
-    expansion: str = "grid"
-    sample_n: "int | None" = None
-    sample_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("sweep name must be non-empty")
-        if self.seed_mode not in _SEED_MODES:
-            raise ValueError(
-                f"unknown seed_mode {self.seed_mode!r}; choose from {list(_SEED_MODES)}"
-            )
-        if self.expansion not in _EXPANSIONS:
-            raise ValueError(
-                f"unknown expansion {self.expansion!r}; choose from {list(_EXPANSIONS)}"
-            )
-        if isinstance(self.axes, _PairedAxes):
-            # paired(...) declares the zipping intent with the axes.
-            object.__setattr__(self, "expansion", "paired")
         if not self.axes:
             raise ValueError("a sweep needs at least one axis")
-        object.__setattr__(self, "axes", {k: list(v) for k, v in self.axes.items()})
-        if self.expansion == "paired":
-            _check_equal_lengths(self.axes)
-        if self.sample_n is not None:
-            AT_LEAST_ONE("sample_n", self.sample_n)
+        kind = _PairedAxes if isinstance(self.axes, _PairedAxes) else dict
+        object.__setattr__(self, "axes", kind({k: list(v) for k, v in self.axes.items()}))
         seen_fields: dict[str, str] = {}
         for axis, values in self.axes.items():
             if not values:
@@ -281,48 +216,21 @@ class SweepSpec:
                     )
         self.base.to_dict()  # fails loudly on non-serializable configs
 
-    def random(self, n: int, seed: int = 0) -> "SweepSpec":
-        """Random-search variant: keep a seeded sample of ``n`` cells.
-
-        Purely declarative — returns a new spec; the sample is drawn without
-        replacement inside :meth:`cells`, so the same ``(n, seed)`` always
-        names the same sub-campaign and resumes from the store for free.
-        """
-        AT_LEAST_ONE("random sample size", n)
-        return replace(self, sample_n=int(n), sample_seed=int(seed))
-
-    def _combos(self) -> "list[tuple]":
-        values = [self.axes[n] for n in self.axes]
-        if self.expansion == "paired":
-            return list(zip(*values))
-        return list(itertools.product(*values))
-
     @property
     def n_cells(self) -> int:
-        if self.expansion == "paired":
-            n = len(next(iter(self.axes.values())))
-        else:
-            n = 1
-            for values in self.axes.values():
-                n *= len(values)
-        if self.sample_n is not None:
-            n = min(n, self.sample_n)
-        return n
+        lengths = [len(values) for values in self.axes.values()]
+        return lengths[0] if isinstance(self.axes, _PairedAxes) else math.prod(lengths)
 
     def cells(self) -> list[SweepCell]:
         """Expand the spec into validated, content-addressed cells.
 
         Grid enumeration order is the row-major product of the axes in
-        insertion order (last axis varies fastest); paired expansion walks
-        the axes positionally.  A ``sample_n`` subsample keeps that order,
-        so cell indices are stable across runs.
+        insertion order (last axis varies fastest); paired axes are walked
+        positionally.
         """
         names = list(self.axes)
-        combos = self._combos()
-        if self.sample_n is not None and self.sample_n < len(combos):
-            rng = check_random_state(self.sample_seed)
-            keep = np.sort(rng.choice(len(combos), size=self.sample_n, replace=False))
-            combos = [combos[i] for i in keep]
+        values = list(self.axes.values())
+        combos = zip(*values) if isinstance(self.axes, _PairedAxes) else itertools.product(*values)
         cells: list[SweepCell] = []
         for index, combo in enumerate(combos):
             overrides = dict(zip(names, combo))
@@ -332,53 +240,5 @@ class SweepSpec:
             config = self.base.with_overrides(
                 name=f"{self.name}[{format_overrides(overrides)}]", **field_overrides
             ).validate()
-            if self.seed_mode == "decorrelated":
-                # Fold the derived seed back into the config, so the cell's
-                # content address is the hash of the config *as executed* —
-                # shared- and decorrelated-mode cells can never collide in
-                # the store (they only share an address when their executed
-                # physics is genuinely identical).
-                run_seed = derive_cell_seed(cell_hash(config), config.seed)
-                config = config.with_overrides(seed=run_seed)
-            else:
-                run_seed = config.seed
-            address = cell_hash(config)
-            cells.append(
-                SweepCell(
-                    index=index,
-                    overrides=overrides,
-                    config=config,
-                    address=address,
-                    run_seed=run_seed,
-                )
-            )
+            cells.append(SweepCell(index, overrides, config, cell_hash(config)))
         return cells
-
-    # -- serialization (provenance / manifests) ---------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible form: base config + axes + expansion/sampling modes."""
-        out: dict[str, Any] = {
-            "name": self.name,
-            "base": self.base.to_dict(),
-            "axes": {k: list(v) for k, v in self.axes.items()},
-            "seed_mode": self.seed_mode,
-            "expansion": self.expansion,
-        }
-        if self.sample_n is not None:
-            out["sample"] = {"n": self.sample_n, "seed": self.sample_seed}
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SweepSpec":
-        """Rebuild a spec from :meth:`to_dict` output (validating the base)."""
-        sample = data.get("sample") or {}
-        return cls(
-            name=data["name"],
-            base=ExperimentConfig.from_dict(data["base"]),
-            axes=dict(data["axes"]),
-            seed_mode=data.get("seed_mode", "shared"),
-            expansion=data.get("expansion", "grid"),
-            sample_n=sample.get("n"),
-            sample_seed=sample.get("seed", 0),
-        )

@@ -279,13 +279,7 @@ class _ClusterOwningItsHandle(SimulatedCluster):
         self.handle.close()
 
 
-def cluster_on(
-    backend,
-    *,
-    n_shards: int = 2,
-    auto_shard_threshold: "int | None" = None,
-    **cluster_kwargs,
-) -> SimulatedCluster:
+def cluster_on(backend, *, n_shards: int = 2, **cluster_kwargs) -> SimulatedCluster:
     """A :class:`SimulatedCluster` on a process layout picked per call.
 
     The cluster takes its layout whole, as a :class:`BackendHandle`, and
@@ -296,9 +290,7 @@ def cluster_on(
     """
     if isinstance(backend, BackendHandle):
         return SimulatedCluster(backend=backend, **cluster_kwargs)
-    handle = BackendHandle(
-        backend, n_shards=n_shards, auto_shard_threshold=auto_shard_threshold
-    )
+    handle = BackendHandle(backend, n_shards=n_shards)
     try:
         cluster = _ClusterOwningItsHandle(backend=handle, **cluster_kwargs)
     except BaseException:

@@ -139,7 +139,7 @@ class TestModelRegistry:
         assert model(np.zeros((2, 16))).shape == (2, 4)
 
     def test_cnn_builder_keeps_explicit_image_size_kwarg(self):
-        model = build_model("resnet_lite_cnn", image_size=4, n_classes=3, rng=0)
+        model = build_model("vgg_lite_cnn", image_size=4, n_classes=3, rng=0)
         import numpy as np
 
         assert model(np.zeros((2, 3, 4, 4))).shape == (2, 3)
@@ -164,11 +164,16 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_dict(payload)
 
-    def test_from_dict_drops_the_retired_shard_transport_key(self):
-        # Configs saved while the data plane was a knob carry it; whatever it
-        # held, it never changed a trajectory, so it loads as today's config.
-        for value in ("auto", "shm", "pipe"):
-            saved = {**make_config("smoke").to_dict(), "shard_transport": value}
+    @pytest.mark.parametrize("key, values", [
+        ("shard_transport", ("auto", "shm", "pipe")),
+        ("auto_shard_threshold", (64, 2, None)),
+    ])
+    def test_from_dict_drops_a_retired_layout_key(self, key, values):
+        # Configs saved while the data plane or auto's shard threshold was a
+        # knob carry it; whatever it held, it never changed a trajectory, so
+        # it loads as today's config.
+        for value in values:
+            saved = {**make_config("smoke").to_dict(), key: value}
             assert ExperimentConfig.from_dict(saved) == make_config("smoke")
 
     def test_from_dict_rejects_unknown_model(self):
@@ -500,3 +505,20 @@ class TestCLI:
              "--set", "wall_time_budget=10.0", "--points", "2"]
         ) == 0
         assert "model=vgg_lite_cnn" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, line", [
+        # At alpha=1e308 sync SGD never reaches the default target loss within
+        # the budget: the speed-up line names it instead of printing "nanx".
+        (["--set", "alpha=1e308"], "at loss 1.52: none, sync-sgd did not reach it within the budget"),
+        # A target above the initial loss is reached at t = 0: no ratio either.
+        (["--target-loss", "100"], "at loss 100: none, adacomm starts at or below it"),
+    ])
+    def test_a_speed_up_that_is_never_reached_prints_no_nan(self, argv, line, capsys):
+        assert main(["--config", "smoke", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out.lower()
+        assert f"ADACOMM speed-up over fully synchronous SGD {line}" in out
+
+    def test_retired_auto_shard_threshold_is_refused_with_one_line(self):
+        with pytest.raises(SystemExit, match="^error: invalid --set override: .*'auto_shard_threshold'$"):
+            main(["--config", "smoke", "--set", "auto_shard_threshold=64"])

@@ -443,7 +443,7 @@ class TestAutoBackendSelection:
         assert cluster.backend_name == "vectorized"
 
     # CNN loop↔bank trajectory equality is covered byte-for-byte by the
-    # consolidated matrix (vgg_lite_cnn / resnet_lite_cnn cases).
+    # consolidated matrix (vgg_lite_cnn / cnn_equal_width cases).
 
     def test_stateful_dropout_factory_matches_loop(self):
         # A factory drawing from a shared generator gives every worker a

@@ -90,9 +90,8 @@ OUT_OF_DOMAIN = {
     "n_classes": _int_below(2),
     "n_workers": st.one_of(st.integers(max_value=0), st.integers(16, 10**6), NOT_AN_INT),
     "batch_size": st.one_of(st.integers(max_value=0), st.integers(121, 10**6), NOT_AN_INT),
-    "backend": st.one_of(_unregistered(BACKENDS, "auto"), NOT_A_STR),
+    "backend": st.one_of(_unregistered(BACKENDS), NOT_A_STR),
     "backend_shards": _int_below(1),
-    "auto_shard_threshold": st.one_of(st.integers(max_value=0), st.sampled_from([2.5, "64", True])),
     "bank_dtype": st.one_of(st.sampled_from(["float16", "int8", "Float64", ""]), NOT_A_STR),
     "weighting": st.one_of(st.sampled_from(["bogus", "Uniform", ""]), NOT_A_STR),
     "delay": st.one_of(
@@ -164,7 +163,6 @@ IN_DOMAIN = {
     # sharded forks shard processes; the equivalence matrix builds it
     "backend": st.sampled_from(["auto", "loop", "vectorized"]),
     "backend_shards": st.integers(1, 8),
-    "auto_shard_threshold": st.one_of(st.none(), st.integers(3, 1000)),
     "bank_dtype": st.sampled_from(["float64", "float32"]),
     "weighting": st.sampled_from(["uniform", "shard_size"]),
     "delay": st.one_of(
@@ -263,7 +261,6 @@ def _cli_error(name, value) -> str:
 @example(case=("hidden_sizes", (16, 0)))
 @example(case=("methods", ()))
 @example(case=("backend_shards", 0))
-@example(case=("auto_shard_threshold", 0))
 @example(case=("bank_dtype", "float16"))
 @example(case=("weighting", "bogus"))
 def test_out_of_domain_value_is_refused_naming_its_field(case):
@@ -302,7 +299,7 @@ def _build(config: ExperimentConfig) -> None:
 @given(case=_case(IN_DOMAIN))
 @example(case=("compute_time_std_fraction", 0))
 @example(case=("alpha", 0))
-@example(case=("auto_shard_threshold", None))
+@example(case=("backend", "auto"))
 @example(case=("lr_schedule", None))
 @example(case=("delay", {"kind": "pareto", "scale": 1.0, "alpha": 3.0}))
 @example(case=("lr_decay_milestones", (3, 6)))

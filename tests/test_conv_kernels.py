@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.models.cnn import resnet_lite_cnn, vgg_lite_cnn
+from repro.models.cnn import SmallCNN, vgg_lite_cnn
 from repro.nn import layers
 from repro.nn.bank import ParameterBank
 from repro.nn.layers import Conv2d, MaxPool2d, clear_kernel_plan_cache, evaluating, kernel_plan_cache_stats
@@ -351,10 +351,15 @@ def test_recorded_forward_is_never_blocked(pad, monkeypatch):
 # -- (d) whole-model gradients == the replaced kernels' ---------------------------
 
 
+def _equal_width_cnn(**kwargs) -> SmallCNN:
+    """Two stages of the same width: the second conv maps 8 channels to 8."""
+    return SmallCNN(in_channels=3, channels=(8, 8), **kwargs)
+
+
 @st.composite
 def model_cases(draw):
     return {
-        "builder": draw(st.sampled_from([vgg_lite_cnn, resnet_lite_cnn])),
+        "builder": draw(st.sampled_from([vgg_lite_cnn, _equal_width_cnn])),
         "m": draw(st.integers(min_value=1, max_value=3)),
         "batch": draw(st.integers(min_value=1, max_value=4)),
         "dtype": draw(st.sampled_from(DTYPES)),

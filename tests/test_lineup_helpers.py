@@ -131,7 +131,6 @@ def test_a_method_raising_in_a_helper_raises_in_the_caller(monkeypatch):
 SERIAL_RULES = {
     "one method": lambda: _smoke(methods=("sync-sgd",)),
     "sharded": lambda: _smoke(backend="sharded"),
-    "auto at the shard threshold": lambda: _smoke(auto_shard_threshold=2),
 }
 
 
@@ -233,24 +232,23 @@ def test_a_lineup_shorter_than_the_delay_runs_on_the_parent(monkeypatch, leaks):
     assert not leaks.children(grace=0) and not leaks.segments()
 
 
-def test_helpers_fork_beside_a_live_sharded_pool(monkeypatch, tmp_path, leaks):
-    # A --jobs 1 sweep shares one auto handle: cell 0 escalates to sharded,
-    # cell 1's lineup forks a helper while that pool is live, cell 2 reuses it.
-    spec = SweepSpec("live-pool", _smoke(auto_shard_threshold=4), grid(n_workers=[4, 2, 5]))
-    serial = _serially(run_sweep, spec, tmp_path / "serial")
-    placement = Placement(monkeypatch)
-    pools, live_at_fork = [], []
-    init, fork_helpers = ShardedBank.__init__, parallel._fork_helpers
-    monkeypatch.setattr(ShardedBank, "__init__", lambda self, *a, **kw: pools.append(self) or init(self, *a, **kw))
-    monkeypatch.setattr(
-        parallel, "_fork_helpers",
-        lambda *args: live_at_fork.append([not pool._closed for pool in pools]) or fork_helpers(*args),
-    )
-    report = run_sweep(spec, tmp_path / "forked")
-    assert report.ok and report.executed == serial.executed
-    assert live_at_fork == [[True]] and placement.helper_claimed
-    assert len(pools) == 1  # cell 2 ran on the pool the helper was forked beside
-    assert _files(tmp_path / "forked" / "cells") == _files(tmp_path / "serial" / "cells")
+def test_helpers_fork_beside_a_live_sharded_pool(monkeypatch, leaks):
+    # A caller's handle keeps its sharded pool live between runs; a vectorized
+    # lineup forks a helper beside it, and the next sharded run reuses it.
+    sharded_config = _smoke(backend="sharded")
+    serial = _serially(run_experiment, _smoke())
+    with sharded_config.backend_handle() as handle:
+        sharded = run_experiment(sharded_config, backend_handle=handle)
+        pool = handle._pool
+        placement = Placement(monkeypatch)
+        live_at_fork, fork_helpers = [], parallel._fork_helpers
+        monkeypatch.setattr(
+            parallel, "_fork_helpers", lambda *args: live_at_fork.append(not pool._closed) or fork_helpers(*args),
+        )
+        assert _json(run_experiment(_smoke())) == _json(serial)
+        assert live_at_fork == [True] and placement.helper_claimed
+        assert _json(run_experiment(sharded_config, backend_handle=handle)) == _json(sharded)
+        assert handle._pool is pool  # rebuilt in place: the helper never reached it
     assert not leaks.segments()
 
 

@@ -492,7 +492,7 @@ class TestOneDefinition:
             "block_momentum", "weighting", "topology", "gossip_rounds",
             "dropout_prob", "dropout_deadline",
             # the process layout travels whole, as the BackendHandle
-            "n_shards", "auto_shard_threshold",
+            "n_shards",
         } & set(params)
         assert SimulatedCluster.run_async_round is SimulatedCluster.run_round
 

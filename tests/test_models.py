@@ -14,9 +14,7 @@ from repro.models import (
     SoftmaxRegression,
     available_models,
     build_model,
-    resnet_lite_cnn,
     resnet_lite_mlp,
-    vgg_lite_cnn,
     vgg_lite_mlp,
 )
 from repro.nn.losses import accuracy
@@ -131,9 +129,6 @@ class TestCNNs:
             opt.step()
         assert model.loss(X, y).item() < first
         assert accuracy(model(X), y) > 0.6
-
-    def test_vgg_lite_cnn_wider_than_resnet_lite_cnn(self):
-        assert vgg_lite_cnn(rng=0).num_parameters() > resnet_lite_cnn(rng=0).num_parameters()
 
     def test_cnn_invalid_geometry(self):
         with pytest.raises(ValueError):

@@ -55,7 +55,7 @@ def _trajectory(pool) -> list:
 @pytest.fixture(scope="module")
 def never_killed() -> list:
     with BackendHandle("sharded", n_shards=2) as handle:
-        return _trajectory(handle.acquire(**seeded_backend_kwargs())[1])
+        return _trajectory(handle.acquire(**seeded_backend_kwargs()))
 
 
 def _kill(pool, victim: int) -> None:
@@ -104,8 +104,8 @@ def _assert_fails_and_recovers(handle, pool, call, victim, op, never_killed) -> 
     assert message.startswith(f"shard process {victim} failed:\nconnection lost during {op!r}")
     # The handle retires the broken pool (its rebuild fails the same way)
     # and the run after the fault is a normal one.
-    name, fresh = handle.acquire(**seeded_backend_kwargs())
-    assert name == "sharded" and fresh is not pool and pool._closed
+    fresh = handle.acquire(**seeded_backend_kwargs())
+    assert fresh.name == "sharded" and fresh is not pool and pool._closed
     for got, expected in zip(_trajectory(fresh), never_killed):
         np.testing.assert_array_equal(got, expected)
     pool.close()
@@ -117,7 +117,7 @@ def _assert_fails_and_recovers(handle, pool, call, victim, op, never_killed) -> 
 def test_child_killed_before_the_command(step, victim, never_killed):
     call, op = STEPS[step]
     with BackendHandle("sharded", n_shards=2) as handle:
-        _, pool = handle.acquire(**seeded_backend_kwargs())
+        pool = handle.acquire(**seeded_backend_kwargs())
         pool.local_period(1)
         _kill(pool, victim)
         _assert_fails_and_recovers(handle, pool, call, victim, op, never_killed)
@@ -127,7 +127,7 @@ def test_child_killed_before_the_command(step, victim, never_killed):
 def test_child_killed_during_local_period(victim, never_killed):
     # The reproduced bug: this used to raise EOFError('') with no shard, no op.
     with BackendHandle("sharded", n_shards=2) as handle:
-        _, pool = handle.acquire(**seeded_backend_kwargs())
+        pool = handle.acquire(**seeded_backend_kwargs())
         timer = _kill_while_waiting(pool, victim)
         try:
             _assert_fails_and_recovers(
@@ -180,7 +180,7 @@ class TestBlasCap:
         outside = _set_blas_threads(4)  # neither share: the shards must resize
         try:
             with BackendHandle("sharded", n_shards=2) as handle:
-                _, pool = handle.acquire(**seeded_backend_kwargs())
+                pool = handle.acquire(**seeded_backend_kwargs())
                 assert pool._each("blas_threads") == [share, share]
             assert blas_threads() == 4  # the parent's own pool is left alone
         finally:
@@ -191,7 +191,7 @@ class TestBlasCap:
         _cores(monkeypatch, 6)
         _probe(monkeypatch, cores=lambda server: usable_cores())
         with BackendHandle("sharded", n_shards=2) as handle:
-            _, pool = handle.acquire(**seeded_backend_kwargs())
+            pool = handle.acquire(**seeded_backend_kwargs())
             assert pool._each("cores") == [1, 1]
         assert usable_cores() == 6
 
@@ -202,7 +202,7 @@ class TestBlasCap:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "5")
         try:
             with BackendHandle("sharded", n_shards=2) as handle:
-                _, pool = handle.acquire(**seeded_backend_kwargs())
+                pool = handle.acquire(**seeded_backend_kwargs())
                 assert pool._each("blas_threads") == [1, 1]
         finally:
             monkeypatch.delenv("OPENBLAS_NUM_THREADS")

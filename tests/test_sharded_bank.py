@@ -11,6 +11,7 @@ equality, no tolerances.
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -361,37 +362,7 @@ class TestShardedBackendSurface:
             _cluster("sharded", _registry_model_fn("mlp"), 4, n_shards=0)
 
 
-class TestAutoEscalation:
-    def test_auto_picks_sharded_at_threshold(self):
-        cluster = _cluster(
-            "auto", _registry_model_fn("mlp"), 4, auto_shard_threshold=4
-        )
-        try:
-            assert cluster.backend_name == "sharded"
-        finally:
-            cluster.close()
-
-    def test_auto_stays_vectorized_below_threshold(self):
-        cluster = _cluster(
-            "auto", _registry_model_fn("mlp"), 4, auto_shard_threshold=64
-        )
-        assert cluster.backend_name == "vectorized"
-
-    def test_auto_escalation_trajectory_identical(self):
-        # The threshold changes the process layout, never the bytes.
-        model_fn = _registry_model_fn("mlp")
-        vectorized = _cluster("auto", model_fn, 4, auto_shard_threshold=64)
-        escalated = _cluster("auto", model_fn, 4, auto_shard_threshold=2)
-        try:
-            assert escalated.backend_name == "sharded"
-            for _ in range(2):
-                assert vectorized.run_round(3) == escalated.run_round(3)
-            np.testing.assert_array_equal(
-                vectorized.synchronized_parameters, escalated.synchronized_parameters
-            )
-        finally:
-            escalated.close()
-
+class TestAuto:
     def test_auto_falls_back_to_loop_for_unsupported_model(self):
         class NoBankModel(Module):
             def __init__(self):
@@ -406,7 +377,7 @@ class TestAutoEscalation:
 
                 return cross_entropy(self(x), y)
 
-        cluster = _cluster("auto", NoBankModel, 4, auto_shard_threshold=2)
+        cluster = _cluster("auto", NoBankModel, 4)
         assert cluster.backend_name == "loop"
 
 
@@ -472,8 +443,6 @@ class TestHarnessAndConfigWiring:
         assert rebuilt.backend == "sharded" and rebuilt.backend_shards == 2
         with pytest.raises(ValueError, match="backend_shards"):
             make_config("smoke", backend_shards=0).validate()
-        with pytest.raises(ValueError, match="auto_shard_threshold"):
-            make_config("smoke", auto_shard_threshold=0).validate()
 
     def test_run_method_on_sharded_matches_vectorized(self):
         def config(backend):
@@ -493,15 +462,31 @@ class TestHarnessAndConfigWiring:
             [p.test_accuracy for p in record_vectorized.points],
         )
 
-    def test_harness_auto_escalates_above_threshold(self):
-        record = run_method(
-            make_config(
-                "smoke", backend="auto", auto_shard_threshold=2,
-                n_train=160, n_test=60, wall_time_budget=10.0,
-            ),
-            "sync-sgd",
-        )
-        assert record.config["backend"] == "sharded"
+    def test_auto_at_64_workers_runs_in_process(self, tmp_path, monkeypatch):
+        """``auto`` is in-process at any m: at m = 64 it forks no process, and
+        its saved trajectories are the bytes ``--backend vectorized`` saves."""
+        from repro.distributed.reuse import BackendHandle
+        from repro.experiments.cli import main
+
+        acquire, acquired = BackendHandle.acquire, []
+
+        def recorded(self, **kwargs):
+            backend = acquire(self, **kwargs)
+            acquired.append((backend.name, multiprocessing.active_children()))
+            return backend
+
+        monkeypatch.setattr(BackendHandle, "acquire", recorded)
+        saves = []
+        for backend in ("auto", "vectorized"):
+            path = tmp_path / f"{backend}.json"
+            assert main([
+                "--config", "smoke", "--backend", backend, "--set", "n_workers=64",
+                "--set", "n_train=1024", "--set", "methods=('adacomm',)", "--save", str(path),
+            ]) == 0
+            saves.append(path.read_bytes())
+            assert multiprocessing.active_children() == []
+        assert acquired == [("vectorized", []), ("vectorized", [])]
+        assert saves[0] == saves[1]
 
     def test_experiment_builder_shards(self):
         from repro.api import Experiment

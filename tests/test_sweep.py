@@ -34,17 +34,18 @@ from repro.sweep import (
     paired,
     run_sweep,
 )
+from repro.sweep.runner import _cell_meta
 from repro.sweep.spec import _resolve_axis
 from repro.utils.results import MetricPoint, RunRecord, RunStore
 from tests.conftest import Placement
 
 
-def tiny_spec(name="tiny", seed_mode="shared", **base_overrides) -> SweepSpec:
+def tiny_spec(name="tiny", **base_overrides) -> SweepSpec:
     """A fast 2x2 spec on a shrunken smoke config (runs in well under 1 s)."""
     base = make_config(
         "smoke", n_train=120, n_test=40, wall_time_budget=12.0, **base_overrides
     )
-    return SweepSpec(name, base, grid(tau=[1, 4], seed=[7, 8]), seed_mode=seed_mode)
+    return SweepSpec(name, base, grid(tau=[1, 4], seed=[7, 8]))
 
 
 class TestGridAndSpec:
@@ -130,14 +131,11 @@ class TestGridAndSpec:
     def test_spec_requires_axes_and_valid_seed_mode(self):
         with pytest.raises(ValueError, match="at least one axis"):
             SweepSpec("x", make_config("smoke"), {})
-        with pytest.raises(ValueError, match="seed_mode"):
-            SweepSpec("x", make_config("smoke"), grid(tau=[1]), seed_mode="nope")
-
-    def test_spec_round_trips_through_json(self):
-        spec = tiny_spec()
-        clone = SweepSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        assert [c.address for c in clone.cells()] == [c.address for c in spec.cells()]
-        assert clone.seed_mode == spec.seed_mode
+        with pytest.raises(ValueError, match="non-empty"):
+            SweepSpec("", make_config("smoke"), grid(tau=[1]))
+        # Every cell runs its config's seed; the retired seed_mode keyword fails loudly.
+        with pytest.raises(TypeError, match="seed_mode"):
+            SweepSpec("x", make_config("smoke"), grid(tau=[1]), seed_mode="decorrelated")
 
 
 class TestCellHashing:
@@ -179,40 +177,27 @@ class TestCellHashing:
         ]
         assert [c.address for c in cells] == [cell_hash(make_config(c.overrides["config"])) for c in cells]
 
+    def test_paper_ablations_addresses_are_pinned(self):
+        """The one registered campaign built with ``paired(...)``: its axes zip, in order."""
+        cells = SWEEPS.build("paper_ablations").cells()
+        assert [c.address for c in cells] == [
+            "c2d1258e9c06238f", "2bf20548dedb13d3", "ea8f93338c8db843", "77165888d06604e1",
+            "970b4a26b631dd4b", "3cd8aab6705a5753", "f9b39c5197b93ac0", "6963a4cdbc8393b2",
+            "b116edd9c08f15fc", "d8086417dbfe81ba", "3bfa72158093a7dc", "3ba6590427c692bd",
+            "e16f7301c66f1bcc", "ef25cd2c771baa38",
+        ]
+
     def test_renamed_campaign_keeps_addresses(self):
         a = [c.address for c in tiny_spec(name="alpha").cells()]
         b = [c.address for c in tiny_spec(name="beta").cells()]
         assert a == b
 
     def test_shared_seed_mode_uses_config_seed(self):
-        for cell in tiny_spec(seed_mode="shared").cells():
-            assert cell.run_seed == cell.config.seed
-
-    def test_decorrelated_seed_mode_derives_from_hash(self):
-        cells = tiny_spec(seed_mode="decorrelated").cells()
-        seeds = [c.run_seed for c in cells]
-        assert len(set(seeds)) == len(seeds)  # all distinct
-        for cell in cells:
-            # The derived seed is folded back into the executed config, so
-            # the content address always hashes exactly what runs.
-            assert cell.config.seed == cell.run_seed
-            assert cell.address == cell_hash(cell.config)
-        again = tiny_spec(seed_mode="decorrelated").cells()
-        assert [c.run_seed for c in again] == seeds
-        assert [c.address for c in again] == [c.address for c in cells]
-
-    def test_seed_modes_never_collide_in_the_store(self, tmp_path):
-        """Shared- and decorrelated-mode cells of one spec have disjoint
-        addresses, so a store populated by one mode can never serve
-        wrong-seed results to the other as cache hits."""
-        shared = tiny_spec(seed_mode="shared")
-        decorrelated = tiny_spec(seed_mode="decorrelated")
-        shared_addresses = {c.address for c in shared.cells()}
-        decorrelated_addresses = {c.address for c in decorrelated.cells()}
-        assert not shared_addresses & decorrelated_addresses
-        run_sweep(shared, tmp_path)
-        report = run_sweep(decorrelated, tmp_path)
-        assert len(report.executed) == 4 and not report.cached
+        """Each cell runs its config's own seed (common random numbers across
+        the cells of one seed), and cell.json records it as ``run_seed``."""
+        cells = tiny_spec().cells()
+        assert [c.config.seed for c in cells] == [7, 8, 7, 8]
+        assert [_cell_meta(c)["run_seed"] for c in cells] == [7, 8, 7, 8]
 
 
 class TestResultStore:
@@ -458,10 +443,9 @@ class TestSweepCLI:
 
 class TestNonGridExpansions:
     def test_paired_axes_carry_the_expansion_mode(self):
-        # paired(...) alone is enough — no separate flag to forget, so the
-        # intent cannot silently degrade into a full cross-product.
+        # paired(...) alone is enough — the marker is the only spelling, so
+        # the intent cannot silently degrade into a full cross-product.
         spec = SweepSpec("diag", make_config("smoke"), paired(m=[2, 4], tau=[8, 4]))
-        assert spec.expansion == "paired"
         cells = spec.cells()
         assert spec.n_cells == len(cells) == 2
         assert [c.overrides for c in cells] == [{"m": 2, "tau": 8}, {"m": 4, "tau": 4}]
@@ -469,63 +453,9 @@ class TestNonGridExpansions:
         assert cells[0].config.methods == ("pasgd-tau8",)
         assert cells[1].config.n_workers == 4
 
-    def test_plain_dict_axes_with_explicit_flag(self):
-        spec = SweepSpec(
-            "diag", make_config("smoke"), grid(m=[2, 4], tau=[8, 4]),
-            expansion="paired",
-        )
-        assert spec.n_cells == 2
-
     def test_paired_requires_equal_lengths(self):
         with pytest.raises(ValueError, match="equal lengths"):
             paired(m=[2, 4], tau=[8])
-        with pytest.raises(ValueError, match="equal lengths"):
-            SweepSpec("bad", make_config("smoke"), grid(m=[2, 4], tau=[8]),
-                      expansion="paired")
-        with pytest.raises(ValueError, match="expansion"):
-            SweepSpec("bad", make_config("smoke"), grid(tau=[1]), expansion="spiral")
-
-    def test_random_sampling_is_a_deterministic_subset(self):
-        full = tiny_spec()
-        sampled = full.random(3, seed=11)
-        cells = sampled.cells()
-        assert sampled.n_cells == len(cells) == 3
-        assert [c.address for c in cells] == [c.address for c in sampled.cells()]
-        full_addresses = {c.address for c in full.cells()}
-        assert {c.address for c in cells} <= full_addresses
-        # Enumeration keeps the underlying grid order; indices are sequential.
-        assert [c.index for c in cells] == [0, 1, 2]
-        other = full.random(3, seed=12).cells()
-        assert [c.address for c in other] != [c.address for c in cells]
-
-    def test_random_larger_than_grid_keeps_every_cell(self):
-        spec = tiny_spec().random(99, seed=0)
-        assert spec.n_cells == 4
-        assert len(spec.cells()) == 4
-
-    def test_random_validates_n(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            tiny_spec().random(0)
-
-    def test_expansion_and_sampling_round_trip_through_json(self):
-        sampled = tiny_spec().random(2, seed=5)
-        clone = SweepSpec.from_dict(json.loads(json.dumps(sampled.to_dict())))
-        assert [c.address for c in clone.cells()] == [c.address for c in sampled.cells()]
-        diag = SweepSpec("diag", make_config("smoke"), paired(m=[2, 4], tau=[8, 4]))
-        clone = SweepSpec.from_dict(json.loads(json.dumps(diag.to_dict())))
-        assert clone.expansion == "paired"
-        assert [c.address for c in clone.cells()] == [c.address for c in diag.cells()]
-
-    def test_sampled_campaign_runs_and_resumes_from_store(self, tmp_path):
-        sampled = tiny_spec().random(2, seed=3)
-        report = run_sweep(sampled, tmp_path)
-        assert len(report.executed) == 2
-        again = run_sweep(tiny_spec().random(2, seed=3), tmp_path)
-        assert not again.executed and len(again.cached) == 2
-        # The sample is a sub-campaign of the full grid: running the full
-        # grid afterwards re-uses the sampled cells as cache hits.
-        full = run_sweep(tiny_spec(), tmp_path)
-        assert len(full.cached) == 2 and len(full.executed) == 2
 
 
 class TestStoreMergeAndGC:
@@ -677,7 +607,7 @@ class TestHashExcludesProcessLayout:
     def test_layout_fields_do_not_change_addresses(self):
         base = make_config("smoke")
         assert cell_hash(base) == cell_hash(
-            base.with_overrides(backend_shards=8, auto_shard_threshold=2)
+            base.with_overrides(backend_shards=8)
         )
         # Physics fields still change the address.
         assert cell_hash(base) != cell_hash(base.with_overrides(lr=0.123))
@@ -687,7 +617,7 @@ class TestHashExcludesProcessLayout:
         first = run_sweep(tiny_spec(), store_dir)
         assert len(first.executed) == 4
         # Same campaign re-run under a different process layout: pure cache hits.
-        relaid = tiny_spec(backend_shards=4, auto_shard_threshold=2)
+        relaid = tiny_spec(backend_shards=4)
         second = run_sweep(relaid, store_dir)
         assert second.executed == [] and len(second.cached) == 4
 
