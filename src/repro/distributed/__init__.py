@@ -13,8 +13,8 @@ the paper's figures.
 """
 
 from repro.distributed.averaging import average_states, weighted_average_states
-from repro.distributed.backends import BackendUnsupported, WorkerBackend, WorkerView
-from repro.distributed.worker_bank import LoopWorkers, WorkerBank, shard_slices
+from repro.distributed.backends import BackendUnsupported, WorkerView
+from repro.distributed.worker_bank import LoopWorkers, WorkerBackend, WorkerBank, shard_slices
 from repro.distributed.transport import ShmStatePlane
 from repro.distributed.sharded_bank import ShardedBank
 from repro.distributed.reuse import BackendHandle

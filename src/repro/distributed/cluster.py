@@ -17,14 +17,15 @@ phases, :meth:`~SimulatedCluster.run_local_period` then
 The cluster is deliberately policy-free: *when* to average and with what τ
 and learning rate is decided by the trainer / communication schedule in
 ``repro.core``.  *How* the m replicas are executed is equally pluggable: a
-worker-execution backend (see ``repro.distributed.backends``) runs the one
-local step on one bank of m as stacked NumPy ops (``"vectorized"``), on m
-banks of one in a Python loop (``"loop"``), or on one bank per shard in a
-pool of processes (``"sharded"``).  ``"auto"`` picks the sharded pool at or
-above its worker threshold, else the vectorized bank when the model and data
-support it, else the loop.  The collective is the same arithmetic on every
-backend — an operation on the stacked ``(m, P)`` states — and the straggler
-clock advance is backend-independent.
+worker-execution backend (:class:`~repro.distributed.worker_bank.WorkerBackend`)
+cuts the m workers into contiguous chunks and runs the one local step on each
+as stacked NumPy ops — m chunks of one in a Python loop (``"loop"``), k chunks
+in-process (``"vectorized"``: one chunk of m, or one per core where each fills
+a core's L2), or one chunk per shard in a pool of processes (``"sharded"``).
+``"auto"`` is ``"vectorized"`` when the model and data support it, else the
+loop; the sharded pool runs only by name.  The collective is the same
+arithmetic on every backend — an operation on the stacked ``(m, P)`` states —
+and the straggler clock advance is backend-independent.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from repro.data.partition import PartitionedDataset, partition_dataset
 from repro.data.synthetic import Dataset
 from repro.distributed import host
 from repro.distributed.averaging import weighted_average_states
-from repro.distributed.backends import WorkerBackend
 from repro.distributed.collectives import AsyncFold, Collective, Exact, Gossip
 from repro.distributed.reuse import BackendHandle
 from repro.distributed.topology import consensus_distance, mixing_matrix_for
-from repro.distributed.worker_bank import shard_slices
+from repro.distributed.worker_bank import WorkerBackend, shard_slices
 from repro.nn.layers import Classifier, Module, evaluating
 from repro.nn.losses import accuracy, bank_cross_entropy
 from repro.nn.tensor import Tensor, Workspace, no_grad
@@ -141,12 +141,13 @@ class SimulatedCluster:
         pure; the state it implies (momentum buffer, dropout RNG stream,
         mixing matrix, server version counters) lives here.
     backend:
-        Worker-execution backend name: ``"loop"`` (m banks of one worker,
-        the independent check of the worker axis), ``"vectorized"`` (one
-        stacked bank of m; above L2, k of them stepped on threads),
-        ``"sharded"`` (the bank split over a persistent pool of worker
-        processes), or ``"auto"`` (vectorized whenever the model and shards
-        support it — all built-in models do — else loop).
+        Worker-execution backend name, each the m workers in contiguous
+        chunks: ``"loop"`` (m chunks of one, the independent check of the
+        worker axis), ``"vectorized"`` (in-process chunks: one of m, or one
+        per core stepped on threads where each fills a core's L2),
+        ``"sharded"`` (one chunk per process of a persistent pool), or
+        ``"auto"`` (vectorized whenever the model and shards support it —
+        all built-in models do — else loop).
         All backends consume the same RNG streams, so seeded runs produce
         byte-identical trajectories on any of them.  A name runs on the
         default process layout; any other (a shard count) travels whole as a

@@ -29,9 +29,8 @@ the run or the lineup).
 from __future__ import annotations
 
 from repro.api.registries import BACKENDS
-from repro.distributed.backends import WorkerBackend
 from repro.distributed.sharded_bank import ShardedBank
-from repro.distributed.worker_bank import shard_slices
+from repro.distributed.worker_bank import WorkerBackend, shard_slices
 
 __all__ = ["BackendHandle"]
 

@@ -1,21 +1,21 @@
 """The sharded worker bank: m replicas split across a persistent process pool.
 
-``ShardedBank`` is the third execution backend: the chunk composite of
-:mod:`repro.distributed.worker_bank` (:class:`~repro.distributed.worker_bank.Chunks`)
-with its chunks in a persistent pool of worker *processes*.  It partitions
-the m workers into contiguous shards and runs one vectorized
-:class:`~repro.distributed.worker_bank.WorkerBank` per shard, so banks larger
-than one process' memory (or one core's arithmetic throughput) split across
-the machine while every byte of the trajectory stays identical to the
-single-process bank — and hence to the loop's m banks of one.
+``ShardedBank`` is the one backend shape of :mod:`repro.distributed.worker_bank`
+(:class:`~repro.distributed.worker_bank.WorkerBackend`) with its chunks in a
+persistent pool of worker *processes*.  It partitions the m workers into
+contiguous shards and runs one
+:class:`~repro.distributed.worker_bank.WorkerBank` chunk per shard, so banks
+larger than one process' memory (or one core's arithmetic throughput) split
+across the machine while every byte of the trajectory stays identical to the
+in-process chunks — and hence to the loop's m chunks of one.
 
-The parent builds every shard's bank arguments with
-:func:`~repro.distributed.worker_bank.chunk_payloads`, as the loop builds its
-banks of one: a template per shard from ``model_fn`` and, for stochastic
-modules, that shard's stream replicas, all in worker order.  A payload is
-pure *state* — the template, datasets, loader and stream generators, never a
-closure: ``model_fn`` stays in the parent — and each child builds its
-shard-local ``WorkerBank`` from it.
+The parent builds every shard's bank arguments on the backends' one build
+path (:meth:`~repro.distributed.worker_bank.WorkerBackend._payloads`), as the
+loop builds its chunks of one: a template per shard from ``model_fn`` and, for
+stochastic modules, that shard's stream replicas, all in worker order.  A
+payload is pure *state* — the template, datasets, loader and stream
+generators, never a closure: ``model_fn`` stays in the parent — and each
+child builds its shard-local ``WorkerBank(**payload)``.
 
 Equivalence is structural, not approximate: a shard-local bank performs the
 same per-slice NumPy arithmetic on the same per-worker streams the full bank
@@ -75,13 +75,7 @@ import repro.distributed.host
 from repro.distributed.backends import BackendUnsupported
 from repro.distributed.host import _set_blas_threads, usable_cores
 from repro.distributed.transport import ShmStatePlane
-from repro.distributed.worker_bank import (
-    Chunks,
-    WorkerBank,
-    check_bank_setup,
-    chunk_payloads,
-    shard_slices,
-)
+from repro.distributed.worker_bank import WorkerBackend, WorkerBank, shard_slices
 from repro.nn.layers import Module
 import repro.obs.emit
 from repro.obs.emit import count, span
@@ -133,7 +127,7 @@ class _ShardServer:
         # plane, so drop the stale attachment first.  Attach-only: the
         # parent is the sole owner/unlinker of the segments.
         self.close_plane()
-        self.bank = WorkerBank(model_fn=None, **payload)
+        self.bank = WorkerBank(**payload)
         if plane_spec is not None:
             self._plane, self._bounds = ShmStatePlane.attach(plane_spec), bounds
 
@@ -162,7 +156,7 @@ class _ShardServer:
             return bank.bank.worker_buffers(*args)
         if op == "rebuild":
             return self._rebuild(*args)
-        # Every other command is the bank method of that name (Chunks' calls).
+        # Every other command is the bank method of that name (WorkerBackend's calls).
         return getattr(bank, op)(*args)
 
 
@@ -187,14 +181,14 @@ def _shard_main(conn, inherited: list, n_shards: int) -> None:
     _ShardServer().serve(conn.recv, conn.send)
 
 
-class ShardedBank(Chunks):
+class ShardedBank(WorkerBackend):
     """m replicas as ``n_shards`` vectorized banks on a persistent process pool.
 
     Parameters
     ----------
     model_fn, shards, batch_size, lr, momentum, weight_decay, rngs, bank_dtype:
-        As for :class:`~repro.distributed.worker_bank.WorkerBank`; the
-        parent consumes the RNG streams exactly as the single-process bank
+        As for :class:`~repro.distributed.worker_bank.LoopWorkers`; the
+        parent consumes the RNG streams exactly as the in-process chunks
         would (:func:`~repro.distributed.worker_bank.chunk_payloads`), so
         ``"sharded"`` and ``"vectorized"`` runs are byte-identical.
     n_shards:
@@ -295,7 +289,6 @@ class ShardedBank(Chunks):
         shards: Sequence[Dataset | None],
         *,
         n_shards: int,
-        batch_size: int = 32,
         bank_dtype: str = "float64",
         **run,
     ) -> list[dict]:
@@ -305,15 +298,12 @@ class ShardedBank(Chunks):
         pool itself — validation, the shard partition, the per-shard
         ``WorkerBank`` arguments and this object's bookkeeping — happens
         here, so a rebuilt backend is state-identical to a freshly
-        constructed one.
+        constructed one.  Every unsupported-setup check runs before any RNG
+        stream (or further ``model_fn`` call) is consumed.
         """
-        self._split(shards, n_shards)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise BackendUnsupported("shard processes are forked, and this platform cannot fork")
         template = model_fn()
-        # Every unsupported-setup check runs before any RNG stream (or further
-        # model_fn call) is consumed, so a refused setup leaves them pristine.
-        check_bank_setup(template, shards, batch_size)
         try:
             pickle.dumps(template)
         except Exception as err:  # noqa: BLE001 - any pickling failure means loop-only
@@ -321,15 +311,13 @@ class ShardedBank(Chunks):
                 f"model {type(template).__name__} is not picklable and cannot ship "
                 f"to shard processes ({err}); use the 'vectorized' or 'loop' backend"
             ) from err
+        payloads = self._payloads(model_fn, shards, n_shards, template=template, bank_dtype=bank_dtype, **run)
         self.model = template
         self._initial_flat = template.get_flat_parameters()
         self._bank_dtype = bank_dtype
         self._has_buffers = any(True for _ in template.named_buffers())
         self.n_shards = len(self.bounds)
-        return chunk_payloads(
-            model_fn, shards, self.bounds,
-            template=template, batch_size=batch_size, bank_dtype=bank_dtype, **run,
-        )
+        return payloads
 
     def rebuild(
         self,
@@ -442,7 +430,7 @@ class ShardedBank(Chunks):
         _shutdown_pool(self._conns, self._procs, self._plane)
         self._plane = None
 
-    # -- WorkerBackend protocol ----------------------------------------------
+    # -- the carrier's overrides --------------------------------------------
     def initial_state(self) -> np.ndarray:
         return self._initial_flat.copy()
 
@@ -453,37 +441,30 @@ class ShardedBank(Chunks):
         # ride in the reply or in the plane is the reply's to say.
         return "get_states" if self._plane is None else "sync_states"
 
-    def get_stacked_states(self) -> np.ndarray:
-        # Shards are contiguous worker ranges, so concatenation in shard
-        # order *is* worker order — the (m, P) array the averaging collective
-        # reduces is byte-identical to the single-process bank's.  Over the
-        # shm plane the children wrote their rows in place and the parent
-        # copies out of its own mapping; the pipes carried only empty acks.
-        with span("shard_gather"):
-            blocks = self._each(self._gather_op)
-            if self._plane is None:
-                states = np.concatenate(blocks, axis=0)
-            else:
-                states = self._plane.states.copy()
-        self._count_moved(states.nbytes)
-        return states
-
     def mean_state(self) -> "tuple[np.ndarray, int]":
-        """Overlapped uniform mean: :meth:`Chunks.mean_state`'s fold, over :meth:`_rows`."""
-        with self._rpc_scope("mean_state"), span("shard_gather"):
-            mean, nbytes = super().mean_state()
-        self._count_moved(nbytes)
-        return mean, nbytes
+        """:meth:`WorkerBackend.mean_state`'s fold as one RPC: shard i folds while later shards are in flight."""
+        with self._rpc_scope("mean_state"):
+            return super().mean_state()
 
     def _rows(self) -> "Iterator[np.ndarray]":
         """Each shard's rows the moment its reply (or shm ready-ack) lands.
 
-        The parent folds shard i while later shards are still computing or
-        in flight, instead of materializing the ``(m, P)`` stack first.
+        Shards are contiguous worker ranges, so shard order *is* worker
+        order.  Over the shm plane the children wrote their rows in place
+        and these are views of the parent's own mapping; the pipes carried
+        only empty acks.  A consumer works on shard i while later shards
+        are still computing or in flight; the bytes moved are counted once
+        the last shard's rows are out.
         """
-        for shard, reply in self._replies(self._gather_op):
-            lo, hi = self.bounds[shard]
-            yield self._plane.states[lo:hi] if reply is None else reply
+        self._ensure_open()
+        moved = 0
+        with span("shard_gather"):
+            for shard, reply in self._replies(self._gather_op):
+                lo, hi = self.bounds[shard]
+                rows = self._plane.states[lo:hi] if reply is None else reply
+                moved += rows.nbytes
+                yield rows
+        self._count_moved(moved)
 
     def broadcast_state(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)

@@ -1,38 +1,39 @@
-"""The one local step, and the chunk composite the other two backends are.
+"""The one local step, and the one backend shape: contiguous chunks of it.
 
 :meth:`WorkerBank.local_step` is the only local SGD step in ``src/`` (paper
-eq. 2): draw the stacked ``(m, B, ...)`` batch from a
+eq. 2): draw the stacked ``(k, B, ...)`` batch from a
 :class:`~repro.data.bank_loader.BankLoader`, run the model's ``bank_loss``
 over a :class:`~repro.nn.bank.ParameterBank`, back-propagate the summed
 losses into the gradient slab, apply the fused
-:class:`~repro.optim.bank_sgd.BankSGD` update to the ``(m, P)`` slab.
+:class:`~repro.optim.bank_sgd.BankSGD` update to the ``(k, P)`` slab.
 
-* :class:`WorkerBank` (``"vectorized"`` below L2) is one bank of m: every replica's
-  parameters stacked along a leading worker axis, all m mini-batches drawn
-  at once, every step one graph of batched NumPy ops.  The bank consumes
-  each shard's RNG stream exactly as m per-worker loaders would, and
-  stochastic modules (dropout, data-free noise models) are handed the
-  per-worker streams m replicas would own
-  (:func:`repro.nn.bank.attach_bank_streams`).  Every built-in model runs
-  here; :func:`check_bank_setup` refuses the rest (a model without a stacked
-  definition, shards that clip ``batch_size`` to different sizes) with
-  :class:`BackendUnsupported` *before* consuming any RNG state, so
-  ``backend="auto"`` falls back transparently.
-* :class:`Chunks` is the worker axis cut into contiguous ``[lo, hi)`` ranges,
-  one ``WorkerBank`` per range.  What every such composite needs is written
-  here once: the split (:func:`shard_slices`), each chunk's construction
-  (:func:`chunk_payloads`, which consumes ``model_fn`` and the streams in
-  worker order, so any split gives the same bytes) and the cross-chunk calls,
-  the row-sequential mean among them, over three carrier hooks.
+* :class:`WorkerBank` is one chunk of k workers: every replica's parameters
+  stacked along a leading worker axis, all k mini-batches drawn at once,
+  every step one graph of batched NumPy ops.  The chunk consumes each
+  shard's RNG stream exactly as k per-worker loaders would, and stochastic
+  modules (dropout, data-free noise models) are handed the per-worker
+  streams k replicas would own (:func:`repro.nn.bank.attach_bank_streams`).
+  It is not a backend: a backend builds it from one :func:`chunk_payloads`
+  dict, ``WorkerBank(**payload)``, in-process or in a shard process.
+* :class:`WorkerBackend` is every backend: the worker axis cut into
+  contiguous ``[lo, hi)`` ranges, one ``WorkerBank`` per range.  It is the
+  protocol :class:`~repro.distributed.cluster.SimulatedCluster` drives and
+  its one implementation: the split (:func:`shard_slices`), the setup check
+  (:func:`check_bank_setup`, once per build, *before* any RNG state is
+  consumed, so ``backend="auto"`` falls back transparently), each chunk's
+  construction (:func:`chunk_payloads`, which consumes ``model_fn`` and the
+  streams in worker order, so any split gives the same bytes) and the
+  cross-chunk calls, the row-sequential mean among them, over three carrier
+  hooks.  A subclass is only its carrier.
 * :class:`LoopWorkers` carries chunks by in-process calls.  ``"loop"`` is m
   chunks of one: the same step on m graphs of one replica.  What it checks
   independently is the worker axis, which is why a seeded run is
   byte-identical on either.  It also serves what one stacked graph cannot:
-  ragged shards (each bank clips its own batch) and modules that only write
+  ragged shards (each chunk clips its own batch) and modules that only write
   ``forward`` / ``loss`` (see :meth:`WorkerBank._replica_losses`).
-  ``"vectorized"`` above L2 is k chunks of m/k (:func:`vectorized`).  Where
-  each chunk's slab fills a core's L2 the carrier steps its chunks on the
-  process's pinned threads (:func:`chunk_threads`,
+  ``"vectorized"`` is k chunks of m/k (:func:`vectorized`): one chunk of m,
+  or, where each chunk's slab fills a core's L2, one chunk per core stepped
+  on the process's pinned threads (:func:`chunk_threads`,
   :func:`repro.distributed.host.run_pinned`): NumPy releases the GIL inside
   the large ops, so a memory-bound bank uses every core it may.
 * :class:`~repro.distributed.sharded_bank.ShardedBank` (``"sharded"``) is n
@@ -50,12 +51,7 @@ import numpy as np
 from repro.api.registries import BACKENDS
 from repro.data.bank_loader import BankLoader, common_effective_batch
 from repro.data.synthetic import Dataset
-from repro.distributed.backends import (
-    BackendUnsupported,
-    WorkerBackend,
-    WorkerView,
-    generator_state,
-)
+from repro.distributed.backends import BackendUnsupported, WorkerView, generator_state
 from repro.distributed import host
 from repro.nn.bank import ParameterBank, attach_bank_streams, bank_compatible
 from repro.nn.layers import Module
@@ -65,7 +61,7 @@ from repro.utils.domains import AT_LEAST_ONE
 
 __all__ = [
     "WorkerBank",
-    "Chunks",
+    "WorkerBackend",
     "LoopWorkers",
     "auto",
     "check_bank_setup",
@@ -104,27 +100,20 @@ def chunk_threads(n_workers: int, n_chunks: int, row_bytes: int) -> int:
 
 def vectorized_chunks(n_workers: int, row_bytes: int) -> int:
     """The chunk count k of ``vectorized``: one chunk per usable core when
-    :func:`chunk_threads` steps them concurrently, else 1 — the one bank."""
-    k = min(host.usable_cores(), n_workers)
+    :func:`chunk_threads` steps them concurrently, else 1 — one chunk of m."""
+    k = min(host.usable_cores(), max(n_workers, 1))
     return k if chunk_threads(n_workers, k, row_bytes) > 1 else 1
 
 
-def check_bank_setup(
-    template: Module,
-    shards: Sequence[Dataset | None],
-    batch_size: int,
-    *,
-    forward_only: bool = False,
-) -> None:
+def check_bank_setup(template: Module, shards: Sequence[Dataset | None], batch_size: int) -> None:
     """Raise :class:`BackendUnsupported` for a setup one stacked bank cannot run.
 
-    That is a model without a stacked definition (unless ``forward_only``: a
-    bank of one carries it as a scratch replica), a mix of data and ``None``
+    That is a model without a stacked definition, a mix of data and ``None``
     shards, or shards that clip ``batch_size`` to different sizes.  It only
     reads: no RNG stream or ``model_fn`` call is consumed, so ``"auto"`` can
     fall back with pristine streams and an unperturbed factory.
     """
-    if not forward_only and not bank_compatible(template):
+    if not bank_compatible(template):
         raise BackendUnsupported(
             f"model {type(template).__name__} has no param-bank forward path; "
             f"use the 'loop' backend"
@@ -143,7 +132,7 @@ def check_bank_setup(
 
 
 def chunk_payloads(
-    model_fn: "Callable[[], Module] | None",
+    model_fn: Callable[[], Module],
     shards: Sequence[Dataset | None],
     bounds: Sequence[tuple[int, int]],
     *,
@@ -162,9 +151,10 @@ def chunk_payloads(
     would and every split gives the same bytes.  ``run`` is the rest of the
     bank's arguments (``batch_size``, the optimizer settings, ``bank_dtype``).
 
-    A payload is state, never a closure: it pickles, and ``WorkerBank(None,
-    **payload)`` builds the chunk wherever it lands.  Ship the payload, not a
-    built bank: pickling a bank would cut its parameters loose from its slab.
+    A payload is state, never a closure: it pickles, and
+    ``WorkerBank(**payload)`` builds the chunk wherever it lands.  Ship the
+    payload, not a built bank: pickling a bank would cut its parameters loose
+    from its slab.
     """
     if rngs is None:
         rngs = [None] * len(shards)
@@ -183,18 +173,19 @@ def chunk_payloads(
     return payloads
 
 
-class WorkerBank(WorkerBackend):
-    """m stacked replicas + stacked optimizer + stacked batch sampler."""
+class WorkerBank:
+    """One chunk: k stacked replicas + stacked optimizer + stacked batch sampler.
 
-    name = "vectorized"
-    #: Whether a model without a stacked definition may ride along as a
-    #: scratch replica (see :meth:`_replica_losses`); the loop's banks of one
-    #: set it, so ``vectorized`` and ``sharded`` refuse such a model at any m.
-    _accepts_forward_only = False
+    Takes one :func:`chunk_payloads` dict.  ``template`` is the chunk's
+    scratch module, its streams already attached.  A module without a stacked
+    definition rides a chunk of one as a scratch replica
+    (:meth:`_replica_losses`); the backend's setup check refuses it on every
+    other chunk size.
+    """
 
     def __init__(
         self,
-        model_fn: Callable[[], Module],
+        template: Module,
         shards: Sequence[Dataset | None],
         *,
         batch_size: int = 32,
@@ -202,36 +193,23 @@ class WorkerBank(WorkerBackend):
         momentum: float = 0.0,
         weight_decay: float = 0.0,
         rngs: Sequence | None = None,
-        template: Module | None = None,
         bank_dtype: str = "float64",
     ):
-        if not shards:
-            raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
         # The storage dtype of the stacked bank (and the design matrix).
         # float64 is the byte-identical default; float32 is the opt-in
         # reduced-precision mode, parity within tolerance only.
         dtype = np.dtype(bank_dtype)
-        if template is None:
-            template = model_fn()
-        check_bank_setup(template, shards, batch_size, forward_only=self._accepts_forward_only)
-        self._scratch_replica = not bank_compatible(template)
-        data_free = shards[0] is None
-        loader = None if data_free else BankLoader(
+        self.n_workers = len(shards)
+        self._scratch_replica = self.n_workers == 1 and not bank_compatible(template)
+        self.loader = None if shards[0] is None else BankLoader(
             shards, batch_size, rngs=rngs, dtype=None if dtype == np.float64 else dtype
         )
-        if model_fn is not None:
-            # Built from model_fn, the bank is its composite's only chunk.  A
-            # chunk_payloads template (model_fn=None) has its streams already.
-            chunk_payloads(model_fn, shards, [(0, len(shards))], template=template)
         self.model = template
         self.bank = ParameterBank(template, len(shards), dtype=dtype)
-        self.loader = loader
-        self._shard_sizes = None if data_free else [len(shard) for shard in shards]
         self.optimizer = BankSGD(
             self.bank, lr=lr, momentum=momentum, weight_decay=weight_decay
         )
         self.local_steps_taken = 0
-        self.workers = tuple(WorkerView(self, i) for i in range(len(shards)))
 
     # -- training ------------------------------------------------------------
     def local_step(self) -> np.ndarray:
@@ -242,7 +220,7 @@ class WorkerBank(WorkerBackend):
             losses = self._replica_losses(X, y)
         else:
             stacked = self.model.bank_loss(None if X is None else Tensor(X), y, self.bank.state())
-            # Summing the (m,) losses back-propagates each worker's own batch
+            # Summing the (k,) losses back-propagates each worker's own batch
             # gradient into its slice of the bank (cross-worker terms are zero).
             stacked.sum().backward()
             losses = stacked.data.copy()
@@ -274,7 +252,6 @@ class WorkerBank(WorkerBackend):
         return loss.data.reshape(1).copy()
 
     def local_period(self, tau: int) -> np.ndarray:
-        AT_LEAST_ONE("tau", tau)
         totals = np.zeros(self.n_workers)
         for _ in range(tau):
             totals += self.local_step()
@@ -287,19 +264,10 @@ class WorkerBank(WorkerBackend):
     def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
         self.bank.set_worker_flat(worker_id, flat)
 
-    def get_stacked_states(self) -> np.ndarray:
-        return self.bank.get_stacked_flat()
-
-    def mean_state(self) -> "tuple[np.ndarray, int]":
-        # Reduce the parameter slab where it lies: the same (m, P) array
-        # shape and row-sequential reduction as gather-then-mean, no gather.
-        return self.bank.slab.mean(axis=0), self.bank.slab.nbytes
-
     def broadcast_state(self, flat: np.ndarray) -> None:
         self.bank.broadcast_flat(flat)
 
     def set_stacked_states(self, states: np.ndarray) -> None:
-        # One bulk write into the stacked storage instead of m row writes.
         self.bank.set_stacked_flat(states)
 
     # -- hyper-parameter control -------------------------------------------------
@@ -334,27 +302,49 @@ class WorkerBank(WorkerBackend):
         }
 
 
-class _BankOfOne(WorkerBank):
-    """One worker of the loop: the bank that also takes forward-only modules."""
+class WorkerBackend:
+    """A worker-execution backend: the m workers as contiguous :class:`WorkerBank` chunks.
 
-    _accepts_forward_only = True
-
-
-class Chunks(WorkerBackend):
-    """The worker axis as contiguous ``WorkerBank`` chunks: ``loop``, ``sharded``, ``vectorized`` above L2.
+    A backend owns the m model replicas, their data streams and their local
+    optimizers; the cluster keeps the policy (when to average, the virtual
+    clock, the event log).  All flat parameter vectors use the
+    ``Module.get_flat_parameters`` layout.
 
     ``bounds`` holds each chunk's ``[lo, hi)`` worker range, in worker order.
-    The cross-chunk methods below are written once, over three carrier
-    hooks: two call a :class:`WorkerBank` method by name, :meth:`_each` on
-    every chunk (results in chunk order) and :meth:`_one` on one chunk, and
+    Every cross-chunk method below is written once, over three carrier
+    hooks: :meth:`_each` calls a :class:`WorkerBank` method by name on every
+    chunk (results in chunk order), :meth:`_one` on one chunk, and
     :meth:`_rows` yields each chunk's parameter rows.  A subclass is its
-    carrier: in-process calls, or commands over a pipe.
+    carrier — in-process calls (:class:`LoopWorkers`) or commands over a
+    pipe (:class:`~repro.distributed.sharded_bank.ShardedBank`) — and also
+    writes :meth:`materialize` and :meth:`close`.
     """
 
+    #: The registered name of what runs: ``"loop"``, ``"vectorized"`` or ``"sharded"``.
+    name: str
     bounds: "list[tuple[int, int]]"
+    #: One :class:`WorkerView` per worker, in worker order.
+    workers: "tuple[WorkerView, ...]"
 
-    def _split(self, shards: Sequence[Dataset | None], n_chunks: int) -> None:
-        """Cut the workers of ``shards`` into ``n_chunks`` ranges (see :func:`shard_slices`)."""
+    def _payloads(
+        self,
+        model_fn: Callable[[], Module],
+        shards: Sequence[Dataset | None],
+        n_chunks: int,
+        *,
+        stacked: bool = True,
+        template: Module | None = None,
+        batch_size: int = 32,
+        **run,
+    ) -> list[dict]:
+        """Cut the workers into ``n_chunks`` ranges and return each chunk's ``WorkerBank`` arguments.
+
+        The one build path of every backend.  A ``stacked`` backend (all but
+        the loop, whose chunks of one run any setup) first checks the setup
+        over all m shards, so whether it runs does not depend on the chunk
+        count; the check only reads, so a refused build has consumed nothing
+        past ``template`` (``model_fn()`` when ``None``).
+        """
         if not shards:
             raise ValueError("need at least one shard (use [None, ...] for data-free runs)")
         self.bounds = shard_slices(len(shards), n_chunks)
@@ -362,7 +352,13 @@ class Chunks(WorkerBackend):
             None if any(shard is None for shard in shards) else [len(shard) for shard in shards]
         )
         self.workers = tuple(WorkerView(self, i) for i in range(len(shards)))
+        if template is None:
+            template = model_fn()
+        if stacked:
+            check_bank_setup(template, shards, batch_size)
+        return chunk_payloads(model_fn, shards, self.bounds, template=template, batch_size=batch_size, **run)
 
+    # -- carrier hooks -------------------------------------------------------------
     def _each(self, op: str, *args) -> list:  # pragma: no cover - overridden
         """``WorkerBank.<op>(*args)`` on every chunk; the results in chunk order."""
         raise NotImplementedError
@@ -375,6 +371,36 @@ class Chunks(WorkerBackend):
         """Each chunk's ``(k, P)`` parameter rows, in chunk order (read before the next step)."""
         raise NotImplementedError
 
+    def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:  # pragma: no cover - overridden
+        """A scratch module holding ``flat`` and ``worker_id``'s buffers.
+
+        Never worker state: the slabs are the ground truth on every backend,
+        so loading the module (or a caller writing to it) changes no worker.
+        """
+        raise NotImplementedError
+
+    def close(self) -> None:  # pragma: no cover - overridden
+        """Release the carrier's resources (shard processes, chunk threads).  Idempotent."""
+        raise NotImplementedError
+
+    # -- the protocol --------------------------------------------------------------
+    @property
+    def n_workers(self) -> int:
+        return len(self.workers)
+
+    def shard_sizes(self) -> "list[int] | None":
+        """Per-worker training-shard sizes, or ``None`` for data-free runs.
+
+        These are the FedAvg-style averaging weights: under unbalanced
+        partitions the cluster can weight each worker's state by its shard
+        size (``weighting="shard_size"``) instead of averaging uniformly.
+        """
+        return None if self._shard_sizes is None else list(self._shard_sizes)
+
+    def initial_state(self) -> np.ndarray:
+        """Flat copy of the common initial parameter vector."""
+        return self.worker_state(0)
+
     def _locate(self, worker_id: int) -> tuple[int, int]:
         """Map a global worker id to ``(chunk, local_id)``."""
         for chunk, (lo, hi) in enumerate(self.bounds):
@@ -383,23 +409,49 @@ class Chunks(WorkerBackend):
         raise IndexError(f"worker_id {worker_id} out of range [0, {self.n_workers})")
 
     def local_period(self, tau: int) -> np.ndarray:
+        """Run τ local SGD steps on every worker; per-worker mean losses ``(m,)``."""
         AT_LEAST_ONE("tau", tau)
         return np.concatenate(self._each("local_period", tau))
 
     def worker_state(self, worker_id: int) -> np.ndarray:
+        """Flat copy of one worker's parameters (the views' read hook)."""
         chunk, local = self._locate(worker_id)
         return self._one(chunk, "worker_state", local)
 
     def set_worker_state(self, worker_id: int, flat: np.ndarray) -> None:
+        """Overwrite one worker's parameters (the views' write hook)."""
         chunk, local = self._locate(worker_id)
         self._one(chunk, "set_worker_state", local, flat)
 
-    def mean_state(self) -> "tuple[np.ndarray, int]":
-        """Fold every chunk's rows, in worker order, into one running sum.
+    def get_stacked_states(self) -> np.ndarray:
+        """All worker states as one ``(m, P)`` array (row i = worker i)."""
+        return np.concatenate(list(self._rows()))
 
-        No ``(m, P)`` stack is built.  The fold is row-sequential, which is
+    def set_stacked_states(self, states: np.ndarray) -> None:
+        """Scatter per-worker parameters: row i of ``(m, P)`` goes to worker i.
+
+        The inverse of :meth:`get_stacked_states`, used by the decentralized
+        paths (gossip mixing, async server pulls) where workers end a round
+        with *different* states instead of one broadcast vector.  One call
+        per chunk, with its row slice.
+        """
+        if states.shape[0] != self.n_workers:
+            raise ValueError(
+                f"expected {self.n_workers} state rows, got {states.shape[0]}"
+            )
+        for chunk, (lo, hi) in enumerate(self.bounds):
+            self._one(chunk, "set_stacked_states", states[lo:hi])
+
+    def mean_state(self) -> "tuple[np.ndarray, int]":
+        """Uniform mean of all worker states and the gathered byte count.
+
+        Returns ``(mean, nbytes)`` where ``mean`` equals
+        ``get_stacked_states().mean(axis=0)`` *bitwise* and ``nbytes`` is the
+        size of the ``(m, P)`` stack (what ``bytes_averaged_total`` counts).
+        Every chunk's rows fold, in worker order, into one running sum, and
+        no ``(m, P)`` stack is built.  The fold is row-sequential, which is
         the reduction NumPy's own axis-0 mean performs, so the bytes equal
-        ``slab.mean(axis=0)`` of the one bank, for float64 and float32 alike;
+        ``slab.mean(axis=0)`` of one bank of m, for float64 and float32 alike;
         per-chunk partial sums would reassociate the additions.  Where the
         ``(m, P)`` slab cut in column ranges fills a core's L2 per range
         (:func:`~repro.distributed.host.block_threads`), each pinned thread
@@ -418,6 +470,7 @@ class Chunks(WorkerBackend):
         return acc, self.n_workers * acc.nbytes
 
     def broadcast_state(self, flat: np.ndarray) -> None:
+        """Overwrite every worker's parameters with one flat vector."""
         self._each("broadcast_state", flat)
 
     def set_lr(self, lr: float) -> None:
@@ -427,6 +480,14 @@ class Chunks(WorkerBackend):
         self._each("reset_momentum")
 
     def rng_fingerprint(self) -> dict:
+        """Positions of every per-worker RNG stream, in one comparable dict.
+
+        ``{"loaders": [state_or_None per worker], "streams": [[state per
+        stream module] per worker]}`` where each state is the generator's
+        ``bit_generator.state`` dict.  Equal fingerprints mean the backends
+        have consumed every stream identically — the equivalence matrix
+        (``tests/conftest.py``) compares these with ``==`` across backends.
+        """
         merged: dict = {"loaders": [], "streams": []}
         for part in self._each("rng_fingerprint"):
             merged["loaders"].extend(part["loaders"])
@@ -434,17 +495,18 @@ class Chunks(WorkerBackend):
         return merged
 
 
-class LoopWorkers(Chunks):
-    """Chunks carried by in-process calls: ``loop``, and ``vectorized`` above L2.
+class LoopWorkers(WorkerBackend):
+    """Chunks carried by in-process calls: ``loop``, and ``vectorized``.
 
-    Takes the arguments of :class:`WorkerBank`.  Without ``n_chunks`` it is
-    the loop: m chunks of one, worker i with its own replica from
-    ``model_fn`` (``template``, when given, is worker 0's — the probe an
-    ``"auto"`` fallback already built, so ``model_fn`` is consumed as in a
-    direct build), its own shard, loader stream, slab and optimizer
-    (:func:`chunk_payloads`), in float64 whatever ``bank_dtype`` says: the
-    loop is the float64 check.  With ``n_chunks`` it is the vectorized bank
-    cut into that many :func:`shard_slices` chunks (see :func:`vectorized`).
+    Takes the arguments of :class:`WorkerBank`, with ``model_fn`` for its
+    template.  Without ``n_chunks`` it is the loop: m chunks of one, worker
+    i with its own replica from ``model_fn`` (``template``, when given, is
+    worker 0's — the probe an ``"auto"`` fallback already built, so
+    ``model_fn`` is consumed as in a direct build), its own shard, loader
+    stream, slab and optimizer (:func:`chunk_payloads`), in float64 whatever
+    ``bank_dtype`` says: the loop is the float64 check.  With ``n_chunks``
+    it is the vectorized bank cut into that many :func:`shard_slices` chunks
+    (see :func:`vectorized`).
 
     Where :func:`chunk_threads` says so, :meth:`_each` steps the chunks on
     t pinned threads (:func:`~repro.distributed.host.run_pinned`): this
@@ -465,16 +527,13 @@ class LoopWorkers(Chunks):
         bank_dtype: str = "float64",
         **run,
     ):
-        chunk = WorkerBank
-        if n_chunks is None:
-            n_chunks, bank_dtype, chunk = len(shards), "float64", _BankOfOne
+        loop = n_chunks is None
+        if loop:
+            n_chunks, bank_dtype = len(shards), "float64"
         else:
             self.name = "vectorized"
-        self._split(shards, n_chunks)
-        self.banks: list[WorkerBank] = [
-            chunk(None, **payload)
-            for payload in chunk_payloads(model_fn, shards, self.bounds, bank_dtype=bank_dtype, **run)
-        ]
+        payloads = self._payloads(model_fn, shards, n_chunks, stacked=not loop, bank_dtype=bank_dtype, **run)
+        self.banks = [WorkerBank(**payload) for payload in payloads]
         self._threads = chunk_threads(len(shards), len(self.bounds), self.banks[0].bank.slab[0].nbytes)
 
     def _each(self, op: str, *args) -> list:
@@ -496,9 +555,6 @@ class LoopWorkers(Chunks):
 
     def _rows(self) -> "list[np.ndarray]":
         return [bank.bank.slab for bank in self.banks]
-
-    def get_stacked_states(self) -> np.ndarray:
-        return np.concatenate(self._rows())
 
     def materialize(self, flat: np.ndarray, worker_id: int = 0) -> Module:
         chunk, local = self._locate(worker_id)
@@ -523,30 +579,25 @@ def vectorized(
     shards: Sequence[Dataset | None],
     *,
     template: Module | None = None,
-    batch_size: int = 32,
     bank_dtype: str = "float64",
     **run,
-) -> WorkerBackend:
-    """The ``"vectorized"`` backend: one :class:`WorkerBank` of m, or k chunks of it on threads.
+) -> LoopWorkers:
+    """The ``"vectorized"`` backend: the in-process carrier with k = :func:`vectorized_chunks` chunks.
 
-    Takes the arguments of :class:`WorkerBank`.  k is :func:`vectorized_chunks`
-    of the template's parameter row: at k = 1 this is the one bank, else the
-    in-process carrier (:class:`LoopWorkers`) with k chunks.  A chunk is the
-    same arithmetic on a slice of the worker axis, so the bytes are the one
-    bank's either way.  The setup is checked first, so :func:`auto` can still
-    fall back before a second ``model_fn()`` call or any stream is consumed.
+    Takes the arguments of :class:`LoopWorkers`.  k comes from the template's
+    parameter row: one chunk of m, or one chunk per core where each chunk's
+    slab fills a core's L2.  A chunk is the same arithmetic on a slice of the
+    worker axis, so the bytes do not depend on k.  The setup is checked
+    before a second ``model_fn()`` call or any stream is consumed, so
+    :func:`auto` can still fall back.
     """
     if template is None:
         template = model_fn()
-    check_bank_setup(template, shards, batch_size)
     k = vectorized_chunks(len(shards), template.num_parameters() * np.dtype(bank_dtype).itemsize)
-    kwargs = dict(template=template, batch_size=batch_size, bank_dtype=bank_dtype, **run)
-    if k == 1:
-        return WorkerBank(model_fn, shards, **kwargs)
-    return LoopWorkers(model_fn, shards, n_chunks=k, **kwargs)
+    return LoopWorkers(model_fn, shards, n_chunks=k, template=template, bank_dtype=bank_dtype, **run)
 
 
-def auto(model_fn: Callable[[], Module], shards: Sequence[Dataset | None], **run) -> WorkerBackend:
+def auto(model_fn: Callable[[], Module], shards: Sequence[Dataset | None], **run) -> LoopWorkers:
     """The ``"auto"`` backend: ``vectorized`` where one stacked graph can run
     the model and shards, else the loop (a model without a stacked definition,
     shards that clip the batch size differently).

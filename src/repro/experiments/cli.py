@@ -54,6 +54,7 @@ from repro.api.registries import SWEEPS, all_registries
 from repro.experiments.configs import (
     ExperimentConfig,
     _apply_scale,
+    _check_field_names,
     available_configs,
     make_config,
 )
@@ -186,9 +187,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         config = _apply_scale(config, args.scale)
         if overrides:
             try:
-                config = config.with_overrides(**overrides)
-            except TypeError as err:
+                _check_field_names(overrides)  # the message a JSON config's unknown key gets
+            except ValueError as err:
                 raise SystemExit(f"error: invalid --set override: {err}") from err
+            config = config.with_overrides(**overrides)
         return config.validate()  # every field's domain, the lineup included
     except ValueError as err:
         raise SystemExit(f"error: {err}") from err

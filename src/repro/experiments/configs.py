@@ -24,10 +24,13 @@ higher-fidelity runs.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from repro.api.registries import (
     BACKENDS,
@@ -252,12 +255,7 @@ class ExperimentConfig:
         # Retired layout knobs never changed a trajectory: older saves still load.
         for key in _RETIRED_LAYOUT_KEYS:
             payload.pop(key, None)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown config fields {unknown}; known fields: {sorted(known)}"
-            )
+        _check_field_names(payload)
         return cls(**payload).validate()
 
     def validate(self) -> "ExperimentConfig":
@@ -315,6 +313,62 @@ def check_type(name: str, value: Any, subject: "str | None" = None) -> None:
         raise ValueError(f"{subject or name} takes {kinds}, got {value!r}")
 
 
+def _check_field_names(names) -> None:
+    """Refuse ``names`` that are no config field: a JSON config's keys, ``--set`` keys."""
+    known = {f.name for f in fields(ExperimentConfig)}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        raise ValueError(f"unknown config fields {unknown}; known fields: {sorted(known)}")
+
+
+@lru_cache(maxsize=None)
+def _parameters(fn: Callable) -> frozenset:
+    """The keyword parameters of a registered builder, read once per builder."""
+    return frozenset(inspect.signature(fn).parameters)
+
+
+def _data_features(config: ExperimentConfig) -> int:
+    """The feature count of the dataset ``config`` builds, as the model builder sees it.
+
+    ``n_features`` where the generator takes it; a generator with an
+    intrinsic width (``spirals``) is built at one row per class and read.
+    """
+    fn = DATASETS.get(config.dataset)
+    if "n_features" in _parameters(fn):
+        return config.n_features
+    kwargs = dict(n_samples=config.n_classes, n_classes=config.n_classes, rng=0)
+    return fn(**filter_kwargs(fn, kwargs)).n_features
+
+
+#: The most bytes one NumPy array can span (``np.intp``): the bound on the
+#: dataset, whatever this host's memory.
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
+
+
+def _data_fits_one_array(config: ExperimentConfig) -> None:
+    width = _data_features(config)
+    limit = _MAX_ARRAY_BYTES // (np.dtype(np.float64).itemsize * width)
+    if config.n_train + config.n_test > limit:
+        raise ValueError(
+            f"n_train + n_test must be <= {limit}, the rows of {width} float64 features "
+            f"one NumPy array can hold, got {config.n_train} + {config.n_test}"
+        )
+
+
+def _image_fits_the_features(config: ExperimentConfig) -> None:
+    """A model that views the flat features as an image (its builder takes ``image_size``) gets one."""
+    from repro.models.registry import infer_image_geometry  # the models register on import
+
+    if "image_size" not in _parameters(MODELS.get(config.model)):
+        return
+    kwargs = config.model_kwargs
+    n_features = kwargs.get("n_features", _data_features(config))
+    try:
+        infer_image_geometry(n_features, kwargs.get("image_size"), kwargs.get("in_channels"))
+    except (TypeError, ValueError) as err:  # a geometry that is no number fails to multiply
+        raise ValueError(f"n_features={n_features} does not fit model {config.model!r}: {err}") from None
+
+
 def _train_floor(config: ExperimentConfig) -> int:
     return config.n_workers * config.batch_size
 
@@ -353,7 +407,8 @@ def _lineup_parses(config: ExperimentConfig) -> None:
 #: Rules over several fields, checked once every field lies in its domain.  The
 #: collective owns the weighting names (and shares β's range with its field).
 _CROSS_FIELD_RULES = (
-    _data_fills_a_round, _model_takes_kwargs, _compute_mean_positive, ExperimentConfig.collective, _lineup_parses,
+    _data_fills_a_round, _data_fits_one_array, _model_takes_kwargs, _image_fits_the_features,
+    _compute_mean_positive, ExperimentConfig.collective, _lineup_parses,
 )
 
 
@@ -441,10 +496,13 @@ def _apply_scale(cfg: ExperimentConfig, scale: float) -> ExperimentConfig:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if scale == 1.0:
         return cfg
+    n_train = cfg.n_train * scale + 0.5
+    if not math.isfinite(n_train):
+        raise ValueError(f"n_train must be finite, got {cfg.n_train} * scale {scale:g}")
     return cfg.with_overrides(
         wall_time_budget=cfg.wall_time_budget * scale,
         adacomm_interval=cfg.adacomm_interval * scale,
-        n_train=max(_train_floor(cfg), int(cfg.n_train * scale + 0.5)),
+        n_train=max(_train_floor(cfg), int(n_train)),
     )
 
 

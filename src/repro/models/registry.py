@@ -51,13 +51,27 @@ def build_model(name: str, **kwargs):
     return MODELS.build(name, **kwargs)
 
 
-def infer_image_geometry(n_features: int) -> tuple[int, int]:
-    """Infer an ``(in_channels, image_size)`` pair from a flat feature count.
+def infer_image_geometry(
+    n_features: int, image_size: int | None = None, in_channels: int | None = None
+) -> tuple[int, int]:
+    """The ``(in_channels, image_size)`` pair a CNN views ``n_features`` flat features as.
 
-    Tries RGB-like 3-channel square images first, then single-channel ones;
-    raises ``ValueError`` when ``n_features`` fits neither, so CNN models fail
-    with a clear message instead of a reshape error deep in the forward pass.
+    Explicit geometry wins (a missing half is 3 channels or size 8) and must
+    hold exactly ``n_features``.  Otherwise tries RGB-like 3-channel square
+    images first, then single-channel ones.  Raises ``ValueError`` when
+    nothing fits, so CNN models fail with a clear message instead of a
+    reshape error deep in the forward pass (and ``validate()`` before
+    anything runs).
     """
+    if image_size is not None or in_channels is not None:
+        in_channels = 3 if in_channels is None else in_channels
+        image_size = 8 if image_size is None else image_size
+        if in_channels * image_size * image_size != n_features:
+            raise ValueError(
+                f"CNN geometry {in_channels}x{image_size}x{image_size} does not match "
+                f"the {n_features} flat features of the dataset"
+            )
+        return in_channels, image_size
     for channels in (3, 1):
         if n_features % channels:
             continue
@@ -78,17 +92,12 @@ def _adaptive_cnn(channels: tuple[int, ...]) -> Callable:
         in_channels: int | None = None,
         rng=None,
     ) -> SmallCNN:
-        # Explicit geometry wins; otherwise infer it from the flat feature
-        # count; otherwise fall back to the 3×8×8 synthetic-CIFAR default.
-        if image_size is None and in_channels is None and n_features is not None:
-            in_channels, image_size = infer_image_geometry(n_features)
+        # The geometry the flat features fit; without features, the 3×8×8
+        # synthetic-CIFAR default (or what is given).
+        if n_features is not None:
+            in_channels, image_size = infer_image_geometry(n_features, image_size, in_channels)
         in_channels = 3 if in_channels is None else in_channels
         image_size = 8 if image_size is None else image_size
-        if n_features is not None and in_channels * image_size * image_size != n_features:
-            raise ValueError(
-                f"CNN geometry {in_channels}x{image_size}x{image_size} does not match "
-                f"the {n_features} flat features of the dataset"
-            )
         # Drop pooling stages that would shrink the image below 1×1.
         max_stages = max(1, int(math.log2(image_size)))
         return SmallCNN(

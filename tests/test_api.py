@@ -477,6 +477,8 @@ class TestCLI:
         (["--scale", "inf"], "scale must be positive and finite, got inf"),
         (["--scale", "nan"], "scale must be positive and finite, got nan"),
         (["--target-loss", "nan"], "--target-loss must be finite, got nan"),
+        (["--scale", "1e300"], "n_train + n_test must be <= 72057594037927935"),
+        (["--scale", "1e308"], "n_train must be finite, got 240 * scale 1e+308"),
     ])
     def test_bad_scale_or_lineup_exits_with_message(self, argv, message):
         with pytest.raises(SystemExit, match=f"^error: .*{re.escape(message)}"):
@@ -520,5 +522,13 @@ class TestCLI:
         assert f"ADACOMM speed-up over fully synchronous SGD {line}" in out
 
     def test_retired_auto_shard_threshold_is_refused_with_one_line(self):
-        with pytest.raises(SystemExit, match="^error: invalid --set override: .*'auto_shard_threshold'$"):
+        with pytest.raises(SystemExit, match=r"^error: invalid --set override: unknown config fields \['auto_shard_threshold'\];"):
             main(["--config", "smoke", "--set", "auto_shard_threshold=64"])
+
+    def test_unknown_set_key_gets_the_message_of_a_json_configs_unknown_key(self):
+        with pytest.raises(ValueError) as from_json:
+            ExperimentConfig.from_dict({**make_config("smoke").to_dict(), "foo": 1})
+        with pytest.raises(SystemExit) as from_set:
+            main(["--config", "smoke", "--set", "foo=1"])
+        assert from_set.value.code == f"error: invalid --set override: {from_json.value}"
+        assert "unexpected keyword argument" not in from_set.value.code

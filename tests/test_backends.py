@@ -346,13 +346,14 @@ class TestWorkerBankBackend:
     def test_registry_names(self):
         assert "loop" in BACKENDS and "vectorized" in BACKENDS
         assert BACKENDS.get("loop") is LoopWorkers
-        # The vectorized entry picks its chunk count; at one chunk it builds a WorkerBank.
+        # The vectorized entry picks its chunk count and builds the same carrier at every count.
         assert BACKENDS.get("vectorized") is vectorized
 
     def test_cluster_invariants_on_vectorized_backend(self):
         cluster = _make_cluster("vectorized")
         assert cluster.backend_name == "vectorized"
-        assert isinstance(cluster.backend, WorkerBank)
+        assert type(cluster.backend) is LoopWorkers
+        assert all(type(bank) is WorkerBank for bank in cluster.backend.banks)
         assert all(isinstance(w, WorkerView) for w in cluster.workers)
         cluster.run_local_period(5)
         assert cluster.clock.now == pytest.approx(5.0)
@@ -368,7 +369,7 @@ class TestWorkerBankBackend:
     def test_worker_views_roundtrip_parameters(self):
         cluster = _make_cluster("vectorized", n_workers=2)
         view = cluster.workers[1]
-        target = np.arange(cluster.backend.bank.n_parameters, dtype=float)
+        target = np.arange(view.get_parameters().size, dtype=float)
         view.set_parameters(target)
         np.testing.assert_array_equal(view.get_parameters(), target)
         # worker 0 untouched

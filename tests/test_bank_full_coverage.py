@@ -62,6 +62,12 @@ def _generator_state(gen) -> dict:
     return gen.bit_generator.state
 
 
+def _chunk(cluster):
+    """The vectorized backend's one chunk of m (these models never fill a core's L2)."""
+    (chunk,) = cluster.backend.banks
+    return chunk
+
+
 CASES = {
     "cnn": (lambda: SmallCNN(in_channels=3, image_size=4, channels=(4,), n_classes=C, rng=0), 48),
     "batch_norm": (lambda: MLP(12, C, hidden_sizes=(8,), batch_norm=True, rng=1), 12),
@@ -104,7 +110,7 @@ class TestByteIdenticalTrajectories:
         for _ in range(2):
             loop.run_round(3)
             bank.run_round(3)
-        stacked = bank.backend.bank.buffers
+        stacked = _chunk(bank).bank.buffers
         assert set(stacked) == {"net.layer1.running_mean", "net.layer1.running_var"}
         for i, worker in enumerate(loop.workers):
             ref = dict(worker.model.named_buffers())
@@ -145,12 +151,12 @@ class TestByteIdenticalTrajectories:
         # backends, positioned identically after the same number of draws.
         assert loop.backend.rng_fingerprint() == bank.backend.rng_fingerprint()
         assert loop.backend.rng_fingerprint()["loaders"] == [
-            _generator_state(loader._rng) for loader in bank.backend.loader.loaders
+            _generator_state(loader._rng) for loader in _chunk(bank).loader.loaders
         ]
         # Dropout mask streams: the bank template's per-worker streams sit
         # exactly where each loop replica's private generator does.
         loop_streams = [list(w.model.stream_modules()) for w in loop.workers]
-        bank_mods = list(bank.backend.model.stream_modules())
+        bank_mods = list(_chunk(bank).model.stream_modules())
         assert bank_mods and all(len(mods) == len(bank_mods) for mods in loop_streams)
         for mod_idx, bank_mod in enumerate(bank_mods):
             for worker_idx, mods in enumerate(loop_streams):
@@ -164,7 +170,7 @@ class TestByteIdenticalTrajectories:
         bank.run_round(2)
         states = [
             _generator_state(rng)
-            for mod in bank.backend.model.stream_modules()
+            for mod in _chunk(bank).model.stream_modules()
             for rng in mod._bank_rngs
         ]
         probe = make_gaussian_blobs(n_samples=40, n_features=n_features, n_classes=C, rng=9)
@@ -172,7 +178,7 @@ class TestByteIdenticalTrajectories:
         bank.evaluate_synchronized(lambda model: float(model.loss(probe.X, probe.y).item()))
         after = [
             _generator_state(rng)
-            for mod in bank.backend.model.stream_modules()
+            for mod in _chunk(bank).model.stream_modules()
             for rng in mod._bank_rngs
         ]
         assert states == after
@@ -199,7 +205,7 @@ class TestQuadraticBank:
                 loop.synchronized_parameters, bank.synchronized_parameters
             )
         # Noise streams sit at identical positions after identical draws.
-        bank_mods = list(bank.backend.model.stream_modules())
+        bank_mods = list(_chunk(bank).model.stream_modules())
         assert len(bank_mods) == 1
         for i, worker in enumerate(loop.workers):
             (loop_mod,) = list(worker.model.stream_modules())

@@ -18,7 +18,7 @@ import pytest
 
 from repro.api.registries import BACKENDS, MODELS
 from repro.api.registry import filter_kwargs
-from repro.distributed import BackendHandle, LoopWorkers, SimulatedCluster, WorkerBank, host
+from repro.distributed import BackendHandle, LoopWorkers, SimulatedCluster, WorkerBackend, WorkerBank, host
 from repro.distributed.host import _BLAS_ENV, _set_blas_threads, l2_bytes, usable_cores
 from repro.distributed.worker_bank import vectorized_chunks
 from repro.experiments import parallel
@@ -93,7 +93,10 @@ def test_vectorized_is_one_bank_below_the_rule_and_chunks_above():
     with chunk_rule(threads=True):
         two = BACKENDS.build("vectorized", **seeded_backend_kwargs())
     try:
-        assert type(one) is WorkerBank
+        # The same class at every chunk count; only the bounds and the threads differ.
+        assert type(one) is LoopWorkers and one.name == "vectorized" and one.bounds == [(0, 4)]
+        assert (len(one.banks), one._threads) == (1, 1)
+        assert type(one.banks[0]) is WorkerBank and not isinstance(one.banks[0], WorkerBackend)
         assert type(two) is LoopWorkers and two.name == "vectorized" and two.bounds == [(0, 2), (2, 4)]
         assert two.materialize(two.worker_state(3), 3) is two.banks[1].model
     finally:

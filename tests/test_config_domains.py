@@ -78,8 +78,9 @@ OUT_OF_DOMAIN = {
         st.dictionaries(st.sampled_from(["foo", "depth", "n_layers", "lr"]), st.integers(), min_size=1),
         st.sampled_from([None, "x", 1]),
     ),
-    "n_train": st.one_of(st.integers(max_value=31), NOT_AN_INT),
-    "n_test": _int_below(1),
+    # Past the rows one NumPy array of 16 float64 features can hold: 2**59.
+    "n_train": st.one_of(st.integers(max_value=31), st.integers(min_value=2**59), NOT_AN_INT),
+    "n_test": st.one_of(_int_below(1), st.integers(min_value=2**59)),
     "n_features": _int_below(1),
     "class_sep": _float_outside(lo=0),
     "label_noise": _float_outside(lo=0, hi=1, hi_open=True),
@@ -206,13 +207,14 @@ def test_both_tables_cover_every_field():
     assert set(OUT_OF_DOMAIN) == set(IN_DOMAIN) == set(FIELDS)
 
 
-def _cli_error(name, value) -> str:
-    """The one-line exit message of ``--set name=<value>``, checking nothing ran."""
+def _cli_error(name, value, base: dict) -> str:
+    """The one-line exit message of ``--set name=<value>`` over ``base``'s ``--set``s, checking nothing ran."""
     out = io.StringIO()
     must_not_run = mock.Mock(side_effect=AssertionError("the run started before the flags were checked"))
+    sets = [arg for key, item in {**base, name: value}.items() for arg in ("--set", f"{key}={item!r}")]
     with mock.patch.object(cli, "run_experiment", must_not_run), contextlib.redirect_stdout(out):
         with pytest.raises(SystemExit) as stop:
-            cli.main(["--config", "smoke", "--set", f"{name}={value!r}"])
+            cli.main(["--config", "smoke", *sets])
     assert "running experiment" not in out.getvalue()
     assert isinstance(stop.value.code, str) and "\n" not in stop.value.code
     return stop.value.code
@@ -242,6 +244,11 @@ def _cli_error(name, value) -> str:
 @example(case=("eval_every_rounds", 1.5))
 @example(case=("n_workers", True))
 @example(case=("seed", True))
+# A field refused only beside another: the third item is the rest of the config.
+@example(case=("n_features", 15, {"model": "vgg_lite_cnn"}))  # no square image
+@example(case=("n_features", 16, {"model": "vgg_lite_cnn", "model_kwargs": {"image_size": 5}}))
+@example(case=("n_features", 16, {"model": "vgg_lite_cnn", "dataset": "spirals"}))  # its 2 features, not 16
+@example(case=("n_train", 2400 * 10**300))  # what --scale 1e300 makes of smoke
 # ... and the cases hand-listed when the ranges were first checked.
 @example(case=("n_workers", 0))
 @example(case=("batch_size", 0))
@@ -264,11 +271,12 @@ def _cli_error(name, value) -> str:
 @example(case=("bank_dtype", "float16"))
 @example(case=("weighting", "bogus"))
 def test_out_of_domain_value_is_refused_naming_its_field(case):
-    name, value = case
+    name, value, *rest = case
+    base = rest[0] if rest else {}
     with pytest.raises(ValueError) as refused:
-        ExperimentConfig.from_dict({**make_config("smoke").to_dict(), name: value})
+        ExperimentConfig.from_dict({**make_config("smoke", **base).to_dict(), name: value})
     assert _names(name, str(refused.value))
-    message = _cli_error(name, value)
+    message = _cli_error(name, value, base)
     assert message.startswith("error: ") and _names(name, message)
 
 

@@ -12,7 +12,7 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.averaging import average_states, weighted_average_states
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.collectives import AsyncFold, Exact, Gossip
-from repro.distributed.worker_bank import LoopWorkers, WorkerBank
+from repro.distributed.worker_bank import LoopWorkers, WorkerBank, vectorized_chunks
 from repro.models.mlp import MLP
 from repro.nn.layers import evaluating
 from repro.optim.block_momentum import BlockMomentum
@@ -56,10 +56,10 @@ class TestAveraging:
 
 
 class TestWorker:
-    """One worker is a :class:`WorkerBank` of one: the step every backend runs."""
+    """One worker is the loop of one: a :class:`WorkerBank` chunk of one, the step every backend runs."""
 
     def _make_worker(self, tiny_dataset, **kwargs):
-        return WorkerBank(
+        return LoopWorkers(
             lambda: MLP(n_features=8, n_classes=3, hidden_sizes=(12,), rng=0),
             [tiny_dataset], batch_size=16, lr=0.2, rngs=[0], **kwargs,
         )
@@ -73,20 +73,21 @@ class TestWorker:
     def test_local_step_changes_parameters_and_returns_loss(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
         before = worker.worker_state(0)
-        (loss,) = worker.local_step()
+        (bank,) = worker.banks
+        (loss,) = bank.local_step()
         assert np.isfinite(loss)
         assert not np.allclose(before, worker.worker_state(0))
-        assert worker.local_steps_taken == 1
+        assert bank.local_steps_taken == 1
 
     def test_local_period_runs_tau_steps(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
         worker.local_period(7)
-        assert worker.local_steps_taken == 7
+        assert worker.banks[0].local_steps_taken == 7
 
     def test_parameter_roundtrip(self, tiny_dataset):
         worker = self._make_worker(tiny_dataset)
         (view,) = worker.workers
-        target = np.arange(worker.model.num_parameters(), dtype=float)
+        target = np.arange(worker.worker_state(0).size, dtype=float)
         view.set_parameters(target)
         np.testing.assert_allclose(view.get_parameters(), target)
         np.testing.assert_allclose(view.model.get_flat_parameters(), target)
@@ -318,8 +319,10 @@ class TestClusterBackendParity:
 
     def test_backend_class_selection(self, tiny_dataset, tiny_model_fn, backend):
         cluster = _make_cluster(tiny_dataset, tiny_model_fn, backend=backend)
-        expected = LoopWorkers if backend == "loop" else WorkerBank
-        assert isinstance(cluster.backend, expected)
+        # Both are the in-process carrier: m chunks of one, or k chunks (one of m below L2).
+        assert type(cluster.backend) is LoopWorkers
+        assert all(type(bank) is WorkerBank for bank in cluster.backend.banks)
+        assert len(cluster.backend.banks) == (4 if backend == "loop" else vectorized_chunks(4, cluster.workers[0].get_parameters().nbytes))
         assert cluster.backend_name == backend
 
     def test_workers_start_identical_and_synchronize(self, tiny_dataset, tiny_model_fn, backend):

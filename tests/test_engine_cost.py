@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.distributed.worker_bank import WorkerBank
+from repro.distributed.worker_bank import WorkerBank, chunk_payloads
 from repro.experiments.configs import make_config
 from repro.models.mlp import MLP
 from repro.nn.tensor import Tensor
@@ -35,10 +35,12 @@ def bank() -> WorkerBank:
     config = make_config("smoke")
     dataset = config.build_dataset(rng=np.random.default_rng(0))
     shards = [dataset.subset(np.arange(i, len(dataset), config.n_workers)) for i in range(config.n_workers)]
-    bank = WorkerBank(
-        lambda: MLP(dataset.n_features, config.n_classes, hidden_sizes=config.hidden_sizes, rng=1), shards,
+    (payload,) = chunk_payloads(
+        lambda: MLP(dataset.n_features, config.n_classes, hidden_sizes=config.hidden_sizes, rng=1),
+        shards, [(0, config.n_workers)],
         batch_size=config.batch_size, lr=config.lr, rngs=[np.random.default_rng(i) for i in range(config.n_workers)],
     )
+    bank = WorkerBank(**payload)
     bank.local_step()  # steady state: gradient buffers bound, plans cached
     return bank
 

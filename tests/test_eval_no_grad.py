@@ -3,8 +3,8 @@
 Evaluation never calls ``backward()``, so graph construction there is pure
 overhead.  These tests plant a probe module that records whether gradient
 tracking was enabled during each forward pass, and assert that every
-evaluation surface — a worker's loss under ``evaluating`` (a ``WorkerBank``
-of one), the trainer's train-loss and test-accuracy metrics — runs with
+evaluation surface — a worker's loss under ``evaluating`` (the loop of
+one), the trainer's train-loss and test-accuracy metrics — runs with
 gradients disabled while training steps keep them enabled.
 """
 
@@ -16,7 +16,7 @@ from repro.core.schedules import FixedCommunicationSchedule
 from repro.core.trainer import PASGDTrainer, TrainerConfig
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.worker_bank import WorkerBank
+from repro.distributed.worker_bank import LoopWorkers
 from repro.nn.layers import Linear, Module, evaluating
 from repro.nn.losses import bank_cross_entropy, cross_entropy
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
@@ -81,7 +81,7 @@ def test_no_grad_context_disables_graph_construction():
     assert out2.requires_grad
 
 
-def _evaluate_loss(worker: WorkerBank, dataset) -> float:
+def _evaluate_loss(worker: LoopWorkers, dataset) -> float:
     """Loss of one worker's current state on ``dataset``, the way the cluster evaluates."""
 
     model = worker.materialize(worker.worker_state(0))
@@ -91,18 +91,18 @@ def _evaluate_loss(worker: WorkerBank, dataset) -> float:
 
 def test_worker_evaluate_loss_builds_no_graph():
     dataset = _dataset()
-    worker = WorkerBank(ProbedModel, [dataset], batch_size=16, lr=0.1, rngs=[0])
-    probe = worker.model.probe
+    worker = LoopWorkers(ProbedModel, [dataset], batch_size=16, lr=0.1, rngs=[0])
+    probe = worker.banks[0].model.probe
     _evaluate_loss(worker, dataset)
     assert probe.calls == [False]
     probe.calls.clear()
-    worker.local_step()  # training still tracks gradients
+    worker.local_period(1)  # training still tracks gradients
     assert probe.calls == [True]
 
 
 def test_worker_evaluate_loss_value_unchanged_by_no_grad():
     dataset = _dataset()
-    worker = WorkerBank(ProbedModel, [dataset], batch_size=16, lr=0.1, rngs=[0])
+    worker = LoopWorkers(ProbedModel, [dataset], batch_size=16, lr=0.1, rngs=[0])
     expected = float(ProbedModel().loss(dataset.X, dataset.y).item())
     assert _evaluate_loss(worker, dataset) == expected
 
@@ -146,7 +146,8 @@ def test_trainer_run_evaluates_without_graph_and_trains_with_it():
 def test_trainer_eval_no_graph_on_vectorized_backend():
     trainer, cluster = _trainer("vectorized")
     assert cluster.backend_name == "vectorized"
-    probe = cluster.backend.model.probe
+    (bank,) = cluster.backend.banks
+    probe = bank.model.probe
     probe.calls.clear()
     trainer._evaluate(0, fallback_loss=0.0)  # both metrics, one call
     assert probe.calls == [False, False]

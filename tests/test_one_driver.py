@@ -29,6 +29,7 @@ from repro.distributed import (
     WorkerBank,
 )
 from repro.distributed.backends import WorkerView
+from repro.distributed.worker_bank import vectorized
 from repro.nn.layers import BatchNorm1d, Linear, Module, Sequential
 from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
@@ -189,7 +190,7 @@ def test_forward_only_module_rides_the_one_step_as_the_textbook_driver_would():
         built.append(_ForwardOnlyNet())
         return built[-1]
 
-    for refusing in (WorkerBank, ShardedBank):  # at any m, before building a second replica
+    for refusing in (vectorized, ShardedBank):  # at any m, before building a second replica
         with pytest.raises(BackendUnsupported):
             refusing(counting_fn, kwargs["shards"][:1], rngs=[0])
         assert len(built) == 1

@@ -140,12 +140,13 @@ def _cluster(m: int, n_features: int, hidden: tuple, batch_size: int, **kwargs) 
 
 
 def test_grad_buffers_keep_their_address_across_steps():
-    backend = _cluster(4, 8, (6,), 4, momentum=0.9).backend
+    with chunk_rule(threads=False):  # one chunk of m, whatever this host's L2
+        (bank,) = _cluster(4, 8, (6,), 4, momentum=0.9).backend.banks
     addresses = None
     for _ in range(3):
-        backend.local_step()
-        now = [p.grad.__array_interface__["data"][0] for p in backend.bank.params.values()]
-        assert all(p.grad is p.grad_buffer for p in backend.bank.params.values())
+        bank.local_step()
+        now = [p.grad.__array_interface__["data"][0] for p in bank.bank.params.values()]
+        assert all(p.grad is p.grad_buffer for p in bank.bank.params.values())
         assert addresses is None or now == addresses
         addresses = now
 
@@ -173,10 +174,11 @@ def test_steady_state_round_allocates_less_than_one_slab(bank_dtype):
     # allocate activations, the (P,) mean and small gradients — never a
     # gathered (m, P) copy, a weight-gradient temporary or a fresh .grad.
     # Under float32 a float64 coercion of the slab is itself such a copy.
-    with chunk_rule(threads=False):  # the one bank, whatever this host's L2
+    with chunk_rule(threads=False):  # one chunk of m, whatever this host's L2
         cluster = _cluster(8, 192, (512,), 2, bank_dtype=bank_dtype)
-    slab_bytes = cluster.backend.bank.slab.nbytes
-    assert cluster.backend.bank.n_parameters == 103946
+    (bank,) = cluster.backend.banks
+    slab_bytes = bank.bank.slab.nbytes
+    assert bank.bank.n_parameters == 103946
     peak = _round_peak(cluster)
     assert peak < slab_bytes, f"peak {peak} B vs one slab {slab_bytes} B"
 

@@ -22,7 +22,6 @@ import pytest
 
 from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed import BackendHandle
-from repro.models.mlp import MLP
 from repro.nn.layers import (
     _conv_plan,
     clear_kernel_plan_cache,
@@ -150,7 +149,8 @@ class TestFloat32Banks:
         for _ in range(3):
             ref.run_round(5)
             f32.run_round(5)
-        stored = next(iter(f32.backend.bank.params.values())).data
+        (chunk,) = f32.backend.banks
+        stored = next(iter(chunk.bank.params.values())).data
         assert stored.dtype == np.float32
         out = f32.synchronized_parameters
         assert out.dtype == np.float32

@@ -23,7 +23,8 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.backends import BackendUnsupported, WorkerView
 from repro.distributed.collectives import Exact
 from repro.distributed.sharded_bank import ShardedBank
-from repro.distributed.worker_bank import LoopWorkers, shard_slices
+from repro.distributed import worker_bank
+from repro.distributed.worker_bank import LoopWorkers, WorkerBank, shard_slices
 from repro.experiments.configs import make_config
 from repro.experiments.harness import run_method
 from repro.models.mlp import MLP
@@ -133,7 +134,8 @@ class TestByteIdenticalToVectorized:
             for _ in range(2):
                 vectorized.run_round(3)
                 sharded.run_round(3)
-            stacked = vectorized.backend.bank.buffers
+            (chunk,) = vectorized.backend.banks
+            stacked = chunk.bank.buffers
             for worker_id in range(4):
                 fetched = sharded.backend.worker_buffers(worker_id)
                 assert set(fetched) == set(stacked)
@@ -262,6 +264,24 @@ class TestOneChunkComposite:
             chunks.close()
 
 
+    @pytest.mark.parametrize("model", ["dropout_bn", "stream_free", "quadratic"])
+    @settings(max_examples=4, deadline=None)
+    @given(m=st.integers(1, 7))
+    @example(m=5)
+    def test_registered_vectorized_equals_loop_at_every_chunk_count(self, model, m):
+        # The registered entry at k = 1 (one chunk of m, what a host whose L2
+        # no chunk fills runs) through k = m, its chunk count forced, no threads.
+        expected = _composite_run(LoopWorkers(**_composite_kwargs(model, m)))
+        for k in range(1, m + 1):
+            with chunk_rule(threads=False), pytest.MonkeyPatch.context() as patch:
+                patch.setattr(worker_bank, "vectorized_chunks", lambda n_workers, row_bytes: k)
+                chunks = BACKENDS.build("vectorized", **_composite_kwargs(model, m))
+                assert type(chunks) is LoopWorkers and chunks.name == "vectorized"
+                assert (chunks.bounds, chunks._threads) == (shard_slices(m, k), 1)
+                assert all(type(bank) is WorkerBank for bank in chunks.banks)
+                assert _composite_run(chunks) == expected, f"k={k}"
+
+
 class TestShardedBackendSurface:
     def test_registered_in_backends_registry(self):
         assert "sharded" in BACKENDS
@@ -358,6 +378,9 @@ class TestShardedBackendSurface:
     def test_validation(self):
         with pytest.raises(ValueError, match="need at least one shard"):
             ShardedBank(lambda: MLP(F, C, rng=0), [])
+        for name in ("loop", "vectorized", "auto"):  # the one build path refuses it for every backend
+            with pytest.raises(ValueError, match="need at least one shard"):
+                BACKENDS.build(name, model_fn=lambda: MLP(F, C, rng=0), shards=[])
         with pytest.raises(ValueError, match="n_shards"):
             _cluster("sharded", _registry_model_fn("mlp"), 4, n_shards=0)
 

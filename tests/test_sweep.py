@@ -320,12 +320,13 @@ class TestRunnerDeterminismAndResume:
         assert report.total == 2
 
     def test_failed_cell_reported_not_raised(self, tmp_path):
-        # A lineup that does not parse is refused at expansion (validate); a CNN
-        # that cannot view 15 features as an image fails only when it is built.
+        # A lineup that does not parse is refused at expansion (validate); a
+        # dropout probability the model's own layer refuses fails only when the
+        # model is built.
         spec = SweepSpec(
             "boom",
-            make_config("smoke", n_train=120, n_test=40, n_features=15, wall_time_budget=8.0),
-            {"model": ["vgg_lite_cnn", "mlp"]},
+            make_config("smoke", n_train=120, n_test=40, wall_time_budget=8.0),
+            {"model_kwargs": [{"dropout": 2.0}, {}]},
         )
         report = run_sweep(spec, tmp_path)
         assert not report.ok

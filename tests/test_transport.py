@@ -185,7 +185,7 @@ class TestBackendOverShm:
         # A full /dev/shm (ENOSPC) at construction and again at rebuild: the
         # run goes on over the pipes with the vectorized bank's bytes, and a
         # later rebuild with allocation working again returns to the plane.
-        from repro.distributed.worker_bank import WorkerBank
+        from repro.distributed.worker_bank import LoopWorkers
 
         with pipe_plane():
             sharded = ShardedBank(**seeded_backend_kwargs(), n_shards=2)
@@ -195,7 +195,7 @@ class TestBackendOverShm:
                     with pipe_plane():
                         sharded.rebuild(**seeded_backend_kwargs(), n_shards=2)
                 assert sharded.transport == "pipe" and sharded._plane is None
-                vectorized = WorkerBank(**seeded_backend_kwargs())
+                vectorized = LoopWorkers(n_chunks=1, **seeded_backend_kwargs())
                 with MetricsRegistry() as metrics:
                     np.testing.assert_array_equal(
                         vectorized.local_period(3), sharded.local_period(3)
